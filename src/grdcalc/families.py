@@ -146,18 +146,13 @@ def script_d_bar(n: int, q: Rationalish) -> FamilyKind:
     return FamilyKind(SCRIPT_D_BAR, n, q=parse_rational(q))
 
 
-def qbinom(n: int, i: int, q: Rationalish) -> Fraction:
-    """The Gaussian binomial coefficient, evaluated exactly at rational ``q``.
+def _qbinom_row(n: int, q: Fraction) -> list[Fraction]:
+    """The row ``[n,0], ..., [n,n]`` of Gaussian binomials at ``q``.
 
-    Computed by the Pascal-style recurrence
-    ``[n,i] = [n-1,i-1] + q**i * [n-1,i]``, which is polynomial in ``q`` and
-    therefore also valid at ``q = +-1`` (the classical-binomial limit).
+    Built by the Pascal-style recurrence ``[m,i] = [m-1,i-1] + q**i * [m-1,i]``,
+    which is polynomial in ``q`` and therefore also valid at ``q = +-1`` (the
+    classical-binomial limit).
     """
-    if not (0 <= i <= n):
-        raise IndexOutOfRange(f"need 0 <= i <= n, got i={i}, n={n}")
-    q = parse_rational(q)
-    if q == 0:
-        raise InvalidQ("q must be nonzero")
     row = [Fraction(1)]
     for m in range(1, n + 1):
         prev = row
@@ -165,23 +160,34 @@ def qbinom(n: int, i: int, q: Rationalish) -> Fraction:
         for j in range(1, m):
             row.append(prev[j - 1] + q ** j * prev[j])
         row.append(Fraction(1))
-    return row[i]
+    return row
+
+
+def qbinom(n: int, i: int, q: Rationalish) -> Fraction:
+    """The Gaussian binomial coefficient, evaluated exactly at rational ``q``."""
+    if not (0 <= i <= n):
+        raise IndexOutOfRange(f"need 0 <= i <= n, got i={i}, n={n}")
+    q = parse_rational(q)
+    if q == 0:
+        raise InvalidQ("q must be nonzero")
+    return _qbinom_row(n, q)[i]
 
 
 def _affine_closed_form(n: int, k: int, q: Fraction) -> Scheme:
     """Geometric-node scheme on ``q**k .. q**(k+n)`` by its closed formula.
 
     The coefficient at node ``q**(n+k-i)`` is
-    ``q**(-n*k) * lam * (-1)**i * q**(i*(i-1)/2) * qbinom(n, i, q)`` with
+    ``q**(-n*k) * lam * (-1)**i * q**(i*(i-1)/2) * [n,i]_q`` with
     ``lam = n! / prod_{j<n} (q**n - q**j)``.
     """
     lam = Fraction(factorial(n))
     for j in range(n):
         lam /= q ** n - q ** j
     front = lam * q ** (-n * k)
+    binomials = _qbinom_row(n, q)
     pairs = []
     for i in range(n + 1):
-        coeff = front * Fraction(-1) ** i * q ** (i * (i - 1) // 2) * qbinom(n, i, q)
+        coeff = front * Fraction(-1) ** i * q ** (i * (i - 1) // 2) * binomials[i]
         pairs.append((coeff, q ** (n + k - i)))
     return canonicalize(pairs)
 
@@ -226,10 +232,11 @@ def _symmetric_pairs(kind: FamilyKind) -> tuple[list[Fraction], bool]:
 def named_scheme(kind: FamilyKind) -> Scheme:
     """Construct the normalized scheme of a named family member.
 
-    Geometric affine members are built twice, by the closed product formula
-    and by the exact moment solver, and the two results must agree; a
-    disagreement would mean an internal arithmetic fault and raises
-    AssertionError.
+    Every member is built by the closed-form (Lagrange) construction of
+    :func:`construct_exact` or :func:`construct_exact_symmetric`.  Geometric
+    affine members are also built by their q-binomial product formula, and
+    the two results must agree; a disagreement would mean an internal
+    arithmetic fault and raises AssertionError.
     """
     if kind.variant in (GAUSSIAN_SYMMETRIC, MZ_TILDE_SYMMETRIC):
         pairs, with_zero = _symmetric_pairs(kind)
@@ -237,7 +244,7 @@ def named_scheme(kind: FamilyKind) -> Scheme:
     built = construct_exact(family_nodes(kind), kind.n)
     if kind.variant in (GAUSSIAN_AFFINE, GAUSSIAN_AFFINE_SHIFT):
         closed = _affine_closed_form(kind.n, kind.k or 0, kind.q)
-        assert closed == built, f"closed form disagrees with solver for {kind}"
+        assert closed == built, f"q-binomial form disagrees with construction for {kind}"
     return built
 
 

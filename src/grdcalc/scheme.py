@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Rationalish = Union[Fraction, int, str]
@@ -153,6 +153,12 @@ def canonicalize(terms: Iterable[PairLike]) -> Scheme:
     return Scheme(tuple(Term(c, b) for b, c in sorted(acc.items()) if c != 0))
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers ``N_i`` and one denominator ``d`` with ``values[i] = N_i / d``."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def moment(scheme: Scheme, j: int) -> Fraction:
     """The j-th node moment ``sum_i a_i * b_i**j`` (exact)."""
     if j < 0:
@@ -178,10 +184,15 @@ def order_info(scheme: Scheme) -> OrderInfo:
     """
     if scheme.is_zero:
         raise ZeroScheme("the zero scheme has no order")
+    # one running-power pass over integers: m_j = sum_i A_i * B_i**j / (da * db**j)
+    powers, da = _over_common_denominator(scheme.coeffs)
+    bases, db = _over_common_denominator(scheme.nodes)
     for j in range(len(scheme)):
-        m_j = moment(scheme, j)
-        if m_j != 0:
+        total = sum(powers)
+        if total != 0:
+            m_j = Fraction(total, da * db ** j)
             return OrderInfo(j, m_j, Fraction(factorial(j)) / m_j)
+        powers = [a * b for a, b in zip(powers, bases)]
     raise AssertionError("nonzero scheme with all leading moments zero")
 
 
@@ -193,50 +204,27 @@ def normalized(scheme: Scheme) -> Scheme:
     return Scheme(tuple(Term(t.coeff * info.normalizer, t.node) for t in scheme))
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a (possibly overdetermined) exact linear system by elimination.
+def _lagrange_weights(points: Sequence[Fraction], top: int) -> list[Fraction]:
+    """The weights ``w_i = top / prod_{j != i} (t_i - t_j)`` on distinct points.
 
-    Uses partial pivoting by magnitude; raises UnderdeterminedSystem when a
-    column has no pivot and InconsistentSystem when a zero row meets a
-    nonzero right-hand side.
+    They are the unique solution of ``sum_i w_i * t_i**j = 0`` for
+    ``j < k-1`` and ``sum_i w_i * t_i**(k-1) = top`` on ``k`` points:
+    ``top`` times the last row of the inverse Vandermonde matrix
+    (Bjorck and Pereyra, Math. Comp. 24, 1970; Fornberg, Math. Comp. 51,
+    1988).  The differences run on integers over a common denominator.
     """
-    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(n_cols):
-        best = None
-        for i in range(rank, n_rows):
-            if aug[i][col] != 0 and (best is None or abs(aug[i][col]) > abs(aug[best][col])):
-                best = i
-        if best is None:
-            raise UnderdeterminedSystem(f"no pivot for unknown {col}")
-        aug[rank], aug[best] = aug[best], aug[rank]
-        pivot = aug[rank][col]
-        for i in range(n_rows):
-            if i != rank and aug[i][col] != 0:
-                factor = aug[i][col] / pivot
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[rank])]
-        pivots.append((rank, col))
-        rank += 1
-        if rank == n_rows:
-            if col + 1 < n_cols:
-                raise UnderdeterminedSystem("more unknowns than conditions")
-            break
-    for i in range(rank, n_rows):
-        if aug[i][n_cols] != 0:
-            raise InconsistentSystem("conditions cannot all hold")
-    solution = [Fraction(0)] * n_cols
-    for row, col in pivots:
-        solution[col] = aug[row][n_cols] / aug[row][col]
-    return solution
+    ints, d = _over_common_denominator(points)
+    numerator = top * d ** (len(ints) - 1)
+    return [Fraction(numerator, prod(x - y for y in ints if y != x)) for x in ints]
 
 
 def construct_exact(nodes: Sequence[Rationalish], n: int) -> Scheme:
     """The unique normalized scheme of order ``n`` on ``n+1`` distinct nodes.
 
-    Solves the moment conditions ``m_j = 0`` for ``j < n`` and ``m_n = n!``
-    by exact elimination on the node Vandermonde system.
+    The moment conditions ``m_j = 0`` for ``j < n`` and ``m_n = n!`` have the
+    closed-form (Lagrange) solution ``a_i = n! / prod_{j != i} (b_i - b_j)``:
+    ``n!`` times the leading coefficient of the i-th Lagrange basis
+    polynomial on the nodes.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidOrder(f"order must be a positive integer, got {n!r}")
@@ -245,10 +233,7 @@ def construct_exact(nodes: Sequence[Rationalish], n: int) -> Scheme:
         raise WrongNodeCount(f"order {n} needs exactly {n + 1} nodes, got {len(points)}")
     if len(set(points)) != len(points):
         raise DuplicateNodes("nodes must be distinct")
-    rows = [[b ** j for b in points] for j in range(n + 1)]
-    rhs = [Fraction(0)] * n + [Fraction(factorial(n))]
-    coeffs = _solve_exact(rows, rhs)
-    return canonicalize(zip(coeffs, points))
+    return canonicalize(zip(_lagrange_weights(points, factorial(n)), points))
 
 
 def construct_exact_symmetric(
@@ -258,9 +243,13 @@ def construct_exact_symmetric(
     whose reflection satisfies ``S(-h) = (-1)**n * S(h)``.
 
     The symmetry fixes the coefficient at ``-p`` to ``(-1)**n`` times the one
-    at ``p`` and makes every moment of parity opposite to ``n`` vanish, so the
-    unknowns are one coefficient per pair (plus the zero-node coefficient for
-    even ``n``) and the conditions are the moments ``j = n, n-2, ...``.
+    at ``p`` and makes every moment of parity opposite to ``n`` vanish.  The
+    remaining ``n//2 + 1`` conditions, the moments ``j = n, n-2, ...``, read
+    ``sum_t w_t * t**k = [k = n//2] * n!`` in the squared nodes ``t = p**2``,
+    with weights ``w_p = 2 * c_p * p**(n % 2)`` and ``w_0 = c_0`` at the zero
+    node.  With one unknown per condition the weights have the closed-form
+    (Lagrange) solution ``w_t = n! / prod_{s != t} (t - s)``; with fewer
+    unknowns no solution exists.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidOrder(f"order must be a positive integer, got {n!r}")
@@ -271,27 +260,23 @@ def construct_exact_symmetric(
         raise DuplicateNodes("node pairs must be distinct")
     if include_zero and n % 2 == 1:
         raise ZeroNodeParityError("a zero node forces a zero coefficient at odd order")
-    sign = Fraction(-1) ** n
-    exponents = list(range(n % 2, n + 1, 2))
-    n_unknowns = len(pairs) + (1 if include_zero else 0)
-    if n_unknowns > len(exponents):
+    squares = [p * p for p in pairs] + ([Fraction(0)] if include_zero else [])
+    n_conditions = n // 2 + 1
+    if len(squares) > n_conditions:
         raise UnderdeterminedSystem(
-            f"{n_unknowns} unknowns but only {len(exponents)} parity-matching conditions"
+            f"{len(squares)} unknowns but only {n_conditions} parity-matching conditions"
         )
-    rows = []
-    for j in exponents:
-        row = [2 * p ** j for p in pairs]
-        if include_zero:
-            row.append(Fraction(1 if j == 0 else 0))
-        rows.append(row)
-    rhs = [Fraction(factorial(n)) if j == n else Fraction(0) for j in exponents]
-    solution = _solve_exact(rows, rhs)
+    if len(squares) < n_conditions:
+        raise InconsistentSystem("conditions cannot all hold")
+    weights = _lagrange_weights(squares, factorial(n))
+    sign = Fraction(-1) ** n
     terms = []
-    for coeff, p in zip(solution, pairs):
+    for w, p in zip(weights, pairs):
+        coeff = w / (2 * p ** (n % 2))
         terms.append((coeff, p))
         terms.append((sign * coeff, -p))
     if include_zero:
-        terms.append((solution[-1], Fraction(0)))
+        terms.append((weights[-1], Fraction(0)))
     return canonicalize(terms)
 
 

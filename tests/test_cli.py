@@ -412,7 +412,7 @@ def test_symmetric_construct_matches_library(capsys):
 # --- installed entry points ---------------------------------------------------------------------
 
 
-def test_console_script_and_module_entry():
+def test_console_script_entry():
     script = shutil.which("grdcalc")
     assert script is not None, "console script must be installed"
     result = subprocess.run(
@@ -424,6 +424,8 @@ def test_console_script_and_module_entry():
     assert result.returncode == 0
     assert json.loads(result.stdout) == scheme_to_json_dict(construct_exact([0, 1], 1))
 
+
+def test_module_entry():
     module = subprocess.run(
         [sys.executable, "-m", "grdcalc", "demo", "E13"],
         capture_output=True,

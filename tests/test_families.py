@@ -165,7 +165,8 @@ def test_family_errors():
 @settings(max_examples=40)
 @given(st.integers(min_value=1, max_value=5), sane_q)
 def test_affine_closed_form_agrees_with_solver(n, q):
-    # named_scheme itself asserts closed form == solver; exercise it broadly
+    # named_scheme itself asserts q-binomial form == Lagrange construction;
+    # exercise it broadly
     member = named_scheme(gaussian_affine(n, q))
     assert member == construct_exact([q ** i for i in range(n + 1)], n)
 

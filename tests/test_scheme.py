@@ -173,8 +173,8 @@ def test_symmetric_construction_errors():
 
 
 def test_symmetric_overdetermined_pairs_must_be_consistent():
-    # one pair cannot satisfy the two parity conditions of order 4
-    with pytest.raises((InconsistentSystem, UnderdeterminedSystem)):
+    # one pair cannot satisfy the three parity conditions of order 4
+    with pytest.raises(InconsistentSystem):
         construct_exact_symmetric([1], False, 4)
 
 
