@@ -5,7 +5,8 @@ recognize, mz-check, mz-set, ggr, qggr, ntimes, probe, and demo.  Scheme
 arguments accept ``@file`` (JSON), inline JSON, or a family string such as
 ``riemann:n=2`` or ``gauss-aff:n=2,q=3/2``.  Exit codes: 0 for a completed
 computation (negative verdicts are successful computations and also exit
-0), 2 for malformed input, 3 for a failed internal identity assertion.
+0), 2 for malformed input, 3 for a failed internal identity check
+(``IdentityCheckFailed``, which ``python -O`` does not strip).
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .probes import (
 from .scheme import (
     CalculusError,
     Scheme,
+    _require,
     canonicalize,
     construct_exact,
     construct_exact_symmetric,
@@ -337,7 +339,7 @@ def _cmd_demo(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# demo suite: each demo recomputes a worked identity and asserts it exactly
+# demo suite: each demo recomputes a worked identity and checks it exactly
 
 
 def _d31_scheme() -> Scheme:
@@ -346,16 +348,16 @@ def _d31_scheme() -> Scheme:
 
 def _demo_e1() -> tuple[list[str], dict]:
     member = named_scheme(gaussian_affine(2, 2))
-    assert member == canonicalize(
+    _require(member == canonicalize(
         [(Fraction(2, 3), 1), (Fraction(-1), 2), (Fraction(1, 3), 4)]
-    ), "affine member mismatch"
+    ), "affine member mismatch")
     scaled = scale(member, 2)
-    assert scaled == canonicalize(
+    _require(scaled == canonicalize(
         [(Fraction(1, 6), 2), (Fraction(-1, 4), 4), (Fraction(1, 12), 8)]
-    ), "scale-by-2 mismatch"
+    ), "scale-by-2 mismatch")
     match = recognize_gaussian(scaled)
-    assert match is not None and match.variant == GAUSSIAN_AFFINE, "recognition failed"
-    assert match.q == 2 and match.scale_b == 2, "expected q=2, b=2"
+    _require(match is not None and match.variant == GAUSSIAN_AFFINE, "recognition failed")
+    _require(match.q == 2 and match.scale_b == 2, "expected q=2, b=2")
     lines = [
         f"scale by 2 of the geometric second difference: {format_scheme(scaled)}",
         "recognize: scale-of-affine q=2 b=2",
@@ -383,14 +385,16 @@ def _demo_e2() -> tuple[list[str], dict]:
             (Fraction(-1, 3), -4),
         ]
     )
-    assert mixed == expected, "mixed-part scheme mismatch"
+    _require(mixed == expected, "mixed-part scheme mismatch")
     verdict = decide_equivalent(member, mixed)
-    assert verdict.equivalent, "must be equivalent"
+    _require(verdict.equivalent, "must be equivalent")
     w = verdict.witness
-    assert (w.r, w.s, w.sym_factor, w.skew_factor) == (1, 1, 1, 3), "witness must be B=3"
-    assert is_scale(member, mixed) is None, "must not be a plain scale"
+    _require(
+        (w.r, w.s, w.sym_factor, w.skew_factor) == (1, 1, 1, 3), "witness must be B=3"
+    )
+    _require(is_scale(member, mixed) is None, "must not be a plain scale")
     check = mz_check(mixed)
-    assert check.status == STATUS_MZ, "equivalent-to-geometric means known MZ"
+    _require(check.status == STATUS_MZ, "equivalent-to-geometric means known MZ")
     lines = [
         f"plus + 3*minus of the geometric member: {format_scheme(mixed)}",
         "equivalent to the member with witness A=1, B=3 (r=s=1)",
@@ -408,19 +412,19 @@ def _demo_e2() -> tuple[list[str], dict]:
 
 def _demo_e3() -> tuple[list[str], dict]:
     first = named_scheme(gaussian_affine(1, 2))
-    assert first == canonicalize([(-1, 1), (1, 2)]), "geometric first difference"
+    _require(first == canonicalize([(-1, 1), (1, 2)]), "geometric first difference")
     scaled = scale(first, 2)
-    assert scaled == canonicalize(
+    _require(scaled == canonicalize(
         [(Fraction(-1, 2), 2), (Fraction(1, 2), 4)]
-    ), "scale mismatch"
+    ), "scale mismatch")
     a = canonicalize([(-1, 0), (1, 1)])
     b = canonicalize([(2, -1), (-5, 0), (3, 1)])
     forward_verdict = decide_equivalent(a, b)
     reverse_verdict = decide_equivalent(b, a)
-    assert forward_verdict.equivalent and reverse_verdict.equivalent
+    _require(forward_verdict.equivalent and reverse_verdict.equivalent)
     fw, rw = forward_verdict.witness, reverse_verdict.witness
-    assert (fw.r, fw.s, fw.sym_factor, fw.skew_factor) == (1, 1, 1, 5)
-    assert (rw.r, rw.s, rw.sym_factor, rw.skew_factor) == (1, 1, 1, Fraction(1, 5))
+    _require((fw.r, fw.s, fw.sym_factor, fw.skew_factor) == (1, 1, 1, 5))
+    _require((rw.r, rw.s, rw.sym_factor, rw.skew_factor) == (1, 1, 1, Fraction(1, 5)))
     lines = [
         f"geometric first difference: {format_scheme(first)}",
         f"its scale by 2: {format_scheme(scaled)}",
@@ -437,22 +441,22 @@ def _demo_e3() -> tuple[list[str], dict]:
 def _demo_e13() -> tuple[list[str], dict]:
     base = _d31_scheme()
     plus, minus = decompose(base, 3)
-    assert plus == canonicalize(
+    _require(plus == canonicalize(
         [(Fraction(-1, 2), -2), (1, -1), (-1, 1), (Fraction(1, 2), 2)]
-    ), "symmetric part mismatch"
-    assert minus == canonicalize(
+    ), "symmetric part mismatch")
+    _require(minus == canonicalize(
         [(Fraction(1, 2), -2), (-2, -1), (3, 0), (-2, 1), (Fraction(1, 2), 2)]
-    ), "skew part mismatch"
+    ), "skew part mismatch")
     nabla = class_member(base, 1, 1, Fraction(1, 2))
     expected = canonicalize(
         [(Fraction(-1, 4), -2), (Fraction(3, 2), 0), (-2, 1), (Fraction(3, 4), 2)]
     )
-    assert nabla == expected, "class member mismatch"
+    _require(nabla == expected, "class member mismatch")
     verdict = decide_equivalent(base, nabla)
-    assert verdict.equivalent
+    _require(verdict.equivalent)
     w = verdict.witness
-    assert (w.r, w.s, w.sym_factor, w.skew_factor) == (1, 1, 1, Fraction(1, 2))
-    assert is_scale(base, nabla) is None
+    _require((w.r, w.s, w.sym_factor, w.skew_factor) == (1, 1, 1, Fraction(1, 2)))
+    _require(is_scale(base, nabla) is None)
     lines = [
         f"class member with skew factor 1/2: {format_scheme(nabla)}",
         "equivalence witness: A=1 B=1/2 (r=s=1)",
@@ -474,8 +478,8 @@ def _demo_e14() -> tuple[list[str], dict]:
         (3, scale(_d31_scheme(), Fraction(47, 10))),
     ]
     report = n_times_check(chain)
-    assert report.all_mz, "every stage must be known MZ"
-    assert report.peano_equivalence == PEANO_ALL_MZ
+    _require(report.all_mz, "every stage must be known MZ")
+    _require(report.peano_equivalence == PEANO_ALL_MZ)
     lines = [
         "chain: continuity, geometric(22/7) order 1, forward(5) order 2,",
         "       backward-shift order 3 scaled by 47/10",
@@ -487,14 +491,16 @@ def _demo_e14() -> tuple[list[str], dict]:
 def _demo_e15() -> tuple[list[str], dict]:
     oracle = subgroup_monomial_oracle(2, [2, 3])
     stages = peano_probe(oracle, 0, 2)
-    assert len(stages) == 2, "must stop after stage 2"
-    assert stages[0][1].verdict == VERDICT_CONVERGES
+    _require(len(stages) == 2, "must stop after stage 2")
+    _require(stages[0][1].verdict == VERDICT_CONVERGES)
     second = stages[1][1]
-    assert second.verdict == VERDICT_DIVERGES
+    _require(second.verdict == VERDICT_DIVERGES)
     cands = sorted(seq.candidate for seq in second.evidence)
-    assert cands == [0, 2], f"clusters must be 0 and 2, got {cands}"
+    _require(cands == [0, 2], "clusters must be 0 and 2, got %s", cands)
     groups = {seq.in_group for seq in second.evidence}
-    assert groups == {True, False}, "evidence must span in-group and out-of-group steps"
+    _require(
+        groups == {True, False}, "evidence must span in-group and out-of-group steps"
+    )
     lines = [
         "x^2 restricted to the subgroup generated by 2 and 3:",
         "order-1 probe converges (first Peano coefficient exists),",
@@ -512,10 +518,10 @@ def _demo_e15() -> tuple[list[str], dict]:
 def _demo_p88() -> tuple[list[str], dict]:
     base = _d31_scheme()
     match = equivalent_gaussian(base)
-    assert match is None, "must not be equivalent to any geometric-node scheme"
+    _require(match is None, "must not be equivalent to any geometric-node scheme")
     verdict = mz_check(base)
-    assert verdict.status == STATUS_MZ
-    assert verdict.certificate is not None and verdict.certificate.kind == CERT_D31
+    _require(verdict.status == STATUS_MZ)
+    _require(verdict.certificate is not None and verdict.certificate.kind == CERT_D31)
     lines = [
         f"backward-shift third difference: {format_scheme(base)}",
         "equivalent-gaussian: none",
@@ -530,7 +536,7 @@ def _demo_t14() -> tuple[list[str], dict]:
     lines = []
     for n in range(3, 9):
         result = equivalent_gaussian(named_scheme(riemann(n)))
-        assert result is None, f"equispaced order {n} must not match"
+        _require(result is None, "equispaced order %s must not match", n)
         rows.append({"n": n, "equivalent_gaussian": None})
         lines.append(f"n={n}: equivalent-gaussian: none")
     return lines, {"table": rows}
@@ -542,7 +548,7 @@ def _demo_t8() -> tuple[list[str], dict]:
     lines = []
     for n, ell, q in cases:
         witnesses = verify_quantum_ggr(n, ell, q)
-        assert [w for _, w in witnesses] == [q ** k for k in range(ell, ell + n + 1)]
+        _require([w for _, w in witnesses] == [q ** k for k in range(ell, ell + n + 1)])
         results.append(
             {
                 "n": n,
@@ -563,13 +569,13 @@ def _demo_mz() -> tuple[list[str], dict]:
     rows = []
     for n in range(1, 7):
         tilde = named_scheme(mz_tilde(n))
-        assert tilde == named_scheme(gaussian_forward(n, 2)), "doubling nodes are q=2"
+        _require(tilde == named_scheme(gaussian_forward(n, 2)), "doubling nodes are q=2")
         verdict = mz_check(tilde)
-        assert verdict.status == STATUS_MZ
+        _require(verdict.status == STATUS_MZ)
         certificate = verdict.certificate
-        assert certificate is not None and certificate.match is not None
-        assert certificate.match.variant == GAUSSIAN_FORWARD
-        assert certificate.match.q == 2
+        _require(certificate is not None and certificate.match is not None)
+        _require(certificate.match.variant == GAUSSIAN_FORWARD)
+        _require(certificate.match.q == 2)
         rows.append({"n": n, "status": verdict.status})
         lines.append(f"n={n}: doubling-node scheme is known-mz (forward q=2)")
     return lines, {"table": rows}
@@ -577,14 +583,14 @@ def _demo_mz() -> tuple[list[str], dict]:
 
 def _demo_ggr() -> tuple[list[str], dict]:
     full = mz_set_check(ggr_set(4))
-    assert full.status == STATUS_MZ
-    assert full.certificate is not None and full.certificate.kind == CERT_GGR_SET
-    assert full.certificate.reduced is False
+    _require(full.status == STATUS_MZ)
+    _require(full.certificate is not None and full.certificate.kind == CERT_GGR_SET)
+    _require(full.certificate.reduced is False)
     reduced = mz_set_check(ggr_set(4, reduced=True))
-    assert reduced.status == STATUS_MZ
-    assert reduced.certificate is not None
-    assert reduced.certificate.kind == CERT_GGR_SET
-    assert reduced.certificate.reduced is True
+    _require(reduced.status == STATUS_MZ)
+    _require(reduced.certificate is not None)
+    _require(reduced.certificate.kind == CERT_GGR_SET)
+    _require(reduced.certificate.reduced is True)
     lines = [
         "the four backward shifts of the equispaced fourth difference form",
         "a known MZ-set (full certificate); the first two alone already do",

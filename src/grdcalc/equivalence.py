@@ -42,6 +42,7 @@ from .scheme import (
     Scheme,
     ZeroScale,
     ZeroScheme,
+    _require,
     _scale_witness,
     combine,
     decompose,
@@ -185,7 +186,9 @@ def decide_equivalent(a: Scheme, b: Scheme, use_fast_paths: bool = True) -> Equi
     def general(path: str = PATH_GENERAL) -> EquivalenceVerdict:
         verdict = _general_verdict(n, a_plus, a_minus, b_plus, b_minus, path, flag)
         if verdict.equivalent:
-            assert verify_witness(a, b, verdict.witness), "witness failed re-verification"
+            _require(
+                verify_witness(a, b, verdict.witness), "witness failed re-verification"
+            )
         return verdict
 
     if use_fast_paths:
@@ -204,10 +207,13 @@ def decide_equivalent(a: Scheme, b: Scheme, use_fast_paths: bool = True) -> Equi
             r = _scale_witness(a, b)
             if r is not None:
                 verdict = _scale_verdict(n, r, a_minus.is_zero, path, flag)
-                assert verify_witness(a, b, verdict.witness), "witness failed re-verification"
+                _require(
+                    verify_witness(a, b, verdict.witness),
+                    "witness failed re-verification",
+                )
                 return verdict
             verdict = general()
-            assert not verdict.equivalent, "fast path disagrees with general analysis"
+            _require(not verdict.equivalent, "fast path disagrees with general analysis")
             return verdict
     return general()
 

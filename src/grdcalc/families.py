@@ -21,6 +21,7 @@ from .scheme import (
     Rationalish,
     Scheme,
     ZeroScheme,
+    _require,
     _scale_witness,
     canonicalize,
     construct_exact,
@@ -236,7 +237,7 @@ def named_scheme(kind: FamilyKind) -> Scheme:
     :func:`construct_exact` or :func:`construct_exact_symmetric`.  Geometric
     affine members are also built by their q-binomial product formula, and
     the two results must agree; a disagreement would mean an internal
-    arithmetic fault and raises AssertionError.
+    arithmetic fault and raises ``IdentityCheckFailed``.
     """
     if kind.variant in (GAUSSIAN_SYMMETRIC, MZ_TILDE_SYMMETRIC):
         pairs, with_zero = _symmetric_pairs(kind)
@@ -244,7 +245,9 @@ def named_scheme(kind: FamilyKind) -> Scheme:
     built = construct_exact(family_nodes(kind), kind.n)
     if kind.variant in (GAUSSIAN_AFFINE, GAUSSIAN_AFFINE_SHIFT):
         closed = _affine_closed_form(kind.n, kind.k or 0, kind.q)
-        assert closed == built, f"q-binomial form disagrees with construction for {kind}"
+        _require(
+            closed == built, "q-binomial form disagrees with construction for %s", kind
+        )
     return built
 
 

@@ -42,6 +42,7 @@ from .scheme import (
     Rationalish,
     Scheme,
     ZeroScheme,
+    _require,
     _scale_witness,
     combine,
     construct_exact,
@@ -248,7 +249,9 @@ def verify_quantum_ggr(
     for k in range(ell, ell + n + 1):
         shifted = named_scheme(gaussian_affine_shift(n, k, q))
         witness = _scale_witness(base, shifted)
-        assert witness == q ** k, f"shift {k} expected scale {q}**{k}, got {witness}"
+        _require(
+            witness == q ** k, "shift %s expected scale %s**%s, got %s", k, q, k, witness
+        )
         witnesses.append((k, witness))
     return witnesses
 
@@ -366,7 +369,7 @@ def _detect_identity_chain(entries: dict[int, ChainEntry]) -> Optional[Scheme]:
     if not decide_equivalent(third, _d31()).equivalent:
         return None
     certificate = combine([(1, 1, _d31()), (1, 1, _d2_symmetric())])
-    assert certificate == construct_exact([0, 1, 2], 2), "rewrite identity failed"
+    _require(certificate == construct_exact([0, 1, 2], 2), "rewrite identity failed")
     return certificate
 
 

@@ -7,8 +7,10 @@ limits (diverges), or neither (inconclusive).  Every sample is an exact
 rational because the test functions here are exactly evaluable on
 rationals; the verdicts are still evidence, not proof, and the reports say
 so.  The subgroup-supported monomials need exact membership in a finitely
-generated multiplicative subgroup of the nonzero rationals, decided on
-prime-exponent vectors by integer lattice elimination.
+generated multiplicative subgroup of the nonzero rationals.  Only the
+generators are factored: their primes are divided out of the sample point,
+any other prime left over rules it out, and the exponent vector over the
+generators' primes is decided by integer lattice elimination.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Optional, Sequence
 
 from .families import mz_tilde, named_scheme
@@ -44,7 +47,7 @@ class ZeroStep(CalculusError):
 
 
 class FactorizationBoundExceeded(CalculusError):
-    """A value's prime factorization could not be completed below the bound."""
+    """A generator's prime factorization could not be completed below the bound."""
 
 
 _TRIAL_DIVISION_BOUND = 10 ** 6
@@ -98,7 +101,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _lattice_member(columns: list[list[int]], target: list[int]) -> bool:
+def _lattice_member(columns: Sequence[Sequence[int]], target: list[int]) -> bool:
     """Whether ``target`` lies in the integer column span of ``columns``.
 
     Row-by-row integer elimination: each processed row is reduced to one
@@ -137,23 +140,54 @@ def _lattice_member(columns: list[list[int]], target: list[int]) -> bool:
     return all(v == 0 for v in vec)
 
 
-@lru_cache(maxsize=65536)
-def _membership(x: Fraction, generators: tuple[Fraction, ...]) -> bool:
-    sign_x, exps_x = _factor_rational(x)
+@lru_cache(maxsize=256)
+def _generator_lattice(
+    generators: tuple[Fraction, ...]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Sorted primes of the generators and their sign/exponent columns.
+
+    The last column is the doubled sign coordinate: sign flips only matter
+    mod 2.  An unfactorable generator raises ``FactorizationBoundExceeded``.
+    """
     factored = [_factor_rational(g) for g in generators]
-    primes = sorted(set(exps_x) | {p for _, e in factored for p in e})
-    columns = [[sign] + [exps.get(p, 0) for p in primes] for sign, exps in factored]
-    columns.append([2] + [0] * len(primes))  # sign flips only matter mod 2
-    target = [sign_x] + [exps_x.get(p, 0) for p in primes]
+    primes = tuple(sorted({p for _, e in factored for p in e}))
+    columns = tuple(
+        (sign, *(exps.get(p, 0) for p in primes)) for sign, exps in factored
+    )
+    return primes, columns + ((2,) + (0,) * len(primes),)
+
+
+# Not cached: sample points are fresh rationals, so a cache would only grow.
+# The zero-size lru_cache keeps ``cache_info()`` (misses count the calls) for
+# the membership counters of perfbench.
+@lru_cache(maxsize=0)
+def _membership(x: Fraction, generators: tuple[Fraction, ...]) -> bool:
+    primes, columns = _generator_lattice(generators)
+    num, den = abs(x.numerator), x.denominator
+    target = [1 if x < 0 else 0]
+    for p in primes:
+        exp = 0
+        while num % p == 0:
+            num //= p
+            exp += 1
+        while den % p == 0:
+            den //= p
+            exp -= 1
+        target.append(exp)
+    if num != 1 or den != 1:
+        return False
     return _lattice_member(columns, target)
 
 
 def subgroup_membership(x: Rationalish, generators: Sequence[Rationalish]) -> bool:
     """Exact membership of ``x`` in the multiplicative group the generators span.
 
-    Both ``x`` and the generators are factored into sign and prime
-    exponents; membership is an integer lattice question (exponents over
-    the primes, sign over Z/2, encoded as an extra doubled coordinate).
+    Only the generators are factored.  Their primes are divided out of the
+    numerator and denominator of ``x``; anything left over means ``x`` is
+    not a member.  Otherwise membership is an integer lattice question on
+    the exponents over those primes, with the sign over Z/2 encoded as an
+    extra doubled coordinate.  A generator that cannot be factored below
+    the trial-division bound raises ``FactorizationBoundExceeded``.
     """
     x = parse_rational(x)
     gens = tuple(parse_rational(g) for g in generators)
@@ -298,7 +332,13 @@ def eval_quotient(
     x, h = parse_rational(x), parse_rational(h)
     if h == 0:
         raise ZeroStep("the step h must be nonzero")
-    n = order_info(scheme).order
+    return _quotient(scheme, order_info(scheme).order, oracle, x, h)
+
+
+def _quotient(
+    scheme: Scheme, n: int, oracle: FunctionOracle, x: Fraction, h: Fraction
+) -> Fraction:
+    """``S(h,x;f) / h**n`` for a parsed nonzero step and the scheme's order ``n``."""
     total = sum(
         (t.coeff * oracle.evaluate(x + t.node * h) for t in scheme), Fraction(0)
     )
@@ -418,12 +458,9 @@ def _auto_subgroup_ratios(oracle: FunctionOracle) -> list[Fraction]:
             square = g * g
             extra.append(1 / square if square > 1 else square)
         break
-    used_primes: set[int] = set()
-    for g in oracle.generators:
-        _, exps = _factor_rational(g)
-        used_primes |= set(exps)
+    used_primes = _generator_lattice(oracle.generators)[0]
     p = 2
-    while p in used_primes or any(p % q == 0 for q in range(2, p)):
+    while p in used_primes or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         p += 1
     extra.append(Fraction(1, p))
     return extra
@@ -452,13 +489,14 @@ def limit_probe(
             if ratio not in ratios:
                 ratios.append(ratio)
     effective = replace(cfg, ratios=tuple(ratios))
+    n = order_info(scheme).order
     sequences = []
     for ratio in ratios:
         for sign in (1, -1):
             samples = []
             for j in range(cfg.j_min, cfg.j_max + 1):
                 h = sign * cfg.h0 * ratio ** j
-                samples.append((h, eval_quotient(scheme, oracle, x, h)))
+                samples.append((h, _quotient(scheme, n, oracle, x, h)))
             in_group: Optional[bool] = None
             if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
                 flags = [_membership(h, oracle.generators) for h, _ in samples]

@@ -23,6 +23,19 @@ class CalculusError(ValueError):
     """Base class for input and domain errors raised by this package."""
 
 
+class IdentityCheckFailed(AssertionError):
+    """An internal exactness identity did not hold (a fault, not bad input)."""
+
+
+def _require(condition: bool, message: str = "", *args: object) -> None:
+    """Raise ``IdentityCheckFailed`` unless ``condition``; unlike ``assert``, kept by ``-O``.
+
+    As with ``assert``, the message ``message % args`` is built only on failure.
+    """
+    if not condition:
+        raise IdentityCheckFailed(message % args if args else message)
+
+
 class ZeroScheme(CalculusError):
     """An operation that needs a nonzero scheme received the zero scheme."""
 

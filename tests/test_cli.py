@@ -259,6 +259,18 @@ def test_probe_converges_json(capsys):
     assert data["numeric_evidence"] is True
 
 
+def test_probe_subgroup_off_zero(capsys):
+    code, out, _ = run(
+        capsys,
+        ["--output", "json", "probe", "mz-tilde:n=2", "--oracle=subgmono:k=2;gens=2,3",
+         "--x=1/7"],
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "converges"
+    assert data["estimate"] == "0/1"
+
+
 def test_probe_config_flags(capsys):
     code, out, _ = run(
         capsys,
@@ -474,3 +486,24 @@ def test_module_entry():
     module = run_child([sys.executable, "-m", "grdcalc", "demo", "E13"])
     assert module.returncode == 0
     assert "[demo E13]" in module.stdout
+
+
+@pytest.mark.parametrize("name", list(DEMOS))
+def test_demo_under_optimize_flag(name):
+    result = run_child([sys.executable, "-O", "-m", "grdcalc", "demo", name])
+    assert result.returncode == 0, result.stderr
+    assert f"[demo {name}]" in result.stdout
+
+
+def test_failed_identity_exits_3_under_optimize_flag():
+    # a wrong expected verdict must still be caught when -O strips asserts
+    code = (
+        "import sys, grdcalc.cli as cli\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "cli.STATUS_MZ = 'not-mz'\n"
+        "sys.exit(cli.main(['demo', 'P88']))\n"
+    )
+    result = run_child([sys.executable, "-O", "-c", code])
+    assert result.returncode == 3
+    assert "internal assertion failed" in result.stderr

@@ -22,6 +22,7 @@ from grdcalc import (
     format_oracle,
     limit_probe,
     monomial_oracle,
+    mz_tilde,
     parse_oracle,
     peano_probe,
     polynomial_oracle,
@@ -32,6 +33,8 @@ from grdcalc import (
     subgroup_membership,
     subgroup_monomial_oracle,
 )
+from grdcalc import probes
+from membership_reference import _factor_rational
 
 D2_SYM = construct_exact_symmetric([1], True, 2)
 FWD1 = construct_exact([0, 1], 1)
@@ -73,8 +76,11 @@ def test_membership_factorization_bound():
     big_prime = 1000003
     assert subgroup_membership(big_prime, [big_prime])
     assert not subgroup_membership(big_prime, [2])
+    # only the generators are factored, so a point beyond the bound is answered
+    assert not subgroup_membership(big_prime ** 2, [2])
+    assert subgroup_membership(Fraction(big_prime ** 2, 8), [2, big_prime])
     with pytest.raises(FactorizationBoundExceeded):
-        subgroup_membership(big_prime ** 2, [2])
+        subgroup_membership(2, [big_prime ** 2])
 
 
 # --- oracles ---------------------------------------------------------------------
@@ -125,6 +131,24 @@ def test_oracle_string_round_trip():
 
 
 # --- exact quotients ----------------------------------------------------------------
+
+
+def test_limit_probe_reads_order_once(monkeypatch):
+    calls = []
+    original = probes.order_info
+
+    def counting(scheme):
+        calls.append(scheme)
+        return original(scheme)
+
+    monkeypatch.setattr(probes, "order_info", counting)
+    oracle = subgroup_monomial_oracle(2, [2, 3])
+    report = limit_probe(D2_SYM, oracle, Fraction(1, 3))
+    assert calls == [D2_SYM]
+    monkeypatch.undo()
+    for sequence in report.sequences:
+        for h, value in sequence.samples:
+            assert eval_quotient(D2_SYM, oracle, Fraction(1, 3), h) == value
 
 
 def test_eval_quotient_fixtures():
@@ -250,6 +274,44 @@ def test_probe_adds_subgroup_ratios():
     negative_gen = subgroup_monomial_oracle(1, [-2])
     report2 = limit_probe(FWD1, negative_gen)
     assert report2.config.ratios == ProbeConfig().ratios + (Fraction(1, 4),)
+
+
+def test_probe_subgroup_off_zero_is_answered():
+    # 1/7 + b*h is never in <2, 3>, and some of those points have prime
+    # factors beyond the trial-division bound
+    report = limit_probe(
+        named_scheme(mz_tilde(2)), subgroup_monomial_oracle(2, [2, 3]), Fraction(1, 7)
+    )
+    assert report.verdict == VERDICT_CONVERGES
+    assert report.estimate == 0
+    assert all(v == 0 for s in report.sequences for _, v in s.samples)
+
+
+def reference_out_group_prime(generators):
+    """The least prime outside the generators' primes, found as before."""
+    used_primes = set()
+    for g in generators:
+        _, exps = _factor_rational(Fraction(g))
+        used_primes |= set(exps)
+    p = 2
+    while p in used_primes or any(p % q == 0 for q in range(2, p)):
+        p += 1
+    return p
+
+
+def test_auto_subgroup_ratios_unchanged():
+    rng = random.Random(7)
+    cases = [[2, 3, 5, 7, 11, 13], [30, Fraction(7, 11)], [-1], [1, -1], [Fraction(1, 2), 5]]
+    for _ in range(200):
+        cases.append(
+            [Fraction(rng.choice([-1, 1]) * rng.randint(1, 3000), rng.randint(1, 3000))
+             for _ in range(rng.randint(1, 3))]
+        )
+    for gens in cases:
+        oracle = subgroup_monomial_oracle(1, gens)
+        assert probes._auto_subgroup_ratios(oracle)[-1] == Fraction(
+            1, reference_out_group_prime(gens)
+        )
 
 
 def test_probe_in_group_tag_mixed_is_none():
