@@ -19,12 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .equivalence import (
-    class_member,
-    decide_equivalent,
-    equivalent_gaussian,
-    is_scale,
-)
+from .equivalence import class_member, decide_equivalent, equivalent_gaussian
 from .families import (
     GAUSSIAN_AFFINE,
     GAUSSIAN_FORWARD,
@@ -73,6 +68,7 @@ from .scheme import (
     combine,
     format_rational,
     format_scheme,
+    is_scale,
     order_info,
     parse_rational,
     scale,

@@ -15,7 +15,8 @@ finitely many candidate ``r`` and ``s`` (extreme-node ratios) and verifies
 exactly, with shortcuts for three structural special cases in which
 equivalence collapses to being exact scales: both schemes symmetric, both
 with only nonnegative nodes, or both exact with one of them having all
-distinct node magnitudes.
+distinct node magnitudes.  Whichever path decides, every positive witness
+is re-verified by expanding both identities before the verdict is returned.
 """
 
 from __future__ import annotations
@@ -28,12 +29,10 @@ from .families import (
     GAUSSIAN_AFFINE,
     GAUSSIAN_FORWARD,
     GAUSSIAN_SYMMETRIC,
+    FamilyKind,
     GaussianMatch,
     InvalidOrder,
     InvalidQ,
-    gaussian_affine,
-    gaussian_forward,
-    gaussian_symmetric,
     named_scheme,
     recognize_gaussian,
 )
@@ -43,10 +42,10 @@ from .scheme import (
     ZeroScale,
     ZeroScheme,
     _require,
-    _scale_witness,
     combine,
     decompose,
     format_rational,
+    is_scale,
     normalized,
     order_info,
     parse_rational,
@@ -108,114 +107,113 @@ class EquivalenceVerdict:
         }
 
 
-def is_scale(a: Scheme, b: Scheme) -> Optional[Fraction]:
-    """A factor ``r`` with ``scale(a, r) == b`` exactly, or None."""
-    return _scale_witness(a, b)
+def _witness_for_scale(n: int, r: Fraction, skew_zero: bool) -> Witness:
+    """The witness of ``b = scale(a, r)``: the skew part dilates by ``r`` too."""
+    sym_factor = r ** -n
+    if skew_zero:
+        return Witness(n, r, Fraction(1), sym_factor, Fraction(0))
+    return Witness(n, r, r, sym_factor, sym_factor)
+
+
+def _witness_holds(
+    witness: Witness, a_plus: Scheme, a_minus: Scheme, b_plus: Scheme, b_minus: Scheme
+) -> bool:
+    """Both defining identities of ``witness``, expanded on the given parts."""
+    return (
+        combine([(witness.sym_factor, witness.r, a_plus)]) == b_plus
+        and combine([(witness.skew_factor, witness.s, a_minus)]) == b_minus
+    )
 
 
 def verify_witness(a: Scheme, b: Scheme, witness: Witness) -> bool:
-    """Re-verify a witness by direct expansion of both defining identities."""
+    """Re-verify a witness by direct expansion of both defining identities.
+
+    Both schemes are decomposed at the witness order and checked by the same
+    expansion :func:`decide_equivalent` applies to every positive verdict.
+    """
     n = witness.order
-    a_plus, a_minus = decompose(a, n)
-    b_plus, b_minus = decompose(b, n)
-    sym_ok = combine([(witness.sym_factor, witness.r, a_plus)]) == b_plus
-    skew_ok = combine([(witness.skew_factor, witness.s, a_minus)]) == b_minus
-    return sym_ok and skew_ok
+    return _witness_holds(witness, *decompose(a, n), *decompose(b, n))
 
 
-def _scale_verdict(n: int, r: Fraction, skew_zero: bool, path: str, flag: bool) -> EquivalenceVerdict:
-    sym_factor = r ** -n
+def _fast_path(a: Scheme, b: Scheme, n: int, skew_zero: bool) -> str:
+    """The fast path that applies to the pair, or ``PATH_GENERAL`` if none does.
+
+    On each fast path the pair is equivalent exactly when ``b`` is a scale
+    of ``a``; ``skew_zero`` says both skew parts vanish.
+    """
     if skew_zero:
-        witness = Witness(n, r, Fraction(1), sym_factor, Fraction(0))
-    else:
-        witness = Witness(n, r, r, sym_factor, sym_factor)
-    return EquivalenceVerdict(True, witness, path, None, flag)
+        return PATH_SYMMETRIC
+    if all(t.node >= 0 for t in a) and all(t.node >= 0 for t in b):
+        return PATH_FAST_NONNEG
+    if len(a) == n + 1 == len(b) and (
+        len({abs(t.node) for t in a}) == len(a) or len({abs(t.node) for t in b}) == len(b)
+    ):
+        return PATH_FAST_DISTINCT
+    return PATH_GENERAL
 
 
-def _general_verdict(
-    n: int,
-    a_plus: Scheme,
-    a_minus: Scheme,
-    b_plus: Scheme,
-    b_minus: Scheme,
-    path: str,
-    flag: bool,
-) -> EquivalenceVerdict:
-    r = _scale_witness(a_plus, b_plus)
+def _general_outcome(
+    n: int, a_plus: Scheme, a_minus: Scheme, b_plus: Scheme, b_minus: Scheme
+) -> Witness | str:
+    """A witness from the full part-by-part analysis, or the negative reason."""
+    r = is_scale(a_plus, b_plus)
     if r is None:
-        return EquivalenceVerdict(False, None, None, REASON_SYMMETRIC, flag)
+        return REASON_SYMMETRIC
     if a_minus.is_zero != b_minus.is_zero:
-        return EquivalenceVerdict(False, None, None, REASON_SKEW_ZERO, flag)
-    sym_factor = r ** -n
+        return REASON_SKEW_ZERO
     if a_minus.is_zero:
-        witness = Witness(n, r, Fraction(1), sym_factor, Fraction(0))
-        return EquivalenceVerdict(True, witness, path, None, flag)
+        return _witness_for_scale(n, r, True)
     ratio = max(abs(t.node) for t in b_minus) / max(abs(t.node) for t in a_minus)
     for s in (ratio, -ratio):
         dilated = combine([(1, s, a_minus)])
         lead = dilated.terms[-1]
         factor = b_minus.coeff_at(lead.node) / lead.coeff
         if factor != 0 and combine([(factor, 1, dilated)]) == b_minus:
-            witness = Witness(n, r, s, sym_factor, factor)
-            return EquivalenceVerdict(True, witness, path, None, flag)
-    return EquivalenceVerdict(False, None, None, REASON_SKEW, flag)
+            return Witness(n, r, s, r ** -n, factor)
+    return REASON_SKEW
 
 
 def decide_equivalent(a: Scheme, b: Scheme, use_fast_paths: bool = True) -> EquivalenceVerdict:
     """Decide whether ``a`` and ``b`` are equivalent differentiation schemes.
 
     Inputs that are not normalized are normalized first and the verdict is
-    flagged.  Positive verdicts carry a witness (re-checked by expansion
-    before returning) and the decision path taken; negative verdicts carry
-    the first structural reason found.
+    flagged.  Each input's order is read once and each input is decomposed
+    once.  Every verdict leaves through one exit, which re-checks each
+    positive witness by expansion on those parts, whichever path found it;
+    a fast path that finds no scale must agree with the general analysis.
+    Positive verdicts carry the witness and the decision path taken;
+    negative verdicts carry the first structural reason found.
     """
     if a.is_zero or b.is_zero:
         raise ZeroScheme("equivalence is defined for nonzero schemes")
-    flag = False
-    if order_info(a).normalizer != 1:
-        a, flag = normalized(a), True
-    if order_info(b).normalizer != 1:
-        b, flag = normalized(b), True
-    n_a, n_b = order_info(a).order, order_info(b).order
-    if n_a != n_b:
-        return EquivalenceVerdict(False, None, None, REASON_ORDER, flag)
-    n = n_a
-    a_plus, a_minus = decompose(a, n)
-    b_plus, b_minus = decompose(b, n)
-
-    def general(path: str = PATH_GENERAL) -> EquivalenceVerdict:
-        verdict = _general_verdict(n, a_plus, a_minus, b_plus, b_minus, path, flag)
-        if verdict.equivalent:
+    info_a, info_b = order_info(a), order_info(b)
+    flag = info_a.normalizer != 1 or info_b.normalizer != 1
+    n = info_a.order
+    if n != info_b.order:
+        outcome = REASON_ORDER
+    else:
+        if info_a.normalizer != 1:
+            a = normalized(a)
+        if info_b.normalizer != 1:
+            b = normalized(b)
+        parts = decompose(a, n) + decompose(b, n)
+        skew_zero = parts[1].is_zero and parts[3].is_zero
+        path = _fast_path(a, b, n, skew_zero) if use_fast_paths else PATH_GENERAL
+        r = None if path == PATH_GENERAL else is_scale(a, b)
+        if r is not None:
+            outcome = _witness_for_scale(n, r, parts[1].is_zero)
+        elif path == PATH_SYMMETRIC:
+            outcome = REASON_SYMMETRIC
+        else:
+            outcome = _general_outcome(n, *parts)
             _require(
-                verify_witness(a, b, verdict.witness), "witness failed re-verification"
+                path == PATH_GENERAL or isinstance(outcome, str),
+                "fast path disagrees with general analysis",
             )
-        return verdict
-
-    if use_fast_paths:
-        if a_minus.is_zero and b_minus.is_zero:
-            r = _scale_witness(a, b)
-            if r is None:
-                return EquivalenceVerdict(False, None, None, REASON_SYMMETRIC, flag)
-            return _scale_verdict(n, r, True, PATH_SYMMETRIC, flag)
-        nonneg = all(t.node >= 0 for t in a) and all(t.node >= 0 for t in b)
-        distinct_abs = len(a) == n + 1 == len(b) and (
-            len({abs(t.node) for t in a}) == len(a)
-            or len({abs(t.node) for t in b}) == len(b)
-        )
-        if nonneg or distinct_abs:
-            path = PATH_FAST_NONNEG if nonneg else PATH_FAST_DISTINCT
-            r = _scale_witness(a, b)
-            if r is not None:
-                verdict = _scale_verdict(n, r, a_minus.is_zero, path, flag)
-                _require(
-                    verify_witness(a, b, verdict.witness),
-                    "witness failed re-verification",
-                )
-                return verdict
-            verdict = general()
-            _require(not verdict.equivalent, "fast path disagrees with general analysis")
-            return verdict
-    return general()
+    if isinstance(outcome, str):
+        return EquivalenceVerdict(False, None, None, outcome, flag)
+    _require(_witness_holds(outcome, *parts), "witness failed re-verification")
+    return EquivalenceVerdict(True, outcome, path, None, flag)
 
 
 def class_member(
@@ -277,20 +275,14 @@ def equivalent_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:
     if len(scheme) == n + 1 and len({abs(t.node) for t in scheme}) == len(scheme):
         return None
     sym_part, _ = decompose(scheme, n)
-    constructors = (gaussian_forward, gaussian_affine, gaussian_symmetric)
     for ratio in _candidate_ratios(sym_part):
         for q in (ratio, -ratio):
-            for make in constructors:
+            for variant in (GAUSSIAN_FORWARD, GAUSSIAN_AFFINE, GAUSSIAN_SYMMETRIC):
                 try:
-                    member = named_scheme(make(n, q))
+                    member = named_scheme(FamilyKind(variant, n, q=q))
                 except (InvalidQ, InvalidOrder):
                     continue
                 verdict = decide_equivalent(member, scheme)
                 if verdict.equivalent:
-                    variant = {
-                        gaussian_forward: GAUSSIAN_FORWARD,
-                        gaussian_affine: GAUSSIAN_AFFINE,
-                        gaussian_symmetric: GAUSSIAN_SYMMETRIC,
-                    }[make]
                     return GaussianMatch(variant, q, verdict.witness.r, n)
     return None

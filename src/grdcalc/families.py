@@ -22,11 +22,11 @@ from .scheme import (
     Scheme,
     ZeroScheme,
     _require,
-    _scale_witness,
     canonicalize,
     construct_exact,
     construct_exact_symmetric,
     format_rational,
+    is_scale,
     order_info,
     parse_rational,
     scale,
@@ -222,12 +222,11 @@ def _symmetric_pairs(kind: FamilyKind) -> tuple[list[Fraction], bool]:
     n = kind.n
     if kind.variant == GAUSSIAN_SYMMETRIC:
         base = abs(kind.q)
-        count = n // 2 if n % 2 == 0 else n // 2 + 1
-        return [base ** i for i in range(count)], n % 2 == 0
-    if kind.variant == MZ_TILDE_SYMMETRIC:
-        m = (n - 1) // 2
-        return [Fraction(2) ** i for i in range(m + 1)], n % 2 == 0
-    raise CalculusError(f"{kind.variant} is not a paired-node family")
+    elif kind.variant == MZ_TILDE_SYMMETRIC:
+        base = Fraction(2)
+    else:
+        raise CalculusError(f"{kind.variant} is not a paired-node family")
+    return [base ** i for i in range((n + 1) // 2)], n % 2 == 0
 
 
 def named_scheme(kind: FamilyKind) -> Scheme:
@@ -275,9 +274,8 @@ def _match_candidates(scheme: Scheme, n: int) -> list[GaussianMatch]:
     out: list[GaussianMatch] = []
     if nodes == {-b for b in nodes}:
         positive = sorted(b for b in nodes if b > 0)
-        expect = n // 2 if n % 2 == 0 else n // 2 + 1
         zero_ok = (0 in nodes) == (n % 2 == 0)
-        if len(positive) == expect and zero_ok and positive:
+        if len(positive) == (n + 1) // 2 and zero_ok and positive:
             if len(positive) > 1:
                 out.append(
                     GaussianMatch(GAUSSIAN_SYMMETRIC, positive[1] / positive[0], positive[0], n)
@@ -305,14 +303,6 @@ def _match_candidates(scheme: Scheme, n: int) -> list[GaussianMatch]:
     return out
 
 
-def _member_for(match: GaussianMatch) -> FamilyKind:
-    if match.variant == GAUSSIAN_FORWARD:
-        return gaussian_forward(match.n, match.q)
-    if match.variant == GAUSSIAN_AFFINE:
-        return gaussian_affine(match.n, match.q)
-    return gaussian_symmetric(match.n, match.q)
-
-
 def recognize_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:
     """Identify ``scheme`` as an exact scale of a geometric-node family member.
 
@@ -331,7 +321,7 @@ def recognize_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:
     verified = []
     for match in _match_candidates(scheme, n):
         try:
-            member = named_scheme(_member_for(match))
+            member = named_scheme(FamilyKind(match.variant, match.n, q=match.q))
         except (InvalidQ, InvalidOrder):
             continue
         if scale(member, match.scale_b) == scheme:
@@ -358,16 +348,15 @@ def scale_partners(match: GaussianMatch) -> list[GaussianMatch]:
         return []
     if match.variant == GAUSSIAN_SYMMETRIC and n < 3:
         return []
-    base_member = named_scheme(_member_for(match))
+    base_member = named_scheme(FamilyKind(match.variant, n, q=q))
     target = scale(base_member, match.scale_b)
     partners = []
     for q_alt in (-q, 1 / q, -1 / q):
-        alt = GaussianMatch(match.variant, q_alt, Fraction(1), n)
         try:
-            member_alt = named_scheme(_member_for(alt))
+            member_alt = named_scheme(FamilyKind(match.variant, n, q=q_alt))
         except (InvalidQ, InvalidOrder):
             continue
-        witness = _scale_witness(member_alt, target)
+        witness = is_scale(member_alt, target)
         if witness is not None:
             candidate = GaussianMatch(match.variant, q_alt, witness, n)
             if candidate != match:
@@ -389,16 +378,7 @@ _CLI_NAMES = {
     SCRIPT_D_BAR: "scriptD-bar",
 }
 _CLI_VARIANTS = {
-    "riemann": RIEMANN,
-    "shift": RIEMANN_SHIFT,
-    "riemann-sym": SYMMETRIC_RIEMANN,
-    "gauss-fwd": GAUSSIAN_FORWARD,
-    "gauss-aff": GAUSSIAN_AFFINE,
-    "gauss-sym": GAUSSIAN_SYMMETRIC,
-    "mz-tilde": MZ_TILDE,
-    "mz-tilde-sym": MZ_TILDE_SYMMETRIC,
-    "scriptD": SCRIPT_D,
-    "scriptD-bar": SCRIPT_D_BAR,
+    name: variant for variant, name in _CLI_NAMES.items() if variant != GAUSSIAN_AFFINE_SHIFT
 }
 
 

@@ -43,10 +43,10 @@ from .scheme import (
     Scheme,
     ZeroScheme,
     _require,
-    _scale_witness,
     combine,
     construct_exact,
     construct_exact_symmetric,
+    is_scale,
     is_symmetric,
     order_info,
     parse_rational,
@@ -248,7 +248,7 @@ def verify_quantum_ggr(
     witnesses = []
     for k in range(ell, ell + n + 1):
         shifted = named_scheme(gaussian_affine_shift(n, k, q))
-        witness = _scale_witness(base, shifted)
+        witness = is_scale(base, shifted)
         _require(
             witness == q ** k, "shift %s expected scale %s**%s, got %s", k, q, k, witness
         )
@@ -283,7 +283,7 @@ def mz_set_check(schemes: Sequence[Scheme]) -> MzVerdict:
                 STATUS_MZ, Certificate(CERT_GGR_SET, n=n, reduced=reduced), CONJECTURE_NONE
             )
     base = schemes[0]
-    if all(_scale_witness(base, s) is not None for s in schemes):
+    if all(is_scale(base, s) is not None for s in schemes):
         if member_verdicts[0].status == STATUS_MZ:
             return member_verdicts[0]
 

@@ -287,9 +287,10 @@ def parse_oracle(text: str) -> FunctionOracle:
         if key.strip() != "k" or not eq:
             raise CalculusError("monomial oracles look like mono:k=<degree>")
         try:
-            return monomial_oracle(int(value))
+            degree = int(value)
         except ValueError as exc:
             raise CalculusError("monomial degree must be an integer") from exc
+        return monomial_oracle(degree)
     if head == ORACLE_POLYNOMIAL:
         if not tail:
             raise CalculusError("polynomial oracles look like poly:c0,c1,...")

@@ -320,23 +320,26 @@ def decompose(scheme: Scheme, n: Optional[int] = None) -> tuple[Scheme, Scheme]:
     ``minus = (S(h) - (-1)**n S(-h)) / 2``, so ``S = plus + minus``.  The
     symmetric part keeps every moment of the same parity as ``n`` and the
     skew part the opposite-parity ones.  ``n`` defaults to the detected order.
+    Both parts come from one pass over the node set closed under negation.
     """
     if n is None:
         n = order_info(scheme).order
     if not isinstance(n, int) or n < 1:
         raise InvalidOrder(f"order must be a positive integer, got {n!r}")
-    sign = Fraction(-1) ** n
-    half = Fraction(1, 2)
-    mirrored = reflect(scheme)
-    plus = canonicalize(
-        [(half * t.coeff, t.node) for t in scheme]
-        + [(half * sign * t.coeff, t.node) for t in mirrored]
-    )
-    minus = canonicalize(
-        [(half * t.coeff, t.node) for t in scheme]
-        + [(-half * sign * t.coeff, t.node) for t in mirrored]
-    )
-    return plus, minus
+    odd = n % 2 == 1
+    coeffs = {t.node: t.coeff for t in scheme}
+    zero = Fraction(0)
+    plus, minus = [], []
+    for node in sorted(coeffs.keys() | {-b for b in coeffs}):
+        here, mirror = coeffs.get(node, zero), coeffs.get(-node, zero)
+        if odd:
+            mirror = -mirror
+        sym, skew = (here + mirror) / 2, (here - mirror) / 2
+        if sym:
+            plus.append(Term(sym, node))
+        if skew:
+            minus.append(Term(skew, node))
+    return Scheme(tuple(plus)), Scheme(tuple(minus))
 
 
 def is_symmetric(scheme: Scheme, n: Optional[int] = None) -> bool:
@@ -364,8 +367,8 @@ def combine(parts: Iterable[tuple[Rationalish, Rationalish, Scheme]]) -> Scheme:
     return canonicalize(terms)
 
 
-def _scale_witness(a: Scheme, b: Scheme) -> Optional[Fraction]:
-    """A factor ``r`` with ``scale(a, r) == b``, or None.
+def is_scale(a: Scheme, b: Scheme) -> Optional[Fraction]:
+    """A factor ``r`` with ``scale(a, r) == b`` exactly, or None.
 
     Any valid ``r`` maps the largest-magnitude nodes of ``a`` onto those of
     ``b``, so only the two signed ratios of those magnitudes can work; each

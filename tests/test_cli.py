@@ -314,6 +314,12 @@ def test_probe_argument_conflicts(capsys):
     assert code == 2
 
 
+def test_probe_negative_monomial_degree(capsys):
+    code, _, err = run(capsys, ["probe", "riemann:n=1", "--oracle", "mono:k=-1"])
+    assert code == 2
+    assert "error: monomial degree must be >= 0" in err
+
+
 # --- demos ------------------------------------------------------------------------------
 
 

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grdcalc import equivalence
 from grdcalc import (
     GAUSSIAN_FORWARD,
     GAUSSIAN_SYMMETRIC,
     GaussianMatch,
+    IdentityCheckFailed,
     PATH_FAST_DISTINCT,
     PATH_FAST_NONNEG,
     PATH_GENERAL,
@@ -32,6 +34,7 @@ from grdcalc import (
     is_scale,
     mz_tilde,
     named_scheme,
+    normalized,
     scale,
     symmetric_riemann,
     verify_witness,
@@ -224,6 +227,62 @@ def test_normalization_flag():
     assert verdict.equivalent
     assert verdict.normalized_inputs
     assert verdict.witness.r == 1
+
+
+# --- one read, one split, one re-verification per decision ------------------------
+
+DISTINCT = construct_exact([-2, 1, 3], 2)
+POSITIVE_BY_PATH = [
+    (PATH_SYMMETRIC, D2_SYM, scale(D2_SYM, 5)),
+    (PATH_FAST_NONNEG, D2, scale(D2, 3)),
+    (PATH_FAST_DISTINCT, DISTINCT, scale(DISTINCT, -2)),
+    (PATH_GENERAL, FIRST_FWD, FIRST_MIXED),
+]
+
+
+@pytest.mark.parametrize("path, a, b", POSITIVE_BY_PATH)
+def test_wrong_scale_witness_fails_reverification(monkeypatch, path, a, b):
+    assert decide_equivalent(a, b).path == path
+    true_scale = equivalence.is_scale
+
+    def doubled(x, y):
+        r = true_scale(x, y)
+        return None if r is None else 2 * r
+
+    monkeypatch.setattr(equivalence, "is_scale", doubled)
+    with pytest.raises(IdentityCheckFailed, match="re-verification"):
+        decide_equivalent(a, b)
+
+
+def test_each_input_read_and_split_once(monkeypatch):
+    calls = []
+    for name in ("order_info", "decompose"):
+        original = getattr(equivalence, name)
+
+        def counting(scheme, *args, _name=name, _original=original):
+            calls.append((_name, scheme))
+            return _original(scheme, *args)
+
+        monkeypatch.setattr(equivalence, name, counting)
+    doubled = canonicalize([(2 * t.coeff, t.node) for t in D2])
+    skew_tail = canonicalize([(-2, 1), (2, -1), (1, 2), (-1, -2)])
+    pairs = [(a, b) for _, a, b in POSITIVE_BY_PATH] + [
+        (doubled, D2),
+        (D2_SYM, D2),
+        (D2_SYM, canonicalize(list(D2_SYM) + list(skew_tail))),
+        (D2, construct_exact([0, 1, 3], 2)),
+        (D31, class_member(D31, 2, Fraction(-1, 3), 7)),
+    ]
+    for a, b in pairs:
+        for fast in (True, False):
+            calls.clear()
+            decide_equivalent(a, b, use_fast_paths=fast)
+            assert [scheme for name, scheme in calls if name == "order_info"] == [a, b]
+            split = [scheme for name, scheme in calls if name == "decompose"]
+            assert split == [normalized(a), normalized(b)]
+    calls.clear()
+    assert decide_equivalent(D2, D31).reason == REASON_ORDER
+    assert calls == [("order_info", D2), ("order_info", D31)]
 
 
 # --- relation laws ---------------------------------------------------------------

@@ -1,0 +1,118 @@
+"""Same-behaviour gate: CLI JSON output compared byte for byte with golden files.
+
+Each case below is one ``grdcalc --output json`` command; its stdout is kept
+in ``tests/golden/<case>.json``.  Any change to a verdict, a witness, a path
+label or the JSON layout shows up here as a byte difference.
+
+To record the files again (only when an output change is intended)::
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+import io
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from grdcalc.cli import DEMOS, main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# construct_exact([-1, 2, 3], 2) and its scale by -2: exact, distinct magnitudes
+DISTINCT_A = (
+    '{"terms":[{"coeff":"1/6","node":"-1/1"},{"coeff":"-2/3","node":"2/1"},'
+    '{"coeff":"1/2","node":"3/1"}]}'
+)
+DISTINCT_B = (
+    '{"terms":[{"coeff":"1/8","node":"-6/1"},{"coeff":"-1/6","node":"-4/1"},'
+    '{"coeff":"1/24","node":"2/1"}]}'
+)
+# symmetric part of shift:n=3,k=-1 plus the skew part of riemann:n=3
+SHIFT_SYM_RIEMANN_SKEW = (
+    '{"terms":[{"coeff":"1/2","node":"-3/1"},{"coeff":"-2/1","node":"-2/1"},'
+    '{"coeff":"5/2","node":"-1/1"},{"coeff":"-1/1","node":"0/1"},'
+    '{"coeff":"1/2","node":"1/1"},{"coeff":"-1/1","node":"2/1"},'
+    '{"coeff":"1/2","node":"3/1"}]}'
+)
+# twice the first forward difference: not normalized
+DOUBLED_FORWARD = '{"terms":[{"coeff":"-2","node":"0"},{"coeff":"2","node":"1"}]}'
+D31 = (
+    '{"terms":[{"coeff":"-1","node":"-1"},{"coeff":"3","node":"0"},'
+    '{"coeff":"-3","node":"1"},{"coeff":"1","node":"2"}]}'
+)
+
+
+def _equiv(a, b, *extra):
+    return ["equiv", "--a", a, "--b", b, *extra]
+
+
+CASES = {
+    **{f"demo_{name}": ["demo", name] for name in DEMOS},
+    "construct_nodes": ["construct", "--nodes", "-1,0,1,2", "--order", "3"],
+    "construct_pairs": ["construct", "--pairs", "1,2", "--order", "3"],
+    "decompose": ["decompose", D31],
+    "scale": ["scale", "mz-tilde:n=3", "--by", "2"],
+    "recognize": ["recognize", "gauss-aff:n=2,q=2"],
+    "mz_check": ["mz-check", "riemann:n=3"],
+    "mz_check_symmetric": ["mz-check", "riemann-sym:n=2", "--symmetric"],
+    "mz_set": ["mz-set"] + [f"shift:n=4,k=-{k}" for k in (1, 2, 3, 4)],
+    "ggr": ["ggr", "--order", "3"],
+    "qggr": ["qggr", "--order", "2", "--ell", "0", "--q", "3"],
+    "ntimes": [
+        "ntimes",
+        "--entry", "0:cont",
+        "--entry", '1:{"terms": [{"coeff": "-1", "node": "0"}, {"coeff": "1", "node": "1"}]}',
+        "--entry", "2:riemann-sym:n=2",
+        "--entry", "3:" + D31,
+    ],
+    "probe": ["probe", "riemann-sym:n=1", "--oracle", "abs"],
+    "probe_peano": ["probe", "--peano", "2", "--oracle", "sgnsq"],
+    # one equiv case per path
+    "equiv_symmetric_scale": _equiv("riemann-sym:n=2", "riemann-sym:n=2"),
+    "equiv_fast_nonneg": _equiv("riemann:n=2", "riemann:n=2"),
+    "equiv_fast_distinct": _equiv(DISTINCT_A, DISTINCT_B),
+    "equiv_general": _equiv("shift:n=3,k=-1", "shift:n=3,k=-1"),
+    "equiv_general_no_fast": _equiv("shift:n=3,k=-1", "shift:n=3,k=-1", "--no-fast"),
+    # one equiv case per negative reason
+    "equiv_order_mismatch": _equiv("riemann:n=2", "shift:n=3,k=-1"),
+    "equiv_symmetric_mismatch": _equiv("riemann:n=2", "riemann-sym:n=2"),
+    "equiv_skew_zero": _equiv("shift:n=3,k=-1", "gauss-sym:n=3,q=2"),
+    "equiv_skew_mismatch": _equiv("shift:n=3,k=-1", SHIFT_SYM_RIEMANN_SKEW),
+    # a non-normalized input
+    "equiv_normalized": _equiv(DOUBLED_FORWARD, "riemann:n=1"),
+}
+
+
+def _stdout(argv) -> tuple[int, str]:
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = main(["--output", "json", *argv])
+    return code, buffer.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output(case):
+    code, out = _stdout(CASES[case])
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"{case}.json").read_bytes()
+
+
+def test_golden_files_match_cases():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+
+
+def _record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for case, argv in CASES.items():
+        code, out = _stdout(argv)
+        if code != 0:
+            raise SystemExit(f"{case}: exit {code}")
+        (GOLDEN / f"{case}.json").write_bytes(out.encode("utf-8"))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --record")
+    _record()

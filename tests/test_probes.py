@@ -117,6 +117,14 @@ def test_oracle_validation():
         subgroup_monomial_oracle(2, [2, 0])
 
 
+@pytest.mark.parametrize("text", ["mono:k=-1", "subgmono:k=-1;gens=2"])
+def test_negative_degree_reports_the_bound(text):
+    with pytest.raises(CalculusError, match=">= 0"):
+        parse_oracle(text)
+    with pytest.raises(CalculusError, match="must be an integer"):
+        parse_oracle(text.replace("-1", "1/2", 1))
+
+
 def test_oracle_string_round_trip():
     for oracle in (
         abs_oracle(),
