@@ -17,6 +17,7 @@ import re
 import shlex
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 from .equivalence import class_member, decide_equivalent, equivalent_gaussian
@@ -38,9 +39,9 @@ from .mz import (
     CERT_GGR_SET,
     CONTINUITY,
     PEANO_ALL_MZ,
-    PEANO_IDENTITY,
     STATUS_MZ,
     ChainEntry,
+    _d31,
     ggr_set,
     mz_check,
     mz_set_check,
@@ -338,10 +339,6 @@ def _cmd_demo(args: argparse.Namespace) -> tuple[dict, list[str]]:
 # demo suite: each demo recomputes a worked identity and checks it exactly
 
 
-def _d31_scheme() -> Scheme:
-    return construct_exact([-1, 0, 1, 2], 3)
-
-
 def _demo_e1() -> tuple[list[str], dict]:
     member = named_scheme(gaussian_affine(2, 2))
     _require(member == canonicalize(
@@ -435,7 +432,7 @@ def _demo_e3() -> tuple[list[str], dict]:
 
 
 def _demo_e13() -> tuple[list[str], dict]:
-    base = _d31_scheme()
+    base = _d31()
     plus, minus = decompose(base, 3)
     _require(plus == canonicalize(
         [(Fraction(-1, 2), -2), (1, -1), (-1, 1), (Fraction(1, 2), 2)]
@@ -471,7 +468,7 @@ def _demo_e14() -> tuple[list[str], dict]:
         (0, CONTINUITY),
         (1, named_scheme(gaussian_affine(1, Fraction(22, 7)))),
         (2, named_scheme(gaussian_forward(2, 5))),
-        (3, scale(_d31_scheme(), Fraction(47, 10))),
+        (3, scale(_d31(), Fraction(47, 10))),
     ]
     report = n_times_check(chain)
     _require(report.all_mz, "every stage must be known MZ")
@@ -512,7 +509,7 @@ def _demo_e15() -> tuple[list[str], dict]:
 
 
 def _demo_p88() -> tuple[list[str], dict]:
-    base = _d31_scheme()
+    base = _d31()
     match = equivalent_gaussian(base)
     _require(match is None, "must not be equivalent to any geometric-node scheme")
     verdict = mz_check(base)
@@ -618,7 +615,9 @@ DEMOS: dict[str, Callable[[], tuple[list[str], dict]]] = {
 _NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?([.,].*)?$")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="grdcalc",
         description="exact calculus of generalized Riemann differences",

@@ -163,13 +163,14 @@ def _general_outcome(
         return REASON_SKEW_ZERO
     if a_minus.is_zero:
         return _witness_for_scale(n, r, True)
-    ratio = max(abs(t.node) for t in b_minus) / max(abs(t.node) for t in a_minus)
-    for s in (ratio, -ratio):
-        dilated = combine([(1, s, a_minus)])
-        lead = dilated.terms[-1]
-        factor = b_minus.coeff_at(lead.node) / lead.coeff
-        if factor != 0 and combine([(factor, 1, dilated)]) == b_minus:
-            return Witness(n, r, s, r ** -n, factor)
+    # the skew part has the parity of n + 1, so dilating it by -s only flips
+    # its sign, which the free constant absorbs: s > 0 covers both signs
+    s = max(abs(t.node) for t in b_minus) / max(abs(t.node) for t in a_minus)
+    dilated = combine([(1, s, a_minus)])
+    lead = dilated.terms[-1]
+    factor = b_minus.coeff_at(lead.node) / lead.coeff
+    if factor != 0 and combine([(factor, 1, dilated)]) == b_minus:
+        return Witness(n, r, s, r ** -n, factor)
     return REASON_SKEW
 
 

@@ -4,10 +4,13 @@ A scheme of order ``n`` has the MZ property when, for continuous functions,
 existence of its derived limit together with ``n-1`` ordinary derivatives
 forces the full ``n``-th Taylor expansion.  The property is invariant under
 equivalence, which is what every positive or negative verdict here leans
-on: geometric-node (Gaussian) schemes have it, the doubling-node witnesses
-have it for every order, the order-3 backward shift has it, while the
-classical equispaced schemes of orders 3 and 7 provably do not, and the
-symmetric second difference does not in the plain (non-symmetric) sense.
+on: geometric-node (Gaussian) schemes have it, the order-3 backward shift
+has it, while the classical equispaced schemes of orders 3 and 7 provably do
+not, and the symmetric second difference does not in the plain
+(non-symmetric) sense.  The doubling-node witnesses (nodes ``0, 1, 2, ...,
+2**(n-1)``, and their symmetric form) are the ``q = 2`` geometric members,
+and the symmetric second difference is the order-2 symmetric geometric
+member for every ``q``, so the Gaussian search settles all three.
 Everything outside the cataloged facts stays ``open`` and is tagged with
 the conjecture that governs it.
 """
@@ -25,13 +28,10 @@ from .families import (
     GAUSSIAN_SYMMETRIC,
     GaussianMatch,
     InvalidOrder,
-    InvalidQ,
     _check_q,
     gaussian_affine,
     gaussian_affine_shift,
     match_to_json_dict,
-    mz_tilde,
-    mz_tilde_symmetric,
     named_scheme,
     riemann,
     riemann_shift,
@@ -78,7 +78,6 @@ CONJECTURE_GAUSSIAN = "G-MZ"
 CONJECTURE_NONE = "none"
 
 CERT_GAUSSIAN = "EquivalentToGaussian"
-CERT_MZ_TILDE = "EquivalentToMzTilde"
 CERT_D31 = "EquivalentToD31"
 CERT_RIEMANN_NOT_MZ = "RiemannProvenNotMZ"
 CERT_D2S_NOT_MZ = "SymmetricD2sNotMZ"
@@ -149,10 +148,13 @@ def mz_check(scheme: Scheme, symmetric_mode: bool = False) -> MzVerdict:
     """Catalog verdict for one normalized scheme.
 
     Positive verdicts come from an equivalence onto a family with the
-    property (geometric-node members; the doubling-node witness of the same
-    order; for order 3, the backward shift).  Negative verdicts come from
-    the proven orders 3 and 7 of the equispaced family and, in plain mode,
-    from the symmetric second difference.  Anything else is open, tagged
+    property: a geometric-node member, found by the Gaussian search, or for
+    order 3 the backward shift.  The doubling-node witness of each order is
+    the forward member with ``q = 2`` (in symmetric mode, the symmetric
+    member with ``q = 2``), so the search certifies it.  Negative verdicts
+    come from the proven orders 3 and 7 of the equispaced family and, in
+    plain mode, from the symmetric second difference, which the search
+    matches as the order-2 symmetric member.  Anything else is open, tagged
     with the equispaced conjecture when the scheme is equivalent to that
     family and with the general geometric conjecture otherwise.
     """
@@ -169,13 +171,6 @@ def mz_check(scheme: Scheme, symmetric_mode: bool = False) -> MzVerdict:
             return MzVerdict(
                 STATUS_NOT_MZ, Certificate(CERT_D2S_NOT_MZ, n=2), CONJECTURE_NONE
             )
-    tilde = decide_equivalent(scheme, named_scheme(mz_tilde(n)))
-    if tilde.equivalent:
-        return MzVerdict(
-            STATUS_MZ,
-            Certificate(CERT_MZ_TILDE, n=n, witness=tilde.witness),
-            CONJECTURE_NONE,
-        )
     if n == 3:
         backward = decide_equivalent(scheme, _d31())
         if backward.equivalent:
@@ -183,12 +178,6 @@ def mz_check(scheme: Scheme, symmetric_mode: bool = False) -> MzVerdict:
                 STATUS_MZ,
                 Certificate(CERT_D31, witness=backward.witness),
                 CONJECTURE_NONE,
-            )
-    if n == 2:
-        symmetric_second = decide_equivalent(scheme, _d2_symmetric())
-        if symmetric_second.equivalent:
-            return MzVerdict(
-                STATUS_NOT_MZ, Certificate(CERT_D2S_NOT_MZ, n=2), CONJECTURE_NONE
             )
     riemann_like = decide_equivalent(scheme, named_scheme(riemann(n)))
     if riemann_like.equivalent:
@@ -206,14 +195,6 @@ def _mz_check_symmetric(scheme: Scheme, n: int) -> MzVerdict:
         return MzVerdict(
             STATUS_MZ, Certificate(CERT_GAUSSIAN, match=match), CONJECTURE_NONE
         )
-    if n >= 2:
-        tilde = decide_equivalent(scheme, named_scheme(mz_tilde_symmetric(n)))
-        if tilde.equivalent:
-            return MzVerdict(
-                STATUS_MZ,
-                Certificate(CERT_MZ_TILDE, n=n, witness=tilde.witness),
-                CONJECTURE_NONE,
-            )
     riemann_like = decide_equivalent(scheme, named_scheme(symmetric_riemann(n)))
     if riemann_like.equivalent:
         return MzVerdict(STATUS_OPEN, None, CONJECTURE_RIEMANN)
@@ -259,9 +240,8 @@ def verify_quantum_ggr(
 def mz_set_check(schemes: Sequence[Scheme]) -> MzVerdict:
     """Joint verdict for a set of same-order schemes.
 
-    The set is known MZ when any member is, when it covers a full or
-    reduced backward-shift set up to per-member equivalence, or when all
-    members are scales of one member that is known MZ; otherwise open.
+    The set is known MZ when any member is, or when it covers a full or
+    reduced backward-shift set up to per-member equivalence; otherwise open.
     """
     if not schemes:
         raise CalculusError("the scheme set must be nonempty")
@@ -282,10 +262,6 @@ def mz_set_check(schemes: Sequence[Scheme]) -> MzVerdict:
             return MzVerdict(
                 STATUS_MZ, Certificate(CERT_GGR_SET, n=n, reduced=reduced), CONJECTURE_NONE
             )
-    base = schemes[0]
-    if all(is_scale(base, s) is not None for s in schemes):
-        if member_verdicts[0].status == STATUS_MZ:
-            return member_verdicts[0]
 
     def riemann_governed(verdict: MzVerdict) -> bool:
         if verdict.conjecture == CONJECTURE_RIEMANN:

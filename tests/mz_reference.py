@@ -1,0 +1,166 @@
+"""Independent reference for the MZ catalog: every step it once took.
+
+``reference_mz_check`` and ``reference_mz_set_check`` are the bodies
+``mz_check`` and ``mz_set_check`` once had, kept unchanged apart from their
+names.  Besides the Gaussian search they decide, each with its own
+equivalence call, the doubling-node witness of the same order (plain and
+symmetric), the symmetric second difference in plain mode, and a joint
+verdict for sets whose members are scales of one known-MZ member.  The
+catalog now leaves the first three to the Gaussian search, because the
+doubling-node witnesses and the symmetric second difference are Gaussian
+members, and drops the last, because the member loop decides it first; the
+reference tests pin those deletions to this form.
+"""
+
+from grdcalc.equivalence import decide_equivalent, equivalent_gaussian
+from grdcalc.families import (
+    GAUSSIAN_AFFINE,
+    GAUSSIAN_FORWARD,
+    GAUSSIAN_SYMMETRIC,
+    mz_tilde,
+    mz_tilde_symmetric,
+    named_scheme,
+    riemann,
+    symmetric_riemann,
+)
+from grdcalc.mz import (
+    CERT_D2S_NOT_MZ,
+    CERT_D31,
+    CERT_GAUSSIAN,
+    CERT_GGR_SET,
+    CERT_RIEMANN_NOT_MZ,
+    CONJECTURE_GAUSSIAN,
+    CONJECTURE_NONE,
+    CONJECTURE_RIEMANN,
+    STATUS_MZ,
+    STATUS_NOT_MZ,
+    STATUS_OPEN,
+    Certificate,
+    MixedOrders,
+    MzVerdict,
+    _check_input,
+    ggr_set,
+)
+from grdcalc.scheme import (
+    CalculusError,
+    Scheme,
+    construct_exact,
+    construct_exact_symmetric,
+    is_scale,
+    order_info,
+)
+
+CERT_MZ_TILDE = "EquivalentToMzTilde"
+_RIEMANN_NOT_MZ_ORDERS = (3, 7)
+
+
+def _d31() -> Scheme:
+    return construct_exact([-1, 0, 1, 2], 3)
+
+
+def _d2_symmetric() -> Scheme:
+    return construct_exact_symmetric([1], True, 2)
+
+
+def reference_mz_check(scheme: Scheme, symmetric_mode: bool = False) -> MzVerdict:
+    n = _check_input(scheme, symmetric_mode)
+    if symmetric_mode:
+        return _reference_mz_check_symmetric(scheme, n)
+    match = equivalent_gaussian(scheme)
+    if match is not None:
+        if match.variant in (GAUSSIAN_FORWARD, GAUSSIAN_AFFINE):
+            return MzVerdict(
+                STATUS_MZ, Certificate(CERT_GAUSSIAN, match=match), CONJECTURE_NONE
+            )
+        if match.variant == GAUSSIAN_SYMMETRIC and n == 2:
+            return MzVerdict(
+                STATUS_NOT_MZ, Certificate(CERT_D2S_NOT_MZ, n=2), CONJECTURE_NONE
+            )
+    tilde = decide_equivalent(scheme, named_scheme(mz_tilde(n)))
+    if tilde.equivalent:
+        return MzVerdict(
+            STATUS_MZ,
+            Certificate(CERT_MZ_TILDE, n=n, witness=tilde.witness),
+            CONJECTURE_NONE,
+        )
+    if n == 3:
+        backward = decide_equivalent(scheme, _d31())
+        if backward.equivalent:
+            return MzVerdict(
+                STATUS_MZ,
+                Certificate(CERT_D31, witness=backward.witness),
+                CONJECTURE_NONE,
+            )
+    if n == 2:
+        symmetric_second = decide_equivalent(scheme, _d2_symmetric())
+        if symmetric_second.equivalent:
+            return MzVerdict(
+                STATUS_NOT_MZ, Certificate(CERT_D2S_NOT_MZ, n=2), CONJECTURE_NONE
+            )
+    riemann_like = decide_equivalent(scheme, named_scheme(riemann(n)))
+    if riemann_like.equivalent:
+        if n in _RIEMANN_NOT_MZ_ORDERS:
+            return MzVerdict(
+                STATUS_NOT_MZ, Certificate(CERT_RIEMANN_NOT_MZ, n=n), CONJECTURE_NONE
+            )
+        return MzVerdict(STATUS_OPEN, None, CONJECTURE_RIEMANN)
+    return MzVerdict(STATUS_OPEN, None, CONJECTURE_GAUSSIAN)
+
+
+def _reference_mz_check_symmetric(scheme: Scheme, n: int) -> MzVerdict:
+    match = equivalent_gaussian(scheme)
+    if match is not None and match.variant == GAUSSIAN_SYMMETRIC:
+        return MzVerdict(
+            STATUS_MZ, Certificate(CERT_GAUSSIAN, match=match), CONJECTURE_NONE
+        )
+    if n >= 2:
+        tilde = decide_equivalent(scheme, named_scheme(mz_tilde_symmetric(n)))
+        if tilde.equivalent:
+            return MzVerdict(
+                STATUS_MZ,
+                Certificate(CERT_MZ_TILDE, n=n, witness=tilde.witness),
+                CONJECTURE_NONE,
+            )
+    riemann_like = decide_equivalent(scheme, named_scheme(symmetric_riemann(n)))
+    if riemann_like.equivalent:
+        return MzVerdict(STATUS_OPEN, None, CONJECTURE_RIEMANN)
+    return MzVerdict(STATUS_OPEN, None, CONJECTURE_GAUSSIAN)
+
+
+def reference_mz_set_check(schemes) -> MzVerdict:
+    if not schemes:
+        raise CalculusError("the scheme set must be nonempty")
+    orders = {order_info(s).order for s in schemes}
+    if len(orders) != 1:
+        raise MixedOrders(f"the set mixes orders {sorted(orders)}")
+    n = orders.pop()
+    member_verdicts = [reference_mz_check(s) for s in schemes]
+    for verdict in member_verdicts:
+        if verdict.status == STATUS_MZ:
+            return verdict
+    for reduced in (False, True):
+        covers = all(
+            any(decide_equivalent(target, s).equivalent for s in schemes)
+            for target in ggr_set(n, reduced)
+        )
+        if covers:
+            return MzVerdict(
+                STATUS_MZ, Certificate(CERT_GGR_SET, n=n, reduced=reduced), CONJECTURE_NONE
+            )
+    base = schemes[0]
+    if all(is_scale(base, s) is not None for s in schemes):
+        if member_verdicts[0].status == STATUS_MZ:
+            return member_verdicts[0]
+
+    def riemann_governed(verdict: MzVerdict) -> bool:
+        if verdict.conjecture == CONJECTURE_RIEMANN:
+            return True
+        certificate = verdict.certificate
+        return certificate is not None and certificate.kind == CERT_RIEMANN_NOT_MZ
+
+    conjecture = (
+        CONJECTURE_RIEMANN
+        if all(riemann_governed(v) for v in member_verdicts)
+        else CONJECTURE_GAUSSIAN
+    )
+    return MzVerdict(STATUS_OPEN, None, conjecture)

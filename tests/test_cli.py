@@ -1,5 +1,6 @@
 """Command-line interface: verbs, formats, exit codes, batch mode."""
 
+import argparse
 import importlib
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import grdcalc
+from grdcalc import cli
 from grdcalc import (
     construct_exact,
     construct_exact_symmetric,
@@ -362,6 +364,48 @@ def test_no_verb_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+# --- one parser per process ----------------------------------------------------------
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        if kwargs.get("prog") == "grdcalc":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        assert run(capsys, ["construct", "--nodes", "0,1", "--order", "1"])[0] == 0
+        assert run(capsys, ["mz-check", "riemann:n=2"])[0] == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_cached_parser_behaves_like_a_fresh_one(capsys):
+    fresh = cli.build_parser.__wrapped__()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == fresh.format_help()
+        with pytest.raises(SystemExit) as info:
+            main(["construct", "--nodes", "0,1"])
+        assert info.value.code == 2
+        assert "the following arguments are required: --order" in capsys.readouterr().err
+    # parsed values do not carry over from one command to the next
+    _, out, _ = run(capsys, ["--output", "json", "equiv", "--a", "riemann:n=2",
+                             "--b", "riemann:n=2", "--no-fast"])
+    assert json.loads(out)["path"] == "General"
+    _, out, _ = run(capsys, ["--output", "json", "equiv", "--a", "riemann:n=2",
+                             "--b", "riemann:n=2"])
+    assert json.loads(out)["path"] == "FastNonNegNodes"
 
 
 # --- batch mode ----------------------------------------------------------------------------

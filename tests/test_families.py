@@ -17,6 +17,7 @@ from grdcalc import (
     InvalidQ,
     canonicalize,
     construct_exact,
+    construct_exact_symmetric,
     family_nodes,
     format_family,
     gaussian_affine,
@@ -115,9 +116,23 @@ def test_riemann_members():
     )
 
 
+# These identities are why mz_check leaves the doubling-node witnesses and the
+# symmetric second difference to the Gaussian search.
 def test_tilde_is_forward_with_doubling_ratio():
-    for n in range(1, 7):
+    for n in range(1, 13):
         assert named_scheme(mz_tilde(n)) == named_scheme(gaussian_forward(n, 2))
+
+
+def test_symmetric_tilde_is_symmetric_with_doubling_ratio():
+    for n in range(2, 13):
+        for q in (2, -2):
+            assert named_scheme(mz_tilde_symmetric(n)) == named_scheme(gaussian_symmetric(n, q))
+
+
+def test_symmetric_second_difference_is_every_order_2_symmetric_member():
+    d2s = construct_exact_symmetric([1], True, 2)
+    for q in (2, -2, 3, Fraction(1, 2), Fraction(-5, 3), 7):
+        assert named_scheme(gaussian_symmetric(2, q)) == d2s
 
 
 def test_family_node_layouts():

@@ -42,6 +42,44 @@ D31 = (
     '{"terms":[{"coeff":"-1","node":"-1"},{"coeff":"3","node":"0"},'
     '{"coeff":"-3","node":"1"},{"coeff":"1","node":"2"}]}'
 )
+# class_member(mz_tilde(3), r=3, s=-1/2, B=5/2): equivalent to, not a scale of, mz-tilde:n=3
+TILDE3_MEMBER = (
+    '{"terms":[{"coeff":"-1/216","node":"-12/1"},{"coeff":"1/36","node":"-6/1"},'
+    '{"coeff":"-1/27","node":"-3/1"},{"coeff":"5/16","node":"-2/1"},'
+    '{"coeff":"-15/8","node":"-1/1"},{"coeff":"5/2","node":"-1/2"},'
+    '{"coeff":"-15/8","node":"0/1"},{"coeff":"5/2","node":"1/2"},'
+    '{"coeff":"-15/8","node":"1/1"},{"coeff":"5/16","node":"2/1"},'
+    '{"coeff":"1/27","node":"3/1"},{"coeff":"-1/36","node":"6/1"},'
+    '{"coeff":"1/216","node":"12/1"}]}'
+)
+# scale(mz_tilde_symmetric(4), -3/2)
+TILDE_SYM4_SCALE = (
+    '{"terms":[{"coeff":"16/81","node":"-3/1"},{"coeff":"-64/81","node":"-3/2"},'
+    '{"coeff":"32/27","node":"0/1"},{"coeff":"-64/81","node":"3/2"},'
+    '{"coeff":"16/81","node":"3/1"}]}'
+)
+# scale(symmetric_riemann(2), 5/3)
+D2S_SCALE = (
+    '{"terms":[{"coeff":"9/25","node":"-5/3"},{"coeff":"-18/25","node":"0/1"},'
+    '{"coeff":"9/25","node":"5/3"}]}'
+)
+# scales of gaussian_affine(2, 3/2) by 1, -2 and 1/3
+GAFF_SCALES = [
+    '{"terms":[{"coeff":"16/5","node":"1/1"},{"coeff":"-16/3","node":"3/2"},'
+    '{"coeff":"32/15","node":"9/4"}]}',
+    '{"terms":[{"coeff":"8/15","node":"-9/2"},{"coeff":"-4/3","node":"-3/1"},'
+    '{"coeff":"4/5","node":"-2/1"}]}',
+    '{"terms":[{"coeff":"144/5","node":"1/3"},{"coeff":"-48/1","node":"1/2"},'
+    '{"coeff":"96/5","node":"3/4"}]}',
+]
+# class_member(D31, r=2, s=-3, B=-7/4)
+D31_MEMBER = (
+    '{"terms":[{"coeff":"-7/8","node":"-6/1"},{"coeff":"-1/16","node":"-4/1"},'
+    '{"coeff":"7/2","node":"-3/1"},{"coeff":"1/8","node":"-2/1"},'
+    '{"coeff":"-21/4","node":"0/1"},{"coeff":"-1/8","node":"2/1"},'
+    '{"coeff":"7/2","node":"3/1"},{"coeff":"1/16","node":"4/1"},'
+    '{"coeff":"-7/8","node":"6/1"}]}'
+)
 
 
 def _equiv(a, b, *extra):
@@ -58,6 +96,11 @@ CASES = {
     "mz_check": ["mz-check", "riemann:n=3"],
     "mz_check_symmetric": ["mz-check", "riemann-sym:n=2", "--symmetric"],
     "mz_set": ["mz-set"] + [f"shift:n=4,k=-{k}" for k in (1, 2, 3, 4)],
+    # catalog members that only the Gaussian search certifies
+    "mz_check_tilde_class_member": ["mz-check", TILDE3_MEMBER],
+    "mz_check_symmetric_tilde_scale": ["mz-check", TILDE_SYM4_SCALE, "--symmetric"],
+    "mz_check_d2s_scale": ["mz-check", D2S_SCALE],
+    "mz_set_gaussian_scales": ["mz-set", *GAFF_SCALES],
     "ggr": ["ggr", "--order", "3"],
     "qggr": ["qggr", "--order", "2", "--ell", "0", "--q", "3"],
     "ntimes": [
@@ -80,6 +123,8 @@ CASES = {
     "equiv_symmetric_mismatch": _equiv("riemann:n=2", "riemann-sym:n=2"),
     "equiv_skew_zero": _equiv("shift:n=3,k=-1", "gauss-sym:n=3,q=2"),
     "equiv_skew_mismatch": _equiv("shift:n=3,k=-1", SHIFT_SYM_RIEMANN_SKEW),
+    # the general path on a class member built with negative s
+    "equiv_no_fast_negative_s": _equiv(D31, D31_MEMBER, "--no-fast"),
     # a non-normalized input
     "equiv_normalized": _equiv(DOUBLED_FORWARD, "riemann:n=1"),
 }
