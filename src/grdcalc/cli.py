@@ -41,7 +41,7 @@ from .mz import (
     PEANO_ALL_MZ,
     STATUS_MZ,
     ChainEntry,
-    _d31,
+    _D31,
     ggr_set,
     mz_check,
     mz_set_check,
@@ -432,7 +432,7 @@ def _demo_e3() -> tuple[list[str], dict]:
 
 
 def _demo_e13() -> tuple[list[str], dict]:
-    base = _d31()
+    base = _D31
     plus, minus = decompose(base, 3)
     _require(plus == canonicalize(
         [(Fraction(-1, 2), -2), (1, -1), (-1, 1), (Fraction(1, 2), 2)]
@@ -468,7 +468,7 @@ def _demo_e14() -> tuple[list[str], dict]:
         (0, CONTINUITY),
         (1, named_scheme(gaussian_affine(1, Fraction(22, 7)))),
         (2, named_scheme(gaussian_forward(2, 5))),
-        (3, scale(_d31(), Fraction(47, 10))),
+        (3, scale(_D31, Fraction(47, 10))),
     ]
     report = n_times_check(chain)
     _require(report.all_mz, "every stage must be known MZ")
@@ -509,7 +509,7 @@ def _demo_e15() -> tuple[list[str], dict]:
 
 
 def _demo_p88() -> tuple[list[str], dict]:
-    base = _d31()
+    base = _D31
     match = equivalent_gaussian(base)
     _require(match is None, "must not be equivalent to any geometric-node scheme")
     verdict = mz_check(base)

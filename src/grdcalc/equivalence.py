@@ -28,11 +28,8 @@ from typing import Optional
 from .families import (
     GAUSSIAN_AFFINE,
     GAUSSIAN_FORWARD,
-    GAUSSIAN_SYMMETRIC,
     FamilyKind,
     GaussianMatch,
-    InvalidOrder,
-    InvalidQ,
     named_scheme,
     recognize_gaussian,
 )
@@ -241,28 +238,23 @@ def class_member(
     return combine([(r ** -n, r, a_plus), (skew_factor, s, a_minus)])
 
 
-def _candidate_ratios(sym_part: Scheme) -> list[Fraction]:
-    positive = sorted(t.node for t in sym_part if t.node > 0)
-    if len(positive) < 2:
-        return [Fraction(2)]
-    seen = []
-    for low, high in zip(positive, positive[1:]):
-        ratio = high / low
-        if ratio not in seen:
-            seen.append(ratio)
-    return seen
-
-
 def equivalent_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:
     """Search for a geometric-node family member equivalent to ``scheme``.
 
-    Exact scales are found by direct recognition.  Otherwise candidate
-    ratios are read from consecutive positive nodes of the symmetric part
-    (any equivalent geometric member must have a scaled copy of that node
-    pattern), the corresponding members are constructed, and each is tested
-    with :func:`decide_equivalent`.  For exact schemes with all distinct
-    node magnitudes, equivalence to an exact member implies being a scale
-    of it, so no search beyond recognition is needed.
+    Exact scales are found by direct recognition; for exact schemes with all
+    distinct node magnitudes, equivalence to an exact member implies being a
+    scale of it, so the search ends there.  Otherwise three class invariants
+    leave one variant and one ratio up to sign (members have the nodes
+    ``0, 1, q, ..., q**(n-1)``, ``1, q, ..., q**n`` or ``+-|q|**i``):
+
+    - the skew part vanishes only for symmetric members, whose class is
+      their scales, so recognition has settled every skew-free scheme;
+    - the symmetric part's positive nodes form one progression of ratio
+      ``|q|`` or ``1/|q|``, so several consecutive ratios rule out every
+      member (with fewer than two positive nodes, 2 is tried);
+    - of the members with a skew part, only forward ones have node 0.
+
+    The member with ``q = ratio``, then ``-ratio``, is decided exactly.
     """
     if scheme.is_zero:
         raise ZeroScheme("cannot match the zero scheme")
@@ -275,15 +267,15 @@ def equivalent_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:
         return direct
     if len(scheme) == n + 1 and len({abs(t.node) for t in scheme}) == len(scheme):
         return None
-    sym_part, _ = decompose(scheme, n)
-    for ratio in _candidate_ratios(sym_part):
-        for q in (ratio, -ratio):
-            for variant in (GAUSSIAN_FORWARD, GAUSSIAN_AFFINE, GAUSSIAN_SYMMETRIC):
-                try:
-                    member = named_scheme(FamilyKind(variant, n, q=q))
-                except (InvalidQ, InvalidOrder):
-                    continue
-                verdict = decide_equivalent(member, scheme)
-                if verdict.equivalent:
-                    return GaussianMatch(variant, q, verdict.witness.r, n)
+    sym_part, skew_part = decompose(scheme, n)
+    positive = sorted(t.node for t in sym_part if t.node > 0)
+    ratios = {high / low for low, high in zip(positive, positive[1:])} or {Fraction(2)}
+    if skew_part.is_zero or len(ratios) > 1:
+        return None
+    (ratio,) = ratios
+    variant = GAUSSIAN_FORWARD if scheme.coeff_at(0) != 0 else GAUSSIAN_AFFINE
+    for q in (ratio, -ratio):
+        verdict = decide_equivalent(named_scheme(FamilyKind(variant, n, q=q)), scheme)
+        if verdict.equivalent:
+            return GaussianMatch(variant, q, verdict.witness.r, n)
     return None

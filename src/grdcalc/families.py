@@ -271,36 +271,23 @@ _CANONICAL_DEGENERATE_Q = Fraction(2)
 def _match_candidates(scheme: Scheme, n: int) -> list[GaussianMatch]:
     """Parameterizations (variant, q, b) whose node pattern fits ``scheme``."""
     nodes = set(scheme.nodes)
-    out: list[GaussianMatch] = []
     if nodes == {-b for b in nodes}:
-        positive = sorted(b for b in nodes if b > 0)
-        zero_ok = (0 in nodes) == (n % 2 == 0)
-        if len(positive) == (n + 1) // 2 and zero_ok and positive:
-            if len(positive) > 1:
-                out.append(
-                    GaussianMatch(GAUSSIAN_SYMMETRIC, positive[1] / positive[0], positive[0], n)
-                )
-                out.append(
-                    GaussianMatch(GAUSSIAN_SYMMETRIC, positive[-2] / positive[-1], positive[-1], n)
-                )
-            else:
-                out.append(
-                    GaussianMatch(GAUSSIAN_SYMMETRIC, _CANONICAL_DEGENERATE_Q, positive[0], n)
-                )
-        return out
-    nonzero = sorted((b for b in nodes if b != 0), key=abs)
-    if len(set(abs(b) for b in nonzero)) != len(nonzero):
-        return out
-    variant = GAUSSIAN_FORWARD if 0 in nodes else GAUSSIAN_AFFINE
-    expected = n if variant == GAUSSIAN_FORWARD else n + 1
-    if len(nonzero) != expected:
-        return out
-    if len(nonzero) > 1:
-        out.append(GaussianMatch(variant, nonzero[1] / nonzero[0], nonzero[0], n))
-        out.append(GaussianMatch(variant, nonzero[-2] / nonzero[-1], nonzero[-1], n))
+        variant = GAUSSIAN_SYMMETRIC
+        progression = sorted(b for b in nodes if b > 0)
+        fits = len(progression) == (n + 1) // 2 and (0 in nodes) == (n % 2 == 0)
     else:
-        out.append(GaussianMatch(variant, _CANONICAL_DEGENERATE_Q, nonzero[0], n))
-    return out
+        variant = GAUSSIAN_FORWARD if 0 in nodes else GAUSSIAN_AFFINE
+        progression = sorted((b for b in nodes if b != 0), key=abs)
+        expected = n if variant == GAUSSIAN_FORWARD else n + 1
+        fits = len({abs(b) for b in progression}) == len(progression) == expected
+    if not fits:
+        return []
+    if len(progression) == 1:
+        return [GaussianMatch(variant, _CANONICAL_DEGENERATE_Q, progression[0], n)]
+    return [
+        GaussianMatch(variant, progression[1] / progression[0], progression[0], n),
+        GaussianMatch(variant, progression[-2] / progression[-1], progression[-1], n),
+    ]
 
 
 def recognize_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:

@@ -125,12 +125,9 @@ class MzVerdict:
         }
 
 
-def _d31() -> Scheme:
-    return construct_exact([-1, 0, 1, 2], 3)
-
-
-def _d2_symmetric() -> Scheme:
-    return construct_exact_symmetric([1], True, 2)
+# the fixed catalog schemes; schemes are frozen, so each is built once
+_D31 = construct_exact([-1, 0, 1, 2], 3)
+_D2_SYMMETRIC = construct_exact_symmetric([1], True, 2)
 
 
 def _check_input(scheme: Scheme, symmetric_mode: bool) -> int:
@@ -172,7 +169,7 @@ def mz_check(scheme: Scheme, symmetric_mode: bool = False) -> MzVerdict:
                 STATUS_NOT_MZ, Certificate(CERT_D2S_NOT_MZ, n=2), CONJECTURE_NONE
             )
     if n == 3:
-        backward = decide_equivalent(scheme, _d31())
+        backward = decide_equivalent(scheme, _D31)
         if backward.equivalent:
             return MzVerdict(
                 STATUS_MZ,
@@ -340,11 +337,11 @@ def _detect_identity_chain(entries: dict[int, ChainEntry]) -> Optional[Scheme]:
     first, second, third = entries[1], entries[2], entries[3]
     if not decide_equivalent(first, construct_exact([0, 1], 1)).equivalent:
         return None
-    if not decide_equivalent(second, _d2_symmetric()).equivalent:
+    if not decide_equivalent(second, _D2_SYMMETRIC).equivalent:
         return None
-    if not decide_equivalent(third, _d31()).equivalent:
+    if not decide_equivalent(third, _D31).equivalent:
         return None
-    certificate = combine([(1, 1, _d31()), (1, 1, _d2_symmetric())])
+    certificate = combine([(1, 1, _D31), (1, 1, _D2_SYMMETRIC)])
     _require(certificate == construct_exact([0, 1, 2], 2), "rewrite identity failed")
     return certificate
 

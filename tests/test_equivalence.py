@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from grdcalc import equivalence
 from grdcalc import (
+    GAUSSIAN_AFFINE,
     GAUSSIAN_FORWARD,
     GAUSSIAN_SYMMETRIC,
+    FamilyKind,
     GaussianMatch,
     IdentityCheckFailed,
     PATH_FAST_DISTINCT,
@@ -30,11 +32,15 @@ from grdcalc import (
     decide_equivalent,
     decompose,
     equivalent_gaussian,
+    gaussian_affine,
+    gaussian_forward,
     gaussian_symmetric,
     is_scale,
     mz_tilde,
     named_scheme,
     normalized,
+    recognize_gaussian,
+    riemann,
     scale,
     symmetric_riemann,
     verify_witness,
@@ -364,3 +370,74 @@ def test_equivalent_gaussian_normalizes_input():
     )
     match = equivalent_gaussian(doubled)
     assert match == GaussianMatch(GAUSSIAN_FORWARD, Fraction(2), Fraction(1), 3)
+
+
+def _positive_ratios(part):
+    positive = sorted(t.node for t in part if t.node > 0)
+    return positive, {high / low for low, high in zip(positive, positive[1:])}
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_class_invariants_fix_the_gaussian_candidate(n):
+    """The three invariants ``equivalent_gaussian`` reads off a scheme hold on
+    every member and on its class members: the symmetric part's positive
+    nodes are one progression of ratio ``|q|`` (or ``1/|q|``), the skew part
+    vanishes only for symmetric members, and among members with a skew part
+    only forward ones have node 0.  A skew-free class member is a scale of
+    its symmetric member, and recognition returns that scale."""
+    count = {GAUSSIAN_FORWARD: n, GAUSSIAN_AFFINE: n + 1, GAUSSIAN_SYMMETRIC: (n + 1) // 2}
+    for q in (Fraction(2), Fraction(3, 2), Fraction(1, 2), Fraction(3)):
+        for q_signed in (q, -q):
+            for variant in count:
+                member = named_scheme(FamilyKind(variant, n, q=q_signed))
+                images = [
+                    member,
+                    class_member(member, -2, Fraction(3, 2), Fraction(-1, 3)),
+                    class_member(member, Fraction(1, 2), -3, 5),
+                ]
+                for scheme in images:
+                    plus, minus = decompose(scheme, n)
+                    positive, ratios = _positive_ratios(plus)
+                    assert len(positive) == count[variant]
+                    assert ratios == ({max(q, 1 / q)} if len(positive) > 1 else set())
+                    assert minus.is_zero == (variant == GAUSSIAN_SYMMETRIC)
+                    assert (scheme.coeff_at(0) != 0) == (
+                        variant == GAUSSIAN_FORWARD
+                        or (variant == GAUSSIAN_SYMMETRIC and n % 2 == 0)
+                    )
+                    if minus.is_zero:
+                        assert is_scale(member, scheme) is not None
+                        match = recognize_gaussian(scheme)
+                        base = named_scheme(FamilyKind(match.variant, n, q=match.q))
+                        assert scale(base, match.scale_b) == scheme
+                        assert equivalent_gaussian(scheme) == match
+
+
+def test_search_decides_at_most_two_members(monkeypatch):
+    counts = {"decide_equivalent": 0, "named_scheme": 0}
+    for name in counts:
+        original = getattr(equivalence, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(equivalence, name, counting)
+    schemes = [
+        class_member(named_scheme(gaussian_forward(3, -2)), Fraction(3, 2), -2, Fraction(-1, 3)),
+        class_member(named_scheme(gaussian_affine(4, Fraction(3, 2))), -2, Fraction(1, 2), 5),
+        class_member(named_scheme(gaussian_affine(3, Fraction(-1, 2))), 3, 1, -1),
+        class_member(named_scheme(riemann(4)), 2, -1, 3),
+        class_member(named_scheme(symmetric_riemann(5)), 1, 2, 1),
+        class_member(D31, 2, -3, Fraction(-7, 4)),
+        combine([(1, 1, decompose(D31, 3)[0]), (3, 1, decompose(D31, 3)[1])]),
+    ]
+    found = []
+    for scheme in schemes:
+        counts.update(dict.fromkeys(counts, 0))
+        found.append(equivalent_gaussian(scheme))
+        assert counts["decide_equivalent"] <= 2
+        assert counts["named_scheme"] <= 2
+    assert [m.variant if m else None for m in found] == [
+        GAUSSIAN_FORWARD, GAUSSIAN_AFFINE, GAUSSIAN_AFFINE, None, None, None, None
+    ]

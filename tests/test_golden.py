@@ -81,6 +81,52 @@ D31_MEMBER = (
     '{"coeff":"-7/8","node":"6/1"}]}'
 )
 
+# class_member(gauss-fwd:n=3,q=-2, r=3/2, s=-2, B=-1/3): matched at q = -2
+GFWD3_MEMBER = (
+    '{"terms":[{"coeff":"-1/72","node":"-8/1"},{"coeff":"-1/81","node":"-6/1"},'
+    '{"coeff":"1/36","node":"-4/1"},{"coeff":"-2/81","node":"-3/1"},'
+    '{"coeff":"1/9","node":"-2/1"},{"coeff":"8/81","node":"-3/2"},'
+    '{"coeff":"-1/4","node":"0/1"},{"coeff":"-8/81","node":"3/2"},'
+    '{"coeff":"1/9","node":"2/1"},{"coeff":"2/81","node":"3/1"},'
+    '{"coeff":"1/36","node":"4/1"},{"coeff":"1/81","node":"6/1"},'
+    '{"coeff":"-1/72","node":"8/1"}]}'
+)
+# class_member(gauss-aff:n=4,q=3/2, r=-2, s=1/2, B=5)
+GAFF4_MEMBER = (
+    '{"terms":[{"coeff":"16384/1500525","node":"-81/8"},{"coeff":"-2048/23085","node":"-27/4"},'
+    '{"coeff":"512/2025","node":"-9/2"},{"coeff":"-256/855","node":"-3/1"},'
+    '{"coeff":"-262144/300105","node":"-81/32"},{"coeff":"768/6175","node":"-2/1"},'
+    '{"coeff":"32768/4617","node":"-27/16"},{"coeff":"-8192/405","node":"-9/8"},'
+    '{"coeff":"4096/171","node":"-3/4"},{"coeff":"-12288/1235","node":"-1/2"},'
+    '{"coeff":"12288/1235","node":"1/2"},{"coeff":"-4096/171","node":"3/4"},'
+    '{"coeff":"8192/405","node":"9/8"},{"coeff":"-32768/4617","node":"27/16"},'
+    '{"coeff":"768/6175","node":"2/1"},{"coeff":"262144/300105","node":"81/32"},'
+    '{"coeff":"-256/855","node":"3/1"},{"coeff":"512/2025","node":"9/2"},'
+    '{"coeff":"-2048/23085","node":"27/4"},{"coeff":"16384/1500525","node":"81/8"}]}'
+)
+# scale(gauss-sym:n=5,q=-3, -2/3): skew-free, so recognition alone decides
+GSYM5_SCALE = (
+    '{"terms":[{"coeff":"-9/1024","node":"-6/1"},{"coeff":"135/512","node":"-2/1"},'
+    '{"coeff":"-729/1024","node":"-2/3"},{"coeff":"729/1024","node":"2/3"},'
+    '{"coeff":"-135/512","node":"2/1"},{"coeff":"9/1024","node":"6/1"}]}'
+)
+# class_member(riemann:n=4, r=2, s=-1, B=3): several symmetric-part ratios
+RIEMANN4_MEMBER = (
+    '{"terms":[{"coeff":"1/32","node":"-8/1"},{"coeff":"-1/8","node":"-6/1"},'
+    '{"coeff":"27/16","node":"-4/1"},{"coeff":"-6/1","node":"-3/1"},'
+    '{"coeff":"71/8","node":"-2/1"},{"coeff":"-6/1","node":"-1/1"},'
+    '{"coeff":"1/16","node":"0/1"},{"coeff":"6/1","node":"1/1"},'
+    '{"coeff":"-73/8","node":"2/1"},{"coeff":"6/1","node":"3/1"},'
+    '{"coeff":"-21/16","node":"4/1"},{"coeff":"-1/8","node":"6/1"},'
+    '{"coeff":"1/32","node":"8/1"}]}'
+)
+# scale(gauss-sym:n=4,q=-3, 1/2)
+GSYM4_SCALE = (
+    '{"terms":[{"coeff":"8/3","node":"-3/2"},{"coeff":"-24/1","node":"-1/2"},'
+    '{"coeff":"128/3","node":"0/1"},{"coeff":"-24/1","node":"1/2"},'
+    '{"coeff":"8/3","node":"3/2"}]}'
+)
+
 
 def _equiv(a, b, *extra):
     return ["equiv", "--a", a, "--b", b, *extra]
@@ -101,6 +147,14 @@ CASES = {
     "mz_check_symmetric_tilde_scale": ["mz-check", TILDE_SYM4_SCALE, "--symmetric"],
     "mz_check_d2s_scale": ["mz-check", D2S_SCALE],
     "mz_set_gaussian_scales": ["mz-set", *GAFF_SCALES],
+    # the Gaussian search reads the variant and ratio off the scheme
+    "mz_check_gauss_fwd_member": ["mz-check", GFWD3_MEMBER],
+    "mz_check_gauss_aff_member": ["mz-check", GAFF4_MEMBER],
+    "mz_check_gauss_sym_scale": ["mz-check", GSYM5_SCALE],
+    "mz_check_symmetric_gauss_sym_scale": ["mz-check", GSYM5_SCALE, "--symmetric"],
+    "mz_check_riemann_member": ["mz-check", RIEMANN4_MEMBER],
+    "recognize_gauss_sym_scale": ["recognize", GSYM4_SCALE],
+    "recognize_gauss_fwd_order_1": ["recognize", "gauss-fwd:n=1,q=5"],
     "ggr": ["ggr", "--order", "3"],
     "qggr": ["qggr", "--order", "2", "--ell", "0", "--q", "3"],
     "ntimes": [

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from grdcalc import mz
 from grdcalc import (
     CONJECTURE_GAUSSIAN,
     CONJECTURE_NONE,
@@ -101,6 +102,23 @@ def test_backward_third_shift_is_known_mz():
     scaled = mz_check(scale(D31, 5))
     assert scaled.status == STATUS_MZ
     assert scaled.certificate.kind == CERT_D31
+
+
+def test_fixed_catalog_schemes_are_not_rebuilt(monkeypatch):
+    built = []
+    for name in ("construct_exact", "construct_exact_symmetric"):
+        original = getattr(mz, name)
+
+        def recording(*args, _name=name, _original=original):
+            built.append((_name, args))
+            return _original(*args)
+
+        monkeypatch.setattr(mz, name, recording)
+    assert mz_check(scale(D31, Fraction(-2, 3))).certificate.kind == CERT_D31
+    chain = [(0, CONTINUITY), (1, construct_exact([0, 1], 1)), (2, D2_SYM), (3, D31)]
+    assert n_times_check(chain).peano_equivalence == PEANO_IDENTITY
+    assert ("construct_exact", ([-1, 0, 1, 2], 3)) not in built
+    assert not [name for name, _ in built if name == "construct_exact_symmetric"]
 
 
 def test_symmetric_second_difference_both_modes():
