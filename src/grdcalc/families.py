@@ -3,9 +3,12 @@
 The families covered here are the classical equispaced differences, their
 shifted and symmetric variants, the geometric-node ("Gaussian") differences
 whose nonzero nodes are powers of a ratio ``q``, and two doubling-pattern
-families used as canonical order-``n`` witnesses.  Every family member is a
-normalized exact scheme: ``n+1`` nodes carrying the unique coefficients with
-``m_j = 0`` for ``j < n`` and ``m_n = n!``.
+families used as canonical order-``n`` witnesses.  Each family is defined by
+its nodes alone: every member has ``n+1`` distinct nodes (:func:`family_nodes`)
+and is the unique normalized exact scheme on them, with ``m_j = 0`` for
+``j < n`` and ``m_n = n!``.  One table, ``_VARIANTS``, says what each variant
+is called on the command line and which of the shift ``k`` and the ratio
+``q`` it takes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .scheme import (
     _require,
     canonicalize,
     construct_exact,
-    construct_exact_symmetric,
     format_rational,
     is_scale,
     order_info,
@@ -53,28 +55,25 @@ MZ_TILDE_SYMMETRIC = "MzTildeSymmetric"
 SCRIPT_D = "ScriptD"
 SCRIPT_D_BAR = "ScriptDBar"
 
-_VARIANTS_WITH_Q = {
-    GAUSSIAN_FORWARD,
-    GAUSSIAN_AFFINE,
-    GAUSSIAN_AFFINE_SHIFT,
-    GAUSSIAN_SYMMETRIC,
-    SCRIPT_D,
-    SCRIPT_D_BAR,
+# variant -> (CLI name, takes shift k, takes ratio q)
+_VARIANTS = {
+    RIEMANN: ("riemann", False, False),
+    RIEMANN_SHIFT: ("shift", True, False),
+    SYMMETRIC_RIEMANN: ("riemann-sym", False, False),
+    GAUSSIAN_FORWARD: ("gauss-fwd", False, True),
+    GAUSSIAN_AFFINE: ("gauss-aff", False, True),
+    GAUSSIAN_AFFINE_SHIFT: ("gauss-aff", True, True),
+    GAUSSIAN_SYMMETRIC: ("gauss-sym", False, True),
+    MZ_TILDE: ("mz-tilde", False, False),
+    MZ_TILDE_SYMMETRIC: ("mz-tilde-sym", False, False),
+    SCRIPT_D: ("scriptD", False, True),
+    SCRIPT_D_BAR: ("scriptD-bar", False, True),
 }
-_VARIANTS_WITH_K = {RIEMANN_SHIFT, GAUSSIAN_AFFINE_SHIFT}
-_ALL_VARIANTS = _VARIANTS_WITH_Q | {
-    RIEMANN,
-    RIEMANN_SHIFT,
-    SYMMETRIC_RIEMANN,
-    MZ_TILDE,
-    MZ_TILDE_SYMMETRIC,
+# CLI name -> {whether a shift k is given: variant}
+_CLI_VARIANTS = {
+    name: {takes_k: v for v, (other, takes_k, _) in _VARIANTS.items() if other == name}
+    for name, _, _ in _VARIANTS.values()
 }
-
-
-def _check_q(q: Fraction) -> Fraction:
-    if q in (0, 1, -1):
-        raise InvalidQ(f"ratio q must avoid 0 and +-1, got {q}")
-    return q
 
 
 @dataclass(frozen=True)
@@ -87,18 +86,22 @@ class FamilyKind:
     q: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        if self.variant not in _ALL_VARIANTS:
+        if self.variant not in _VARIANTS:
             raise CalculusError(f"unknown family variant {self.variant!r}")
+        _, takes_k, takes_q = _VARIANTS[self.variant]
         if not isinstance(self.n, int) or self.n < 1:
             raise InvalidOrder(f"order must be a positive integer, got {self.n!r}")
-        if (self.variant in _VARIANTS_WITH_K) != (self.k is not None):
+        if takes_k != (self.k is not None):
             raise CalculusError(f"variant {self.variant} and shift k disagree")
         if self.k is not None and not isinstance(self.k, int):
             raise CalculusError("shift k must be an integer")
-        if (self.variant in _VARIANTS_WITH_Q) != (self.q is not None):
+        if takes_q != (self.q is not None):
             raise CalculusError(f"variant {self.variant} and ratio q disagree")
         if self.q is not None:
-            object.__setattr__(self, "q", _check_q(parse_rational(self.q)))
+            q = parse_rational(self.q)
+            if q in (0, 1, -1):
+                raise InvalidQ(f"ratio q must avoid 0 and +-1, got {q}")
+            object.__setattr__(self, "q", q)
         if self.variant == MZ_TILDE_SYMMETRIC and self.n < 2:
             raise InvalidOrder("the symmetric doubling family starts at order 2")
 
@@ -194,53 +197,43 @@ def _affine_closed_form(n: int, k: int, q: Fraction) -> Scheme:
 
 
 def family_nodes(kind: FamilyKind) -> list[Fraction]:
-    """The node list of a family member (unsorted, no coefficients)."""
-    n, k, q = kind.n, kind.k, kind.q
-    if kind.variant == RIEMANN:
-        return [Fraction(j) for j in range(n + 1)]
-    if kind.variant == RIEMANN_SHIFT:
+    """The ``n+1`` distinct nodes of a family member (unsorted, no coefficients).
+
+    The doubling families are the forward and symmetric geometric patterns
+    at ``q = 2``.  The symmetric geometric pattern is ``+-|q|**i`` for
+    ``i < (n+1)//2``, plus the node 0 at even ``n``.
+    """
+    n, k = kind.n, kind.k or 0
+    q = Fraction(2) if kind.variant in (MZ_TILDE, MZ_TILDE_SYMMETRIC) else kind.q
+    if kind.variant in (RIEMANN, RIEMANN_SHIFT):
         return [Fraction(k + j) for j in range(n + 1)]
     if kind.variant == SYMMETRIC_RIEMANN:
         return [Fraction(-n, 2) + j for j in range(n + 1)]
-    if kind.variant == GAUSSIAN_FORWARD:
+    if kind.variant in (GAUSSIAN_FORWARD, MZ_TILDE):
         return [Fraction(0)] + [q ** i for i in range(n)]
-    if kind.variant == GAUSSIAN_AFFINE:
-        return [q ** i for i in range(n + 1)]
-    if kind.variant == GAUSSIAN_AFFINE_SHIFT:
+    if kind.variant in (GAUSSIAN_AFFINE, GAUSSIAN_AFFINE_SHIFT):
         return [q ** (k + i) for i in range(n + 1)]
-    if kind.variant == MZ_TILDE:
-        return [Fraction(0)] + [Fraction(2) ** i for i in range(n)]
+    if kind.variant in (GAUSSIAN_SYMMETRIC, MZ_TILDE_SYMMETRIC):
+        positive = [abs(q) ** i for i in range((n + 1) // 2)]
+        zero = [Fraction(0)] if n % 2 == 0 else []
+        return [-b for b in positive] + zero + positive
     if kind.variant == SCRIPT_D:
         return [Fraction(0), Fraction(1)] + [q ** (2 ** j) for j in range(n - 1)]
-    if kind.variant == SCRIPT_D_BAR:
-        return [Fraction(1)] + [q ** (2 ** j) for j in range(n)]
-    raise CalculusError(f"{kind.variant} has paired nodes; use named_scheme")
-
-
-def _symmetric_pairs(kind: FamilyKind) -> tuple[list[Fraction], bool]:
-    """Positive node pairs and zero-node flag for the symmetric families."""
-    n = kind.n
-    if kind.variant == GAUSSIAN_SYMMETRIC:
-        base = abs(kind.q)
-    elif kind.variant == MZ_TILDE_SYMMETRIC:
-        base = Fraction(2)
-    else:
-        raise CalculusError(f"{kind.variant} is not a paired-node family")
-    return [base ** i for i in range((n + 1) // 2)], n % 2 == 0
+    return [Fraction(1)] + [q ** (2 ** j) for j in range(n)]  # SCRIPT_D_BAR
 
 
 def named_scheme(kind: FamilyKind) -> Scheme:
     """Construct the normalized scheme of a named family member.
 
-    Every member is built by the closed-form (Lagrange) construction of
-    :func:`construct_exact` or :func:`construct_exact_symmetric`.  Geometric
-    affine members are also built by their q-binomial product formula, and
-    the two results must agree; a disagreement would mean an internal
-    arithmetic fault and raises ``IdentityCheckFailed``.
+    Every member is the unique normalized order-``n`` scheme on its ``n+1``
+    distinct nodes, built by the closed-form (Lagrange) construction of
+    :func:`construct_exact`.  A symmetric member is no exception: its nodes
+    are ``n+1`` distinct points, so the unique exact scheme on them is the
+    symmetric one.  Geometric affine members are also built by their
+    q-binomial product formula, and the two results must agree; a
+    disagreement would mean an internal arithmetic fault and raises
+    ``IdentityCheckFailed``.
     """
-    if kind.variant in (GAUSSIAN_SYMMETRIC, MZ_TILDE_SYMMETRIC):
-        pairs, with_zero = _symmetric_pairs(kind)
-        return construct_exact_symmetric(pairs, with_zero, kind.n)
     built = construct_exact(family_nodes(kind), kind.n)
     if kind.variant in (GAUSSIAN_AFFINE, GAUSSIAN_AFFINE_SHIFT):
         closed = _affine_closed_form(kind.n, kind.k or 0, kind.q)
@@ -307,10 +300,7 @@ def recognize_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:
         return None
     verified = []
     for match in _match_candidates(scheme, n):
-        try:
-            member = named_scheme(FamilyKind(match.variant, match.n, q=match.q))
-        except (InvalidQ, InvalidOrder):
-            continue
+        member = named_scheme(FamilyKind(match.variant, match.n, q=match.q))
         if scale(member, match.scale_b) == scheme:
             verified.append(match)
     if not verified:
@@ -339,34 +329,13 @@ def scale_partners(match: GaussianMatch) -> list[GaussianMatch]:
     target = scale(base_member, match.scale_b)
     partners = []
     for q_alt in (-q, 1 / q, -1 / q):
-        try:
-            member_alt = named_scheme(FamilyKind(match.variant, n, q=q_alt))
-        except (InvalidQ, InvalidOrder):
-            continue
+        member_alt = named_scheme(FamilyKind(match.variant, n, q=q_alt))
         witness = is_scale(member_alt, target)
         if witness is not None:
             candidate = GaussianMatch(match.variant, q_alt, witness, n)
             if candidate != match:
                 partners.append(candidate)
     return partners
-
-
-_CLI_NAMES = {
-    RIEMANN: "riemann",
-    RIEMANN_SHIFT: "shift",
-    SYMMETRIC_RIEMANN: "riemann-sym",
-    GAUSSIAN_FORWARD: "gauss-fwd",
-    GAUSSIAN_AFFINE: "gauss-aff",
-    GAUSSIAN_AFFINE_SHIFT: "gauss-aff",
-    GAUSSIAN_SYMMETRIC: "gauss-sym",
-    MZ_TILDE: "mz-tilde",
-    MZ_TILDE_SYMMETRIC: "mz-tilde-sym",
-    SCRIPT_D: "scriptD",
-    SCRIPT_D_BAR: "scriptD-bar",
-}
-_CLI_VARIANTS = {
-    name: variant for variant, name in _CLI_NAMES.items() if variant != GAUSSIAN_AFFINE_SHIFT
-}
 
 
 def format_family(kind: FamilyKind) -> str:
@@ -377,7 +346,7 @@ def format_family(kind: FamilyKind) -> str:
     if kind.q is not None:
         q = kind.q
         fields.append(f"q={q.numerator}" if q.denominator == 1 else f"q={q}")
-    return f"{_CLI_NAMES[kind.variant]}:{','.join(fields)}"
+    return f"{_VARIANTS[kind.variant][0]}:{','.join(fields)}"
 
 
 def parse_family(text: str) -> FamilyKind:
@@ -398,21 +367,20 @@ def parse_family(text: str) -> FamilyKind:
         n = int(fields.pop("n"))
     except ValueError as exc:
         raise CalculusError("order n must be an integer") from exc
-    variant = _CLI_VARIANTS[head]
-    k: Optional[int] = None
-    if "k" in fields:
-        if head == "gauss-aff":
-            variant = GAUSSIAN_AFFINE_SHIFT
-        elif variant != RIEMANN_SHIFT:
+    has_k, variants = "k" in fields, _CLI_VARIANTS[head]
+    if has_k not in variants:
+        if has_k:
             raise CalculusError(f"family {head!r} takes no shift k")
+        raise CalculusError("shifted family strings require k=<shift>")
+    variant = variants[has_k]
+    k: Optional[int] = None
+    if has_k:
         try:
             k = int(fields.pop("k"))
         except ValueError as exc:
             raise CalculusError("shift k must be an integer") from exc
-    elif variant == RIEMANN_SHIFT:
-        raise CalculusError("shifted family strings require k=<shift>")
     q: Optional[Fraction] = None
-    if variant in _VARIANTS_WITH_Q:
+    if _VARIANTS[variant][2]:
         if "q" not in fields:
             raise CalculusError(f"family {head!r} requires q=<ratio>")
         q = parse_rational(fields.pop("q"))

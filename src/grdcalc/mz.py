@@ -28,7 +28,6 @@ from .families import (
     GAUSSIAN_SYMMETRIC,
     GaussianMatch,
     InvalidOrder,
-    _check_q,
     gaussian_affine,
     gaussian_affine_shift,
     match_to_json_dict,
@@ -221,7 +220,7 @@ def verify_quantum_ggr(
         raise InvalidOrder(f"order must be a positive integer, got {n!r}")
     if not isinstance(ell, int):
         raise CalculusError("the shift window start must be an integer")
-    q = _check_q(parse_rational(q))
+    q = parse_rational(q)
     base = named_scheme(gaussian_affine(n, q))
     witnesses = []
     for k in range(ell, ell + n + 1):

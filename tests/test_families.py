@@ -1,5 +1,6 @@
 """Named families, q-binomials, closed forms, and pattern recognition."""
 
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -11,6 +12,8 @@ from grdcalc import (
     GAUSSIAN_AFFINE,
     GAUSSIAN_FORWARD,
     GAUSSIAN_SYMMETRIC,
+    MZ_TILDE_SYMMETRIC,
+    FamilyKind,
     GaussianMatch,
     IndexOutOfRange,
     InvalidOrder,
@@ -38,6 +41,7 @@ from grdcalc import (
     script_d_bar,
     symmetric_riemann,
 )
+from grdcalc.families import _VARIANTS, _match_candidates
 
 sane_q = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4
@@ -143,6 +147,84 @@ def test_family_node_layouts():
     assert family_nodes(script_d(3, 3)) == [0, 1, 3, 9]
     assert family_nodes(script_d_bar(3, 3)) == [1, 3, 9, 81]
     assert family_nodes(script_d(3, 2)) == [0, 1, 2, 4]  # doubling pattern
+    assert sorted(family_nodes(gaussian_symmetric(4, -3))) == [-3, -1, 0, 1, 3]
+    assert sorted(family_nodes(gaussian_symmetric(3, Fraction(1, 2)))) == [
+        -1, Fraction(-1, 2), Fraction(1, 2), 1
+    ]
+    assert sorted(family_nodes(mz_tilde_symmetric(5))) == [-4, -2, -1, 1, 2, 4]
+    assert sorted(family_nodes(mz_tilde_symmetric(2))) == [-1, 0, 1]
+    assert family_nodes(riemann(2)) == [0, 1, 2]
+    assert family_nodes(riemann_shift(2, -3)) == [-3, -2, -1]
+    assert family_nodes(symmetric_riemann(3)) == [
+        Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)
+    ]
+
+
+ONE_PATH_Q = (2, -2, Fraction(3, 2), Fraction(-2, 3), -3, Fraction(1, 3))
+
+
+def _table_members(n):
+    """Every member of order ``n`` of every table row, over ``ONE_PATH_Q`` and k in -2..2."""
+    for variant, (_, takes_k, takes_q) in _VARIANTS.items():
+        if variant == MZ_TILDE_SYMMETRIC and n < 2:
+            continue
+        for k in range(-2, 3) if takes_k else [None]:
+            for q in ONE_PATH_Q if takes_q else [None]:
+                yield FamilyKind(variant, n, k=k, q=q)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_every_member_is_the_exact_scheme_on_its_nodes(n):
+    for kind in _table_members(n):
+        nodes = family_nodes(kind)
+        assert len(set(nodes)) == n + 1
+        built = named_scheme(kind)
+        assert built == construct_exact(nodes, n)
+        if kind.variant in (GAUSSIAN_SYMMETRIC, MZ_TILDE_SYMMETRIC):
+            # the symmetric solver on the positive pairs stays the reference
+            base = abs(kind.q) if kind.q is not None else 2
+            pairs = [base ** i for i in range((n + 1) // 2)]
+            assert built == construct_exact_symmetric(pairs, n % 2 == 0, n)
+
+
+def _assert_candidates_are_valid(scheme, n):
+    """Every ratio recognition and ``scale_partners`` build is a valid ``q``."""
+    candidates = _match_candidates(scheme, n)
+    for match in candidates:
+        for q in (match.q, -match.q, 1 / match.q, -1 / match.q):
+            assert q not in (0, 1, -1)
+            FamilyKind(match.variant, n, q=q)
+    return candidates
+
+
+def test_candidate_ratios_avoid_zero_and_unit():
+    for n in range(1, 9):
+        for kind in _table_members(n):
+            scheme = named_scheme(kind)
+            if len(scheme) == n + 1:
+                _assert_candidates_are_valid(scheme, n)
+
+
+def test_candidate_ratios_avoid_zero_and_unit_on_random_fits():
+    rng = random.Random(20260)
+
+    def magnitudes(count):
+        pool = {Fraction(rng.randint(1, 40), rng.randint(1, 9)) for _ in range(3 * count)}
+        return rng.sample(sorted(pool), count)
+
+    fitted = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        shape = rng.choice(("symmetric", "forward", "affine"))
+        if shape == "symmetric":
+            positive = magnitudes((n + 1) // 2)
+            nodes = positive + [-b for b in positive] + ([0] if n % 2 == 0 else [])
+        else:
+            count = n if shape == "forward" else n + 1
+            nodes = [b * rng.choice((1, -1)) for b in magnitudes(count)]
+            nodes += [0] if shape == "forward" else []
+        fitted += bool(_assert_candidates_are_valid(construct_exact(nodes, n), n))
+    assert fitted == 300
 
 
 def test_symmetric_family_node_layouts():

@@ -1,22 +1,30 @@
-"""Same-behaviour gate: CLI JSON output compared byte for byte with golden files.
+"""Same-behaviour gate: CLI output compared byte for byte with golden files.
 
-Each case below is one ``grdcalc --output json`` command; its stdout is kept
-in ``tests/golden/<case>.json``.  Any change to a verdict, a witness, a path
-label or the JSON layout shows up here as a byte difference.
+Each case in ``CASES`` is one ``grdcalc --output json`` command that succeeds;
+its stdout is kept in ``tests/golden/<case>.json``.  Each case in ``REFUSALS``
+is one command that must exit 2 with a typed refusal; its stderr is kept in
+``tests/golden/<case>.stderr``.  Any change to a verdict, a witness, a path
+label, a refusal message or the JSON layout shows up here as a byte
+difference.
 
 To record the files again (only when an output change is intended)::
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+To compare every case in one process, for instance with asserts stripped::
+
+    PYTHONPATH=src python -O tests/test_golden.py --check
 """
 
 import io
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from grdcalc.cli import DEMOS, main
+from test_cli import run_child
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -181,37 +189,106 @@ CASES = {
     "equiv_no_fast_negative_s": _equiv(D31, D31_MEMBER, "--no-fast"),
     # a non-normalized input
     "equiv_normalized": _equiv(DOUBLED_FORWARD, "riemann:n=1"),
+    # even order without the zero node: n+2 nodes, not a unique exact scheme
+    "construct_pairs_even_no_zero": ["construct", "--pairs", "1,2", "--order", "2"],
+    # symmetric family members at high order, both parities
+    "decompose_gauss_sym_order_8": ["decompose", "gauss-sym:n=8,q=-3/2"],
+    "scale_gauss_sym_order_11": ["scale", "gauss-sym:n=11,q=5/2", "--by", "-1/3"],
+    "scale_mz_tilde_sym_order_7": ["scale", "mz-tilde-sym:n=7", "--by", "2"],
+    "scale_mz_tilde_sym_order_10": ["scale", "mz-tilde-sym:n=10", "--by", "-1"],
+    "scale_riemann_sym_order_9": ["scale", "riemann-sym:n=9", "--by", "1/2"],
+}
+
+# commands that exit 2; each stderr line names the refusal
+REFUSALS = {
+    "refuse_mz_tilde_sym_order_1": ["scale", "mz-tilde-sym:n=1", "--by", "1"],
+    "refuse_gauss_sym_q_1": ["scale", "gauss-sym:n=3,q=1", "--by", "1"],
+    "refuse_shift_without_k": ["scale", "shift:n=3", "--by", "1"],
+    "refuse_riemann_with_k": ["scale", "riemann:n=3,k=1", "--by", "1"],
+    "refuse_gauss_fwd_without_q": ["scale", "gauss-fwd:n=3", "--by", "1"],
+    "refuse_riemann_with_q": ["scale", "riemann:n=2,q=2", "--by", "1"],
+    "refuse_unknown_family": ["scale", "nope:n=2", "--by", "1"],
+    "refuse_qggr_q_minus_1": ["qggr", "--order", "2", "--ell", "0", "--q", "-1"],
+    "refuse_recognize_order_0": ["recognize", "gauss-aff:n=0,q=2"],
 }
 
 
-def _stdout(argv) -> tuple[int, str]:
-    buffer = io.StringIO()
-    with redirect_stdout(buffer):
+def _run(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(["--output", "json", *argv])
-    return code, buffer.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+# case -> (argv, exit code, stream kept, golden file), for every golden case
+EXPECTED = {
+    **{case: (argv, 0, "stdout", GOLDEN / f"{case}.json") for case, argv in CASES.items()},
+    **{case: (argv, 2, "stderr", GOLDEN / f"{case}.stderr") for case, argv in REFUSALS.items()},
+}
+
+
+def _mismatch(case: str) -> str:
+    """Empty when ``case`` gives its golden exit code, stream bytes and an empty other stream."""
+    argv, want_code, stream, path = EXPECTED[case]
+    code, out, err = _run(argv)
+    got, other = (out, err) if stream == "stdout" else (err, out)
+    if code != want_code:
+        return f"exit {code}, expected {want_code}"
+    if other:
+        return "unexpected output on the other stream"
+    if got.encode("utf-8") != path.read_bytes():
+        return f"{stream} differs from {path.name}"
+    return ""
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_output(case):
-    code, out = _stdout(CASES[case])
-    assert code == 0
-    assert out.encode("utf-8") == (GOLDEN / f"{case}.json").read_bytes()
+    assert _mismatch(case) == ""
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_golden_refusal(case):
+    assert _mismatch(case) == ""
 
 
 def test_golden_files_match_cases():
-    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(
+        path.name for *_, path in EXPECTED.values()
+    )
+
+
+def test_golden_under_optimize_flag():
+    # one child with asserts stripped runs every case, stdout and refusals
+    result = run_child([sys.executable, "-O", __file__, "--check"])
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout == f"{len(EXPECTED)} golden cases match, asserts off\n"
 
 
 def _record() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    for case, argv in CASES.items():
-        code, out = _stdout(argv)
-        if code != 0:
-            raise SystemExit(f"{case}: exit {code}")
-        (GOLDEN / f"{case}.json").write_bytes(out.encode("utf-8"))
+    for case, (argv, want_code, stream, path) in EXPECTED.items():
+        code, out, err = _run(argv)
+        if code != want_code:
+            raise SystemExit(f"{case}: exit {code}, expected {want_code}")
+        path.write_bytes((out if stream == "stdout" else err).encode("utf-8"))
+
+
+def _check() -> int:
+    failed = [(case, why) for case in EXPECTED if (why := _mismatch(case))]
+    for case, why in failed:
+        print(f"{case}: {why}")
+    if failed:
+        return 1
+    print(f"{len(EXPECTED)} golden cases match, asserts {'on' if __debug__ else 'off'}")
+    return 0
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --record")
-    _record()
+    if sys.argv[1:] == ["--record"]:
+        _record()
+    elif sys.argv[1:] == ["--check"]:
+        sys.exit(_check())
+    else:
+        raise SystemExit(
+            "usage: PYTHONPATH=src python tests/test_golden.py --record | --check"
+        )
