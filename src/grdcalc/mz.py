@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence, Union
 
 from .equivalence import Witness, decide_equivalent, equivalent_gaussian
@@ -129,6 +130,18 @@ _D31 = construct_exact([-1, 0, 1, 2], 3)
 _D2_SYMMETRIC = construct_exact_symmetric([1], True, 2)
 
 
+@cache
+def _riemann_scheme(n: int, symmetric: bool) -> Scheme:
+    """The equispaced scheme of order ``n``, plain or symmetric, built once per order."""
+    return named_scheme(symmetric_riemann(n) if symmetric else riemann(n))
+
+
+@cache
+def _backward_shifts(n: int) -> tuple[Scheme, ...]:
+    """The backward shifts ``k = 1..n`` of order ``n``, built once per order."""
+    return tuple(named_scheme(riemann_shift(n, -k)) for k in range(1, n + 1))
+
+
 def _check_input(scheme: Scheme, symmetric_mode: bool) -> int:
     if scheme.is_zero:
         raise ZeroScheme("MZ verdicts are defined for nonzero schemes")
@@ -175,7 +188,7 @@ def mz_check(scheme: Scheme, symmetric_mode: bool = False) -> MzVerdict:
                 Certificate(CERT_D31, witness=backward.witness),
                 CONJECTURE_NONE,
             )
-    riemann_like = decide_equivalent(scheme, named_scheme(riemann(n)))
+    riemann_like = decide_equivalent(scheme, _riemann_scheme(n, False))
     if riemann_like.equivalent:
         if n in _RIEMANN_NOT_MZ_ORDERS:
             return MzVerdict(
@@ -191,7 +204,7 @@ def _mz_check_symmetric(scheme: Scheme, n: int) -> MzVerdict:
         return MzVerdict(
             STATUS_MZ, Certificate(CERT_GAUSSIAN, match=match), CONJECTURE_NONE
         )
-    riemann_like = decide_equivalent(scheme, named_scheme(symmetric_riemann(n)))
+    riemann_like = decide_equivalent(scheme, _riemann_scheme(n, True))
     if riemann_like.equivalent:
         return MzVerdict(STATUS_OPEN, None, CONJECTURE_RIEMANN)
     return MzVerdict(STATUS_OPEN, None, CONJECTURE_GAUSSIAN)
@@ -204,7 +217,7 @@ def ggr_set(n: int, reduced: bool = False) -> list[Scheme]:
     if not isinstance(n, int) or n < 1:
         raise InvalidOrder(f"order must be a positive integer, got {n!r}")
     count = max(1, n // 2) if reduced else n
-    return [named_scheme(riemann_shift(n, -k)) for k in range(1, count + 1)]
+    return list(_backward_shifts(n)[:count])
 
 
 def verify_quantum_ggr(

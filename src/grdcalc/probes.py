@@ -11,21 +11,34 @@ generated multiplicative subgroup of the nonzero rationals.  Only the
 generators are factored: their primes are divided out of the sample point,
 any other prime left over rules it out, and the exponent vector over the
 generators' primes is decided by integer lattice elimination.
+
+Quotients are computed fraction-free.  Once per scheme, order, oracle and
+base point, the coefficients and nodes are scaled to integers ``A_i`` and
+``B_i`` over their lcm denominators ``DA`` and ``DB`` (a polynomial's
+coefficients likewise to ``P_i`` over ``DP``), and the oracle's homogeneous
+degree ``e`` is fixed.  For a step ``h = H/DH`` and ``x = xn/xd`` every
+argument ``x + b_i*h`` is ``u_i/D`` with ``D = xd*DB*DH`` and
+``u_i = xn*DB*DH + xd*B_i*H``; the oracle is evaluated on ``u_i`` in
+integers as ``F_i`` (``|u|``, ``u*|u|``, ``u**k``, ``sum P_i u**i D**(e-i)``,
+or ``u**k`` on the subgroup and 0 off it), and the quotient is the single
+fraction ``sum A_i*F_i * DH**n / (DA*DP*D**e * H**n)``, reduced by one gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import combinations
 from math import isqrt
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .families import mz_tilde, named_scheme
 from .scheme import (
     CalculusError,
     Rationalish,
     Scheme,
+    _over_common_denominator,
     format_rational,
     order_info,
     parse_rational,
@@ -333,17 +346,60 @@ def eval_quotient(
     x, h = parse_rational(x), parse_rational(h)
     if h == 0:
         raise ZeroStep("the step h must be nonzero")
-    return _quotient(scheme, order_info(scheme).order, oracle, x, h)
+    return _quotient_kernel(scheme, order_info(scheme).order, oracle, x)(h)
 
 
-def _quotient(
-    scheme: Scheme, n: int, oracle: FunctionOracle, x: Fraction, h: Fraction
-) -> Fraction:
-    """``S(h,x;f) / h**n`` for a parsed nonzero step and the scheme's order ``n``."""
-    total = sum(
-        (t.coeff * oracle.evaluate(x + t.node * h) for t in scheme), Fraction(0)
-    )
-    return total / h ** n
+def _integer_oracle(oracle: FunctionOracle) -> tuple[int, int, Callable[[int, int], int]]:
+    """The oracle at ``u/D`` written as ``F(u, D) / (DP * D**e)``.
+
+    Returns the homogeneous degree ``e``, the coefficient denominator
+    ``DP`` and the integer function ``F``.
+    """
+    if oracle.kind == ORACLE_ABS:
+        return 1, 1, lambda u, d: abs(u)
+    if oracle.kind == ORACLE_SGNSQ:
+        return 2, 1, lambda u, d: u * abs(u)
+    k = oracle.degree
+    if oracle.kind == ORACLE_MONOMIAL:
+        return k, 1, lambda u, d: u ** k
+    if oracle.kind == ORACLE_POLYNOMIAL:
+        coeffs, dp = _over_common_denominator(oracle.coeffs)
+
+        def horner(u: int, d: int) -> int:
+            total, power = 0, 1
+            for c in reversed(coeffs):
+                total = total * u + c * power
+                power *= d
+            return total
+
+        return max(len(coeffs) - 1, 0), dp, horner
+    generators = oracle.generators
+
+    def on_subgroup(u: int, d: int) -> int:
+        return u ** k if u and _membership(Fraction(u, d), generators) else 0
+
+    return k, 1, on_subgroup
+
+
+def _quotient_kernel(
+    scheme: Scheme, n: int, oracle: FunctionOracle, x: Fraction
+) -> Callable[[Fraction], Fraction]:
+    """``h -> S(h,x;f) / h**n`` for nonzero steps, in integer arithmetic."""
+    coeffs, da = _over_common_denominator(scheme.coeffs)
+    nodes, db = _over_common_denominator(scheme.nodes)
+    e, dp, f = _integer_oracle(oracle)
+    terms = list(zip(coeffs, nodes))
+    xn, xd = x.numerator, x.denominator
+    fixed = da * dp
+
+    def quotient(h: Fraction) -> Fraction:
+        hn, hd = h.numerator, h.denominator
+        d = xd * db * hd
+        base, step = xn * db * hd, xd * hn
+        total = sum(a * f(base + b * step, d) for a, b in terms)
+        return Fraction(total * hd ** n, fixed * d ** e * hn ** n)
+
+    return quotient
 
 
 @dataclass(frozen=True)
@@ -490,22 +546,22 @@ def limit_probe(
             if ratio not in ratios:
                 ratios.append(ratio)
     effective = replace(cfg, ratios=tuple(ratios))
-    n = order_info(scheme).order
+    quotient = _quotient_kernel(scheme, order_info(scheme).order, oracle, x)
     sequences = []
     for ratio in ratios:
         for sign in (1, -1):
             samples = []
             for j in range(cfg.j_min, cfg.j_max + 1):
                 h = sign * cfg.h0 * ratio ** j
-                samples.append((h, _quotient(scheme, n, oracle, x, h)))
+                samples.append((h, quotient(h)))
             in_group: Optional[bool] = None
             if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
                 flags = [_membership(h, oracle.generators) for h, _ in samples]
                 in_group = all(flags) if all(flags) or not any(flags) else None
             tail = [v for _, v in samples[-_TAIL_LENGTH:]]
-            settled = all(
-                _close(u, v, cfg.tol) for u in tail for v in tail
-            ) and len(tail) >= _TAIL_LENGTH
+            settled = len(tail) >= _TAIL_LENGTH and all(
+                _close(u, v, cfg.tol) for u, v in combinations(tail, 2)
+            )
             candidate = tail[-1] if settled else None
             sequences.append(
                 ProbeSequence(ratio, sign, tuple(samples), settled, candidate, in_group)
@@ -523,10 +579,16 @@ def limit_probe(
             break
     if verdict != VERDICT_DIVERGES and len(settled_seqs) == len(sequences):
         candidates = [s.candidate for s in settled_seqs]
-        if all(_close(u, v, cfg.tol) for u in candidates for v in candidates):
+        if all(_close(u, v, cfg.tol) for u, v in combinations(candidates, 2)):
             verdict = VERDICT_CONVERGES
             estimate = candidates[0]
     return ProbeReport(verdict, estimate, tuple(sequences), evidence, effective)
+
+
+@cache
+def _mz_tilde_scheme(order: int) -> Scheme:
+    """The doubling-node witness of one order; schemes are frozen, so each is built once."""
+    return named_scheme(mz_tilde(order))
 
 
 def peano_probe(
@@ -544,7 +606,7 @@ def peano_probe(
         raise CalculusError("the probe depth n must be a positive integer")
     stages = []
     for order in range(1, n + 1):
-        report = limit_probe(named_scheme(mz_tilde(order)), oracle, x, config)
+        report = limit_probe(_mz_tilde_scheme(order), oracle, x, config)
         stages.append((order, report))
         if report.verdict != VERDICT_CONVERGES:
             break

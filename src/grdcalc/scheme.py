@@ -12,6 +12,7 @@ equality are computed without rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -84,10 +85,19 @@ def parse_rational(text: Rationalish) -> Fraction:
         raise CalculusError(f"not a rational: {text!r}") from exc
 
 
+def _digits(value: int) -> str:
+    """Decimal digits of an integer, also past the interpreter's int-to-str limit."""
+    try:
+        return str(value)
+    except ValueError:
+        # Decimal converts an int exactly, and its "f" format ignores that limit
+        return format(Decimal(value), "f")
+
+
 def format_rational(value: Fraction) -> str:
     """Format a rational as a reduced 'p/q' string (denominator always shown)."""
     value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -424,6 +434,13 @@ def scheme_from_json(data: Union[str, dict]) -> Scheme:
     return canonicalize(pairs)
 
 
+def _format_factor(mag: Fraction) -> str:
+    """A positive rational as a factor: ``p`` when integral, else ``(p/q)``."""
+    if mag.denominator == 1:
+        return _digits(mag.numerator)
+    return f"({format_rational(mag)})"
+
+
 def _format_node(node: Fraction) -> str:
     if node == 0:
         return "f(x)"
@@ -431,9 +448,7 @@ def _format_node(node: Fraction) -> str:
     mag = abs(node)
     if mag == 1:
         return f"f(x{sign}h)"
-    if mag.denominator == 1:
-        return f"f(x{sign}{mag.numerator}h)"
-    return f"f(x{sign}({mag.numerator}/{mag.denominator})h)"
+    return f"f(x{sign}{_format_factor(mag)}h)"
 
 
 def format_scheme(scheme: Scheme) -> str:
@@ -445,10 +460,8 @@ def format_scheme(scheme: Scheme) -> str:
         mag = abs(term.coeff)
         if mag == 1:
             body = _format_node(term.node)
-        elif mag.denominator == 1:
-            body = f"{mag.numerator}*{_format_node(term.node)}"
         else:
-            body = f"({mag.numerator}/{mag.denominator})*{_format_node(term.node)}"
+            body = f"{_format_factor(mag)}*{_format_node(term.node)}"
         pieces.append(("- " if term.coeff < 0 else "+ ") + body)
     text = " ".join(pieces)
     return text[2:] if text.startswith("+ ") else "-" + text[2:]

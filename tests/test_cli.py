@@ -250,6 +250,16 @@ def test_ntimes_bad_entry(capsys):
 # --- probes ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [11, 12])
+def test_scale_prints_integers_past_the_digit_limit(capsys, n):
+    # the script rows' nodes q**(2**j) outgrow the 4,300-digit int-to-str limit
+    assert main(["--output", "json", "scale", f"scriptD-bar:n={n},q=3/2", "--by", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    terms = json.loads(captured.out)["terms"]
+    assert max(len(t[key]) for t in terms for key in ("coeff", "node")) > 4300
+
+
 def test_probe_converges_json(capsys):
     code, out, _ = run(
         capsys, ["--output", "json", "probe", "riemann-sym:n=1", "--oracle", "abs"]

@@ -128,6 +128,11 @@ RIEMANN4_MEMBER = (
     '{"coeff":"-21/16","node":"4/1"},{"coeff":"-1/8","node":"6/1"},'
     '{"coeff":"1/32","node":"8/1"}]}'
 )
+# construct_exact([-1/2, 1/3, 2], 2): rational nodes and coefficients
+RATIONAL_NODES = (
+    '{"terms":[{"coeff":"24/25","node":"-1/2"},{"coeff":"-36/25","node":"1/3"},'
+    '{"coeff":"12/25","node":"2/1"}]}'
+)
 # scale(gauss-sym:n=4,q=-3, 1/2)
 GSYM4_SCALE = (
     '{"terms":[{"coeff":"8/3","node":"-3/2"},{"coeff":"-24/1","node":"-1/2"},'
@@ -174,6 +179,17 @@ CASES = {
     ],
     "probe": ["probe", "riemann-sym:n=1", "--oracle", "abs"],
     "probe_peano": ["probe", "--peano", "2", "--oracle", "sgnsq"],
+    # one probe case per oracle kind and sample-point shape
+    "probe_mono_off_zero": ["probe", "riemann:n=2", "--oracle", "mono:k=3", "--x", "-2/3"],
+    "probe_poly_rational_off_zero": [
+        "probe", "shift:n=2,k=-1", "--oracle", "poly:1/2,-3,2/3,5/4", "--x", "3/2",
+    ],
+    "probe_subgmono_zero": ["probe", "riemann-sym:n=2", "--oracle", "subgmono:k=2;gens=-2,3/5"],
+    "probe_subgmono_off_zero": [
+        "probe", "riemann:n=1", "--oracle", "subgmono:k=2;gens=2,3", "--x", "4/3",
+    ],
+    "probe_json_rational_nodes": ["probe", RATIONAL_NODES, "--oracle", "sgnsq", "--x", "-1/5"],
+    "probe_peano_subgmono": ["probe", "--peano", "3", "--oracle", "subgmono:k=2;gens=-2,3/5"],
     # one equiv case per path
     "equiv_symmetric_scale": _equiv("riemann-sym:n=2", "riemann-sym:n=2"),
     "equiv_fast_nonneg": _equiv("riemann:n=2", "riemann:n=2"),

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from grdcalc import mz
+from grdcalc import mz, probes
 from grdcalc import (
     CONJECTURE_GAUSSIAN,
     CONJECTURE_NONE,
@@ -40,15 +40,18 @@ from grdcalc import (
     gaussian_affine,
     gaussian_forward,
     ggr_set,
+    monomial_oracle,
     mz_check,
     mz_set_check,
     mz_tilde,
     mz_tilde_symmetric,
     n_times_check,
     named_scheme,
+    peano_probe,
     riemann,
     riemann_shift,
     scale,
+    symmetric_riemann,
     verify_quantum_ggr,
 )
 
@@ -119,6 +122,28 @@ def test_fixed_catalog_schemes_are_not_rebuilt(monkeypatch):
     assert n_times_check(chain).peano_equivalence == PEANO_IDENTITY
     assert ("construct_exact", ([-1, 0, 1, 2], 3)) not in built
     assert not [name for name, _ in built if name == "construct_exact_symmetric"]
+
+    # the equispaced schemes, the backward shifts and the Peano-probe witnesses
+    # are built once per order, however many checks and stages read them
+    named = []
+    for module in (mz, probes):
+        def recording_named(kind, _original=module.named_scheme):
+            named.append(kind)
+            return _original(kind)
+
+        monkeypatch.setattr(module, "named_scheme", recording_named)
+    for cached in (mz._riemann_scheme, mz._backward_shifts, probes._mz_tilde_scheme):
+        cached.cache_clear()
+    for _ in range(2):
+        assert mz_check(named_scheme(riemann(4))).conjecture == CONJECTURE_RIEMANN
+        assert mz_check(named_scheme(symmetric_riemann(6)), symmetric_mode=True).status == STATUS_OPEN
+        assert mz_set_check(ggr_set(4)).certificate.kind == CERT_GGR_SET
+        assert len(peano_probe(monomial_oracle(2), 0, 2)) == 2
+    assert sorted(named, key=repr) == sorted(
+        [riemann(4), symmetric_riemann(6), mz_tilde(1), mz_tilde(2)]
+        + [riemann_shift(4, -k) for k in (1, 2, 3, 4)],
+        key=repr,
+    )
 
 
 def test_symmetric_second_difference_both_modes():

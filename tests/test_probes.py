@@ -16,6 +16,7 @@ from grdcalc import (
     ZeroInput,
     ZeroStep,
     abs_oracle,
+    canonicalize,
     construct_exact,
     construct_exact_symmetric,
     eval_quotient,
@@ -35,6 +36,7 @@ from grdcalc import (
 )
 from grdcalc import probes
 from membership_reference import _factor_rational
+from quotient_reference import _quotient as reference_quotient
 
 D2_SYM = construct_exact_symmetric([1], True, 2)
 FWD1 = construct_exact([0, 1], 1)
@@ -168,10 +170,101 @@ def test_eval_quotient_fixtures():
         eval_quotient(FWD1, abs_oracle(), 0, 0)
 
 
+@pytest.mark.parametrize("h", [0, "0", "0/5", Fraction(0)])
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        abs_oracle(),
+        sgnsq_oracle(),
+        monomial_oracle(0),
+        polynomial_oracle([Fraction(1, 2), -3]),
+        subgroup_monomial_oracle(2, [-2, Fraction(3, 5)]),
+    ],
+)
+def test_eval_quotient_refuses_zero_step(oracle, h):
+    with pytest.raises(ZeroStep, match="^the step h must be nonzero$"):
+        eval_quotient(D2_SYM, oracle, Fraction(1, 3), h)
+
+
 rational = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6
 )
 nonzero = rational.filter(lambda v: v != 0)
+
+# oracles of every kind: rational polynomial coefficients (also none, or one),
+# monomials down to degree 0, negative and fractional subgroup generators
+GENERATORS = [-2, Fraction(3, 5), Fraction(-1, 3), 2, Fraction(5, 2), -1, 6]
+oracles = st.one_of(
+    st.just(abs_oracle()),
+    st.just(sgnsq_oracle()),
+    st.integers(0, 5).map(monomial_oracle),
+    st.lists(rational, max_size=5).map(polynomial_oracle),
+    st.builds(
+        subgroup_monomial_oracle,
+        st.integers(0, 3),
+        st.lists(st.sampled_from(GENERATORS), min_size=1, max_size=3),
+    ),
+)
+# signed steps along the probe's geometric sequences, down to rho**40, or arbitrary
+steps = st.one_of(
+    st.builds(
+        lambda sign, h0, rho, j: sign * h0 * rho ** j,
+        st.sampled_from([1, -1]),
+        nonzero,
+        st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(1, 5)]),
+        st.integers(0, 40),
+    ),
+    nonzero,
+)
+points = st.one_of(st.just(Fraction(0)), nonzero)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(nonzero, rational), max_size=6),
+    st.integers(0, 5),
+    oracles,
+    points,
+    steps,
+)
+def test_quotient_kernel_matches_fraction_reference(pairs, n, oracle, x, h):
+    scheme = canonicalize(pairs)
+    got = probes._quotient_kernel(scheme, n, oracle, x)(h)
+    assert type(got) is Fraction
+    assert got == reference_quotient(scheme, n, oracle, x, h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(rational, min_size=n + 1, max_size=n + 1, unique=True)
+    ),
+    oracles,
+    points,
+    steps,
+)
+def test_eval_quotient_matches_fraction_reference(nodes, oracle, x, h):
+    n = len(nodes) - 1
+    scheme = construct_exact(nodes, n)
+    assert eval_quotient(scheme, oracle, x, h) == reference_quotient(scheme, n, oracle, x, h)
+
+
+@pytest.mark.parametrize(
+    "scheme, oracle, x",
+    [
+        (FWD1, abs_oracle(), 0),
+        (D2_SYM, sgnsq_oracle(), Fraction(-1, 5)),
+        (named_scheme(riemann(3)), polynomial_oracle([Fraction(1, 2), -3, 0, 2]), Fraction(3, 2)),
+        (D2_SYM, subgroup_monomial_oracle(2, [-2, Fraction(3, 5)]), 0),
+        (construct_exact([Fraction(-1, 2), Fraction(1, 3), 2], 2), monomial_oracle(3), Fraction(4, 3)),
+    ],
+)
+def test_limit_probe_samples_match_fraction_reference(scheme, oracle, x):
+    report = limit_probe(scheme, oracle, x)
+    n = len(scheme.nodes) - 1
+    for sequence in report.sequences:
+        for h, value in sequence.samples:
+            assert value == reference_quotient(scheme, n, oracle, Fraction(x), h)
 
 
 @settings(max_examples=40)

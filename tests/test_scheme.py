@@ -1,5 +1,7 @@
 """Scheme algebra: construction, moments, decomposition, scaling, JSON."""
 
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial, prod
 
@@ -71,6 +73,24 @@ def test_parse_and_format_rational():
         parse_rational("pi")
     with pytest.raises(CalculusError):
         parse_rational("1/0")
+
+
+def test_format_rational_past_the_int_digit_limit():
+    # 9,543 and 4,516 digits: past the default 4,300-digit int-to-str limit
+    big = Fraction(-(3 ** 20000) - 2, 2 ** 15001)
+    source = (
+        "import sys; getattr(sys, 'set_int_max_str_digits', lambda n: None)(0); "
+        "n = -(3 ** 20000) - 2; d = 2 ** 15001; print(f'{n}/{d}')"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", source], capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    digits = child.stdout.strip()
+    assert format_rational(big) == digits
+    numerator, denominator = digits.split("/")
+    text = format_scheme(canonicalize([(big, Fraction(2 ** 15001)), (1, Fraction(1, 2 ** 15001))]))
+    assert text == f"-({numerator[1:]}/{denominator})*f(x+{denominator}h) + f(x+(1/{denominator})h)"
 
 
 def test_canonicalize_merges_and_drops():
