@@ -112,33 +112,28 @@ def _witness_for_scale(n: int, r: Fraction, skew_zero: bool) -> Witness:
     return Witness(n, r, r, sym_factor, sym_factor)
 
 
-def _witness_holds(
-    witness: Witness, a_plus: Scheme, a_minus: Scheme, b_plus: Scheme, b_minus: Scheme
-) -> bool:
-    """Both defining identities of ``witness``, expanded on the given parts."""
+def verify_witness(a: Scheme, b: Scheme, witness: Witness) -> bool:
+    """Re-verify a witness by direct expansion of both defining identities.
+
+    Both schemes are decomposed at the witness order; :func:`decide_equivalent`
+    applies this check to every positive verdict.
+    """
+    n = witness.order
+    (a_plus, a_minus), (b_plus, b_minus) = decompose(a, n), decompose(b, n)
     return (
         combine([(witness.sym_factor, witness.r, a_plus)]) == b_plus
         and combine([(witness.skew_factor, witness.s, a_minus)]) == b_minus
     )
 
 
-def verify_witness(a: Scheme, b: Scheme, witness: Witness) -> bool:
-    """Re-verify a witness by direct expansion of both defining identities.
-
-    Both schemes are decomposed at the witness order and checked by the same
-    expansion :func:`decide_equivalent` applies to every positive verdict.
-    """
-    n = witness.order
-    return _witness_holds(witness, *decompose(a, n), *decompose(b, n))
-
-
-def _fast_path(a: Scheme, b: Scheme, n: int, skew_zero: bool) -> str:
-    """The fast path that applies to the pair, or ``PATH_GENERAL`` if none does.
+def _fast_path(a: Scheme, b: Scheme) -> str:
+    """The fast path that applies to a same-order pair, or ``PATH_GENERAL``.
 
     On each fast path the pair is equivalent exactly when ``b`` is a scale
-    of ``a``; ``skew_zero`` says both skew parts vanish.
+    of ``a``; the symmetric one applies when both skew parts vanish.
     """
-    if skew_zero:
+    n = order_info(a).order
+    if decompose(a, n)[1].is_zero and decompose(b, n)[1].is_zero:
         return PATH_SYMMETRIC
     if all(t.node >= 0 for t in a) and all(t.node >= 0 for t in b):
         return PATH_FAST_NONNEG
@@ -149,10 +144,11 @@ def _fast_path(a: Scheme, b: Scheme, n: int, skew_zero: bool) -> str:
     return PATH_GENERAL
 
 
-def _general_outcome(
-    n: int, a_plus: Scheme, a_minus: Scheme, b_plus: Scheme, b_minus: Scheme
-) -> Witness | str:
-    """A witness from the full part-by-part analysis, or the negative reason."""
+def _general_outcome(a: Scheme, b: Scheme) -> Witness | str:
+    """A witness from the full part-by-part analysis of a same-order pair, or
+    the negative reason."""
+    n = order_info(a).order
+    (a_plus, a_minus), (b_plus, b_minus) = decompose(a, n), decompose(b, n)
     r = is_scale(a_plus, b_plus)
     if r is None:
         return REASON_SYMMETRIC
@@ -175,9 +171,8 @@ def decide_equivalent(a: Scheme, b: Scheme, use_fast_paths: bool = True) -> Equi
     """Decide whether ``a`` and ``b`` are equivalent differentiation schemes.
 
     Inputs that are not normalized are normalized first and the verdict is
-    flagged.  Each input's order is read once and each input is decomposed
-    once.  Every verdict leaves through one exit, which re-checks each
-    positive witness by expansion on those parts, whichever path found it;
+    flagged.  Every verdict leaves through one exit, which re-checks each
+    positive witness with :func:`verify_witness`, whichever path found it;
     a fast path that finds no scale must agree with the general analysis.
     Positive verdicts carry the witness and the decision path taken;
     negative verdicts carry the first structural reason found.
@@ -190,27 +185,22 @@ def decide_equivalent(a: Scheme, b: Scheme, use_fast_paths: bool = True) -> Equi
     if n != info_b.order:
         outcome = REASON_ORDER
     else:
-        if info_a.normalizer != 1:
-            a = normalized(a)
-        if info_b.normalizer != 1:
-            b = normalized(b)
-        parts = decompose(a, n) + decompose(b, n)
-        skew_zero = parts[1].is_zero and parts[3].is_zero
-        path = _fast_path(a, b, n, skew_zero) if use_fast_paths else PATH_GENERAL
+        a, b = normalized(a), normalized(b)
+        path = _fast_path(a, b) if use_fast_paths else PATH_GENERAL
         r = None if path == PATH_GENERAL else is_scale(a, b)
         if r is not None:
-            outcome = _witness_for_scale(n, r, parts[1].is_zero)
+            outcome = _witness_for_scale(n, r, decompose(a, n)[1].is_zero)
         elif path == PATH_SYMMETRIC:
             outcome = REASON_SYMMETRIC
         else:
-            outcome = _general_outcome(n, *parts)
+            outcome = _general_outcome(a, b)
             _require(
                 path == PATH_GENERAL or isinstance(outcome, str),
                 "fast path disagrees with general analysis",
             )
     if isinstance(outcome, str):
         return EquivalenceVerdict(False, None, None, outcome, flag)
-    _require(_witness_holds(outcome, *parts), "witness failed re-verification")
+    _require(verify_witness(a, b, outcome), "witness failed re-verification")
     return EquivalenceVerdict(True, outcome, path, None, flag)
 
 
@@ -232,7 +222,7 @@ def class_member(
     if r == 0 or s == 0:
         raise ZeroScale("dilation constants r and s must be nonzero")
     n = order_info(a).order
-    a_plus, a_minus = decompose(a, n)
+    a_plus, a_minus = decompose(a)
     if skew_factor == 0 and not a_minus.is_zero:
         raise ZeroScale("skew_factor must be nonzero when the skew part is nonzero")
     return combine([(r ** -n, r, a_plus), (skew_factor, s, a_minus)])
@@ -267,7 +257,7 @@ def equivalent_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:
         return direct
     if len(scheme) == n + 1 and len({abs(t.node) for t in scheme}) == len(scheme):
         return None
-    sym_part, skew_part = decompose(scheme, n)
+    sym_part, skew_part = decompose(scheme)
     positive = sorted(t.node for t in sym_part if t.node > 0)
     ratios = {high / low for low, high in zip(positive, positive[1:])} or {Fraction(2)}
     if skew_part.is_zero or len(ratios) > 1:

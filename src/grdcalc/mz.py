@@ -50,6 +50,7 @@ from .scheme import (
     is_symmetric,
     order_info,
     parse_rational,
+    scheme_to_json_dict,
 )
 
 
@@ -125,7 +126,8 @@ class MzVerdict:
         }
 
 
-# the fixed catalog schemes; schemes are frozen, so each is built once
+# the fixed catalog schemes: frozen, so built once, and each keeps its order and parts
+_D1 = construct_exact([0, 1], 1)
 _D31 = construct_exact([-1, 0, 1, 2], 3)
 _D2_SYMMETRIC = construct_exact_symmetric([1], True, 2)
 
@@ -148,7 +150,7 @@ def _check_input(scheme: Scheme, symmetric_mode: bool) -> int:
     info = order_info(scheme)
     if info.normalizer != 1:
         raise NotNormalized("normalize the scheme before asking for an MZ verdict")
-    if symmetric_mode and not is_symmetric(scheme, info.order):
+    if symmetric_mode and not is_symmetric(scheme):
         raise CalculusError("symmetric-mode verdicts require a symmetric scheme")
     return info.order
 
@@ -165,22 +167,24 @@ def mz_check(scheme: Scheme, symmetric_mode: bool = False) -> MzVerdict:
     plain mode, from the symmetric second difference, which the search
     matches as the order-2 symmetric member.  Anything else is open, tagged
     with the equispaced conjecture when the scheme is equivalent to that
-    family and with the general geometric conjecture otherwise.
+    family and with the general geometric conjecture otherwise.  Symmetric
+    mode walks the same catalog with its symmetric facts only: symmetric
+    members certify, and the equispaced family is the symmetric one.
     """
     n = _check_input(scheme, symmetric_mode)
-    if symmetric_mode:
-        return _mz_check_symmetric(scheme, n)
     match = equivalent_gaussian(scheme)
-    if match is not None:
-        if match.variant in (GAUSSIAN_FORWARD, GAUSSIAN_AFFINE):
-            return MzVerdict(
-                STATUS_MZ, Certificate(CERT_GAUSSIAN, match=match), CONJECTURE_NONE
-            )
-        if match.variant == GAUSSIAN_SYMMETRIC and n == 2:
-            return MzVerdict(
-                STATUS_NOT_MZ, Certificate(CERT_D2S_NOT_MZ, n=2), CONJECTURE_NONE
-            )
-    if n == 3:
+    certified = (
+        (GAUSSIAN_SYMMETRIC,) if symmetric_mode else (GAUSSIAN_FORWARD, GAUSSIAN_AFFINE)
+    )
+    if match is not None and match.variant in certified:
+        return MzVerdict(
+            STATUS_MZ, Certificate(CERT_GAUSSIAN, match=match), CONJECTURE_NONE
+        )
+    if match is not None and match.variant == GAUSSIAN_SYMMETRIC and n == 2:
+        return MzVerdict(
+            STATUS_NOT_MZ, Certificate(CERT_D2S_NOT_MZ, n=2), CONJECTURE_NONE
+        )
+    if n == 3 and not symmetric_mode:
         backward = decide_equivalent(scheme, _D31)
         if backward.equivalent:
             return MzVerdict(
@@ -188,24 +192,12 @@ def mz_check(scheme: Scheme, symmetric_mode: bool = False) -> MzVerdict:
                 Certificate(CERT_D31, witness=backward.witness),
                 CONJECTURE_NONE,
             )
-    riemann_like = decide_equivalent(scheme, _riemann_scheme(n, False))
+    riemann_like = decide_equivalent(scheme, _riemann_scheme(n, symmetric_mode))
     if riemann_like.equivalent:
-        if n in _RIEMANN_NOT_MZ_ORDERS:
+        if n in _RIEMANN_NOT_MZ_ORDERS and not symmetric_mode:
             return MzVerdict(
                 STATUS_NOT_MZ, Certificate(CERT_RIEMANN_NOT_MZ, n=n), CONJECTURE_NONE
             )
-        return MzVerdict(STATUS_OPEN, None, CONJECTURE_RIEMANN)
-    return MzVerdict(STATUS_OPEN, None, CONJECTURE_GAUSSIAN)
-
-
-def _mz_check_symmetric(scheme: Scheme, n: int) -> MzVerdict:
-    match = equivalent_gaussian(scheme)
-    if match is not None and match.variant == GAUSSIAN_SYMMETRIC:
-        return MzVerdict(
-            STATUS_MZ, Certificate(CERT_GAUSSIAN, match=match), CONJECTURE_NONE
-        )
-    riemann_like = decide_equivalent(scheme, _riemann_scheme(n, True))
-    if riemann_like.equivalent:
         return MzVerdict(STATUS_OPEN, None, CONJECTURE_RIEMANN)
     return MzVerdict(STATUS_OPEN, None, CONJECTURE_GAUSSIAN)
 
@@ -262,27 +254,22 @@ def mz_set_check(schemes: Sequence[Scheme]) -> MzVerdict:
     for verdict in member_verdicts:
         if verdict.status == STATUS_MZ:
             return verdict
-    for reduced in (False, True):
-        covers = all(
-            any(decide_equivalent(target, s).equivalent for s in schemes)
-            for target in ggr_set(n, reduced)
-        )
-        if covers:
-            return MzVerdict(
-                STATUS_MZ, Certificate(CERT_GGR_SET, n=n, reduced=reduced), CONJECTURE_NONE
-            )
-
-    def riemann_governed(verdict: MzVerdict) -> bool:
-        if verdict.conjecture == CONJECTURE_RIEMANN:
-            return True
-        certificate = verdict.certificate
-        return certificate is not None and certificate.kind == CERT_RIEMANN_NOT_MZ
-
-    conjecture = (
-        CONJECTURE_RIEMANN
-        if all(riemann_governed(v) for v in member_verdicts)
-        else CONJECTURE_GAUSSIAN
+    # the reduced targets are a prefix of the full ones, so the count of
+    # shifts covered before the first uncovered one decides both covers
+    covered = 0
+    for target in ggr_set(n):
+        if not any(decide_equivalent(target, s).equivalent for s in schemes):
+            break
+        covered += 1
+    if covered >= len(ggr_set(n, reduced=True)):
+        certificate = Certificate(CERT_GGR_SET, n=n, reduced=covered < n)
+        return MzVerdict(STATUS_MZ, certificate, CONJECTURE_NONE)
+    riemann_governed = all(
+        v.conjecture == CONJECTURE_RIEMANN
+        or (v.certificate is not None and v.certificate.kind == CERT_RIEMANN_NOT_MZ)
+        for v in member_verdicts
     )
+    conjecture = CONJECTURE_RIEMANN if riemann_governed else CONJECTURE_GAUSSIAN
     return MzVerdict(STATUS_OPEN, None, conjecture)
 
 
@@ -322,8 +309,6 @@ class NTimesReport:
     note: str
 
     def to_json_dict(self) -> dict:
-        from .scheme import scheme_to_json_dict
-
         return {
             "orders_present": list(self.orders_present),
             "per_order": [
@@ -346,12 +331,8 @@ def _detect_identity_chain(entries: dict[int, ChainEntry]) -> Optional[Scheme]:
     plain forward second difference, which is a geometric-node scheme."""
     if set(entries) != {0, 1, 2, 3}:
         return None
-    first, second, third = entries[1], entries[2], entries[3]
-    if not decide_equivalent(first, construct_exact([0, 1], 1)).equivalent:
-        return None
-    if not decide_equivalent(second, _D2_SYMMETRIC).equivalent:
-        return None
-    if not decide_equivalent(third, _D31).equivalent:
+    stages = zip((entries[1], entries[2], entries[3]), (_D1, _D2_SYMMETRIC, _D31))
+    if not all(decide_equivalent(entry, target).equivalent for entry, target in stages):
         return None
     certificate = combine([(1, 1, _D31), (1, 1, _D2_SYMMETRIC)])
     _require(certificate == construct_exact([0, 1, 2], 2), "rewrite identity failed")

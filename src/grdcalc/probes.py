@@ -153,10 +153,11 @@ def _lattice_member(columns: Sequence[Sequence[int]], target: list[int]) -> bool
     return all(v == 0 for v in vec)
 
 
+Lattice = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+
 @lru_cache(maxsize=256)
-def _generator_lattice(
-    generators: tuple[Fraction, ...]
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _generator_lattice(generators: tuple[Fraction, ...]) -> Lattice:
     """Sorted primes of the generators and their sign/exponent columns.
 
     The last column is the doubled sign coordinate: sign flips only matter
@@ -172,10 +173,11 @@ def _generator_lattice(
 
 # Not cached: sample points are fresh rationals, so a cache would only grow.
 # The zero-size lru_cache keeps ``cache_info()`` (misses count the calls) for
-# the membership counters of perfbench.
+# the membership counters of perfbench.  Callers look the generators'
+# lattice up once, not once per sample.
 @lru_cache(maxsize=0)
-def _membership(x: Fraction, generators: tuple[Fraction, ...]) -> bool:
-    primes, columns = _generator_lattice(generators)
+def _membership(x: Fraction, lattice: Lattice) -> bool:
+    primes, columns = lattice
     num, den = abs(x.numerator), x.denominator
     target = [1 if x < 0 else 0]
     for p in primes:
@@ -206,7 +208,7 @@ def subgroup_membership(x: Rationalish, generators: Sequence[Rationalish]) -> bo
     gens = tuple(parse_rational(g) for g in generators)
     if x == 0 or any(g == 0 for g in gens):
         raise ZeroInput("subgroup membership is defined on nonzero rationals")
-    return _membership(x, gens)
+    return _membership(x, _generator_lattice(gens))
 
 
 @dataclass(frozen=True)
@@ -256,11 +258,8 @@ class FunctionOracle:
             return sum(
                 (c * x ** i for i, c in enumerate(self.coeffs)), Fraction(0)
             )
-        if x == 0:
-            return Fraction(0)
-        if _membership(x, self.generators):
-            return x ** self.degree
-        return Fraction(0)
+        on_group = x != 0 and _membership(x, _generator_lattice(self.generators))
+        return x ** self.degree if on_group else Fraction(0)
 
 
 def abs_oracle() -> FunctionOracle:
@@ -373,10 +372,10 @@ def _integer_oracle(oracle: FunctionOracle) -> tuple[int, int, Callable[[int, in
             return total
 
         return max(len(coeffs) - 1, 0), dp, horner
-    generators = oracle.generators
+    lattice = _generator_lattice(oracle.generators)
 
     def on_subgroup(u: int, d: int) -> int:
-        return u ** k if u and _membership(Fraction(u, d), generators) else 0
+        return u ** k if u and _membership(Fraction(u, d), lattice) else 0
 
     return k, 1, on_subgroup
 
@@ -542,6 +541,7 @@ def limit_probe(
     x = parse_rational(x)
     ratios = list(cfg.ratios)
     if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
+        lattice = _generator_lattice(oracle.generators)
         for ratio in _auto_subgroup_ratios(oracle):
             if ratio not in ratios:
                 ratios.append(ratio)
@@ -556,7 +556,7 @@ def limit_probe(
                 samples.append((h, quotient(h)))
             in_group: Optional[bool] = None
             if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
-                flags = [_membership(h, oracle.generators) for h, _ in samples]
+                flags = [_membership(h, lattice) for h, _ in samples]
                 in_group = all(flags) if all(flags) or not any(flags) else None
             tail = [v for _, v in samples[-_TAIL_LENGTH:]]
             settled = len(tail) >= _TAIL_LENGTH and all(
@@ -568,16 +568,13 @@ def limit_probe(
             )
     settled_seqs = [s for s in sequences if s.settled]
     verdict, estimate, evidence = VERDICT_INCONCLUSIVE, None, ()
-    for i, first in enumerate(settled_seqs):
-        for second in settled_seqs[i + 1 :]:
-            gap = abs(first.candidate - second.candidate)
-            scale_ref = max(Fraction(1), abs(first.candidate), abs(second.candidate))
-            if gap > 10 * cfg.tol * scale_ref:
-                verdict, evidence = VERDICT_DIVERGES, (first, second)
-                break
-        if verdict == VERDICT_DIVERGES:
-            break
-    if verdict != VERDICT_DIVERGES and len(settled_seqs) == len(sequences):
+    pairs = combinations(settled_seqs, 2)
+    separated = next(
+        ((u, v) for u, v in pairs if not _close(u.candidate, v.candidate, 10 * cfg.tol)), None
+    )
+    if separated is not None:
+        verdict, evidence = VERDICT_DIVERGES, separated
+    elif len(settled_seqs) == len(sequences):
         candidates = [s.candidate for s in settled_seqs]
         if all(_close(u, v, cfg.tol) for u, v in combinations(candidates, 2)):
             verdict = VERDICT_CONVERGES

@@ -11,9 +11,12 @@ equality are computed without rounding.
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -73,16 +76,28 @@ class InvalidOrder(CalculusError):
     """The differentiation order must be a positive integer."""
 
 
+# Integer and 'p/q' strings.  Decimal reads their digits exactly at any
+# length; Fraction and int stop at the interpreter's int-from-str digit limit.
+_INTEGER_OR_RATIO = re.compile(r"([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?")
+_ECHO_CHARS = 100
+
+
 def parse_rational(text: Rationalish) -> Fraction:
     """Parse a rational from an int, Fraction, or a 'p/q' / 'p' string."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
+    body = str(text).strip()
+    ratio = _INTEGER_OR_RATIO.fullmatch(body)
     try:
-        return Fraction(str(text).strip())
+        if ratio is None:
+            return Fraction(body)
+        return Fraction(int(Decimal(ratio[1])), int(Decimal(ratio[2] or 1)))
     except (ValueError, ZeroDivisionError) as exc:
-        raise CalculusError(f"not a rational: {text!r}") from exc
+        shown = repr(text)  # echoed up to a bounded prefix
+        cut = f"... ({len(shown)} characters)" if len(shown) > _ECHO_CHARS else ""
+        raise CalculusError(f"not a rational: {shown[:_ECHO_CHARS]}{cut}") from exc
 
 
 def _digits(value: int) -> str:
@@ -151,6 +166,20 @@ class Scheme:
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(t.coeff for t in self.terms)
 
+    # Order and parts, derived on first use and kept on the frozen instance
+    # (dataclass ==, hash and repr read fields only); see order_info, decompose.
+    @cached_property
+    def _order(self) -> OrderInfo:
+        return _find_order(self)
+
+    @cached_property
+    def _even_parts(self) -> tuple[Scheme, Scheme]:
+        return _split(self, odd=False)
+
+    @cached_property
+    def _odd_parts(self) -> tuple[Scheme, Scheme]:
+        return _split(self, odd=True)
+
     def coeff_at(self, node: Rationalish) -> Fraction:
         """Coefficient at a node, zero when the node is absent."""
         node = parse_rational(node)
@@ -167,10 +196,7 @@ def canonicalize(terms: Iterable[PairLike]) -> Scheme:
     """Build a scheme from (coeff, node) pairs: merge nodes, drop zeros, sort."""
     acc: dict[Fraction, Fraction] = {}
     for item in terms:
-        if isinstance(item, Term):
-            coeff, node = item.coeff, item.node
-        else:
-            coeff, node = item
+        coeff, node = (item.coeff, item.node) if isinstance(item, Term) else item
         coeff, node = parse_rational(coeff), parse_rational(node)
         acc[node] = acc.get(node, Fraction(0)) + coeff
     return Scheme(tuple(Term(c, b) for b, c in sorted(acc.items()) if c != 0))
@@ -203,10 +229,15 @@ def order_info(scheme: Scheme) -> OrderInfo:
 
     The order is the least ``j`` with ``m_j != 0``.  For a nonzero canonical
     scheme some moment below ``len(scheme)`` is nonzero (a Vandermonde system
-    on distinct nodes is nonsingular), so the search is bounded.
+    on distinct nodes is nonsingular), so the search is bounded.  It is run
+    once per scheme object.
     """
     if scheme.is_zero:
         raise ZeroScheme("the zero scheme has no order")
+    return scheme._order
+
+
+def _find_order(scheme: Scheme) -> OrderInfo:
     # one running-power pass over integers: m_j = sum_i A_i * B_i**j / (da * db**j)
     powers, da = _over_common_denominator(scheme.coeffs)
     bases, db = _over_common_denominator(scheme.nodes)
@@ -330,13 +361,17 @@ def decompose(scheme: Scheme, n: Optional[int] = None) -> tuple[Scheme, Scheme]:
     ``minus = (S(h) - (-1)**n S(-h)) / 2``, so ``S = plus + minus``.  The
     symmetric part keeps every moment of the same parity as ``n`` and the
     skew part the opposite-parity ones.  ``n`` defaults to the detected order.
-    Both parts come from one pass over the node set closed under negation.
+    The split depends on the parity of ``n`` only; it is made once per scheme
+    object and parity, in one pass over the node set closed under negation.
     """
     if n is None:
         n = order_info(scheme).order
     if not isinstance(n, int) or n < 1:
         raise InvalidOrder(f"order must be a positive integer, got {n!r}")
-    odd = n % 2 == 1
+    return scheme._odd_parts if n % 2 == 1 else scheme._even_parts
+
+
+def _split(scheme: Scheme, odd: bool) -> tuple[Scheme, Scheme]:
     coeffs = {t.node: t.coeff for t in scheme}
     zero = Fraction(0)
     plus, minus = [], []
@@ -353,13 +388,9 @@ def decompose(scheme: Scheme, n: Optional[int] = None) -> tuple[Scheme, Scheme]:
 
 
 def is_symmetric(scheme: Scheme, n: Optional[int] = None) -> bool:
-    """Whether ``S(-h) = (-1)**n * S(h)`` exactly (the skew part vanishes)."""
-    if scheme.is_zero:
-        return True
-    if n is None:
-        n = order_info(scheme).order
-    sign = Fraction(-1) ** n
-    return all(scheme.coeff_at(-t.node) == sign * t.coeff for t in scheme)
+    """Whether ``S(-h) = (-1)**n * S(h)`` exactly: the zero scheme, or the skew
+    part from :func:`decompose` vanishes."""
+    return scheme.is_zero or decompose(scheme, n)[1].is_zero
 
 
 def combine(parts: Iterable[tuple[Rationalish, Rationalish, Scheme]]) -> Scheme:
@@ -414,8 +445,6 @@ def scheme_from_json(data: Union[str, dict]) -> Scheme:
 
     Coefficients and nodes may be 'p/q' strings, integer strings, or ints.
     """
-    import json
-
     if isinstance(data, str):
         try:
             data = json.loads(data)

@@ -18,7 +18,7 @@ from grdcalc.equivalence import (
     EquivalenceVerdict,
     Witness,
     _witness_for_scale,
-    _witness_holds,
+    verify_witness,
 )
 from grdcalc.scheme import Scheme, combine, decompose, is_scale, normalized, order_info
 
@@ -50,9 +50,9 @@ def reference_general_verdict(a: Scheme, b: Scheme) -> EquivalenceVerdict:
     n = info_a.order
     if n != info_b.order:
         return EquivalenceVerdict(False, None, None, REASON_ORDER, flag)
-    parts = decompose(normalized(a), n) + decompose(normalized(b), n)
-    outcome = reference_general_outcome(n, *parts)
+    a, b = normalized(a), normalized(b)
+    outcome = reference_general_outcome(n, *decompose(a, n), *decompose(b, n))
     if isinstance(outcome, str):
         return EquivalenceVerdict(False, None, None, outcome, flag)
-    assert _witness_holds(outcome, *parts)
+    assert verify_witness(a, b, outcome)
     return EquivalenceVerdict(True, outcome, PATH_GENERAL, None, flag)

@@ -260,6 +260,24 @@ def test_scale_prints_integers_past_the_digit_limit(capsys, n):
     assert max(len(t[key]) for t in terms for key in ("coeff", "node")) > 4300
 
 
+def test_scale_reads_back_its_own_output_past_the_digit_limit(capsys):
+    argv = ["--output", "json", "scale", "scriptD-bar:n=11,q=3/2", "--by", "1"]
+    code, first, _ = run(capsys, argv)
+    assert code == 0
+    argv[3] = first
+    code, again, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert again == first
+
+
+def test_long_non_rational_gets_a_short_refusal(capsys):
+    text = "7" * 9999 + "x"
+    code, out, err = run(capsys, ["scale", "riemann:n=2", "--by", text])
+    assert code == 2 and out == ""
+    assert err.startswith("error: not a rational: '777")
+    assert err.endswith("... (10002 characters)\n") and len(err) < 200
+
+
 def test_probe_converges_json(capsys):
     code, out, _ = run(
         capsys, ["--output", "json", "probe", "riemann-sym:n=1", "--oracle", "abs"]

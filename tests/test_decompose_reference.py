@@ -7,7 +7,16 @@ from hypothesis import example, given, settings, strategies as st
 
 import grdcalc.scheme
 from decompose_reference import reference_decompose
-from grdcalc import InvalidOrder, Scheme, canonicalize, construct_exact, decompose
+from grdcalc import (
+    InvalidOrder,
+    Scheme,
+    canonicalize,
+    construct_exact,
+    decompose,
+    moment,
+    order_info,
+    scheme_to_json_dict,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=6
@@ -63,3 +72,25 @@ def test_decompose_builds_no_intermediate_scheme(monkeypatch):
     monkeypatch.setattr(grdcalc.scheme, "reflect", forbidden)
     monkeypatch.setattr(grdcalc.scheme, "canonicalize", forbidden)
     assert decompose(d31, 3) == decompose(d31) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(schemes())
+@example(EVEN)
+@example(Scheme())
+def test_kept_order_and_parts_change_nothing_observable(scheme):
+    def fresh():
+        return Scheme(scheme.terms)  # an equal object with nothing derived yet
+
+    observed = (repr(scheme), hash(scheme), scheme_to_json_dict(scheme))
+    for _ in range(2):  # the second round reads what the first one kept
+        info = outcome(order_info, scheme)
+        assert info == outcome(order_info, fresh())
+        if not isinstance(info, type):
+            assert moment(scheme, info.order) == info.leading_moment
+            assert all(moment(scheme, j) == 0 for j in range(info.order))
+        for n in (1, 2):
+            assert decompose(scheme, n) == reference_decompose(fresh(), n)
+        assert outcome(decompose, scheme) == outcome(reference_decompose, fresh())
+        assert scheme == fresh() and hash(scheme) == hash(fresh())
+        assert (repr(scheme), hash(scheme), scheme_to_json_dict(scheme)) == observed

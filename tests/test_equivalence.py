@@ -21,6 +21,7 @@ from grdcalc import (
     REASON_SKEW,
     REASON_SKEW_ZERO,
     REASON_SYMMETRIC,
+    Scheme,
     Witness,
     ZeroScale,
     ZeroScheme,
@@ -260,16 +261,7 @@ def test_wrong_scale_witness_fails_reverification(monkeypatch, path, a, b):
         decide_equivalent(a, b)
 
 
-def test_each_input_read_and_split_once(monkeypatch):
-    calls = []
-    for name in ("order_info", "decompose"):
-        original = getattr(equivalence, name)
-
-        def counting(scheme, *args, _name=name, _original=original):
-            calls.append((_name, scheme))
-            return _original(scheme, *args)
-
-        monkeypatch.setattr(equivalence, name, counting)
+def test_each_input_read_and_split_once(derivations):
     doubled = canonicalize([(2 * t.coeff, t.node) for t in D2])
     skew_tail = canonicalize([(-2, 1), (2, -1), (1, 2), (-1, -2)])
     pairs = [(a, b) for _, a, b in POSITIVE_BY_PATH] + [
@@ -279,16 +271,20 @@ def test_each_input_read_and_split_once(monkeypatch):
         (D2, construct_exact([0, 1, 3], 2)),
         (D31, class_member(D31, 2, Fraction(-1, 3), 7)),
     ]
-    for a, b in pairs:
+    for pair in pairs:
         for fast in (True, False):
-            calls.clear()
+            # fresh objects: nothing derived on them yet
+            a, b = (Scheme(s.terms) for s in pair)
+            derivations.clear()
             decide_equivalent(a, b, use_fast_paths=fast)
-            assert [scheme for name, scheme in calls if name == "order_info"] == [a, b]
-            split = [scheme for name, scheme in calls if name == "decompose"]
+            derivations.assert_each_once()
+            assert derivations.orders[0] is a and derivations.orders[1] is b
+            split = [s for s, _ in derivations.splits]
             assert split == [normalized(a), normalized(b)]
-    calls.clear()
-    assert decide_equivalent(D2, D31).reason == REASON_ORDER
-    assert calls == [("order_info", D2), ("order_info", D31)]
+    derivations.clear()
+    d2, d31 = Scheme(D2.terms), Scheme(D31.terms)
+    assert decide_equivalent(d2, d31).reason == REASON_ORDER
+    assert derivations.orders == [d2, d31] and not derivations.splits
 
 
 # --- relation laws ---------------------------------------------------------------

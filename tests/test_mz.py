@@ -16,6 +16,7 @@ from grdcalc import (
     CERT_GGR_SET,
     CERT_RIEMANN_NOT_MZ,
     CalculusError,
+    Certificate,
     ContinuityMarker,
     DuplicateOrder,
     GAUSSIAN_FORWARD,
@@ -230,6 +231,28 @@ def test_set_verdict_full_and_reduced_coverage():
     assert reduced.status == STATUS_MZ
     assert reduced.certificate.kind == CERT_GGR_SET
     assert reduced.certificate.reduced is True
+
+
+def test_set_verdict_decides_each_backward_shift_once(monkeypatch):
+    targets = ggr_set(4)
+    # equal copies of the reduced set, so that only the cover compares the targets
+    members = [canonicalize(list(m)) for m in ggr_set(4, reduced=True)]
+    covers = []
+    decide = mz.decide_equivalent
+
+    def counting(a, b, *args, **kwargs):
+        if any(a is t for t in targets):
+            covers.append((a, b))
+        return decide(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(mz, "decide_equivalent", counting)
+    verdict = mz_set_check(members)
+    assert verdict.certificate == Certificate(CERT_GGR_SET, n=4, reduced=True)
+    # shift 1 matches the first member, shift 2 the second, shift 3 (the mirror
+    # image of shift 1) the first, shift 4 neither; the reduced cover (shifts 1
+    # and 2) is read off the same decisions
+    expected = [(0, 0), (1, 0), (1, 1), (2, 0), (3, 0), (3, 1)]
+    assert [(targets.index(a), members.index(b)) for a, b in covers] == expected
 
 
 def test_set_verdict_coverage_up_to_equivalence():

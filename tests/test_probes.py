@@ -10,6 +10,7 @@ from grdcalc import (
     CalculusError,
     FactorizationBoundExceeded,
     ProbeConfig,
+    Scheme,
     VERDICT_CONVERGES,
     VERDICT_DIVERGES,
     VERDICT_INCONCLUSIVE,
@@ -143,22 +144,32 @@ def test_oracle_string_round_trip():
 # --- exact quotients ----------------------------------------------------------------
 
 
-def test_limit_probe_reads_order_once(monkeypatch):
-    calls = []
-    original = probes.order_info
-
-    def counting(scheme):
-        calls.append(scheme)
-        return original(scheme)
-
-    monkeypatch.setattr(probes, "order_info", counting)
+def test_limit_probe_reads_order_once(derivations):
+    scheme = Scheme(D2_SYM.terms)  # a fresh object: its order is not derived yet
     oracle = subgroup_monomial_oracle(2, [2, 3])
-    report = limit_probe(D2_SYM, oracle, Fraction(1, 3))
-    assert calls == [D2_SYM]
-    monkeypatch.undo()
+    report = limit_probe(scheme, oracle, Fraction(1, 3))
+    assert len(derivations.orders) == 1 and derivations.orders[0] is scheme
     for sequence in report.sequences:
         for h, value in sequence.samples:
             assert eval_quotient(D2_SYM, oracle, Fraction(1, 3), h) == value
+
+
+def test_limit_probe_looks_up_the_generator_lattice_per_probe(monkeypatch):
+    lookups = []
+    lookup = probes._generator_lattice
+
+    def counting(generators):
+        lookups.append(generators)
+        return lookup(generators)
+
+    monkeypatch.setattr(probes, "_generator_lattice", counting)
+    oracle = subgroup_monomial_oracle(2, [2, 3])
+    for j_max in (10, 40):
+        lookups.clear()
+        limit_probe(D2_SYM, oracle, Fraction(1, 3), ProbeConfig(j_max=j_max))
+        # the auto ratios, the quotient kernel and the in-group flags: once each,
+        # however many samples the probe takes
+        assert lookups == [oracle.generators] * 3
 
 
 def test_eval_quotient_fixtures():

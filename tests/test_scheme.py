@@ -75,6 +75,20 @@ def test_parse_and_format_rational():
         parse_rational("1/0")
 
 
+def test_parse_rational_past_the_int_digit_limit():
+    # 9,543 digits over 4,516: past the default 4,300-digit int-from-str limit
+    big = Fraction(-(3 ** 20000) - 2, 2 ** 15001)
+    text = format_rational(big)
+    assert parse_rational(text) == big
+    assert parse_rational(f"  +{text[1:]} ") == -big
+    assert parse_rational(text.split("/")[0]) == big.numerator
+    assert parse_rational("1_000/1_0") == 100
+    with pytest.raises(CalculusError, match=r"^not a rational: '1{99}\.\.\. \(5004 characters\)$"):
+        parse_rational("1" * 5000 + "/0")
+    with pytest.raises(CalculusError, match=r"^not a rational: 'pi'$"):
+        parse_rational("pi")
+
+
 def test_format_rational_past_the_int_digit_limit():
     # 9,543 and 4,516 digits: past the default 4,300-digit int-to-str limit
     big = Fraction(-(3 ** 20000) - 2, 2 ** 15001)
@@ -345,6 +359,24 @@ def test_is_symmetric():
     assert is_symmetric(canonicalize([]))
     assert is_symmetric(construct_exact_symmetric([1, 2], False, 3))
     assert not is_symmetric(construct_exact([0, 1, 2], 2))
+    constant = canonicalize([(1, 0)])  # order 0: symmetry is defined from order 1
+    with pytest.raises(InvalidOrder):
+        is_symmetric(constant)
+    assert is_symmetric(constant, 2) and not is_symmetric(constant, 1)
+
+
+def test_order_and_parts_derived_once_per_object(derivations):
+    s = Scheme(construct_exact([-1, 0, 1, 2], 3).terms)
+    for _ in range(3):
+        order_info(s)
+        normalized(s)
+        scale(s, 2)
+        is_symmetric(s)
+        for n in (1, 2, 3, 4, None):
+            decompose(s, n)
+    derivations.assert_each_once()
+    assert [x for x in derivations.orders if x is s] == [s]
+    assert [odd for x, odd in derivations.splits if x is s] == [True, False]
 
 
 # --- JSON and formatting ----------------------------------------------------
