@@ -61,6 +61,7 @@ from .probes import (
 from .scheme import (
     CalculusError,
     Scheme,
+    _echo,
     _require,
     canonicalize,
     construct_exact,
@@ -89,8 +90,10 @@ def read_scheme(spec: str) -> Scheme:
         try:
             with open(spec[1:], "r", encoding="utf-8") as handle:
                 return scheme_from_json(handle.read())
-        except OSError as exc:
-            raise CalculusError(f"cannot read scheme file {spec[1:]!r}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CalculusError(
+                f"cannot read scheme file {_echo(repr(spec[1:]))}: {_echo(str(exc))}"
+            ) from exc
     if spec.startswith("{"):
         return scheme_from_json(spec)
     return named_scheme(parse_family(spec))
@@ -252,7 +255,7 @@ def _cmd_ntimes(args: argparse.Namespace) -> tuple[dict, list[str]]:
         try:
             order = int(head)
         except ValueError as exc:
-            raise CalculusError(f"bad chain order {head!r}") from exc
+            raise CalculusError(f"bad chain order {_echo(repr(head))}") from exc
         if tail.strip() == "cont":
             chain.append((order, CONTINUITY))
         else:
@@ -330,7 +333,7 @@ def _cmd_probe(args: argparse.Namespace) -> tuple[dict, list[str]]:
 def _cmd_demo(args: argparse.Namespace) -> tuple[dict, list[str]]:
     name = args.name
     if name not in DEMOS:
-        raise UnknownDemo(f"unknown demo {name!r}; choose from {', '.join(DEMOS)}")
+        raise UnknownDemo(f"unknown demo {_echo(repr(name))}; choose from {', '.join(DEMOS)}")
     lines, facts = DEMOS[name]()
     return {"demo": name, "facts": facts}, [f"[demo {name}]"] + lines
 
@@ -730,13 +733,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 with open(args.batch, "r", encoding="utf-8") as handle:
                     batch_lines = handle.readlines()
-            except OSError as exc:
-                raise CalculusError(f"cannot read batch file: {exc}") from exc
+            except (OSError, UnicodeDecodeError) as exc:
+                raise CalculusError(f"cannot read batch file: {_echo(str(exc))}") from exc
             for raw in batch_lines:
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                words = shlex.split(line)
+                try:
+                    words = shlex.split(line)
+                except ValueError as exc:
+                    raise CalculusError(f"cannot split batch line: {exc}") from exc
                 if "--batch" in words:
                     raise CalculusError("batch files cannot nest --batch")
                 sub_args = parser.parse_args(["--output", args.output] + words)

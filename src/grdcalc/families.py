@@ -24,6 +24,7 @@ from .scheme import (
     Rationalish,
     Scheme,
     ZeroScheme,
+    _echo,
     _require,
     canonicalize,
     construct_exact,
@@ -353,13 +354,13 @@ def parse_family(text: str) -> FamilyKind:
     """Parse a family string such as ``shift:n=3,k=-1`` or ``gauss-fwd:n=3,q=2``."""
     head, _, tail = text.strip().partition(":")
     if head not in _CLI_VARIANTS:
-        raise CalculusError(f"unknown family name {head!r}")
+        raise CalculusError(f"unknown family name {_echo(repr(head))}")
     fields: dict[str, str] = {}
     if tail:
         for piece in tail.split(","):
             key, eq, value = piece.partition("=")
             if not eq or key.strip() in fields:
-                raise CalculusError(f"bad family parameter {piece!r}")
+                raise CalculusError(f"bad family parameter {_echo(repr(piece))}")
             fields[key.strip()] = value.strip()
     if "n" not in fields:
         raise CalculusError("family strings require n=<order>")
@@ -385,7 +386,7 @@ def parse_family(text: str) -> FamilyKind:
             raise CalculusError(f"family {head!r} requires q=<ratio>")
         q = parse_rational(fields.pop("q"))
     if fields:
-        raise CalculusError(f"unexpected family parameters {sorted(fields)}")
+        raise CalculusError(f"unexpected family parameters {_echo(repr(sorted(fields)))}")
     return FamilyKind(variant, n, k=k, q=q)
 
 

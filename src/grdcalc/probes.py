@@ -7,10 +7,12 @@ limits (diverges), or neither (inconclusive).  Every sample is an exact
 rational because the test functions here are exactly evaluable on
 rationals; the verdicts are still evidence, not proof, and the reports say
 so.  The subgroup-supported monomials need exact membership in a finitely
-generated multiplicative subgroup of the nonzero rationals.  Only the
-generators are factored: their primes are divided out of the sample point,
-any other prime left over rules it out, and the exponent vector over the
-generators' primes is decided by integer lattice elimination.
+generated multiplicative subgroup of the nonzero rationals.  No prime is
+needed: gcd factor refinement (Bach, Driscoll and Shallit, J. Algorithms
+15, 1993) splits the generators into a pairwise coprime base, whose
+elements are divided out of the sample point; anything left over rules it
+out, and the exponent vector over the base is decided by integer lattice
+elimination.
 
 Quotients are computed fraction-free.  Once per scheme, order, oracle and
 base point, the coefficients and nodes are scaled to integers ``A_i`` and
@@ -30,7 +32,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations
-from math import isqrt
+from math import gcd
 from typing import Callable, Optional, Sequence
 
 from .families import mz_tilde, named_scheme
@@ -38,6 +40,7 @@ from .scheme import (
     CalculusError,
     Rationalish,
     Scheme,
+    _echo,
     _over_common_denominator,
     format_rational,
     order_info,
@@ -60,43 +63,7 @@ class ZeroStep(CalculusError):
 
 
 class FactorizationBoundExceeded(CalculusError):
-    """A generator's prime factorization could not be completed below the bound."""
-
-
-_TRIAL_DIVISION_BOUND = 10 ** 6
-
-
-def _factor_positive(value: int) -> dict[int, int]:
-    """Prime exponents of a positive integer by trial division.
-
-    Primes are removed up to the bound; a leftover is accepted only when
-    the scan already proves it prime (no divisor up to its square root).
-    """
-    exponents: dict[int, int] = {}
-    remaining = value
-    p = 2
-    while p <= _TRIAL_DIVISION_BOUND and p * p <= remaining:
-        while remaining % p == 0:
-            exponents[p] = exponents.get(p, 0) + 1
-            remaining //= p
-        p += 1 if p == 2 else 2
-    if remaining > 1:
-        if p * p > remaining:
-            exponents[remaining] = exponents.get(remaining, 0) + 1
-        else:
-            raise FactorizationBoundExceeded(
-                f"cannot factor {value} by trial division up to {_TRIAL_DIVISION_BOUND}"
-            )
-    return exponents
-
-
-def _factor_rational(value: Fraction) -> tuple[int, dict[int, int]]:
-    """Sign bit and prime-exponent vector of a nonzero rational."""
-    sign = 1 if value < 0 else 0
-    exponents = _factor_positive(abs(value.numerator))
-    for prime, exp in _factor_positive(value.denominator).items():
-        exponents[prime] = exponents.get(prime, 0) - exp
-    return sign, {p: e for p, e in exponents.items() if e != 0}
+    """Kept for callers: membership factors nothing, so the library never raises it."""
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -156,19 +123,54 @@ def _lattice_member(columns: Sequence[Sequence[int]], target: list[int]) -> bool
 Lattice = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
+def _coprime_base(values: Sequence[int]) -> tuple[int, ...]:
+    """Pairwise coprime integers > 1 whose powers multiply to each of ``values``.
+
+    A value sharing ``g = gcd(a, b) > 1`` with a base element ``b`` splits
+    into ``a/g``, ``b/g`` and ``g``; each split shrinks the product held.
+    """
+    base: list[int] = []
+    pending = [v for v in values if v > 1]
+    while pending:
+        a = pending.pop()
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                del base[i]
+                pending.extend(v for v in (a // g, b // g, g) if v > 1)
+                break
+        else:
+            base.append(a)
+    return tuple(sorted(base))
+
+
+def _over_base(x: Fraction, base: Sequence[int]) -> Optional[list[int]]:
+    """Sign bit and exponents of ``x != 0`` over a coprime base; None if a factor is left over."""
+    num, den = abs(x.numerator), x.denominator
+    vector = [1 if x < 0 else 0]
+    for b in base:
+        exp = 0
+        while num % b == 0:
+            num //= b
+            exp += 1
+        while den % b == 0:
+            den //= b
+            exp -= 1
+        vector.append(exp)
+    return vector if num == den == 1 else None
+
+
 @lru_cache(maxsize=256)
 def _generator_lattice(generators: tuple[Fraction, ...]) -> Lattice:
-    """Sorted primes of the generators and their sign/exponent columns.
+    """A coprime base of the generators and their sign/exponent columns over it.
 
-    The last column is the doubled sign coordinate: sign flips only matter
-    mod 2.  An unfactorable generator raises ``FactorizationBoundExceeded``.
+    The base refines the generators' numerators and denominators, so no
+    prime is ever needed.  The last column is the doubled sign coordinate:
+    sign flips only matter mod 2.
     """
-    factored = [_factor_rational(g) for g in generators]
-    primes = tuple(sorted({p for _, e in factored for p in e}))
-    columns = tuple(
-        (sign, *(exps.get(p, 0) for p in primes)) for sign, exps in factored
-    )
-    return primes, columns + ((2,) + (0,) * len(primes),)
+    base = _coprime_base([v for g in generators for v in (abs(g.numerator), g.denominator)])
+    columns = tuple(tuple(_over_base(g, base)) for g in generators)
+    return base, columns + ((2,) + (0,) * len(base),)
 
 
 # Not cached: sample points are fresh rationals, so a cache would only grow.
@@ -177,32 +179,20 @@ def _generator_lattice(generators: tuple[Fraction, ...]) -> Lattice:
 # lattice up once, not once per sample.
 @lru_cache(maxsize=0)
 def _membership(x: Fraction, lattice: Lattice) -> bool:
-    primes, columns = lattice
-    num, den = abs(x.numerator), x.denominator
-    target = [1 if x < 0 else 0]
-    for p in primes:
-        exp = 0
-        while num % p == 0:
-            num //= p
-            exp += 1
-        while den % p == 0:
-            den //= p
-            exp -= 1
-        target.append(exp)
-    if num != 1 or den != 1:
-        return False
-    return _lattice_member(columns, target)
+    base, columns = lattice
+    target = _over_base(x, base)
+    return target is not None and _lattice_member(columns, target)
 
 
 def subgroup_membership(x: Rationalish, generators: Sequence[Rationalish]) -> bool:
     """Exact membership of ``x`` in the multiplicative group the generators span.
 
-    Only the generators are factored.  Their primes are divided out of the
-    numerator and denominator of ``x``; anything left over means ``x`` is
+    No number is factored into primes.  The generators' numerators and
+    denominators are refined by gcds into a pairwise coprime base; the base
+    elements are divided out of ``x``, and anything left over means ``x`` is
     not a member.  Otherwise membership is an integer lattice question on
-    the exponents over those primes, with the sign over Z/2 encoded as an
-    extra doubled coordinate.  A generator that cannot be factored below
-    the trial-division bound raises ``FactorizationBoundExceeded``.
+    the exponents over the base, with the sign over Z/2 encoded as an extra
+    doubled coordinate.
     """
     x = parse_rational(x)
     gens = tuple(parse_rational(g) for g in generators)
@@ -320,11 +310,11 @@ def parse_oracle(text: str) -> FunctionOracle:
             elif key.strip() == "gens" and eq:
                 gens = [parse_rational(g) for g in value.split(",")]
             else:
-                raise CalculusError(f"bad subgroup oracle field {piece!r}")
+                raise CalculusError(f"bad subgroup oracle field {_echo(repr(piece))}")
         if degree is None or gens is None:
             raise CalculusError("subgroup oracles look like subgmono:k=2;gens=2,3")
         return subgroup_monomial_oracle(degree, gens)
-    raise CalculusError(f"unknown oracle {text!r}")
+    raise CalculusError(f"unknown oracle {_echo(repr(text))}")
 
 
 def format_oracle(oracle: FunctionOracle) -> str:
@@ -498,25 +488,18 @@ def _auto_subgroup_ratios(oracle: FunctionOracle) -> list[Fraction]:
     """One step ratio inside the oracle's subgroup and one outside it.
 
     The in-group ratio comes from the first generator of magnitude != 1
-    (its reciprocal, or its square when the sign blocks the reciprocal);
-    the out-group ratio is 1/p for the smallest prime untouched by the
-    generators' factorizations.
+    (it or its square when the sign blocks it, inverted if above 1); the
+    out-group ratio is 1/p for the least p > 1 coprime to the generators'
+    base, which is prime because its least prime factor is coprime too.
     """
     extra: list[Fraction] = []
-    for g in oracle.generators:
-        if abs(g) == 1:
-            continue
-        if g > 1:
-            extra.append(1 / g)
-        elif 0 < g < 1:
-            extra.append(g)
-        else:
-            square = g * g
-            extra.append(1 / square if square > 1 else square)
-        break
-    used_primes = _generator_lattice(oracle.generators)[0]
+    g = next((g for g in oracle.generators if abs(g) != 1), None)
+    if g is not None:
+        power = g if g > 0 else g * g
+        extra.append(power if power < 1 else 1 / power)
+    base = _generator_lattice(oracle.generators)[0]
     p = 2
-    while p in used_primes or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+    while any(gcd(p, b) > 1 for b in base):
         p += 1
     extra.append(Fraction(1, p))
     return extra

@@ -82,6 +82,12 @@ _INTEGER_OR_RATIO = re.compile(r"([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?")
 _ECHO_CHARS = 100
 
 
+def _echo(shown: str) -> str:
+    """``shown`` cut to its first 100 characters, then its length: how refusals quote input."""
+    cut = f"... ({len(shown)} characters)" if len(shown) > _ECHO_CHARS else ""
+    return shown[:_ECHO_CHARS] + cut
+
+
 def parse_rational(text: Rationalish) -> Fraction:
     """Parse a rational from an int, Fraction, or a 'p/q' / 'p' string."""
     if isinstance(text, Fraction):
@@ -95,9 +101,7 @@ def parse_rational(text: Rationalish) -> Fraction:
             return Fraction(body)
         return Fraction(int(Decimal(ratio[1])), int(Decimal(ratio[2] or 1)))
     except (ValueError, ZeroDivisionError) as exc:
-        shown = repr(text)  # echoed up to a bounded prefix
-        cut = f"... ({len(shown)} characters)" if len(shown) > _ECHO_CHARS else ""
-        raise CalculusError(f"not a rational: {shown[:_ECHO_CHARS]}{cut}") from exc
+        raise CalculusError(f"not a rational: {_echo(repr(text))}") from exc
 
 
 def _digits(value: int) -> str:
@@ -448,7 +452,7 @@ def scheme_from_json(data: Union[str, dict]) -> Scheme:
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CalculusError(f"invalid scheme JSON: {exc}") from exc
     if not isinstance(data, dict) or "terms" not in data:
         raise CalculusError("scheme JSON must be an object with a 'terms' list")

@@ -4,8 +4,8 @@
 ran: it factors the sample point and every generator by trial division up
 to 10**6 and asks the integer lattice question on the full prime-exponent
 vectors.  It is kept unchanged (only its result cache is dropped) so the
-generator-only membership test can be compared against it wherever it
-answers; on a sample point it cannot factor it raises
+coprime-base membership test can be compared against it wherever it
+answers; on a number it cannot factor it raises
 ``FactorizationBoundExceeded``.
 """
 

@@ -483,6 +483,34 @@ def test_batch_stops_on_first_error(capsys, tmp_path):
     assert "order: 1" not in out  # second command never ran
 
 
+def one_line_refusal(code, out, err):
+    return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_scheme_json_is_refused(capsys):
+    nested = '{"terms": ' + "[" * 3000 + "]" * 3000 + "}"
+    code, out, err = run(capsys, ["scale", nested, "--by", "1"])
+    assert one_line_refusal(code, out, err)
+    assert err.startswith("error: invalid scheme JSON: maximum recursion depth")
+
+
+def test_non_utf8_files_are_refused(capsys, tmp_path):
+    binary = tmp_path / "latin1.json"
+    binary.write_bytes('{"terms": []} \u00e9'.encode("latin-1"))
+    code, out, err = run(capsys, ["scale", "@" + str(binary), "--by", "1"])
+    assert one_line_refusal(code, out, err) and "can't decode byte 0xe9" in err
+    code, out, err = run(capsys, ["--batch", str(binary)])
+    assert one_line_refusal(code, out, err) and "cannot read batch file" in err
+
+
+def test_batch_line_with_an_unclosed_quote_is_refused(capsys, tmp_path):
+    batch = tmp_path / "cmds.txt"
+    batch.write_text('scale "riemann:n=2 --by 1\n', encoding="utf-8")
+    code, out, err = run(capsys, ["--batch", str(batch)])
+    assert one_line_refusal(code, out, err)
+    assert err == "error: cannot split batch line: No closing quotation\n"
+
+
 # --- output stability -------------------------------------------------------------------------
 
 

@@ -141,6 +141,9 @@ GSYM4_SCALE = (
 )
 
 
+LONG = "x" * 10_000
+
+
 def _equiv(a, b, *extra):
     return ["equiv", "--a", a, "--b", b, *extra]
 
@@ -190,6 +193,10 @@ CASES = {
     ],
     "probe_json_rational_nodes": ["probe", RATIONAL_NODES, "--oracle", "sgnsq", "--x", "-1/5"],
     "probe_peano_subgmono": ["probe", "--peano", "3", "--oracle", "subgmono:k=2;gens=-2,3/5"],
+    # the generator is 1000003 * 1000033: no prime of it is ever needed
+    "probe_subgroup_semiprime_generator": [
+        "probe", "mz-tilde:n=2", "--oracle", "subgmono:k=3;gens=1000036000099", "--x", "0/1",
+    ],
     # one equiv case per path
     "equiv_symmetric_scale": _equiv("riemann-sym:n=2", "riemann-sym:n=2"),
     "equiv_fast_nonneg": _equiv("riemann:n=2", "riemann:n=2"),
@@ -226,7 +233,27 @@ REFUSALS = {
     "refuse_unknown_family": ["scale", "nope:n=2", "--by", "1"],
     "refuse_qggr_q_minus_1": ["qggr", "--order", "2", "--ell", "0", "--q", "-1"],
     "refuse_recognize_order_0": ["recognize", "gauss-aff:n=0,q=2"],
+    # refusals that quote the input, at a short input
+    "refuse_bad_family_parameter": ["scale", "riemann:n=2,k", "--by", "1"],
+    "refuse_unknown_oracle": ["probe", "riemann:n=1", "--oracle", "nope"],
+    "refuse_bad_subgroup_field": ["probe", "riemann:n=1", "--oracle", "subgmono:k=2;z=1"],
+    "refuse_bad_chain_order": ["ntimes", "--entry", "x:cont"],
+    "refuse_missing_scheme_file": ["scale", "@no-such-scheme.json", "--by", "1"],
+    "refuse_missing_batch_file": ["--batch", "no-such-batch.txt"],
+    "refuse_unknown_demo": ["demo", "E99"],
+    # the same refusals at a 10,000-character input quote at most 100 characters of it
+    "refuse_unknown_family_long": ["scale", LONG, "--by", "1"],
+    "refuse_bad_family_parameter_long": ["scale", "riemann:n=2," + LONG, "--by", "1"],
+    "refuse_unexpected_family_parameters_long": ["scale", f"riemann:n=2,{LONG}=1", "--by", "1"],
+    "refuse_unknown_oracle_long": ["probe", "riemann:n=1", "--oracle", LONG],
+    "refuse_bad_subgroup_field_long": ["probe", "riemann:n=1", "--oracle", "subgmono:" + LONG],
+    "refuse_bad_chain_order_long": ["ntimes", "--entry", LONG + ":cont"],
+    "refuse_missing_scheme_file_long": ["scale", "@" + LONG, "--by", "1"],
+    "refuse_missing_batch_file_long": ["--batch", LONG],
+    "refuse_unknown_demo_long": ["demo", LONG],
 }
+# a refusal quotes its input with a bounded echo, so no stderr file grows past this
+REFUSAL_BYTES = 300
 
 
 def _run(argv) -> tuple[int, str, str]:
@@ -265,6 +292,11 @@ def test_golden_output(case):
 @pytest.mark.parametrize("case", sorted(REFUSALS))
 def test_golden_refusal(case):
     assert _mismatch(case) == ""
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_golden_refusal_is_short(case):
+    assert len(EXPECTED[case][3].read_bytes()) <= REFUSAL_BYTES
 
 
 def test_golden_files_match_cases():

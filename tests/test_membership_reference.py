@@ -1,11 +1,14 @@
-"""Generator-only subgroup membership agrees with factoring everything."""
+"""Subgroup membership over a coprime base agrees with factoring everything."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 from hypothesis import given, settings, strategies as st
 
 from grdcalc import FactorizationBoundExceeded, subgroup_membership
+from grdcalc.probes import _coprime_base
 from membership_reference import reference_membership
 
 GENERATOR_SETS = [
@@ -17,6 +20,10 @@ GENERATOR_SETS = [
     (Fraction(6), Fraction(2, 3)),
     (Fraction(2), Fraction(3)),
     (Fraction(-12), Fraction(9, 4), Fraction(1, 7)),
+    # generators sharing composite factors: the base refines them
+    (Fraction(6), Fraction(10), Fraction(15)),
+    (Fraction(12), Fraction(18)),
+    (Fraction(4), Fraction(8), Fraction(1, 6)),
 ]
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -78,6 +85,42 @@ def test_large_points_answered_where_reference_refuses():
     assert subgroup_membership(member, gens)
     assert not subgroup_membership(stranger, gens)
     assert subgroup_membership(Fraction(-(6 ** 40), 2 ** 81), [Fraction(-2), Fraction(3)])
+
+
+# 1000003 and 1000033 are primes above the reference's 10**6 bound; the last
+# two are primes above 10**12
+SEMIPRIME = 1000003 * 1000033
+BIG_SEMIPRIME = 1000000000039 * 1000000000061
+
+
+def test_generators_past_the_old_bound():
+    rng = random.Random(11)
+    for gens in [
+        (Fraction(SEMIPRIME),),
+        (Fraction(SEMIPRIME ** 2), Fraction(2)),
+        (Fraction(-3, BIG_SEMIPRIME), Fraction(10)),
+    ]:
+        for _ in range(50):
+            x = Fraction(1)
+            for g in gens:
+                x *= g ** rng.randint(-3, 3)
+            assert subgroup_membership(x, gens)
+            for stray in (5, 1000003, 1000000000039):
+                assert not subgroup_membership(x * stray, gens)
+                assert not subgroup_membership(x / stray, gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(1, 10 ** 4), min_size=1, max_size=3).map(prod), max_size=6))
+def test_coprime_base_refines_its_inputs(values):
+    base = _coprime_base(values)
+    assert all(b > 1 for b in base)
+    assert all(gcd(a, b) == 1 for a, b in combinations(base, 2))
+    for value in values:
+        for b in base:
+            while value % b == 0:
+                value //= b
+        assert value == 1
 
 
 generator = st.fractions(
