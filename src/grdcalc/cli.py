@@ -32,6 +32,7 @@ from .families import (
     parse_family,
     recognize_gaussian,
     riemann,
+    riemann_shift,
     scale_partners,
 )
 from .mz import (
@@ -41,7 +42,6 @@ from .mz import (
     PEANO_ALL_MZ,
     STATUS_MZ,
     ChainEntry,
-    _D31,
     ggr_set,
     mz_check,
     mz_set_check,
@@ -435,7 +435,7 @@ def _demo_e3() -> tuple[list[str], dict]:
 
 
 def _demo_e13() -> tuple[list[str], dict]:
-    base = _D31
+    base = named_scheme(riemann_shift(3, -1))
     plus, minus = decompose(base, 3)
     _require(plus == canonicalize(
         [(Fraction(-1, 2), -2), (1, -1), (-1, 1), (Fraction(1, 2), 2)]
@@ -471,7 +471,7 @@ def _demo_e14() -> tuple[list[str], dict]:
         (0, CONTINUITY),
         (1, named_scheme(gaussian_affine(1, Fraction(22, 7)))),
         (2, named_scheme(gaussian_forward(2, 5))),
-        (3, scale(_D31, Fraction(47, 10))),
+        (3, scale(named_scheme(riemann_shift(3, -1)), Fraction(47, 10))),
     ]
     report = n_times_check(chain)
     _require(report.all_mz, "every stage must be known MZ")
@@ -512,7 +512,7 @@ def _demo_e15() -> tuple[list[str], dict]:
 
 
 def _demo_p88() -> tuple[list[str], dict]:
-    base = _D31
+    base = named_scheme(riemann_shift(3, -1))
     match = equivalent_gaussian(base)
     _require(match is None, "must not be equivalent to any geometric-node scheme")
     verdict = mz_check(base)
@@ -618,6 +618,14 @@ DEMOS: dict[str, Callable[[], tuple[list[str], dict]]] = {
 _NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?([.,].*)?$")
 
 
+def _int(text: str) -> int:
+    """``int(text)`` for integer options, refused with argparse's wording and a bounded echo."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(repr(text))}") from None
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing never changes it."""
@@ -643,12 +651,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", help="comma-separated nodes, e.g. -1,0,1,2")
     p.add_argument("--pairs", help="positive node magnitudes for a symmetric scheme")
     p.add_argument("--zero", action="store_true", help="include the zero node (symmetric)")
-    p.add_argument("--order", type=int, required=True, help="differentiation order n")
+    p.add_argument("--order", type=_int, required=True, help="differentiation order n")
     p.set_defaults(handler=_cmd_construct)
 
     p = new("decompose", "split into symmetric and skew parts")
     p.add_argument("scheme", help="@file, inline JSON, or family string")
-    p.add_argument("--order", type=int, default=None, help="override the detected order")
+    p.add_argument("--order", type=_int, default=None, help="override the detected order")
     p.set_defaults(handler=_cmd_decompose)
 
     p = new("scale", "apply the value-preserving scale transform")
@@ -676,13 +684,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_mz_set)
 
     p = new("ggr", "emit the backward-shift scheme set")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int, required=True)
     p.add_argument("--reduced", action="store_true", help="first floor(n/2) shifts only")
     p.set_defaults(handler=_cmd_ggr)
 
     p = new("qggr", "verify the geometric shifted-set scale identities")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True, help="first shift of the window")
+    p.add_argument("--order", type=_int, required=True)
+    p.add_argument("--ell", type=_int, required=True, help="first shift of the window")
     p.add_argument("--q", required=True, help="geometric ratio (not 0, 1, or -1)")
     p.set_defaults(handler=_cmd_qggr)
 
@@ -700,11 +708,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scheme", nargs="?", default=None, help="scheme (omit with --peano)")
     p.add_argument("--oracle", required=True, help="abs | sgnsq | mono:k=N | poly:c0,c1 | subgmono:k=N;gens=...")
     p.add_argument("--x", default="0", help="base point (default 0)")
-    p.add_argument("--peano", type=int, default=None, metavar="N", help="stage probes for orders 1..N")
+    p.add_argument("--peano", type=_int, default=None, metavar="N", help="stage probes for orders 1..N")
     p.add_argument("--h0", default=None, help="initial step")
     p.add_argument("--ratios", default=None, help="comma-separated step ratios")
-    p.add_argument("--jmin", type=int, default=None, help="first exponent")
-    p.add_argument("--jmax", type=int, default=None, help="last exponent")
+    p.add_argument("--jmin", type=_int, default=None, help="first exponent")
+    p.add_argument("--jmax", type=_int, default=None, help="last exponent")
     p.add_argument("--tol", default=None, help="relative tolerance")
     p.set_defaults(handler=_cmd_probe)
 

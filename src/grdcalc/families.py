@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Optional
 
@@ -24,6 +25,7 @@ from .scheme import (
     Rationalish,
     Scheme,
     ZeroScheme,
+    _check_order,
     _echo,
     _require,
     canonicalize,
@@ -90,8 +92,7 @@ class FamilyKind:
         if self.variant not in _VARIANTS:
             raise CalculusError(f"unknown family variant {self.variant!r}")
         _, takes_k, takes_q = _VARIANTS[self.variant]
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidOrder(f"order must be a positive integer, got {self.n!r}")
+        _check_order(self.n)
         if takes_k != (self.k is not None):
             raise CalculusError(f"variant {self.variant} and shift k disagree")
         if self.k is not None and not isinstance(self.k, int):
@@ -223,8 +224,14 @@ def family_nodes(kind: FamilyKind) -> list[Fraction]:
     return [Fraction(1)] + [q ** (2 ** j) for j in range(n)]  # SCRIPT_D_BAR
 
 
+@lru_cache(maxsize=256)
 def named_scheme(kind: FamilyKind) -> Scheme:
-    """Construct the normalized scheme of a named family member.
+    """The normalized scheme of a named family member.
+
+    The 256 most recently read members are kept in one memo, so a member in
+    use (a fixed catalog member, a search candidate) is built once per process
+    and keeps its derived order and parts for every later reader.  The bound
+    keeps a long batch session from growing the memo without limit.
 
     Every member is the unique normalized order-``n`` scheme on its ``n+1``
     distinct nodes, built by the closed-form (Lagrange) construction of
@@ -233,7 +240,7 @@ def named_scheme(kind: FamilyKind) -> Scheme:
     symmetric one.  Geometric affine members are also built by their
     q-binomial product formula, and the two results must agree; a
     disagreement would mean an internal arithmetic fault and raises
-    ``IdentityCheckFailed``.
+    ``IdentityCheckFailed`` on every read, since the memo keeps no failure.
     """
     built = construct_exact(family_nodes(kind), kind.n)
     if kind.variant in (GAUSSIAN_AFFINE, GAUSSIAN_AFFINE_SHIFT):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Optional, Sequence, Union
 
 from .equivalence import Witness, decide_equivalent, equivalent_gaussian
@@ -28,7 +27,6 @@ from .families import (
     GAUSSIAN_FORWARD,
     GAUSSIAN_SYMMETRIC,
     GaussianMatch,
-    InvalidOrder,
     gaussian_affine,
     gaussian_affine_shift,
     match_to_json_dict,
@@ -42,10 +40,9 @@ from .scheme import (
     Rationalish,
     Scheme,
     ZeroScheme,
+    _check_order,
     _require,
     combine,
-    construct_exact,
-    construct_exact_symmetric,
     is_scale,
     is_symmetric,
     order_info,
@@ -126,24 +123,6 @@ class MzVerdict:
         }
 
 
-# the fixed catalog schemes: frozen, so built once, and each keeps its order and parts
-_D1 = construct_exact([0, 1], 1)
-_D31 = construct_exact([-1, 0, 1, 2], 3)
-_D2_SYMMETRIC = construct_exact_symmetric([1], True, 2)
-
-
-@cache
-def _riemann_scheme(n: int, symmetric: bool) -> Scheme:
-    """The equispaced scheme of order ``n``, plain or symmetric, built once per order."""
-    return named_scheme(symmetric_riemann(n) if symmetric else riemann(n))
-
-
-@cache
-def _backward_shifts(n: int) -> tuple[Scheme, ...]:
-    """The backward shifts ``k = 1..n`` of order ``n``, built once per order."""
-    return tuple(named_scheme(riemann_shift(n, -k)) for k in range(1, n + 1))
-
-
 def _check_input(scheme: Scheme, symmetric_mode: bool) -> int:
     if scheme.is_zero:
         raise ZeroScheme("MZ verdicts are defined for nonzero schemes")
@@ -185,14 +164,15 @@ def mz_check(scheme: Scheme, symmetric_mode: bool = False) -> MzVerdict:
             STATUS_NOT_MZ, Certificate(CERT_D2S_NOT_MZ, n=2), CONJECTURE_NONE
         )
     if n == 3 and not symmetric_mode:
-        backward = decide_equivalent(scheme, _D31)
+        backward = decide_equivalent(scheme, named_scheme(riemann_shift(3, -1)))
         if backward.equivalent:
             return MzVerdict(
                 STATUS_MZ,
                 Certificate(CERT_D31, witness=backward.witness),
                 CONJECTURE_NONE,
             )
-    riemann_like = decide_equivalent(scheme, _riemann_scheme(n, symmetric_mode))
+    equispaced = symmetric_riemann(n) if symmetric_mode else riemann(n)
+    riemann_like = decide_equivalent(scheme, named_scheme(equispaced))
     if riemann_like.equivalent:
         if n in _RIEMANN_NOT_MZ_ORDERS and not symmetric_mode:
             return MzVerdict(
@@ -206,10 +186,9 @@ def ggr_set(n: int, reduced: bool = False) -> list[Scheme]:
     """The backward-shift scheme set whose joint existence forces the Taylor
     expansion: shifts ``k = 1..n``, or ``k = 1..floor(n/2)`` in the reduced
     form (the reduced form of order 1 is the full singleton)."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidOrder(f"order must be a positive integer, got {n!r}")
+    _check_order(n)
     count = max(1, n // 2) if reduced else n
-    return list(_backward_shifts(n)[:count])
+    return [named_scheme(riemann_shift(n, -k)) for k in range(1, count + 1)]
 
 
 def verify_quantum_ggr(
@@ -221,8 +200,7 @@ def verify_quantum_ggr(
     be the scale by exactly ``q**k`` of the unshifted one; the witnesses are
     returned and any failure is an internal arithmetic fault.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidOrder(f"order must be a positive integer, got {n!r}")
+    _check_order(n)
     if not isinstance(ell, int):
         raise CalculusError("the shift window start must be an integer")
     q = parse_rational(q)
@@ -331,11 +309,14 @@ def _detect_identity_chain(entries: dict[int, ChainEntry]) -> Optional[Scheme]:
     plain forward second difference, which is a geometric-node scheme."""
     if set(entries) != {0, 1, 2, 3}:
         return None
-    stages = zip((entries[1], entries[2], entries[3]), (_D1, _D2_SYMMETRIC, _D31))
+    d1, d2s, d31 = (
+        named_scheme(kind) for kind in (riemann(1), symmetric_riemann(2), riemann_shift(3, -1))
+    )
+    stages = zip((entries[1], entries[2], entries[3]), (d1, d2s, d31))
     if not all(decide_equivalent(entry, target).equivalent for entry, target in stages):
         return None
-    certificate = combine([(1, 1, _D31), (1, 1, _D2_SYMMETRIC)])
-    _require(certificate == construct_exact([0, 1, 2], 2), "rewrite identity failed")
+    certificate = combine([(1, 1, d31), (1, 1, d2s)])
+    _require(certificate == named_scheme(riemann(2)), "rewrite identity failed")
     return certificate
 
 

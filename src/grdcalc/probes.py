@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Callable, Optional, Sequence
@@ -565,12 +565,6 @@ def limit_probe(
     return ProbeReport(verdict, estimate, tuple(sequences), evidence, effective)
 
 
-@cache
-def _mz_tilde_scheme(order: int) -> Scheme:
-    """The doubling-node witness of one order; schemes are frozen, so each is built once."""
-    return named_scheme(mz_tilde(order))
-
-
 def peano_probe(
     oracle: FunctionOracle,
     x: Rationalish,
@@ -586,7 +580,7 @@ def peano_probe(
         raise CalculusError("the probe depth n must be a positive integer")
     stages = []
     for order in range(1, n + 1):
-        report = limit_probe(_mz_tilde_scheme(order), oracle, x, config)
+        report = limit_probe(named_scheme(mz_tilde(order)), oracle, x, config)
         stages.append((order, report))
         if report.verdict != VERDICT_CONVERGES:
             break

@@ -113,13 +113,20 @@ def _digits(value: int) -> str:
         return format(Decimal(value), "f")
 
 
+def _check_order(n: object) -> None:
+    """Raise ``InvalidOrder`` unless ``n`` is a positive integer; the refusal quotes ``n`` bounded."""
+    if not isinstance(n, int) or n < 1:
+        shown = _digits(n) if isinstance(n, int) else repr(n)
+        raise InvalidOrder(f"order must be a positive integer, got {_echo(shown)}")
+
+
 def format_rational(value: Fraction) -> str:
     """Format a rational as a reduced 'p/q' string (denominator always shown)."""
     value = Fraction(value)
     return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """One summand ``coeff * f(x + node*h)`` of a scheme."""
 
@@ -284,8 +291,7 @@ def construct_exact(nodes: Sequence[Rationalish], n: int) -> Scheme:
     ``n!`` times the leading coefficient of the i-th Lagrange basis
     polynomial on the nodes.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidOrder(f"order must be a positive integer, got {n!r}")
+    _check_order(n)
     points = [parse_rational(b) for b in nodes]
     if len(points) != n + 1:
         raise WrongNodeCount(f"order {n} needs exactly {n + 1} nodes, got {len(points)}")
@@ -309,8 +315,7 @@ def construct_exact_symmetric(
     (Lagrange) solution ``w_t = n! / prod_{s != t} (t - s)``; with fewer
     unknowns no solution exists.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidOrder(f"order must be a positive integer, got {n!r}")
+    _check_order(n)
     pairs = [parse_rational(p) for p in node_pairs]
     if any(p <= 0 for p in pairs):
         raise CalculusError("node pairs must be positive")
@@ -370,8 +375,7 @@ def decompose(scheme: Scheme, n: Optional[int] = None) -> tuple[Scheme, Scheme]:
     """
     if n is None:
         n = order_info(scheme).order
-    if not isinstance(n, int) or n < 1:
-        raise InvalidOrder(f"order must be a positive integer, got {n!r}")
+    _check_order(n)
     return scheme._odd_parts if n % 2 == 1 else scheme._even_parts
 
 

@@ -2,7 +2,18 @@
 
 import pytest
 
+import grdcalc.families
 import grdcalc.scheme
+
+
+@pytest.fixture(autouse=True)
+def empty_member_memo() -> None:
+    """Each test starts with no named member built, whatever ran before it.
+
+    ``named_scheme`` keeps the members it builds for the whole process; a
+    test that counts builds or derivations must not depend on test order.
+    """
+    grdcalc.families.named_scheme.cache_clear()
 
 
 class Derivations:

@@ -15,6 +15,7 @@ from grdcalc import (
     MZ_TILDE_SYMMETRIC,
     FamilyKind,
     GaussianMatch,
+    IdentityCheckFailed,
     IndexOutOfRange,
     InvalidOrder,
     InvalidQ,
@@ -41,6 +42,7 @@ from grdcalc import (
     script_d_bar,
     symmetric_riemann,
 )
+from grdcalc import families
 from grdcalc.families import _VARIANTS, _match_candidates
 
 sane_q = st.fractions(
@@ -112,12 +114,27 @@ def test_forward_member_fixture():
 
 
 def test_riemann_members():
+    assert named_scheme(riemann(1)) == construct_exact([0, 1], 1)
     assert named_scheme(riemann(2)) == construct_exact([0, 1, 2], 2)
     assert named_scheme(riemann_shift(3, -1)) == construct_exact([-1, 0, 1, 2], 3)
     assert named_scheme(symmetric_riemann(2)) == construct_exact([-1, 0, 1], 2)
     assert named_scheme(symmetric_riemann(3)) == construct_exact(
         [Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)], 3
     )
+
+
+def test_members_are_kept_in_one_bounded_memo(monkeypatch):
+    kind = gaussian_affine(2, 3)
+    assert named_scheme(kind) is named_scheme(gaussian_affine(2, Fraction(3)))
+    assert named_scheme.cache_info().maxsize == 256
+    # a failed identity check is not kept: every read of the member raises again
+    named_scheme.cache_clear()
+    monkeypatch.setattr(families, "_affine_closed_form", lambda n, k, q: canonicalize([(1, 0)]))
+    for _ in range(2):
+        with pytest.raises(IdentityCheckFailed, match="q-binomial"):
+            named_scheme(kind)
+    monkeypatch.undo()
+    assert named_scheme(kind) == construct_exact([1, 3, 9], 2)
 
 
 # These identities are why mz_check leaves the doubling-node witnesses and the

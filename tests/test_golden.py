@@ -1,8 +1,10 @@
 """Same-behaviour gate: CLI output compared byte for byte with golden files.
 
 Each case in ``CASES`` is one ``grdcalc --output json`` command that succeeds;
-its stdout is kept in ``tests/golden/<case>.json``.  Each case in ``REFUSALS``
-is one command that must exit 2 with a typed refusal; its stderr is kept in
+its stdout is kept in ``tests/golden/<case>.json``.  Each case in
+``TEXT_CASES`` is one command in the default text output; its stdout is kept
+in ``tests/golden/<case>.txt``.  Each case in ``REFUSALS`` is one command that
+must exit 2 with a typed refusal; its stderr is kept in
 ``tests/golden/<case>.stderr``.  Any change to a verdict, a witness, a path
 label, a refusal message or the JSON layout shows up here as a byte
 difference.
@@ -17,9 +19,11 @@ To compare every case in one process, for instance with asserts stripped::
 """
 
 import io
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -222,6 +226,14 @@ CASES = {
     "scale_riemann_sym_order_9": ["scale", "riemann-sym:n=9", "--by", "1/2"],
 }
 
+# the default text output of every demo and of one command per reporting verb
+TEXT_CASES = {
+    **{f"text_demo_{name}": ["demo", name] for name in DEMOS},
+    "text_equiv": _equiv(D31, D31_MEMBER),
+    "text_mz_check": ["mz-check", D31_MEMBER],
+    "text_probe": ["probe", "--peano", "2", "--oracle", "sgnsq"],
+}
+
 # commands that exit 2; each stderr line names the refusal
 REFUSALS = {
     "refuse_mz_tilde_sym_order_1": ["scale", "mz-tilde-sym:n=1", "--by", "1"],
@@ -251,6 +263,12 @@ REFUSALS = {
     "refuse_missing_scheme_file_long": ["scale", "@" + LONG, "--by", "1"],
     "refuse_missing_batch_file_long": ["--batch", LONG],
     "refuse_unknown_demo_long": ["demo", LONG],
+    # a long order and bad integer options: refusals of the library and of argparse
+    "refuse_recognize_order_negative_long": ["recognize", "riemann:n=-" + "9" * 4000],
+    "refuse_ggr_order_negative_long": ["ggr", "--order", "-" + "9" * 4000],
+    "refuse_construct_order_not_int": ["construct", "--order", "abc"],
+    "refuse_construct_order_not_int_long": ["construct", "--order", LONG],
+    "refuse_qggr_ell_not_int_long": ["qggr", "--order", "2", "--ell", LONG, "--q", "3"],
 }
 # a refusal quotes its input with a bounded echo, so no stderr file grows past this
 REFUSAL_BYTES = 300
@@ -258,15 +276,21 @@ REFUSAL_BYTES = 300
 
 def _run(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(["--output", "json", *argv])
+    # argparse wraps its usage line to the terminal width, and refuses by exiting
+    with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
+JSON = ["--output", "json"]
 # case -> (argv, exit code, stream kept, golden file), for every golden case
 EXPECTED = {
-    **{case: (argv, 0, "stdout", GOLDEN / f"{case}.json") for case, argv in CASES.items()},
-    **{case: (argv, 2, "stderr", GOLDEN / f"{case}.stderr") for case, argv in REFUSALS.items()},
+    **{case: ([*JSON, *argv], 0, "stdout", GOLDEN / f"{case}.json") for case, argv in CASES.items()},
+    **{case: (argv, 0, "stdout", GOLDEN / f"{case}.txt") for case, argv in TEXT_CASES.items()},
+    **{case: ([*JSON, *argv], 2, "stderr", GOLDEN / f"{case}.stderr") for case, argv in REFUSALS.items()},
 }
 
 
@@ -286,6 +310,11 @@ def _mismatch(case: str) -> str:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_output(case):
+    assert _mismatch(case) == ""
+
+
+@pytest.mark.parametrize("case", sorted(TEXT_CASES))
+def test_golden_text_output(case):
     assert _mismatch(case) == ""
 
 

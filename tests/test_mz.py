@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from grdcalc import mz, probes
+from grdcalc import families, mz
 from grdcalc import (
     CONJECTURE_GAUSSIAN,
     CONJECTURE_NONE,
@@ -109,42 +109,34 @@ def test_backward_third_shift_is_known_mz():
 
 
 def test_fixed_catalog_schemes_are_not_rebuilt(monkeypatch):
+    # each fixed member (D31, the equispaced schemes, the backward shifts, the
+    # Peano-probe witnesses) is built once per process, however many checks
+    # read it: the first round fills the named_scheme memo, the second builds nothing
     built = []
-    for name in ("construct_exact", "construct_exact_symmetric"):
-        original = getattr(mz, name)
 
-        def recording(*args, _name=name, _original=original):
-            built.append((_name, args))
-            return _original(*args)
+    def recording(nodes, n, _original=families.construct_exact):
+        built.append((tuple(nodes), n))
+        return _original(nodes, n)
 
-        monkeypatch.setattr(mz, name, recording)
-    assert mz_check(scale(D31, Fraction(-2, 3))).certificate.kind == CERT_D31
+    monkeypatch.setattr(families, "construct_exact", recording)
+    named_scheme.cache_clear()
     chain = [(0, CONTINUITY), (1, construct_exact([0, 1], 1)), (2, D2_SYM), (3, D31)]
-    assert n_times_check(chain).peano_equivalence == PEANO_IDENTITY
-    assert ("construct_exact", ([-1, 0, 1, 2], 3)) not in built
-    assert not [name for name, _ in built if name == "construct_exact_symmetric"]
 
-    # the equispaced schemes, the backward shifts and the Peano-probe witnesses
-    # are built once per order, however many checks and stages read them
-    named = []
-    for module in (mz, probes):
-        def recording_named(kind, _original=module.named_scheme):
-            named.append(kind)
-            return _original(kind)
-
-        monkeypatch.setattr(module, "named_scheme", recording_named)
-    for cached in (mz._riemann_scheme, mz._backward_shifts, probes._mz_tilde_scheme):
-        cached.cache_clear()
-    for _ in range(2):
+    def checks():
+        assert mz_check(scale(D31, Fraction(-2, 3))).certificate.kind == CERT_D31
+        assert n_times_check(chain).peano_equivalence == PEANO_IDENTITY
         assert mz_check(named_scheme(riemann(4))).conjecture == CONJECTURE_RIEMANN
         assert mz_check(named_scheme(symmetric_riemann(6)), symmetric_mode=True).status == STATUS_OPEN
         assert mz_set_check(ggr_set(4)).certificate.kind == CERT_GGR_SET
         assert len(peano_probe(monomial_oracle(2), 0, 2)) == 2
-    assert sorted(named, key=repr) == sorted(
-        [riemann(4), symmetric_riemann(6), mz_tilde(1), mz_tilde(2)]
-        + [riemann_shift(4, -k) for k in (1, 2, 3, 4)],
-        key=repr,
-    )
+
+    checks()
+    first_round = list(built)
+    checks()
+    assert built == first_round
+    assert built.count(((-1, 0, 1, 2), 3)) == 1
+    assert {((-k, 1 - k, 2 - k, 3 - k, 4 - k), 4) for k in (1, 2, 3, 4)} <= set(built)
+    assert named_scheme.cache_info().maxsize == 256
 
 
 def test_symmetric_second_difference_both_modes():

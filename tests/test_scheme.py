@@ -120,6 +120,14 @@ def test_scheme_rejects_duplicates_and_zero_coeffs():
         Scheme((Term(0, 1),))
 
 
+def test_term_keeps_no_instance_dict():
+    # a scheme holds one term per node, so terms are slotted
+    term = Term(Fraction(1, 2), 3)
+    assert not hasattr(term, "__dict__")
+    assert term == Term("1/2", "3") and hash(term) == hash(Term("1/2", "3"))
+    assert repr(term) == "Term(coeff=Fraction(1, 2), node=Fraction(3, 1))"
+
+
 def test_scheme_sorts_terms():
     s = Scheme((Term(1, 3), Term(2, -1)))
     assert s.nodes == (-1, 3)
@@ -150,6 +158,9 @@ def test_construct_backward_third():
 def test_construct_errors():
     with pytest.raises(InvalidOrder):
         construct_exact([0, 1], 0)
+    # an order past the int-to-str digit limit is quoted by its first 100 characters
+    with pytest.raises(InvalidOrder, match=r"got -9{99}\.\.\. \(5001 characters\)$"):
+        construct_exact([0, 1], 1 - 10**5000)
     with pytest.raises(WrongNodeCount):
         construct_exact([0, 1, 2], 1)
     with pytest.raises(DuplicateNodes):
