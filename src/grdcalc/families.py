@@ -24,6 +24,7 @@ from .scheme import (
     InvalidOrder,
     Rationalish,
     Scheme,
+    ZeroScale,
     ZeroScheme,
     _check_order,
     _echo,
@@ -31,10 +32,8 @@ from .scheme import (
     canonicalize,
     construct_exact,
     format_rational,
-    is_scale,
     order_info,
     parse_rational,
-    scale,
 )
 
 
@@ -291,14 +290,35 @@ def _match_candidates(scheme: Scheme, n: int) -> list[GaussianMatch]:
     ]
 
 
+def _scale_onto(kind: FamilyKind, nodes: set[Fraction]) -> Optional[Fraction]:
+    """A factor ``b`` whose scale of the member ``kind`` has the node set ``nodes``, or None.
+
+    ``scale(member, b)`` has the nodes ``b * x`` for the member's nodes ``x``,
+    so ``b`` maps the member's largest node magnitude onto that of ``nodes``:
+    only the two signs of that ratio can work, and ``+`` is tried first, as
+    :func:`~grdcalc.scheme.is_scale` does.
+    """
+    member = family_nodes(kind)
+    top = max(abs(x) for x in nodes) / max(abs(x) for x in member)
+    for b in (top, -top):
+        if {b * x for x in member} == nodes:
+            return b
+    return None
+
+
 def recognize_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:
     """Identify ``scheme`` as an exact scale of a geometric-node family member.
 
     A candidate ratio and base are read off the node pattern (a geometric
-    progression, possibly with a zero node or in symmetric pairs), then the
-    coefficients are checked exactly.  Among valid parameterizations the one
-    with ``scale_b = 1`` is preferred, then ``|q| > 1``, then minimal
-    ``|scale_b|``.
+    progression, possibly with a zero node or in symmetric pairs), and the
+    node set alone decides each candidate; no coefficient is compared and no
+    member is built.  That suffices because a scale ``scale(member, b)`` of
+    an order-``n`` member is again a normalized order-``n`` scheme on ``n+1``
+    distinct nodes, and such a scheme is unique on its nodes (the Vandermonde
+    system of :func:`construct_exact` is nonsingular): a normalized scheme
+    with ``n+1`` terms equals it exactly when their node sets agree.  Among
+    valid parameterizations the one with ``scale_b = 1`` is preferred, then
+    ``|q| > 1``, then minimal ``|scale_b|``.
     """
     if scheme.is_zero:
         raise ZeroScheme("cannot recognize the zero scheme")
@@ -306,17 +326,15 @@ def recognize_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:
     n = info.order
     if n < 1 or info.normalizer != 1 or len(scheme) != n + 1:
         return None
-    verified = []
-    for match in _match_candidates(scheme, n):
-        member = named_scheme(FamilyKind(match.variant, match.n, q=match.q))
-        if scale(member, match.scale_b) == scheme:
-            verified.append(match)
-    if not verified:
-        return None
-    verified.sort(
-        key=lambda m: (m.scale_b != 1, not abs(m.q) > 1, abs(m.scale_b))
+    nodes = set(scheme.nodes)
+    verified = (
+        match
+        for match in _match_candidates(scheme, n)
+        if _scale_onto(FamilyKind(match.variant, n, q=match.q), nodes) == match.scale_b
     )
-    return verified[0]
+    return min(
+        verified, key=lambda m: (m.scale_b != 1, not abs(m.q) > 1, abs(m.scale_b)), default=None
+    )
 
 
 def scale_partners(match: GaussianMatch) -> list[GaussianMatch]:
@@ -326,19 +344,22 @@ def scale_partners(match: GaussianMatch) -> list[GaussianMatch]:
     the matched ratio (for the forward pattern at order >= 2, the affine at
     order >= 1, and the symmetric at order >= 3); a candidate is returned
     only when an exact scale witness onto the matched scheme exists, with
-    ``scale_b`` adjusted so both describe the same scheme.
+    ``scale_b`` adjusted so both describe the same scheme.  As in
+    :func:`recognize_gaussian`, two scales of members of one order are equal
+    exactly when their node sets are, so the witness is read off the nodes.
     """
     n, q = match.n, match.q
     if match.variant == GAUSSIAN_FORWARD and n < 2:
         return []
     if match.variant == GAUSSIAN_SYMMETRIC and n < 3:
         return []
-    base_member = named_scheme(FamilyKind(match.variant, n, q=q))
-    target = scale(base_member, match.scale_b)
+    base_nodes = family_nodes(FamilyKind(match.variant, n, q=q))
+    if match.scale_b == 0:
+        raise ZeroScale("scale factor must be nonzero")
+    target = {match.scale_b * x for x in base_nodes}
     partners = []
     for q_alt in (-q, 1 / q, -1 / q):
-        member_alt = named_scheme(FamilyKind(match.variant, n, q=q_alt))
-        witness = is_scale(member_alt, target)
+        witness = _scale_onto(FamilyKind(match.variant, n, q=q_alt), target)
         if witness is not None:
             candidate = GaussianMatch(match.variant, q_alt, witness, n)
             if candidate != match:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence, Union
 
 from .equivalence import Witness, decide_equivalent, equivalent_gaussian
@@ -40,7 +41,10 @@ from .scheme import (
     Rationalish,
     Scheme,
     ZeroScheme,
+    _ECHO_CHARS,
     _check_order,
+    _digits,
+    _echo,
     _require,
     combine,
     is_scale,
@@ -320,6 +324,35 @@ def _detect_identity_chain(entries: dict[int, ChainEntry]) -> Optional[Scheme]:
     return certificate
 
 
+def _digit_total(low: int, high: int) -> int:
+    """The decimal digits of the integers ``low..high-1`` (``low >= 1``), counted by width."""
+    total, width = 0, len(_digits(low))
+    while low < high:
+        top = min(high, 10 ** width)
+        total += (top - low) * width
+        low, width = top, width + 1
+    return total
+
+
+def _missing_orders(orders: list[int]) -> str:
+    """The orders up to ``max(orders)`` that the sorted ``orders`` (from 0) lack,
+    as the ``repr`` of their list quoted by ``_echo``; empty when none is missing.
+
+    The gaps between consecutive orders are counted, never listed, so the
+    work grows with the number of orders and the digits of the top one,
+    not with the top order itself.
+    """
+    gaps = [(low + 1, high) for low, high in zip(orders, orders[1:]) if high > low + 1]
+    if not gaps:
+        return ""
+    count = sum(high - low for low, high in gaps)
+    # "[", "]" and count - 1 separators ", " around the digits
+    length = 2 * count + sum(_digit_total(low, high) for low, high in gaps)
+    # the first 100 orders fill the 100 quoted characters
+    head = islice((k for low, high in gaps for k in range(low, high)), _ECHO_CHARS)
+    return _echo(f"[{', '.join(map(_digits, head))}]", length)
+
+
 def n_times_check(chain: Sequence[tuple[int, ChainEntry]]) -> NTimesReport:
     """Analyze a chain of (order, scheme) entries with a continuity marker
     at order 0.
@@ -334,14 +367,15 @@ def n_times_check(chain: Sequence[tuple[int, ChainEntry]]) -> NTimesReport:
     entries: dict[int, ChainEntry] = {}
     for order, entry in chain:
         if not isinstance(order, int) or order < 0:
-            raise CalculusError(f"chain orders must be integers >= 0, got {order!r}")
+            shown = _digits(order) if isinstance(order, int) else repr(order)
+            raise CalculusError(f"chain orders must be integers >= 0, got {_echo(shown)}")
         if order in entries:
-            raise DuplicateOrder(f"order {order} appears twice")
+            raise DuplicateOrder(f"order {_echo(_digits(order))} appears twice")
         entries[order] = entry
     if 0 not in entries or not isinstance(entries[0], ContinuityMarker):
         raise MissingOrder("the chain needs a continuity marker at order 0")
     n = max(entries)
-    missing = sorted(set(range(n + 1)) - set(entries))
+    missing = _missing_orders(sorted(entries))
     if missing:
         raise MissingOrder(f"chain misses orders {missing}")
     if n < 1:

@@ -82,17 +82,25 @@ _INTEGER_OR_RATIO = re.compile(r"([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?")
 _ECHO_CHARS = 100
 
 
-def _echo(shown: str) -> str:
-    """``shown`` cut to its first 100 characters, then its length: how refusals quote input."""
-    cut = f"... ({len(shown)} characters)" if len(shown) > _ECHO_CHARS else ""
+def _echo(shown: str, length: Optional[int] = None) -> str:
+    """``shown`` cut to its first 100 characters, then its length: how refusals quote input.
+
+    With ``length``, ``shown`` is the start, at least 100 characters long, of
+    a text of that length that is never built whole.
+    """
+    length = len(shown) if length is None else length
+    cut = f"... ({length} characters)" if length > _ECHO_CHARS else ""
     return shown[:_ECHO_CHARS] + cut
 
 
 def parse_rational(text: Rationalish) -> Fraction:
-    """Parse a rational from an int, Fraction, or a 'p/q' / 'p' string."""
+    """Parse a rational from an int, Fraction, or a 'p/q' / 'p' string.
+
+    A ``bool`` is an ``int`` to Python but not a rational: JSON ``true`` is refused.
+    """
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     body = str(text).strip()
     ratio = _INTEGER_OR_RATIO.fullmatch(body)
@@ -294,7 +302,10 @@ def construct_exact(nodes: Sequence[Rationalish], n: int) -> Scheme:
     _check_order(n)
     points = [parse_rational(b) for b in nodes]
     if len(points) != n + 1:
-        raise WrongNodeCount(f"order {n} needs exactly {n + 1} nodes, got {len(points)}")
+        raise WrongNodeCount(
+            f"order {_echo(_digits(n))} needs exactly {_echo(_digits(n + 1))} nodes,"
+            f" got {len(points)}"
+        )
     if len(set(points)) != len(points):
         raise DuplicateNodes("nodes must be distinct")
     return canonicalize(zip(_lagrange_weights(points, factorial(n)), points))

@@ -13,6 +13,12 @@ into parameterizations; the reference tests pin both rewrites to this form.
 ``reference_search_without_shortcut`` is the old search with the
 distinct-magnitude shortcut taken out, so that the shortcut's ``None`` can
 be checked against the candidates it skips.
+
+``reference_recognize_gaussian`` and ``reference_scale_partners`` are the
+bodies ``recognize_gaussian`` and ``scale_partners`` once had, kept unchanged
+apart from their names.  They build every candidate member, scale it and
+compare coefficients; recognition now compares node sets only and builds no
+member.
 """
 
 from fractions import Fraction
@@ -28,10 +34,19 @@ from grdcalc.families import (
     GaussianMatch,
     InvalidOrder,
     InvalidQ,
+    _match_candidates,
     named_scheme,
     recognize_gaussian,
 )
-from grdcalc.scheme import Scheme, ZeroScheme, decompose, normalized, order_info
+from grdcalc.scheme import (
+    Scheme,
+    ZeroScheme,
+    decompose,
+    is_scale,
+    normalized,
+    order_info,
+    scale,
+)
 
 
 def reference_match_candidates(scheme: Scheme, n: int) -> list[GaussianMatch]:
@@ -122,3 +137,42 @@ def reference_search_without_shortcut(scheme: Scheme) -> Optional[GaussianMatch]
                 if verdict.equivalent:
                     return GaussianMatch(variant, q, verdict.witness.r, n)
     return None
+
+
+def reference_recognize_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:
+    if scheme.is_zero:
+        raise ZeroScheme("cannot recognize the zero scheme")
+    info = order_info(scheme)
+    n = info.order
+    if n < 1 or info.normalizer != 1 or len(scheme) != n + 1:
+        return None
+    verified = []
+    for match in _match_candidates(scheme, n):
+        member = named_scheme(FamilyKind(match.variant, match.n, q=match.q))
+        if scale(member, match.scale_b) == scheme:
+            verified.append(match)
+    if not verified:
+        return None
+    verified.sort(
+        key=lambda m: (m.scale_b != 1, not abs(m.q) > 1, abs(m.scale_b))
+    )
+    return verified[0]
+
+
+def reference_scale_partners(match: GaussianMatch) -> list[GaussianMatch]:
+    n, q = match.n, match.q
+    if match.variant == GAUSSIAN_FORWARD and n < 2:
+        return []
+    if match.variant == GAUSSIAN_SYMMETRIC and n < 3:
+        return []
+    base_member = named_scheme(FamilyKind(match.variant, n, q=q))
+    target = scale(base_member, match.scale_b)
+    partners = []
+    for q_alt in (-q, 1 / q, -1 / q):
+        member_alt = named_scheme(FamilyKind(match.variant, n, q=q_alt))
+        witness = is_scale(member_alt, target)
+        if witness is not None:
+            candidate = GaussianMatch(match.variant, q_alt, witness, n)
+            if candidate != match:
+                partners.append(candidate)
+    return partners

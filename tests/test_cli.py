@@ -554,6 +554,22 @@ def run_child(argv):
     return subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
 
 
+def test_ntimes_twelve_digit_order_is_refused_in_bounded_memory():
+    # listing the 10**12 missing orders would need terabytes; the child
+    # alone runs under a 1 GiB address-space limit, so a listing fails fast
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from grdcalc.cli import main\n"
+        "sys.exit(main(['ntimes', '--entry', '0:cont', '--entry', '1000000000000:riemann:n=1']))\n"
+    )
+    result = run_child([sys.executable, "-c", code])
+    assert result.returncode == 2, result.stderr[-300:]
+    assert result.stderr.startswith("error: chain misses orders [1, 2, 3, ")
+    assert result.stderr.endswith(", 27, ... (13888888888887 characters)\n")
+    assert len(result.stderr.encode()) <= 300
+
+
 def test_console_script_entry(tmp_path):
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:

@@ -38,6 +38,7 @@ from grdcalc import (
     riemann_shift,
     scale,
     scale_partners,
+    scheme_from_json,
     script_d,
     script_d_bar,
     symmetric_riemann,
@@ -397,6 +398,27 @@ def test_partner_bounds():
     first = recognize_gaussian(named_scheme(gaussian_forward(1, 3)))
     # order-1 forward patterns are degenerate; no distinct partners
     assert scale_partners(first) == []
+
+
+def test_recognition_builds_no_member(monkeypatch):
+    # recognition and its partners read node sets only: no member is built
+    built = []
+
+    def recording(nodes, n, _original=families.construct_exact):
+        built.append((tuple(nodes), n))
+        return _original(nodes, n)
+
+    monkeypatch.setattr(families, "construct_exact", recording)
+    named_scheme.cache_clear()
+    # scale(gauss-sym:n=3,q=3, -2/3)
+    scheme = scheme_from_json(
+        '{"terms":[{"coeff":"-27/64","node":"-2/1"},{"coeff":"81/64","node":"-2/3"},'
+        '{"coeff":"-81/64","node":"2/3"},{"coeff":"27/64","node":"2/1"}]}'
+    )
+    match = recognize_gaussian(scheme)
+    assert match == GaussianMatch(GAUSSIAN_SYMMETRIC, Fraction(3), Fraction(2, 3), 3)
+    assert len(scale_partners(match)) == 3
+    assert built == []
 
 
 @settings(max_examples=30)

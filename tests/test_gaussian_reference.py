@@ -4,8 +4,10 @@
 symmetric part at both signs against all three geometric variants: it reads
 the variant and the ratio off the scheme and decides at most two members.
 ``families._match_candidates`` builds its parameterizations with one copy of
-the code for the symmetric and the forward/affine patterns.  Each test
-compares the results with ``gaussian_reference``, which keeps the old forms.
+the code for the symmetric and the forward/affine patterns.
+``recognize_gaussian`` and ``scale_partners`` compare node sets instead of
+building, scaling and comparing every candidate member.  Each test compares
+the results with ``gaussian_reference``, which keeps the old forms.
 """
 
 from fractions import Fraction
@@ -15,6 +17,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from gaussian_reference import (
     reference_equivalent_gaussian,
     reference_match_candidates,
+    reference_recognize_gaussian,
+    reference_scale_partners,
     reference_search_without_shortcut,
 )
 from grdcalc import (
@@ -30,8 +34,10 @@ from grdcalc import (
     match_to_json_dict,
     named_scheme,
     order_info,
+    recognize_gaussian,
     riemann,
     scale,
+    scale_partners,
     symmetric_riemann,
 )
 from grdcalc.families import _match_candidates
@@ -46,12 +52,13 @@ QS = (
     Fraction(-1, 3),
     Fraction(5, 2),
 )
-MEMBERS = [
-    named_scheme(family(n, q))
-    for n in range(1, 8)
+KINDS = [
+    family(n, q)
+    for n in range(1, 12)
     for q in QS
     for family in (gaussian_forward, gaussian_affine, gaussian_symmetric)
 ]
+MEMBERS = [named_scheme(kind) for kind in KINDS if kind.n <= 7]
 BASES = (
     MEMBERS
     + [named_scheme(family(n)) for n in range(1, 8) for family in (riemann, symmetric_riemann)]
@@ -66,7 +73,7 @@ nodes = st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denomina
 
 # images r**-n a_plus(r h) + B a_minus(s h) of members and catalog schemes
 class_members = st.builds(class_member, st.sampled_from(BASES), constants, constants, constants)
-member_scales = st.builds(scale, st.sampled_from(MEMBERS), constants)
+member_scales = st.builds(scale, st.sampled_from(KINDS).map(named_scheme), constants)
 
 
 @st.composite
@@ -95,12 +102,25 @@ def search_json(search, scheme):
     return None if match is None else match_to_json_dict(match)
 
 
+def assert_recognition_as_reference(scheme):
+    """Equal recognition, and equal partners of the match and of every candidate."""
+    assert search_json(recognize_gaussian, scheme) == search_json(
+        reference_recognize_gaussian, scheme
+    )
+    match = recognize_gaussian(scheme)
+    n = order_info(scheme).order
+    if n >= 1:
+        for candidate in _match_candidates(scheme, n) + ([match] if match else []):
+            assert scale_partners(candidate) == reference_scale_partners(candidate)
+
+
 def assert_same_as_reference(scheme):
     assert search_json(equivalent_gaussian, scheme) == search_json(
         reference_equivalent_gaussian, scheme
     )
     n = order_info(scheme).order
     assert _match_candidates(scheme, n) == reference_match_candidates(scheme, n)
+    assert_recognition_as_reference(scheme)
 
 
 @settings(max_examples=150, deadline=None)
@@ -126,6 +146,13 @@ def test_search_matches_reference_on_member_scales(scheme):
 @given(random_schemes())
 def test_search_matches_reference_on_random_schemes(scheme):
     assert_same_as_reference(scheme)
+
+
+def test_recognition_matches_reference_on_members_and_scales():
+    for kind in KINDS:
+        member = named_scheme(kind)
+        for b in (1, Fraction(3, 2), -1, Fraction(-2, 5)):
+            assert_recognition_as_reference(scale(member, b))
 
 
 def test_candidates_match_reference_on_degenerate_patterns():

@@ -146,6 +146,7 @@ GSYM4_SCALE = (
 
 
 LONG = "x" * 10_000
+NINES = "9" * 3000
 
 
 def _equiv(a, b, *extra):
@@ -253,6 +254,10 @@ REFUSALS = {
     "refuse_missing_scheme_file": ["scale", "@no-such-scheme.json", "--by", "1"],
     "refuse_missing_batch_file": ["--batch", "no-such-batch.txt"],
     "refuse_unknown_demo": ["demo", "E99"],
+    "refuse_ntimes_missing_orders": ["ntimes", "--entry", "0:cont", "--entry", "3:cont"],
+    "refuse_ntimes_duplicate_order": ["ntimes", "--entry", "0:cont", "--entry", "0:cont"],
+    "refuse_ntimes_negative_order": ["ntimes", "--entry=-1:cont"],
+    "refuse_construct_node_count": ["construct", "--nodes", "0,1", "--order", "3"],
     # the same refusals at a 10,000-character input quote at most 100 characters of it
     "refuse_unknown_family_long": ["scale", LONG, "--by", "1"],
     "refuse_bad_family_parameter_long": ["scale", "riemann:n=2," + LONG, "--by", "1"],
@@ -269,6 +274,19 @@ REFUSALS = {
     "refuse_construct_order_not_int": ["construct", "--order", "abc"],
     "refuse_construct_order_not_int_long": ["construct", "--order", LONG],
     "refuse_qggr_ell_not_int_long": ["qggr", "--order", "2", "--ell", LONG, "--q", "3"],
+    # long orders, and a chain missing 99,999 orders, in the order refusals
+    "refuse_ntimes_missing_orders_long": [
+        "ntimes", "--entry", "0:cont", "--entry", "100000:riemann:n=1",
+    ],
+    "refuse_ntimes_duplicate_order_long": [
+        "ntimes", "--entry", "0:cont", "--entry", NINES + ":cont", "--entry", NINES + ":cont",
+    ],
+    "refuse_ntimes_negative_order_long": ["ntimes", f"--entry=-{NINES}:cont"],
+    "refuse_construct_node_count_long": ["construct", "--nodes", "0,1", "--order", NINES],
+    # JSON true and false are not rationals
+    "refuse_json_boolean_rational": [
+        "scale", '{"terms":[{"coeff":true,"node":1},{"coeff":-1,"node":false}]}', "--by", "1",
+    ],
 }
 # a refusal quotes its input with a bounded echo, so no stderr file grows past this
 REFUSAL_BYTES = 300

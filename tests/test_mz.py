@@ -1,10 +1,12 @@
 """Catalog verdicts, shifted-set reductions, and differentiation chains."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from grdcalc import families, mz
+from grdcalc.scheme import _echo
 from grdcalc import (
     CONJECTURE_GAUSSIAN,
     CONJECTURE_NONE,
@@ -354,6 +356,27 @@ def test_chain_input_gates():
         n_times_check([(0, CONTINUITY), (1, D2_SYM)])  # order mismatch
     with pytest.raises(CalculusError):
         n_times_check([(-1, CONTINUITY), (0, CONTINUITY)])
+
+
+def test_missing_orders_are_counted_not_listed():
+    # the refusal quotes the list of missing orders as _echo quotes its repr,
+    # without building the list: the gaps are counted
+    rng, tops = random.Random(1313), (5, 60, 400, 20_000)
+    for _ in range(400):
+        orders = sorted({0} | {rng.randint(1, rng.choice(tops)) for _ in range(rng.randint(0, 5))})
+        listed = [k for k in range(orders[-1] + 1) if k not in orders]
+        assert mz._missing_orders(orders) == (_echo(repr(listed)) if listed else "")
+    chain = [(0, CONTINUITY), (100_000, construct_exact([0, 1], 1))]
+    with pytest.raises(MissingOrder, match=r"^chain misses orders \[1, 2, 3, .*, 27, \.\.\. \(688887 characters\)$"):
+        n_times_check(chain)
+
+
+def test_long_orders_are_quoted_bounded():
+    nines = 10 ** 3000 - 1
+    with pytest.raises(DuplicateOrder, match=r"^order 9{100}\.\.\. \(3000 characters\) appears twice$"):
+        n_times_check([(0, CONTINUITY), (nines, CONTINUITY), (nines, CONTINUITY)])
+    with pytest.raises(CalculusError, match=r"^chain orders must be integers >= 0, got -9{99}\.\.\. \(3001 characters\)$"):
+        n_times_check([(0, CONTINUITY), (-nines, CONTINUITY)])
 
 
 def test_continuity_marker_is_singleton():

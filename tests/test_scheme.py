@@ -75,6 +75,16 @@ def test_parse_and_format_rational():
         parse_rational("1/0")
 
 
+def test_parse_rational_refuses_booleans():
+    # bool is an int to Python, so JSON true and false once read as 1 and 0
+    for flag in (True, False):
+        with pytest.raises(CalculusError, match=rf"^not a rational: {flag}$"):
+            parse_rational(flag)
+    with pytest.raises(CalculusError, match=r"^not a rational: True$"):
+        scheme_from_json('{"terms":[{"coeff":true,"node":1},{"coeff":-1,"node":0}]}')
+    assert parse_rational(1) == 1
+
+
 def test_parse_rational_past_the_int_digit_limit():
     # 9,543 digits over 4,516: past the default 4,300-digit int-from-str limit
     big = Fraction(-(3 ** 20000) - 2, 2 ** 15001)
