@@ -28,6 +28,7 @@ from .scheme import (
     ZeroScheme,
     _check_order,
     _echo,
+    _is_int,
     _require,
     canonicalize,
     construct_exact,
@@ -94,7 +95,7 @@ class FamilyKind:
         _check_order(self.n)
         if takes_k != (self.k is not None):
             raise CalculusError(f"variant {self.variant} and shift k disagree")
-        if self.k is not None and not isinstance(self.k, int):
+        if self.k is not None and not _is_int(self.k):
             raise CalculusError("shift k must be an integer")
         if takes_q != (self.q is not None):
             raise CalculusError(f"variant {self.variant} and ratio q disagree")

@@ -45,6 +45,7 @@ from .scheme import (
     _check_order,
     _digits,
     _echo,
+    _is_int,
     _require,
     combine,
     is_scale,
@@ -205,7 +206,7 @@ def verify_quantum_ggr(
     returned and any failure is an internal arithmetic fault.
     """
     _check_order(n)
-    if not isinstance(ell, int):
+    if not _is_int(ell):
         raise CalculusError("the shift window start must be an integer")
     q = parse_rational(q)
     base = named_scheme(gaussian_affine(n, q))
@@ -366,8 +367,8 @@ def n_times_check(chain: Sequence[tuple[int, ChainEntry]]) -> NTimesReport:
     """
     entries: dict[int, ChainEntry] = {}
     for order, entry in chain:
-        if not isinstance(order, int) or order < 0:
-            shown = _digits(order) if isinstance(order, int) else repr(order)
+        if not _is_int(order) or order < 0:
+            shown = _digits(order) if _is_int(order) else repr(order)
             raise CalculusError(f"chain orders must be integers >= 0, got {_echo(shown)}")
         if order in entries:
             raise DuplicateOrder(f"order {_echo(_digits(order))} appears twice")

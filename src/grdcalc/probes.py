@@ -14,16 +14,28 @@ elements are divided out of the sample point; anything left over rules it
 out, and the exponent vector over the base is decided by integer lattice
 elimination.
 
-Quotients are computed fraction-free.  Once per scheme, order, oracle and
-base point, the coefficients and nodes are scaled to integers ``A_i`` and
-``B_i`` over their lcm denominators ``DA`` and ``DB`` (a polynomial's
-coefficients likewise to ``P_i`` over ``DP``), and the oracle's homogeneous
-degree ``e`` is fixed.  For a step ``h = H/DH`` and ``x = xn/xd`` every
-argument ``x + b_i*h`` is ``u_i/D`` with ``D = xd*DB*DH`` and
-``u_i = xn*DB*DH + xd*B_i*H``; the oracle is evaluated on ``u_i`` in
-integers as ``F_i`` (``|u|``, ``u*|u|``, ``u**k``, ``sum P_i u**i D**(e-i)``,
-or ``u**k`` on the subgroup and 0 off it), and the quotient is the single
-fraction ``sum A_i*F_i * DH**n / (DA*DP*D**e * H**n)``, reduced by one gcd.
+Every per-sample step runs on integers or on Fractions that already exist.
+A sequence is walked by one multiplication per step, ``h *= rho``, from
+``sign * h0 * rho**j_min``.  Quotients are computed fraction-free: once per
+scheme, order, oracle and base point, the coefficients and nodes are scaled
+to integers ``A_i`` and ``B_i`` over their lcm denominators ``DA`` and ``DB``
+(a polynomial's coefficients likewise to ``P_i`` over ``DP``), and the
+oracle's homogeneous degree ``e`` is fixed.  For a step ``h = H/DH`` and
+``x = xn/xd`` every argument ``x + b_i*h`` is ``u_i/D`` with
+``D = xd*DB*DH`` and ``u_i = xn*DB*DH + xd*B_i*H``; the oracle is evaluated
+on ``u_i`` in integers as ``F_i`` (``|u|``, ``u*|u|``, ``u**k``,
+``sum P_i u**i D**(e-i)``, or ``u**k`` on the subgroup and 0 off it, with
+``u_i/D`` reduced by one gcd for the membership test), and the quotient is
+the single fraction ``sum A_i*F_i * DH**n / (DA*DP*D**e * H**n)``, reduced by
+one gcd.  The tail test compares ``a/b`` and ``c/d`` under the tolerance
+``s/t`` as ``t*|a*d - c*b| <= s*max(b*d, |a|*d, |c|*b)``, and subgroup
+membership takes a reduced numerator and denominator.
+
+Limits keep a probe's work bounded: the oracle degree (a monomial's
+exponent, a polynomial's highest power) is at most ``MAX_ORACLE_DEGREE``,
+the Peano depth at most ``MAX_PEANO_DEPTH`` and the last exponent ``j_max``
+at most ``MAX_J``; larger inputs are refused with ``ProbeBoundExceeded``
+before any sample is taken.
 """
 
 from __future__ import annotations
@@ -40,7 +52,9 @@ from .scheme import (
     CalculusError,
     Rationalish,
     Scheme,
+    _digits,
     _echo,
+    _is_int,
     _over_common_denominator,
     format_rational,
     order_info,
@@ -60,6 +74,24 @@ class ZeroInput(CalculusError):
 
 class ZeroStep(CalculusError):
     """Difference quotients need a nonzero step."""
+
+
+class ProbeBoundExceeded(CalculusError):
+    """An oracle degree, Peano depth or last exponent is above its limit."""
+
+
+# Limits on the integer inputs that set a probe's work (README.md gives
+# timings).  The sample numbers grow with their product, so each is kept a
+# small multiple of what the workloads and golden cases use: degree 4,
+# depth 4 and j_max 40.
+MAX_ORACLE_DEGREE = 32
+MAX_PEANO_DEPTH = 16
+MAX_J = 256
+
+
+def _check_limit(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ProbeBoundExceeded(f"{what} must be at most {limit}, got {_echo(_digits(value))}")
 
 
 class FactorizationBoundExceeded(CalculusError):
@@ -144,10 +176,11 @@ def _coprime_base(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(base))
 
 
-def _over_base(x: Fraction, base: Sequence[int]) -> Optional[list[int]]:
-    """Sign bit and exponents of ``x != 0`` over a coprime base; None if a factor is left over."""
-    num, den = abs(x.numerator), x.denominator
-    vector = [1 if x < 0 else 0]
+def _over_base(num: int, den: int, base: Sequence[int]) -> Optional[list[int]]:
+    """Sign bit and exponents of ``num/den != 0`` (``den > 0``, reduced) over a
+    coprime base; None if a factor is left over."""
+    vector = [1 if num < 0 else 0]
+    num = abs(num)
     for b in base:
         exp = 0
         while num % b == 0:
@@ -169,18 +202,19 @@ def _generator_lattice(generators: tuple[Fraction, ...]) -> Lattice:
     sign flips only matter mod 2.
     """
     base = _coprime_base([v for g in generators for v in (abs(g.numerator), g.denominator)])
-    columns = tuple(tuple(_over_base(g, base)) for g in generators)
+    columns = tuple(tuple(_over_base(g.numerator, g.denominator, base)) for g in generators)
     return base, columns + ((2,) + (0,) * len(base),)
 
 
-# Not cached: sample points are fresh rationals, so a cache would only grow.
-# The zero-size lru_cache keeps ``cache_info()`` (misses count the calls) for
-# the membership counters of perfbench.  Callers look the generators'
-# lattice up once, not once per sample.
+# Membership of the reduced fraction ``num/den`` (``den > 0``), decided on
+# integers: callers pass a Fraction's parts or a gcd-reduced integer pair, and
+# look the generators' lattice up once, not once per sample.  Nothing is
+# cached; the zero-size lru_cache stays only so that perfbench can count the
+# calls as ``cache_info()`` misses.
 @lru_cache(maxsize=0)
-def _membership(x: Fraction, lattice: Lattice) -> bool:
+def _membership(num: int, den: int, lattice: Lattice) -> bool:
     base, columns = lattice
-    target = _over_base(x, base)
+    target = _over_base(num, den, base)
     return target is not None and _lattice_member(columns, target)
 
 
@@ -198,7 +232,7 @@ def subgroup_membership(x: Rationalish, generators: Sequence[Rationalish]) -> bo
     gens = tuple(parse_rational(g) for g in generators)
     if x == 0 or any(g == 0 for g in gens):
         raise ZeroInput("subgroup membership is defined on nonzero rationals")
-    return _membership(x, _generator_lattice(gens))
+    return _membership(x.numerator, x.denominator, _generator_lattice(gens))
 
 
 @dataclass(frozen=True)
@@ -228,8 +262,11 @@ class FunctionOracle:
         object.__setattr__(
             self, "generators", tuple(parse_rational(g) for g in self.generators)
         )
+        if not _is_int(self.degree):
+            raise CalculusError("monomial degree must be an integer")
         if self.degree < 0:
             raise CalculusError("monomial degree must be >= 0")
+        _check_limit("the oracle degree", max(self.degree, len(self.coeffs) - 1), MAX_ORACLE_DEGREE)
         if self.kind == ORACLE_SUBGROUP_MONOMIAL:
             if not self.generators:
                 raise CalculusError("subgroup monomials need generators")
@@ -248,7 +285,9 @@ class FunctionOracle:
             return sum(
                 (c * x ** i for i, c in enumerate(self.coeffs)), Fraction(0)
             )
-        on_group = x != 0 and _membership(x, _generator_lattice(self.generators))
+        on_group = x != 0 and _membership(
+            x.numerator, x.denominator, _generator_lattice(self.generators)
+        )
         return x ** self.degree if on_group else Fraction(0)
 
 
@@ -365,7 +404,10 @@ def _integer_oracle(oracle: FunctionOracle) -> tuple[int, int, Callable[[int, in
     lattice = _generator_lattice(oracle.generators)
 
     def on_subgroup(u: int, d: int) -> int:
-        return u ** k if u and _membership(Fraction(u, d), lattice) else 0
+        if not u:
+            return 0
+        g = gcd(u, d)
+        return u ** k if _membership(u // g, d // g, lattice) else 0
 
     return k, 1, on_subgroup
 
@@ -411,8 +453,9 @@ class ProbeConfig:
             raise ZeroStep("h0 must be nonzero")
         if not self.ratios or any(not 0 < abs(r) < 1 for r in self.ratios):
             raise CalculusError("ratios must satisfy 0 < |rho| < 1")
-        if not (0 <= self.j_min < self.j_max):
+        if not (_is_int(self.j_min) and _is_int(self.j_max) and 0 <= self.j_min < self.j_max):
             raise CalculusError("need 0 <= j_min < j_max")
+        _check_limit("j_max", self.j_max, MAX_J)
         if self.tol <= 0:
             raise CalculusError("tolerance must be positive")
 
@@ -481,7 +524,14 @@ class ProbeReport:
 
 
 def _close(u: Fraction, v: Fraction, tol: Fraction) -> bool:
-    return abs(u - v) <= tol * max(Fraction(1), abs(u), abs(v))
+    """``|u - v| <= tol * max(1, |u|, |v|)`` for ``tol > 0``, on integers.
+
+    With ``u = a/b``, ``v = c/d`` and ``tol = s/t`` (``b``, ``d``, ``t > 0``)
+    both sides are multiplied by ``b*d*t``.
+    """
+    a, b, c, d = u.numerator, u.denominator, v.numerator, v.denominator
+    bound = max(b * d, abs(a) * d, abs(c) * b)
+    return tol.denominator * abs(a * d - c * b) <= tol.numerator * bound
 
 
 def _auto_subgroup_ratios(oracle: FunctionOracle) -> list[Fraction]:
@@ -534,12 +584,13 @@ def limit_probe(
     for ratio in ratios:
         for sign in (1, -1):
             samples = []
-            for j in range(cfg.j_min, cfg.j_max + 1):
-                h = sign * cfg.h0 * ratio ** j
+            h = sign * cfg.h0 * ratio ** cfg.j_min
+            for _ in range(cfg.j_min, cfg.j_max + 1):
                 samples.append((h, quotient(h)))
+                h *= ratio
             in_group: Optional[bool] = None
             if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
-                flags = [_membership(h, lattice) for h, _ in samples]
+                flags = [_membership(h.numerator, h.denominator, lattice) for h, _ in samples]
                 in_group = all(flags) if all(flags) or not any(flags) else None
             tail = [v for _, v in samples[-_TAIL_LENGTH:]]
             settled = len(tail) >= _TAIL_LENGTH and all(
@@ -576,8 +627,9 @@ def peano_probe(
     Settled estimates are numeric candidates for the Taylor coefficients;
     the staging stops at the first order whose probe fails to converge.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise CalculusError("the probe depth n must be a positive integer")
+    _check_limit("the probe depth n", n, MAX_PEANO_DEPTH)
     stages = []
     for order in range(1, n + 1):
         report = limit_probe(named_scheme(mz_tilde(order)), oracle, x, config)

@@ -93,6 +93,11 @@ def _echo(shown: str, length: Optional[int] = None) -> str:
     return shown[:_ECHO_CHARS] + cut
 
 
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an integer: a ``bool`` is an ``int`` to Python, not to this package."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(text: Rationalish) -> Fraction:
     """Parse a rational from an int, Fraction, or a 'p/q' / 'p' string.
 
@@ -100,7 +105,7 @@ def parse_rational(text: Rationalish) -> Fraction:
     """
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int) and not isinstance(text, bool):
+    if _is_int(text):
         return Fraction(text)
     body = str(text).strip()
     ratio = _INTEGER_OR_RATIO.fullmatch(body)
@@ -123,14 +128,15 @@ def _digits(value: int) -> str:
 
 def _check_order(n: object) -> None:
     """Raise ``InvalidOrder`` unless ``n`` is a positive integer; the refusal quotes ``n`` bounded."""
-    if not isinstance(n, int) or n < 1:
-        shown = _digits(n) if isinstance(n, int) else repr(n)
+    if not _is_int(n) or n < 1:
+        shown = _digits(n) if _is_int(n) else repr(n)
         raise InvalidOrder(f"order must be a positive integer, got {_echo(shown)}")
 
 
 def format_rational(value: Fraction) -> str:
     """Format a rational as a reduced 'p/q' string (denominator always shown)."""
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 

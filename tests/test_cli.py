@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grdcalc
 from grdcalc import cli
@@ -629,3 +630,61 @@ def test_failed_identity_exits_3_under_optimize_flag():
     result = run_child([sys.executable, "-O", "-c", code])
     assert result.returncode == 3
     assert "internal assertion failed" in result.stderr
+
+
+# --- the JSON emitter --------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+# every code point: non-ASCII, control characters and lone surrogates
+any_text = st.text(st.characters(blacklist_categories=()))
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-10 ** 400, max_value=10 ** 400)
+    | any_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(any_text, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300)
+@given(json_values)
+def test_json_emitter_matches_indented_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_json_emitter_reproduces_every_golden_payload(path):
+    text = path.read_text(encoding="utf-8")
+    assert cli._json(json.loads(text)) + "\n" == text
+
+
+# --- limits on probe inputs, in a child: at the parent commit these ran for minutes -----
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["probe", "riemann:n=2", "--oracle=mono:k=99999999", "--x=1"],
+         "error: the oracle degree must be at most 32, got 99999999\n"),
+        (["probe", "--peano", "100000", "--oracle=mono:k=1", "--x=1/3"],
+         "error: the probe depth n must be at most 16, got 100000\n"),
+        (["probe", "riemann:n=1", "--oracle=abs", "--jmax", "9" * 4000],
+         "error: j_max must be at most 256, got " + "9" * 100 + "... (4000 characters)\n"),
+    ],
+)
+def test_probe_inputs_over_a_limit_are_refused_at_once(argv, message):
+    code = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from grdcalc.cli import main\n"
+        "t0 = time.perf_counter()\n"
+        "status = main(sys.argv[1:])\n"
+        "print(time.perf_counter() - t0)\n"
+        "sys.exit(status)\n"
+    )
+    result = run_child([sys.executable, "-c", code, *argv])
+    assert result.returncode == 2, result.stderr[-300:]
+    assert result.stderr == message
+    assert float(result.stdout) < 1.0

@@ -283,6 +283,12 @@ REFUSALS = {
     ],
     "refuse_ntimes_negative_order_long": ["ntimes", f"--entry=-{NINES}:cont"],
     "refuse_construct_node_count_long": ["construct", "--nodes", "0,1", "--order", NINES],
+    "refuse_probe_jmin_not_int": ["probe", "riemann:n=1", "--oracle", "abs", "--jmin", "abc"],
+    "refuse_probe_jmin_not_int_long": ["probe", "riemann:n=1", "--oracle", "abs", "--jmin", LONG],
+    # probe inputs above their limits are refused before any sample is taken
+    "refuse_probe_degree_over_limit": ["probe", "riemann:n=2", "--oracle=mono:k=33", "--x=1"],
+    "refuse_probe_depth_over_limit": ["probe", "--peano", "17", "--oracle=mono:k=1", "--x=1/3"],
+    "refuse_probe_jmax_over_limit": ["probe", "riemann:n=1", "--oracle", "abs", "--jmax", "257"],
     # JSON true and false are not rationals
     "refuse_json_boolean_rational": [
         "scale", '{"terms":[{"coeff":true,"node":1},{"coeff":-1,"node":false}]}', "--by", "1",

@@ -1,9 +1,11 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private module-level name is read somewhere in the package.
 
 A stale import keeps a dependency alive after the code that needed it is
-gone.  The check reads each module's syntax tree with the standard library's
-``ast``, so it needs no lint tool; ``__init__.py`` is left out, because its
-imports are the package's public names.
+gone, and so does a private helper, class or constant that nothing reads
+any more.  The checks read each module's syntax tree with the standard
+library's ``ast``, so they need no lint tool.  ``__init__.py`` is left out
+of the import check, because its imports are the package's public names.
 """
 
 import ast
@@ -36,3 +38,52 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def _defined(statement: ast.stmt) -> set[str]:
+    """The module-level names a top-level statement binds by def, class or assignment."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = statement.targets if isinstance(statement, ast.Assign) else (
+        [statement.target] if isinstance(statement, ast.AnnAssign) else []
+    )
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Module-level ``_private`` names that no other top-level statement of ``sources`` reads.
+
+    A read is a name, an attribute or an imported name; a statement reading
+    only itself (a recursive helper) does not keep its own name alive.
+    """
+    statements = [s for source in sources for s in ast.parse(source).body]
+    private = set()
+    read = set()
+    for statement in statements:
+        own = _defined(statement)
+        private |= {n for n in own if n.startswith("_") and not n.startswith("__")}
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name not in own:
+                read.add(name)
+    return sorted(private - read)
+
+
+def test_unread_private_names_are_found():
+    sources = [
+        "_USED = 1\n_DEAD = 2\ndef _helper(n):\n    return _helper(n - 1)\nclass _Kept: pass\n",
+        "from .a import _Kept\nprint(_USED)\n",
+    ]
+    assert unread_private_names(sources) == ["_DEAD", "_helper"]
+
+
+def test_every_private_name_is_read():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_names(sources) == []

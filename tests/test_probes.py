@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from grdcalc import (
+    CONTINUITY,
     CalculusError,
+    InvalidOrder,
+    ProbeBoundExceeded,
     ProbeConfig,
     Scheme,
     VERDICT_CONVERGES,
@@ -21,6 +24,8 @@ from grdcalc import (
     construct_exact_symmetric,
     eval_quotient,
     format_oracle,
+    gaussian_affine_shift,
+    n_times_check,
     limit_probe,
     monomial_oracle,
     mz_tilde,
@@ -33,9 +38,11 @@ from grdcalc import (
     sgnsq_oracle,
     subgroup_membership,
     subgroup_monomial_oracle,
+    verify_quantum_ggr,
 )
 from grdcalc import probes
 from membership_reference import _factor_rational
+from probe_reference import _fraction_close, reference_limit_probe
 from quotient_reference import _quotient as reference_quotient
 
 D2_SYM = construct_exact_symmetric([1], True, 2)
@@ -472,3 +479,150 @@ def test_peano_probe_full_depth():
 def test_peano_probe_invalid_depth():
     with pytest.raises(CalculusError):
         peano_probe(monomial_oracle(2), 0, 0)
+    with pytest.raises(CalculusError, match="^the probe depth n must be a positive integer$"):
+        peano_probe(monomial_oracle(2), 0, True)
+
+
+# --- booleans are not integers -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: construct_exact([0, 1], True),
+        lambda: n_times_check([(False, CONTINUITY), (True, construct_exact([0, 1], 1))]),
+        lambda: verify_quantum_ggr(2, False, 3),
+        lambda: gaussian_affine_shift(2, True, 3),
+        lambda: monomial_oracle(True),
+        lambda: ProbeConfig(j_min=False),
+        lambda: ProbeConfig(j_max=True, j_min=0),
+    ],
+)
+def test_booleans_are_refused_as_integers(call):
+    with pytest.raises(CalculusError):
+        call()
+
+
+def test_boolean_order_refusal_quotes_the_boolean():
+    with pytest.raises(InvalidOrder, match="^order must be a positive integer, got True$"):
+        construct_exact([0, 1], True)
+
+
+# --- limits on probe inputs -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: monomial_oracle(probes.MAX_ORACLE_DEGREE + 1), "the oracle degree"),
+        (lambda: subgroup_monomial_oracle(10 ** 8, [2]), "the oracle degree"),
+        (lambda: polynomial_oracle([1] * (probes.MAX_ORACLE_DEGREE + 2)), "the oracle degree"),
+        (lambda: ProbeConfig(j_max=probes.MAX_J + 1), "j_max"),
+        (lambda: peano_probe(abs_oracle(), 0, probes.MAX_PEANO_DEPTH + 1), "the probe depth n"),
+    ],
+)
+def test_probe_inputs_above_their_limits_are_refused(call, message):
+    with pytest.raises(ProbeBoundExceeded, match=f"^{message} must be at most "):
+        call()
+
+
+def test_probe_inputs_at_their_limits_are_accepted():
+    assert monomial_oracle(probes.MAX_ORACLE_DEGREE).degree == probes.MAX_ORACLE_DEGREE
+    assert len(polynomial_oracle([1] * (probes.MAX_ORACLE_DEGREE + 1)).coeffs) == 33
+    assert ProbeConfig(j_max=probes.MAX_J).j_max == probes.MAX_J
+
+
+def test_probe_limit_refusal_echo_is_bounded():
+    with pytest.raises(ProbeBoundExceeded) as refused:
+        ProbeConfig(j_max=10 ** 5000)
+    assert str(refused.value).endswith("... (5001 characters)")
+
+
+# --- the integer probe against the Fraction probe ------------------------------------------
+
+RATIOS = [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(3, 4),
+          Fraction(-1, 5), Fraction(2, 5), Fraction(5, 6)]
+configs = st.builds(
+    lambda h0, ratios, j_min, count, tol: ProbeConfig(h0, tuple(ratios), j_min, j_min + count, tol),
+    # h0 sharing factors with the ratios' numerators and denominators, or any
+    st.one_of(
+        nonzero,
+        st.builds(
+            Fraction,
+            st.sampled_from([2, 3, 4, 5, 6, 10, 12, 30, -6, -15]),
+            st.sampled_from([1, 2, 3, 5, 9, 25]),
+        ),
+    ),
+    st.lists(st.sampled_from(RATIOS), min_size=1, max_size=3, unique=True),
+    st.integers(0, 8),
+    st.integers(1, 12),
+    st.sampled_from([Fraction(1, 10 ** 9), Fraction(1, 100), Fraction(1, 3), Fraction(2)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(rational, min_size=n + 1, max_size=n + 1, unique=True)
+    ),
+    oracles,
+    points,
+    configs,
+)
+def test_limit_probe_matches_fraction_reference(nodes, oracle, x, config):
+    scheme = construct_exact(nodes, len(nodes) - 1)
+    got = limit_probe(scheme, oracle, x, config)
+    want = reference_limit_probe(scheme, oracle, x, config)
+    assert got == want
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+wide = st.fractions(
+    min_value=Fraction(-10 ** 6), max_value=Fraction(10 ** 6), max_denominator=10 ** 4
+)
+tolerances = st.fractions(min_value=0, max_value=Fraction(3), max_denominator=10 ** 4).filter(
+    lambda t: t > 0
+)
+
+
+@settings(max_examples=200)
+@given(wide, wide, tolerances)
+def test_integer_close_matches_fraction_close(u, v, tol):
+    assert probes._close(u, v, tol) == _fraction_close(u, v, tol)
+
+
+@settings(max_examples=150)
+@given(wide, tolerances.filter(lambda t: t < 1), st.sampled_from([1, -1]), st.booleans())
+def test_integer_close_at_exact_ties(u, tol, sign, larger_v):
+    if larger_v:
+        # |v| is the largest of 1, |u|, |v|: v - u = tol * v
+        assume(abs(u) >= 1)
+        v = u / (1 - tol)
+    else:
+        # max(1, |u|) bounds |v|: v - u = +-tol * max(1, |u|)
+        bound = max(Fraction(1), abs(u))
+        v = u + sign * tol * bound
+        assume(abs(v) <= bound)
+    assert abs(u - v) == tol * max(1, abs(u), abs(v))
+    assert probes._close(u, v, tol) and probes._close(v, u, tol)
+    beyond = v + (v - u) / 10 ** 9 if v != u else v + Fraction(1, 10 ** 9)
+    assert probes._close(u, beyond, tol) == _fraction_close(u, beyond, tol)
+    assert probes._close(beyond, u, tol) == _fraction_close(beyond, u, tol)
+
+
+@pytest.mark.parametrize(
+    "u, v, tol, close",
+    [
+        (Fraction(2), Fraction(3, 2), Fraction(1, 4), True),
+        (Fraction(2), Fraction(3, 2) - Fraction(1, 10 ** 30), Fraction(1, 4), False),
+        (Fraction(3), Fraction(4), Fraction(1, 4), True),
+        (Fraction(-3), Fraction(-4), Fraction(1, 4), True),
+        (Fraction(1, 2), Fraction(3, 5), Fraction(1, 10), True),
+        (Fraction(1, 2), Fraction(3, 5) + Fraction(1, 10 ** 30), Fraction(1, 10), False),
+        (Fraction(0), Fraction(1, 10 ** 9), Fraction(1, 10 ** 9), True),
+        (Fraction(0), Fraction(-2, 10 ** 9), Fraction(1, 10 ** 9), False),
+    ],
+)
+def test_integer_close_fixed_ties(u, v, tol, close):
+    assert _fraction_close(u, v, tol) is close
+    assert probes._close(u, v, tol) is close
