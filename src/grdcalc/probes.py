@@ -10,32 +10,39 @@ so.  The subgroup-supported monomials need exact membership in a finitely
 generated multiplicative subgroup of the nonzero rationals.  No prime is
 needed: gcd factor refinement (Bach, Driscoll and Shallit, J. Algorithms
 15, 1993) splits the generators into a pairwise coprime base, whose
-elements are divided out of the sample point; anything left over rules it
-out, and the exponent vector over the base is decided by integer lattice
-elimination.
+elements are divided out of the sample point's numerator and denominator.
+The point is over the base exactly when the two leave equal cofactors, so
+the pair need not be reduced, and its exponent vector over the base is then
+decided by forward substitution in the generators' lattice, which is
+reduced to echelon form once per generator tuple.
 
 Every per-sample step runs on integers or on Fractions that already exist.
 A sequence is walked by one multiplication per step, ``h *= rho``, from
-``sign * h0 * rho**j_min``.  Quotients are computed fraction-free: once per
-scheme, order, oracle and base point, the coefficients and nodes are scaled
-to integers ``A_i`` and ``B_i`` over their lcm denominators ``DA`` and ``DB``
-(a polynomial's coefficients likewise to ``P_i`` over ``DP``), and the
-oracle's homogeneous degree ``e`` is fixed.  For a step ``h = H/DH`` and
-``x = xn/xd`` every argument ``x + b_i*h`` is ``u_i/D`` with
-``D = xd*DB*DH`` and ``u_i = xn*DB*DH + xd*B_i*H``; the oracle is evaluated
-on ``u_i`` in integers as ``F_i`` (``|u|``, ``u*|u|``, ``u**k``,
-``sum P_i u**i D**(e-i)``, or ``u**k`` on the subgroup and 0 off it, with
-``u_i/D`` reduced by one gcd for the membership test), and the quotient is
-the single fraction ``sum A_i*F_i * DH**n / (DA*DP*D**e * H**n)``, reduced by
-one gcd.  The tail test compares ``a/b`` and ``c/d`` under the tolerance
-``s/t`` as ``t*|a*d - c*b| <= s*max(b*d, |a|*d, |c|*b)``, and subgroup
-membership takes a reduced numerator and denominator.
+``sign * h0 * rho**j_min``, and built once per ``(sign * h0, rho, j_min,
+j_max)``: every probe with one configuration, and every stage of a Peano
+probe, reads the same sequences.  Quotients are computed fraction-free:
+once per scheme, order, oracle and base point, the coefficients and nodes
+are scaled to integers ``A_i`` and ``B_i`` over their lcm denominators
+``DA`` and ``DB`` (a polynomial's coefficients likewise to ``P_i`` over
+``DP``), and the oracle's homogeneous degree ``e`` is fixed.  For a step
+``h = H/DH`` and ``x = xn/xd`` every argument ``x + b_i*h`` is ``u_i/D``
+with ``D = xd*DB*DH`` and ``u_i = xn*DB*DH + xd*B_i*H``; the oracle is
+evaluated on ``u_i`` in integers as ``F_i`` (``|u|``, ``u*|u|``,
+``u**k``, ``sum P_i u**i D**(e-i)``, or ``u**k`` on the subgroup and 0
+off it), and the quotient is the single fraction
+``sum A_i*F_i * DH**n / (DA*DP*D**e * H**n)``, reduced by one gcd.  For
+the subgroup test the kernel strips the shared ``D`` over the base once
+per sample and each term only its own ``u_i``; ``u_i/D`` is never
+reduced, and the kernel does not go through ``_membership``.  The tail
+test compares ``a/b`` and ``c/d`` under the tolerance ``s/t`` as
+``t*|a*d - c*b| <= s*max(b*d, |a|*d, |c|*b)``.
 
 Limits keep a probe's work bounded: the oracle degree (a monomial's
 exponent, a polynomial's highest power) is at most ``MAX_ORACLE_DEGREE``,
-the Peano depth at most ``MAX_PEANO_DEPTH`` and the last exponent ``j_max``
-at most ``MAX_J``; larger inputs are refused with ``ProbeBoundExceeded``
-before any sample is taken.
+the Peano depth at most ``MAX_PEANO_DEPTH``, the last exponent ``j_max``
+at most ``MAX_J``, and ``depth * j_max**2 * max(degree, 1)`` at most
+``MAX_PROBE_SIZE`` (depth 1 for a single probe); larger inputs are refused
+with ``ProbeBoundExceeded`` before any sample is taken.
 """
 
 from __future__ import annotations
@@ -77,16 +84,20 @@ class ZeroStep(CalculusError):
 
 
 class ProbeBoundExceeded(CalculusError):
-    """An oracle degree, Peano depth or last exponent is above its limit."""
+    """An oracle degree, Peano depth, last exponent or their product is above its limit."""
 
 
 # Limits on the integer inputs that set a probe's work (README.md gives
 # timings).  The sample numbers grow with their product, so each is kept a
 # small multiple of what the workloads and golden cases use: degree 4,
-# depth 4 and j_max 40.
+# depth 4 and j_max 40.  The product itself is bounded too: a stage takes
+# about j_max samples per sequence, each of about j_max * degree digits, so
+# ``depth * j_max**2 * max(degree, 1)`` tracks a probe's time and output
+# (25,600 in the workloads and golden cases).
 MAX_ORACLE_DEGREE = 32
 MAX_PEANO_DEPTH = 16
 MAX_J = 256
+MAX_PROBE_SIZE = 2 ** 22
 
 
 def _check_limit(what: str, value: int, limit: int) -> None:
@@ -113,46 +124,35 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _lattice_member(columns: Sequence[Sequence[int]], target: list[int]) -> bool:
-    """Whether ``target`` lies in the integer column span of ``columns``.
+# Echelon steps of an integer column lattice: for each row, the pivot column
+# reduced onto it, or None where no column reaches the row.
+Echelon = tuple[tuple[int, Optional[tuple[int, ...]]], ...]
 
-    Row-by-row integer elimination: each processed row is reduced to one
-    pivot column by gcd column operations (which preserve the lattice), the
-    target is reduced against the pivot when divisible, and a row with no
-    pivot admits no correction.
+
+def _lattice_member(steps: Echelon, target: list[int]) -> bool:
+    """Whether ``target`` lies in the lattice with the echelon ``steps``.
+
+    Forward substitution: a row with no pivot column needs a zero entry,
+    and a row with one needs an entry divisible by the pivot, whose
+    multiple of the pivot column is subtracted.  Later pivot columns are
+    zero on earlier rows, so a target that passes every row is used up.
     """
-    cols = [list(c) for c in columns]
-    vec = list(target)
-    used = 0
-    for row in range(len(vec)):
-        pivot = None
-        for j in range(used, len(cols)):
-            if cols[j][row] != 0:
-                if pivot is None:
-                    pivot = j
-                else:
-                    a, b = cols[pivot][row], cols[j][row]
-                    g, x, y = _xgcd(a, b)
-                    combo = [x * u + y * v for u, v in zip(cols[pivot], cols[j])]
-                    kernel = [
-                        -(b // g) * u + (a // g) * v
-                        for u, v in zip(cols[pivot], cols[j])
-                    ]
-                    cols[pivot], cols[j] = combo, kernel
+    vec = target
+    for row, pivot in steps:
+        entry = vec[row]
         if pivot is None:
-            if vec[row] != 0:
+            if entry:
                 return False
-            continue
-        if vec[row] % cols[pivot][row] != 0:
-            return False
-        times = vec[row] // cols[pivot][row]
-        vec = [v - times * u for v, u in zip(vec, cols[pivot])]
-        cols[used], cols[pivot] = cols[pivot], cols[used]
-        used += 1
-    return all(v == 0 for v in vec)
+        elif entry:
+            if entry % pivot[row]:
+                return False
+            times = entry // pivot[row]
+            vec = [v - times * u for v, u in zip(vec, pivot)]
+    return True
 
 
-Lattice = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+# A coprime base and the echelon steps of the sign/exponent lattice over it.
+Lattice = tuple[tuple[int, ...], Echelon]
 
 
 def _coprime_base(values: Sequence[int]) -> tuple[int, ...]:
@@ -176,46 +176,89 @@ def _coprime_base(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(base))
 
 
-def _over_base(num: int, den: int, base: Sequence[int]) -> Optional[list[int]]:
-    """Sign bit and exponents of ``num/den != 0`` (``den > 0``, reduced) over a
-    coprime base; None if a factor is left over."""
-    vector = [1 if num < 0 else 0]
-    num = abs(num)
+def _strip(value: int, base: Sequence[int]) -> tuple[list[int], int]:
+    """The exponents of the base elements in ``value > 0`` and the cofactor left."""
+    exponents = []
     for b in base:
         exp = 0
-        while num % b == 0:
-            num //= b
+        while value % b == 0:
+            value //= b
             exp += 1
-        while den % b == 0:
-            den //= b
-            exp -= 1
-        vector.append(exp)
-    return vector if num == den == 1 else None
+        exponents.append(exp)
+    return exponents, value
+
+
+def _over_base(
+    num: int, den_strip: tuple[list[int], int], base: Sequence[int]
+) -> Optional[list[int]]:
+    """Sign bit and exponents of ``num/den != 0`` over a coprime base, where
+    ``den_strip = _strip(den, base)`` for ``den > 0`` and the pair need not
+    be reduced; None if ``num/den`` is not over the base.
+
+    ``num/den`` is over the base exactly when ``|num|`` and ``den`` leave
+    equal cofactors: the base elements are pairwise coprime, so one that
+    divided the ratio of the cofactors would divide a cofactor itself.
+    """
+    top, rest = _strip(abs(num), base)
+    bottom, left = den_strip
+    if rest != left:
+        return None
+    return [1 if num < 0 else 0] + [t - b for t, b in zip(top, bottom)]
 
 
 @lru_cache(maxsize=256)
 def _generator_lattice(generators: tuple[Fraction, ...]) -> Lattice:
-    """A coprime base of the generators and their sign/exponent columns over it.
+    """A coprime base of the generators and the echelon steps of their lattice.
 
     The base refines the generators' numerators and denominators, so no
-    prime is ever needed.  The last column is the doubled sign coordinate:
-    sign flips only matter mod 2.
+    prime is ever needed.  The columns are the generators' sign/exponent
+    vectors plus the doubled sign coordinate (sign flips only matter mod 2).
+    Row by row, gcd column operations, which preserve the lattice, reduce
+    the columns not yet used to one pivot column (Hermite-style; Cohen, *A
+    Course in Computational Algebraic Number Theory*, section 2.4).  None of
+    this depends on a target, so it runs once per generator tuple.
     """
     base = _coprime_base([v for g in generators for v in (abs(g.numerator), g.denominator)])
-    columns = tuple(tuple(_over_base(g.numerator, g.denominator, base)) for g in generators)
-    return base, columns + ((2,) + (0,) * len(base),)
+    cols = [_over_base(g.numerator, _strip(g.denominator, base), base) for g in generators]
+    cols.append([2] + [0] * len(base))
+    steps = []
+    used = 0
+    for row in range(len(base) + 1):
+        pivot = None
+        for j in range(used, len(cols)):
+            if cols[j][row] != 0:
+                if pivot is None:
+                    pivot = j
+                else:
+                    a, b = cols[pivot][row], cols[j][row]
+                    g, x, y = _xgcd(a, b)
+                    combo = [x * u + y * v for u, v in zip(cols[pivot], cols[j])]
+                    kernel = [
+                        -(b // g) * u + (a // g) * v
+                        for u, v in zip(cols[pivot], cols[j])
+                    ]
+                    cols[pivot], cols[j] = combo, kernel
+        if pivot is None:
+            steps.append((row, None))
+            continue
+        steps.append((row, tuple(cols[pivot])))
+        cols[used], cols[pivot] = cols[pivot], cols[used]
+        used += 1
+    return base, tuple(steps)
 
 
-# Membership of the reduced fraction ``num/den`` (``den > 0``), decided on
-# integers: callers pass a Fraction's parts or a gcd-reduced integer pair, and
-# look the generators' lattice up once, not once per sample.  Nothing is
-# cached; the zero-size lru_cache stays only so that perfbench can count the
-# calls as ``cache_info()`` misses.
+# Membership of ``num/den`` (``den > 0``, reduced or not), decided on
+# integers: the in-group flags, ``FunctionOracle.evaluate`` and
+# ``subgroup_membership`` pass a Fraction's parts and look the generators'
+# lattice up once, not once per sample.  The quotient kernel does not call
+# it: it strips each sample's shared denominator once and tests the terms
+# itself.  Nothing is cached; the zero-size lru_cache stays only so that
+# perfbench can count the calls as ``cache_info()`` misses.
 @lru_cache(maxsize=0)
 def _membership(num: int, den: int, lattice: Lattice) -> bool:
-    base, columns = lattice
-    target = _over_base(num, den, base)
-    return target is not None and _lattice_member(columns, target)
+    base, steps = lattice
+    target = _over_base(num, _strip(den, base), base)
+    return target is not None and _lattice_member(steps, target)
 
 
 def subgroup_membership(x: Rationalish, generators: Sequence[Rationalish]) -> bool:
@@ -233,6 +276,16 @@ def subgroup_membership(x: Rationalish, generators: Sequence[Rationalish]) -> bo
     if x == 0 or any(g == 0 for g in gens):
         raise ZeroInput("subgroup membership is defined on nonzero rationals")
     return _membership(x.numerator, x.denominator, _generator_lattice(gens))
+
+
+def _degree(oracle: FunctionOracle) -> int:
+    """A monomial's exponent or a polynomial's highest power; 0 for the others."""
+    return max(oracle.degree, len(oracle.coeffs) - 1)
+
+
+def _check_size(oracle: FunctionOracle, depth: int, cfg: ProbeConfig) -> None:
+    size = depth * cfg.j_max ** 2 * max(_degree(oracle), 1)
+    _check_limit("the probe size depth * j_max**2 * degree", size, MAX_PROBE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -266,7 +319,7 @@ class FunctionOracle:
             raise CalculusError("monomial degree must be an integer")
         if self.degree < 0:
             raise CalculusError("monomial degree must be >= 0")
-        _check_limit("the oracle degree", max(self.degree, len(self.coeffs) - 1), MAX_ORACLE_DEGREE)
+        _check_limit("the oracle degree", _degree(self), MAX_ORACLE_DEGREE)
         if self.kind == ORACLE_SUBGROUP_MONOMIAL:
             if not self.generators:
                 raise CalculusError("subgroup monomials need generators")
@@ -401,13 +454,17 @@ def _integer_oracle(oracle: FunctionOracle) -> tuple[int, int, Callable[[int, in
             return total
 
         return max(len(coeffs) - 1, 0), dp, horner
-    lattice = _generator_lattice(oracle.generators)
+    base, steps = _generator_lattice(oracle.generators)
+    shared: dict[int, tuple[list[int], int]] = {}  # every term of a sample has the same D
 
     def on_subgroup(u: int, d: int) -> int:
         if not u:
             return 0
-        g = gcd(u, d)
-        return u ** k if _membership(u // g, d // g, lattice) else 0
+        if d not in shared:
+            shared.clear()
+            shared[d] = _strip(d, base)
+        target = _over_base(u, shared[d], base)
+        return u ** k if target is not None and _lattice_member(steps, target) else 0
 
     return k, 1, on_subgroup
 
@@ -555,6 +612,22 @@ def _auto_subgroup_ratios(oracle: FunctionOracle) -> list[Fraction]:
     return extra
 
 
+@lru_cache(maxsize=64)
+def _steps(h0: Fraction, ratio: Fraction, j_min: int, j_max: int) -> tuple[Fraction, ...]:
+    """The steps ``h0 * ratio**j`` for ``j_min <= j <= j_max``, one multiplication each.
+
+    Fractions are canonical, so each step equals ``h0 * ratio**j`` computed
+    afresh.  Every probe with one configuration walks the same sequences,
+    and so does every stage of a Peano probe.
+    """
+    steps = []
+    h = h0 * ratio ** j_min
+    for _ in range(j_min, j_max + 1):
+        steps.append(h)
+        h *= ratio
+    return tuple(steps)
+
+
 def limit_probe(
     scheme: Scheme,
     oracle: FunctionOracle,
@@ -572,6 +645,7 @@ def limit_probe(
     """
     cfg = config or ProbeConfig()
     x = parse_rational(x)
+    _check_size(oracle, 1, cfg)
     ratios = list(cfg.ratios)
     if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
         lattice = _generator_lattice(oracle.generators)
@@ -583,11 +657,8 @@ def limit_probe(
     sequences = []
     for ratio in ratios:
         for sign in (1, -1):
-            samples = []
-            h = sign * cfg.h0 * ratio ** cfg.j_min
-            for _ in range(cfg.j_min, cfg.j_max + 1):
-                samples.append((h, quotient(h)))
-                h *= ratio
+            steps = _steps(sign * cfg.h0, ratio, cfg.j_min, cfg.j_max)
+            samples = [(h, quotient(h)) for h in steps]
             in_group: Optional[bool] = None
             if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
                 flags = [_membership(h.numerator, h.denominator, lattice) for h, _ in samples]
@@ -630,6 +701,7 @@ def peano_probe(
     if not _is_int(n) or n < 1:
         raise CalculusError("the probe depth n must be a positive integer")
     _check_limit("the probe depth n", n, MAX_PEANO_DEPTH)
+    _check_size(oracle, n, config or ProbeConfig())
     stages = []
     for order in range(1, n + 1):
         report = limit_probe(named_scheme(mz_tilde(order)), oracle, x, config)

@@ -1,4 +1,4 @@
-"""Independent reference for subgroup membership: factor everything.
+"""Independent references for subgroup membership.
 
 ``reference_membership`` is the membership test that ``grdcalc.probes`` once
 ran: it factors the sample point and every generator by trial division up
@@ -7,11 +7,19 @@ vectors.  It is kept unchanged (only its result cache is dropped) so the
 coprime-base membership test can be compared against it wherever it
 answers; on a number it cannot factor it raises
 ``FactorizationBoundExceeded``.
+
+``reference_coprime_membership`` is the coprime-base test that followed it:
+a reduced pair is divided by the base elements (``_reduced_over_base``, the
+library's former ``_over_base``, renamed only) and every call eliminates
+the generator columns afresh with ``_lattice_member``, which is the
+library's former ``_lattice_member`` as well.
 """
 
 from fractions import Fraction
+from typing import Optional, Sequence
 
 from grdcalc import FactorizationBoundExceeded
+from grdcalc.probes import _coprime_base
 
 _TRIAL_DIVISION_BOUND = 10 ** 6
 
@@ -111,3 +119,28 @@ def reference_membership(x: Fraction, generators: tuple[Fraction, ...]) -> bool:
     columns.append([2] + [0] * len(primes))  # sign flips only matter mod 2
     target = [sign_x] + [exps_x.get(p, 0) for p in primes]
     return _lattice_member(columns, target)
+
+
+def _reduced_over_base(num: int, den: int, base: Sequence[int]) -> Optional[list[int]]:
+    """Sign bit and exponents of ``num/den != 0`` (``den > 0``, reduced) over a
+    coprime base; None if a factor is left over."""
+    vector = [1 if num < 0 else 0]
+    num = abs(num)
+    for b in base:
+        exp = 0
+        while num % b == 0:
+            num //= b
+            exp += 1
+        while den % b == 0:
+            den //= b
+            exp -= 1
+        vector.append(exp)
+    return vector if num == den == 1 else None
+
+
+def reference_coprime_membership(x: Fraction, generators: tuple[Fraction, ...]) -> bool:
+    base = _coprime_base([v for g in generators for v in (abs(g.numerator), g.denominator)])
+    columns = [_reduced_over_base(g.numerator, g.denominator, base) for g in generators]
+    columns.append([2] + [0] * len(base))
+    target = _reduced_over_base(x.numerator, x.denominator, base)
+    return target is not None and _lattice_member(columns, target)

@@ -4,9 +4,10 @@
 ran: each step is ``sign * h0 * ratio**j`` computed afresh, the tail test
 ``_fraction_close`` subtracts and compares Fractions, and the in-group flags
 ask ``_fraction_membership`` of a Fraction over a lattice that
-``_fraction_generator_lattice`` builds from Fractions.  They are kept as they
-were, renamed only, so the integer versions can be compared with them
-exactly.  The quotients come from the library's kernel, which
+``_fraction_generator_lattice`` builds from Fractions, eliminating the
+generator columns on every call with the former ``_lattice_member`` that
+``membership_reference`` keeps.  They are kept as they were, renamed only,
+so the integer versions can be compared with them exactly.  The quotients come from the library's kernel, which
 ``test_quotient_kernel_matches_fraction_reference`` pins to plain Fraction
 sums.
 """
@@ -25,9 +26,9 @@ from grdcalc.probes import (
     _TAIL_LENGTH,
     _auto_subgroup_ratios,
     _coprime_base,
-    _lattice_member,
     _quotient_kernel,
 )
+from membership_reference import _lattice_member
 
 
 def _fraction_over_base(x: Fraction, base: Sequence[int]) -> Optional[list[int]]:

@@ -672,6 +672,10 @@ def test_json_emitter_reproduces_every_golden_payload(path):
          "error: the probe depth n must be at most 16, got 100000\n"),
         (["probe", "riemann:n=1", "--oracle=abs", "--jmax", "9" * 4000],
          "error: j_max must be at most 256, got " + "9" * 100 + "... (4000 characters)\n"),
+        # each input within its own limit, their product above MAX_PROBE_SIZE
+        (["probe", "--peano", "16", "--oracle=mono:k=32", "--x=1/3", "--jmax", "256"],
+         "error: the probe size depth * j_max**2 * degree must be at most 4194304, "
+         "got 33554432\n"),
     ],
 )
 def test_probe_inputs_over_a_limit_are_refused_at_once(argv, message):

@@ -289,6 +289,9 @@ REFUSALS = {
     "refuse_probe_degree_over_limit": ["probe", "riemann:n=2", "--oracle=mono:k=33", "--x=1"],
     "refuse_probe_depth_over_limit": ["probe", "--peano", "17", "--oracle=mono:k=1", "--x=1/3"],
     "refuse_probe_jmax_over_limit": ["probe", "riemann:n=1", "--oracle", "abs", "--jmax", "257"],
+    "refuse_probe_size_over_limit": [
+        "probe", "--peano", "16", "--oracle=mono:k=32", "--x=1/3", "--jmax", "256",
+    ],
     # JSON true and false are not rationals
     "refuse_json_boolean_rational": [
         "scale", '{"terms":[{"coeff":true,"node":1},{"coeff":-1,"node":false}]}', "--by", "1",

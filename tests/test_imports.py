@@ -1,11 +1,14 @@
-"""Every name a library module imports is used in that module, and every
-private module-level name is read somewhere in the package.
+"""Every name a library module imports is used in that module, every
+private module-level name is read somewhere in the package, and every memo
+is bounded.
 
 A stale import keeps a dependency alive after the code that needed it is
 gone, and so does a private helper, class or constant that nothing reads
-any more.  The checks read each module's syntax tree with the standard
-library's ``ast``, so they need no lint tool.  ``__init__.py`` is left out
-of the import check, because its imports are the package's public names.
+any more.  A memo without a bound grows for the life of the process, which
+in ``--batch`` mode is a whole session.  The checks read each module's
+syntax tree with the standard library's ``ast``, so they need no lint tool.
+``__init__.py`` is left out of the import check, because its imports are
+the package's public names.
 """
 
 import ast
@@ -87,3 +90,54 @@ def test_unread_private_names_are_found():
 def test_every_private_name_is_read():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+def unbounded_memos(source: str) -> list[str]:
+    """Functions taking arguments whose ``lru_cache`` or ``cache`` decorator
+    gives no integer ``maxsize``.
+
+    ``cache`` and a bare ``lru_cache`` count as unbounded; a function with
+    no parameters has one entry to keep, so any memo on it is bounded.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        params = node.args
+        if not (params.posonlyargs or params.args or params.vararg or params.kwonlyargs
+                or params.kwarg):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            target = call.func if call else decorator
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name not in ("lru_cache", "cache"):
+                continue
+            size = None
+            if call:
+                given = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+                size = given[0] if given else None
+            bounded = isinstance(size, ast.Constant) and type(size.value) is int
+            if name == "cache" or not bounded:
+                found.append(node.name)
+    return found
+
+
+def test_unbounded_memos_are_found():
+    source = (
+        "from functools import cache, lru_cache\n"
+        "import functools\n"
+        "@lru_cache(maxsize=None)\ndef a(x): pass\n"
+        "@lru_cache\ndef b(x): pass\n"
+        "@cache\ndef c(x): pass\n"
+        "@functools.lru_cache(None)\ndef d(x): pass\n"
+        "@lru_cache(maxsize=8)\ndef kept(x): pass\n"
+        "@functools.lru_cache(0)\ndef counted(x): pass\n"
+        "@cache\ndef no_arguments(): pass\n"
+    )
+    assert unbounded_memos(source) == ["a", "b", "c", "d"]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_memo_is_bounded(module):
+    assert unbounded_memos(module.read_text(encoding="utf-8")) == []

@@ -5,11 +5,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from grdcalc import FactorizationBoundExceeded, subgroup_membership
-from grdcalc.probes import _coprime_base
-from membership_reference import reference_membership
+from grdcalc.probes import _coprime_base, _generator_lattice, _membership
+from membership_reference import reference_coprime_membership, reference_membership
 
 GENERATOR_SETS = [
     (Fraction(1),),
@@ -140,3 +141,57 @@ def test_generator_products_agree_with_reference(gens, powers, sign, stray):
     for g, k in zip(gens, powers):
         x *= g ** k
     assert assert_agrees(x, tuple(gens))
+
+
+# generators whose coprime base has composite elements (4, 6, 12/5 and 10/9
+# refine to such bases together), with the units and a negative prime
+COMPOSITE_BASE_GENERATORS = [
+    Fraction(4), Fraction(6), Fraction(12, 5), Fraction(10, 9), Fraction(-1), Fraction(1),
+    Fraction(-2),
+]
+STRAYS = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(2, 3), Fraction(5),
+          Fraction(1, 6), Fraction(7, 4)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(COMPOSITE_BASE_GENERATORS), min_size=1, max_size=4),
+    st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+    st.sampled_from(STRAYS),
+    st.sampled_from([1, -1]),
+    st.integers(1, 10 ** 6),
+)
+def test_unreduced_pairs_agree_with_reference(gens, powers, stray, sign, g):
+    """``_membership`` takes ``num/den`` with a common factor ``g`` left in."""
+    gens = tuple(gens)
+    x = sign * stray
+    for gen, k in zip(gens, powers):
+        x *= gen ** k
+    want = reference_membership(x, gens)
+    assert reference_coprime_membership(x, gens) == want
+    assert _membership(x.numerator * g, x.denominator * g, _generator_lattice(gens)) == want
+
+
+@pytest.mark.parametrize(
+    "num, den, gens, member",
+    [
+        # |num| and den leave the cofactors 2 and 2 over the base {4}: 2/8 = 4**-1
+        (2, 8, [4], True),
+        (-8, 2, [4, -1], True),
+        (2, 4, [4], False),
+        (4, 2, [4], False),
+        # cofactors 3 and 2 over the base {6}
+        (3, 2, [6], False),
+        (9, 6, [6], False),
+        (12, 2, [6], True),
+        (-3, 18, [6, -1], True),
+        (3, 12, [6, -1], False),
+        # the base {2, 3, 5} of 12/5 and 10/9 against 25 = 5**2
+        (48, 25, [Fraction(12, 5), Fraction(10, 9)], False),
+        (144 * 7, 25 * 7, [Fraction(12, 5), Fraction(10, 9)], True),
+    ],
+)
+def test_cofactor_cases(num, den, gens, member):
+    gens = tuple(Fraction(v) for v in gens)
+    assert _membership(num, den, _generator_lattice(gens)) is member
+    assert reference_membership(Fraction(num, den), gens) is member

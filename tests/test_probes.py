@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -208,8 +209,10 @@ rational = st.fractions(
 nonzero = rational.filter(lambda v: v != 0)
 
 # oracles of every kind: rational polynomial coefficients (also none, or one),
-# monomials down to degree 0, negative and fractional subgroup generators
-GENERATORS = [-2, Fraction(3, 5), Fraction(-1, 3), 2, Fraction(5, 2), -1, 6]
+# monomials down to degree 0, negative and fractional subgroup generators,
+# and generators that leave composite base elements (4, 6 and 12/5 alone)
+GENERATORS = [-2, Fraction(3, 5), Fraction(-1, 3), 2, Fraction(5, 2), -1, 6, Fraction(4),
+              Fraction(12, 5)]
 oracles = st.one_of(
     st.just(abs_oracle()),
     st.just(sgnsq_oracle()),
@@ -532,6 +535,20 @@ def test_probe_inputs_at_their_limits_are_accepted():
     assert ProbeConfig(j_max=probes.MAX_J).j_max == probes.MAX_J
 
 
+def test_probe_size_is_bounded_on_the_product_of_the_limits():
+    at_limits = ProbeConfig(j_max=probes.MAX_J)
+    with pytest.raises(ProbeBoundExceeded, match="^the probe size depth [*] j_max[*][*]2 "):
+        peano_probe(monomial_oracle(probes.MAX_ORACLE_DEGREE), Fraction(1, 3), 16, at_limits)
+    # 2 * 256**2 * 32 is the bound itself: accepted, checked without sampling
+    top = polynomial_oracle([1] * (probes.MAX_ORACLE_DEGREE + 1))
+    assert 2 * probes.MAX_J ** 2 * probes.MAX_ORACLE_DEGREE == probes.MAX_PROBE_SIZE
+    probes._check_size(top, 2, at_limits)
+    with pytest.raises(ProbeBoundExceeded, match=", got 6291456$"):
+        probes._check_size(top, 3, at_limits)
+    # degree 0 counts as 1
+    probes._check_size(abs_oracle(), probes.MAX_PEANO_DEPTH, at_limits)
+
+
 def test_probe_limit_refusal_echo_is_bounded():
     with pytest.raises(ProbeBoundExceeded) as refused:
         ProbeConfig(j_max=10 ** 5000)
@@ -575,6 +592,32 @@ def test_limit_probe_matches_fraction_reference(nodes, oracle, x, config):
     want = reference_limit_probe(scheme, oracle, x, config)
     assert got == want
     assert got.to_json_dict() == want.to_json_dict()
+
+
+def test_steps_are_powers_of_the_ratio():
+    # h0 = 6 and 10/9 share factors with the ratios' numerators and denominators
+    for h0, ratio, sign, (j_min, j_max) in product(
+        [Fraction(1), Fraction(-3, 4), Fraction(6), Fraction(10, 9)],
+        [Fraction(1, 2), Fraction(-2, 3), Fraction(-1, 5), Fraction(3, 4), Fraction(-5, 6)],
+        [1, -1],
+        [(0, 1), (4, 40), (3, 17)],
+    ):
+        steps = probes._steps(sign * h0, ratio, j_min, j_max)
+        assert steps == tuple(sign * h0 * ratio ** j for j in range(j_min, j_max + 1))
+
+
+def test_limit_probe_reports_do_not_depend_on_call_order():
+    configs = [
+        ProbeConfig(),
+        ProbeConfig(Fraction(6), (Fraction(-2, 3), Fraction(1, 2)), 2, 14, Fraction(1, 100)),
+    ]
+    oracle = subgroup_monomial_oracle(2, [Fraction(4), Fraction(12, 5)])
+    x = Fraction(1, 3)
+    want = [reference_limit_probe(D2_SYM, oracle, x, c) for c in configs]
+    for order in ([0, 1], [1, 0], [0, 1, 0, 1]):
+        probes._steps.cache_clear()
+        for i in order:
+            assert limit_probe(D2_SYM, oracle, x, configs[i]) == want[i]
 
 
 wide = st.fractions(
