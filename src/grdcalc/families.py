@@ -6,9 +6,11 @@ whose nonzero nodes are powers of a ratio ``q``, and two doubling-pattern
 families used as canonical order-``n`` witnesses.  Each family is defined by
 its nodes alone: every member has ``n+1`` distinct nodes (:func:`family_nodes`)
 and is the unique normalized exact scheme on them, with ``m_j = 0`` for
-``j < n`` and ``m_n = n!``.  One table, ``_VARIANTS``, says what each variant
-is called on the command line and which of the shift ``k`` and the ratio
-``q`` it takes.
+``j < n`` and ``m_n = n!``.  So :func:`named_scheme` builds each member one
+way, by :func:`~grdcalc.scheme.construct_exact` on those nodes, and checks
+the build by those defining moments.  One table, ``_VARIANTS``, says what
+each variant is called on the command line and which of the shift ``k`` and
+the ratio ``q`` it takes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import Optional
 
 from .scheme import (
@@ -30,7 +31,6 @@ from .scheme import (
     _echo,
     _is_int,
     _require,
-    canonicalize,
     construct_exact,
     format_rational,
     order_info,
@@ -152,13 +152,18 @@ def script_d_bar(n: int, q: Rationalish) -> FamilyKind:
     return FamilyKind(SCRIPT_D_BAR, n, q=parse_rational(q))
 
 
-def _qbinom_row(n: int, q: Fraction) -> list[Fraction]:
-    """The row ``[n,0], ..., [n,n]`` of Gaussian binomials at ``q``.
+def qbinom(n: int, i: int, q: Rationalish) -> Fraction:
+    """The Gaussian binomial coefficient ``[n, i]``, evaluated exactly at rational ``q``.
 
-    Built by the Pascal-style recurrence ``[m,i] = [m-1,i-1] + q**i * [m-1,i]``,
-    which is polynomial in ``q`` and therefore also valid at ``q = +-1`` (the
-    classical-binomial limit).
+    The row ``[n,0], ..., [n,n]`` is built by the Pascal-style recurrence
+    ``[m,j] = [m-1,j-1] + q**j * [m-1,j]``, which is polynomial in ``q`` and
+    therefore also valid at ``q = +-1`` (the classical-binomial limit).
     """
+    if not (0 <= i <= n):
+        raise IndexOutOfRange(f"need 0 <= i <= n, got i={i}, n={n}")
+    q = parse_rational(q)
+    if q == 0:
+        raise InvalidQ("q must be nonzero")
     row = [Fraction(1)]
     for m in range(1, n + 1):
         prev = row
@@ -166,36 +171,7 @@ def _qbinom_row(n: int, q: Fraction) -> list[Fraction]:
         for j in range(1, m):
             row.append(prev[j - 1] + q ** j * prev[j])
         row.append(Fraction(1))
-    return row
-
-
-def qbinom(n: int, i: int, q: Rationalish) -> Fraction:
-    """The Gaussian binomial coefficient, evaluated exactly at rational ``q``."""
-    if not (0 <= i <= n):
-        raise IndexOutOfRange(f"need 0 <= i <= n, got i={i}, n={n}")
-    q = parse_rational(q)
-    if q == 0:
-        raise InvalidQ("q must be nonzero")
-    return _qbinom_row(n, q)[i]
-
-
-def _affine_closed_form(n: int, k: int, q: Fraction) -> Scheme:
-    """Geometric-node scheme on ``q**k .. q**(k+n)`` by its closed formula.
-
-    The coefficient at node ``q**(n+k-i)`` is
-    ``q**(-n*k) * lam * (-1)**i * q**(i*(i-1)/2) * [n,i]_q`` with
-    ``lam = n! / prod_{j<n} (q**n - q**j)``.
-    """
-    lam = Fraction(factorial(n))
-    for j in range(n):
-        lam /= q ** n - q ** j
-    front = lam * q ** (-n * k)
-    binomials = _qbinom_row(n, q)
-    pairs = []
-    for i in range(n + 1):
-        coeff = front * Fraction(-1) ** i * q ** (i * (i - 1) // 2) * binomials[i]
-        pairs.append((coeff, q ** (n + k - i)))
-    return canonicalize(pairs)
+    return row[i]
 
 
 def family_nodes(kind: FamilyKind) -> list[Fraction]:
@@ -234,20 +210,19 @@ def named_scheme(kind: FamilyKind) -> Scheme:
     keeps a long batch session from growing the memo without limit.
 
     Every member is the unique normalized order-``n`` scheme on its ``n+1``
-    distinct nodes, built by the closed-form (Lagrange) construction of
+    distinct nodes, built once by the closed-form (Lagrange) construction of
     :func:`construct_exact`.  A symmetric member is no exception: its nodes
     are ``n+1`` distinct points, so the unique exact scheme on them is the
-    symmetric one.  Geometric affine members are also built by their
-    q-binomial product formula, and the two results must agree; a
-    disagreement would mean an internal arithmetic fault and raises
-    ``IdentityCheckFailed`` on every read, since the memo keeps no failure.
+    symmetric one.  Since the scheme is unique, its defining moments
+    (``m_j = 0`` for ``j < n`` and ``m_n = n!``) are a complete check of the
+    build, and every variant gets it: :func:`order_info` must give order
+    ``n`` and normalizer 1.  A failed check would mean an internal arithmetic
+    fault and raises ``IdentityCheckFailed`` on every read, since the memo
+    keeps no failure.
     """
     built = construct_exact(family_nodes(kind), kind.n)
-    if kind.variant in (GAUSSIAN_AFFINE, GAUSSIAN_AFFINE_SHIFT):
-        closed = _affine_closed_form(kind.n, kind.k or 0, kind.q)
-        _require(
-            closed == built, "q-binomial form disagrees with construction for %s", kind
-        )
+    info = order_info(built)
+    _require(info.order == kind.n and info.normalizer == 1, "%s fails its defining moments", kind)
     return built
 
 

@@ -105,10 +105,6 @@ def _check_limit(what: str, value: int, limit: int) -> None:
         raise ProbeBoundExceeded(f"{what} must be at most {limit}, got {_echo(_digits(value))}")
 
 
-class FactorizationBoundExceeded(CalculusError):
-    """Kept for callers: membership factors nothing, so the library never raises it."""
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended gcd: returns (g, x, y) with a*x + b*y = g >= 0."""
     old_r, r = a, b

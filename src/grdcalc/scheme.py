@@ -79,6 +79,10 @@ class InvalidOrder(CalculusError):
 # Integer and 'p/q' strings.  Decimal reads their digits exactly at any
 # length; Fraction and int stop at the interpreter's int-from-str digit limit.
 _INTEGER_OR_RATIO = re.compile(r"([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?")
+# Fraction computes 10**exponent for a decimal string such as '15e-1', so the
+# exponent is bounded first, by the interpreter's default int-from-str digit limit.
+_EXPONENT = re.compile(r"[-+]?[\d_.]*[eE][-+]?(\d+(?:_\d+)*)")
+MAX_EXPONENT = 4300
 _ECHO_CHARS = 100
 
 
@@ -99,9 +103,10 @@ def _is_int(value: object) -> bool:
 
 
 def parse_rational(text: Rationalish) -> Fraction:
-    """Parse a rational from an int, Fraction, or a 'p/q' / 'p' string.
+    """Parse a rational from an int, Fraction, or a 'p/q' / 'p' / decimal string.
 
     A ``bool`` is an ``int`` to Python but not a rational: JSON ``true`` is refused.
+    A decimal exponent above ``MAX_EXPONENT`` in magnitude is refused up front.
     """
     if isinstance(text, Fraction):
         return text
@@ -109,6 +114,13 @@ def parse_rational(text: Rationalish) -> Fraction:
         return Fraction(text)
     body = str(text).strip()
     ratio = _INTEGER_OR_RATIO.fullmatch(body)
+    exponent = None if ratio else _EXPONENT.fullmatch(body)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+        raise CalculusError(
+            f"a rational's exponent must be at most {MAX_EXPONENT} in magnitude,"
+            f" got {_echo(repr(text))}"
+        )
     try:
         if ratio is None:
             return Fraction(body)

@@ -18,10 +18,13 @@ library's former ``_lattice_member`` as well.
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from grdcalc import FactorizationBoundExceeded
 from grdcalc.probes import _coprime_base
 
 _TRIAL_DIVISION_BOUND = 10 ** 6
+
+
+class FactorizationBoundExceeded(Exception):
+    """The reference cannot factor a number by trial division up to its bound."""
 
 
 def _factor_positive(value: int) -> dict[int, int]:

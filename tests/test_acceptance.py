@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
 
+from construction_reference import affine_closed_form
 from grdcalc import (
     PATH_FAST_DISTINCT,
     PATH_FAST_NONNEG,
@@ -50,7 +51,6 @@ from grdcalc import (
     verify_witness,
 )
 from grdcalc.cli import main
-from grdcalc.families import _affine_closed_form
 
 D31 = construct_exact([-1, 0, 1, 2], 3)
 
@@ -106,7 +106,7 @@ def test_criterion_02_affine_closed_form_grid():
             for n in range(1, 7):
                 member = named_scheme(gaussian_affine(n, q))
                 for k in range(-n, n + 1):
-                    closed = _affine_closed_form(n, k, q)
+                    closed = affine_closed_form(n, k, q)
                     shifted = scale(member, q ** k)
                     solved = construct_exact([q ** (k + i) for i in range(n + 1)], n)
                     assert closed == shifted == solved

@@ -660,7 +660,12 @@ def test_json_emitter_reproduces_every_golden_payload(path):
     assert cli._json(json.loads(text)) + "\n" == text
 
 
-# --- limits on probe inputs, in a child: at the parent commit these ran for minutes -----
+# --- limits on probe inputs and exponents, in a child: without them these ran for minutes --
+
+TEN_DIGIT_EXPONENT = "1e9999999999"
+EXPONENT_REFUSAL = (
+    f"error: a rational's exponent must be at most 4300 in magnitude, got '{TEN_DIGIT_EXPONENT}'\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -676,6 +681,18 @@ def test_json_emitter_reproduces_every_golden_payload(path):
         (["probe", "--peano", "16", "--oracle=mono:k=32", "--x=1/3", "--jmax", "256"],
          "error: the probe size depth * j_max**2 * degree must be at most 4194304, "
          "got 33554432\n"),
+        # a rational's exponent, wherever a rational is read: Fraction would
+        # compute 10**9999999999 from these 12 characters
+        *(
+            (argv, EXPONENT_REFUSAL)
+            for argv in [
+                ["scale", "riemann:n=2", "--by", TEN_DIGIT_EXPONENT],
+                ["probe", "riemann:n=1", "--oracle=abs", "--x", TEN_DIGIT_EXPONENT],
+                ["probe", "riemann:n=1", "--oracle=abs", "--h0", TEN_DIGIT_EXPONENT],
+                ["scale", f"gauss-aff:n=2,q={TEN_DIGIT_EXPONENT}", "--by", "1"],
+                ["scale", f'{{"terms":[{{"coeff":1,"node":"{TEN_DIGIT_EXPONENT}"}}]}}', "--by", "1"],
+            ]
+        ),
     ],
 )
 def test_probe_inputs_over_a_limit_are_refused_at_once(argv, message):

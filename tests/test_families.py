@@ -7,6 +7,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from construction_reference import affine_closed_form
 from grdcalc import (
     CalculusError,
     GAUSSIAN_AFFINE,
@@ -31,6 +32,7 @@ from grdcalc import (
     mz_tilde,
     mz_tilde_symmetric,
     named_scheme,
+    order_info,
     parse_family,
     qbinom,
     recognize_gaussian,
@@ -130,12 +132,33 @@ def test_members_are_kept_in_one_bounded_memo(monkeypatch):
     assert named_scheme.cache_info().maxsize == 256
     # a failed identity check is not kept: every read of the member raises again
     named_scheme.cache_clear()
-    monkeypatch.setattr(families, "_affine_closed_form", lambda n, k, q: canonicalize([(1, 0)]))
+    wrong = construct_exact([1, 3], 1)
+    monkeypatch.setattr(families, "construct_exact", lambda nodes, n: wrong)
     for _ in range(2):
-        with pytest.raises(IdentityCheckFailed, match="q-binomial"):
+        with pytest.raises(IdentityCheckFailed, match="defining moments"):
             named_scheme(kind)
     monkeypatch.undo()
     assert named_scheme(kind) == construct_exact([1, 3, 9], 2)
+
+
+@pytest.mark.parametrize(
+    "kind", [riemann(3), symmetric_riemann(4), mz_tilde(3), script_d_bar(3, 2)], ids=format_family
+)
+def test_every_variant_is_checked_by_its_defining_moments(monkeypatch, kind):
+    # a build with every coefficient doubled has the right nodes and order but
+    # normalizer 1/2; the check catches it for every variant, not only the affine ones
+    build = families.construct_exact
+    monkeypatch.setattr(
+        families,
+        "construct_exact",
+        lambda nodes, n: canonicalize((2 * t.coeff, t.node) for t in build(nodes, n)),
+    )
+    named_scheme.cache_clear()
+    for _ in range(2):
+        with pytest.raises(IdentityCheckFailed, match="defining moments"):
+            named_scheme(kind)
+    monkeypatch.undo()
+    assert order_info(named_scheme(kind)).normalizer == 1
 
 
 # These identities are why mz_check leaves the doubling-node witnesses and the
@@ -280,9 +303,8 @@ def test_family_errors():
 @settings(max_examples=40)
 @given(st.integers(min_value=1, max_value=5), sane_q)
 def test_affine_closed_form_agrees_with_solver(n, q):
-    # named_scheme itself asserts q-binomial form == Lagrange construction;
-    # exercise it broadly
     member = named_scheme(gaussian_affine(n, q))
+    assert affine_closed_form(n, 0, q) == member
     assert member == construct_exact([q ** i for i in range(n + 1)], n)
 
 

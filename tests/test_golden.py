@@ -292,6 +292,8 @@ REFUSALS = {
     "refuse_probe_size_over_limit": [
         "probe", "--peano", "16", "--oracle=mono:k=32", "--x=1/3", "--jmax", "256",
     ],
+    # an exponent above its limit is refused before Fraction computes 10**999999
+    "refuse_rational_exponent_over_limit": ["scale", "riemann:n=2", "--by", "1e999999"],
     # JSON true and false are not rationals
     "refuse_json_boolean_rational": [
         "scale", '{"terms":[{"coeff":true,"node":1},{"coeff":-1,"node":false}]}', "--by", "1",

@@ -1,6 +1,6 @@
 """Every name a library module imports is used in that module, every
-private module-level name is read somewhere in the package, and every memo
-is bounded.
+private module-level name is read somewhere in the package, every memo is
+bounded, and the package's public names are pinned.
 
 A stale import keeps a dependency alive after the code that needed it is
 gone, and so does a private helper, class or constant that nothing reads
@@ -8,13 +8,16 @@ any more.  A memo without a bound grows for the life of the process, which
 in ``--batch`` mode is a whole session.  The checks read each module's
 syntax tree with the standard library's ``ast``, so they need no lint tool.
 ``__init__.py`` is left out of the import check, because its imports are
-the package's public names.
+the package's public names; those are compared with a literal list, so a
+public name is added or removed only on purpose.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import grdcalc
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "grdcalc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -141,3 +144,39 @@ def test_unbounded_memos_are_found():
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_memo_is_bounded(module):
     assert unbounded_memos(module.read_text(encoding="utf-8")) == []
+
+
+PUBLIC_NAMES = [
+    "CERT_D2S_NOT_MZ", "CERT_D31", "CERT_GAUSSIAN", "CERT_GGR_SET", "CERT_RIEMANN_NOT_MZ",
+    "CONJECTURE_GAUSSIAN", "CONJECTURE_NONE", "CONJECTURE_RIEMANN", "CONTINUITY",
+    "CalculusError", "Certificate", "ContinuityMarker", "DuplicateNodes", "DuplicateOrder",
+    "EquivalenceVerdict", "FamilyKind", "FunctionOracle", "GAUSSIAN_AFFINE",
+    "GAUSSIAN_AFFINE_SHIFT", "GAUSSIAN_FORWARD", "GAUSSIAN_SYMMETRIC", "GaussianMatch",
+    "IdentityCheckFailed", "InconsistentSystem", "IndexOutOfRange", "InvalidOrder",
+    "InvalidQ", "MZ_TILDE", "MZ_TILDE_SYMMETRIC", "MissingOrder", "MixedOrders",
+    "MzVerdict", "NTimesReport", "NotNormalized", "OrderInfo", "PATH_FAST_DISTINCT",
+    "PATH_FAST_NONNEG", "PATH_GENERAL", "PATH_SYMMETRIC", "PEANO_ALL_MZ", "PEANO_IDENTITY",
+    "PEANO_UNKNOWN", "ProbeBoundExceeded", "ProbeConfig", "ProbeReport", "ProbeSequence",
+    "REASON_ORDER", "REASON_SKEW", "REASON_SKEW_ZERO", "REASON_SYMMETRIC", "RIEMANN",
+    "RIEMANN_SHIFT", "SCRIPT_D", "SCRIPT_D_BAR", "STATUS_MZ", "STATUS_NOT_MZ",
+    "STATUS_OPEN", "SYMMETRIC_RIEMANN", "Scheme", "Term", "UnderdeterminedSystem",
+    "VERDICT_CONVERGES", "VERDICT_DIVERGES", "VERDICT_INCONCLUSIVE", "Witness",
+    "WrongNodeCount", "ZeroDilation", "ZeroInput", "ZeroNodeParityError", "ZeroScale",
+    "ZeroScheme", "ZeroStep", "abs_oracle", "canonicalize", "class_member", "combine",
+    "construct_exact", "construct_exact_symmetric", "decide_equivalent", "decompose",
+    "equivalence", "equivalent_gaussian", "eval_quotient", "families", "family_nodes",
+    "format_family", "format_oracle", "format_rational", "format_scheme", "gaussian_affine",
+    "gaussian_affine_shift", "gaussian_forward", "gaussian_symmetric", "ggr_set",
+    "is_scale", "is_symmetric", "limit_probe", "match_to_json_dict", "moment",
+    "monomial_oracle", "mz", "mz_check", "mz_set_check", "mz_tilde", "mz_tilde_symmetric",
+    "n_times_check", "named_scheme", "normalized", "order_info", "parse_family",
+    "parse_oracle", "parse_rational", "peano_probe", "polynomial_oracle", "probes",
+    "qbinom", "recognize_gaussian", "reflect", "riemann", "riemann_shift", "scale",
+    "scale_partners", "scheme", "scheme_from_json", "scheme_to_json_dict", "script_d",
+    "script_d_bar", "sgnsq_oracle", "subgroup_membership", "subgroup_monomial_oracle",
+    "symmetric_riemann", "verify_quantum_ggr", "verify_witness"
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(grdcalc.__all__) == PUBLIC_NAMES

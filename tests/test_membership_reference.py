@@ -8,9 +8,13 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grdcalc import FactorizationBoundExceeded, subgroup_membership
+from grdcalc import subgroup_membership
 from grdcalc.probes import _coprime_base, _generator_lattice, _membership
-from membership_reference import reference_coprime_membership, reference_membership
+from membership_reference import (
+    FactorizationBoundExceeded,
+    reference_coprime_membership,
+    reference_membership,
+)
 
 GENERATOR_SETS = [
     (Fraction(1),),

@@ -99,6 +99,26 @@ def test_parse_rational_past_the_int_digit_limit():
         parse_rational("pi")
 
 
+def test_parse_rational_bounds_the_exponent():
+    # Fraction computes 10**exponent, so '1e999999' once ran for many seconds
+    assert parse_rational("1.5e3") == 1500
+    assert parse_rational(" -25E-1 ") == Fraction(-5, 2)
+    assert parse_rational("1e4300") == 10 ** 4300
+    assert parse_rational("1e-4_300") == Fraction(1, 10 ** 4300)
+    assert parse_rational("2e+0000000000000000004300") == 2 * 10 ** 4300
+    for text in ("1e4301", "1e-4301", "1e999999", "1e1_000_000", "-3.5E+99999"):
+        with pytest.raises(CalculusError, match=r"exponent must be at most 4300 in magnitude"):
+            parse_rational(text)
+    with pytest.raises(
+        CalculusError,
+        match=r"^a rational's exponent must be at most 4300 in magnitude, "
+        r"got '1e9{97}\.\.\. \(5004 characters\)$",
+    ):
+        parse_rational("1e" + "9" * 5000)
+    with pytest.raises(CalculusError, match=r"exponent must be at most 4300"):
+        scheme_from_json('{"terms":[{"coeff":"1e99999","node":1},{"coeff":-1,"node":0}]}')
+
+
 def test_format_rational_past_the_int_digit_limit():
     # 9,543 and 4,516 digits: past the default 4,300-digit int-to-str limit
     big = Fraction(-(3 ** 20000) - 2, 2 ** 15001)
