@@ -107,6 +107,24 @@ def _csv_rationals(text: str) -> list[Fraction]:
     return [parse_rational(piece) for piece in items]
 
 
+def _records(rows: list, indent: str) -> Optional[list[str]]:
+    """Items of flat dicts with the same str keys in one order and str values (probe
+    samples, scheme terms), written through one template; None for other lists."""
+    first = rows[0] if rows else None
+    if not (isinstance(first, dict) and first and all(isinstance(v, str) for v in first.values())):
+        return None
+    keys = tuple(first)
+    if not all(isinstance(row, dict) and tuple(row) == keys for row in rows):
+        return None
+    inner = indent + "  "
+    fields = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
+    template = "{" + inner + ("," + inner).join(fields) + indent + "}"
+    try:  # encode_basestring_ascii raises TypeError on anything but a str
+        return [template % tuple(map(encode_basestring_ascii, row.values())) for row in rows]
+    except TypeError:
+        return None
+
+
 def _json(value: object, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for what a payload holds:
     dicts with str keys, lists, str, int, bool and None.
@@ -125,7 +143,7 @@ def _json(value: object, indent: str = "\n") -> str:
         items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
         brackets = "{}"
     else:
-        items = [_json(v, inner) for v in value]
+        items = _records(value, inner) or [_json(v, inner) for v in value]
         brackets = "[]"
     if not items:
         return brackets

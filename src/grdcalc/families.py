@@ -28,6 +28,7 @@ from .scheme import (
     ZeroScale,
     ZeroScheme,
     _check_order,
+    _digits,
     _echo,
     _is_int,
     _require,
@@ -43,7 +44,10 @@ class InvalidQ(CalculusError):
 
 
 class IndexOutOfRange(CalculusError):
-    """Binomial index outside 0..n."""
+    """Binomial index outside 0..n, or n above ``MAX_QBINOM_N``."""
+
+
+MAX_QBINOM_N = 256  # README.md gives timings
 
 
 RIEMANN = "Riemann"
@@ -155,23 +159,24 @@ def script_d_bar(n: int, q: Rationalish) -> FamilyKind:
 def qbinom(n: int, i: int, q: Rationalish) -> Fraction:
     """The Gaussian binomial coefficient ``[n, i]``, evaluated exactly at rational ``q``.
 
-    The row ``[n,0], ..., [n,n]`` is built by the Pascal-style recurrence
-    ``[m,j] = [m-1,j-1] + q**j * [m-1,j]``, which is polynomial in ``q`` and
-    therefore also valid at ``q = +-1`` (the classical-binomial limit).
+    The Pascal-style recurrence ``[m,j] = [m-1,j-1] + q**j * [m-1,j]``, which is
+    polynomial in ``q`` and so also valid at ``q = +-1``, runs on integers up to
+    column ``min(i, n-i)`` (``[n,i] = [n,n-i]``), for ``n`` at most ``MAX_QBINOM_N``.
     """
     if not (0 <= i <= n):
         raise IndexOutOfRange(f"need 0 <= i <= n, got i={i}, n={n}")
+    if n > MAX_QBINOM_N:
+        raise IndexOutOfRange(f"n must be at most {MAX_QBINOM_N}, got {_echo(_digits(n))}")
     q = parse_rational(q)
     if q == 0:
         raise InvalidQ("q must be nonzero")
-    row = [Fraction(1)]
+    i = min(i, n - i)
+    a, b = q.numerator, q.denominator
+    row = [1]  # P[m,j] = [m,j] * b**(j*(m-j)) = P[m-1,j-1] * b**(m-j) + a**j * P[m-1,j]
     for m in range(1, n + 1):
-        prev = row
-        row = [Fraction(1)]
-        for j in range(1, m):
-            row.append(prev[j - 1] + q ** j * prev[j])
-        row.append(Fraction(1))
-    return row[i]
+        inner = [row[j - 1] * b ** (m - j) + a ** j * row[j] for j in range(1, min(m, i + 1))]
+        row = [1] + inner + [1] * (m <= i)
+    return Fraction(row[i], b ** (i * (n - i)))
 
 
 def family_nodes(kind: FamilyKind) -> list[Fraction]:

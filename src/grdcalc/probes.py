@@ -18,23 +18,22 @@ reduced to echelon form once per generator tuple.
 
 Every per-sample step runs on integers or on Fractions that already exist.
 A sequence is walked by one multiplication per step, ``h *= rho``, from
-``sign * h0 * rho**j_min``, and built once per ``(sign * h0, rho, j_min,
-j_max)``: every probe with one configuration, and every stage of a Peano
-probe, reads the same sequences.  Quotients are computed fraction-free:
-once per scheme, order, oracle and base point, the coefficients and nodes
-are scaled to integers ``A_i`` and ``B_i`` over their lcm denominators
-``DA`` and ``DB`` (a polynomial's coefficients likewise to ``P_i`` over
-``DP``), and the oracle's homogeneous degree ``e`` is fixed.  For a step
-``h = H/DH`` and ``x = xn/xd`` every argument ``x + b_i*h`` is ``u_i/D``
-with ``D = xd*DB*DH`` and ``u_i = xn*DB*DH + xd*B_i*H``; the oracle is
-evaluated on ``u_i`` in integers as ``F_i`` (``|u|``, ``u*|u|``,
-``u**k``, ``sum P_i u**i D**(e-i)``, or ``u**k`` on the subgroup and 0
-off it), and the quotient is the single fraction
-``sum A_i*F_i * DH**n / (DA*DP*D**e * H**n)``, reduced by one gcd.  For
-the subgroup test the kernel strips the shared ``D`` over the base once
-per sample and each term only its own ``u_i``; ``u_i/D`` is never
-reduced, and the kernel does not go through ``_membership``.  The tail
-test compares ``a/b`` and ``c/d`` under the tolerance ``s/t`` as
+``sign * h0 * rho**j_min``, and built with its steps' texts once per
+``(sign * h0, rho, j_min, j_max)``, for every probe with that configuration
+and every stage of a Peano probe; its in-group flag is decided once per
+generator lattice.  For ``mono`` and ``poly``, ``f(x+t) = sum c_j t**j``
+gives ``S(h)/h**n = sum_j c_j*m_j * h**(j-n)`` over the moments ``m_j``
+(Ash, Trans. AMS 126, 1967), one integer Horner per sample.  The other
+oracles are summed node by node, with the coefficients and nodes scaled to
+integers ``A_i`` and ``B_i`` over their lcm denominators ``DA`` and ``DB``:
+for ``h = H/DH`` and ``x = xn/xd`` each ``x + b_i*h`` is ``u_i/D`` with
+``D = xd*DB*DH`` and ``u_i = xn*DB*DH + xd*B_i*H``, the oracle of
+homogeneous degree ``e`` is ``F_i/D**e`` (``F_i`` is ``|u_i|``,
+``u_i*|u_i|``, or ``u_i**k`` on the subgroup and 0 off it), and the
+quotient is ``sum A_i*F_i * DH**n / (DA*D**e * H**n)``, reduced by one
+gcd.  The subgroup test strips the shared ``D`` over the base once per
+sample and each term only its own ``u_i``, without ``_membership``.  The
+tail test compares ``a/b`` and ``c/d`` under the tolerance ``s/t`` as
 ``t*|a*d - c*b| <= s*max(b*d, |a|*d, |c|*b)``.
 
 Limits keep a probe's work bounded: the oracle degree (a monomial's
@@ -47,11 +46,11 @@ with ``ProbeBoundExceeded`` before any sample is taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from typing import Callable, Optional, Sequence
 
 from .families import mz_tilde, named_scheme
@@ -244,9 +243,10 @@ def _generator_lattice(generators: tuple[Fraction, ...]) -> Lattice:
 
 
 # Membership of ``num/den`` (``den > 0``, reduced or not), decided on
-# integers: the in-group flags, ``FunctionOracle.evaluate`` and
-# ``subgroup_membership`` pass a Fraction's parts and look the generators'
-# lattice up once, not once per sample.  The quotient kernel does not call
+# integers: ``_in_group`` (once per sequence and lattice),
+# ``FunctionOracle.evaluate`` and ``subgroup_membership`` pass a Fraction's
+# parts and look the generators' lattice up once, not once per sample.  The
+# quotient kernel does not call
 # it: it strips each sample's shared denominator once and tests the terms
 # itself.  Nothing is cached; the zero-size lru_cache stays only so that
 # perfbench can count the calls as ``cache_info()`` misses.
@@ -426,30 +426,14 @@ def eval_quotient(
     return _quotient_kernel(scheme, order_info(scheme).order, oracle, x)(h)
 
 
-def _integer_oracle(oracle: FunctionOracle) -> tuple[int, int, Callable[[int, int], int]]:
-    """The oracle at ``u/D`` written as ``F(u, D) / (DP * D**e)``.
-
-    Returns the homogeneous degree ``e``, the coefficient denominator
-    ``DP`` and the integer function ``F``.
-    """
+def _integer_oracle(oracle: FunctionOracle) -> tuple[int, Callable[[int, int], int]]:
+    """A per-node oracle at ``u/D`` written as ``F(u, D) / D**e``: the
+    homogeneous degree ``e`` and the integer function ``F``."""
     if oracle.kind == ORACLE_ABS:
-        return 1, 1, lambda u, d: abs(u)
+        return 1, lambda u, d: abs(u)
     if oracle.kind == ORACLE_SGNSQ:
-        return 2, 1, lambda u, d: u * abs(u)
+        return 2, lambda u, d: u * abs(u)
     k = oracle.degree
-    if oracle.kind == ORACLE_MONOMIAL:
-        return k, 1, lambda u, d: u ** k
-    if oracle.kind == ORACLE_POLYNOMIAL:
-        coeffs, dp = _over_common_denominator(oracle.coeffs)
-
-        def horner(u: int, d: int) -> int:
-            total, power = 0, 1
-            for c in reversed(coeffs):
-                total = total * u + c * power
-                power *= d
-            return total
-
-        return max(len(coeffs) - 1, 0), dp, horner
     base, steps = _generator_lattice(oracle.generators)
     shared: dict[int, tuple[list[int], int]] = {}  # every term of a sample has the same D
 
@@ -462,26 +446,56 @@ def _integer_oracle(oracle: FunctionOracle) -> tuple[int, int, Callable[[int, in
         target = _over_base(u, shared[d], base)
         return u ** k if target is not None and _lattice_member(steps, target) else 0
 
-    return k, 1, on_subgroup
+    return k, on_subgroup
+
+
+def _moment_kernel(
+    scheme: Scheme, n: int, oracle: FunctionOracle, x: Fraction
+) -> Callable[[Fraction], Fraction]:
+    """``h -> S(h,x;f)/h**n = sum_j c_j*m_j * h**(j-n)`` for ``mono`` and ``poly``, where
+    ``f(x+t) = sum c_j t**j``: for the nonzero ``c_j*m_j = D_j/DD`` (``lo <= j <= hi``) and
+    ``h = H/DH``, ``P = sum D_j H**(j-lo) DH**(hi-j)`` gives ``P*H**(lo-n)*DH**(n-hi)/DD``."""
+    p = oracle.coeffs if oracle.kind == ORACLE_POLYNOMIAL else (0,) * oracle.degree + (1,)
+    c = [sum(comb(i, j) * p[i] * x ** (i - j) for i in range(j, len(p))) for j in range(len(p))]
+    coeffs, da = _over_common_denominator(scheme.coeffs)
+    nodes, db = _over_common_denominator(scheme.nodes)
+    d = [c_j * Fraction(sum(a * b ** j for a, b in zip(coeffs, nodes)), da * db ** j)
+         for j, c_j in enumerate(c)]
+    nonzero = [j for j, d_j in enumerate(d) if d_j] or [n]  # all zero: P = 0
+    lo, hi = nonzero[0], nonzero[-1]
+    top, dd = _over_common_denominator(d[lo:hi + 1])
+    a, b = lo - n, n - hi
+
+    def quotient(h: Fraction) -> Fraction:
+        hn, hd = h.numerator, h.denominator
+        total, power = 0, 1
+        for d_j in reversed(top):
+            total = total * hn + d_j * power
+            power *= hd
+        num = total * hn ** max(a, 0) * hd ** max(b, 0)
+        return Fraction(num, dd * hn ** max(-a, 0) * hd ** max(-b, 0))
+
+    return quotient
 
 
 def _quotient_kernel(
     scheme: Scheme, n: int, oracle: FunctionOracle, x: Fraction
 ) -> Callable[[Fraction], Fraction]:
     """``h -> S(h,x;f) / h**n`` for nonzero steps, in integer arithmetic."""
+    if oracle.kind in (ORACLE_MONOMIAL, ORACLE_POLYNOMIAL):
+        return _moment_kernel(scheme, n, oracle, x)
     coeffs, da = _over_common_denominator(scheme.coeffs)
     nodes, db = _over_common_denominator(scheme.nodes)
-    e, dp, f = _integer_oracle(oracle)
+    e, f = _integer_oracle(oracle)
     terms = list(zip(coeffs, nodes))
     xn, xd = x.numerator, x.denominator
-    fixed = da * dp
 
     def quotient(h: Fraction) -> Fraction:
         hn, hd = h.numerator, h.denominator
         d = xd * db * hd
         base, step = xn * db * hd, xd * hn
         total = sum(a * f(base + b * step, d) for a, b in terms)
-        return Fraction(total * hd ** n, fixed * d ** e * hn ** n)
+        return Fraction(total * hd ** n, da * d ** e * hn ** n)
 
     return quotient
 
@@ -532,8 +546,10 @@ class ProbeSequence:
     settled: bool
     candidate: Optional[Fraction]
     in_group: Optional[bool] = None
+    step_texts: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
+        texts = self.step_texts or [format_rational(h) for h, _ in self.samples]
         return {
             "ratio": format_rational(self.ratio),
             "sign": self.sign,
@@ -541,8 +557,8 @@ class ProbeSequence:
             "candidate": format_rational(self.candidate) if self.settled else None,
             "in_group": self.in_group,
             "samples": [
-                {"h": format_rational(h), "value": format_rational(v)}
-                for h, v in self.samples
+                {"h": text, "value": format_rational(v)}
+                for text, (_, v) in zip(texts, self.samples)
             ],
         }
 
@@ -609,19 +625,28 @@ def _auto_subgroup_ratios(oracle: FunctionOracle) -> list[Fraction]:
 
 
 @lru_cache(maxsize=64)
-def _steps(h0: Fraction, ratio: Fraction, j_min: int, j_max: int) -> tuple[Fraction, ...]:
-    """The steps ``h0 * ratio**j`` for ``j_min <= j <= j_max``, one multiplication each.
-
-    Fractions are canonical, so each step equals ``h0 * ratio**j`` computed
-    afresh.  Every probe with one configuration walks the same sequences,
-    and so does every stage of a Peano probe.
-    """
+def _steps(
+    h0: Fraction, ratio: Fraction, j_min: int, j_max: int
+) -> tuple[tuple[Fraction, ...], tuple[str, ...]]:
+    """The steps ``h0 * ratio**j`` for ``j_min <= j <= j_max``, one multiplication
+    each (Fractions are canonical, so each equals ``h0 * ratio**j`` computed
+    afresh), and their texts."""
     steps = []
     h = h0 * ratio ** j_min
     for _ in range(j_min, j_max + 1):
         steps.append(h)
         h *= ratio
-    return tuple(steps)
+    return tuple(steps), tuple(format_rational(h) for h in steps)
+
+
+@lru_cache(maxsize=64)
+def _in_group(
+    h0: Fraction, ratio: Fraction, j_min: int, j_max: int, lattice: Lattice
+) -> Optional[bool]:
+    """Whether all (True), none (False) or some (None) of a sequence's steps are in the group."""
+    steps = _steps(h0, ratio, j_min, j_max)[0]
+    flags = [_membership(h.numerator, h.denominator, lattice) for h in steps]
+    return all(flags) if all(flags) or not any(flags) else None
 
 
 def limit_probe(
@@ -643,7 +668,8 @@ def limit_probe(
     x = parse_rational(x)
     _check_size(oracle, 1, cfg)
     ratios = list(cfg.ratios)
-    if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
+    subgroup = oracle.kind == ORACLE_SUBGROUP_MONOMIAL
+    if subgroup:
         lattice = _generator_lattice(oracle.generators)
         for ratio in _auto_subgroup_ratios(oracle):
             if ratio not in ratios:
@@ -653,19 +679,17 @@ def limit_probe(
     sequences = []
     for ratio in ratios:
         for sign in (1, -1):
-            steps = _steps(sign * cfg.h0, ratio, cfg.j_min, cfg.j_max)
+            key = (sign * cfg.h0, ratio, cfg.j_min, cfg.j_max)
+            steps, texts = _steps(*key)
             samples = [(h, quotient(h)) for h in steps]
-            in_group: Optional[bool] = None
-            if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
-                flags = [_membership(h.numerator, h.denominator, lattice) for h, _ in samples]
-                in_group = all(flags) if all(flags) or not any(flags) else None
+            in_group = _in_group(*key, lattice) if subgroup else None
             tail = [v for _, v in samples[-_TAIL_LENGTH:]]
             settled = len(tail) >= _TAIL_LENGTH and all(
                 _close(u, v, cfg.tol) for u, v in combinations(tail, 2)
             )
             candidate = tail[-1] if settled else None
             sequences.append(
-                ProbeSequence(ratio, sign, tuple(samples), settled, candidate, in_group)
+                ProbeSequence(ratio, sign, tuple(samples), settled, candidate, in_group, texts)
             )
     settled_seqs = [s for s in sequences if s.settled]
     verdict, estimate, evidence = VERDICT_INCONCLUSIVE, None, ()

@@ -76,12 +76,14 @@ class InvalidOrder(CalculusError):
     """The differentiation order must be a positive integer."""
 
 
-# Integer and 'p/q' strings.  Decimal reads their digits exactly at any
-# length; Fraction and int stop at the interpreter's int-from-str digit limit.
+# Integer, 'p/q' and decimal strings, as Fraction reads them.  Decimal reads
+# their digits exactly at any length; Fraction and int stop at the
+# interpreter's int-from-str digit limit.  A decimal such as '15e-1' costs
+# 10**exponent, so its exponent (group 1) is bounded first, by that limit.
 _INTEGER_OR_RATIO = re.compile(r"([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?")
-# Fraction computes 10**exponent for a decimal string such as '15e-1', so the
-# exponent is bounded first, by the interpreter's default int-from-str digit limit.
-_EXPONENT = re.compile(r"[-+]?[\d_.]*[eE][-+]?(\d+(?:_\d+)*)")
+_DECIMAL = re.compile(
+    r"[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?(?:[eE][-+]?(\d+(?:_\d+)*))?"
+)
 MAX_EXPONENT = 4300
 _ECHO_CHARS = 100
 
@@ -114,19 +116,20 @@ def parse_rational(text: Rationalish) -> Fraction:
         return Fraction(text)
     body = str(text).strip()
     ratio = _INTEGER_OR_RATIO.fullmatch(body)
-    exponent = None if ratio else _EXPONENT.fullmatch(body)
-    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    decimal = None if ratio else _DECIMAL.fullmatch(body)
+    digits = (decimal[1] or "").replace("_", "").lstrip("0") if decimal else ""
     if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
         raise CalculusError(
             f"a rational's exponent must be at most {MAX_EXPONENT} in magnitude,"
             f" got {_echo(repr(text))}"
         )
-    try:
-        if ratio is None:
-            return Fraction(body)
-        return Fraction(int(Decimal(ratio[1])), int(Decimal(ratio[2] or 1)))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CalculusError(f"not a rational: {_echo(repr(text))}") from exc
+    if ratio is not None:
+        num, den = int(Decimal(ratio[1])), int(Decimal(ratio[2] or 1))
+        if den:
+            return Fraction(num, den)
+    elif decimal:
+        return Fraction(Decimal(body))
+    raise CalculusError(f"not a rational: {_echo(repr(text))}")
 
 
 def _digits(value: int) -> str:

@@ -654,6 +654,63 @@ def test_json_emitter_matches_indented_json_dumps(value):
     assert cli._json(value) == json.dumps(value, indent=2)
 
 
+class Text(str):
+    """A str subclass: json.dumps writes it as its text, and so must the emitter."""
+
+
+# keys that a %-template or a format string would misread, non-ASCII and lone surrogates
+record_keys = st.lists(
+    any_text | st.sampled_from(["%", "%s", "%%d", "{", "{0}", "}", "é", "\ud800", "h", "value"]),
+    min_size=1,
+    max_size=4,
+    unique=True,
+)
+str_values = any_text | any_text.map(Text)
+# each way a row can leave the records path: other key order, a missing or
+# extra key, a value that is not a str, or a row that is not a dict
+MISFITS = ("order", "missing", "extra", "int", "none", "nested", "list", "row")
+
+
+@st.composite
+def record_lists(draw, misfit):
+    keys = draw(record_keys)
+    values = st.tuples(*[str_values] * len(keys))
+    rows = [dict(zip(keys, v)) for v in draw(st.lists(values, min_size=1, max_size=5))]
+    if misfit is None:
+        return rows
+    kind = draw(st.sampled_from(MISFITS))
+    row = dict(rows[0])
+    first = keys[0]
+    if kind == "order":
+        row = {k: row[k] for k in keys[1:] + keys[:1]} if len(keys) > 1 else {}
+    elif kind == "missing":
+        del row[first]
+    elif kind == "extra":
+        row[draw(any_text.filter(lambda k: k not in keys))] = "x"
+    elif kind == "row":
+        row = draw(str_values)
+    else:
+        row[first] = {"int": 7, "none": None, "nested": {"a": "b"}, "list": ["a"]}[kind]
+    rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+@settings(max_examples=300)
+@given(record_lists(None))
+def test_json_emitter_writes_records_through_one_template(rows):
+    assert cli._records(rows, "\n  ") is not None
+    for value in (rows, {"samples": rows}, [rows, rows]):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=300)
+@given(record_lists(True))
+def test_json_emitter_falls_back_on_a_misfit_row(rows):
+    assert cli._records(rows, "\n  ") is None
+    for value in (rows, {"samples": rows}):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
 def test_json_emitter_reproduces_every_golden_payload(path):
     text = path.read_text(encoding="utf-8")

@@ -88,6 +88,18 @@ def test_qbinom_errors():
         qbinom(3, 1, 0)
 
 
+def test_qbinom_bounds_n():
+    # qbinom(800, 0, 2) once built the whole 800-row triangle, for 18 s
+    assert families.MAX_QBINOM_N == 256
+    assert qbinom(256, 0, 2) == qbinom(256, 256, 2) == 1
+    assert qbinom(256, 1, 2) == 2 ** 256 - 1
+    q = Fraction(-7, 5)
+    assert qbinom(40, 17, q) == qbinom(40, 23, q) == qbinom_product_oracle(40, 17, q)
+    for n in (257, 800, 10 ** 5000):
+        with pytest.raises(IndexOutOfRange, match=r"^n must be at most 256, got \d{1,100}"):
+            qbinom(n, 0, 2)
+
+
 @settings(max_examples=60)
 @given(
     st.integers(min_value=0, max_value=7),

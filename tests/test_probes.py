@@ -25,6 +25,7 @@ from grdcalc import (
     construct_exact_symmetric,
     eval_quotient,
     format_oracle,
+    format_rational,
     gaussian_affine_shift,
     n_times_check,
     limit_probe,
@@ -176,6 +177,49 @@ def test_limit_probe_looks_up_the_generator_lattice_per_probe(monkeypatch):
         # the auto ratios, the quotient kernel and the in-group flags: once each,
         # however many samples the probe takes
         assert lookups == [oracle.generators] * 3
+
+
+def test_in_group_flags_are_decided_once_per_sequence_and_lattice():
+    oracle = subgroup_monomial_oracle(2, [Fraction(7, 3), 11])
+    config = ProbeConfig(j_max=23)
+    probes._in_group.cache_clear()
+    start = probes._membership.cache_info().misses
+    first = limit_probe(D2_SYM, oracle, Fraction(1, 3), config)
+    middle = probes._membership.cache_info().misses
+    assert middle - start == len(first.sequences) * (23 - 4 + 1)
+    # another scheme and point, the same configuration and generators
+    second = limit_probe(FWD1, oracle, 0, config)
+    assert probes._membership.cache_info().misses == middle
+    assert [s.in_group for s in second.sequences] == [s.in_group for s in first.sequences]
+
+
+R3 = named_scheme(riemann(3))
+
+
+@pytest.mark.parametrize(
+    "scheme, oracle, constant",
+    [
+        (D2_SYM, polynomial_oracle([]), 0),
+        # degree below the order: every moment the quotient reads is zero
+        (R3, polynomial_oracle([1, Fraction(-2, 3), 5]), 0),
+        # degree equal to the order: n! times the leading coefficient, for every h
+        (R3, polynomial_oracle([1, Fraction(-2, 3), 5, Fraction(5, 7)]), Fraction(30, 7)),
+        (R3, monomial_oracle(32), None),
+        (D2_SYM, polynomial_oracle([Fraction(j, 7) for j in range(-16, 17)]), None),
+    ],
+)
+def test_moment_kernel_at_its_edges(scheme, oracle, constant):
+    order = len(scheme.nodes) - 1
+    for x, n, h in product(
+        [Fraction(0), Fraction(1, 3)],
+        [0, order, order + 2],
+        [Fraction(1, 3) ** 40, Fraction(-3, 5), Fraction(7), Fraction(-1, 2) ** 17],
+    ):
+        got = probes._quotient_kernel(scheme, n, oracle, x)(h)
+        assert type(got) is Fraction
+        assert got == reference_quotient(scheme, n, oracle, x, h)
+        if constant is not None and n == order:
+            assert got == constant
 
 
 def test_eval_quotient_fixtures():
@@ -602,8 +646,9 @@ def test_steps_are_powers_of_the_ratio():
         [1, -1],
         [(0, 1), (4, 40), (3, 17)],
     ):
-        steps = probes._steps(sign * h0, ratio, j_min, j_max)
+        steps, texts = probes._steps(sign * h0, ratio, j_min, j_max)
         assert steps == tuple(sign * h0 * ratio ** j for j in range(j_min, j_max + 1))
+        assert texts == tuple(format_rational(h) for h in steps)
 
 
 def test_limit_probe_reports_do_not_depend_on_call_order():

@@ -99,6 +99,17 @@ def test_parse_rational_past_the_int_digit_limit():
         parse_rational("pi")
 
 
+def test_parse_rational_reads_long_decimals():
+    # the mantissa digits pass the int-from-str limit; the exponent is within its own
+    ones = int("1" * 2500) * 10 ** 2500 + int("1" * 2500)  # 5,000 ones, built below the limit
+    assert parse_rational("0." + "1" * 5000) == Fraction(ones, 10 ** 5000)
+    assert parse_rational("1" * 5000 + "e-2") == Fraction(ones, 100)
+    assert parse_rational("-." + "1" * 5000 + "E+4_300") == -Fraction(ones, 10 ** 700)
+    for text in ("1__0.5", "_1.5", "1.5_", "1.5e", "1.d", "inf", "nan", "1.5/2", "1 / 2"):
+        with pytest.raises(CalculusError, match=r"^not a rational: "):
+            parse_rational(text)
+
+
 def test_parse_rational_bounds_the_exponent():
     # Fraction computes 10**exponent, so '1e999999' once ran for many seconds
     assert parse_rational("1.5e3") == 1500
