@@ -10,14 +10,13 @@ of dilations of each other:
 
 with the degenerate case that both skew parts vanish.  The symmetric-part
 constant is forced to ``r**(-n)`` because both sides are normalized; the
-skew constant ``B`` is free.  The decision procedure below enumerates the
-finitely many candidate ``r`` and ``s`` (extreme-node ratios) and verifies
-exactly, with shortcuts for three structural special cases in which
-equivalence collapses to being exact scales: both schemes symmetric, both
-with only nonnegative nodes, or both exact with one of them having all
-distinct node magnitudes.  Whichever path decides, every positive witness
-is re-verified by expanding both identities before the verdict is returned.
-"""
+skew constant ``B`` is free.  No search is needed: the parts' largest terms
+force ``r``, ``s`` and ``B``, and each identity is checked once.  Three
+structural special cases (fast paths) only label the verdict: both schemes
+symmetric, both with only nonnegative nodes, or both exact with one of them
+having all distinct node magnitudes.  On them equivalence collapses to being
+an exact scale, which the decision must confirm.  Every positive witness is
+re-verified by expanding both identities before the verdict is returned."""
 
 from __future__ import annotations
 
@@ -42,7 +41,6 @@ from .scheme import (
     combine,
     decompose,
     format_rational,
-    is_scale,
     normalized,
     order_info,
     parse_rational,
@@ -126,55 +124,54 @@ def verify_witness(a: Scheme, b: Scheme, witness: Witness) -> bool:
     )
 
 
-def _fast_path(a: Scheme, b: Scheme) -> str:
-    """The fast path that applies to a same-order pair, or ``PATH_GENERAL``.
+def _exact_distinct_magnitudes(scheme: Scheme, n: int) -> bool:
+    """Whether ``scheme`` is exact (``n + 1`` terms) with all node magnitudes distinct."""
+    return len(scheme) == n + 1 and len({abs(t.node) for t in scheme}) == len(scheme)
+
+
+def _fast_path(a: Scheme, b: Scheme, n: int) -> str:
+    """The fast path that labels a same-order pair, or ``PATH_GENERAL``.
 
     On each fast path the pair is equivalent exactly when ``b`` is a scale
     of ``a``; the symmetric one applies when both skew parts vanish.
     """
-    n = order_info(a).order
     if decompose(a, n)[1].is_zero and decompose(b, n)[1].is_zero:
         return PATH_SYMMETRIC
     if all(t.node >= 0 for t in a) and all(t.node >= 0 for t in b):
         return PATH_FAST_NONNEG
-    if len(a) == n + 1 == len(b) and (
-        len({abs(t.node) for t in a}) == len(a) or len({abs(t.node) for t in b}) == len(b)
-    ):
+    if len(a) == len(b) and (_exact_distinct_magnitudes(a, n) or _exact_distinct_magnitudes(b, n)):
         return PATH_FAST_DISTINCT
     return PATH_GENERAL
 
 
-def _general_outcome(a: Scheme, b: Scheme) -> Witness | str:
-    """A witness from the full part-by-part analysis of a same-order pair, or
-    the negative reason."""
-    n = order_info(a).order
+def _general_outcome(a: Scheme, b: Scheme, n: int) -> Witness | str:
+    """The only witness that can work for a normalized same-order pair, read
+    off the parts' last terms (a part has a parity, so its last node is its
+    largest and positive, and ``B`` absorbs a dilation's sign), or the first
+    negative reason."""
     (a_plus, a_minus), (b_plus, b_minus) = decompose(a, n), decompose(b, n)
-    r = is_scale(a_plus, b_plus)
-    if r is None:
+    r = b_plus.terms[-1].node / a_plus.terms[-1].node
+    if combine([(r ** -n, r, a_plus)]) != b_plus:
         return REASON_SYMMETRIC
     if a_minus.is_zero != b_minus.is_zero:
         return REASON_SKEW_ZERO
     if a_minus.is_zero:
         return _witness_for_scale(n, r, True)
-    # the skew part has the parity of n + 1, so dilating it by -s only flips
-    # its sign, which the free constant absorbs: s > 0 covers both signs
-    s = max(abs(t.node) for t in b_minus) / max(abs(t.node) for t in a_minus)
-    dilated = combine([(1, s, a_minus)])
-    lead = dilated.terms[-1]
-    factor = b_minus.coeff_at(lead.node) / lead.coeff
-    if factor != 0 and combine([(factor, 1, dilated)]) == b_minus:
-        return Witness(n, r, s, r ** -n, factor)
-    return REASON_SKEW
+    a_top, b_top = a_minus.terms[-1], b_minus.terms[-1]
+    s, skew_factor = b_top.node / a_top.node, b_top.coeff / a_top.coeff
+    if combine([(skew_factor, s, a_minus)]) != b_minus:
+        return REASON_SKEW
+    return Witness(n, r, s, r ** -n, skew_factor)
 
 
 def decide_equivalent(a: Scheme, b: Scheme, use_fast_paths: bool = True) -> EquivalenceVerdict:
     """Decide whether ``a`` and ``b`` are equivalent differentiation schemes.
 
     Inputs that are not normalized are normalized first and the verdict is
-    flagged.  Every verdict leaves through one exit, which re-checks each
-    positive witness with :func:`verify_witness`, whichever path found it;
-    a fast path that finds no scale must agree with the general analysis.
-    Positive verdicts carry the witness and the decision path taken;
+    flagged.  ``use_fast_paths`` only chooses whether a fast-path label is
+    shown, with the witness as the scale ``b = scale(a, +-r)`` that the
+    path's theorem says it must be.  Every verdict leaves through one exit,
+    which re-checks each positive witness with :func:`verify_witness`;
     negative verdicts carry the first structural reason found.
     """
     if a.is_zero or b.is_zero:
@@ -186,18 +183,14 @@ def decide_equivalent(a: Scheme, b: Scheme, use_fast_paths: bool = True) -> Equi
         outcome = REASON_ORDER
     else:
         a, b = normalized(a), normalized(b)
-        path = _fast_path(a, b) if use_fast_paths else PATH_GENERAL
-        r = None if path == PATH_GENERAL else is_scale(a, b)
-        if r is not None:
-            outcome = _witness_for_scale(n, r, decompose(a, n)[1].is_zero)
-        elif path == PATH_SYMMETRIC:
-            outcome = REASON_SYMMETRIC
-        else:
-            outcome = _general_outcome(a, b)
+        outcome = _general_outcome(a, b, n)
+        path = _fast_path(a, b, n) if use_fast_paths else PATH_GENERAL
+        if path != PATH_GENERAL and isinstance(outcome, Witness):
+            r, s, A, B = outcome.r, outcome.s, outcome.sym_factor, outcome.skew_factor
             _require(
-                path == PATH_GENERAL or isinstance(outcome, str),
-                "fast path disagrees with general analysis",
+                B == 0 or (s == r and B in (A, -A)), "fast path disagrees with general analysis"
             )
+            outcome = _witness_for_scale(n, -r if B == -A else r, B == 0)
     if isinstance(outcome, str):
         return EquivalenceVerdict(False, None, None, outcome, flag)
     _require(verify_witness(a, b, outcome), "witness failed re-verification")
@@ -255,7 +248,7 @@ def equivalent_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:
     direct = recognize_gaussian(scheme)
     if direct is not None:
         return direct
-    if len(scheme) == n + 1 and len({abs(t.node) for t in scheme}) == len(scheme):
+    if _exact_distinct_magnitudes(scheme, n):
         return None
     sym_part, skew_part = decompose(scheme)
     positive = sorted(t.node for t in sym_part if t.node > 0)

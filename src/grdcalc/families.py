@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, prod
 from typing import Optional
 
 from .scheme import (
@@ -47,7 +48,13 @@ class IndexOutOfRange(CalculusError):
     """Binomial index outside 0..n, or n above ``MAX_QBINOM_N``."""
 
 
+class OrderBudgetExceeded(CalculusError):
+    """A family string, ``ggr`` order or ``qggr`` input asks for more than its budget."""
+
+
 MAX_QBINOM_N = 256  # README.md gives timings
+# (n+1)**2 times the digits of a family string's largest node; README.md gives timings
+MAX_FAMILY_SIZE = 2 ** 21
 
 
 RIEMANN = "Riemann"
@@ -159,9 +166,14 @@ def script_d_bar(n: int, q: Rationalish) -> FamilyKind:
 def qbinom(n: int, i: int, q: Rationalish) -> Fraction:
     """The Gaussian binomial coefficient ``[n, i]``, evaluated exactly at rational ``q``.
 
-    The Pascal-style recurrence ``[m,j] = [m-1,j-1] + q**j * [m-1,j]``, which is
-    polynomial in ``q`` and so also valid at ``q = +-1``, runs on integers up to
-    column ``min(i, n-i)`` (``[n,i] = [n,n-i]``), for ``n`` at most ``MAX_QBINOM_N``.
+    For ``q = a/b`` off ``+-1`` it is the closed form
+    ``prod_{j<=i} (1 - q**(n-i+j)) / (1 - q**j)``, computed on integers as
+    ``prod_{j<=i} (b**(n-i+j) - a**(n-i+j)) // prod_{j<=i} (b**j - a**j)``
+    over ``b**(i*(n-i))``; the division is exact, since the quotient is the
+    integer polynomial ``[n, i] * b**(i*(n-i))`` in ``a`` and ``b``.  At
+    ``q = 1`` it is ``comb(n, i)``; at ``q = -1`` it is 0 for even ``n`` and
+    odd ``i``, and ``comb(n//2, i//2)`` otherwise.  ``i`` is replaced by
+    ``min(i, n-i)`` (``[n,i] = [n,n-i]``), and ``n`` is at most ``MAX_QBINOM_N``.
     """
     if not (0 <= i <= n):
         raise IndexOutOfRange(f"need 0 <= i <= n, got i={i}, n={n}")
@@ -171,12 +183,46 @@ def qbinom(n: int, i: int, q: Rationalish) -> Fraction:
     if q == 0:
         raise InvalidQ("q must be nonzero")
     i = min(i, n - i)
+    if q == 1:
+        return Fraction(comb(n, i))
+    if q == -1:
+        return Fraction(0 if n % 2 == 0 and i % 2 == 1 else comb(n // 2, i // 2))
     a, b = q.numerator, q.denominator
-    row = [1]  # P[m,j] = [m,j] * b**(j*(m-j)) = P[m-1,j-1] * b**(m-j) + a**j * P[m-1,j]
-    for m in range(1, n + 1):
-        inner = [row[j - 1] * b ** (m - j) + a ** j * row[j] for j in range(1, min(m, i + 1))]
-        row = [1] + inner + [1] * (m <= i)
-    return Fraction(row[i], b ** (i * (n - i)))
+    top = prod(b ** (n - i + j) - a ** (n - i + j) for j in range(1, i + 1))
+    bottom = prod(b ** j - a ** j for j in range(1, i + 1))
+    return Fraction(top // bottom, b ** (i * (n - i)))
+
+
+def _ratio(kind: FamilyKind) -> Optional[Fraction]:
+    """The ratio of a member's geometric nodes: ``q``, or 2 for the doubling families."""
+    return Fraction(2) if kind.variant in (MZ_TILDE, MZ_TILDE_SYMMETRIC) else kind.q
+
+
+def _power_digits(q: Fraction, power: int) -> int:
+    """An upper bound on the digits of the numerator and denominator of ``q**power``."""
+    return power * (len(_digits(q.numerator)) + len(_digits(q.denominator)))
+
+
+def _check_family_size(kind: FamilyKind) -> None:
+    """Refuse a member whose ``(n+1)**2`` times the digits of its largest node
+    exceeds ``MAX_FAMILY_SIZE``: a member's coefficients have about ``n``
+    times as many digits as its nodes, so this bounds the digits it holds.
+
+    The largest node is read off the parameters: ``|k| + n`` for the
+    equispaced families, and a power of ``q`` for the geometric ones, up to
+    ``q**(|k| + n)``, or ``q**(2**(n-1))`` for the script rows.
+    """
+    n, k = kind.n, abs(kind.k or 0)
+    size = (n + 1) ** 2
+    if size <= MAX_FAMILY_SIZE:  # so that 2**n below stays small
+        top = 2 ** (n - 1) if kind.variant in (SCRIPT_D, SCRIPT_D_BAR) else k + n
+        q = _ratio(kind)
+        size *= len(_digits(top)) if q is None else _power_digits(q, top)
+    if size > MAX_FAMILY_SIZE:
+        raise OrderBudgetExceeded(
+            f"family member too large: (n+1)**2 times the digits of its largest node"
+            f" is {_echo(_digits(size))}, above {MAX_FAMILY_SIZE}"
+        )
 
 
 def family_nodes(kind: FamilyKind) -> list[Fraction]:
@@ -186,8 +232,7 @@ def family_nodes(kind: FamilyKind) -> list[Fraction]:
     at ``q = 2``.  The symmetric geometric pattern is ``+-|q|**i`` for
     ``i < (n+1)//2``, plus the node 0 at even ``n``.
     """
-    n, k = kind.n, kind.k or 0
-    q = Fraction(2) if kind.variant in (MZ_TILDE, MZ_TILDE_SYMMETRIC) else kind.q
+    n, k, q = kind.n, kind.k or 0, _ratio(kind)
     if kind.variant in (RIEMANN, RIEMANN_SHIFT):
         return [Fraction(k + j) for j in range(n + 1)]
     if kind.variant == SYMMETRIC_RIEMANN:
@@ -360,7 +405,10 @@ def format_family(kind: FamilyKind) -> str:
 
 
 def parse_family(text: str) -> FamilyKind:
-    """Parse a family string such as ``shift:n=3,k=-1`` or ``gauss-fwd:n=3,q=2``."""
+    """Parse a family string such as ``shift:n=3,k=-1`` or ``gauss-fwd:n=3,q=2``.
+
+    A member too large to build quickly is refused with ``OrderBudgetExceeded``.
+    """
     head, _, tail = text.strip().partition(":")
     if head not in _CLI_VARIANTS:
         raise CalculusError(f"unknown family name {_echo(repr(head))}")
@@ -396,7 +444,9 @@ def parse_family(text: str) -> FamilyKind:
         q = parse_rational(fields.pop("q"))
     if fields:
         raise CalculusError(f"unexpected family parameters {_echo(repr(sorted(fields)))}")
-    return FamilyKind(variant, n, k=k, q=q)
+    kind = FamilyKind(variant, n, k=k, q=q)
+    _check_family_size(kind)
+    return kind
 
 
 def match_to_json_dict(match: GaussianMatch) -> dict:

@@ -28,6 +28,8 @@ from .families import (
     GAUSSIAN_FORWARD,
     GAUSSIAN_SYMMETRIC,
     GaussianMatch,
+    OrderBudgetExceeded,
+    _power_digits,
     gaussian_affine,
     gaussian_affine_shift,
     match_to_json_dict,
@@ -48,10 +50,10 @@ from .scheme import (
     _is_int,
     _require,
     combine,
-    is_scale,
     is_symmetric,
     order_info,
     parse_rational,
+    scale,
     scheme_to_json_dict,
 )
 
@@ -187,11 +189,21 @@ def mz_check(scheme: Scheme, symmetric_mode: bool = False) -> MzVerdict:
     return MzVerdict(STATUS_OPEN, None, CONJECTURE_GAUSSIAN)
 
 
+# budgets on the work one input can ask for; README.md gives timings
+MAX_GGR_ORDER = 128
+MAX_QGGR_SIZE = 2 ** 13  # the order times the digits of the largest member node
+
+
 def ggr_set(n: int, reduced: bool = False) -> list[Scheme]:
     """The backward-shift scheme set whose joint existence forces the Taylor
     expansion: shifts ``k = 1..n``, or ``k = 1..floor(n/2)`` in the reduced
-    form (the reduced form of order 1 is the full singleton)."""
+    form (the reduced form of order 1 is the full singleton).  ``n`` is at
+    most ``MAX_GGR_ORDER``."""
     _check_order(n)
+    if n > MAX_GGR_ORDER:
+        raise OrderBudgetExceeded(
+            f"the ggr order must be at most {MAX_GGR_ORDER}, got {_echo(_digits(n))}"
+        )
     count = max(1, n // 2) if reduced else n
     return [named_scheme(riemann_shift(n, -k)) for k in range(1, count + 1)]
 
@@ -202,22 +214,27 @@ def verify_quantum_ggr(
     """Verify the geometric analog of the shifted-set reduction.
 
     For each shift ``k`` in ``ell..ell+n`` the shifted geometric member must
-    be the scale by exactly ``q**k`` of the unshifted one; the witnesses are
-    returned and any failure is an internal arithmetic fault.
+    be the scale by exactly ``q**k`` of the unshifted one, checked at that
+    constant; the witnesses are returned and any failure is an internal
+    arithmetic fault.  The members' nodes reach ``q**(|ell| + 2n)``, and ``n``
+    times the digits of that node is at most ``MAX_QGGR_SIZE``.
     """
     _check_order(n)
     if not _is_int(ell):
         raise CalculusError("the shift window start must be an integer")
     q = parse_rational(q)
+    size = n * _power_digits(q, abs(ell) + 2 * n)
+    if size > MAX_QGGR_SIZE:
+        raise OrderBudgetExceeded(
+            f"qggr too large: the order times the digits of q**(|ell|+2n) is"
+            f" {_echo(_digits(size))}, above {MAX_QGGR_SIZE}"
+        )
     base = named_scheme(gaussian_affine(n, q))
     witnesses = []
     for k in range(ell, ell + n + 1):
         shifted = named_scheme(gaussian_affine_shift(n, k, q))
-        witness = is_scale(base, shifted)
-        _require(
-            witness == q ** k, "shift %s expected scale %s**%s, got %s", k, q, k, witness
-        )
-        witnesses.append((k, witness))
+        _require(scale(base, q ** k) == shifted, "shift %s is not the scale by %s**%s", k, q, k)
+        witnesses.append((k, q ** k))
     return witnesses
 
 

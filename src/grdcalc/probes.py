@@ -243,7 +243,7 @@ def _generator_lattice(generators: tuple[Fraction, ...]) -> Lattice:
 
 
 # Membership of ``num/den`` (``den > 0``, reduced or not), decided on
-# integers: ``_in_group`` (once per sequence and lattice),
+# integers: ``_sequence`` (once per sequence and lattice),
 # ``FunctionOracle.evaluate`` and ``subgroup_membership`` pass a Fraction's
 # parts and look the generators' lattice up once, not once per sample.  The
 # quotient kernel does not call
@@ -284,6 +284,16 @@ def _check_size(oracle: FunctionOracle, depth: int, cfg: ProbeConfig) -> None:
     _check_limit("the probe size depth * j_max**2 * degree", size, MAX_PROBE_SIZE)
 
 
+# kind -> the fields besides ``kind`` that it takes; every other field keeps its default
+_ORACLE_FIELDS = {
+    ORACLE_ABS: (),
+    ORACLE_SGNSQ: (),
+    ORACLE_MONOMIAL: ("degree",),
+    ORACLE_POLYNOMIAL: ("coeffs",),
+    ORACLE_SUBGROUP_MONOMIAL: ("degree", "generators"),
+}
+
+
 @dataclass(frozen=True)
 class FunctionOracle:
     """An exactly evaluable test function.
@@ -299,14 +309,12 @@ class FunctionOracle:
     generators: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in (
-            ORACLE_ABS,
-            ORACLE_SGNSQ,
-            ORACLE_MONOMIAL,
-            ORACLE_POLYNOMIAL,
-            ORACLE_SUBGROUP_MONOMIAL,
-        ):
+        if self.kind not in _ORACLE_FIELDS:
             raise CalculusError(f"unknown oracle kind {self.kind!r}")
+        fields = ("degree", "coeffs", "generators")
+        ignored = [f for f in fields if f not in _ORACLE_FIELDS[self.kind] and getattr(self, f)]
+        if ignored:
+            raise CalculusError(f"oracle kind {self.kind!r} takes no {' or '.join(ignored)}")
         object.__setattr__(self, "coeffs", tuple(parse_rational(c) for c in self.coeffs))
         object.__setattr__(
             self, "generators", tuple(parse_rational(g) for g in self.generators)
@@ -625,28 +633,27 @@ def _auto_subgroup_ratios(oracle: FunctionOracle) -> list[Fraction]:
 
 
 @lru_cache(maxsize=64)
-def _steps(
-    h0: Fraction, ratio: Fraction, j_min: int, j_max: int
-) -> tuple[tuple[Fraction, ...], tuple[str, ...]]:
-    """The steps ``h0 * ratio**j`` for ``j_min <= j <= j_max``, one multiplication
-    each (Fractions are canonical, so each equals ``h0 * ratio**j`` computed
-    afresh), and their texts."""
+def _sequence(
+    h0: Fraction, ratio: Fraction, j_min: int, j_max: int, lattice: Optional[Lattice]
+) -> tuple[tuple[Fraction, ...], tuple[str, ...], Optional[bool]]:
+    """The steps ``h0 * ratio**j`` for ``j_min <= j <= j_max``, their texts, and
+    whether all (True), none (False) or some (None) of them are in the group
+    of ``lattice`` (None without one).
+
+    Each step is one multiplication (Fractions are canonical, so each equals
+    ``h0 * ratio**j`` computed afresh).  An entry with a lattice holds the
+    steps and texts of the entry without one, not copies.
+    """
+    if lattice is not None:
+        steps, texts, _ = _sequence(h0, ratio, j_min, j_max, None)
+        flags = [_membership(h.numerator, h.denominator, lattice) for h in steps]
+        return steps, texts, all(flags) if all(flags) or not any(flags) else None
     steps = []
     h = h0 * ratio ** j_min
     for _ in range(j_min, j_max + 1):
         steps.append(h)
         h *= ratio
-    return tuple(steps), tuple(format_rational(h) for h in steps)
-
-
-@lru_cache(maxsize=64)
-def _in_group(
-    h0: Fraction, ratio: Fraction, j_min: int, j_max: int, lattice: Lattice
-) -> Optional[bool]:
-    """Whether all (True), none (False) or some (None) of a sequence's steps are in the group."""
-    steps = _steps(h0, ratio, j_min, j_max)[0]
-    flags = [_membership(h.numerator, h.denominator, lattice) for h in steps]
-    return all(flags) if all(flags) or not any(flags) else None
+    return tuple(steps), tuple(format_rational(h) for h in steps), None
 
 
 def limit_probe(
@@ -668,8 +675,8 @@ def limit_probe(
     x = parse_rational(x)
     _check_size(oracle, 1, cfg)
     ratios = list(cfg.ratios)
-    subgroup = oracle.kind == ORACLE_SUBGROUP_MONOMIAL
-    if subgroup:
+    lattice = None
+    if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
         lattice = _generator_lattice(oracle.generators)
         for ratio in _auto_subgroup_ratios(oracle):
             if ratio not in ratios:
@@ -679,10 +686,8 @@ def limit_probe(
     sequences = []
     for ratio in ratios:
         for sign in (1, -1):
-            key = (sign * cfg.h0, ratio, cfg.j_min, cfg.j_max)
-            steps, texts = _steps(*key)
+            steps, texts, in_group = _sequence(sign * cfg.h0, ratio, cfg.j_min, cfg.j_max, lattice)
             samples = [(h, quotient(h)) for h in steps]
-            in_group = _in_group(*key, lattice) if subgroup else None
             tail = [v for _, v in samples[-_TAIL_LENGTH:]]
             settled = len(tail) >= _TAIL_LENGTH and all(
                 _close(u, v, cfg.tol) for u, v in combinations(tail, 2)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from construction_reference import qbinom_recurrence
 from elimination_reference import (
     reference_construct_exact,
     reference_construct_exact_symmetric,
@@ -13,6 +14,7 @@ from grdcalc import (
     UnderdeterminedSystem,
     construct_exact,
     construct_exact_symmetric,
+    qbinom,
 )
 
 rationals = st.fractions(
@@ -116,3 +118,18 @@ def test_symmetric_unknown_counts_match_elimination():
                     # n/2 + 1 pairs: a valid scheme on n + 2 nodes
                     assert len(got) == n + 2
     assert {"scheme", InconsistentSystem, UnderdeterminedSystem} <= seen
+
+
+def test_qbinom_closed_forms_match_the_recurrence_on_a_grid():
+    qs = [Fraction(p, d) for p in range(-7, 8) for d in (1, 2, 3, 5) if p]
+    for q in qs:
+        for n in range(13):
+            for i in range(n + 1):
+                assert qbinom(n, i, q) == qbinom_recurrence(n, i, q), (n, i, q)
+    for q in (Fraction(-1), Fraction(1)):
+        for n in range(40):
+            for i in range(n + 1):
+                assert qbinom(n, i, q) == qbinom_recurrence(n, i, q), (n, i, q)
+    for q in (Fraction(-1001, 1000), Fraction(7, 5), Fraction(-1), Fraction(1)):
+        for n, i in ((40, 17), (41, 20), (64, 31)):
+            assert qbinom(n, i, q) == qbinom_recurrence(n, i, q), (n, i, q)

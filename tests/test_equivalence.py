@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equivalence_reference import reference_decide_equivalent
+
 from grdcalc import equivalence
 from grdcalc import (
     GAUSSIAN_AFFINE,
@@ -247,18 +249,40 @@ POSITIVE_BY_PATH = [
 ]
 
 
+def _inject(monkeypatch, wrong):
+    """Make the one procedure return ``wrong(witness)`` in place of each witness it finds."""
+    true_outcome = equivalence._general_outcome
+
+    def injected(a, b, n):
+        outcome = true_outcome(a, b, n)
+        return outcome if isinstance(outcome, str) else wrong(outcome)
+
+    monkeypatch.setattr(equivalence, "_general_outcome", injected)
+
+
+def _doubled(w):
+    """The witness of the scale by 2 of the true one: still a scale where ``w`` is."""
+    s = w.s if w.skew_factor == 0 else 2 * w.s
+    return Witness(w.order, 2 * w.r, s, w.sym_factor / 2 ** w.order, w.skew_factor / 2 ** w.order)
+
+
 @pytest.mark.parametrize("path, a, b", POSITIVE_BY_PATH)
 def test_wrong_scale_witness_fails_reverification(monkeypatch, path, a, b):
     assert decide_equivalent(a, b).path == path
-    true_scale = equivalence.is_scale
-
-    def doubled(x, y):
-        r = true_scale(x, y)
-        return None if r is None else 2 * r
-
-    monkeypatch.setattr(equivalence, "is_scale", doubled)
+    _inject(monkeypatch, _doubled)
     with pytest.raises(IdentityCheckFailed, match="re-verification"):
         decide_equivalent(a, b)
+
+
+@pytest.mark.parametrize("path, a, b", POSITIVE_BY_PATH[1:3])
+def test_non_scale_witness_on_fast_path_is_refused(monkeypatch, path, a, b):
+    assert decide_equivalent(a, b).path == path
+    _inject(monkeypatch, lambda w: Witness(w.order, w.r, 2 * w.s, w.sym_factor, w.skew_factor))
+    with pytest.raises(IdentityCheckFailed, match="fast path disagrees"):
+        decide_equivalent(a, b)
+    # without the fast-path label the same witness reaches the exit, which refuses it
+    with pytest.raises(IdentityCheckFailed, match="re-verification"):
+        decide_equivalent(a, b, use_fast_paths=False)
 
 
 def test_each_input_read_and_split_once(derivations):
@@ -319,6 +343,63 @@ def test_symmetry_and_transitivity(nodes, r1, s1, b1):
     assert decide_equivalent(a, m1).equivalent
     assert decide_equivalent(m1, a).equivalent
     assert decide_equivalent(a, m2).equivalent
+
+
+def _partner(a, how, c, d, e):
+    """A scheme to compare with ``a``: a scale, a class member (with ``B = -A`` as
+    one choice, the scale by ``-c``), a scale's doubled coefficients, or an
+    unrelated exact scheme."""
+    n = len(a) - 1
+    if how == "scale":
+        return scale(a, c)
+    if how == "member":
+        return class_member(a, c, d, e)
+    if how == "minus":
+        return class_member(a, c, c, -c ** -n)
+    if how == "doubled":
+        return canonicalize([(2 * t.coeff, t.node) for t in scale(a, c)])
+    return construct_exact([c * t.node + d for t in a], n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.fractions(min_value=-5, max_value=5, max_denominator=3),
+            min_size=n + 1,
+            max_size=n + 1,
+            unique=True,
+        )
+    ),
+    st.sampled_from(["scale", "member", "minus", "doubled", "other"]),
+    constants,
+    constants,
+    constants,
+)
+def test_one_procedure_matches_the_two_engines(nodes, how, c, d, e):
+    a = construct_exact(nodes, len(nodes) - 1)
+    b = _partner(a, how, c, d, e)
+    for fast in (True, False):
+        new = decide_equivalent(a, b, use_fast_paths=fast).to_json_dict()
+        assert new == reference_decide_equivalent(a, b, use_fast_paths=fast).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (construct_exact([-2, 1, 3], 2), scale(construct_exact([-2, 1, 3], 2), -2)),
+        (construct_exact([-1, 2, 3], 2), scale(construct_exact([-1, 2, 3], 2), Fraction(-1, 3))),
+        (D31, class_member(D31, 2, 2, -Fraction(1, 8))),
+        (D2, class_member(D2, 3, 3, -Fraction(1, 9))),
+    ],
+)
+def test_negative_scales_match_the_two_engines(a, b):
+    for fast in (True, False):
+        new = decide_equivalent(a, b, use_fast_paths=fast)
+        assert new.to_json_dict() == reference_decide_equivalent(a, b, fast).to_json_dict()
+    # b is the scale of a by a negative factor: shown as it on a fast path, else as B = -A
+    w = decide_equivalent(a, b).witness
+    assert w.r < 0 or w.skew_factor == -w.sym_factor
 
 
 def test_symmetric_equivalence_is_scaling():

@@ -509,3 +509,30 @@ def test_family_string_errors():
     ):
         with pytest.raises(CalculusError):
             parse_family(bad)
+
+
+# --- the family-string budget -----------------------------------------------------
+
+
+def test_family_budget_refuses_before_building():
+    limit = families.MAX_FAMILY_SIZE
+    # (n+1)**2 times the digits of n: riemann:n=835 is the largest equispaced member
+    assert 836 ** 2 * 3 <= limit < 837 ** 2 * 3
+    assert parse_family("riemann:n=835") == FamilyKind("Riemann", 835)
+    for text in (
+        "riemann:n=836",
+        "riemann:n=999999999999",
+        "gauss-aff:n=2,k=10000000,q=3/2",  # nodes up to (3/2)**10000002
+        "scriptD:n=1000000000,q=2",  # 2**(n-1) is never formed
+        "gauss-fwd:n=60,q=1000001/1000000",
+        "mz-tilde:n=128",
+    ):
+        with pytest.raises(families.OrderBudgetExceeded, match=f"above {limit}$"):
+            parse_family(text)
+
+
+def test_family_budget_sits_far_above_the_golden_and_benchmark_inputs():
+    # orders up to 16 with q up to two digits over one, and the script rows up to n = 12
+    for text in ("gauss-aff:n=16,q=5/2", "gauss-aff:n=16,k=16,q=-3/2", "scriptD-bar:n=12,q=3/2"):
+        parse_family(text)
+    assert 17 ** 2 * 32 * 2 * 100 < families.MAX_FAMILY_SIZE

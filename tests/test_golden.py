@@ -294,6 +294,13 @@ REFUSALS = {
     ],
     # an exponent above its limit is refused before Fraction computes 10**999999
     "refuse_rational_exponent_over_limit": ["scale", "riemann:n=2", "--by", "1e999999"],
+    # family orders, the ggr order and qggr inputs above their budgets are refused up front
+    "refuse_scale_family_over_budget": ["scale", "riemann:n=3000", "--by", "2"],
+    "refuse_recognize_family_over_budget": ["recognize", "gauss-aff:n=3000,q=2"],
+    "refuse_qggr_over_budget": ["qggr", "--order", "120", "--ell", "0", "--q", "3/2"],
+    "refuse_scale_family_order_12_digits": ["scale", "riemann:n=999999999999", "--by", "2"],
+    "refuse_decompose_family_over_budget": ["decompose", "riemann:n=3000"],
+    "refuse_ggr_order_over_budget": ["ggr", "--order", "400"],
     # JSON true and false are not rationals
     "refuse_json_boolean_rational": [
         "scale", '{"terms":[{"coeff":true,"node":1},{"coeff":-1,"node":false}]}', "--by", "1",

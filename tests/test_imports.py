@@ -154,8 +154,9 @@ PUBLIC_NAMES = [
     "GAUSSIAN_AFFINE_SHIFT", "GAUSSIAN_FORWARD", "GAUSSIAN_SYMMETRIC", "GaussianMatch",
     "IdentityCheckFailed", "InconsistentSystem", "IndexOutOfRange", "InvalidOrder",
     "InvalidQ", "MZ_TILDE", "MZ_TILDE_SYMMETRIC", "MissingOrder", "MixedOrders",
-    "MzVerdict", "NTimesReport", "NotNormalized", "OrderInfo", "PATH_FAST_DISTINCT",
-    "PATH_FAST_NONNEG", "PATH_GENERAL", "PATH_SYMMETRIC", "PEANO_ALL_MZ", "PEANO_IDENTITY",
+    "MzVerdict", "NTimesReport", "NotNormalized", "OrderBudgetExceeded", "OrderInfo",
+    "PATH_FAST_DISTINCT", "PATH_FAST_NONNEG", "PATH_GENERAL", "PATH_SYMMETRIC", "PEANO_ALL_MZ",
+    "PEANO_IDENTITY",
     "PEANO_UNKNOWN", "ProbeBoundExceeded", "ProbeConfig", "ProbeReport", "ProbeSequence",
     "REASON_ORDER", "REASON_SKEW", "REASON_SKEW_ZERO", "REASON_SYMMETRIC", "RIEMANN",
     "RIEMANN_SHIFT", "SCRIPT_D", "SCRIPT_D_BAR", "STATUS_MZ", "STATUS_NOT_MZ",

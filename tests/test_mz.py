@@ -8,6 +8,7 @@ import pytest
 from grdcalc import families, mz
 from grdcalc.scheme import _echo
 from grdcalc import (
+    IdentityCheckFailed,
     CONJECTURE_GAUSSIAN,
     CONJECTURE_NONE,
     CONJECTURE_RIEMANN,
@@ -198,6 +199,25 @@ def test_verify_quantum_ggr_witnesses():
     for n, ell, q in [(3, -3, 2), (2, 0, Fraction(1, 2))]:
         witnesses = verify_quantum_ggr(n, ell, q)
         assert witnesses == [(k, Fraction(q) ** k) for k in range(ell, ell + n + 1)]
+
+
+def test_verify_quantum_ggr_checks_the_named_scale(monkeypatch):
+    # the check is made at q**k itself: a scale by -q**k is not accepted in its place
+    true_scale = mz.scale
+    monkeypatch.setattr(mz, "scale", lambda scheme, r: true_scale(scheme, -r))
+    with pytest.raises(IdentityCheckFailed, match="shift 0 is not the scale by 3/2"):
+        verify_quantum_ggr(2, 0, Fraction(3, 2))
+
+
+def test_ggr_and_qggr_budgets():
+    with pytest.raises(families.OrderBudgetExceeded, match="at most 128, got 129$"):
+        ggr_set(mz.MAX_GGR_ORDER + 1)
+    # the order times the digits of q**(|ell| + 2n): 3 * 2 * 1372 = 8232 > 8192
+    with pytest.raises(families.OrderBudgetExceeded, match="is 8232, above 8192$"):
+        verify_quantum_ggr(3, 1366, Fraction(3, 2))
+    assert len(verify_quantum_ggr(3, 1359, Fraction(3, 2))) == 4
+    with pytest.raises(families.OrderBudgetExceeded):
+        verify_quantum_ggr(46, 0, Fraction(3, 2))
 
 
 def test_verify_quantum_ggr_input_gates():

@@ -146,6 +146,31 @@ def test_oracle_string_round_trip():
         assert parse_oracle(format_oracle(oracle)) == oracle
     assert parse_oracle("mono:k=3") == monomial_oracle(3)
     assert parse_oracle("subgmono:k=2;gens=2,3") == subgroup_monomial_oracle(2, [2, 3])
+    # every kind with every field it takes, straight from the constructor
+    samples = {"degree": [0, 5], "coeffs": [(Fraction(1, 2), -3)], "generators": [(-2, 5)]}
+    for kind, taken in probes._ORACLE_FIELDS.items():
+        for values in product(*(samples[f] for f in taken)):
+            oracle = probes.FunctionOracle(kind, **dict(zip(taken, values)))
+            assert parse_oracle(format_oracle(oracle)) == oracle
+
+
+@pytest.mark.parametrize(
+    "kind, fields",
+    [
+        ("abs", {"degree": 32}),
+        ("abs", {"coeffs": (1,)}),
+        ("sgnsq", {"generators": (2,)}),
+        ("mono", {"degree": 2, "coeffs": (1, 2)}),
+        ("mono", {"generators": (2,)}),
+        ("poly", {"coeffs": (1,), "degree": 3}),
+        ("subgmono", {"degree": 2, "generators": (2,), "coeffs": (1,)}),
+    ],
+)
+def test_oracle_refuses_fields_its_kind_does_not_take(kind, fields):
+    # FunctionOracle("abs", degree=32) once printed as "abs", and its degree
+    # counted against the probe size
+    with pytest.raises(CalculusError, match=f"^oracle kind '{kind}' takes no "):
+        probes.FunctionOracle(kind, **fields)
 
 
 # --- exact quotients ----------------------------------------------------------------
@@ -182,7 +207,7 @@ def test_limit_probe_looks_up_the_generator_lattice_per_probe(monkeypatch):
 def test_in_group_flags_are_decided_once_per_sequence_and_lattice():
     oracle = subgroup_monomial_oracle(2, [Fraction(7, 3), 11])
     config = ProbeConfig(j_max=23)
-    probes._in_group.cache_clear()
+    probes._sequence.cache_clear()
     start = probes._membership.cache_info().misses
     first = limit_probe(D2_SYM, oracle, Fraction(1, 3), config)
     middle = probes._membership.cache_info().misses
@@ -646,9 +671,10 @@ def test_steps_are_powers_of_the_ratio():
         [1, -1],
         [(0, 1), (4, 40), (3, 17)],
     ):
-        steps, texts = probes._steps(sign * h0, ratio, j_min, j_max)
+        steps, texts, in_group = probes._sequence(sign * h0, ratio, j_min, j_max, None)
         assert steps == tuple(sign * h0 * ratio ** j for j in range(j_min, j_max + 1))
         assert texts == tuple(format_rational(h) for h in steps)
+        assert in_group is None
 
 
 def test_limit_probe_reports_do_not_depend_on_call_order():
@@ -660,7 +686,7 @@ def test_limit_probe_reports_do_not_depend_on_call_order():
     x = Fraction(1, 3)
     want = [reference_limit_probe(D2_SYM, oracle, x, c) for c in configs]
     for order in ([0, 1], [1, 0], [0, 1, 0, 1]):
-        probes._steps.cache_clear()
+        probes._sequence.cache_clear()
         for i in order:
             assert limit_probe(D2_SYM, oracle, x, configs[i]) == want[i]
 
