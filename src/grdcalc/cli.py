@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .equivalence import class_member, decide_equivalent, equivalent_gaussian
 from .families import (
@@ -150,7 +150,7 @@ def _json(value: object, indent: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
-def _emit(payload: dict, lines: list[str], output: str) -> None:
+def _emit(payload: dict, lines: Iterable[str], output: str) -> None:
     if output == "json":
         print(_json(payload))
     else:
@@ -158,19 +158,18 @@ def _emit(payload: dict, lines: list[str], output: str) -> None:
             print(line)
 
 
-def _scheme_lines(scheme: Scheme) -> list[str]:
+def _scheme_lines(scheme: Scheme) -> Iterator[str]:
+    """The text lines of a scheme, formatted only when they are printed."""
     info = order_info(scheme)
-    return [
-        format_scheme(scheme),
-        f"order: {info.order}   normalizer: {format_rational(info.normalizer)}",
-    ]
+    yield format_scheme(scheme)
+    yield f"order: {info.order}   normalizer: {format_rational(info.normalizer)}"
 
 
 # ---------------------------------------------------------------------------
 # verb handlers
 
 
-def _cmd_construct(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_construct(args: argparse.Namespace) -> tuple[dict, Iterable[str]]:
     if args.nodes is not None and args.pairs is not None:
         raise CalculusError("give either --nodes or --pairs, not both")
     if args.nodes is not None:
@@ -184,15 +183,15 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[dict, list[str]]:
     return scheme_to_json_dict(scheme), _scheme_lines(scheme)
 
 
-def _cmd_decompose(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_decompose(args: argparse.Namespace) -> tuple[dict, Iterable[str]]:
     scheme = read_scheme(args.scheme)
     plus, minus = decompose(scheme, args.order)
     payload = {"plus": scheme_to_json_dict(plus), "minus": scheme_to_json_dict(minus)}
-    lines = [f"plus:  {format_scheme(plus)}", f"minus: {format_scheme(minus)}"]
-    return payload, lines
+    parts = (("plus:  ", plus), ("minus: ", minus))
+    return payload, (label + format_scheme(part) for label, part in parts)
 
 
-def _cmd_scale(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_scale(args: argparse.Namespace) -> tuple[dict, Iterable[str]]:
     scheme = scale(read_scheme(args.scheme), parse_rational(args.by))
     return scheme_to_json_dict(scheme), _scheme_lines(scheme)
 
@@ -261,15 +260,14 @@ def _cmd_mz_set(args: argparse.Namespace) -> tuple[dict, list[str]]:
     return payload, _mz_lines(payload)
 
 
-def _cmd_ggr(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_ggr(args: argparse.Namespace) -> tuple[dict, Iterable[str]]:
     members = ggr_set(args.order, reduced=args.reduced)
     payload = {
         "n": args.order,
         "reduced": args.reduced,
         "members": [scheme_to_json_dict(m) for m in members],
     }
-    lines = [format_scheme(m) for m in members]
-    return payload, lines
+    return payload, (format_scheme(m) for m in members)
 
 
 def _cmd_qggr(args: argparse.Namespace) -> tuple[dict, list[str]]:

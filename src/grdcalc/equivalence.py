@@ -29,6 +29,7 @@ from .families import (
     GAUSSIAN_FORWARD,
     FamilyKind,
     GaussianMatch,
+    _common_ratio,
     named_scheme,
     recognize_gaussian,
 )
@@ -233,8 +234,8 @@ def equivalent_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:
     - the skew part vanishes only for symmetric members, whose class is
       their scales, so recognition has settled every skew-free scheme;
     - the symmetric part's positive nodes form one progression of ratio
-      ``|q|`` or ``1/|q|``, so several consecutive ratios rule out every
-      member (with fewer than two positive nodes, 2 is tried);
+      ``|q|`` or ``1/|q|``, so without a common ratio no member fits (with
+      fewer than two positive nodes, 2 is tried);
     - of the members with a skew part, only forward ones have node 0.
 
     The member with ``q = ratio``, then ``-ratio``, is decided exactly.
@@ -251,11 +252,9 @@ def equivalent_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:
     if _exact_distinct_magnitudes(scheme, n):
         return None
     sym_part, skew_part = decompose(scheme)
-    positive = sorted(t.node for t in sym_part if t.node > 0)
-    ratios = {high / low for low, high in zip(positive, positive[1:])} or {Fraction(2)}
-    if skew_part.is_zero or len(ratios) > 1:
+    ratio = _common_ratio([t.node for t in sym_part if t.node > 0])
+    if skew_part.is_zero or ratio is None:
         return None
-    (ratio,) = ratios
     variant = GAUSSIAN_FORWARD if scheme.coeff_at(0) != 0 else GAUSSIAN_AFFINE
     for q in (ratio, -ratio):
         verdict = decide_equivalent(named_scheme(FamilyKind(variant, n, q=q)), scheme)

@@ -10,7 +10,10 @@ and is the unique normalized exact scheme on them, with ``m_j = 0`` for
 way, by :func:`~grdcalc.scheme.construct_exact` on those nodes, and checks
 the build by those defining moments.  One table, ``_VARIANTS``, says what
 each variant is called on the command line and which of the shift ``k`` and
-the ratio ``q`` it takes.
+the ratio ``q`` it takes.  Since the nodes define a member, a Gaussian
+pattern is recognized by its nodes alone: a normalized scheme on ``n+1``
+nodes is a scaled member exactly when its nonzero nodes share one common
+ratio, and its other parameterizations are closed forms of that progression.
 """
 
 from __future__ import annotations
@@ -294,103 +297,91 @@ class GaussianMatch:
 _CANONICAL_DEGENERATE_Q = Fraction(2)
 
 
-def _match_candidates(scheme: Scheme, n: int) -> list[GaussianMatch]:
-    """Parameterizations (variant, q, b) whose node pattern fits ``scheme``."""
-    nodes = set(scheme.nodes)
-    if nodes == {-b for b in nodes}:
-        variant = GAUSSIAN_SYMMETRIC
-        progression = sorted(b for b in nodes if b > 0)
-        fits = len(progression) == (n + 1) // 2 and (0 in nodes) == (n % 2 == 0)
-    else:
-        variant = GAUSSIAN_FORWARD if 0 in nodes else GAUSSIAN_AFFINE
-        progression = sorted((b for b in nodes if b != 0), key=abs)
-        expected = n if variant == GAUSSIAN_FORWARD else n + 1
-        fits = len({abs(b) for b in progression}) == len(progression) == expected
-    if not fits:
-        return []
-    if len(progression) == 1:
-        return [GaussianMatch(variant, _CANONICAL_DEGENERATE_Q, progression[0], n)]
-    return [
-        GaussianMatch(variant, progression[1] / progression[0], progression[0], n),
-        GaussianMatch(variant, progression[-2] / progression[-1], progression[-1], n),
-    ]
+def _common_ratio(progression: list[Fraction]) -> Optional[Fraction]:
+    """The ratio that consecutive entries share, or None if they share none.
 
-
-def _scale_onto(kind: FamilyKind, nodes: set[Fraction]) -> Optional[Fraction]:
-    """A factor ``b`` whose scale of the member ``kind`` has the node set ``nodes``, or None.
-
-    ``scale(member, b)`` has the nodes ``b * x`` for the member's nodes ``x``,
-    so ``b`` maps the member's largest node magnitude onto that of ``nodes``:
-    only the two signs of that ratio can work, and ``+`` is tried first, as
-    :func:`~grdcalc.scheme.is_scale` does.
+    With fewer than two entries every ratio fits, and 2 stands for them.
     """
-    member = family_nodes(kind)
-    top = max(abs(x) for x in nodes) / max(abs(x) for x in member)
-    for b in (top, -top):
-        if {b * x for x in member} == nodes:
-            return b
-    return None
+    if len(progression) < 2:
+        return _CANONICAL_DEGENERATE_Q
+    ratio = progression[1] / progression[0]
+    steps = zip(progression[1:], progression[2:])
+    return ratio if all(high == low * ratio for low, high in steps) else None
+
+
+def _match_candidates(scheme: Scheme, n: int) -> list[GaussianMatch]:
+    """The readings (variant, q, b) of ``scheme``'s nodes as a scaled order-``n`` member.
+
+    A scaled member has ``n+1`` nodes, and its nonzero ones by magnitude (the
+    positive ones of a symmetric pattern) share a common ratio ``q``: they
+    read as ``(q, first)`` and ``(1/q, last)``.  Off the symmetric branch they
+    have distinct magnitudes, since a ``|q| = 1`` pattern is closed under negation.
+    """
+    nodes = scheme.nodes
+    if len(nodes) != n + 1:
+        return []
+    if nodes == tuple(-x for x in reversed(nodes)):
+        variant, progression = GAUSSIAN_SYMMETRIC, [x for x in nodes if x > 0]
+    else:
+        progression = sorted((x for x in nodes if x != 0), key=abs)
+        variant = GAUSSIAN_AFFINE if len(progression) == len(nodes) else GAUSSIAN_FORWARD
+    q = _common_ratio(progression)
+    if q is None:
+        return []
+    first = GaussianMatch(variant, q, progression[0], n)
+    if len(progression) == 1:
+        return [first]
+    return [first, GaussianMatch(variant, 1 / q, progression[-1], n)]
 
 
 def recognize_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:
     """Identify ``scheme`` as an exact scale of a geometric-node family member.
 
-    A candidate ratio and base are read off the node pattern (a geometric
-    progression, possibly with a zero node or in symmetric pairs), and the
-    node set alone decides each candidate; no coefficient is compared and no
-    member is built.  That suffices because a scale ``scale(member, b)`` of
-    an order-``n`` member is again a normalized order-``n`` scheme on ``n+1``
-    distinct nodes, and such a scheme is unique on its nodes (the Vandermonde
-    system of :func:`construct_exact` is nonsingular): a normalized scheme
-    with ``n+1`` terms equals it exactly when their node sets agree.  Among
-    valid parameterizations the one with ``scale_b = 1`` is preferred, then
-    ``|q| > 1``, then minimal ``|scale_b|``.
+    The nodes decide: the scheme is a scaled member exactly when its nonzero
+    nodes share one common ratio (:func:`_match_candidates`).  No coefficient
+    is compared and no member is built, because a scale of an order-``n``
+    member is again a normalized order-``n`` scheme on ``n+1`` distinct
+    nodes, and such a scheme is unique on its nodes (the Vandermonde system
+    of :func:`construct_exact` is nonsingular).  Of the two readings the one
+    with ``scale_b = 1`` is preferred, then ``|q| > 1``, then minimal ``|scale_b|``.
     """
     if scheme.is_zero:
         raise ZeroScheme("cannot recognize the zero scheme")
     info = order_info(scheme)
     n = info.order
-    if n < 1 or info.normalizer != 1 or len(scheme) != n + 1:
+    if n < 1 or info.normalizer != 1:
         return None
-    nodes = set(scheme.nodes)
-    verified = (
-        match
-        for match in _match_candidates(scheme, n)
-        if _scale_onto(FamilyKind(match.variant, n, q=match.q), nodes) == match.scale_b
-    )
     return min(
-        verified, key=lambda m: (m.scale_b != 1, not abs(m.q) > 1, abs(m.scale_b)), default=None
+        _match_candidates(scheme, n),
+        key=lambda m: (m.scale_b != 1, not abs(m.q) > 1, abs(m.scale_b)),
+        default=None,
     )
 
 
 def scale_partners(match: GaussianMatch) -> list[GaussianMatch]:
-    """Alternate parameterizations of the same scheme as exact scales.
+    """The other parameterizations of the same scheme as an exact scale.
 
-    Candidates are the sign/inverse relatives ``-q``, ``1/q``, ``-1/q`` of
-    the matched ratio (for the forward pattern at order >= 2, the affine at
-    order >= 1, and the symmetric at order >= 3); a candidate is returned
-    only when an exact scale witness onto the matched scheme exists, with
-    ``scale_b`` adjusted so both describe the same scheme.  As in
-    :func:`recognize_gaussian`, two scales of members of one order are equal
-    exactly when their node sets are, so the witness is read off the nodes.
+    They are closed forms of the progression's readings.  The nonzero nodes
+    ``b * q**i`` of an affine (``i <= n``) or forward (``i < n``, from order
+    2) member read back as ``1/q`` from the last; the sign of ``q`` gives no
+    other reading, since their magnitudes are distinct.  A symmetric member
+    (from order 3) depends only on ``|q|``: ``-q`` at ``|b|``, and ``+-1/q``
+    at ``|b| * |q|**((n+1)//2 - 1)``.
     """
-    n, q = match.n, match.q
-    if match.variant == GAUSSIAN_FORWARD and n < 2:
+    n, variant, b = match.n, match.variant, match.scale_b
+    if variant == GAUSSIAN_FORWARD and n < 2 or variant == GAUSSIAN_SYMMETRIC and n < 3:
         return []
-    if match.variant == GAUSSIAN_SYMMETRIC and n < 3:
-        return []
-    base_nodes = family_nodes(FamilyKind(match.variant, n, q=q))
-    if match.scale_b == 0:
+    q = FamilyKind(variant, n, q=match.q).q
+    if b == 0:
         raise ZeroScale("scale factor must be nonzero")
-    target = {match.scale_b * x for x in base_nodes}
-    partners = []
-    for q_alt in (-q, 1 / q, -1 / q):
-        witness = _scale_onto(FamilyKind(match.variant, n, q=q_alt), target)
-        if witness is not None:
-            candidate = GaussianMatch(match.variant, q_alt, witness, n)
-            if candidate != match:
-                partners.append(candidate)
-    return partners
+    if variant == GAUSSIAN_SYMMETRIC:
+        top = abs(b) * abs(q) ** ((n + 1) // 2 - 1)
+        readings = ((-q, abs(b)), (1 / q, top), (-1 / q, top))
+        return [GaussianMatch(variant, alt, witness, n) for alt, witness in readings]
+    if variant not in (GAUSSIAN_FORWARD, GAUSSIAN_AFFINE):
+        raise CalculusError(f"variant {variant} has no geometric scale partners")
+    last = n if variant == GAUSSIAN_AFFINE else n - 1
+    return [GaussianMatch(variant, 1 / q, b * q ** last, n)]
 
 
 def format_family(kind: FamilyKind) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm, prod
@@ -132,13 +132,42 @@ def parse_rational(text: Rationalish) -> Fraction:
     raise CalculusError(f"not a rational: {_echo(repr(text))}")
 
 
+# Exact decimal arithmetic apart from the thread's context: Inexact is trapped.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+_SPLIT_BITS = 1024  # a power of two
+
+
+def _exact_decimal(value: int) -> Decimal:
+    """``value`` as a Decimal, in subquadratic time where ``Decimal(value)`` is quadratic.
+
+    Binary splitting: ``value = high * 2**k + low`` with ``k`` a power of two,
+    taken by shifts; the halves are converted alike and joined by one exact
+    ``fma``, and each ``2**k`` is built once, by squaring.
+    """
+    powers = {_SPLIT_BITS: Decimal(1 << _SPLIT_BITS)}
+
+    def power(k: int) -> Decimal:
+        if k not in powers:
+            half = power(k // 2)
+            powers[k] = _EXACT.multiply(half, half)
+        return powers[k]
+
+    def convert(part: int) -> Decimal:
+        if part.bit_length() <= _SPLIT_BITS:
+            return Decimal(part)
+        k = 1 << ((part.bit_length() - 1).bit_length() - 1)
+        return _EXACT.fma(convert(part >> k), power(k), convert(part & ((1 << k) - 1)))
+
+    return convert(value)
+
+
 def _digits(value: int) -> str:
     """Decimal digits of an integer, also past the interpreter's int-to-str limit."""
     try:
         return str(value)
     except ValueError:
-        # Decimal converts an int exactly, and its "f" format ignores that limit
-        return format(Decimal(value), "f")
+        # a Decimal's "f" format ignores that limit
+        return format(_exact_decimal(value), "f")
 
 
 def _check_order(n: object) -> None:

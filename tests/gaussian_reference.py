@@ -16,9 +16,13 @@ be checked against the candidates it skips.
 
 ``reference_recognize_gaussian`` and ``reference_scale_partners`` are the
 bodies ``recognize_gaussian`` and ``scale_partners`` once had, kept unchanged
-apart from their names.  They build every candidate member, scale it and
-compare coefficients; recognition now compares node sets only and builds no
-member.
+apart from their names and from recognition reading its candidates off
+``reference_match_candidates``.  They build every candidate member, scale it
+and compare coefficients.  Recognition now decides a node pattern by its
+common ratio, and the partners are closed forms of the same progression; no
+member is built.  ``reference_match_candidates`` also returns two unchecked
+candidates for patterns that are not geometric; ``_match_candidates`` returns
+only the candidates whose scaled member has the scheme's node set.
 """
 
 from fractions import Fraction
@@ -34,7 +38,6 @@ from grdcalc.families import (
     GaussianMatch,
     InvalidOrder,
     InvalidQ,
-    _match_candidates,
     named_scheme,
     recognize_gaussian,
 )
@@ -147,7 +150,7 @@ def reference_recognize_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:
     if n < 1 or info.normalizer != 1 or len(scheme) != n + 1:
         return None
     verified = []
-    for match in _match_candidates(scheme, n):
+    for match in reference_match_candidates(scheme, n):
         member = named_scheme(FamilyKind(match.variant, match.n, q=match.q))
         if scale(member, match.scale_b) == scheme:
             verified.append(match)

@@ -449,6 +449,39 @@ def test_equivalent_gaussian_normalizes_input():
     assert match == GaussianMatch(GAUSSIAN_FORWARD, Fraction(2), Fraction(1), 3)
 
 
+def test_riemann_is_gaussian_only_below_order_three():
+    """The abstract's claim: Riemann differentiation is not equivalent to a
+    Gaussian differentiation in orders at least three.  The scheme is exact
+    with distinct node magnitudes, so its class holds only its scales, and
+    from order 3 its nonzero nodes 1, 2, 3, ... have no common ratio.
+    Checked to order 64; orders 1 and 2 are the forward members at ``q = 2``."""
+    for n in (1, 2):
+        match = equivalent_gaussian(named_scheme(riemann(n)))
+        assert match == GaussianMatch(GAUSSIAN_FORWARD, Fraction(2), Fraction(1), n)
+    for n in range(3, 65):
+        assert equivalent_gaussian(named_scheme(riemann(n))) is None
+
+
+def test_symmetric_riemann_is_gaussian_only_below_order_five():
+    """The symmetric Riemann scheme has no skew part, so its class is its
+    scales.  From order 5 its positive nodes form an arithmetic progression
+    of at least three terms, which has no common ratio, so no Gaussian
+    member is equivalent to it.  Checked to order 64.  The matches at
+    orders 1..4 (``q = 2, 2, 3, 2``) are pinned as current behaviour, not
+    as a statement of the paper."""
+    pinned = {
+        1: (Fraction(2), Fraction(1, 2)),
+        2: (Fraction(2), Fraction(1)),
+        3: (Fraction(3), Fraction(1, 2)),
+        4: (Fraction(2), Fraction(1)),
+    }
+    for n, (q, b) in pinned.items():
+        match = equivalent_gaussian(named_scheme(symmetric_riemann(n)))
+        assert match == GaussianMatch(GAUSSIAN_SYMMETRIC, q, b, n)
+    for n in range(5, 65):
+        assert equivalent_gaussian(named_scheme(symmetric_riemann(n))) is None
+
+
 def _positive_ratios(part):
     positive = sorted(t.node for t in part if t.node > 0)
     return positive, {high / low for low, high in zip(positive, positive[1:])}

@@ -259,25 +259,36 @@ def test_candidate_ratios_avoid_zero_and_unit():
 
 
 def test_candidate_ratios_avoid_zero_and_unit_on_random_fits():
+    """Random geometric patterns all fit, with valid ratios; doubling the
+    largest node of a progression of three or more breaks the common ratio."""
     rng = random.Random(20260)
 
-    def magnitudes(count):
-        pool = {Fraction(rng.randint(1, 40), rng.randint(1, 9)) for _ in range(3 * count)}
-        return rng.sample(sorted(pool), count)
+    def ratio():
+        q = Fraction(rng.choice((1, -1)) * rng.randint(1, 40), rng.randint(1, 9))
+        return ratio() if abs(q) == 1 else q
 
-    fitted = 0
+    def pattern(shape, n, progression):
+        if shape == "symmetric":
+            positive = [abs(x) for x in progression]
+            return positive + [-x for x in positive] + ([0] if n % 2 == 0 else [])
+        return progression + ([0] if shape == "forward" else [])
+
+    fitted = bent = 0
     for _ in range(300):
         n = rng.randint(1, 8)
         shape = rng.choice(("symmetric", "forward", "affine"))
-        if shape == "symmetric":
-            positive = magnitudes((n + 1) // 2)
-            nodes = positive + [-b for b in positive] + ([0] if n % 2 == 0 else [])
-        else:
-            count = n if shape == "forward" else n + 1
-            nodes = [b * rng.choice((1, -1)) for b in magnitudes(count)]
-            nodes += [0] if shape == "forward" else []
-        fitted += bool(_assert_candidates_are_valid(construct_exact(nodes, n), n))
+        count = {"symmetric": (n + 1) // 2, "forward": n, "affine": n + 1}[shape]
+        q, b = ratio(), Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
+        progression = [b * q ** i for i in range(count)]
+        scheme = construct_exact(pattern(shape, n, progression), n)
+        fitted += bool(_assert_candidates_are_valid(scheme, n))
+        if count >= 3:
+            top = max(progression, key=abs)
+            doubled = [2 * x if x == top else x for x in progression]
+            assert _match_candidates(construct_exact(pattern(shape, n, doubled), n), n) == []
+            bent += 1
     assert fitted == 300
+    assert bent == 207
 
 
 def test_symmetric_family_node_layouts():

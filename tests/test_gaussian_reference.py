@@ -5,13 +5,16 @@ symmetric part at both signs against all three geometric variants: it reads
 the variant and the ratio off the scheme and decides at most two members.
 ``families._match_candidates`` builds its parameterizations with one copy of
 the code for the symmetric and the forward/affine patterns.
-``recognize_gaussian`` and ``scale_partners`` compare node sets instead of
-building, scaling and comparing every candidate member.  Each test compares
-the results with ``gaussian_reference``, which keeps the old forms.
+``recognize_gaussian`` decides a node pattern by its common ratio, and
+``scale_partners`` reads the partners off the same progression in closed
+form, instead of building, scaling and comparing every candidate member.
+Each test compares the results with ``gaussian_reference``, which keeps the
+old forms.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gaussian_reference import (
@@ -22,12 +25,22 @@ from gaussian_reference import (
     reference_search_without_shortcut,
 )
 from grdcalc import (
+    GAUSSIAN_AFFINE,
+    GAUSSIAN_FORWARD,
+    GAUSSIAN_SYMMETRIC,
+    RIEMANN,
+    CalculusError,
+    FamilyKind,
+    GaussianMatch,
+    InvalidQ,
+    ZeroScale,
     canonicalize,
     class_member,
     combine,
     construct_exact,
     construct_exact_symmetric,
     equivalent_gaussian,
+    family_nodes,
     gaussian_affine,
     gaussian_forward,
     gaussian_symmetric,
@@ -102,16 +115,37 @@ def search_json(search, scheme):
     return None if match is None else match_to_json_dict(match)
 
 
+def outcome(function, *args):
+    """What ``function`` returns, or the type of what it raises."""
+    try:
+        return function(*args)
+    except CalculusError as exc:
+        return type(exc)
+
+
+def fitting_reference_candidates(scheme, n):
+    """The old candidates whose scaled member has the scheme's node set."""
+    nodes = set(scheme.nodes)
+    return [
+        match
+        for match in reference_match_candidates(scheme, n)
+        if {match.scale_b * x for x in family_nodes(FamilyKind(match.variant, n, q=match.q))}
+        == nodes
+    ]
+
+
 def assert_recognition_as_reference(scheme):
-    """Equal recognition, and equal partners of the match and of every candidate."""
+    """Equal recognition, and equal partners of the match and of every old candidate."""
     assert search_json(recognize_gaussian, scheme) == search_json(
         reference_recognize_gaussian, scheme
     )
     match = recognize_gaussian(scheme)
     n = order_info(scheme).order
     if n >= 1:
-        for candidate in _match_candidates(scheme, n) + ([match] if match else []):
-            assert scale_partners(candidate) == reference_scale_partners(candidate)
+        for candidate in reference_match_candidates(scheme, n) + ([match] if match else []):
+            assert outcome(scale_partners, candidate) == outcome(
+                reference_scale_partners, candidate
+            )
 
 
 def assert_same_as_reference(scheme):
@@ -119,7 +153,7 @@ def assert_same_as_reference(scheme):
         reference_equivalent_gaussian, scheme
     )
     n = order_info(scheme).order
-    assert _match_candidates(scheme, n) == reference_match_candidates(scheme, n)
+    assert _match_candidates(scheme, n) == fitting_reference_candidates(scheme, n)
     assert_recognition_as_reference(scheme)
 
 
@@ -159,7 +193,58 @@ def test_candidates_match_reference_on_degenerate_patterns():
     for pairs in ([(-1, 0), (1, 1)], [(1, 1), (-1, 2)], [(-1, -1), (1, 1)], [(1, 2)]):
         scheme = canonicalize(pairs)
         for n in range(1, 4):
-            assert _match_candidates(scheme, n) == reference_match_candidates(scheme, n)
+            assert _match_candidates(scheme, n) == fitting_reference_candidates(scheme, n)
+
+
+@st.composite
+def gaussian_matches(draw):
+    """A ``GaussianMatch`` of any of the three geometric variants, with signed
+    ``q`` and ``b``; now and then ``q`` in ``{0, 1, -1}``, ``b = 0``, or a
+    variant that takes no ``q``."""
+    variant = draw(
+        st.sampled_from([GAUSSIAN_FORWARD, GAUSSIAN_AFFINE, GAUSSIAN_SYMMETRIC])
+        | st.just(RIEMANN)
+    )
+    q = draw(constants | st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]))
+    b = draw(constants | st.just(Fraction(0)))
+    return GaussianMatch(variant, q, b, draw(st.integers(min_value=1, max_value=8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaussian_matches())
+@example(GaussianMatch(GAUSSIAN_FORWARD, Fraction(1), Fraction(0), 1))
+@example(GaussianMatch(GAUSSIAN_SYMMETRIC, Fraction(-1), Fraction(0), 2))
+def test_partners_match_reference_on_random_matches(match):
+    assert outcome(scale_partners, match) == outcome(reference_scale_partners, match)
+
+
+def test_partner_error_paths_match_reference():
+    for match, error in (
+        (GaussianMatch(GAUSSIAN_AFFINE, Fraction(0), Fraction(2), 3), InvalidQ),
+        (GaussianMatch(GAUSSIAN_SYMMETRIC, Fraction(-1), Fraction(2), 4), InvalidQ),
+        (GaussianMatch(GAUSSIAN_FORWARD, Fraction(1), Fraction(2), 2), InvalidQ),
+        (GaussianMatch(GAUSSIAN_AFFINE, Fraction(3, 2), Fraction(0), 2), ZeroScale),
+        (GaussianMatch(GAUSSIAN_SYMMETRIC, Fraction(-2), Fraction(0), 5), ZeroScale),
+        (GaussianMatch(RIEMANN, Fraction(2), Fraction(1), 3), CalculusError),
+    ):
+        assert outcome(scale_partners, match) is error
+        assert outcome(reference_scale_partners, match) is error
+
+
+SWEEP_QS = (Fraction(2), Fraction(-3, 2), Fraction(7, 5), Fraction(-1, 3))
+
+
+@pytest.mark.parametrize("family", [gaussian_forward, gaussian_affine, gaussian_symmetric])
+def test_recognition_and_partners_match_reference_to_order_16(family):
+    """Every member at n = 1..16, four ratios and three scales: 192 cases a family."""
+    for n in range(1, 17):
+        for q in SWEEP_QS:
+            member = named_scheme(family(n, q))
+            for b in (1, Fraction(-2, 3), 5):
+                scheme = scale(member, b)
+                match = recognize_gaussian(scheme)
+                assert match is not None and match == reference_recognize_gaussian(scheme)
+                assert scale_partners(match) == reference_scale_partners(match)
 
 
 @st.composite

@@ -1,7 +1,9 @@
 """Scheme algebra: construction, moments, decomposition, scaling, JSON."""
 
+import decimal
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial, prod
 
@@ -38,6 +40,7 @@ from grdcalc import (
     scheme_from_json,
     scheme_to_json_dict,
 )
+from grdcalc.scheme import _digits
 
 rationals = st.fractions(
     min_value=Fraction(-30), max_value=Fraction(30), max_denominator=12
@@ -146,6 +149,15 @@ def test_format_rational_past_the_int_digit_limit():
     numerator, denominator = digits.split("/")
     text = format_scheme(canonicalize([(big, Fraction(2 ** 15001)), (1, Fraction(1, 2 ** 15001))]))
     assert text == f"-({numerator[1:]}/{denominator})*f(x+{denominator}h) + f(x+(1/{denominator})h)"
+
+
+def test_digits_past_the_limit_match_decimal_conversion():
+    # about 100,000 digits, where Decimal(value) converts in quadratic time;
+    # 2**(2**18) and 2**(2**18) - 1 split exactly at a power of two
+    context = repr(decimal.getcontext())
+    for value in (-(7 ** 118000) - 12345, 2 ** (2 ** 18), 2 ** (2 ** 18) - 1, 10 ** 99999):
+        assert _digits(value) == format(Decimal(value), "f")
+    assert repr(decimal.getcontext()) == context
 
 
 def test_canonicalize_merges_and_drops():
