@@ -63,12 +63,12 @@ from .scheme import (
     CalculusError,
     Scheme,
     _echo,
+    _read_int,
     _require,
     canonicalize,
     construct_exact,
     construct_exact_symmetric,
     decompose,
-    combine,
     format_rational,
     format_scheme,
     is_scale,
@@ -295,7 +295,7 @@ def _cmd_ntimes(args: argparse.Namespace) -> tuple[dict, list[str]]:
         if not sep:
             raise CalculusError("entries look like ORDER:(cont|SCHEME)")
         try:
-            order = int(head)
+            order = _read_int(head)
         except ValueError as exc:
             raise CalculusError(f"bad chain order {_echo(repr(head))}") from exc
         if tail.strip() == "cont":
@@ -411,8 +411,7 @@ def _demo_e1() -> tuple[list[str], dict]:
 
 def _demo_e2() -> tuple[list[str], dict]:
     member = named_scheme(gaussian_affine(2, 2))
-    plus, minus = decompose(member, 2)
-    mixed = combine([(1, 1, plus), (3, 1, minus)])
+    mixed = class_member(member, 1, 1, 3)
     expected = canonicalize(
         [
             (Fraction(2, 3), 4),
@@ -661,9 +660,9 @@ _NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?([.,].*)?$")
 
 
 def _int(text: str) -> int:
-    """``int(text)`` for integer options, refused with argparse's wording and a bounded echo."""
+    """An integer option at any length, refused with argparse's wording and a bounded echo."""
     try:
-        return int(text)
+        return _read_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {_echo(repr(text))}") from None
 

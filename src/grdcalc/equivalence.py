@@ -16,7 +16,7 @@ structural special cases (fast paths) only label the verdict: both schemes
 symmetric, both with only nonnegative nodes, or both exact with one of them
 having all distinct node magnitudes.  On them equivalence collapses to being
 an exact scale, which the decision must confirm.  Every positive witness is
-re-verified by expanding both identities before the verdict is returned."""
+re-verified by one expansion of ``b = A * a_plus(r*h) + B * a_minus(s*h)``."""
 
 from __future__ import annotations
 
@@ -103,25 +103,17 @@ class EquivalenceVerdict:
         }
 
 
-def _witness_for_scale(n: int, r: Fraction, skew_zero: bool) -> Witness:
-    """The witness of ``b = scale(a, r)``: the skew part dilates by ``r`` too."""
-    sym_factor = r ** -n
-    if skew_zero:
-        return Witness(n, r, Fraction(1), sym_factor, Fraction(0))
-    return Witness(n, r, r, sym_factor, sym_factor)
-
-
 def verify_witness(a: Scheme, b: Scheme, witness: Witness) -> bool:
-    """Re-verify a witness by direct expansion of both defining identities.
+    """Re-verify a witness against the class member it names, in one expansion.
 
-    Both schemes are decomposed at the witness order; :func:`decide_equivalent`
-    applies this check to every positive verdict.
+    ``b`` must be ``A * a_plus(r*h) + B * a_minus(s*h)``, with ``a`` split at the
+    witness order; ``b`` is not split.  A dilation keeps a part's parity and the
+    split into parity parts is unique, so this holds exactly when both part
+    identities do.
     """
-    n = witness.order
-    (a_plus, a_minus), (b_plus, b_minus) = decompose(a, n), decompose(b, n)
-    return (
-        combine([(witness.sym_factor, witness.r, a_plus)]) == b_plus
-        and combine([(witness.skew_factor, witness.s, a_minus)]) == b_minus
+    a_plus, a_minus = decompose(a, witness.order)
+    return b == combine(
+        [(witness.sym_factor, witness.r, a_plus), (witness.skew_factor, witness.s, a_minus)]
     )
 
 
@@ -130,16 +122,17 @@ def _exact_distinct_magnitudes(scheme: Scheme, n: int) -> bool:
     return len(scheme) == n + 1 and len({abs(t.node) for t in scheme}) == len(scheme)
 
 
-def _fast_path(a: Scheme, b: Scheme, n: int) -> str:
-    """The fast path that labels a same-order pair, or ``PATH_GENERAL``.
+def _fast_path(a: Scheme, b: Scheme, witness: Witness) -> str:
+    """The fast path that labels an equivalent pair, or ``PATH_GENERAL``.
 
     On each fast path the pair is equivalent exactly when ``b`` is a scale
-    of ``a``; the symmetric one applies when both skew parts vanish.
+    of ``a``; the symmetric one applies when both skew parts vanish (``B == 0``).
     """
-    if decompose(a, n)[1].is_zero and decompose(b, n)[1].is_zero:
+    if witness.skew_factor == 0:
         return PATH_SYMMETRIC
     if all(t.node >= 0 for t in a) and all(t.node >= 0 for t in b):
         return PATH_FAST_NONNEG
+    n = witness.order
     if len(a) == len(b) and (_exact_distinct_magnitudes(a, n) or _exact_distinct_magnitudes(b, n)):
         return PATH_FAST_DISTINCT
     return PATH_GENERAL
@@ -157,7 +150,7 @@ def _general_outcome(a: Scheme, b: Scheme, n: int) -> Witness | str:
     if a_minus.is_zero != b_minus.is_zero:
         return REASON_SKEW_ZERO
     if a_minus.is_zero:
-        return _witness_for_scale(n, r, True)
+        return Witness(n, r, Fraction(1), r ** -n, Fraction(0))
     a_top, b_top = a_minus.terms[-1], b_minus.terms[-1]
     s, skew_factor = b_top.node / a_top.node, b_top.coeff / a_top.coeff
     if combine([(skew_factor, s, a_minus)]) != b_minus:
@@ -169,10 +162,10 @@ def decide_equivalent(a: Scheme, b: Scheme, use_fast_paths: bool = True) -> Equi
     """Decide whether ``a`` and ``b`` are equivalent differentiation schemes.
 
     Inputs that are not normalized are normalized first and the verdict is
-    flagged.  ``use_fast_paths`` only chooses whether a fast-path label is
-    shown, with the witness as the scale ``b = scale(a, +-r)`` that the
-    path's theorem says it must be.  Every verdict leaves through one exit,
-    which re-checks each positive witness with :func:`verify_witness`;
+    flagged.  ``use_fast_paths`` only chooses whether a positive verdict shows
+    a fast-path label, with the witness as the scale ``b = scale(a, +-r)``
+    that the path's theorem says it must be.  Every positive verdict leaves
+    through one exit, which re-checks its witness with :func:`verify_witness`;
     negative verdicts carry the first structural reason found.
     """
     if a.is_zero or b.is_zero:
@@ -181,19 +174,17 @@ def decide_equivalent(a: Scheme, b: Scheme, use_fast_paths: bool = True) -> Equi
     flag = info_a.normalizer != 1 or info_b.normalizer != 1
     n = info_a.order
     if n != info_b.order:
-        outcome = REASON_ORDER
-    else:
-        a, b = normalized(a), normalized(b)
-        outcome = _general_outcome(a, b, n)
-        path = _fast_path(a, b, n) if use_fast_paths else PATH_GENERAL
-        if path != PATH_GENERAL and isinstance(outcome, Witness):
-            r, s, A, B = outcome.r, outcome.s, outcome.sym_factor, outcome.skew_factor
-            _require(
-                B == 0 or (s == r and B in (A, -A)), "fast path disagrees with general analysis"
-            )
-            outcome = _witness_for_scale(n, -r if B == -A else r, B == 0)
+        return EquivalenceVerdict(False, None, None, REASON_ORDER, flag)
+    a, b = normalized(a), normalized(b)
+    outcome = _general_outcome(a, b, n)
     if isinstance(outcome, str):
         return EquivalenceVerdict(False, None, None, outcome, flag)
+    path = _fast_path(a, b, outcome) if use_fast_paths else PATH_GENERAL
+    if path != PATH_GENERAL:
+        r, s, A, B = outcome.r, outcome.s, outcome.sym_factor, outcome.skew_factor
+        _require(B == 0 or (s == r and B in (A, -A)), "fast path disagrees with general analysis")
+        if B == -A:  # b = scale(a, -r); every other scale already has its witness form
+            outcome = Witness(n, -r, -r, (-r) ** -n, (-r) ** -n)
     _require(verify_witness(a, b, outcome), "witness failed re-verification")
     return EquivalenceVerdict(True, outcome, path, None, flag)
 

@@ -35,6 +35,7 @@ from .scheme import (
     _digits,
     _echo,
     _is_int,
+    _read_int,
     _require,
     construct_exact,
     format_rational,
@@ -266,17 +267,23 @@ def named_scheme(kind: FamilyKind) -> Scheme:
     distinct nodes, built once by the closed-form (Lagrange) construction of
     :func:`construct_exact`.  A symmetric member is no exception: its nodes
     are ``n+1`` distinct points, so the unique exact scheme on them is the
-    symmetric one.  Since the scheme is unique, its defining moments
-    (``m_j = 0`` for ``j < n`` and ``m_n = n!``) are a complete check of the
-    build, and every variant gets it: :func:`order_info` must give order
-    ``n`` and normalizer 1.  A failed check would mean an internal arithmetic
-    fault and raises ``IdentityCheckFailed`` on every read, since the memo
-    keeps no failure.
+    symmetric one.  Since the scheme is unique, its nodes and its defining
+    moments (``m_j = 0`` for ``j < n`` and ``m_n = n!``) are a complete check
+    of the build, :func:`_is_member`, and every variant gets it.  A failed
+    check would mean an internal arithmetic fault and raises
+    ``IdentityCheckFailed`` on every read, since the memo keeps no failure.
     """
     built = construct_exact(family_nodes(kind), kind.n)
-    info = order_info(built)
-    _require(info.order == kind.n and info.normalizer == 1, "%s fails its defining moments", kind)
+    _require(_is_member(built, kind), "%s fails its defining moments", kind)
     return built
+
+
+def _is_member(scheme: Scheme, kind: FamilyKind) -> bool:
+    """Whether ``scheme`` is the member ``kind``: on the member's nodes, of order ``n``
+    and normalizer 1, which is complete (see :func:`named_scheme`)."""
+    info = order_info(scheme)
+    on_nodes = scheme.nodes == tuple(sorted(family_nodes(kind)))
+    return on_nodes and (info.order, info.normalizer) == (kind.n, 1)
 
 
 @dataclass(frozen=True)
@@ -413,7 +420,7 @@ def parse_family(text: str) -> FamilyKind:
     if "n" not in fields:
         raise CalculusError("family strings require n=<order>")
     try:
-        n = int(fields.pop("n"))
+        n = _read_int(fields.pop("n"))
     except ValueError as exc:
         raise CalculusError("order n must be an integer") from exc
     has_k, variants = "k" in fields, _CLI_VARIANTS[head]
@@ -425,7 +432,7 @@ def parse_family(text: str) -> FamilyKind:
     k: Optional[int] = None
     if has_k:
         try:
-            k = int(fields.pop("k"))
+            k = _read_int(fields.pop("k"))
         except ValueError as exc:
             raise CalculusError("shift k must be an integer") from exc
     q: Optional[Fraction] = None

@@ -29,6 +29,7 @@ from .families import (
     GAUSSIAN_SYMMETRIC,
     GaussianMatch,
     OrderBudgetExceeded,
+    _is_member,
     _power_digits,
     gaussian_affine,
     gaussian_affine_shift,
@@ -213,11 +214,12 @@ def verify_quantum_ggr(
 ) -> list[tuple[int, Fraction]]:
     """Verify the geometric analog of the shifted-set reduction.
 
-    For each shift ``k`` in ``ell..ell+n`` the shifted geometric member must
-    be the scale by exactly ``q**k`` of the unshifted one, checked at that
-    constant; the witnesses are returned and any failure is an internal
-    arithmetic fault.  The members' nodes reach ``q**(|ell| + 2n)``, and ``n``
-    times the digits of that node is at most ``MAX_QGGR_SIZE``.
+    For each shift ``k`` in ``ell..ell+n`` the scale by exactly ``q**k`` of
+    the unshifted geometric member, the one member built, must be the shifted
+    member, checked by that member's defining property (``_is_member``); the
+    witnesses are returned and any failure is an internal arithmetic fault.
+    The nodes reach ``q**(|ell| + 2n)``, and ``n`` times the digits of that
+    node is at most ``MAX_QGGR_SIZE``.
     """
     _check_order(n)
     if not _is_int(ell):
@@ -230,11 +232,10 @@ def verify_quantum_ggr(
             f" {_echo(_digits(size))}, above {MAX_QGGR_SIZE}"
         )
     base = named_scheme(gaussian_affine(n, q))
-    witnesses = []
-    for k in range(ell, ell + n + 1):
-        shifted = named_scheme(gaussian_affine_shift(n, k, q))
-        _require(scale(base, q ** k) == shifted, "shift %s is not the scale by %s**%s", k, q, k)
-        witnesses.append((k, q ** k))
+    witnesses = [(k, q ** k) for k in range(ell, ell + n + 1)]
+    for k, r in witnesses:
+        fits = _is_member(scale(base, r), gaussian_affine_shift(n, k, q))
+        _require(fits, "shift %s is not the scale by %s**%s", k, q, k)
     return witnesses
 
 

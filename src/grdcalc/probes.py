@@ -62,6 +62,7 @@ from .scheme import (
     _echo,
     _is_int,
     _over_common_denominator,
+    _read_int,
     format_rational,
     order_info,
     parse_rational,
@@ -385,7 +386,7 @@ def parse_oracle(text: str) -> FunctionOracle:
         if key.strip() != "k" or not eq:
             raise CalculusError("monomial oracles look like mono:k=<degree>")
         try:
-            degree = int(value)
+            degree = _read_int(value)
         except ValueError as exc:
             raise CalculusError("monomial degree must be an integer") from exc
         return monomial_oracle(degree)
@@ -400,7 +401,7 @@ def parse_oracle(text: str) -> FunctionOracle:
             key, eq, value = piece.partition("=")
             if key.strip() == "k" and eq:
                 try:
-                    degree = int(value)
+                    degree = _read_int(value)
                 except ValueError as exc:
                     raise CalculusError("subgroup degree must be an integer") from exc
             elif key.strip() == "gens" and eq:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
@@ -76,26 +77,30 @@ class InvalidOrder(CalculusError):
     """The differentiation order must be a positive integer."""
 
 
-# Integer, 'p/q' and decimal strings, as Fraction reads them.  Decimal reads
-# their digits exactly at any length; Fraction and int stop at the
-# interpreter's int-from-str digit limit.  A decimal such as '15e-1' costs
-# 10**exponent, so its exponent (group 1) is bounded first, by that limit.
+# Integer, 'p/q' and decimal strings, as Fraction reads them; a decimal's
+# groups are its sign, whole digits, fraction digits and exponent sign and
+# digits.  _read_int reads their digits at any length; Fraction and int stop
+# at the interpreter's int-from-str digit limit.  A decimal such as '15e-1'
+# costs 10**exponent, so its exponent is bounded first, by that limit.
+_INTEGER = re.compile(r"([-+]?)(\d+(?:_\d+)*)")
 _INTEGER_OR_RATIO = re.compile(r"([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?")
 _DECIMAL = re.compile(
-    r"[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?(?:[eE][-+]?(\d+(?:_\d+)*))?"
+    r"([-+]?)(?=\d|\.\d)(\d*(?:_\d+)*)(?:\.(\d+(?:_\d+)*)?)?(?:[eE]([-+]?)(\d+(?:_\d+)*))?"
 )
 MAX_EXPONENT = 4300
 _ECHO_CHARS = 100
+_SPLIT_DIGITS = sys.int_info.str_digits_check_threshold  # int reads these under any limit
 
 
 def _echo(shown: str, length: Optional[int] = None) -> str:
     """``shown`` cut to its first 100 characters, then its length: how refusals quote input.
 
     With ``length``, ``shown`` is the start, at least 100 characters long, of
-    a text of that length that is never built whole.
+    a text of that length that is never built whole; that length's digits
+    are quoted alike.
     """
     length = len(shown) if length is None else length
-    cut = f"... ({length} characters)" if length > _ECHO_CHARS else ""
+    cut = f"... ({_echo(_digits(length))} characters)" if length > _ECHO_CHARS else ""
     return shown[:_ECHO_CHARS] + cut
 
 
@@ -104,11 +109,42 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _read_int(text: str) -> int:
+    """``int(text)``, also past the interpreter's int-from-str digit limit.
+
+    The mirror of :func:`_exact_decimal`: past the limit, where ``int`` would
+    take time quadratic in the digits, the digit string is split in halves,
+    read alike, and joined as ``high * 10**len(low) + low``, each power built
+    once.  The syntax is ``int``'s, and a refusal is its ``ValueError``.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        number = _INTEGER.fullmatch(text.strip())
+        if number is None:
+            raise
+    powers: dict[int, int] = {}
+
+    def read(digits: str) -> int:
+        if len(digits) <= _SPLIT_DIGITS:
+            return int(digits)
+        high, low = digits[: len(digits) // 2], digits[len(digits) // 2 :]
+        if len(low) not in powers:
+            powers[len(low)] = 10 ** len(low)
+        return read(high) * powers[len(low)] + read(low)
+
+    value = read(number[2].replace("_", ""))
+    return -value if number[1] == "-" else value
+
+
 def parse_rational(text: Rationalish) -> Fraction:
     """Parse a rational from an int, Fraction, or a 'p/q' / 'p' / decimal string.
 
     A ``bool`` is an ``int`` to Python but not a rational: JSON ``true`` is refused.
     A decimal exponent above ``MAX_EXPONENT`` in magnitude is refused up front.
+    Digits are read by :func:`_read_int`, in time subquadratic in their count;
+    a decimal is its mantissa (whole and fraction digits) times
+    ``10**(exponent - len(fraction))``.
     """
     if isinstance(text, Fraction):
         return text
@@ -117,18 +153,23 @@ def parse_rational(text: Rationalish) -> Fraction:
     body = str(text).strip()
     ratio = _INTEGER_OR_RATIO.fullmatch(body)
     decimal = None if ratio else _DECIMAL.fullmatch(body)
-    digits = (decimal[1] or "").replace("_", "").lstrip("0") if decimal else ""
+    sign, whole, fraction, exp_sign, exp_digits = decimal.groups("") if decimal else [""] * 5
+    digits = exp_digits.replace("_", "").lstrip("0")
     if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
         raise CalculusError(
             f"a rational's exponent must be at most {MAX_EXPONENT} in magnitude,"
             f" got {_echo(repr(text))}"
         )
     if ratio is not None:
-        num, den = int(Decimal(ratio[1])), int(Decimal(ratio[2] or 1))
+        num, den = _read_int(ratio[1]), _read_int(ratio[2] or "1")
         if den:
             return Fraction(num, den)
     elif decimal:
-        return Fraction(Decimal(body))
+        mantissa = _read_int(sign + whole + fraction)
+        exponent = int(exp_sign + (digits or "0")) - len(fraction.replace("_", ""))
+        if exponent >= 0:
+            return Fraction(mantissa * 10 ** exponent)
+        return Fraction(mantissa, 10 ** -exponent)
     raise CalculusError(f"not a rational: {_echo(repr(text))}")
 
 
@@ -415,8 +456,8 @@ def scale(scheme: Scheme, r: Rationalish) -> Scheme:
         raise ZeroScale("scale factor must be nonzero")
     if scheme.is_zero:
         raise ZeroScheme("cannot scale the zero scheme")
-    n = order_info(scheme).order
-    return Scheme(tuple(Term(t.coeff / r ** n, r * t.node) for t in scheme))
+    factor = r ** -order_info(scheme).order
+    return Scheme(tuple(Term(t.coeff * factor, r * t.node) for t in scheme))
 
 
 def reflect(scheme: Scheme) -> Scheme:

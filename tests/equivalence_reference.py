@@ -14,7 +14,16 @@ an exact-scale trial through ``is_scale`` on the fast paths, then the
 general analysis (``reference_outcome``), which tries both signs of the
 symmetric ratio through ``is_scale`` and builds the dilated skew part
 before it multiplies it.
+
+``reference_verify_witness`` is the body ``verify_witness`` once had, and
+``_witness_for_scale`` the helper that built the scale witnesses, both kept
+unchanged: the re-verification split both schemes and expanded the two
+part identities one at a time.  ``verify_witness`` now compares ``b`` whole
+with the one class member the witness names; both references above use the
+old body, so they stay independent of it.
 """
+
+from fractions import Fraction
 
 from grdcalc.equivalence import (
     PATH_FAST_DISTINCT,
@@ -27,8 +36,6 @@ from grdcalc.equivalence import (
     REASON_SYMMETRIC,
     EquivalenceVerdict,
     Witness,
-    _witness_for_scale,
-    verify_witness,
 )
 from grdcalc.scheme import (
     Scheme,
@@ -40,6 +47,28 @@ from grdcalc.scheme import (
     normalized,
     order_info,
 )
+
+
+def _witness_for_scale(n: int, r: Fraction, skew_zero: bool) -> Witness:
+    """The witness of ``b = scale(a, r)``: the skew part dilates by ``r`` too."""
+    sym_factor = r ** -n
+    if skew_zero:
+        return Witness(n, r, Fraction(1), sym_factor, Fraction(0))
+    return Witness(n, r, r, sym_factor, sym_factor)
+
+
+def reference_verify_witness(a: Scheme, b: Scheme, witness: Witness) -> bool:
+    """Re-verify a witness by direct expansion of both defining identities.
+
+    Both schemes are decomposed at the witness order; :func:`decide_equivalent`
+    applies this check to every positive verdict.
+    """
+    n = witness.order
+    (a_plus, a_minus), (b_plus, b_minus) = decompose(a, n), decompose(b, n)
+    return (
+        combine([(witness.sym_factor, witness.r, a_plus)]) == b_plus
+        and combine([(witness.skew_factor, witness.s, a_minus)]) == b_minus
+    )
 
 
 def reference_general_outcome(
@@ -73,7 +102,7 @@ def reference_general_verdict(a: Scheme, b: Scheme) -> EquivalenceVerdict:
     outcome = reference_general_outcome(n, *decompose(a, n), *decompose(b, n))
     if isinstance(outcome, str):
         return EquivalenceVerdict(False, None, None, outcome, flag)
-    assert verify_witness(a, b, outcome)
+    assert reference_verify_witness(a, b, outcome)
     return EquivalenceVerdict(True, outcome, PATH_GENERAL, None, flag)
 
 
@@ -125,7 +154,7 @@ def reference_decide_equivalent(
 
     Inputs that are not normalized are normalized first and the verdict is
     flagged.  Every verdict leaves through one exit, which re-checks each
-    positive witness with :func:`verify_witness`, whichever path found it;
+    positive witness with :func:`reference_verify_witness`, whichever path found it;
     a fast path that finds no scale must agree with the general analysis.
     Positive verdicts carry the witness and the decision path taken;
     negative verdicts carry the first structural reason found.
@@ -153,5 +182,5 @@ def reference_decide_equivalent(
             )
     if isinstance(outcome, str):
         return EquivalenceVerdict(False, None, None, outcome, flag)
-    _require(verify_witness(a, b, outcome), "witness failed re-verification")
+    _require(reference_verify_witness(a, b, outcome), "witness failed re-verification")
     return EquivalenceVerdict(True, outcome, path, None, flag)

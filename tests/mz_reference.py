@@ -10,13 +10,25 @@ catalog now leaves the first three to the Gaussian search, because the
 doubling-node witnesses and the symmetric second difference are Gaussian
 members, and drops the last, because the member loop decides it first; the
 reference tests pin those deletions to this form.
+
+``reference_verify_quantum_ggr`` is the body ``verify_quantum_ggr`` once
+had, kept unchanged apart from its name: it builds every shifted member and
+compares each scale of the base member with it.  ``verify_quantum_ggr`` now
+builds the base member only and checks each scale by the shifted member's
+defining property (its nodes, order and normalizer).
 """
 
 from grdcalc.equivalence import decide_equivalent, equivalent_gaussian
+from fractions import Fraction
+
 from grdcalc.families import (
     GAUSSIAN_AFFINE,
     GAUSSIAN_FORWARD,
     GAUSSIAN_SYMMETRIC,
+    OrderBudgetExceeded,
+    _power_digits,
+    gaussian_affine,
+    gaussian_affine_shift,
     mz_tilde,
     mz_tilde_symmetric,
     named_scheme,
@@ -35,6 +47,7 @@ from grdcalc.mz import (
     STATUS_MZ,
     STATUS_NOT_MZ,
     STATUS_OPEN,
+    MAX_QGGR_SIZE,
     Certificate,
     MixedOrders,
     MzVerdict,
@@ -43,11 +56,19 @@ from grdcalc.mz import (
 )
 from grdcalc.scheme import (
     CalculusError,
+    Rationalish,
     Scheme,
+    _check_order,
+    _digits,
+    _echo,
+    _is_int,
+    _require,
     construct_exact,
     construct_exact_symmetric,
     is_scale,
     order_info,
+    parse_rational,
+    scale,
 )
 
 CERT_MZ_TILDE = "EquivalentToMzTilde"
@@ -164,3 +185,25 @@ def reference_mz_set_check(schemes) -> MzVerdict:
         else CONJECTURE_GAUSSIAN
     )
     return MzVerdict(STATUS_OPEN, None, conjecture)
+
+
+def reference_verify_quantum_ggr(
+    n: int, ell: int, q: Rationalish
+) -> list[tuple[int, Fraction]]:
+    _check_order(n)
+    if not _is_int(ell):
+        raise CalculusError("the shift window start must be an integer")
+    q = parse_rational(q)
+    size = n * _power_digits(q, abs(ell) + 2 * n)
+    if size > MAX_QGGR_SIZE:
+        raise OrderBudgetExceeded(
+            f"qggr too large: the order times the digits of q**(|ell|+2n) is"
+            f" {_echo(_digits(size))}, above {MAX_QGGR_SIZE}"
+        )
+    base = named_scheme(gaussian_affine(n, q))
+    witnesses = []
+    for k in range(ell, ell + n + 1):
+        shifted = named_scheme(gaussian_affine_shift(n, k, q))
+        _require(scale(base, q ** k) == shifted, "shift %s is not the scale by %s**%s", k, q, k)
+        witnesses.append((k, q ** k))
+    return witnesses

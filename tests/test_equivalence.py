@@ -1,11 +1,12 @@
 """Equivalence decision procedure, witnesses, and class members."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equivalence_reference import reference_decide_equivalent
+from equivalence_reference import reference_decide_equivalent, reference_verify_witness
 
 from grdcalc import equivalence
 from grdcalc import (
@@ -311,6 +312,15 @@ def test_each_input_read_and_split_once(derivations):
     assert derivations.orders == [d2, d31] and not derivations.splits
 
 
+def test_verify_witness_never_splits_b(derivations):
+    for _, a, b in POSITIVE_BY_PATH:
+        witness = decide_equivalent(a, b).witness
+        fresh = Scheme(b.terms)
+        derivations.clear()
+        assert verify_witness(a, fresh, witness)
+        assert all(scheme is not fresh for scheme, _ in derivations.splits)
+
+
 # --- relation laws ---------------------------------------------------------------
 
 
@@ -400,6 +410,52 @@ def test_negative_scales_match_the_two_engines(a, b):
     # b is the scale of a by a negative factor: shown as it on a fast path, else as B = -A
     w = decide_equivalent(a, b).witness
     assert w.r < 0 or w.skew_factor == -w.sym_factor
+
+
+def _outcome(check, a, b, witness):
+    """What ``check`` returns on the witness, or the type of what it raises."""
+    try:
+        return check(a, b, witness)
+    except Exception as exc:  # noqa: BLE001 - compared by type
+        return type(exc)
+
+
+def _tampered(w, a):
+    """The true witness ``w`` of ``(a, b)`` and wrong ones: each constant doubled,
+    sign-flipped or shifted by 1, ``B = 0`` on a nonzero skew part, the other
+    parity's order, and ``r = 0`` and ``s = 0``."""
+    out = [w, replace(w, order=w.order + 1), replace(w, r=Fraction(0)), replace(w, s=Fraction(0))]
+    for name in ("r", "s", "sym_factor", "skew_factor"):
+        value = getattr(w, name)
+        out += [replace(w, **{name: wrong}) for wrong in (2 * value, -value, value + 1)]
+    if not decompose(a, w.order)[1].is_zero:
+        out.append(replace(w, skew_factor=Fraction(0)))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.fractions(min_value=-5, max_value=5, max_denominator=3),
+            min_size=n + 1,
+            max_size=n + 1,
+            unique=True,
+        )
+    ),
+    st.sampled_from(["scale", "member", "minus"]),
+    constants,
+    constants,
+    constants,
+)
+def test_verify_witness_matches_the_two_part_check(nodes, how, c, d, e):
+    a = construct_exact(nodes, len(nodes) - 1)
+    b = normalized(_partner(a, how, c, d, e))
+    for fast in (True, False):
+        true_witness = decide_equivalent(a, b, use_fast_paths=fast).witness
+        for witness in _tampered(true_witness, a):
+            expected = _outcome(reference_verify_witness, a, b, witness)
+            assert _outcome(verify_witness, a, b, witness) == expected
 
 
 def test_symmetric_equivalence_is_scaling():

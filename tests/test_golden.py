@@ -301,6 +301,9 @@ REFUSALS = {
     "refuse_scale_family_order_12_digits": ["scale", "riemann:n=999999999999", "--by", "2"],
     "refuse_decompose_family_over_budget": ["decompose", "riemann:n=3000"],
     "refuse_ggr_order_over_budget": ["ggr", "--order", "400"],
+    # integers past the 4,300-digit int-from-str limit, refused by their budgets
+    "refuse_recognize_family_order_5000_digits": ["recognize", "riemann:n=" + "9" * 5000],
+    "refuse_ggr_order_5000_digits": ["ggr", "--order", "9" * 5000],
     # JSON true and false are not rationals
     "refuse_json_boolean_rational": [
         "scale", '{"terms":[{"coeff":true,"node":1},{"coeff":-1,"node":false}]}', "--by", "1",

@@ -36,6 +36,8 @@ from grdcalc import (
     STATUS_MZ,
     STATUS_NOT_MZ,
     STATUS_OPEN,
+    Scheme,
+    Term,
     ZeroScheme,
     canonicalize,
     class_member,
@@ -205,6 +207,31 @@ def test_verify_quantum_ggr_checks_the_named_scale(monkeypatch):
     # the check is made at q**k itself: a scale by -q**k is not accepted in its place
     true_scale = mz.scale
     monkeypatch.setattr(mz, "scale", lambda scheme, r: true_scale(scheme, -r))
+    with pytest.raises(IdentityCheckFailed, match="shift 0 is not the scale by 3/2"):
+        verify_quantum_ggr(2, 0, Fraction(3, 2))
+
+
+def test_verify_quantum_ggr_builds_only_the_base_member(monkeypatch):
+    built = []
+
+    def recording(nodes, n, _original=families.construct_exact):
+        built.append(n)
+        return _original(nodes, n)
+
+    monkeypatch.setattr(families, "construct_exact", recording)
+    assert len(verify_quantum_ggr(5, -2, Fraction(3, 2))) == 6
+    assert built == [5]
+
+
+def test_verify_quantum_ggr_refuses_one_wrong_coefficient(monkeypatch):
+    # nodes right, one coefficient doubled: the shifted member's moments refuse it
+    true_scale = mz.scale
+
+    def doubled_first(scheme, r):
+        first, *rest = true_scale(scheme, r).terms
+        return Scheme((Term(2 * first.coeff, first.node), *rest))
+
+    monkeypatch.setattr(mz, "scale", doubled_first)
     with pytest.raises(IdentityCheckFailed, match="shift 0 is not the scale by 3/2"):
         verify_quantum_ggr(2, 0, Fraction(3, 2))
 

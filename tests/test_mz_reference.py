@@ -11,6 +11,7 @@ reference modules, which keep the old steps.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from equivalence_reference import reference_general_verdict
@@ -34,8 +35,13 @@ from grdcalc import (
     riemann_shift,
     scale,
     symmetric_riemann,
+    verify_quantum_ggr,
 )
-from mz_reference import reference_mz_check, reference_mz_set_check
+from mz_reference import (
+    reference_mz_check,
+    reference_mz_set_check,
+    reference_verify_quantum_ggr,
+)
 
 D31 = construct_exact([-1, 0, 1, 2], 3)
 D2S = construct_exact_symmetric([1], True, 2)
@@ -155,3 +161,11 @@ def test_general_analysis_matches_reference_on_negative_s(base, r, s, skew, unno
 def test_general_analysis_matches_reference_on_other_pairs(a, b):
     expected = reference_general_verdict(a, b).to_json_dict()
     assert decide_equivalent(a, b, use_fast_paths=False).to_json_dict() == expected
+
+
+@pytest.mark.parametrize("q", [2, Fraction(-3, 2), Fraction(7, 5), Fraction(-1, 3)])
+def test_quantum_ggr_matches_reference(q):
+    # the shifted members the reference builds, the rewrite checks by their nodes
+    for n in range(1, 13):
+        for ell in (-3, 0, 2):
+            assert verify_quantum_ggr(n, ell, q) == reference_verify_quantum_ggr(n, ell, q)

@@ -40,7 +40,8 @@ from grdcalc import (
     scheme_from_json,
     scheme_to_json_dict,
 )
-from grdcalc.scheme import _digits
+from grdcalc.scheme import _digits, _read_int
+from rational_reference import reference_parse_rational
 
 rationals = st.fractions(
     min_value=Fraction(-30), max_value=Fraction(30), max_denominator=12
@@ -131,6 +132,72 @@ def test_parse_rational_bounds_the_exponent():
         parse_rational("1e" + "9" * 5000)
     with pytest.raises(CalculusError, match=r"exponent must be at most 4300"):
         scheme_from_json('{"terms":[{"coeff":"1e99999","node":1},{"coeff":-1,"node":0}]}')
+
+
+def _parsed(parse, text):
+    """What ``parse`` gives on ``text``: the Fraction, or the refusal's type and message."""
+    try:
+        return parse(text)
+    except Exception as exc:  # noqa: BLE001 - compared by type and message
+        return type(exc), str(exc)
+
+
+# digit runs: a short head and tail of digits and underscores (leading zeros,
+# doubled or stray underscores) around up to 20,000 repeats of one digit
+digit_runs = st.builds(
+    lambda head, fill, count, tail: head + fill * count + tail,
+    st.text("0123456789_", max_size=5),
+    st.sampled_from("0123456789"),
+    st.sampled_from([0, 0, 1, 640, 4300, 4301, 20_000]),
+    st.text("0123456789_", max_size=5),
+)
+signs = st.sampled_from(["", "", "+", "-"])
+exponents = st.builds(
+    lambda letter, sign, zeros, value, cut: letter + sign + "0" * zeros + (
+        f"{value}"[:cut] + "_" + f"{value}"[cut:] if 0 < cut < len(f"{value}") else f"{value}"
+    ),
+    st.sampled_from("eE"),
+    signs,
+    st.integers(0, 2),
+    st.integers(4290, 4310) | st.sampled_from([0, 1, 2, 17, 99999]),
+    st.integers(0, 3),
+)
+rational_texts = st.one_of(
+    st.builds(lambda sign, digits: sign + digits, signs, digit_runs),
+    st.builds(lambda sign, p, q: f"{sign}{p}/{q}", signs, digit_runs, digit_runs),
+    st.builds(
+        lambda sign, whole, fraction, exponent: f"{sign}{whole}.{fraction}{exponent}",
+        signs,
+        digit_runs | st.just(""),
+        digit_runs | st.just(""),
+        exponents | st.just(""),
+    ),
+    st.builds(lambda sign, digits, exponent: sign + digits + exponent, signs, digit_runs, exponents),
+).flatmap(lambda text: st.sampled_from([text, f" {text}\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_texts)
+def test_parse_rational_matches_the_decimal_reader(text):
+    assert _parsed(parse_rational, text) == _parsed(reference_parse_rational, text)
+
+
+def test_read_int_is_int_at_any_length():
+    for text in ("0", " -12 ", "+1_000", "\u0661\u0662", "007", "1__0", "_1", "1_", "", "1.0", "0x10"):
+        try:
+            expected = int(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _read_int(text)
+        else:
+            assert _read_int(text) == expected
+    for value in (7 ** 40000, -(10 ** 5000) - 1, 10 ** 4300):
+        digits = _digits(value)
+        assert _read_int(f" {digits} ") == value
+        assert _read_int(digits[:-1] + "_" + digits[-1:]) == value
+    for text in ("1" * 5000 + "x", "1" * 5000 + "__1", "--" + "1" * 5000):
+        with pytest.raises(ValueError):
+            _read_int(text)
 
 
 def test_format_rational_past_the_int_digit_limit():
