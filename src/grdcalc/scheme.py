@@ -89,18 +89,21 @@ _DECIMAL = re.compile(
 )
 MAX_EXPONENT = 4300
 _ECHO_CHARS = 100
-_SPLIT_DIGITS = sys.int_info.str_digits_check_threshold  # int reads these under any limit
+# int reads this many digits under any limit (Python before 3.10.7 has none)
+_SPLIT_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 640)
 
 
 def _echo(shown: str, length: Optional[int] = None) -> str:
     """``shown`` cut to its first 100 characters, then its length: how refusals quote input.
 
     With ``length``, ``shown`` is the start, at least 100 characters long, of
-    a text of that length that is never built whole; that length's digits
-    are quoted alike.
+    a text of that length that is never built whole; a length of more than
+    100 digits is quoted by its digit count.
     """
     length = len(shown) if length is None else length
-    cut = f"... ({_echo(_digits(length))} characters)" if length > _ECHO_CHARS else ""
+    count = _digits(length)
+    told = count if len(count) <= _ECHO_CHARS else f"a {len(count)}-digit number of"
+    cut = f"... ({told} characters)" if length > _ECHO_CHARS else ""
     return shown[:_ECHO_CHARS] + cut
 
 

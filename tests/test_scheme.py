@@ -1,15 +1,18 @@
 """Scheme algebra: construction, moments, decomposition, scaling, JSON."""
 
 import decimal
+import os
 import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grdcalc
 from grdcalc import (
     CalculusError,
     DuplicateNodes,
@@ -198,6 +201,29 @@ def test_read_int_is_int_at_any_length():
     for text in ("1" * 5000 + "x", "1" * 5000 + "__1", "--" + "1" * 5000):
         with pytest.raises(ValueError):
             _read_int(text)
+
+
+def test_reader_imports_on_an_interpreter_without_the_int_digit_limit():
+    # before Python 3.10.7, sys.int_info has no str_digits_check_threshold and
+    # int reads a digit string of any length
+    source = (
+        "import sys, types\n"
+        "from fractions import Fraction\n"
+        "getattr(sys, 'set_int_max_str_digits', lambda n: None)(0)\n"
+        "info = sys.int_info\n"
+        "sys.int_info = types.SimpleNamespace(\n"
+        "    bits_per_digit=info.bits_per_digit, sizeof_digit=info.sizeof_digit)\n"
+        "from grdcalc.scheme import _read_int, parse_rational\n"
+        "digits = '7' * 5000\n"
+        "assert _read_int(digits) == int(digits)\n"
+        "assert parse_rational(digits + '/3') == Fraction(int(digits), 3)\n"
+        "print('ok')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(grdcalc.__file__).resolve().parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", source], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert (child.returncode, child.stdout) == (0, "ok\n"), child.stderr[-300:]
 
 
 def test_format_rational_past_the_int_digit_limit():
