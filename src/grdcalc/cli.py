@@ -657,6 +657,8 @@ DEMOS: dict[str, Callable[[], tuple[list[str], dict]]] = {
 
 
 _NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?([.,].*)?$")
+# shlex.split's words of a stripped line without quotes or backslashes: its pieces between blanks
+_QUOTING, _BLANKS = re.compile(r"['\"\\]"), re.compile(r"[ \t\r\n]+")
 
 
 def _int(text: str) -> int:
@@ -791,7 +793,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    words = shlex.split(line)
+                    words = shlex.split(line) if _QUOTING.search(line) else _BLANKS.split(line)
                 except ValueError as exc:
                     raise CalculusError(f"cannot split batch line: {exc}") from exc
                 if "--batch" in words:

@@ -305,14 +305,36 @@ class Scheme:
 PairLike = Union[Term, Sequence[Rationalish]]
 
 
+def _term(coeff: Fraction, node: Fraction) -> Term:
+    """``Term(coeff, node)`` for two values that are already ``Fraction``s."""
+    term = object.__new__(Term)
+    object.__setattr__(term, "coeff", coeff)
+    object.__setattr__(term, "node", node)
+    return term
+
+
+def _scheme(terms: tuple[Term, ...]) -> Scheme:
+    """``Scheme(terms)`` unchecked, for terms that are canonical by construction:
+    their nodes strictly increase and their coefficients are nonzero ``Fraction``s."""
+    scheme = object.__new__(Scheme)
+    object.__setattr__(scheme, "terms", terms)
+    return scheme
+
+
 def canonicalize(terms: Iterable[PairLike]) -> Scheme:
-    """Build a scheme from (coeff, node) pairs: merge nodes, drop zeros, sort."""
-    acc: dict[Fraction, Fraction] = {}
+    """Build a scheme from (coeff, node) pairs: merge nodes, drop zeros, sort.
+    Coefficients come out as plain ``Fraction``s, each node as the first given for its value."""
+    coeffs, nodes = [], []
     for item in terms:
         coeff, node = (item.coeff, item.node) if isinstance(item, Term) else item
-        coeff, node = parse_rational(coeff), parse_rational(node)
-        acc[node] = acc.get(node, Fraction(0)) + coeff
-    return Scheme(tuple(Term(c, b) for b, c in sorted(acc.items()) if c != 0))
+        coeffs.append(coeff if type(coeff) is Fraction else Fraction(parse_rational(coeff)))
+        nodes.append(node if isinstance(node, Fraction) else parse_rational(node))
+    first: dict[int, Fraction] = {}  # keyed by the node's numerator over one denominator
+    sums: dict[int, Fraction] = {}
+    for key, node, coeff in zip(_over_common_denominator(nodes)[0], nodes, coeffs):
+        first.setdefault(key, node)
+        sums[key] = sums[key] + coeff if key in sums else coeff
+    return _scheme(tuple(_term(sums[key], first[key]) for key in sorted(sums) if sums[key]))
 
 
 def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -365,10 +387,8 @@ def _find_order(scheme: Scheme) -> OrderInfo:
 
 def normalized(scheme: Scheme) -> Scheme:
     """Rescale coefficients so the leading moment equals order factorial."""
-    info = order_info(scheme)
-    if info.normalizer == 1:
-        return scheme
-    return Scheme(tuple(Term(t.coeff * info.normalizer, t.node) for t in scheme))
+    normalizer = order_info(scheme).normalizer
+    return scheme if normalizer == 1 else combine([(normalizer, 1, scheme)])
 
 
 def _lagrange_weights(points: Sequence[Fraction], top: int) -> list[Fraction]:
@@ -437,15 +457,9 @@ def construct_exact_symmetric(
     if len(squares) < n_conditions:
         raise InconsistentSystem("conditions cannot all hold")
     weights = _lagrange_weights(squares, factorial(n))
-    sign = Fraction(-1) ** n
-    terms = []
-    for w, p in zip(weights, pairs):
-        coeff = w / (2 * p ** (n % 2))
-        terms.append((coeff, p))
-        terms.append((sign * coeff, -p))
-    if include_zero:
-        terms.append((weights[-1], Fraction(0)))
-    return canonicalize(terms)
+    halves = [(w / (2 * p ** (n % 2)), p) for w, p in zip(weights, pairs)]
+    zero = [(weights[-1], Fraction(0))] if include_zero else []
+    return canonicalize(halves + [((-1) ** n * c, -p) for c, p in halves] + zero)
 
 
 def scale(scheme: Scheme, r: Rationalish) -> Scheme:
@@ -459,13 +473,12 @@ def scale(scheme: Scheme, r: Rationalish) -> Scheme:
         raise ZeroScale("scale factor must be nonzero")
     if scheme.is_zero:
         raise ZeroScheme("cannot scale the zero scheme")
-    factor = r ** -order_info(scheme).order
-    return Scheme(tuple(Term(t.coeff * factor, r * t.node) for t in scheme))
+    return combine([(r ** -order_info(scheme).order, r, scheme)])
 
 
 def reflect(scheme: Scheme) -> Scheme:
     """The scheme evaluated at ``-h``: every node negated."""
-    return Scheme(tuple(Term(t.coeff, -t.node) for t in scheme))
+    return combine([(1, -1, scheme)])
 
 
 def decompose(scheme: Scheme, n: Optional[int] = None) -> tuple[Scheme, Scheme]:
@@ -485,19 +498,20 @@ def decompose(scheme: Scheme, n: Optional[int] = None) -> tuple[Scheme, Scheme]:
 
 
 def _split(scheme: Scheme, odd: bool) -> tuple[Scheme, Scheme]:
-    coeffs = {t.node: t.coeff for t in scheme}
-    zero = Fraction(0)
+    # nodes N_i / e and coefficients A_i / d; the halves are (A_i +- A_mirror) / (2d)
+    keys, _ = _over_common_denominator(scheme.nodes)
+    coeffs, d = _over_common_denominator(scheme.coeffs)
+    at = dict(zip(keys, zip(scheme.nodes, coeffs)))
+    mirrors = {-key: -a if odd else a for key, a in zip(keys, coeffs)}
     plus, minus = [], []
-    for node in sorted(coeffs.keys() | {-b for b in coeffs}):
-        here, mirror = coeffs.get(node, zero), coeffs.get(-node, zero)
-        if odd:
-            mirror = -mirror
-        sym, skew = (here + mirror) / 2, (here - mirror) / 2
-        if sym:
-            plus.append(Term(sym, node))
-        if skew:
-            minus.append(Term(skew, node))
-    return Scheme(tuple(plus)), Scheme(tuple(minus))
+    for key in sorted(at.keys() | mirrors.keys()):
+        node, here = at.get(key) or (-at[-key][0], 0)
+        mirror = mirrors.get(key, 0)
+        if here + mirror:
+            plus.append(_term(Fraction(here + mirror, 2 * d), node))
+        if here - mirror:
+            minus.append(_term(Fraction(here - mirror, 2 * d), node))
+    return _scheme(tuple(plus)), _scheme(tuple(minus))
 
 
 def is_symmetric(scheme: Scheme, n: Optional[int] = None) -> bool:
@@ -512,13 +526,17 @@ def combine(parts: Iterable[tuple[Rationalish, Rationalish, Scheme]]) -> Scheme:
     Each part is ``(c_k, d_k, S_k)``; the dilation ``d_k`` multiplies nodes
     only (no normalizing division, unlike :func:`scale`).
     """
-    terms: list[tuple[Fraction, Fraction]] = []
+    mapped: list[tuple[Fraction, Fraction, Scheme]] = []
     for coeff, dilation, part in parts:
         coeff, dilation = parse_rational(coeff), parse_rational(dilation)
         if dilation == 0:
             raise ZeroDilation("dilation factors must be nonzero")
-        terms.extend((coeff * t.coeff, dilation * t.node) for t in part)
-    return canonicalize(terms)
+        mapped.append((coeff, dilation, part))
+    if len(mapped) == 1 and coeff and isinstance(part, Scheme):
+        # one part: nodes stay distinct and coefficients nonzero, in order or reversed
+        terms = [_term(coeff * t.coeff, dilation * t.node) for t in part]
+        return _scheme(tuple(terms if dilation > 0 else reversed(terms)))
+    return canonicalize((c * t.coeff, d * t.node) for c, d, part in mapped for t in part)
 
 
 def is_scale(a: Scheme, b: Scheme) -> Optional[Fraction]:

@@ -1,9 +1,12 @@
 """Shared fixtures."""
 
+from fractions import Fraction
+
 import pytest
 
 import grdcalc.families
 import grdcalc.scheme
+from grdcalc.scheme import CalculusError, Scheme, Term
 
 
 @pytest.fixture(autouse=True)
@@ -55,3 +58,43 @@ class Derivations:
 @pytest.fixture
 def derivations(monkeypatch: pytest.MonkeyPatch) -> Derivations:
     return Derivations(monkeypatch)
+
+
+class CheckedBuilds:
+    """Every unchecked scheme build, rebuilt by the public ``Scheme(terms)`` to compare.
+
+    ``grdcalc.scheme._scheme`` trusts its caller for terms whose nodes
+    strictly increase and whose coefficients are nonzero ``Fraction``s.  Here
+    each of its results must equal ``Scheme(terms)``, which sorts and refuses
+    duplicate nodes and zero coefficients, and hold ``Fraction`` values only.
+    A build that does not is kept in ``faults`` rather than raised, so that no
+    caller's error handling can hide it; the fixture fails the test on any.
+    """
+
+    def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        self.count = 0
+        self.faults: list = []
+        trusted = grdcalc.scheme._scheme
+
+        def checked(terms):
+            self.count += 1
+            built = trusted(terms)
+            try:
+                valid = Scheme(terms) == built and all(
+                    type(t) is Term and isinstance(t.coeff, Fraction)
+                    and isinstance(t.node, Fraction) for t in terms
+                )
+            except CalculusError:
+                valid = False
+            if not valid:
+                self.faults.append(terms)
+            return built
+
+        monkeypatch.setattr(grdcalc.scheme, "_scheme", checked)
+
+
+@pytest.fixture
+def checked_builds(monkeypatch: pytest.MonkeyPatch):
+    checks = CheckedBuilds(monkeypatch)
+    yield checks
+    assert not checks.faults, f"unchecked builds broke the invariant: {checks.faults[:3]}"

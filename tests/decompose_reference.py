@@ -2,13 +2,17 @@
 
 ``reference_decompose`` is the body ``decompose`` once had, kept unchanged:
 it reflects the scheme and canonicalizes each half-sum separately, so the
-single-pass ``decompose`` can be compared against it part for part.
+single-pass ``decompose`` can be compared against it part for part.  It
+reflects and canonicalizes with the reference copies in ``scheme_reference``,
+so it shares no scheme-building code with the package.
 """
 
 from fractions import Fraction
 from typing import Optional
 
-from grdcalc import InvalidOrder, Scheme, canonicalize, order_info, reflect
+from grdcalc import InvalidOrder, Scheme, order_info
+from scheme_reference import reference_canonicalize as canonicalize
+from scheme_reference import reference_reflect as reflect
 
 
 def reference_decompose(scheme: Scheme, n: Optional[int] = None) -> tuple[Scheme, Scheme]:

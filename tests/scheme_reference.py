@@ -1,0 +1,82 @@
+"""Independent reference for building schemes: the bodies that validated every build.
+
+``reference_canonicalize``, ``reference_scale``, ``reference_normalized``,
+``reference_reflect``, ``reference_combine`` and ``reference_split`` are the
+bodies ``canonicalize``, ``scale``, ``normalized``, ``reflect``, ``combine``
+and ``_split`` once had, kept unchanged apart from the names they call.
+Each builds its result through the public ``Scheme(...)`` and ``Term(...)``,
+which sort, reject duplicate nodes and zero coefficients, and parse every
+value again.  The package now builds the same results through the unchecked
+``_scheme`` and ``_term``; the reference tests pin that rewrite to these forms.
+"""
+
+from fractions import Fraction
+from typing import Iterable
+
+from grdcalc.scheme import (
+    PairLike,
+    Rationalish,
+    Scheme,
+    Term,
+    ZeroDilation,
+    ZeroScale,
+    ZeroScheme,
+    order_info,
+    parse_rational,
+)
+
+
+def reference_canonicalize(terms: Iterable[PairLike]) -> Scheme:
+    acc: dict[Fraction, Fraction] = {}
+    for item in terms:
+        coeff, node = (item.coeff, item.node) if isinstance(item, Term) else item
+        coeff, node = parse_rational(coeff), parse_rational(node)
+        acc[node] = acc.get(node, Fraction(0)) + coeff
+    return Scheme(tuple(Term(c, b) for b, c in sorted(acc.items()) if c != 0))
+
+
+def reference_normalized(scheme: Scheme) -> Scheme:
+    info = order_info(scheme)
+    if info.normalizer == 1:
+        return scheme
+    return Scheme(tuple(Term(t.coeff * info.normalizer, t.node) for t in scheme))
+
+
+def reference_scale(scheme: Scheme, r: Rationalish) -> Scheme:
+    r = parse_rational(r)
+    if r == 0:
+        raise ZeroScale("scale factor must be nonzero")
+    if scheme.is_zero:
+        raise ZeroScheme("cannot scale the zero scheme")
+    factor = r ** -order_info(scheme).order
+    return Scheme(tuple(Term(t.coeff * factor, r * t.node) for t in scheme))
+
+
+def reference_reflect(scheme: Scheme) -> Scheme:
+    return Scheme(tuple(Term(t.coeff, -t.node) for t in scheme))
+
+
+def reference_split(scheme: Scheme, odd: bool) -> tuple[Scheme, Scheme]:
+    coeffs = {t.node: t.coeff for t in scheme}
+    zero = Fraction(0)
+    plus, minus = [], []
+    for node in sorted(coeffs.keys() | {-b for b in coeffs}):
+        here, mirror = coeffs.get(node, zero), coeffs.get(-node, zero)
+        if odd:
+            mirror = -mirror
+        sym, skew = (here + mirror) / 2, (here - mirror) / 2
+        if sym:
+            plus.append(Term(sym, node))
+        if skew:
+            minus.append(Term(skew, node))
+    return Scheme(tuple(plus)), Scheme(tuple(minus))
+
+
+def reference_combine(parts: Iterable[tuple[Rationalish, Rationalish, Scheme]]) -> Scheme:
+    terms: list[tuple[Fraction, Fraction]] = []
+    for coeff, dilation, part in parts:
+        coeff, dilation = parse_rational(coeff), parse_rational(dilation)
+        if dilation == 0:
+            raise ZeroDilation("dilation factors must be nonzero")
+        terms.extend((coeff * t.coeff, dilation * t.node) for t in part)
+    return reference_canonicalize(terms)

@@ -4,9 +4,11 @@ import argparse
 import importlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -510,6 +512,43 @@ def test_batch_line_with_an_unclosed_quote_is_refused(capsys, tmp_path):
     code, out, err = run(capsys, ["--batch", str(batch)])
     assert one_line_refusal(code, out, err)
     assert err == "error: cannot split batch line: No closing quotation\n"
+
+
+# characters of batch lines without quotes or backslashes: the blanks shlex
+# splits on, whitespace it keeps inside words (\x0b, \x0c, \xa0) and a '#'
+QUOTE_FREE_LINES = st.text(alphabet=" \t\r\n\x0b\x0c\xa0#ab-:=,/19")
+
+
+@settings(max_examples=300)
+@given(QUOTE_FREE_LINES)
+def test_quote_free_batch_line_splits_into_shlex_words(text):
+    line = text.strip()  # as main strips each batch line and skips empty ones
+    if line:
+        assert not cli._QUOTING.search(line)
+        assert cli._BLANKS.split(line) == shlex.split(line)
+
+
+def test_batch_lines_with_quoting_go_to_shlex(capsys, tmp_path):
+    for line in ("'riemann:n=2'", '"riemann:n=2"', "riemann\\:n=2"):
+        assert cli._QUOTING.search(line)
+        batch = tmp_path / "cmds.txt"
+        batch.write_text(f"scale {line} --by 1/2\n", encoding="utf-8")
+        code, out, _ = run(capsys, ["--output", "json", "--batch", str(batch)])
+        assert code == 0
+        assert json.loads(out) == scheme_to_json_dict(scale(cli.read_scheme("riemann:n=2"), "1/2"))
+
+
+def test_long_batch_line_is_split_in_linear_time(capsys, tmp_path):
+    # a 500,000-digit exponent that reads as 1 (shlex.split takes about 6 s on such a line)
+    by = "1e" + "0" * 499_999 + "1"
+    batch = tmp_path / "cmds.txt"
+    batch.write_text(f"scale riemann:n=1 --by {by}\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["--output", "json", "--batch", str(batch)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out) == scheme_to_json_dict(scale(cli.read_scheme("riemann:n=1"), 10))
+    assert elapsed < 0.5, f"{elapsed:.2f} s"
 
 
 # --- output stability -------------------------------------------------------------------------

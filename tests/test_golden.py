@@ -373,6 +373,13 @@ def test_golden_files_match_cases():
     )
 
 
+def test_golden_corpus_with_every_unchecked_build_checked(checked_builds):
+    # every case in this process, demos included, with each _scheme result
+    # rebuilt by the validating Scheme(terms) (see the fixture in conftest)
+    assert [case for case in EXPECTED if _mismatch(case)] == []
+    assert checked_builds.count > 200
+
+
 def test_golden_under_optimize_flag():
     # one child with asserts stripped runs every case, stdout and refusals
     result = run_child([sys.executable, "-O", __file__, "--check"])

@@ -260,10 +260,12 @@ def test_canonicalize_merges_and_drops():
 
 
 def test_scheme_rejects_duplicates_and_zero_coeffs():
-    with pytest.raises(DuplicateNodes):
+    with pytest.raises(DuplicateNodes, match="^duplicate node 1$"):
         Scheme((Term(1, 1), Term(2, 1)))
-    with pytest.raises(CalculusError):
+    with pytest.raises(CalculusError, match="^zero coefficient at node 1$"):
         Scheme((Term(0, 1),))
+    with pytest.raises(CalculusError, match="^not a rational: 'x'$"):
+        Term("x", 1)
 
 
 def test_term_keeps_no_instance_dict():
