@@ -328,7 +328,7 @@ def canonicalize(terms: Iterable[PairLike]) -> Scheme:
     for item in terms:
         coeff, node = (item.coeff, item.node) if isinstance(item, Term) else item
         coeffs.append(coeff if type(coeff) is Fraction else Fraction(parse_rational(coeff)))
-        nodes.append(node if isinstance(node, Fraction) else parse_rational(node))
+        nodes.append(parse_rational(node))
     first: dict[int, Fraction] = {}  # keyed by the node's numerator over one denominator
     sums: dict[int, Fraction] = {}
     for key, node, coeff in zip(_over_common_denominator(nodes)[0], nodes, coeffs):
@@ -457,9 +457,15 @@ def construct_exact_symmetric(
     if len(squares) < n_conditions:
         raise InconsistentSystem("conditions cannot all hold")
     weights = _lagrange_weights(squares, factorial(n))
-    halves = [(w / (2 * p ** (n % 2)), p) for w, p in zip(weights, pairs)]
-    zero = [(weights[-1], Fraction(0))] if include_zero else []
-    return canonicalize(halves + [((-1) ** n * c, -p) for c, p in halves] + zero)
+    sign = Fraction(-1) ** n
+    terms = []
+    for w, p in zip(weights, pairs):
+        coeff = w / (2 * p ** (n % 2))
+        terms.append((coeff, p))
+        terms.append((sign * coeff, -p))
+    if include_zero:
+        terms.append((weights[-1], Fraction(0)))
+    return canonicalize(terms)
 
 
 def scale(scheme: Scheme, r: Rationalish) -> Scheme:
