@@ -63,6 +63,7 @@ from .scheme import (
     CalculusError,
     Scheme,
     _echo,
+    _int_field,
     _read_int,
     _require,
     canonicalize,
@@ -294,10 +295,7 @@ def _cmd_ntimes(args: argparse.Namespace) -> tuple[dict, list[str]]:
         head, sep, tail = entry.partition(":")
         if not sep:
             raise CalculusError("entries look like ORDER:(cont|SCHEME)")
-        try:
-            order = _read_int(head)
-        except ValueError as exc:
-            raise CalculusError(f"bad chain order {_echo(repr(head))}") from exc
+        order = _int_field(head, f"bad chain order {_echo(repr(head))}")
         if tail.strip() == "cont":
             chain.append((order, CONTINUITY))
         else:

@@ -34,8 +34,8 @@ from .scheme import (
     _check_order,
     _digits,
     _echo,
+    _int_field,
     _is_int,
-    _read_int,
     _require,
     construct_exact,
     format_rational,
@@ -419,22 +419,14 @@ def parse_family(text: str) -> FamilyKind:
             fields[key.strip()] = value.strip()
     if "n" not in fields:
         raise CalculusError("family strings require n=<order>")
-    try:
-        n = _read_int(fields.pop("n"))
-    except ValueError as exc:
-        raise CalculusError("order n must be an integer") from exc
+    n = _int_field(fields.pop("n"), "order n must be an integer")
     has_k, variants = "k" in fields, _CLI_VARIANTS[head]
     if has_k not in variants:
         if has_k:
             raise CalculusError(f"family {head!r} takes no shift k")
         raise CalculusError("shifted family strings require k=<shift>")
     variant = variants[has_k]
-    k: Optional[int] = None
-    if has_k:
-        try:
-            k = _read_int(fields.pop("k"))
-        except ValueError as exc:
-            raise CalculusError("shift k must be an integer") from exc
+    k = _int_field(fields.pop("k"), "shift k must be an integer") if has_k else None
     q: Optional[Fraction] = None
     if _VARIANTS[variant][2]:
         if "q" not in fields:

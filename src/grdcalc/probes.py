@@ -60,9 +60,9 @@ from .scheme import (
     Scheme,
     _digits,
     _echo,
+    _int_field,
     _is_int,
     _over_common_denominator,
-    _read_int,
     format_rational,
     order_info,
     parse_rational,
@@ -385,11 +385,7 @@ def parse_oracle(text: str) -> FunctionOracle:
         key, eq, value = tail.partition("=")
         if key.strip() != "k" or not eq:
             raise CalculusError("monomial oracles look like mono:k=<degree>")
-        try:
-            degree = _read_int(value)
-        except ValueError as exc:
-            raise CalculusError("monomial degree must be an integer") from exc
-        return monomial_oracle(degree)
+        return monomial_oracle(_int_field(value, "monomial degree must be an integer"))
     if head == ORACLE_POLYNOMIAL:
         if not tail:
             raise CalculusError("polynomial oracles look like poly:c0,c1,...")
@@ -400,10 +396,7 @@ def parse_oracle(text: str) -> FunctionOracle:
         for piece in tail.split(";"):
             key, eq, value = piece.partition("=")
             if key.strip() == "k" and eq:
-                try:
-                    degree = _read_int(value)
-                except ValueError as exc:
-                    raise CalculusError("subgroup degree must be an integer") from exc
+                degree = _int_field(value, "subgroup degree must be an integer")
             elif key.strip() == "gens" and eq:
                 gens = [parse_rational(g) for g in value.split(",")]
             else:
@@ -466,8 +459,7 @@ def _moment_kernel(
     ``h = H/DH``, ``P = sum D_j H**(j-lo) DH**(hi-j)`` gives ``P*H**(lo-n)*DH**(n-hi)/DD``."""
     p = oracle.coeffs if oracle.kind == ORACLE_POLYNOMIAL else (0,) * oracle.degree + (1,)
     c = [sum(comb(i, j) * p[i] * x ** (i - j) for i in range(j, len(p))) for j in range(len(p))]
-    coeffs, da = _over_common_denominator(scheme.coeffs)
-    nodes, db = _over_common_denominator(scheme.nodes)
+    coeffs, da, nodes, db = scheme._ints
     d = [c_j * Fraction(sum(a * b ** j for a, b in zip(coeffs, nodes)), da * db ** j)
          for j, c_j in enumerate(c)]
     nonzero = [j for j, d_j in enumerate(d) if d_j] or [n]  # all zero: P = 0
@@ -493,8 +485,7 @@ def _quotient_kernel(
     """``h -> S(h,x;f) / h**n`` for nonzero steps, in integer arithmetic."""
     if oracle.kind in (ORACLE_MONOMIAL, ORACLE_POLYNOMIAL):
         return _moment_kernel(scheme, n, oracle, x)
-    coeffs, da = _over_common_denominator(scheme.coeffs)
-    nodes, db = _over_common_denominator(scheme.nodes)
+    coeffs, da, nodes, db = scheme._ints
     e, f = _integer_oracle(oracle)
     terms = list(zip(coeffs, nodes))
     xn, xd = x.numerator, x.denominator

@@ -140,6 +140,14 @@ def _read_int(text: str) -> int:
     return -value if number[1] == "-" else value
 
 
+def _int_field(text: str, refusal: str) -> int:
+    """An integer field of a parsed string: ``_read_int(text)``, else ``CalculusError(refusal)``."""
+    try:
+        return _read_int(text)
+    except ValueError as exc:
+        raise CalculusError(refusal) from exc
+
+
 def parse_rational(text: Rationalish) -> Fraction:
     """Parse a rational from an int, Fraction, or a 'p/q' / 'p' / decimal string.
 
@@ -279,11 +287,16 @@ class Scheme:
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(t.coeff for t in self.terms)
 
-    # Order and parts, derived on first use and kept on the frozen instance
-    # (dataclass ==, hash and repr read fields only); see order_info, decompose.
+    # Order, integer form and parts, derived on first use and kept on the frozen
+    # instance (dataclass ==, hash and repr read fields only); see order_info, decompose.
     @cached_property
     def _order(self) -> OrderInfo:
         return _find_order(self)
+
+    @cached_property
+    def _ints(self) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
+        # the integer form (A, da, B, db): coefficients A_i / da and nodes B_i / db
+        return (*_over_common_denominator(self.coeffs), *_over_common_denominator(self.nodes))
 
     @cached_property
     def _even_parts(self) -> tuple[Scheme, Scheme]:
@@ -337,10 +350,10 @@ def canonicalize(terms: Iterable[PairLike]) -> Scheme:
     return _scheme(tuple(_term(sums[key], first[key]) for key in sorted(sums) if sums[key]))
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """Integers ``N_i`` and one denominator ``d`` with ``values[i] = N_i / d``."""
     d = lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
+    return tuple([v.numerator * (d // v.denominator) for v in values]), d
 
 
 def moment(scheme: Scheme, j: int) -> Fraction:
@@ -374,15 +387,14 @@ def order_info(scheme: Scheme) -> OrderInfo:
 
 def _find_order(scheme: Scheme) -> OrderInfo:
     # one running-power pass over integers: m_j = sum_i A_i * B_i**j / (da * db**j)
-    powers, da = _over_common_denominator(scheme.coeffs)
-    bases, db = _over_common_denominator(scheme.nodes)
+    powers, da, bases, db = scheme._ints
     for j in range(len(scheme)):
         total = sum(powers)
         if total != 0:
             m_j = Fraction(total, da * db ** j)
             return OrderInfo(j, m_j, Fraction(factorial(j)) / m_j)
         powers = [a * b for a, b in zip(powers, bases)]
-    raise AssertionError("nonzero scheme with all leading moments zero")
+    raise IdentityCheckFailed("nonzero scheme with all leading moments zero")
 
 
 def normalized(scheme: Scheme) -> Scheme:
@@ -431,14 +443,13 @@ def construct_exact_symmetric(
     """The normalized order-``n`` scheme on nodes ``{+-p}`` (and optionally 0)
     whose reflection satisfies ``S(-h) = (-1)**n * S(h)``.
 
-    The symmetry fixes the coefficient at ``-p`` to ``(-1)**n`` times the one
-    at ``p`` and makes every moment of parity opposite to ``n`` vanish.  The
-    remaining ``n//2 + 1`` conditions, the moments ``j = n, n-2, ...``, read
-    ``sum_t w_t * t**k = [k = n//2] * n!`` in the squared nodes ``t = p**2``,
-    with weights ``w_p = 2 * c_p * p**(n % 2)`` and ``w_0 = c_0`` at the zero
-    node.  With one unknown per condition the weights have the closed-form
-    (Lagrange) solution ``w_t = n! / prod_{s != t} (t - s)``; with fewer
-    unknowns no solution exists.
+    The symmetry makes every moment of parity opposite to ``n`` vanish, which
+    leaves ``n//2 + 1`` conditions, the moments ``j = n, n-2, ...``, on as
+    many unknowns; with fewer unknowns no solution exists.  The solution is
+    unique, so it is the symmetric part (:func:`decompose`) of the scheme
+    :func:`construct_exact` builds on the last ``n+1`` of the nodes ``-p``,
+    then 0, then ``p``: that part is symmetric and keeps every moment of
+    ``n``'s parity.
     """
     _check_order(n)
     pairs = [parse_rational(p) for p in node_pairs]
@@ -448,24 +459,16 @@ def construct_exact_symmetric(
         raise DuplicateNodes("node pairs must be distinct")
     if include_zero and n % 2 == 1:
         raise ZeroNodeParityError("a zero node forces a zero coefficient at odd order")
-    squares = [p * p for p in pairs] + ([Fraction(0)] if include_zero else [])
-    n_conditions = n // 2 + 1
-    if len(squares) > n_conditions:
+    zero = [Fraction(0)] if include_zero else []
+    unknowns, n_conditions = len(pairs) + len(zero), n // 2 + 1
+    if unknowns > n_conditions:
         raise UnderdeterminedSystem(
-            f"{len(squares)} unknowns but only {n_conditions} parity-matching conditions"
+            f"{unknowns} unknowns but only {n_conditions} parity-matching conditions"
         )
-    if len(squares) < n_conditions:
+    if unknowns < n_conditions:
         raise InconsistentSystem("conditions cannot all hold")
-    weights = _lagrange_weights(squares, factorial(n))
-    sign = Fraction(-1) ** n
-    terms = []
-    for w, p in zip(weights, pairs):
-        coeff = w / (2 * p ** (n % 2))
-        terms.append((coeff, p))
-        terms.append((sign * coeff, -p))
-    if include_zero:
-        terms.append((weights[-1], Fraction(0)))
-    return canonicalize(terms)
+    nodes = [-p for p in pairs] + zero + pairs
+    return decompose(construct_exact(nodes[-(n + 1):], n), n)[0]
 
 
 def scale(scheme: Scheme, r: Rationalish) -> Scheme:
@@ -504,9 +507,8 @@ def decompose(scheme: Scheme, n: Optional[int] = None) -> tuple[Scheme, Scheme]:
 
 
 def _split(scheme: Scheme, odd: bool) -> tuple[Scheme, Scheme]:
-    # nodes N_i / e and coefficients A_i / d; the halves are (A_i +- A_mirror) / (2d)
-    keys, _ = _over_common_denominator(scheme.nodes)
-    coeffs, d = _over_common_denominator(scheme.coeffs)
+    # coefficients A_i / d and nodes N_i / e; the halves are (A_i +- A_mirror) / (2d)
+    coeffs, d, keys, _ = scheme._ints
     at = dict(zip(keys, zip(scheme.nodes, coeffs)))
     mirrors = {-key: -a if odd else a for key, a in zip(keys, coeffs)}
     plus, minus = [], []

@@ -490,6 +490,27 @@ def one_line_refusal(code, out, err):
     return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+# an integer field of a family or oracle string, its parser, the command
+# that reads it, and its refusal: a plain CalculusError with this message
+INTEGER_FIELD_REFUSALS = [
+    (grdcalc.parse_family, "riemann:n=x", ["mz-check"], "order n must be an integer"),
+    (grdcalc.parse_family, "shift:n=3,k=1/2", ["mz-check"], "shift k must be an integer"),
+    (grdcalc.parse_oracle, "mono:k=x", ["probe", "riemann:n=2", "--oracle"],
+     "monomial degree must be an integer"),
+    (grdcalc.parse_oracle, "subgmono:k=x;gens=2", ["probe", "riemann:n=2", "--oracle"],
+     "subgroup degree must be an integer"),
+]
+
+
+@pytest.mark.parametrize("parse, text, argv, message", INTEGER_FIELD_REFUSALS)
+def test_integer_fields_are_refused_with_their_message(capsys, parse, text, argv, message):
+    with pytest.raises(grdcalc.CalculusError) as refusal:
+        parse(text)
+    assert type(refusal.value) is grdcalc.CalculusError and str(refusal.value) == message
+    code, out, err = run(capsys, argv + [text])
+    assert one_line_refusal(code, out, err) and err == f"error: {message}\n"
+
+
 def test_deeply_nested_scheme_json_is_refused(capsys):
     nested = '{"terms": ' + "[" * 3000 + "]" * 3000 + "}"
     code, out, err = run(capsys, ["scale", nested, "--by", "1"])

@@ -9,7 +9,8 @@ in ``--batch`` mode is a whole session.  The checks read each module's
 syntax tree with the standard library's ``ast``, so they need no lint tool.
 ``__init__.py`` is left out of the import check, because its imports are
 the package's public names; those are compared with a literal list, so a
-public name is added or removed only on purpose.
+public name is added or removed only on purpose.  The same holds for the
+package's size: its line count has a ceiling, raised only on purpose.
 """
 
 import ast
@@ -181,3 +182,13 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(grdcalc.__all__) == PUBLIC_NAMES
+
+
+# The line count of src/grdcalc/*.py, as `wc -l` counts it.  A change that
+# grows the package raises this ceiling on purpose and says why.
+SRC_LINE_CEILING = 3481
+
+
+def test_source_line_count_is_at_most_the_ceiling():
+    lines = sum(p.read_bytes().count(b"\n") for p in PACKAGE.glob("*.py"))
+    assert lines <= SRC_LINE_CEILING

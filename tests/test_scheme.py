@@ -6,6 +6,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, prod
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import grdcalc
 from grdcalc import (
     CalculusError,
     DuplicateNodes,
+    IdentityCheckFailed,
     InconsistentSystem,
     InvalidOrder,
     Scheme,
@@ -43,7 +45,8 @@ from grdcalc import (
     scheme_from_json,
     scheme_to_json_dict,
 )
-from grdcalc.scheme import _digits, _read_int
+from grdcalc import probes
+from grdcalc.scheme import _digits, _read_int, _scheme, _term
 from rational_reference import reference_parse_rational
 
 rationals = st.fractions(
@@ -398,12 +401,43 @@ def test_symmetric_construction_properties(case):
     assert order_info(s).normalizer == 1
 
 
+@st.composite
+def symmetric_cases(draw):
+    """An order 1..6, whether a zero node is asked for (even orders only), and
+    as many distinct positive pairs as the symmetric conditions need."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    include_zero = n % 2 == 0 and draw(st.booleans())
+    count = n // 2 + 1 - include_zero
+    positive = st.fractions(min_value=Fraction(1, 6), max_value=Fraction(8), max_denominator=6)
+    return n, include_zero, draw(st.lists(positive, min_size=count, max_size=count, unique=True))
+
+
+@settings(max_examples=60)
+@given(symmetric_cases())
+def test_symmetric_construction_is_the_symmetric_part_of_any_exact_solve(case):
+    # the node set has n+1 nodes, or n+2 at even order without zero; then every
+    # choice of the node left out gives the same symmetric part
+    n, include_zero, pairs = case
+    nodes = [-p for p in pairs] + [Fraction(0)] * include_zero + pairs
+    built = construct_exact_symmetric(pairs, include_zero, n)
+    subsets = list(combinations(nodes, n + 1))
+    assert len(subsets) == (1 if len(nodes) == n + 1 else n + 2)
+    for subset in subsets:
+        assert decompose(construct_exact(subset, n), n)[0] == built
+
+
 # --- order and normalization ------------------------------------------------
 
 
 def test_order_info_zero_scheme():
     with pytest.raises(ZeroScheme):
         order_info(canonicalize([]))
+
+
+def test_all_leading_moments_zero_is_an_identity_fault():
+    # a canonical scheme never has a zero coefficient; one built unchecked is a fault
+    with pytest.raises(IdentityCheckFailed, match="all leading moments zero"):
+        order_info(_scheme((_term(Fraction(0), Fraction(1)),)))
 
 
 def test_order_detection_not_exact_count():
@@ -536,6 +570,25 @@ def test_order_and_parts_derived_once_per_object(derivations):
     derivations.assert_each_once()
     assert [x for x in derivations.orders if x is s] == [s]
     assert [odd for x, odd in derivations.splits if x is s] == [True, False]
+
+
+def test_integer_form_is_derived_once_per_object(monkeypatch):
+    # order, both splits and an abs quotient kernel read one integer form
+    s = Scheme(construct_exact([-1, 0, 1, 2], 3).terms)
+    calls = []
+    over = grdcalc.scheme._over_common_denominator
+
+    def counting(values):
+        calls.append(values)
+        return over(values)
+
+    for module in (grdcalc.scheme, probes):
+        monkeypatch.setattr(module, "_over_common_denominator", counting)
+    order_info(s)
+    decompose(s, 1)
+    decompose(s, 2)
+    probes._quotient_kernel(s, 3, probes.abs_oracle(), Fraction(1, 3))(Fraction(1, 2))
+    assert calls == [s.coeffs, s.nodes]
 
 
 # --- JSON and formatting ----------------------------------------------------
