@@ -16,7 +16,7 @@ structural special cases (fast paths) only label the verdict: both schemes
 symmetric, both with only nonnegative nodes, or both exact with one of them
 having all distinct node magnitudes.  On them equivalence collapses to being
 an exact scale, which the decision must confirm.  Every positive witness is
-re-verified by one expansion of ``b = A * a_plus(r*h) + B * a_minus(s*h)``."""
+re-verified by one integer check of ``b = A * a_plus(r*h) + B * a_minus(s*h)``."""
 
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from .scheme import (
     Scheme,
     ZeroScale,
     ZeroScheme,
+    _matches,
     _require,
     combine,
     decompose,
@@ -104,16 +105,16 @@ class EquivalenceVerdict:
 
 
 def verify_witness(a: Scheme, b: Scheme, witness: Witness) -> bool:
-    """Re-verify a witness against the class member it names, in one expansion.
+    """Re-verify a witness against the class member it names, in one integer check.
 
-    ``b`` must be ``A * a_plus(r*h) + B * a_minus(s*h)``, with ``a`` split at the
-    witness order; ``b`` is not split.  A dilation keeps a part's parity and the
-    split into parity parts is unique, so this holds exactly when both part
-    identities do.
+    ``b`` must be ``A * a_plus(r*h) + B * a_minus(s*h)``, checked by :func:`_matches`
+    with ``a`` split at the witness order; ``b`` is not split.  A dilation keeps a
+    part's parity and the split into parity parts is unique, so this holds
+    exactly when both part identities do.
     """
     a_plus, a_minus = decompose(a, witness.order)
-    return b == combine(
-        [(witness.sym_factor, witness.r, a_plus), (witness.skew_factor, witness.s, a_minus)]
+    return _matches(
+        b, [(witness.sym_factor, witness.r, a_plus), (witness.skew_factor, witness.s, a_minus)]
     )
 
 
@@ -145,7 +146,7 @@ def _general_outcome(a: Scheme, b: Scheme, n: int) -> Witness | str:
     negative reason."""
     (a_plus, a_minus), (b_plus, b_minus) = decompose(a, n), decompose(b, n)
     r = b_plus.terms[-1].node / a_plus.terms[-1].node
-    if combine([(r ** -n, r, a_plus)]) != b_plus:
+    if not _matches(b_plus, [(r ** -n, r, a_plus)]):
         return REASON_SYMMETRIC
     if a_minus.is_zero != b_minus.is_zero:
         return REASON_SKEW_ZERO
@@ -153,7 +154,7 @@ def _general_outcome(a: Scheme, b: Scheme, n: int) -> Witness | str:
         return Witness(n, r, Fraction(1), r ** -n, Fraction(0))
     a_top, b_top = a_minus.terms[-1], b_minus.terms[-1]
     s, skew_factor = b_top.node / a_top.node, b_top.coeff / a_top.coeff
-    if combine([(skew_factor, s, a_minus)]) != b_minus:
+    if not _matches(b_minus, [(skew_factor, s, a_minus)]):
         return REASON_SKEW
     return Witness(n, r, s, r ** -n, skew_factor)
 

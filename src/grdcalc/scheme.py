@@ -91,6 +91,9 @@ MAX_EXPONENT = 4300
 _ECHO_CHARS = 100
 # int reads this many digits under any limit (Python before 3.10.7 has none)
 _SPLIT_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 640)
+# a plain 'p' or 'p/q' of short ASCII digit runs, as JSON schemes write them, read by int alone
+_PLAIN_DIGITS = 64  # below _SPLIT_DIGITS
+_PLAIN = re.compile(rf"(-?[0-9]{{1,{_PLAIN_DIGITS}}})(?:/([0-9]{{1,{_PLAIN_DIGITS}}}))?")
 
 
 def _echo(shown: str, length: Optional[int] = None) -> str:
@@ -161,6 +164,9 @@ def parse_rational(text: Rationalish) -> Fraction:
         return text
     if _is_int(text):
         return Fraction(text)
+    plain = _PLAIN.fullmatch(text) if type(text) is str else None
+    if plain and (den := int(plain[2] or 1)):
+        return Fraction(int(plain[1]), den)
     body = str(text).strip()
     ratio = _INTEGER_OR_RATIO.fullmatch(body)
     decimal = None if ratio else _DECIMAL.fullmatch(body)
@@ -547,12 +553,35 @@ def combine(parts: Iterable[tuple[Rationalish, Rationalish, Scheme]]) -> Scheme:
     return canonicalize((c * t.coeff, d * t.node) for c, d, part in mapped for t in part)
 
 
+def _matches(target: Scheme, parts: Iterable[tuple[Rationalish, Rationalish, Scheme]]) -> bool:
+    """Exactly ``target == combine(parts)``, building no ``Scheme`` and no ``Fraction``: the
+    parts' kept integer forms are cross-multiplied over one node denominator ``D`` and one
+    coefficient denominator ``C`` (no gcd), summed by node, and compared with ``target``'s."""
+    read = []
+    for coeff, dilation, part in parts:
+        coeff, dilation = parse_rational(coeff), parse_rational(dilation)
+        if dilation == 0:
+            raise ZeroDilation("dilation factors must be nonzero")
+        A, da, B, db = part._ints
+        read.append((coeff.numerator, coeff.denominator * da, dilation.numerator,
+                     dilation.denominator * db, A, B))
+    C, D = prod(r[1] for r in read), prod(r[3] for r in read)
+    sums: dict[int, int] = {}
+    for cn, cd, dn, dd, A, B in read:
+        cn, dn = cn * (C // cd), dn * (D // dd)
+        for a, b in zip(A, B):
+            sums[dn * b] = sums.get(dn * b, 0) + cn * a
+    A, da, B, db = target._ints  # both sides over C*da and D*db
+    mine = {key * db: total * da for key, total in sums.items() if total}
+    return mine == {b * D: a * C for a, b in zip(A, B)}
+
+
 def is_scale(a: Scheme, b: Scheme) -> Optional[Fraction]:
     """A factor ``r`` with ``scale(a, r) == b`` exactly, or None.
 
     Any valid ``r`` maps the largest-magnitude nodes of ``a`` onto those of
     ``b``, so only the two signed ratios of those magnitudes can work; each
-    candidate is verified by exact comparison.
+    candidate is checked exactly by :func:`_matches`, no scale built.
     """
     if a.is_zero or b.is_zero:
         raise ZeroScheme("scale witnesses are defined for nonzero schemes")
@@ -562,9 +591,9 @@ def is_scale(a: Scheme, b: Scheme) -> Optional[Fraction]:
     max_b = max(abs(t.node) for t in b)
     if max_a == 0 or max_b == 0:
         return Fraction(1) if a == b else None
-    ratio = max_b / max_a
+    ratio, n = max_b / max_a, order_info(a).order
     for candidate in (ratio, -ratio):
-        if scale(a, candidate) == b:
+        if _matches(b, [(candidate ** -n, candidate, a)]):
             return candidate
     return None
 
@@ -599,6 +628,8 @@ def scheme_from_json(data: Union[str, dict]) -> Scheme:
         if not isinstance(entry, dict) or "coeff" not in entry or "node" not in entry:
             raise CalculusError("each term needs 'coeff' and 'node'")
         pairs.append((parse_rational(entry["coeff"]), parse_rational(entry["node"])))
+    if all(c for c, _ in pairs) and all(p[1] < q[1] for p, q in zip(pairs, pairs[1:])):
+        return _scheme(tuple(_term(c, b) for c, b in pairs))  # canonical as given
     return canonicalize(pairs)
 
 

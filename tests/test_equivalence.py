@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from equivalence_reference import reference_decide_equivalent, reference_verify_witness
 
+import grdcalc.scheme
 from grdcalc import equivalence
 from grdcalc import (
     GAUSSIAN_AFFINE,
@@ -319,6 +320,28 @@ def test_verify_witness_never_splits_b(derivations):
         derivations.clear()
         assert verify_witness(a, fresh, witness)
         assert all(scheme is not fresh for scheme, _ in derivations.splits)
+
+
+def test_identity_checks_build_no_scheme(monkeypatch):
+    # both part identities and the re-check at the exit compare integer forms;
+    # a combine per check, three in all, once built each side to compare it
+    pairs = [(D31, class_member(D31, 2, -3, Fraction(-7, 4))), (D2, scale(D2, Fraction(-2, 3)))]
+    calls = []
+    combine_built = grdcalc.scheme.combine
+
+    def counting(parts):
+        calls.append(parts)
+        return combine_built(parts)
+
+    for module in (grdcalc.scheme, equivalence):
+        monkeypatch.setattr(module, "combine", counting)
+    for a, b in pairs:
+        for fast in (True, False):
+            verdict = decide_equivalent(a, b, use_fast_paths=fast)
+            assert verdict.equivalent and not verdict.normalized_inputs
+    assert decide_equivalent(*pairs[0]).path == PATH_GENERAL
+    assert decide_equivalent(D2, D2_SYM).reason == REASON_SYMMETRIC
+    assert calls == []
 
 
 # --- relation laws ---------------------------------------------------------------

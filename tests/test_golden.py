@@ -143,6 +143,11 @@ GSYM4_SCALE = (
     '{"coeff":"128/3","node":"0/1"},{"coeff":"-24/1","node":"1/2"},'
     '{"coeff":"8/3","node":"3/2"}]}'
 )
+# not canonical: unsorted, and the node 1/2 written twice, once as "2/4"
+UNSORTED_DUPLICATE_NODE = (
+    '{"terms":[{"coeff":"1","node":"1"},{"coeff":"1","node":"2/4"},'
+    '{"coeff":"-3","node":"0"},{"coeff":"1","node":"1/2"}]}'
+)
 
 
 LONG = "x" * 10_000
@@ -225,6 +230,8 @@ CASES = {
     "scale_mz_tilde_sym_order_7": ["scale", "mz-tilde-sym:n=7", "--by", "2"],
     "scale_mz_tilde_sym_order_10": ["scale", "mz-tilde-sym:n=10", "--by", "-1"],
     "scale_riemann_sym_order_9": ["scale", "riemann-sym:n=9", "--by", "1/2"],
+    # a JSON scheme that is not canonical is sorted and merged as it is read
+    "scale_json_unsorted_duplicate_node": ["scale", UNSORTED_DUPLICATE_NODE, "--by", "1"],
 }
 
 # the default text output of every demo and of one command per reporting verb

@@ -35,6 +35,7 @@ from grdcalc import (
     decompose,
     format_rational,
     format_scheme,
+    is_scale,
     is_symmetric,
     moment,
     normalized,
@@ -46,8 +47,17 @@ from grdcalc import (
     scheme_to_json_dict,
 )
 from grdcalc import probes
-from grdcalc.scheme import _digits, _read_int, _scheme, _term
+from grdcalc.scheme import (
+    _PLAIN_DIGITS,
+    _SPLIT_DIGITS,
+    _digits,
+    _matches,
+    _read_int,
+    _scheme,
+    _term,
+)
 from rational_reference import reference_parse_rational
+from test_cli import run_child
 
 rationals = st.fractions(
     min_value=Fraction(-30), max_value=Fraction(30), max_denominator=12
@@ -185,6 +195,46 @@ rational_texts = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(rational_texts)
 def test_parse_rational_matches_the_decimal_reader(text):
+    assert _parsed(parse_rational, text) == _parsed(reference_parse_rational, text)
+
+
+class Text(str):
+    """A ``str`` subclass whose ``str()`` is not itself: read as ``str(text)``, as before."""
+
+    def __str__(self) -> str:
+        return "5/3"
+
+
+# plain 'p/q' strings are read by int alone up to _PLAIN_DIGITS digits a side;
+# the reader tests the denominator's integer, so '1/00' is a zero denominator
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/00", "0/0", "-0/000", "1/" + "0" * _PLAIN_DIGITS, "+1/2", " 1/2 ", "1/2\n", "1_000/3", "007/010", "-0/5", "-7", "0", "--1",
+        "1/-2", "-/2", "1/", "/2", "\u0661/\u0662", "\u0663", "1\u0660/3", "\uff11/2", Text("3/4"),
+        Text("x"), *(
+            f"{sign}{p}/{q}"
+            for sign in ("", "-")
+            for p in ("8" * (_PLAIN_DIGITS - 1), "9" * _PLAIN_DIGITS, "7" * (_PLAIN_DIGITS + 1),
+                      "1")
+            for q in ("3" * _PLAIN_DIGITS, "1" + "0" * _PLAIN_DIGITS, "6")
+        ),
+        "4" * (_PLAIN_DIGITS + 1), "-" + "4" * _PLAIN_DIGITS,
+    ],
+)
+def test_plain_rationals_match_the_reference(text):
+    assert _parsed(parse_rational, text) == _parsed(reference_parse_rational, text)
+    assert _PLAIN_DIGITS < _SPLIT_DIGITS
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["", "-", "+"]),
+    st.text("0123456789", min_size=1, max_size=_PLAIN_DIGITS + 2),
+    st.none() | st.text("0123456789", min_size=0, max_size=_PLAIN_DIGITS + 2),
+)
+def test_plain_digit_runs_match_the_reference(sign, p, q):
+    text = sign + p + ("" if q is None else "/" + q)
     assert _parsed(parse_rational, text) == _parsed(reference_parse_rational, text)
 
 
@@ -548,6 +598,127 @@ def test_combine_zero_dilation():
         combine([(1, 0, s)])
 
 
+# schemes with up to four terms, the zero scheme among them; a coefficient
+# may be zero and two nodes may coincide, so canonicalize merges and drops
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+small_schemes = st.lists(st.tuples(small, small), max_size=4).map(canonicalize)
+dilations = small.filter(bool) | st.sampled_from([Fraction(-1), Fraction(0)])
+
+
+@st.composite
+def combination_cases(draw):
+    """``(target, parts)``: 1 to 3 parts, some cancelling an earlier one, and a
+    target that is the zero scheme, the true combination, a near miss or any scheme."""
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        if parts and draw(st.booleans()):
+            c, d, part = draw(st.sampled_from(parts))
+            # -c * S(d*h) or -c * reflect(S)(-d*h): nodes coincide and cancel
+            parts.append(draw(st.sampled_from([(-c, d, part), (-c, -d, reflect(part))])))
+        else:
+            parts.append((draw(small | st.just(Fraction(0))), draw(dilations), draw(small_schemes)))
+    how = draw(st.sampled_from(["zero", "true", "coeff", "node", "any"]))
+    if how == "zero" or any(d == 0 for _, d, _ in parts):
+        return canonicalize([]), parts
+    if how == "any":
+        return draw(small_schemes), parts
+    true = combine(parts)
+    if how == "true" or true.is_zero:
+        return true, parts
+    i = draw(st.integers(0, len(true) - 1))
+    terms = [(t.coeff, t.node) for t in true]
+    coeff, node = terms[i]
+    terms[i] = (coeff + 1, node) if how == "coeff" else (coeff, node + Fraction(1, 7))
+    return canonicalize(terms), parts
+
+
+def _match_outcomes(target, parts):
+    """``_matches`` and the ``==`` of a built ``combine``, each as its value or raised type."""
+
+    def outcome(check):
+        try:
+            return check()
+        except Exception as exc:  # noqa: BLE001 - compared by type
+            return type(exc)
+
+    return outcome(lambda: _matches(target, parts)), outcome(lambda: target == combine(parts))
+
+
+@settings(max_examples=400, deadline=None)
+@given(combination_cases())
+def test_matches_is_equality_with_the_built_combination(case):
+    got, expected = _match_outcomes(*case)
+    assert got == expected
+
+
+def test_matches_fixtures():
+    d31 = construct_exact([-1, 0, 1, 2], 3)
+    plus, minus = decompose(d31)
+    assert _matches(d31, [(1, 1, plus), (1, 1, minus)])
+    assert not _matches(d31, [(1, 1, plus), (-1, 1, minus)])
+    assert _matches(canonicalize([]), [(1, 2, d31), (-1, 2, d31)])
+    assert _matches(canonicalize([]), [(0, 1, d31)])
+    assert _matches(canonicalize([]), [])
+    assert _matches(scale(d31, Fraction(-2, 3)), [(Fraction(-27, 8), Fraction(-2, 3), d31)])
+    assert not _matches(d31, [(1, 1, canonicalize([]))])
+    for parts in ([(1, 0, d31)], [(1, 1, d31), (2, 0, canonicalize([]))]):
+        with pytest.raises(ZeroDilation):
+            _matches(d31, parts)
+
+
+def test_matches_under_optimize_flag():
+    # the same property in a child with asserts stripped: _matches leans on none
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from hypothesis import given, settings\n"
+        "from test_scheme import _match_outcomes, combination_cases\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "@settings(max_examples=300, deadline=None, database=None)\n"
+        "@given(combination_cases())\n"
+        "def check(case):\n"
+        "    got, expected = _match_outcomes(*case)\n"
+        "    if got != expected:\n"
+        "        sys.exit(f'{case}: {got} != {expected}')\n"
+        "check()\n"
+        "print('_matches agrees with combine, asserts off')\n"
+    )
+    result = run_child([sys.executable, "-O", "-c", code])
+    assert result.returncode == 0, result.stdout + result.stderr[-2000:]
+    assert result.stdout == "_matches agrees with combine, asserts off\n"
+
+
+def _scale_by_trial(a, b):
+    """``is_scale`` by building each scale: the first of the two signed ratios that works."""
+    if len(a) != len(b):
+        return None
+    max_a, max_b = max(abs(t.node) for t in a), max(abs(t.node) for t in b)
+    if max_a == 0 or max_b == 0:
+        return Fraction(1) if a == b else None
+    return next((r for r in (max_b / max_a, -max_b / max_a) if scale(a, r) == b), None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_schemes.filter(lambda s: not s.is_zero), dilations.filter(bool), small_schemes)
+def test_is_scale_matches_building_the_scale(a, r, other):
+    for b in (scale(a, r), reflect(scale(a, r)), other):
+        if b.is_zero:
+            with pytest.raises(ZeroScheme):
+                is_scale(a, b)
+        else:
+            assert is_scale(a, b) == _scale_by_trial(a, b)
+
+
+def test_is_scale_builds_no_scale(monkeypatch):
+    a = construct_exact([-1, 0, 2], 2)
+    b = scale(a, Fraction(-3, 2))
+    for name in ("scale", "combine", "canonicalize"):
+        monkeypatch.setattr(grdcalc.scheme, name, None)
+    assert is_scale(a, b) == Fraction(-3, 2)
+    assert is_scale(a, a) == 1
+    assert is_scale(b, a) == Fraction(-2, 3)
+
+
 def test_is_symmetric():
     assert is_symmetric(canonicalize([]))
     assert is_symmetric(construct_exact_symmetric([1, 2], False, 3))
@@ -611,6 +782,66 @@ def test_json_fixture():
 def test_json_accepts_integer_shorthand():
     s = scheme_from_json('{"terms": [{"coeff": -1, "node": 0}, {"coeff": 1, "node": 1}]}')
     assert s == construct_exact([0, 1], 1)
+
+
+def test_json_reads_canonical_terms_without_canonicalize(monkeypatch, checked_builds):
+    d31 = construct_exact([-1, 0, 1, 2], 3)
+    calls = []
+    merge = grdcalc.scheme.canonicalize
+    monkeypatch.setattr(grdcalc.scheme, "canonicalize", lambda t: calls.append(1) or merge(t))
+    read = scheme_from_json(scheme_to_json_dict(d31))
+    assert read == d31 and calls == []
+    assert repr(read.terms) == repr(d31.terms)
+    assert scheme_from_json('{"terms": []}') == canonicalize([]) and calls == []
+    mixed = '{"terms": [{"coeff": 3, "node": 2}, {"coeff": "1/2", "node": "5/2"}]}'
+    assert scheme_from_json(mixed) == canonicalize([(3, 2), (Fraction(1, 2), Fraction(5, 2))])
+    assert calls == []
+    scheme_from_json('{"terms": [{"coeff": 1, "node": 2}, {"coeff": 1, "node": 1}]}')
+    assert calls == [1]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [("1", "1"), ("-3", "0"), ("1", "1/2"), ("1", "2/4")],  # unsorted, one node twice
+        [("1", "1/2"), ("-1", "2/4"), ("2", "3")],  # terms that cancel
+        [("0", "1"), ("1", "2")],  # a zero coefficient
+        [("2/4", "-1"), ("0/3", "0"), ("-1/2", "1")],
+        [(1, 0), (-1, 0)],  # JSON integers that cancel
+        [(-1, 0), (1, 1), (1, 1)],
+        [(1, "1"), ("-1", 0)],
+        [("0", "0")],
+    ],
+)
+def test_json_that_is_not_canonical_is_canonicalized(terms, checked_builds):
+    data = {"terms": [{"coeff": c, "node": b} for c, b in terms]}
+    expected = canonicalize([(parse_rational(c), parse_rational(b)) for c, b in terms])
+    read = scheme_from_json(data)
+    assert read == expected and repr(read.terms) == repr(expected.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(small, small, st.sampled_from(["int", "text", "doubled"])), max_size=5))
+def test_json_matches_canonicalize(pairs):
+    def written(value, how):
+        if how == "int" and value.denominator == 1:
+            return int(value)
+        if how == "doubled":
+            return f"{2 * value.numerator}/{2 * value.denominator}"
+        return format_rational(value)
+
+    data = {"terms": [{"coeff": written(c, how), "node": written(b, how)} for c, b, how in pairs]}
+    read = scheme_from_json(data)
+    expected = canonicalize([(c, b) for c, b, _ in pairs])
+    assert read == expected and repr(read.terms) == repr(expected.terms)
+    assert Scheme(read.terms) == read
+
+
+def test_json_booleans_are_refused_on_both_paths():
+    for text in ('{"terms":[{"coeff":true,"node":1}]}', '{"terms":[{"coeff":1,"node":false}]}',
+                 '{"terms":[{"coeff":1,"node":2},{"coeff":true,"node":1}]}'):
+        with pytest.raises(CalculusError, match=r"^not a rational: (True|False)$"):
+            scheme_from_json(text)
 
 
 def test_json_errors():
