@@ -91,9 +91,6 @@ MAX_EXPONENT = 4300
 _ECHO_CHARS = 100
 # int reads this many digits under any limit (Python before 3.10.7 has none)
 _SPLIT_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 640)
-# a plain 'p' or 'p/q' of short ASCII digit runs, as JSON schemes write them, read by int alone
-_PLAIN_DIGITS = 64  # below _SPLIT_DIGITS
-_PLAIN = re.compile(rf"(-?[0-9]{{1,{_PLAIN_DIGITS}}})(?:/([0-9]{{1,{_PLAIN_DIGITS}}}))?")
 
 
 def _echo(shown: str, length: Optional[int] = None) -> str:
@@ -164,24 +161,21 @@ def parse_rational(text: Rationalish) -> Fraction:
         return text
     if _is_int(text):
         return Fraction(text)
-    plain = _PLAIN.fullmatch(text) if type(text) is str else None
-    if plain and (den := int(plain[2] or 1)):
-        return Fraction(int(plain[1]), den)
     body = str(text).strip()
     ratio = _INTEGER_OR_RATIO.fullmatch(body)
     decimal = None if ratio else _DECIMAL.fullmatch(body)
-    sign, whole, fraction, exp_sign, exp_digits = decimal.groups("") if decimal else [""] * 5
-    digits = exp_digits.replace("_", "").lstrip("0")
-    if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
-        raise CalculusError(
-            f"a rational's exponent must be at most {MAX_EXPONENT} in magnitude,"
-            f" got {_echo(repr(text))}"
-        )
     if ratio is not None:
         num, den = _read_int(ratio[1]), _read_int(ratio[2] or "1")
         if den:
             return Fraction(num, den)
     elif decimal:
+        sign, whole, fraction, exp_sign, exp_digits = decimal.groups("")
+        digits = exp_digits.replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise CalculusError(
+                f"a rational's exponent must be at most {MAX_EXPONENT} in magnitude,"
+                f" got {_echo(repr(text))}"
+            )
         mantissa = _read_int(sign + whole + fraction)
         exponent = int(exp_sign + (digits or "0")) - len(fraction.replace("_", ""))
         if exponent >= 0:
@@ -628,8 +622,6 @@ def scheme_from_json(data: Union[str, dict]) -> Scheme:
         if not isinstance(entry, dict) or "coeff" not in entry or "node" not in entry:
             raise CalculusError("each term needs 'coeff' and 'node'")
         pairs.append((parse_rational(entry["coeff"]), parse_rational(entry["node"])))
-    if all(c for c, _ in pairs) and all(p[1] < q[1] for p, q in zip(pairs, pairs[1:])):
-        return _scheme(tuple(_term(c, b) for c, b in pairs))  # canonical as given
     return canonicalize(pairs)
 
 

@@ -10,10 +10,12 @@ positive ratio only.  ``reference_general_verdict`` runs the steps
 
 ``reference_decide_equivalent`` is ``decide_equivalent`` as it was before
 it became one procedure, kept unchanged apart from its names: two engines,
-an exact-scale trial through ``is_scale`` on the fast paths, then the
-general analysis (``reference_outcome``), which tries both signs of the
-symmetric ratio through ``is_scale`` and builds the dilated skew part
-before it multiplies it.
+an exact-scale trial through ``reference_is_scale`` on the fast paths, then
+the general analysis (``reference_outcome``), which tries both signs of the
+symmetric ratio through ``reference_is_scale`` and builds the dilated skew
+part before it multiplies it.  ``reference_is_scale`` (from
+``scheme_reference``) builds each candidate scale, so these references do not
+share the integer check ``is_scale`` now makes.
 
 ``reference_verify_witness`` is the body ``verify_witness`` once had, and
 ``_witness_for_scale`` the helper that built the scale witnesses, both kept
@@ -43,10 +45,10 @@ from grdcalc.scheme import (
     _require,
     combine,
     decompose,
-    is_scale,
     normalized,
     order_info,
 )
+from scheme_reference import reference_is_scale
 
 
 def _witness_for_scale(n: int, r: Fraction, skew_zero: bool) -> Witness:
@@ -74,7 +76,7 @@ def reference_verify_witness(a: Scheme, b: Scheme, witness: Witness) -> bool:
 def reference_general_outcome(
     n: int, a_plus: Scheme, a_minus: Scheme, b_plus: Scheme, b_minus: Scheme
 ) -> Witness | str:
-    r = is_scale(a_plus, b_plus)
+    r = reference_is_scale(a_plus, b_plus)
     if r is None:
         return REASON_SYMMETRIC
     if a_minus.is_zero != b_minus.is_zero:
@@ -129,7 +131,7 @@ def reference_outcome(a: Scheme, b: Scheme) -> Witness | str:
     the negative reason."""
     n = order_info(a).order
     (a_plus, a_minus), (b_plus, b_minus) = decompose(a, n), decompose(b, n)
-    r = is_scale(a_plus, b_plus)
+    r = reference_is_scale(a_plus, b_plus)
     if r is None:
         return REASON_SYMMETRIC
     if a_minus.is_zero != b_minus.is_zero:
@@ -169,7 +171,7 @@ def reference_decide_equivalent(
     else:
         a, b = normalized(a), normalized(b)
         path = reference_fast_path(a, b) if use_fast_paths else PATH_GENERAL
-        r = None if path == PATH_GENERAL else is_scale(a, b)
+        r = None if path == PATH_GENERAL else reference_is_scale(a, b)
         if r is not None:
             outcome = _witness_for_scale(n, r, decompose(a, n)[1].is_zero)
         elif path == PATH_SYMMETRIC:

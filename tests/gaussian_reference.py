@@ -45,11 +45,11 @@ from grdcalc.scheme import (
     Scheme,
     ZeroScheme,
     decompose,
-    is_scale,
     normalized,
     order_info,
     scale,
 )
+from scheme_reference import reference_is_scale
 
 
 def reference_match_candidates(scheme: Scheme, n: int) -> list[GaussianMatch]:
@@ -173,7 +173,7 @@ def reference_scale_partners(match: GaussianMatch) -> list[GaussianMatch]:
     partners = []
     for q_alt in (-q, 1 / q, -1 / q):
         member_alt = named_scheme(FamilyKind(match.variant, n, q=q_alt))
-        witness = is_scale(member_alt, target)
+        witness = reference_is_scale(member_alt, target)
         if witness is not None:
             candidate = GaussianMatch(match.variant, q_alt, witness, n)
             if candidate != match:

@@ -65,11 +65,11 @@ from grdcalc.scheme import (
     _require,
     construct_exact,
     construct_exact_symmetric,
-    is_scale,
     order_info,
     parse_rational,
     scale,
 )
+from scheme_reference import reference_is_scale
 
 CERT_MZ_TILDE = "EquivalentToMzTilde"
 _RIEMANN_NOT_MZ_ORDERS = (3, 7)
@@ -169,7 +169,7 @@ def reference_mz_set_check(schemes) -> MzVerdict:
                 STATUS_MZ, Certificate(CERT_GGR_SET, n=n, reduced=reduced), CONJECTURE_NONE
             )
     base = schemes[0]
-    if all(is_scale(base, s) is not None for s in schemes):
+    if all(reference_is_scale(base, s) is not None for s in schemes):
         if member_verdicts[0].status == STATUS_MZ:
             return member_verdicts[0]
 

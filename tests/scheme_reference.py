@@ -1,17 +1,21 @@
 """Independent reference for building schemes: the bodies that validated every build.
 
 ``reference_canonicalize``, ``reference_scale``, ``reference_normalized``,
-``reference_reflect``, ``reference_combine`` and ``reference_split`` are the
-bodies ``canonicalize``, ``scale``, ``normalized``, ``reflect``, ``combine``
-and ``_split`` once had, kept unchanged apart from the names they call.
+``reference_reflect``, ``reference_combine``, ``reference_split`` and
+``reference_is_scale`` are the bodies ``canonicalize``, ``scale``,
+``normalized``, ``reflect``, ``combine``, ``_split`` and ``is_scale`` once
+had, kept unchanged apart from the names they call.
 Each builds its result through the public ``Scheme(...)`` and ``Term(...)``,
 which sort, reject duplicate nodes and zero coefficients, and parse every
 value again.  The package now builds the same results through the unchecked
 ``_scheme`` and ``_term``; the reference tests pin that rewrite to these forms.
+``reference_is_scale`` builds each candidate scale and compares it; ``is_scale``
+now checks each candidate on integers, through ``_matches``, and the other
+references call this one, so none of them shares that check.
 """
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 from grdcalc.scheme import (
     PairLike,
@@ -80,3 +84,19 @@ def reference_combine(parts: Iterable[tuple[Rationalish, Rationalish, Scheme]]) 
             raise ZeroDilation("dilation factors must be nonzero")
         terms.extend((coeff * t.coeff, dilation * t.node) for t in part)
     return reference_canonicalize(terms)
+
+
+def reference_is_scale(a: Scheme, b: Scheme) -> Optional[Fraction]:
+    if a.is_zero or b.is_zero:
+        raise ZeroScheme("scale witnesses are defined for nonzero schemes")
+    if len(a) != len(b):
+        return None
+    max_a = max(abs(t.node) for t in a)
+    max_b = max(abs(t.node) for t in b)
+    if max_a == 0 or max_b == 0:
+        return Fraction(1) if a == b else None
+    ratio = max_b / max_a
+    for candidate in (ratio, -ratio):
+        if reference_scale(a, candidate) == b:
+            return candidate
+    return None

@@ -186,7 +186,7 @@ def test_public_names_are_pinned():
 
 # The line count of src/grdcalc/*.py, as `wc -l` counts it.  A change that
 # grows the package raises this ceiling on purpose and says why.
-SRC_LINE_CEILING = 3513
+SRC_LINE_CEILING = 3505
 
 
 def test_source_line_count_is_at_most_the_ceiling():

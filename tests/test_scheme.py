@@ -48,7 +48,6 @@ from grdcalc import (
 )
 from grdcalc import probes
 from grdcalc.scheme import (
-    _PLAIN_DIGITS,
     _SPLIT_DIGITS,
     _digits,
     _matches,
@@ -57,6 +56,7 @@ from grdcalc.scheme import (
     _term,
 )
 from rational_reference import reference_parse_rational
+from scheme_reference import reference_is_scale
 from test_cli import run_child
 
 rationals = st.fractions(
@@ -205,33 +205,33 @@ class Text(str):
         return "5/3"
 
 
-# plain 'p/q' strings are read by int alone up to _PLAIN_DIGITS digits a side;
-# the reader tests the denominator's integer, so '1/00' is a zero denominator
+# 'p/q' strings take one regex and two integer reads; the reader tests the
+# denominator's integer, so '1/00' is a zero denominator, and bounds an
+# exponent only on the decimal branch; _read_int reads runs past _SPLIT_DIGITS in halves
 @pytest.mark.parametrize(
     "text",
     [
-        "1/00", "0/0", "-0/000", "1/" + "0" * _PLAIN_DIGITS, "+1/2", " 1/2 ", "1/2\n", "1_000/3", "007/010", "-0/5", "-7", "0", "--1",
+        "1/00", "0/0", "-0/000", "1/" + "0" * _SPLIT_DIGITS, "+1/2", " 1/2 ", "1/2\n", "1_000/3", "007/010", "-0/5", "-7", "0", "--1",
         "1/-2", "-/2", "1/", "/2", "\u0661/\u0662", "\u0663", "1\u0660/3", "\uff11/2", Text("3/4"),
-        Text("x"), *(
+        Text("x"), "2e4301", "2.5e-0004301", "2.5e+43", "1/2e3", "1e4_301", *(
             f"{sign}{p}/{q}"
             for sign in ("", "-")
-            for p in ("8" * (_PLAIN_DIGITS - 1), "9" * _PLAIN_DIGITS, "7" * (_PLAIN_DIGITS + 1),
+            for p in ("8" * (_SPLIT_DIGITS - 1), "9" * _SPLIT_DIGITS, "7" * (_SPLIT_DIGITS + 1),
                       "1")
-            for q in ("3" * _PLAIN_DIGITS, "1" + "0" * _PLAIN_DIGITS, "6")
+            for q in ("3" * _SPLIT_DIGITS, "1" + "0" * _SPLIT_DIGITS, "6")
         ),
-        "4" * (_PLAIN_DIGITS + 1), "-" + "4" * _PLAIN_DIGITS,
+        "4" * (_SPLIT_DIGITS + 1), "-" + "4" * _SPLIT_DIGITS,
     ],
 )
 def test_plain_rationals_match_the_reference(text):
     assert _parsed(parse_rational, text) == _parsed(reference_parse_rational, text)
-    assert _PLAIN_DIGITS < _SPLIT_DIGITS
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from(["", "-", "+"]),
-    st.text("0123456789", min_size=1, max_size=_PLAIN_DIGITS + 2),
-    st.none() | st.text("0123456789", min_size=0, max_size=_PLAIN_DIGITS + 2),
+    st.text("0123456789", min_size=1, max_size=_SPLIT_DIGITS + 2),
+    st.none() | st.text("0123456789", min_size=0, max_size=_SPLIT_DIGITS + 2),
 )
 def test_plain_digit_runs_match_the_reference(sign, p, q):
     text = sign + p + ("" if q is None else "/" + q)
@@ -688,16 +688,6 @@ def test_matches_under_optimize_flag():
     assert result.stdout == "_matches agrees with combine, asserts off\n"
 
 
-def _scale_by_trial(a, b):
-    """``is_scale`` by building each scale: the first of the two signed ratios that works."""
-    if len(a) != len(b):
-        return None
-    max_a, max_b = max(abs(t.node) for t in a), max(abs(t.node) for t in b)
-    if max_a == 0 or max_b == 0:
-        return Fraction(1) if a == b else None
-    return next((r for r in (max_b / max_a, -max_b / max_a) if scale(a, r) == b), None)
-
-
 @settings(max_examples=200, deadline=None)
 @given(small_schemes.filter(lambda s: not s.is_zero), dilations.filter(bool), small_schemes)
 def test_is_scale_matches_building_the_scale(a, r, other):
@@ -706,7 +696,7 @@ def test_is_scale_matches_building_the_scale(a, r, other):
             with pytest.raises(ZeroScheme):
                 is_scale(a, b)
         else:
-            assert is_scale(a, b) == _scale_by_trial(a, b)
+            assert is_scale(a, b) == reference_is_scale(a, b)
 
 
 def test_is_scale_builds_no_scale(monkeypatch):
@@ -784,22 +774,6 @@ def test_json_accepts_integer_shorthand():
     assert s == construct_exact([0, 1], 1)
 
 
-def test_json_reads_canonical_terms_without_canonicalize(monkeypatch, checked_builds):
-    d31 = construct_exact([-1, 0, 1, 2], 3)
-    calls = []
-    merge = grdcalc.scheme.canonicalize
-    monkeypatch.setattr(grdcalc.scheme, "canonicalize", lambda t: calls.append(1) or merge(t))
-    read = scheme_from_json(scheme_to_json_dict(d31))
-    assert read == d31 and calls == []
-    assert repr(read.terms) == repr(d31.terms)
-    assert scheme_from_json('{"terms": []}') == canonicalize([]) and calls == []
-    mixed = '{"terms": [{"coeff": 3, "node": 2}, {"coeff": "1/2", "node": "5/2"}]}'
-    assert scheme_from_json(mixed) == canonicalize([(3, 2), (Fraction(1, 2), Fraction(5, 2))])
-    assert calls == []
-    scheme_from_json('{"terms": [{"coeff": 1, "node": 2}, {"coeff": 1, "node": 1}]}')
-    assert calls == [1]
-
-
 @pytest.mark.parametrize(
     "terms",
     [
@@ -837,7 +811,7 @@ def test_json_matches_canonicalize(pairs):
     assert Scheme(read.terms) == read
 
 
-def test_json_booleans_are_refused_on_both_paths():
+def test_json_booleans_are_refused():
     for text in ('{"terms":[{"coeff":true,"node":1}]}', '{"terms":[{"coeff":1,"node":false}]}',
                  '{"terms":[{"coeff":1,"node":2},{"coeff":true,"node":1}]}'):
         with pytest.raises(CalculusError, match=r"^not a rational: (True|False)$"):
