@@ -794,9 +794,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     words = shlex.split(line) if _QUOTING.search(line) else _BLANKS.split(line)
                 except ValueError as exc:
                     raise CalculusError(f"cannot split batch line: {exc}") from exc
-                if "--batch" in words:
-                    raise CalculusError("batch files cannot nest --batch")
                 sub_args = parser.parse_args(["--output", args.output] + words)
+                if sub_args.batch is not None:
+                    raise CalculusError("batch files cannot nest --batch")
                 status = _run_single(parser, sub_args)
                 if status != 0:
                     return status

@@ -64,6 +64,7 @@ from .scheme import (
     _is_int,
     _over_common_denominator,
     format_rational,
+    moment,
     order_info,
     parse_rational,
 )
@@ -377,10 +378,10 @@ def parse_oracle(text: str) -> FunctionOracle:
     """Parse oracle strings: ``abs``, ``sgnsq``, ``mono:k=3``, ``poly:1,0,-2``,
     ``subgmono:k=2;gens=2,3``."""
     head, _, tail = text.strip().partition(":")
-    if head == ORACLE_ABS:
-        return abs_oracle()
-    if head == ORACLE_SGNSQ:
-        return sgnsq_oracle()
+    if head in (ORACLE_ABS, ORACLE_SGNSQ):
+        if tail:
+            raise CalculusError(f"oracle {head!r} takes no fields, got {_echo(repr(tail))}")
+        return abs_oracle() if head == ORACLE_ABS else sgnsq_oracle()
     if head == ORACLE_MONOMIAL:
         key, eq, value = tail.partition("=")
         if key.strip() != "k" or not eq:
@@ -459,9 +460,7 @@ def _moment_kernel(
     ``h = H/DH``, ``P = sum D_j H**(j-lo) DH**(hi-j)`` gives ``P*H**(lo-n)*DH**(n-hi)/DD``."""
     p = oracle.coeffs if oracle.kind == ORACLE_POLYNOMIAL else (0,) * oracle.degree + (1,)
     c = [sum(comb(i, j) * p[i] * x ** (i - j) for i in range(j, len(p))) for j in range(len(p))]
-    coeffs, da, nodes, db = scheme._ints
-    d = [c_j * Fraction(sum(a * b ** j for a, b in zip(coeffs, nodes)), da * db ** j)
-         for j, c_j in enumerate(c)]
+    d = [c_j * moment(scheme, j) for j, c_j in enumerate(c)]
     nonzero = [j for j, d_j in enumerate(d) if d_j] or [n]  # all zero: P = 0
     lo, hi = nonzero[0], nonzero[-1]
     top, dd = _over_common_denominator(d[lo:hi + 1])

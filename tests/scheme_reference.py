@@ -1,10 +1,11 @@
 """Independent reference for building schemes: the bodies that validated every build.
 
 ``reference_canonicalize``, ``reference_scale``, ``reference_normalized``,
-``reference_reflect``, ``reference_combine``, ``reference_split`` and
-``reference_is_scale`` are the bodies ``canonicalize``, ``scale``,
-``normalized``, ``reflect``, ``combine``, ``_split`` and ``is_scale`` once
-had, kept unchanged apart from the names they call.
+``reference_reflect``, ``reference_combine``, ``reference_split``,
+``reference_is_scale`` and ``reference_moment`` are the bodies
+``canonicalize``, ``scale``, ``normalized``, ``reflect``, ``combine``,
+``_split``, ``is_scale`` and ``moment`` once had, kept unchanged apart from
+the names they call.
 Each builds its result through the public ``Scheme(...)`` and ``Term(...)``,
 which sort, reject duplicate nodes and zero coefficients, and parse every
 value again.  The package now builds the same results through the unchecked
@@ -12,12 +13,15 @@ value again.  The package now builds the same results through the unchecked
 ``reference_is_scale`` builds each candidate scale and compares it; ``is_scale``
 now checks each candidate on integers, through ``_matches``, and the other
 references call this one, so none of them shares that check.
+``reference_combine`` and ``reference_moment`` sum ``Fraction``s term by term;
+``combine``, ``_matches`` and ``moment`` now sum the kept integer forms.
 """
 
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from grdcalc.scheme import (
+    CalculusError,
     PairLike,
     Rationalish,
     Scheme,
@@ -100,3 +104,9 @@ def reference_is_scale(a: Scheme, b: Scheme) -> Optional[Fraction]:
         if reference_scale(a, candidate) == b:
             return candidate
     return None
+
+
+def reference_moment(scheme: Scheme, j: int) -> Fraction:
+    if j < 0:
+        raise CalculusError("moment exponent must be >= 0")
+    return sum((t.coeff * t.node ** j for t in scheme), Fraction(0))

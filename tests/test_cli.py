@@ -467,9 +467,11 @@ def test_batch_json_output_propagates(capsys, tmp_path):
 
 def test_batch_rejects_nesting_and_missing_file(capsys, tmp_path):
     batch = tmp_path / "cmds.txt"
-    batch.write_text("--batch other.txt\n", encoding="utf-8")
-    code, _, err = run(capsys, ["--batch", str(batch)])
-    assert code == 2 and "cannot nest" in err
+    for line in ("--batch other.txt", "--batch=other.txt scale riemann:n=1 --by 2",
+                 "--bat other.txt scale riemann:n=1 --by 2"):
+        batch.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run(capsys, ["--batch", str(batch)])
+        assert code == 2 and out == "" and "cannot nest" in err, line
     code, _, err = run(capsys, ["--batch", str(tmp_path / "missing.txt")])
     assert code == 2 and "cannot read batch file" in err
 

@@ -256,6 +256,7 @@ REFUSALS = {
     # refusals that quote the input, at a short input
     "refuse_bad_family_parameter": ["scale", "riemann:n=2,k", "--by", "1"],
     "refuse_unknown_oracle": ["probe", "riemann:n=1", "--oracle", "nope"],
+    "refuse_abs_oracle_with_parameter": ["probe", "riemann:n=1", "--oracle", "abs:k=3"],
     "refuse_bad_subgroup_field": ["probe", "riemann:n=1", "--oracle", "subgmono:k=2;z=1"],
     "refuse_bad_chain_order": ["ntimes", "--entry", "x:cont"],
     "refuse_missing_scheme_file": ["scale", "@no-such-scheme.json", "--by", "1"],

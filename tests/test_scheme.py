@@ -56,7 +56,7 @@ from grdcalc.scheme import (
     _term,
 )
 from rational_reference import reference_parse_rational
-from scheme_reference import reference_is_scale
+from scheme_reference import reference_combine, reference_is_scale, reference_moment
 from test_cli import run_child
 
 rationals = st.fractions(
@@ -494,7 +494,7 @@ def test_order_detection_not_exact_count():
     s = canonicalize([(1, 0), (-2, 1), (1, 2), (1, 3), (-1, 4)])
     info = order_info(s)
     assert info.order == 1
-    assert info.leading_moment == moment(s, 1)
+    assert info.leading_moment == reference_moment(s, 1)
 
 
 def test_normalized():
@@ -622,7 +622,7 @@ def combination_cases(draw):
         return canonicalize([]), parts
     if how == "any":
         return draw(small_schemes), parts
-    true = combine(parts)
+    true = reference_combine(parts)
     if how == "true" or true.is_zero:
         return true, parts
     i = draw(st.integers(0, len(true) - 1))
@@ -633,7 +633,8 @@ def combination_cases(draw):
 
 
 def _match_outcomes(target, parts):
-    """``_matches`` and the ``==`` of a built ``combine``, each as its value or raised type."""
+    """``_matches`` and the ``==`` of the reference's built combination, each as its value or
+    raised type; ``combine`` itself shares ``_sums`` with ``_matches``."""
 
     def outcome(check):
         try:
@@ -641,7 +642,8 @@ def _match_outcomes(target, parts):
         except Exception as exc:  # noqa: BLE001 - compared by type
             return type(exc)
 
-    return outcome(lambda: _matches(target, parts)), outcome(lambda: target == combine(parts))
+    return (outcome(lambda: _matches(target, parts)),
+            outcome(lambda: reference_combine(parts) == target))
 
 
 @settings(max_examples=400, deadline=None)
@@ -681,11 +683,11 @@ def test_matches_under_optimize_flag():
         "    if got != expected:\n"
         "        sys.exit(f'{case}: {got} != {expected}')\n"
         "check()\n"
-        "print('_matches agrees with combine, asserts off')\n"
+        "print('_matches agrees with reference_combine, asserts off')\n"
     )
     result = run_child([sys.executable, "-O", "-c", code])
     assert result.returncode == 0, result.stdout + result.stderr[-2000:]
-    assert result.stdout == "_matches agrees with combine, asserts off\n"
+    assert result.stdout == "_matches agrees with reference_combine, asserts off\n"
 
 
 @settings(max_examples=200, deadline=None)

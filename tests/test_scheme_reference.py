@@ -7,16 +7,23 @@ and node, or the same refusal with the same message.
 
 from fractions import Fraction
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import grdcalc.scheme
 from grdcalc import (
     Scheme,
     Term,
     canonicalize,
+    class_member,
     combine,
     construct_exact,
+    decompose,
     format_rational,
+    gaussian_affine,
+    gaussian_forward,
+    gaussian_symmetric,
+    moment,
+    named_scheme,
     normalized,
     reflect,
     scale,
@@ -26,6 +33,7 @@ from grdcalc.scheme import _scheme, _split, _term
 from scheme_reference import (
     reference_canonicalize,
     reference_combine,
+    reference_moment,
     reference_normalized,
     reference_reflect,
     reference_scale,
@@ -125,6 +133,43 @@ def test_canonicalize_matches_reference(terms):
 @given(st.lists(st.tuples(factors, factors, schemes()), min_size=1, max_size=3))
 def test_combine_matches_reference(parts):
     assert built(combine, parts) == built(reference_combine, parts)
+
+
+# Gaussian members of orders 12..16 (nodes q**i, coefficients with large
+# denominators); with r != s the two parts' nodes differ, so the sum has many terms
+families = st.sampled_from([gaussian_forward, gaussian_affine, gaussian_symmetric])
+ratios = st.sampled_from([Fraction(2), Fraction(3, 2), Fraction(-5, 3), Fraction(7, 4)])
+constants = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
+
+
+@settings(max_examples=30, deadline=None)
+@given(families, st.integers(12, 16), ratios, constants, constants, constants)
+def test_multi_part_combine_matches_reference(family, n, q, r, s, skew):
+    assume(r != s and skew not in (r ** -n, -(r ** -n)))
+    member = named_scheme(family(n, q))
+    plus, minus = decompose(member, n)
+    parts = [(r ** -n, r, plus), (skew, s, minus)]
+    expected = built(reference_combine, parts)
+    assert built(combine, parts) == expected
+    assert built(class_member, member, r, s, skew) == expected
+    # a part given as a list of Terms, out of node order, is read through canonicalize
+    listed = [(r ** -n, r, list(reversed(plus.terms))), (skew, s, list(minus.terms))]
+    assert built(combine, listed) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(schemes(), st.integers(-1, 8))
+@example(Scheme(), 0)
+@example(construct_exact([0, 1, 2], 2), 2)
+def test_moment_matches_reference(scheme, j):
+    def value(function):
+        try:
+            result = function(scheme, j)
+        except Exception as exc:  # the refusal itself is under test
+            return type(exc), str(exc)
+        return result, type(result)
+
+    assert value(moment) == value(reference_moment)
 
 
 @settings(max_examples=60, deadline=None)
