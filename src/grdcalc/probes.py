@@ -24,24 +24,28 @@ and every stage of a Peano probe; its in-group flag is decided once per
 generator lattice.  For ``mono`` and ``poly``, ``f(x+t) = sum c_j t**j``
 gives ``S(h)/h**n = sum_j c_j*m_j * h**(j-n)`` over the moments ``m_j``
 (Ash, Trans. AMS 126, 1967), one integer Horner per sample.  The other
-oracles are summed node by node, with the coefficients and nodes scaled to
-integers ``A_i`` and ``B_i`` over their lcm denominators ``DA`` and ``DB``:
-for ``h = H/DH`` and ``x = xn/xd`` each ``x + b_i*h`` is ``u_i/D`` with
-``D = xd*DB*DH`` and ``u_i = xn*DB*DH + xd*B_i*H``, the oracle of
-homogeneous degree ``e`` is ``F_i/D**e`` (``F_i`` is ``|u_i|``,
-``u_i*|u_i|``, or ``u_i**k`` on the subgroup and 0 off it), and the
-quotient is ``sum A_i*F_i * DH**n / (DA*D**e * H**n)``, reduced by one
-gcd.  The subgroup test strips the shared ``D`` over the base once per
-sample and each term only its own ``u_i``, without ``_membership``.  The
-tail test compares ``a/b`` and ``c/d`` under the tolerance ``s/t`` as
-``t*|a*d - c*b| <= s*max(b*d, |a|*d, |c|*b)``.
+oracles are summed over the nodes in one call per sample, with the
+coefficients and nodes scaled to integers ``A_i`` and ``B_i`` over their
+lcm denominators ``DA`` and ``DB``: for ``h = H/DH`` and ``x = xn/xd``
+each ``x + b_i*h`` is ``u_i/D`` with ``D = xd*DB*DH`` and
+``u_i = xn*DB*DH + xd*B_i*H``, the oracle of homogeneous degree ``e`` is
+``F_i/D**e`` (``F_i`` is ``|u_i|``, ``u_i*|u_i|``, or ``u_i**k`` on the
+subgroup and 0 off it), and the quotient is
+``sum A_i*F_i * DH**n / (DA*D**e * H**n)``, reduced by one gcd.  The
+subgroup test strips the shared ``D`` over the base once per sample,
+without ``_membership``, and strips a ``u_i`` only when the cofactor ``D``
+leaves divides it: ``u_i/D`` is over the base only when ``|u_i|`` leaves
+that same cofactor.  The tail test compares ``a/b`` and ``c/d`` under the
+tolerance ``s/t`` as ``t*|a*d - c*b| <= s*max(b*d, |a|*d, |c|*b)``.
 
 Limits keep a probe's work bounded: the oracle degree (a monomial's
 exponent, a polynomial's highest power) is at most ``MAX_ORACLE_DEGREE``,
 the Peano depth at most ``MAX_PEANO_DEPTH``, the last exponent ``j_max``
 at most ``MAX_J``, and ``depth * j_max**2 * max(degree, 1)`` at most
-``MAX_PROBE_SIZE`` (depth 1 for a single probe); larger inputs are refused
-with ``ProbeBoundExceeded`` before any sample is taken.
+``MAX_PROBE_SIZE`` (depth 1 for a single probe), also when multiplied by
+the most decimal digits of a numerator or denominator of ``x``, ``h0`` or
+a configured ratio; larger inputs are refused with ``ProbeBoundExceeded``
+before any sample is taken.
 """
 
 from __future__ import annotations
@@ -94,7 +98,10 @@ class ProbeBoundExceeded(CalculusError):
 # depth 4 and j_max 40.  The product itself is bounded too: a stage takes
 # about j_max samples per sequence, each of about j_max * degree digits, so
 # ``depth * j_max**2 * max(degree, 1)`` tracks a probe's time and output
-# (25,600 in the workloads and golden cases).
+# (25,600 in the workloads and golden cases).  That counts one digit
+# per number given; the point at step j has about ``(j + 2) * w`` digits for
+# ``w`` the most digits of ``x``, ``h0`` and the ratio, so the product times
+# ``w`` is bounded too.
 MAX_ORACLE_DEGREE = 32
 MAX_PEANO_DEPTH = 16
 MAX_J = 256
@@ -248,10 +255,10 @@ def _generator_lattice(generators: tuple[Fraction, ...]) -> Lattice:
 # integers: ``_sequence`` (once per sequence and lattice),
 # ``FunctionOracle.evaluate`` and ``subgroup_membership`` pass a Fraction's
 # parts and look the generators' lattice up once, not once per sample.  The
-# quotient kernel does not call
-# it: it strips each sample's shared denominator once and tests the terms
-# itself.  Nothing is cached; the zero-size lru_cache stays only so that
-# perfbench can count the calls as ``cache_info()`` misses.
+# quotient kernel does not call it: it strips each sample's shared
+# denominator once and strips only the terms that its cofactor divides.
+# Nothing is cached; the zero-size lru_cache stays only so that perfbench
+# can count the calls as ``cache_info()`` misses.
 @lru_cache(maxsize=0)
 def _membership(num: int, den: int, lattice: Lattice) -> bool:
     base, steps = lattice
@@ -281,9 +288,14 @@ def _degree(oracle: FunctionOracle) -> int:
     return max(oracle.degree, len(oracle.coeffs) - 1)
 
 
-def _check_size(oracle: FunctionOracle, depth: int, cfg: ProbeConfig) -> None:
+def _check_size(
+    oracle: FunctionOracle, depth: int, cfg: ProbeConfig, x: Fraction = Fraction(0)
+) -> None:
     size = depth * cfg.j_max ** 2 * max(_degree(oracle), 1)
     _check_limit("the probe size depth * j_max**2 * degree", size, MAX_PROBE_SIZE)
+    given = (x, cfg.h0, *cfg.ratios)
+    digits = max(len(_digits(max(abs(q.numerator), q.denominator))) for q in given)
+    _check_limit("the probe size depth * j_max**2 * degree * digits", size * digits, MAX_PROBE_SIZE)
 
 
 # kind -> the fields besides ``kind`` that it takes; every other field keeps its default
@@ -396,9 +408,9 @@ def parse_oracle(text: str) -> FunctionOracle:
         gens: Optional[list[Fraction]] = None
         for piece in tail.split(";"):
             key, eq, value = piece.partition("=")
-            if key.strip() == "k" and eq:
+            if key.strip() == "k" and eq and degree is None:
                 degree = _int_field(value, "subgroup degree must be an integer")
-            elif key.strip() == "gens" and eq:
+            elif key.strip() == "gens" and eq and gens is None:
                 gens = [parse_rational(g) for g in value.split(",")]
             else:
                 raise CalculusError(f"bad subgroup oracle field {_echo(repr(piece))}")
@@ -429,25 +441,36 @@ def eval_quotient(
     return _quotient_kernel(scheme, order_info(scheme).order, oracle, x)(h)
 
 
-def _integer_oracle(oracle: FunctionOracle) -> tuple[int, Callable[[int, int], int]]:
-    """A per-node oracle at ``u/D`` written as ``F(u, D) / D**e``: the
-    homogeneous degree ``e`` and the integer function ``F``."""
+def _node_sum(
+    oracle: FunctionOracle, terms: Sequence[tuple[int, int]]
+) -> tuple[int, Callable[[int, int, int], int]]:
+    """The oracle at ``u/D`` written as ``F(u, D) / D**e``: the homogeneous degree
+    ``e`` and ``(base, step, D) -> sum A_i*F(u_i, D)`` with ``u_i = base + B_i*step``."""
     if oracle.kind == ORACLE_ABS:
-        return 1, lambda u, d: abs(u)
+        return 1, lambda base, step, d: sum(a * abs(base + b * step) for a, b in terms)
     if oracle.kind == ORACLE_SGNSQ:
-        return 2, lambda u, d: u * abs(u)
-    k = oracle.degree
-    base, steps = _generator_lattice(oracle.generators)
-    shared: dict[int, tuple[list[int], int]] = {}  # every term of a sample has the same D
+        def signed_squares(base: int, step: int, d: int) -> int:
+            total = 0
+            for a, b in terms:
+                u = base + b * step
+                total += a * u * abs(u)
+            return total
 
-    def on_subgroup(u: int, d: int) -> int:
-        if not u:
-            return 0
-        if d not in shared:
-            shared.clear()
-            shared[d] = _strip(d, base)
-        target = _over_base(u, shared[d], base)
-        return u ** k if target is not None and _lattice_member(steps, target) else 0
+        return 2, signed_squares
+    k = oracle.degree
+    gens, steps = _generator_lattice(oracle.generators)
+
+    def on_subgroup(base: int, step: int, d: int) -> int:
+        shared = _strip(d, gens)
+        left = shared[1]  # over the base, |u| leaves this cofactor too: it divides u
+        total = 0
+        for a, b in terms:
+            u = base + b * step
+            if u and not u % left:
+                target = _over_base(u, shared, gens)
+                if target is not None and _lattice_member(steps, target):
+                    total += a * u ** k
+        return total
 
     return k, on_subgroup
 
@@ -465,6 +488,7 @@ def _moment_kernel(
     lo, hi = nonzero[0], nonzero[-1]
     top, dd = _over_common_denominator(d[lo:hi + 1])
     a, b = lo - n, n - hi
+    up_n, up_d, down_n, down_d = max(a, 0), max(b, 0), max(-a, 0), max(-b, 0)
 
     def quotient(h: Fraction) -> Fraction:
         hn, hd = h.numerator, h.denominator
@@ -472,8 +496,8 @@ def _moment_kernel(
         for d_j in reversed(top):
             total = total * hn + d_j * power
             power *= hd
-        num = total * hn ** max(a, 0) * hd ** max(b, 0)
-        return Fraction(num, dd * hn ** max(-a, 0) * hd ** max(-b, 0))
+        num = total * hn ** up_n * hd ** up_d
+        return Fraction(num, dd * hn ** down_n * hd ** down_d)
 
     return quotient
 
@@ -485,15 +509,13 @@ def _quotient_kernel(
     if oracle.kind in (ORACLE_MONOMIAL, ORACLE_POLYNOMIAL):
         return _moment_kernel(scheme, n, oracle, x)
     coeffs, da, nodes, db = scheme._ints
-    e, f = _integer_oracle(oracle)
-    terms = list(zip(coeffs, nodes))
+    e, node_sum = _node_sum(oracle, list(zip(coeffs, nodes)))
     xn, xd = x.numerator, x.denominator
 
     def quotient(h: Fraction) -> Fraction:
         hn, hd = h.numerator, h.denominator
         d = xd * db * hd
-        base, step = xn * db * hd, xd * hn
-        total = sum(a * f(base + b * step, d) for a, b in terms)
+        total = node_sum(xn * db * hd, xd * hn, d)
         return Fraction(total * hd ** n, da * d ** e * hn ** n)
 
     return quotient
@@ -664,7 +686,7 @@ def limit_probe(
     """
     cfg = config or ProbeConfig()
     x = parse_rational(x)
-    _check_size(oracle, 1, cfg)
+    _check_size(oracle, 1, cfg, x)
     ratios = list(cfg.ratios)
     lattice = None
     if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
@@ -717,7 +739,7 @@ def peano_probe(
     if not _is_int(n) or n < 1:
         raise CalculusError("the probe depth n must be a positive integer")
     _check_limit("the probe depth n", n, MAX_PEANO_DEPTH)
-    _check_size(oracle, n, config or ProbeConfig())
+    _check_size(oracle, n, config or ProbeConfig(), parse_rational(x))
     stages = []
     for order in range(1, n + 1):
         report = limit_probe(named_scheme(mz_tilde(order)), oracle, x, config)

@@ -233,7 +233,10 @@ def format_rational(value: Fraction) -> str:
     """Format a rational as a reduced 'p/q' string (denominator always shown)."""
     if not isinstance(value, Fraction):
         value = Fraction(value)
-    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # past the int-to-str limit
+        return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
 @dataclass(frozen=True, slots=True)

@@ -258,6 +258,7 @@ REFUSALS = {
     "refuse_unknown_oracle": ["probe", "riemann:n=1", "--oracle", "nope"],
     "refuse_abs_oracle_with_parameter": ["probe", "riemann:n=1", "--oracle", "abs:k=3"],
     "refuse_bad_subgroup_field": ["probe", "riemann:n=1", "--oracle", "subgmono:k=2;z=1"],
+    "refuse_repeated_subgroup_field": ["probe", "riemann:n=1", "--oracle", "subgmono:k=1;k=2;gens=2"],
     "refuse_bad_chain_order": ["ntimes", "--entry", "x:cont"],
     "refuse_missing_scheme_file": ["scale", "@no-such-scheme.json", "--by", "1"],
     "refuse_missing_batch_file": ["--batch", "no-such-batch.txt"],
@@ -299,6 +300,10 @@ REFUSALS = {
     "refuse_probe_jmax_over_limit": ["probe", "riemann:n=1", "--oracle", "abs", "--jmax", "257"],
     "refuse_probe_size_over_limit": [
         "probe", "--peano", "16", "--oracle=mono:k=32", "--x=1/3", "--jmax", "256",
+    ],
+    # the product within its bound, times the 3,000 digits of x above it
+    "refuse_probe_x_digits_over_limit": [
+        "probe", "riemann:n=4", "--oracle=mono:k=32", "--x=1/" + "7" * 3000,
     ],
     # an exponent above its limit is refused before Fraction computes 10**999999
     "refuse_rational_exponent_over_limit": ["scale", "riemann:n=2", "--by", "1e999999"],

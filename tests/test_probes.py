@@ -127,6 +127,22 @@ def test_oracle_validation():
         subgroup_monomial_oracle(2, [2, 0])
 
 
+@pytest.mark.parametrize(
+    "text, repeated",
+    [
+        ("subgmono:k=1;k=2;gens=2", "'k=2'"),
+        ("subgmono:k=1;gens=2;gens=3", "'gens=3'"),
+        ("subgmono:gens=2;k=1; k =1", "' k =1'"),
+        ("subgmono:k=1;gens=2;gens=" + "3" * 200, "'gens=" + "3" * 94 + "... (207 characters)"),
+    ],
+)
+def test_repeated_subgroup_fields_are_refused(text, repeated):
+    # the second k or gens was once read over the first
+    with pytest.raises(CalculusError) as refused:
+        parse_oracle(text)
+    assert str(refused.value) == f"bad subgroup oracle field {repeated}"
+
+
 @pytest.mark.parametrize("text", ["mono:k=-1", "subgmono:k=-1;gens=2"])
 def test_negative_degree_reports_the_bound(text):
     with pytest.raises(CalculusError, match=">= 0"):
@@ -216,6 +232,40 @@ def test_in_group_flags_are_decided_once_per_sequence_and_lattice():
     second = limit_probe(FWD1, oracle, 0, config)
     assert probes._membership.cache_info().misses == middle
     assert [s.in_group for s in second.sequences] == [s.in_group for s in first.sequences]
+
+
+@pytest.mark.parametrize("x", [Fraction(-3, 7), Fraction(4, 3), Fraction(0)])
+def test_subgroup_kernel_strips_only_what_it_must(monkeypatch, x):
+    scheme = named_scheme(riemann(2))
+    oracle = subgroup_monomial_oracle(2, [2, 3])
+    steps = [
+        sign * ratio ** j
+        for ratio in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(-2, 3))
+        for sign in (1, -1)
+        for j in range(4, 41)
+    ]
+    # the terms whose u_i the cofactor of the shared D (what 2 and 3 leave of it) divides
+    coeffs, _, nodes, db = scheme._ints
+    passing = 0
+    for h in steps:
+        d = cofactor = x.denominator * db * h.denominator
+        for p in (2, 3):
+            while cofactor % p == 0:
+                cofactor //= p
+        base, step = x.numerator * db * h.denominator, x.denominator * h.numerator
+        passing += sum(1 for b in nodes if (u := base + b * step) and u % cofactor == 0)
+    if x == Fraction(-3, 7):
+        # 7 stays in every D and divides no u_i = -3*DH + 7*B_i*H
+        assert passing == 0
+    quotient = probes._quotient_kernel(scheme, 2, oracle, x)
+    stripped = []
+    strip = probes._strip
+    monkeypatch.setattr(probes, "_strip", lambda v, base: stripped.append(v) or strip(v, base))
+    values = [quotient(h) for h in steps]
+    # one strip of D per sample, and one per term that passes the cofactor test
+    assert len(stripped) <= len(steps) + passing
+    monkeypatch.undo()
+    assert values == [reference_quotient(scheme, 2, oracle, x, h) for h in steps]
 
 
 R3 = named_scheme(riemann(3))
@@ -616,6 +666,42 @@ def test_probe_size_is_bounded_on_the_product_of_the_limits():
         probes._check_size(top, 3, at_limits)
     # degree 0 counts as 1
     probes._check_size(abs_oracle(), probes.MAX_PEANO_DEPTH, at_limits)
+
+
+@pytest.mark.parametrize(
+    "x, config, digits",
+    [
+        (Fraction(1, 3), ProbeConfig(), 1),
+        (Fraction(-9, 7), ProbeConfig(h0=Fraction(-9, 8), ratios=(Fraction(-8, 9),)), 1),
+        (Fraction(10, 3), ProbeConfig(), 2),
+        (Fraction(1, 3), ProbeConfig(h0=Fraction(1, 10 ** 5)), 6),
+        (Fraction(0), ProbeConfig(ratios=(Fraction(1, 2), Fraction(-999, 1000))), 4),
+        (Fraction(-(10 ** 4999), 7), ProbeConfig(), 5000),
+    ],
+)
+def test_probe_size_counts_the_digits_of_x_h0_and_the_ratios(x, config, digits):
+    oracle = monomial_oracle(4)
+    size = config.j_max ** 2 * 4
+    # the most digits that the bound admits at this size, and one digit more
+    depth = probes.MAX_PROBE_SIZE // (size * digits)
+    if depth:
+        probes._check_size(oracle, depth, config, x)
+    refused = probes.MAX_PROBE_SIZE // size + 1
+    # one digit each: the product alone is over the bound, with its own message
+    message = "degree must" if digits == 1 else r"degree \* digits must"
+    with pytest.raises(ProbeBoundExceeded, match=rf"^the probe size depth \* j_max\*\*2 \* {message}"):
+        probes._check_size(oracle, -(-refused // digits), config, x)
+
+
+def test_probe_size_leaves_the_added_subgroup_ratios_uncounted():
+    # limit_probe adds the 13-digit ratio 1/1000036000099 from the generator;
+    # counted, it would put this probe over the bound
+    oracle = subgroup_monomial_oracle(5, [1000036000099])
+    config = ProbeConfig(j_min=probes.MAX_J - 2, j_max=probes.MAX_J)
+    assert config.j_max ** 2 * 5 * 13 > probes.MAX_PROBE_SIZE
+    report = limit_probe(named_scheme(mz_tilde(2)), oracle, 0, config)
+    assert report.config.ratios == ProbeConfig().ratios + (Fraction(1, 1000036000099),)
+    assert len(report.sequences) == 8
 
 
 def test_probe_limit_refusal_echo_is_bounded():
