@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import shlex
 import sys
 from fractions import Fraction
 from functools import cache
@@ -655,8 +654,35 @@ DEMOS: dict[str, Callable[[], tuple[list[str], dict]]] = {
 
 
 _NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?([.,].*)?$")
-# shlex.split's words of a stripped line without quotes or backslashes: its pieces between blanks
-_QUOTING, _BLANKS = re.compile(r"['\"\\]"), re.compile(r"[ \t\r\n]+")
+# one piece of a batch line, as shlex.split reads it: a run of plain characters, a '...' or
+# "..." run, an escaped character, a run of blanks, or a quote or backslash left open
+_PIECE = re.compile(r"""([^ \t\r\n'"\\]+)|'([^']*)'|"((?:[^"\\]|\\.)*)"|\\(.)|([ \t\r\n]+)|(.)""", re.S)
+_ESCAPED = re.compile(r'\\([\\"])')
+
+
+def _words(line: str) -> list[str]:
+    """``shlex.split(line)``, with its ``ValueError`` texts, in one pass: linear in the line.
+
+    Words are separated by `` \t\r\n`` only; inside ``"..."`` a backslash
+    escapes only ``"`` and itself.  A ``"`` left open ends in a lone backslash
+    exactly when the line ends in an odd run of backslashes.
+    """
+    words, word = [], None
+    for piece in _PIECE.finditer(line):
+        kind, text = piece.lastindex, piece[piece.lastindex]
+        if kind == 6:
+            trailing = len(line) - len(line.rstrip("\\"))
+            lone = text == "\\" or (text == '"' and trailing % 2 == 1)
+            raise ValueError("No escaped character" if lone else "No closing quotation")
+        if kind != 5:
+            word = [] if word is None else word
+            word.append(_ESCAPED.sub(r"\1", text) if kind == 3 else text)
+        elif word is not None:
+            words.append("".join(word))
+            word = None
+    if word is not None:
+        words.append("".join(word))
+    return words
 
 
 def _int(text: str) -> int:
@@ -766,12 +792,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_single(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _run_single(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     if getattr(args, "verb", None) is None or not hasattr(args, "handler"):
         parser.error("a verb is required (or use --batch FILE)")
     payload, lines = args.handler(args)
     _emit(payload, lines, args.output)
-    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -791,17 +816,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    words = shlex.split(line) if _QUOTING.search(line) else _BLANKS.split(line)
+                    words = _words(line)
                 except ValueError as exc:
                     raise CalculusError(f"cannot split batch line: {exc}") from exc
                 sub_args = parser.parse_args(["--output", args.output] + words)
                 if sub_args.batch is not None:
                     raise CalculusError("batch files cannot nest --batch")
-                status = _run_single(parser, sub_args)
-                if status != 0:
-                    return status
-            return 0
-        return _run_single(parser, args)
+                _run_single(parser, sub_args)
+        else:
+            _run_single(parser, args)
+        return 0
     except CalculusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

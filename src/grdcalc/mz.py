@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Optional, Sequence, Union
 
 from .equivalence import Witness, decide_equivalent, equivalent_gaussian
@@ -44,7 +43,6 @@ from .scheme import (
     Rationalish,
     Scheme,
     ZeroScheme,
-    _ECHO_CHARS,
     _check_order,
     _digits,
     _echo,
@@ -343,33 +341,13 @@ def _detect_identity_chain(entries: dict[int, ChainEntry]) -> Optional[Scheme]:
     return certificate
 
 
-def _digit_total(low: int, high: int) -> int:
-    """The decimal digits of the integers ``low..high-1`` (``low >= 1``), counted by width."""
-    total, width = 0, len(_digits(low))
-    while low < high:
-        top = min(high, 10 ** width)
-        total += (top - low) * width
-        low, width = top, width + 1
-    return total
-
-
 def _missing_orders(orders: list[int]) -> str:
-    """The orders up to ``max(orders)`` that the sorted ``orders`` (from 0) lack,
-    as the ``repr`` of their list quoted by ``_echo``; empty when none is missing.
-
-    The gaps between consecutive orders are counted, never listed, so the
-    work grows with the number of orders and the digits of the top one,
-    not with the top order itself.
-    """
-    gaps = [(low + 1, high) for low, high in zip(orders, orders[1:]) if high > low + 1]
-    if not gaps:
-        return ""
-    count = sum(high - low for low, high in gaps)
-    # "[", "]" and count - 1 separators ", " around the digits
-    length = 2 * count + sum(_digit_total(low, high) for low, high in gaps)
-    # the first 100 orders fill the 100 quoted characters
-    head = islice((k for low, high in gaps for k in range(low, high)), _ECHO_CHARS)
-    return _echo(f"[{', '.join(map(_digits, head))}]", length)
+    """The orders up to ``max(orders)`` that the sorted ``orders`` (from 0) lack, quoted by
+    ``_echo`` as one ``low..high`` per gap (the order alone for a gap of one); empty when none
+    is missing.  The text grows with the digits of the given orders, not with the orders."""
+    gaps = [(low + 1, high - 1) for low, high in zip(orders, orders[1:]) if high > low + 1]
+    shown = (_digits(low) if low == high else f"{_digits(low)}..{_digits(high)}" for low, high in gaps)
+    return _echo(", ".join(shown))
 
 
 def n_times_check(chain: Sequence[tuple[int, ChainEntry]]) -> NTimesReport:

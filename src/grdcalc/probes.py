@@ -43,9 +43,9 @@ exponent, a polynomial's highest power) is at most ``MAX_ORACLE_DEGREE``,
 the Peano depth at most ``MAX_PEANO_DEPTH``, the last exponent ``j_max``
 at most ``MAX_J``, and ``depth * j_max**2 * max(degree, 1)`` at most
 ``MAX_PROBE_SIZE`` (depth 1 for a single probe), also when multiplied by
-the most decimal digits of a numerator or denominator of ``x``, ``h0`` or
-a configured ratio; larger inputs are refused with ``ProbeBoundExceeded``
-before any sample is taken.
+the most decimal digits of a numerator or denominator of ``x``, ``h0``, a
+configured ratio or a ratio that a subgroup oracle adds; larger inputs are
+refused with ``ProbeBoundExceeded`` before any sample is taken.
 """
 
 from __future__ import annotations
@@ -290,12 +290,19 @@ def _degree(oracle: FunctionOracle) -> int:
 
 def _check_size(
     oracle: FunctionOracle, depth: int, cfg: ProbeConfig, x: Fraction = Fraction(0)
-) -> None:
+) -> list[Fraction]:
+    """Refuse a probe over the size bound; return the ratios it counted and the probe runs:
+    the configured ones, then those that a subgroup oracle adds."""
     size = depth * cfg.j_max ** 2 * max(_degree(oracle), 1)
     _check_limit("the probe size depth * j_max**2 * degree", size, MAX_PROBE_SIZE)
-    given = (x, cfg.h0, *cfg.ratios)
-    digits = max(len(_digits(max(abs(q.numerator), q.denominator))) for q in given)
+    ratios = list(cfg.ratios)
+    if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
+        for ratio in _auto_subgroup_ratios(oracle):
+            if ratio not in ratios:
+                ratios.append(ratio)
+    digits = max(len(_digits(max(abs(q.numerator), q.denominator))) for q in (x, cfg.h0, *ratios))
     _check_limit("the probe size depth * j_max**2 * degree * digits", size * digits, MAX_PROBE_SIZE)
+    return ratios
 
 
 # kind -> the fields besides ``kind`` that it takes; every other field keeps its default
@@ -686,14 +693,10 @@ def limit_probe(
     """
     cfg = config or ProbeConfig()
     x = parse_rational(x)
-    _check_size(oracle, 1, cfg, x)
-    ratios = list(cfg.ratios)
+    ratios = _check_size(oracle, 1, cfg, x)
     lattice = None
     if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
         lattice = _generator_lattice(oracle.generators)
-        for ratio in _auto_subgroup_ratios(oracle):
-            if ratio not in ratios:
-                ratios.append(ratio)
     effective = replace(cfg, ratios=tuple(ratios))
     quotient = _quotient_kernel(scheme, order_info(scheme).order, oracle, x)
     sequences = []

@@ -93,17 +93,9 @@ _ECHO_CHARS = 100
 _SPLIT_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 640)
 
 
-def _echo(shown: str, length: Optional[int] = None) -> str:
-    """``shown`` cut to its first 100 characters, then its length: how refusals quote input.
-
-    With ``length``, ``shown`` is the start, at least 100 characters long, of
-    a text of that length that is never built whole; a length of more than
-    100 digits is quoted by its digit count.
-    """
-    length = len(shown) if length is None else length
-    count = _digits(length)
-    told = count if len(count) <= _ECHO_CHARS else f"a {len(count)}-digit number of"
-    cut = f"... ({told} characters)" if length > _ECHO_CHARS else ""
+def _echo(shown: str) -> str:
+    """``shown`` cut to its first 100 characters, then its length: how refusals quote input."""
+    cut = f"... ({len(shown)} characters)" if len(shown) > _ECHO_CHARS else ""
     return shown[:_ECHO_CHARS] + cut
 
 
@@ -533,28 +525,19 @@ def is_symmetric(scheme: Scheme, n: Optional[int] = None) -> bool:
 
 
 def combine(parts: Iterable[tuple[Rationalish, Rationalish, Scheme]]) -> Scheme:
-    """Form ``sum_k c_k * S_k(d_k * h)``, canonical; several parts by :func:`_sums`.
+    """Form ``sum_k c_k * S_k(d_k * h)``, canonical, from the integer sums of :func:`_sums`.
 
     Each part is ``(c_k, d_k, S_k)``; the dilation ``d_k`` multiplies nodes
     only (no normalizing division, unlike :func:`scale`).
     """
-    mapped: list[tuple[Fraction, Fraction, Scheme]] = []
-    for coeff, dilation, part in parts:
-        coeff, dilation = parse_rational(coeff), parse_rational(dilation)
-        if dilation == 0:
-            raise ZeroDilation("dilation factors must be nonzero")
-        mapped.append((coeff, dilation, part))
-    if len(mapped) == 1 and coeff and isinstance(part, Scheme):
-        # one part stays canonical (in order or reversed); 1.2-1.8x slower through _sums
-        terms = [_term(coeff * t.coeff, dilation * t.node) for t in part]
-        return _scheme(tuple(terms if dilation > 0 else reversed(terms)))
-    sums, C, D = _sums(mapped)
+    sums, C, D = _sums(parts)
     return _scheme(tuple(_term(Fraction(v, C), Fraction(k, D)) for k, v in sorted(sums.items()) if v))
 
 
 def _sums(parts: Iterable[tuple[Rationalish, Rationalish, Scheme]]) -> tuple[dict, int, int]:
-    """``sum_k c_k * S_k(d_k * h)`` on integers: ``sums[N] / C`` (zero kept) at nodes ``N / D``,
-    over the lcms ``C``, ``D`` of the parts' denominators; a part not a Scheme is canonicalized."""
+    """The one summing rule of :func:`combine` and :func:`_matches`: ``sum_k c_k * S_k(d_k * h)``
+    on integers, ``sums[N] / C`` (zero kept) at nodes ``N / D``, over the lcms ``C``, ``D`` of the
+    parts' denominators; a part not a Scheme is canonicalized, a zero dilation refused."""
     read = []
     for coeff, dilation, part in parts:
         coeff, dilation = parse_rational(coeff), parse_rational(dilation)

@@ -305,6 +305,11 @@ REFUSALS = {
     "refuse_probe_x_digits_over_limit": [
         "probe", "riemann:n=4", "--oracle=mono:k=32", "--x=1/" + "7" * 3000,
     ],
+    # the product within its bound, times the 1,000 digits of the ratio 1/g that
+    # the subgroup oracle adds from its generator g
+    "refuse_probe_subgroup_generator_digits_over_limit": [
+        "probe", "riemann:n=2", "--oracle", "subgmono:k=32;gens=1" + "0" * 998 + "1", "--x", "0",
+    ],
     # an exponent above its limit is refused before Fraction computes 10**999999
     "refuse_rational_exponent_over_limit": ["scale", "riemann:n=2", "--by", "1e999999"],
     # family orders, the ggr order and qggr inputs above their budgets are refused up front

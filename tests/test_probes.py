@@ -693,15 +693,25 @@ def test_probe_size_counts_the_digits_of_x_h0_and_the_ratios(x, config, digits):
         probes._check_size(oracle, -(-refused // digits), config, x)
 
 
-def test_probe_size_leaves_the_added_subgroup_ratios_uncounted():
+def test_probe_size_counts_the_added_subgroup_ratios():
     # limit_probe adds the 13-digit ratio 1/1000036000099 from the generator;
-    # counted, it would put this probe over the bound
+    # counted, it puts this probe over the bound in limit_probe and peano_probe
     oracle = subgroup_monomial_oracle(5, [1000036000099])
     config = ProbeConfig(j_min=probes.MAX_J - 2, j_max=probes.MAX_J)
-    assert config.j_max ** 2 * 5 * 13 > probes.MAX_PROBE_SIZE
-    report = limit_probe(named_scheme(mz_tilde(2)), oracle, 0, config)
-    assert report.config.ratios == ProbeConfig().ratios + (Fraction(1, 1000036000099),)
-    assert len(report.sequences) == 8
+    size = config.j_max ** 2 * 5
+    assert size <= probes.MAX_PROBE_SIZE < size * 13
+    message = rf"^the probe size depth \* j_max\*\*2 \* degree \* digits must be at most \d+, got {size * 13}$"
+    with pytest.raises(ProbeBoundExceeded, match=message):
+        limit_probe(named_scheme(mz_tilde(2)), oracle, 0, config)
+    with pytest.raises(ProbeBoundExceeded, match=message):
+        peano_probe(oracle, 0, 1, config)
+    # a negative generator adds its square: 1/(10**12 + 1)**2 has 25 digits
+    negative = subgroup_monomial_oracle(5, [-(10 ** 12 + 1)])
+    with pytest.raises(ProbeBoundExceeded, match=rf"got {size * 25}$"):
+        limit_probe(named_scheme(mz_tilde(2)), negative, 0, config)
+    # with every ratio of one digit the same probe is answered
+    small = limit_probe(named_scheme(mz_tilde(2)), subgroup_monomial_oracle(5, [7]), 0, config)
+    assert small.config.ratios == ProbeConfig().ratios + (Fraction(1, 7),)
 
 
 def test_probe_limit_refusal_echo_is_bounded():
