@@ -18,29 +18,19 @@ import sys
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .equivalence import class_member, decide_equivalent, equivalent_gaussian
+from .equivalence import decide_equivalent
 from .families import (
-    GAUSSIAN_AFFINE,
-    GAUSSIAN_FORWARD,
-    gaussian_affine,
-    gaussian_forward,
     match_to_json_dict,
-    mz_tilde,
     named_scheme,
     parse_family,
     recognize_gaussian,
-    riemann,
-    riemann_shift,
     scale_partners,
 )
 from .mz import (
-    CERT_D31,
-    CERT_GGR_SET,
     CONTINUITY,
-    PEANO_ALL_MZ,
-    STATUS_MZ,
+    DEMOS,
     ChainEntry,
     ggr_set,
     mz_check,
@@ -48,30 +38,18 @@ from .mz import (
     n_times_check,
     verify_quantum_ggr,
 )
-from .probes import (
-    ProbeConfig,
-    ProbeReport,
-    VERDICT_CONVERGES,
-    VERDICT_DIVERGES,
-    limit_probe,
-    parse_oracle,
-    peano_probe,
-    subgroup_monomial_oracle,
-)
+from .probes import ProbeConfig, ProbeReport, limit_probe, parse_oracle, peano_probe
 from .scheme import (
     CalculusError,
     Scheme,
     _echo,
     _int_field,
     _read_int,
-    _require,
-    canonicalize,
     construct_exact,
     construct_exact_symmetric,
     decompose,
     format_rational,
     format_scheme,
-    is_scale,
     order_info,
     parse_rational,
     scale,
@@ -172,6 +150,8 @@ def _scheme_lines(scheme: Scheme) -> Iterator[str]:
 def _cmd_construct(args: argparse.Namespace) -> tuple[dict, Iterable[str]]:
     if args.nodes is not None and args.pairs is not None:
         raise CalculusError("give either --nodes or --pairs, not both")
+    if args.nodes is not None and args.zero:
+        raise CalculusError("--zero goes with --pairs; with --nodes, list 0 among the nodes")
     if args.nodes is not None:
         scheme = construct_exact(_csv_rationals(args.nodes), args.order)
     elif args.pairs is not None:
@@ -375,278 +355,6 @@ def _cmd_demo(args: argparse.Namespace) -> tuple[dict, list[str]]:
         raise UnknownDemo(f"unknown demo {_echo(repr(name))}; choose from {', '.join(DEMOS)}")
     lines, facts = DEMOS[name]()
     return {"demo": name, "facts": facts}, [f"[demo {name}]"] + lines
-
-
-# ---------------------------------------------------------------------------
-# demo suite: each demo recomputes a worked identity and checks it exactly
-
-
-def _demo_e1() -> tuple[list[str], dict]:
-    member = named_scheme(gaussian_affine(2, 2))
-    _require(member == canonicalize(
-        [(Fraction(2, 3), 1), (Fraction(-1), 2), (Fraction(1, 3), 4)]
-    ), "affine member mismatch")
-    scaled = scale(member, 2)
-    _require(scaled == canonicalize(
-        [(Fraction(1, 6), 2), (Fraction(-1, 4), 4), (Fraction(1, 12), 8)]
-    ), "scale-by-2 mismatch")
-    match = recognize_gaussian(scaled)
-    _require(match is not None and match.variant == GAUSSIAN_AFFINE, "recognition failed")
-    _require(match.q == 2 and match.scale_b == 2, "expected q=2, b=2")
-    lines = [
-        f"scale by 2 of the geometric second difference: {format_scheme(scaled)}",
-        "recognize: scale-of-affine q=2 b=2",
-        "exact-gaussian: none (the scheme is a scale of a member, not a member)",
-    ]
-    facts = {
-        "scheme": scheme_to_json_dict(scaled),
-        "match": match_to_json_dict(match),
-        "exact_member": match.scale_b == 1,
-    }
-    return lines, facts
-
-
-def _demo_e2() -> tuple[list[str], dict]:
-    member = named_scheme(gaussian_affine(2, 2))
-    mixed = class_member(member, 1, 1, 3)
-    expected = canonicalize(
-        [
-            (Fraction(2, 3), 4),
-            (Fraction(-2), 2),
-            (Fraction(4, 3), 1),
-            (Fraction(-2, 3), -1),
-            (Fraction(1), -2),
-            (Fraction(-1, 3), -4),
-        ]
-    )
-    _require(mixed == expected, "mixed-part scheme mismatch")
-    verdict = decide_equivalent(member, mixed)
-    _require(verdict.equivalent, "must be equivalent")
-    w = verdict.witness
-    _require(
-        (w.r, w.s, w.sym_factor, w.skew_factor) == (1, 1, 1, 3), "witness must be B=3"
-    )
-    _require(is_scale(member, mixed) is None, "must not be a plain scale")
-    check = mz_check(mixed)
-    _require(check.status == STATUS_MZ, "equivalent-to-geometric means known MZ")
-    lines = [
-        f"plus + 3*minus of the geometric member: {format_scheme(mixed)}",
-        "equivalent to the member with witness A=1, B=3 (r=s=1)",
-        "is_scale: none — equivalent but not a scale",
-        "mz-check: known-mz",
-    ]
-    facts = {
-        "scheme": scheme_to_json_dict(mixed),
-        "witness": w.to_json_dict(),
-        "is_scale": None,
-        "mz_status": check.status,
-    }
-    return lines, facts
-
-
-def _demo_e3() -> tuple[list[str], dict]:
-    first = named_scheme(gaussian_affine(1, 2))
-    _require(first == canonicalize([(-1, 1), (1, 2)]), "geometric first difference")
-    scaled = scale(first, 2)
-    _require(scaled == canonicalize(
-        [(Fraction(-1, 2), 2), (Fraction(1, 2), 4)]
-    ), "scale mismatch")
-    a = canonicalize([(-1, 0), (1, 1)])
-    b = canonicalize([(2, -1), (-5, 0), (3, 1)])
-    forward_verdict = decide_equivalent(a, b)
-    reverse_verdict = decide_equivalent(b, a)
-    _require(forward_verdict.equivalent and reverse_verdict.equivalent)
-    fw, rw = forward_verdict.witness, reverse_verdict.witness
-    _require((fw.r, fw.s, fw.sym_factor, fw.skew_factor) == (1, 1, 1, 5))
-    _require((rw.r, rw.s, rw.sym_factor, rw.skew_factor) == (1, 1, 1, Fraction(1, 5)))
-    lines = [
-        f"geometric first difference: {format_scheme(first)}",
-        f"its scale by 2: {format_scheme(scaled)}",
-        "witness forward: A=1 B=5;  reverse: A=1 B=1/5 (r=s=1)",
-    ]
-    facts = {
-        "scaled": scheme_to_json_dict(scaled),
-        "forward_witness": fw.to_json_dict(),
-        "reverse_witness": rw.to_json_dict(),
-    }
-    return lines, facts
-
-
-def _demo_e13() -> tuple[list[str], dict]:
-    base = named_scheme(riemann_shift(3, -1))
-    plus, minus = decompose(base, 3)
-    _require(plus == canonicalize(
-        [(Fraction(-1, 2), -2), (1, -1), (-1, 1), (Fraction(1, 2), 2)]
-    ), "symmetric part mismatch")
-    _require(minus == canonicalize(
-        [(Fraction(1, 2), -2), (-2, -1), (3, 0), (-2, 1), (Fraction(1, 2), 2)]
-    ), "skew part mismatch")
-    nabla = class_member(base, 1, 1, Fraction(1, 2))
-    expected = canonicalize(
-        [(Fraction(-1, 4), -2), (Fraction(3, 2), 0), (-2, 1), (Fraction(3, 4), 2)]
-    )
-    _require(nabla == expected, "class member mismatch")
-    verdict = decide_equivalent(base, nabla)
-    _require(verdict.equivalent)
-    w = verdict.witness
-    _require((w.r, w.s, w.sym_factor, w.skew_factor) == (1, 1, 1, Fraction(1, 2)))
-    _require(is_scale(base, nabla) is None)
-    lines = [
-        f"class member with skew factor 1/2: {format_scheme(nabla)}",
-        "equivalence witness: A=1 B=1/2 (r=s=1)",
-        "is_scale: none",
-    ]
-    facts = {
-        "nabla": scheme_to_json_dict(nabla),
-        "witness": w.to_json_dict(),
-        "is_scale": None,
-    }
-    return lines, facts
-
-
-def _demo_e14() -> tuple[list[str], dict]:
-    chain: list[tuple[int, ChainEntry]] = [
-        (0, CONTINUITY),
-        (1, named_scheme(gaussian_affine(1, Fraction(22, 7)))),
-        (2, named_scheme(gaussian_forward(2, 5))),
-        (3, scale(named_scheme(riemann_shift(3, -1)), Fraction(47, 10))),
-    ]
-    report = n_times_check(chain)
-    _require(report.all_mz, "every stage must be known MZ")
-    _require(report.peano_equivalence == PEANO_ALL_MZ)
-    lines = [
-        "chain: continuity, geometric(22/7) order 1, forward(5) order 2,",
-        "       backward-shift order 3 scaled by 47/10",
-        "all stages known MZ -> the chain certifies 3-times differentiability",
-    ]
-    return lines, report.to_json_dict()
-
-
-def _demo_e15() -> tuple[list[str], dict]:
-    oracle = subgroup_monomial_oracle(2, [2, 3])
-    stages = peano_probe(oracle, 0, 2)
-    _require(len(stages) == 2, "must stop after stage 2")
-    _require(stages[0][1].verdict == VERDICT_CONVERGES)
-    second = stages[1][1]
-    _require(second.verdict == VERDICT_DIVERGES)
-    cands = sorted(seq.candidate for seq in second.evidence)
-    _require(cands == [0, 2], "clusters must be 0 and 2, got %s", cands)
-    groups = {seq.in_group for seq in second.evidence}
-    _require(
-        groups == {True, False}, "evidence must span in-group and out-of-group steps"
-    )
-    lines = [
-        "x^2 restricted to the subgroup generated by 2 and 3:",
-        "order-1 probe converges (first Peano coefficient exists),",
-        "order-2 probe diverges: the quotient is 2 along in-group steps and 0",
-        "off the group, so the second Peano coefficient would be both 1 and 0",
-    ]
-    facts = {
-        "stage1": stages[0][1].to_json_dict(),
-        "stage2_verdict": second.verdict,
-        "clusters": [format_rational(c) for c in cands],
-    }
-    return lines, facts
-
-
-def _demo_p88() -> tuple[list[str], dict]:
-    base = named_scheme(riemann_shift(3, -1))
-    match = equivalent_gaussian(base)
-    _require(match is None, "must not be equivalent to any geometric-node scheme")
-    verdict = mz_check(base)
-    _require(verdict.status == STATUS_MZ)
-    _require(verdict.certificate is not None and verdict.certificate.kind == CERT_D31)
-    lines = [
-        f"backward-shift third difference: {format_scheme(base)}",
-        "equivalent-gaussian: none",
-        "mz-check: known-mz (shifted-set singleton certificate)",
-    ]
-    facts = {"equivalent_gaussian": None, "verdict": verdict.to_json_dict()}
-    return lines, facts
-
-
-def _demo_t14() -> tuple[list[str], dict]:
-    rows = []
-    lines = []
-    for n in range(3, 9):
-        result = equivalent_gaussian(named_scheme(riemann(n)))
-        _require(result is None, "equispaced order %s must not match", n)
-        rows.append({"n": n, "equivalent_gaussian": None})
-        lines.append(f"n={n}: equivalent-gaussian: none")
-    return lines, {"table": rows}
-
-
-def _demo_t8() -> tuple[list[str], dict]:
-    cases = [(3, -3, Fraction(2)), (2, 0, Fraction(1, 2))]
-    results = []
-    lines = []
-    for n, ell, q in cases:
-        witnesses = verify_quantum_ggr(n, ell, q)
-        _require([w for _, w in witnesses] == [q ** k for k in range(ell, ell + n + 1)])
-        results.append(
-            {
-                "n": n,
-                "ell": ell,
-                "q": format_rational(q),
-                "scales": [format_rational(w) for _, w in witnesses],
-            }
-        )
-        lines.append(
-            f"n={n} ell={ell} q={format_rational(q)}: shifts are scales by "
-            + ", ".join(format_rational(w) for _, w in witnesses)
-        )
-    return lines, {"cases": results}
-
-
-def _demo_mz() -> tuple[list[str], dict]:
-    lines = []
-    rows = []
-    for n in range(1, 7):
-        tilde = named_scheme(mz_tilde(n))
-        _require(tilde == named_scheme(gaussian_forward(n, 2)), "doubling nodes are q=2")
-        verdict = mz_check(tilde)
-        _require(verdict.status == STATUS_MZ)
-        certificate = verdict.certificate
-        _require(certificate is not None and certificate.match is not None)
-        _require(certificate.match.variant == GAUSSIAN_FORWARD)
-        _require(certificate.match.q == 2)
-        rows.append({"n": n, "status": verdict.status})
-        lines.append(f"n={n}: doubling-node scheme is known-mz (forward q=2)")
-    return lines, {"table": rows}
-
-
-def _demo_ggr() -> tuple[list[str], dict]:
-    full = mz_set_check(ggr_set(4))
-    _require(full.status == STATUS_MZ)
-    _require(full.certificate is not None and full.certificate.kind == CERT_GGR_SET)
-    _require(full.certificate.reduced is False)
-    reduced = mz_set_check(ggr_set(4, reduced=True))
-    _require(reduced.status == STATUS_MZ)
-    _require(reduced.certificate is not None)
-    _require(reduced.certificate.kind == CERT_GGR_SET)
-    _require(reduced.certificate.reduced is True)
-    lines = [
-        "the four backward shifts of the equispaced fourth difference form",
-        "a known MZ-set (full certificate); the first two alone already do",
-        "(reduced certificate)",
-    ]
-    facts = {"full": full.to_json_dict(), "reduced": reduced.to_json_dict()}
-    return lines, facts
-
-
-DEMOS: dict[str, Callable[[], tuple[list[str], dict]]] = {
-    "E1": _demo_e1,
-    "E2": _demo_e2,
-    "E3": _demo_e3,
-    "E13": _demo_e13,
-    "E14": _demo_e14,
-    "E15": _demo_e15,
-    "P88": _demo_p88,
-    "T14": _demo_t14,
-    "T8": _demo_t8,
-    "MZ": _demo_mz,
-    "GGR": _demo_ggr,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .families import (
     recognize_gaussian,
 )
 from .scheme import (
+    InvalidOrder,
     Rationalish,
     Scheme,
     ZeroScale,
@@ -176,6 +177,8 @@ def decide_equivalent(a: Scheme, b: Scheme, use_fast_paths: bool = True) -> Equi
     n = info_a.order
     if n != info_b.order:
         return EquivalenceVerdict(False, None, None, REASON_ORDER, flag)
+    if n == 0:
+        raise InvalidOrder("equivalence is defined for orders 1 and up; both schemes have order 0")
     a, b = normalized(a), normalized(b)
     outcome = _general_outcome(a, b, n)
     if isinstance(outcome, str):

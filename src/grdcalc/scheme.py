@@ -498,6 +498,8 @@ def decompose(scheme: Scheme, n: Optional[int] = None) -> tuple[Scheme, Scheme]:
     """
     if n is None:
         n = order_info(scheme).order
+        if n == 0:
+            raise InvalidOrder("the scheme has order 0; give a positive reference order to split it")
     _check_order(n)
     return scheme._odd_parts if n % 2 == 1 else scheme._even_parts
 

@@ -730,17 +730,20 @@ def test_demo_under_optimize_flag(name):
 
 
 def test_failed_identity_exits_3_under_optimize_flag():
-    # a wrong expected verdict must still be caught when -O strips asserts
+    # a wrong verdict must still be caught when -O strips asserts: with every
+    # equivalence decided negative, mz_check leaves the backward shift open
     code = (
-        "import sys, grdcalc.cli as cli\n"
+        "import sys, grdcalc.cli as cli, grdcalc.mz as mz\n"
+        "from grdcalc.equivalence import REASON_SKEW, EquivalenceVerdict\n"
         "if __debug__:\n"
         "    sys.exit('not running under -O')\n"
-        "cli.STATUS_MZ = 'not-mz'\n"
+        "negative = EquivalenceVerdict(False, None, None, REASON_SKEW, False)\n"
+        "mz.decide_equivalent = lambda a, b: negative\n"
         "sys.exit(cli.main(['demo', 'P88']))\n"
     )
     result = run_child([sys.executable, "-O", "-c", code])
     assert result.returncode == 3
-    assert "internal assertion failed" in result.stderr
+    assert "internal assertion failed: must be known MZ" in result.stderr
 
 
 # --- the JSON emitter --------------------------------------------------------------------

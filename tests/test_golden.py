@@ -143,6 +143,9 @@ GSYM4_SCALE = (
     '{"coeff":"128/3","node":"0/1"},{"coeff":"-24/1","node":"1/2"},'
     '{"coeff":"8/3","node":"3/2"}]}'
 )
+# f(x) and f(x+2h): schemes of order 0, whose refusals name that order
+ORDER_0 = '{"terms":[{"coeff":"1","node":"0"}]}'
+ORDER_0_AT_2 = '{"terms":[{"coeff":"1","node":"2"}]}'
 # not canonical: unsorted, and the node 1/2 written twice, once as "2/4"
 UNSORTED_DUPLICATE_NODE = (
     '{"terms":[{"coeff":"1","node":"1"},{"coeff":"1","node":"2/4"},'
@@ -326,6 +329,14 @@ REFUSALS = {
     "refuse_json_boolean_rational": [
         "scale", '{"terms":[{"coeff":true,"node":1},{"coeff":-1,"node":false}]}', "--by", "1",
     ],
+    # order-0 schemes are refused by the verb that detects the order, not by an internal call
+    "refuse_mz_check_order_0": ["mz-check", ORDER_0],
+    "refuse_equiv_order_0": _equiv(ORDER_0, ORDER_0_AT_2),
+    "refuse_decompose_order_0": ["decompose", ORDER_0],
+    # a set above the ggr limit, whose members are open, is refused in mz-set's own words
+    "refuse_mz_set_order_over_ggr_limit": ["mz-set", "riemann:n=130", "shift:n=130,k=-2"],
+    # --zero belongs to --pairs; --nodes lists every node itself
+    "refuse_construct_nodes_with_zero": ["construct", "--nodes", "0,1", "--order", "1", "--zero"],
 }
 # a refusal quotes its input with a bounded echo, so no stderr file grows past this
 REFUSAL_BYTES = 300
