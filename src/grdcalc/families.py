@@ -25,12 +25,14 @@ from math import comb, prod
 from typing import Optional
 
 from .scheme import (
+    MAX_FAMILY_SIZE,
     CalculusError,
     InvalidOrder,
     Rationalish,
     Scheme,
     ZeroScale,
     ZeroScheme,
+    _check_budget,
     _check_order,
     _digits,
     _echo,
@@ -49,16 +51,12 @@ class InvalidQ(CalculusError):
 
 
 class IndexOutOfRange(CalculusError):
-    """Binomial index outside 0..n, or n above ``MAX_QBINOM_N``."""
+    """Binomial index outside 0..n."""
 
 
-class OrderBudgetExceeded(CalculusError):
-    """A family string, ``ggr`` order or ``qggr`` input asks for more than its budget."""
-
-
-MAX_QBINOM_N = 256  # README.md gives timings
-# (n+1)**2 times the digits of a family string's largest node; README.md gives timings
-MAX_FAMILY_SIZE = 2 ** 21
+# qbinom's n, and i*(n-i) times the digits of q; README.md gives timings
+MAX_QBINOM_N = 256
+MAX_QBINOM_SIZE = 2 ** 18
 
 
 RIEMANN = "Riemann"
@@ -177,16 +175,18 @@ def qbinom(n: int, i: int, q: Rationalish) -> Fraction:
     integer polynomial ``[n, i] * b**(i*(n-i))`` in ``a`` and ``b``.  At
     ``q = 1`` it is ``comb(n, i)``; at ``q = -1`` it is 0 for even ``n`` and
     odd ``i``, and ``comb(n//2, i//2)`` otherwise.  ``i`` is replaced by
-    ``min(i, n-i)`` (``[n,i] = [n,n-i]``), and ``n`` is at most ``MAX_QBINOM_N``.
+    ``min(i, n-i)`` (``[n,i] = [n,n-i]``); ``n`` is at most ``MAX_QBINOM_N``, and
+    ``i*(n-i)`` times the digits of ``|a|`` and ``b`` at most ``MAX_QBINOM_SIZE``.
     """
     if not (0 <= i <= n):
         raise IndexOutOfRange(f"need 0 <= i <= n, got i={i}, n={n}")
-    if n > MAX_QBINOM_N:
-        raise IndexOutOfRange(f"n must be at most {MAX_QBINOM_N}, got {_echo(_digits(n))}")
+    _check_budget("n", n, MAX_QBINOM_N)
     q = parse_rational(q)
     if q == 0:
         raise InvalidQ("q must be nonzero")
     i = min(i, n - i)
+    digits = len(_digits(abs(q.numerator))) + len(_digits(q.denominator))
+    _check_budget("qbinom size i*(n-i) * digits of q", i * (n - i) * digits, MAX_QBINOM_SIZE)
     if q == 1:
         return Fraction(comb(n, i))
     if q == -1:
@@ -222,11 +222,7 @@ def _check_family_size(kind: FamilyKind) -> None:
         top = 2 ** (n - 1) if kind.variant in (SCRIPT_D, SCRIPT_D_BAR) else k + n
         q = _ratio(kind)
         size *= len(_digits(top)) if q is None else _power_digits(q, top)
-    if size > MAX_FAMILY_SIZE:
-        raise OrderBudgetExceeded(
-            f"family member too large: (n+1)**2 times the digits of its largest node"
-            f" is {_echo(_digits(size))}, above {MAX_FAMILY_SIZE}"
-        )
+    _check_budget("family member size (n+1)**2 * largest-node digits", size, MAX_FAMILY_SIZE)
 
 
 def family_nodes(kind: FamilyKind) -> list[Fraction]:
@@ -405,7 +401,7 @@ def format_family(kind: FamilyKind) -> str:
 def parse_family(text: str) -> FamilyKind:
     """Parse a family string such as ``shift:n=3,k=-1`` or ``gauss-fwd:n=3,q=2``.
 
-    A member too large to build quickly is refused with ``OrderBudgetExceeded``.
+    A member over the family budget is refused with ``OrderBudgetExceeded``.
     """
     head, _, tail = text.strip().partition(":")
     if head not in _CLI_VARIANTS:

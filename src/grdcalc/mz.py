@@ -30,7 +30,6 @@ from .families import (
     GAUSSIAN_FORWARD,
     GAUSSIAN_SYMMETRIC,
     GaussianMatch,
-    OrderBudgetExceeded,
     _is_member,
     _power_digits,
     gaussian_affine,
@@ -51,6 +50,7 @@ from .scheme import (
     Rationalish,
     Scheme,
     ZeroScheme,
+    _check_budget,
     _check_order,
     _digits,
     _echo,
@@ -214,10 +214,7 @@ def ggr_set(n: int, reduced: bool = False) -> list[Scheme]:
     form (the reduced form of order 1 is the full singleton).  ``n`` is at
     most ``MAX_GGR_ORDER``."""
     _check_order(n)
-    if n > MAX_GGR_ORDER:
-        raise OrderBudgetExceeded(
-            f"the ggr order must be at most {MAX_GGR_ORDER}, got {_echo(_digits(n))}"
-        )
+    _check_budget("the ggr order", n, MAX_GGR_ORDER)
     count = max(1, n // 2) if reduced else n
     return [named_scheme(riemann_shift(n, -k)) for k in range(1, count + 1)]
 
@@ -239,11 +236,7 @@ def verify_quantum_ggr(
         raise CalculusError("the shift window start must be an integer")
     q = parse_rational(q)
     size = n * _power_digits(q, abs(ell) + 2 * n)
-    if size > MAX_QGGR_SIZE:
-        raise OrderBudgetExceeded(
-            f"qggr too large: the order times the digits of q**(|ell|+2n) is"
-            f" {_echo(_digits(size))}, above {MAX_QGGR_SIZE}"
-        )
+    _check_budget("qggr size n * digits of q**(|ell|+2n)", size, MAX_QGGR_SIZE)
     base = named_scheme(gaussian_affine(n, q))
     witnesses = [(k, q ** k) for k in range(ell, ell + n + 1)]
     for k, r in witnesses:
@@ -268,10 +261,7 @@ def mz_set_check(schemes: Sequence[Scheme]) -> MzVerdict:
     for verdict in member_verdicts:
         if verdict.status == STATUS_MZ:
             return verdict
-    if n > MAX_GGR_ORDER:
-        raise OrderBudgetExceeded(
-            f"mz-set checks backward-shift covers up to order {MAX_GGR_ORDER}, got {n}"
-        )
+    _check_budget("the order of an mz-set backward-shift cover", n, MAX_GGR_ORDER)
     # the reduced targets are a prefix of the full ones, so the count of
     # shifts covered before the first uncovered one decides both covers
     covered = 0

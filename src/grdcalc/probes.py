@@ -41,11 +41,11 @@ tolerance ``s/t`` as ``t*|a*d - c*b| <= s*max(b*d, |a|*d, |c|*b)``.
 Limits keep a probe's work bounded: the oracle degree (a monomial's
 exponent, a polynomial's highest power) is at most ``MAX_ORACLE_DEGREE``,
 the Peano depth at most ``MAX_PEANO_DEPTH``, the last exponent ``j_max``
-at most ``MAX_J``, and ``depth * j_max**2 * max(degree, 1)`` at most
-``MAX_PROBE_SIZE`` (depth 1 for a single probe), also when multiplied by
-the most decimal digits of a numerator or denominator of ``x``, ``h0``, a
-configured ratio or a ratio that a subgroup oracle adds; larger inputs are
-refused with ``ProbeBoundExceeded`` before any sample is taken.
+at most ``MAX_J``, and ``depth * j_max**2 * max(degree, 1)`` (depth 1 for
+a single probe) times the most decimal digits of a numerator or
+denominator of ``x``, ``h0``, a configured ratio or a ratio that a subgroup
+oracle adds at most ``MAX_PROBE_SIZE``; larger inputs are refused with
+``OrderBudgetExceeded``, or ``ProbeBoundExceeded``, before any sample.
 """
 
 from __future__ import annotations
@@ -60,8 +60,10 @@ from typing import Callable, Optional, Sequence
 from .families import mz_tilde, named_scheme
 from .scheme import (
     CalculusError,
+    OrderBudgetExceeded,
     Rationalish,
     Scheme,
+    _check_budget,
     _digits,
     _echo,
     _int_field,
@@ -88,9 +90,7 @@ class ZeroStep(CalculusError):
     """Difference quotients need a nonzero step."""
 
 
-class ProbeBoundExceeded(CalculusError):
-    """An oracle degree, Peano depth, last exponent or their product is above its limit."""
-
+ProbeBoundExceeded = OrderBudgetExceeded  # a public name of the same class, for probe callers
 
 # Limits on the integer inputs that set a probe's work (README.md gives
 # timings).  The sample numbers grow with their product, so each is kept a
@@ -101,16 +101,11 @@ class ProbeBoundExceeded(CalculusError):
 # (25,600 in the workloads and golden cases).  That counts one digit
 # per number given; the point at step j has about ``(j + 2) * w`` digits for
 # ``w`` the most digits of ``x``, ``h0`` and the ratio, so the product times
-# ``w`` is bounded too.
+# ``w`` (at least 1) is what is bounded.
 MAX_ORACLE_DEGREE = 32
 MAX_PEANO_DEPTH = 16
 MAX_J = 256
 MAX_PROBE_SIZE = 2 ** 22
-
-
-def _check_limit(what: str, value: int, limit: int) -> None:
-    if value > limit:
-        raise ProbeBoundExceeded(f"{what} must be at most {limit}, got {_echo(_digits(value))}")
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -294,14 +289,13 @@ def _check_size(
     """Refuse a probe over the size bound; return the ratios it counted and the probe runs:
     the configured ones, then those that a subgroup oracle adds."""
     size = depth * cfg.j_max ** 2 * max(_degree(oracle), 1)
-    _check_limit("the probe size depth * j_max**2 * degree", size, MAX_PROBE_SIZE)
     ratios = list(cfg.ratios)
     if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
         for ratio in _auto_subgroup_ratios(oracle):
             if ratio not in ratios:
                 ratios.append(ratio)
     digits = max(len(_digits(max(abs(q.numerator), q.denominator))) for q in (x, cfg.h0, *ratios))
-    _check_limit("the probe size depth * j_max**2 * degree * digits", size * digits, MAX_PROBE_SIZE)
+    _check_budget("the probe size depth * j_max**2 * degree * digits", size * digits, MAX_PROBE_SIZE)
     return ratios
 
 
@@ -344,7 +338,7 @@ class FunctionOracle:
             raise CalculusError("monomial degree must be an integer")
         if self.degree < 0:
             raise CalculusError("monomial degree must be >= 0")
-        _check_limit("the oracle degree", _degree(self), MAX_ORACLE_DEGREE)
+        _check_budget("the oracle degree", _degree(self), MAX_ORACLE_DEGREE)
         if self.kind == ORACLE_SUBGROUP_MONOMIAL:
             if not self.generators:
                 raise CalculusError("subgroup monomials need generators")
@@ -550,7 +544,7 @@ class ProbeConfig:
             raise CalculusError("ratios must satisfy 0 < |rho| < 1")
         if not (_is_int(self.j_min) and _is_int(self.j_max) and 0 <= self.j_min < self.j_max):
             raise CalculusError("need 0 <= j_min < j_max")
-        _check_limit("j_max", self.j_max, MAX_J)
+        _check_budget("j_max", self.j_max, MAX_J)
         if self.tol <= 0:
             raise CalculusError("tolerance must be positive")
 
@@ -741,7 +735,7 @@ def peano_probe(
     """
     if not _is_int(n) or n < 1:
         raise CalculusError("the probe depth n must be a positive integer")
-    _check_limit("the probe depth n", n, MAX_PEANO_DEPTH)
+    _check_budget("the probe depth n", n, MAX_PEANO_DEPTH)
     _check_size(oracle, n, config or ProbeConfig(), parse_rational(x))
     stages = []
     for order in range(1, n + 1):

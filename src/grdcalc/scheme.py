@@ -77,6 +77,10 @@ class InvalidOrder(CalculusError):
     """The differentiation order must be a positive integer."""
 
 
+class OrderBudgetExceeded(CalculusError):
+    """An input asks for more work than its budget allows (README.md has the table)."""
+
+
 # Integer, 'p/q' and decimal strings, as Fraction reads them; a decimal's
 # groups are its sign, whole digits, fraction digits and exponent sign and
 # digits.  _read_int reads their digits at any length; Fraction and int stop
@@ -212,6 +216,16 @@ def _digits(value: int) -> str:
     except ValueError:
         # a Decimal's "f" format ignores that limit
         return format(_exact_decimal(value), "f")
+
+
+# (n+1)**2 times the most digits of a node: bounds construct_exact and every family member
+MAX_FAMILY_SIZE = 2 ** 21
+
+
+def _check_budget(what: str, value: int, limit: int) -> None:
+    """Refuse ``value`` above ``limit``: every work budget of the package, in one message shape."""
+    if value > limit:
+        raise OrderBudgetExceeded(f"{what} must be at most {limit}, got {_echo(_digits(value))}")
 
 
 def _check_order(n: object) -> None:
@@ -419,7 +433,8 @@ def construct_exact(nodes: Sequence[Rationalish], n: int) -> Scheme:
     The moment conditions ``m_j = 0`` for ``j < n`` and ``m_n = n!`` have the
     closed-form (Lagrange) solution ``a_i = n! / prod_{j != i} (b_i - b_j)``:
     ``n!`` times the leading coefficient of the i-th Lagrange basis
-    polynomial on the nodes.
+    polynomial on the nodes.  ``(n+1)**2`` times the most digits of a node's
+    numerator or denominator is at most ``MAX_FAMILY_SIZE``.
     """
     _check_order(n)
     points = [parse_rational(b) for b in nodes]
@@ -430,6 +445,9 @@ def construct_exact(nodes: Sequence[Rationalish], n: int) -> Scheme:
         )
     if len(set(points)) != len(points):
         raise DuplicateNodes("nodes must be distinct")
+    widest = max(max(abs(b.numerator), b.denominator) for b in points)
+    size = (n + 1) ** 2 * len(_digits(widest))
+    _check_budget("construct size (n+1)**2 * node digits", size, MAX_FAMILY_SIZE)
     return canonicalize(zip(_lagrange_weights(points, factorial(n)), points))
 
 

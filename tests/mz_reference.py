@@ -25,7 +25,6 @@ from grdcalc.families import (
     GAUSSIAN_AFFINE,
     GAUSSIAN_FORWARD,
     GAUSSIAN_SYMMETRIC,
-    OrderBudgetExceeded,
     _power_digits,
     gaussian_affine,
     gaussian_affine_shift,
@@ -56,6 +55,7 @@ from grdcalc.mz import (
 )
 from grdcalc.scheme import (
     CalculusError,
+    OrderBudgetExceeded,
     Rationalish,
     Scheme,
     _check_order,

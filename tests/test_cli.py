@@ -4,11 +4,13 @@ import argparse
 import importlib
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,11 +19,14 @@ from hypothesis import example, given, settings, strategies as st
 import grdcalc
 from grdcalc import cli
 from grdcalc import (
+    OrderBudgetExceeded,
     construct_exact,
     construct_exact_symmetric,
     decompose,
     mz_tilde,
     named_scheme,
+    qbinom,
+    riemann,
     scale,
     scheme_to_json_dict,
 )
@@ -850,7 +855,7 @@ EXPONENT_REFUSAL = (
          "error: j_max must be at most 256, got " + "9" * 100 + "... (4000 characters)\n"),
         # each input within its own limit, their product above MAX_PROBE_SIZE
         (["probe", "--peano", "16", "--oracle=mono:k=32", "--x=1/3", "--jmax", "256"],
-         "error: the probe size depth * j_max**2 * degree must be at most 4194304, "
+         "error: the probe size depth * j_max**2 * degree * digits must be at most 4194304, "
          "got 33554432\n"),
         # a rational's exponent, wherever a rational is read: Fraction would
         # compute 10**9999999999 from these 12 characters
@@ -928,10 +933,10 @@ NINES_5000 = "9" * 5000
     "argv, message",
     [
         # integers past the 4,300-digit int-from-str limit are integers, refused by their limits
-        (["recognize", f"riemann:n={NINES_5000}"], "error: family member too large: "),
+        (["recognize", f"riemann:n={NINES_5000}"], "error: family member size "),
         (
             ["scale", f"gauss-aff:n=2,k={NINES_5000},q=2", "--by", "1"],
-            "error: family member too large: ",
+            "error: family member size ",
         ),
         (
             ["probe", "riemann:n=1", f"--oracle=mono:k={NINES_5000}", "--x=1"],
@@ -967,3 +972,55 @@ def test_missing_order_count_is_quoted_bounded(capsys, digits):
     assert err.startswith("error: chain misses orders 1..99999")
     assert err.endswith(f"... ({digits + 3} characters)\n")
     assert len(err.encode()) <= 300
+
+
+# --- every work budget: one refusal shape, just past its limit ------------------
+
+BUDGET_REFUSAL = re.compile(r"^error: .+ must be at most \d+, got ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe", "riemann:n=2", "--oracle=mono:k=33", "--x=1"],
+        ["probe", "--peano", "17", "--oracle=mono:k=1", "--x=1/3"],
+        ["probe", "riemann:n=1", "--oracle=abs", "--jmax", "257"],
+        # 2 * 256**2 * 32 is the probe size bound itself
+        ["probe", "--peano", "3", "--oracle=mono:k=32", "--x=1/3", "--jmax", "256"],
+        ["scale", "riemann:n=836", "--by", "1"],
+        ["construct", "--nodes", ",".join(map(str, range(837))), "--order", "836"],
+        ["construct", "--pairs", ",".join(map(str, range(1, 419))), "--zero", "--order", "836"],
+        ["ggr", "--order", "129"],
+        ["mz-set", "riemann:n=130", "shift:n=130,k=-2"],
+        # 3 * 2 * (1359 + 6) = 8190 is answered
+        ["qggr", "--order", "3", "--ell", "1360", "--q", "3/2"],
+        # qbinom has no verb: its two budgets are read through the library
+        ["qbinom", 257, 0, 2],
+        ["qbinom", 256, 128, Fraction(10 ** 10 + 1, 10 ** 10)],
+    ],
+    ids=[
+        "oracle-degree", "peano-depth", "j_max", "probe-size", "family-string",
+        "construct-nodes", "construct-pairs", "ggr-order", "mz-set-order", "qggr-size",
+        "qbinom-n", "qbinom-size",
+    ],
+)
+def test_every_budget_refuses_in_one_shape(capsys, argv):
+    if argv[0] == "qbinom":
+        with pytest.raises(OrderBudgetExceeded) as refused:
+            qbinom(*argv[1:])
+        code, out, err = 2, "", f"error: {refused.value}\n"
+    else:
+        code, out, err = run(capsys, argv)
+    assert code == 2 and not out
+    assert BUDGET_REFUSAL.match(err), err
+    assert len(err.encode()) <= 300
+
+
+def test_the_construct_and_qbinom_budgets_answer_at_their_limits(capsys):
+    # the nodes of riemann:n=835, the largest equispaced member, as a list
+    argv = ["--output", "json", "construct", "--nodes", ",".join(map(str, range(836))), "--order", "835"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and not err
+    assert json.loads(out) == scheme_to_json_dict(named_scheme(riemann(835)))
+    # README's slowest qbinom case: 128 * 128 * (7 + 7) = 229,376
+    assert qbinom(256, 128, Fraction(1000001, 1000000)) > 0

@@ -322,6 +322,10 @@ REFUSALS = {
     "refuse_scale_family_order_12_digits": ["scale", "riemann:n=999999999999", "--by", "2"],
     "refuse_decompose_family_over_budget": ["decompose", "riemann:n=3000"],
     "refuse_ggr_order_over_budget": ["ggr", "--order", "400"],
+    # the nodes of riemann:n=836, given as a list: refused like the family string
+    "refuse_construct_over_budget": [
+        "construct", "--nodes", ",".join(map(str, range(837))), "--order", "836",
+    ],
     # integers past the 4,300-digit int-from-str limit, refused by their budgets
     "refuse_recognize_family_order_5000_digits": ["recognize", "riemann:n=" + "9" * 5000],
     "refuse_ggr_order_5000_digits": ["ggr", "--order", "9" * 5000],

@@ -687,9 +687,8 @@ def test_probe_size_counts_the_digits_of_x_h0_and_the_ratios(x, config, digits):
     if depth:
         probes._check_size(oracle, depth, config, x)
     refused = probes.MAX_PROBE_SIZE // size + 1
-    # one digit each: the product alone is over the bound, with its own message
-    message = "degree must" if digits == 1 else r"degree \* digits must"
-    with pytest.raises(ProbeBoundExceeded, match=rf"^the probe size depth \* j_max\*\*2 \* {message}"):
+    message = r"^the probe size depth \* j_max\*\*2 \* degree \* digits must"
+    with pytest.raises(ProbeBoundExceeded, match=message):
         probes._check_size(oracle, -(-refused // digits), config, x)
 
 
