@@ -38,6 +38,7 @@ from .scheme import (
     _echo,
     _int_field,
     _is_int,
+    _plain,
     _require,
     construct_exact,
     format_rational,
@@ -54,8 +55,7 @@ class IndexOutOfRange(CalculusError):
     """Binomial index outside 0..n."""
 
 
-# qbinom's n, and i*(n-i) times the digits of q; README.md gives timings
-MAX_QBINOM_N = 256
+# i*(n-i) times the digits of q: bounds every product qbinom forms; README.md gives timings
 MAX_QBINOM_SIZE = 2 ** 18
 
 
@@ -175,12 +175,13 @@ def qbinom(n: int, i: int, q: Rationalish) -> Fraction:
     integer polynomial ``[n, i] * b**(i*(n-i))`` in ``a`` and ``b``.  At
     ``q = 1`` it is ``comb(n, i)``; at ``q = -1`` it is 0 for even ``n`` and
     odd ``i``, and ``comb(n//2, i//2)`` otherwise.  ``i`` is replaced by
-    ``min(i, n-i)`` (``[n,i] = [n,n-i]``); ``n`` is at most ``MAX_QBINOM_N``, and
-    ``i*(n-i)`` times the digits of ``|a|`` and ``b`` at most ``MAX_QBINOM_SIZE``.
+    ``min(i, n-i)``; ``i*(n-i)`` times the digits of ``|a|`` and ``b``, at most
+    ``MAX_QBINOM_SIZE``, bounds every product formed to about twice as many digits.
     """
+    if not (_is_int(n) and _is_int(i)):
+        raise CalculusError("qbinom's n and i must be integers")
     if not (0 <= i <= n):
-        raise IndexOutOfRange(f"need 0 <= i <= n, got i={i}, n={n}")
-    _check_budget("n", n, MAX_QBINOM_N)
+        raise IndexOutOfRange(f"need 0 <= i <= n, got i={_echo(_digits(i))}, n={_echo(_digits(n))}")
     q = parse_rational(q)
     if q == 0:
         raise InvalidQ("q must be nonzero")
@@ -228,10 +229,11 @@ def _check_family_size(kind: FamilyKind) -> None:
 def family_nodes(kind: FamilyKind) -> list[Fraction]:
     """The ``n+1`` distinct nodes of a family member (unsorted, no coefficients).
 
-    The doubling families are the forward and symmetric geometric patterns
-    at ``q = 2``.  The symmetric geometric pattern is ``+-|q|**i`` for
-    ``i < (n+1)//2``, plus the node 0 at even ``n``.
+    A member over the family budget is refused before any node is formed.
+    The doubling families are the forward and symmetric patterns at ``q = 2``,
+    the symmetric one being ``+-|q|**i`` for ``i < (n+1)//2``, plus 0 at even ``n``.
     """
+    _check_family_size(kind)
     n, k, q = kind.n, kind.k or 0, _ratio(kind)
     if kind.variant in (RIEMANN, RIEMANN_SHIFT):
         return [Fraction(k + j) for j in range(n + 1)]
@@ -389,20 +391,16 @@ def scale_partners(match: GaussianMatch) -> list[GaussianMatch]:
 
 def format_family(kind: FamilyKind) -> str:
     """Render as a family string, e.g. ``gauss-aff:n=2,k=1,q=3/2``."""
-    fields = [f"n={kind.n}"]
+    fields = [f"n={_digits(kind.n)}"]
     if kind.k is not None:
-        fields.append(f"k={kind.k}")
+        fields.append(f"k={_digits(kind.k)}")
     if kind.q is not None:
-        q = kind.q
-        fields.append(f"q={q.numerator}" if q.denominator == 1 else f"q={q}")
+        fields.append(f"q={_plain(kind.q)}")
     return f"{_VARIANTS[kind.variant][0]}:{','.join(fields)}"
 
 
 def parse_family(text: str) -> FamilyKind:
-    """Parse a family string such as ``shift:n=3,k=-1`` or ``gauss-fwd:n=3,q=2``.
-
-    A member over the family budget is refused with ``OrderBudgetExceeded``.
-    """
+    """Parse a family string such as ``shift:n=3,k=-1`` or ``gauss-fwd:n=3,q=2``."""
     head, _, tail = text.strip().partition(":")
     if head not in _CLI_VARIANTS:
         raise CalculusError(f"unknown family name {_echo(repr(head))}")
@@ -430,9 +428,7 @@ def parse_family(text: str) -> FamilyKind:
         q = parse_rational(fields.pop("q"))
     if fields:
         raise CalculusError(f"unexpected family parameters {_echo(repr(sorted(fields)))}")
-    kind = FamilyKind(variant, n, k=k, q=q)
-    _check_family_size(kind)
-    return kind
+    return FamilyKind(variant, n, k=k, q=q)
 
 
 def match_to_json_dict(match: GaussianMatch) -> dict:

@@ -218,6 +218,11 @@ def _digits(value: int) -> str:
         return format(_exact_decimal(value), "f")
 
 
+def _plain(value: Fraction) -> str:
+    """``str(value)``, ``p`` or ``p/q``, also past the interpreter's int-to-str limit."""
+    return _digits(value.numerator) if value.denominator == 1 else format_rational(value)
+
+
 # (n+1)**2 times the most digits of a node: bounds construct_exact and every family member
 MAX_FAMILY_SIZE = 2 ** 21
 
@@ -273,10 +278,10 @@ class Scheme:
         object.__setattr__(self, "terms", clean)
         for left, right in zip(clean, clean[1:]):
             if left.node == right.node:
-                raise DuplicateNodes(f"duplicate node {left.node}")
+                raise DuplicateNodes(f"duplicate node {_echo(_plain(left.node))}")
         for term in clean:
             if term.coeff == 0:
-                raise CalculusError(f"zero coefficient at node {term.node}")
+                raise CalculusError(f"zero coefficient at node {_echo(_plain(term.node))}")
 
     def __iter__(self) -> Iterator[Term]:
         return iter(self.terms)
@@ -641,9 +646,7 @@ def scheme_from_json(data: Union[str, dict]) -> Scheme:
 
 def _format_factor(mag: Fraction) -> str:
     """A positive rational as a factor: ``p`` when integral, else ``(p/q)``."""
-    if mag.denominator == 1:
-        return _digits(mag.numerator)
-    return f"({format_rational(mag)})"
+    return _plain(mag) if mag.denominator == 1 else f"({_plain(mag)})"
 
 
 def _format_node(node: Fraction) -> str:

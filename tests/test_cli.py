@@ -19,16 +19,25 @@ from hypothesis import example, given, settings, strategies as st
 import grdcalc
 from grdcalc import cli
 from grdcalc import (
+    CalculusError,
+    DuplicateNodes,
+    IndexOutOfRange,
     OrderBudgetExceeded,
+    Scheme,
+    Term,
+    class_member,
     construct_exact,
     construct_exact_symmetric,
     decompose,
+    gaussian_affine_shift,
+    mz_check,
     mz_tilde,
     named_scheme,
     qbinom,
     riemann,
     scale,
     scheme_to_json_dict,
+    script_d,
 )
 from grdcalc.cli import DEMOS, main
 
@@ -994,14 +1003,13 @@ BUDGET_REFUSAL = re.compile(r"^error: .+ must be at most \d+, got ")
         ["mz-set", "riemann:n=130", "shift:n=130,k=-2"],
         # 3 * 2 * (1359 + 6) = 8190 is answered
         ["qggr", "--order", "3", "--ell", "1360", "--q", "3/2"],
-        # qbinom has no verb: its two budgets are read through the library
-        ["qbinom", 257, 0, 2],
+        # qbinom has no verb: its budget is read through the library
         ["qbinom", 256, 128, Fraction(10 ** 10 + 1, 10 ** 10)],
     ],
     ids=[
         "oracle-degree", "peano-depth", "j_max", "probe-size", "family-string",
         "construct-nodes", "construct-pairs", "ggr-order", "mz-set-order", "qggr-size",
-        "qbinom-n", "qbinom-size",
+        "qbinom-size",
     ],
 )
 def test_every_budget_refuses_in_one_shape(capsys, argv):
@@ -1014,6 +1022,44 @@ def test_every_budget_refuses_in_one_shape(capsys, argv):
     assert code == 2 and not out
     assert BUDGET_REFUSAL.match(err), err
     assert len(err.encode()) <= 300
+
+
+FAMILY_REFUSAL = r"^family member size \(n\+1\)\*\*2 \* largest-node digits must be at most "
+
+
+def _gaussian_class_member():
+    # gauss-aff:n=101,q=3/2 as given nodes: construct counts their 49 digits, while
+    # the Gaussian search's candidate member counts its nodes up to (3/2)**101
+    nodes = [Fraction(3, 2) ** i for i in range(102)]
+    return class_member(construct_exact(nodes, 101), 1, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: qbinom(3, 10 ** 5000, 2), IndexOutOfRange, r"^need 0 <= i <= n, got i=1000"),
+        (lambda: qbinom(3, -(10 ** 200), 2), IndexOutOfRange, r"^need 0 <= i <= n, got i=-1000"),
+        (lambda: qbinom(3.5, 1, 2), CalculusError, r"^qbinom's n and i must be integers$"),
+        (lambda: qbinom(True, 1, 2), CalculusError, r"^qbinom's n and i must be integers$"),
+        (lambda: Scheme((Term(1, 10 ** 5000), Term(2, 10 ** 5000))), DuplicateNodes,
+         r"^duplicate node 1000.*\(5001 characters\)$"),
+        (lambda: Scheme((Term(0, 10 ** 5000),)), CalculusError,
+         r"^zero coefficient at node 1000.*\(5001 characters\)$"),
+        (lambda: named_scheme(script_d(22, 3)), OrderBudgetExceeded, FAMILY_REFUSAL),
+        (lambda: named_scheme(gaussian_affine_shift(2, 10 ** 7, Fraction(3, 2))),
+         OrderBudgetExceeded, FAMILY_REFUSAL),
+        (lambda: mz_check(_gaussian_class_member()), OrderBudgetExceeded, FAMILY_REFUSAL),
+    ],
+    ids=[
+        "qbinom-index-digits", "qbinom-index-long", "qbinom-float", "qbinom-bool",
+        "scheme-duplicate-node", "scheme-zero-coefficient", "script-member",
+        "gaussian-shift-member", "gaussian-search-candidate",
+    ],
+)
+def test_library_refusals_are_typed_and_short(call, error, message):
+    with pytest.raises(error, match=message) as refused:
+        call()
+    assert len(str(refused.value).encode()) <= 300
 
 
 def test_the_construct_and_qbinom_budgets_answer_at_their_limits(capsys):

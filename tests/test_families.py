@@ -90,15 +90,19 @@ def test_qbinom_errors():
 
 
 def test_qbinom_bounds_n():
-    # qbinom(800, 0, 2) once built the whole 800-row triangle, for 18 s
-    assert families.MAX_QBINOM_N == 256
+    # qbinom(800, 0, 2) once built the whole 800-row triangle, for 18 s; the size
+    # rule i*(n-i) * digits of q bounds n alone: i = 0 forms no product at any n
     assert qbinom(256, 0, 2) == qbinom(256, 256, 2) == 1
     assert qbinom(256, 1, 2) == 2 ** 256 - 1
     q = Fraction(-7, 5)
     assert qbinom(40, 17, q) == qbinom(40, 23, q) == qbinom_product_oracle(40, 17, q)
     for n in (257, 800, 10 ** 5000):
-        with pytest.raises(OrderBudgetExceeded, match=r"^n must be at most 256, got \d{1,100}"):
-            qbinom(n, 0, 2)
+        assert qbinom(n, 0, 2) == 1
+    # 1 * 131072 * 2 = 262144 is the size limit itself
+    assert qbinom(131073, 1, 2) == 2 ** 131073 - 1
+    limit = families.MAX_QBINOM_SIZE
+    with pytest.raises(OrderBudgetExceeded, match=f"must be at most {limit}, got 262146$"):
+        qbinom(131074, 1, 2)
 
 
 @settings(max_examples=60)
@@ -506,6 +510,9 @@ def test_family_string_examples():
     )
     assert parse_family("shift:n=3,k=-1") == riemann_shift(3, -1)
     assert parse_family("gauss-fwd:n=3,q=2") == gaussian_forward(3, 2)
+    # parameters past the interpreter's int-to-str limit are written out whole
+    long = gaussian_affine_shift(10 ** 5000, -(10 ** 5000), Fraction(3, 10 ** 5000))
+    assert parse_family(format_family(long)) == long
 
 
 def test_family_string_errors():
@@ -523,7 +530,7 @@ def test_family_string_errors():
             parse_family(bad)
 
 
-# --- the family-string budget -----------------------------------------------------
+# --- the family budget -----------------------------------------------------------
 
 
 def test_family_budget_refuses_before_building():
@@ -539,12 +546,16 @@ def test_family_budget_refuses_before_building():
         "gauss-fwd:n=60,q=1000001/1000000",
         "mz-tilde:n=128",
     ):
-        with pytest.raises(OrderBudgetExceeded, match=f"must be at most {limit}, got \\d+$"):
-            parse_family(text)
+        # the parser only parses; the member's nodes are where the budget stands
+        kind = parse_family(text)
+        assert isinstance(kind, FamilyKind)
+        for build in (family_nodes, named_scheme):
+            with pytest.raises(OrderBudgetExceeded, match=f"must be at most {limit}, got \\d+$"):
+                build(kind)
 
 
 def test_family_budget_sits_far_above_the_golden_and_benchmark_inputs():
     # orders up to 16 with q up to two digits over one, and the script rows up to n = 12
     for text in ("gauss-aff:n=16,q=5/2", "gauss-aff:n=16,k=16,q=-3/2", "scriptD-bar:n=12,q=3/2"):
-        parse_family(text)
+        family_nodes(parse_family(text))
     assert 17 ** 2 * 32 * 2 * 100 < families.MAX_FAMILY_SIZE
