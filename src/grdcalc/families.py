@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, factorial, prod
 from typing import Optional
 
 from .scheme import (
@@ -38,6 +38,7 @@ from .scheme import (
     _echo,
     _int_field,
     _is_int,
+    _over_common_denominator,
     _plain,
     _require,
     construct_exact,
@@ -267,21 +268,30 @@ def named_scheme(kind: FamilyKind) -> Scheme:
     are ``n+1`` distinct points, so the unique exact scheme on them is the
     symmetric one.  Since the scheme is unique, its nodes and its defining
     moments (``m_j = 0`` for ``j < n`` and ``m_n = n!``) are a complete check
-    of the build, :func:`_is_member`, and every variant gets it.  A failed
-    check would mean an internal arithmetic fault and raises
+    of the build, :func:`_is_member` on its integer form, and every variant
+    gets it (a zero coefficient cannot pass: the unique scheme has none).  A
+    failed check would mean an internal arithmetic fault and raises
     ``IdentityCheckFailed`` on every read, since the memo keeps no failure.
     """
     built = construct_exact(family_nodes(kind), kind.n)
-    _require(_is_member(built, kind), "%s fails its defining moments", kind)
+    _require(_is_member(built._ints, kind), "%s fails its defining moments", kind)
     return built
 
 
-def _is_member(scheme: Scheme, kind: FamilyKind) -> bool:
-    """Whether ``scheme`` is the member ``kind``: on the member's nodes, of order ``n``
-    and normalizer 1, which is complete (see :func:`named_scheme`)."""
-    info = order_info(scheme)
-    on_nodes = scheme.nodes == tuple(sorted(family_nodes(kind)))
-    return on_nodes and (info.order, info.normalizer) == (kind.n, 1)
+def _is_member(form: tuple, kind: FamilyKind) -> bool:
+    """Whether the integer form ``(A, da, B, db)``, coefficients ``A_i / da`` at nodes
+    ``B_i / db``, is the member ``kind``: on the member's nodes, with ``sum A_i * B_i**j``
+    zero for ``j < n`` and ``n! * da * db**n`` at ``j = n``.  That is complete (see
+    :func:`named_scheme`); no Scheme or order is formed, and no Fraction but the nodes."""
+    A, da, B, db = form
+    nodes, e = _over_common_denominator(family_nodes(kind))
+    if sorted(b * e for b in B) != sorted(x * db for x in nodes):
+        return False
+    for _ in range(kind.n):  # m_j * da * db**j, one running power per node
+        if sum(A):
+            return False
+        A = [a * b for a, b in zip(A, B)]
+    return sum(A) == factorial(kind.n) * da * db ** kind.n
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ from .scheme import (
     _echo,
     _is_int,
     _require,
+    _sums,
     canonicalize,
     combine,
     decompose,
@@ -226,8 +227,9 @@ def verify_quantum_ggr(
 
     For each shift ``k`` in ``ell..ell+n`` the scale by exactly ``q**k`` of
     the unshifted geometric member, the one member built, must be the shifted
-    member, checked by that member's defining property (``_is_member``); the
-    witnesses are returned and any failure is an internal arithmetic fault.
+    member, checked by that member's defining property (``_is_member``) on
+    the scale's integer sums (``_sums``), no Scheme built; the witnesses are
+    returned and any failure is an internal arithmetic fault.
     The nodes reach ``q**(|ell| + 2n)``, and ``n`` times the digits of that
     node is at most ``MAX_QGGR_SIZE``.
     """
@@ -240,7 +242,8 @@ def verify_quantum_ggr(
     base = named_scheme(gaussian_affine(n, q))
     witnesses = [(k, q ** k) for k in range(ell, ell + n + 1)]
     for k, r in witnesses:
-        fits = _is_member(scale(base, r), gaussian_affine_shift(n, k, q))
+        sums, C, D = _sums([(r ** -n, r, base)])  # scale(base, r) as (A, da, B, db)
+        fits = _is_member((list(sums.values()), C, list(sums), D), gaussian_affine_shift(n, k, q))
         _require(fits, "shift %s is not the scale by %s**%s", k, q, k)
     return witnesses
 
@@ -255,7 +258,7 @@ def mz_set_check(schemes: Sequence[Scheme]) -> MzVerdict:
         raise CalculusError("the scheme set must be nonempty")
     orders = {order_info(s).order for s in schemes}
     if len(orders) != 1:
-        raise MixedOrders(f"the set mixes orders {sorted(orders)}")
+        raise MixedOrders(f"the set mixes orders {_echo(', '.join(map(_digits, sorted(orders))))}")
     n = orders.pop()
     member_verdicts = [mz_check(s) for s in schemes]
     for verdict in member_verdicts:

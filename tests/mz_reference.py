@@ -15,7 +15,13 @@ reference tests pin those deletions to this form.
 had, kept unchanged apart from its name: it builds every shifted member and
 compares each scale of the base member with it.  ``verify_quantum_ggr`` now
 builds the base member only and checks each scale by the shifted member's
-defining property (its nodes, order and normalizer).
+defining property on integers: its nodes and its integer moments, read off
+the scale's integer sums (``_sums``), with no Scheme built per shift
+(``family_reference`` keeps the Scheme-based form of that check).
+
+``reference_mz_set_check`` keeps the old mixed-orders refusal, which quotes
+every order as a Python list; ``mz_set_check`` now quotes them bounded.  The
+comparisons draw only same-order sets, so the two texts never meet.
 """
 
 from grdcalc.equivalence import decide_equivalent, equivalent_gaussian

@@ -339,6 +339,8 @@ REFUSALS = {
     "refuse_decompose_order_0": ["decompose", ORDER_0],
     # a set above the ggr limit, whose members are open, is refused in mz-set's own words
     "refuse_mz_set_order_over_ggr_limit": ["mz-set", "riemann:n=130", "shift:n=130,k=-2"],
+    # a set of 40 orders is refused with its orders quoted bounded
+    "refuse_mz_set_mixed_orders_long": ["mz-set", *(f"riemann:n={n}" for n in range(1, 41))],
     # --zero belongs to --pairs; --nodes lists every node itself
     "refuse_construct_nodes_with_zero": ["construct", "--nodes", "0,1", "--order", "1", "--zero"],
 }

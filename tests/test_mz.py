@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from grdcalc import families, mz
+from grdcalc import scheme as scheme_module
 from grdcalc.scheme import OrderBudgetExceeded, _echo
 from grdcalc import (
     IdentityCheckFailed,
@@ -36,8 +37,6 @@ from grdcalc import (
     STATUS_MZ,
     STATUS_NOT_MZ,
     STATUS_OPEN,
-    Scheme,
-    Term,
     ZeroScheme,
     canonicalize,
     class_member,
@@ -204,9 +203,12 @@ def test_verify_quantum_ggr_witnesses():
 
 
 def test_verify_quantum_ggr_checks_the_named_scale(monkeypatch):
-    # the check is made at q**k itself: a scale by -q**k is not accepted in its place
-    true_scale = mz.scale
-    monkeypatch.setattr(mz, "scale", lambda scheme, r: true_scale(scheme, -r))
+    # the check is made at q**k itself: the integer form of a scale by -q**k
+    # (coefficient (-q**k)**-2 at order 2) is not accepted in its place
+    true_sums = mz._sums
+    monkeypatch.setattr(
+        mz, "_sums", lambda parts: true_sums([((-r) ** -2, -r, base) for _, r, base in parts])
+    )
     with pytest.raises(IdentityCheckFailed, match="shift 0 is not the scale by 3/2"):
         verify_quantum_ggr(2, 0, Fraction(3, 2))
 
@@ -223,15 +225,48 @@ def test_verify_quantum_ggr_builds_only_the_base_member(monkeypatch):
     assert built == [5]
 
 
+def test_verify_quantum_ggr_shift_loop_builds_no_scheme(monkeypatch):
+    # once the base member is kept, each shift is checked on the integer sums
+    # of its scale: no scale, combination, order or construction is made
+    named_scheme(gaussian_affine(5, Fraction(3, 2)))
+    calls = []
+    for module in (scheme_module, families, mz):
+        for name in ("scale", "combine", "order_info", "construct_exact"):
+            if hasattr(module, name):
+                def counting(*args, _original=getattr(module, name), _name=name):
+                    calls.append(_name)
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counting)
+    assert len(verify_quantum_ggr(5, -2, Fraction(3, 2))) == 6
+    assert calls == []
+    mz.scale(named_scheme(gaussian_affine(5, Fraction(3, 2))), 2)  # the wrapping counts
+    assert calls[0] == "scale" and "combine" in calls
+
+
+def _with_first_sum(monkeypatch, change):
+    """Patch the shift loop's integer sums: ``change(sums, first, D)`` edits the
+    entry at the smallest node ``first / D`` in place."""
+    true_sums = mz._sums
+
+    def edited(parts):
+        sums, C, D = true_sums(parts)
+        change(sums, min(sums), D)
+        return sums, C, D
+
+    monkeypatch.setattr(mz, "_sums", edited)
+
+
 def test_verify_quantum_ggr_refuses_one_wrong_coefficient(monkeypatch):
     # nodes right, one coefficient doubled: the shifted member's moments refuse it
-    true_scale = mz.scale
+    _with_first_sum(monkeypatch, lambda sums, first, D: sums.update({first: 2 * sums[first]}))
+    with pytest.raises(IdentityCheckFailed, match="shift 0 is not the scale by 3/2"):
+        verify_quantum_ggr(2, 0, Fraction(3, 2))
 
-    def doubled_first(scheme, r):
-        first, *rest = true_scale(scheme, r).terms
-        return Scheme((Term(2 * first.coeff, first.node), *rest))
 
-    monkeypatch.setattr(mz, "scale", doubled_first)
+def test_verify_quantum_ggr_refuses_one_moved_node(monkeypatch):
+    # coefficients kept, the smallest node moved down by 1: the member's nodes refuse it
+    _with_first_sum(monkeypatch, lambda sums, first, D: sums.update({first - D: sums.pop(first)}))
     with pytest.raises(IdentityCheckFailed, match="shift 0 is not the scale by 3/2"):
         verify_quantum_ggr(2, 0, Fraction(3, 2))
 
@@ -322,8 +357,18 @@ def test_set_verdict_open_cases():
 def test_set_verdict_input_gates():
     with pytest.raises(CalculusError):
         mz_set_check([])
-    with pytest.raises(MixedOrders):
+    with pytest.raises(MixedOrders, match="^the set mixes orders 2, 3$"):
         mz_set_check([D31, D2_SYM])
+
+
+def test_mixed_orders_are_quoted_bounded():
+    # 200 orders would list 890 characters; the refusal keeps the first 100
+    with pytest.raises(MixedOrders) as caught:
+        mz_set_check([named_scheme(riemann(n)) for n in range(1, 201)])
+    shown = ", ".join(str(n) for n in range(1, 201))
+    assert str(caught.value) == f"the set mixes orders {_echo(shown)}"
+    assert str(caught.value).endswith("... (890 characters)")
+    assert len(str(caught.value)) <= 300
 
 
 # --- differentiation chains -------------------------------------------------------
