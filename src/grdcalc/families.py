@@ -268,30 +268,32 @@ def named_scheme(kind: FamilyKind) -> Scheme:
     are ``n+1`` distinct points, so the unique exact scheme on them is the
     symmetric one.  Since the scheme is unique, its nodes and its defining
     moments (``m_j = 0`` for ``j < n`` and ``m_n = n!``) are a complete check
-    of the build, :func:`_is_member` on its integer form, and every variant
-    gets it (a zero coefficient cannot pass: the unique scheme has none).  A
-    failed check would mean an internal arithmetic fault and raises
-    ``IdentityCheckFailed`` on every read, since the memo keeps no failure.
+    of the build, :func:`_is_member` on its integer form and the same nodes, formed
+    once, and every variant gets it (a zero coefficient cannot pass: the unique
+    scheme has none).  A failed check would mean an internal arithmetic fault and
+    raises ``IdentityCheckFailed`` on every read, since the memo keeps no failure.
     """
-    built = construct_exact(family_nodes(kind), kind.n)
-    _require(_is_member(built._ints, kind), "%s fails its defining moments", kind)
+    nodes = family_nodes(kind)
+    built = construct_exact(nodes, kind.n)
+    _require(_is_member(built._ints, nodes, kind.n), "%s fails its defining moments", kind)
     return built
 
 
-def _is_member(form: tuple, kind: FamilyKind) -> bool:
+def _is_member(form: tuple, nodes: list[Fraction], n: int) -> bool:
     """Whether the integer form ``(A, da, B, db)``, coefficients ``A_i / da`` at nodes
-    ``B_i / db``, is the member ``kind``: on the member's nodes, with ``sum A_i * B_i**j``
-    zero for ``j < n`` and ``n! * da * db**n`` at ``j = n``.  That is complete (see
-    :func:`named_scheme`); no Scheme or order is formed, and no Fraction but the nodes."""
+    ``B_i / db``, is the order-``n`` member on ``nodes`` (the caller's ``family_nodes``):
+    on those nodes, with ``sum A_i * B_i**j`` zero for ``j < n`` and ``n! * da * db**n``
+    at ``j = n``.  That is complete (see :func:`named_scheme`); no Scheme, order or
+    Fraction is formed."""
     A, da, B, db = form
-    nodes, e = _over_common_denominator(family_nodes(kind))
-    if sorted(b * e for b in B) != sorted(x * db for x in nodes):
+    given, e = _over_common_denominator(nodes)
+    if sorted(b * e for b in B) != sorted(x * db for x in given):
         return False
-    for _ in range(kind.n):  # m_j * da * db**j, one running power per node
+    for _ in range(n):  # m_j * da * db**j, one running power per node
         if sum(A):
             return False
         A = [a * b for a, b in zip(A, B)]
-    return sum(A) == factorial(kind.n) * da * db ** kind.n
+    return sum(A) == factorial(n) * da * db ** n
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .families import (
     GaussianMatch,
     _is_member,
     _power_digits,
+    family_nodes,
     gaussian_affine,
     gaussian_affine_shift,
     gaussian_forward,
@@ -227,9 +228,9 @@ def verify_quantum_ggr(
 
     For each shift ``k`` in ``ell..ell+n`` the scale by exactly ``q**k`` of
     the unshifted geometric member, the one member built, must be the shifted
-    member, checked by that member's defining property (``_is_member``) on
-    the scale's integer sums (``_sums``), no Scheme built; the witnesses are
-    returned and any failure is an internal arithmetic fault.
+    member, checked by that member's defining property (``_is_member``, on
+    its nodes, formed once) on the scale's integer sums (``_sums``), no Scheme
+    built; the witnesses are returned and any failure is an internal fault.
     The nodes reach ``q**(|ell| + 2n)``, and ``n`` times the digits of that
     node is at most ``MAX_QGGR_SIZE``.
     """
@@ -243,7 +244,8 @@ def verify_quantum_ggr(
     witnesses = [(k, q ** k) for k in range(ell, ell + n + 1)]
     for k, r in witnesses:
         sums, C, D = _sums([(r ** -n, r, base)])  # scale(base, r) as (A, da, B, db)
-        fits = _is_member((list(sums.values()), C, list(sums), D), gaussian_affine_shift(n, k, q))
+        nodes = family_nodes(gaussian_affine_shift(n, k, q))
+        fits = _is_member((list(sums.values()), C, list(sums), D), nodes, n)
         _require(fits, "shift %s is not the scale by %s**%s", k, q, k)
     return witnesses
 

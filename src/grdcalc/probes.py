@@ -38,11 +38,11 @@ leaves divides it: ``u_i/D`` is over the base only when ``|u_i|`` leaves
 that same cofactor.  The tail test compares ``a/b`` and ``c/d`` under the
 tolerance ``s/t`` as ``t*|a*d - c*b| <= s*max(b*d, |a|*d, |c|*b)``.
 
-Limits keep a probe's work bounded: the oracle degree (a monomial's
-exponent, a polynomial's highest power) is at most ``MAX_ORACLE_DEGREE``,
-the Peano depth at most ``MAX_PEANO_DEPTH``, the last exponent ``j_max``
-at most ``MAX_J``, and ``depth * j_max**2 * max(degree, 1)`` (depth 1 for
-a single probe) times the most decimal digits of a numerator or
+Limits keep a probe's work bounded: the Peano depth is at most
+``MAX_PEANO_DEPTH``, the last exponent ``j_max`` at most ``MAX_J``, and
+``depth * max(j_max, degree)**2 * max(degree, 1)`` (depth 1 for a single
+probe; the degree, a monomial's exponent or a polynomial's highest power,
+has no cap of its own) times the most decimal digits of a numerator or
 denominator of ``x``, ``h0``, a configured ratio or a ratio that a subgroup
 oracle adds at most ``MAX_PROBE_SIZE``; larger inputs are refused with
 ``OrderBudgetExceeded``, or ``ProbeBoundExceeded``, before any sample.
@@ -93,16 +93,15 @@ class ZeroStep(CalculusError):
 ProbeBoundExceeded = OrderBudgetExceeded  # a public name of the same class, for probe callers
 
 # Limits on the integer inputs that set a probe's work (README.md gives
-# timings).  The sample numbers grow with their product, so each is kept a
-# small multiple of what the workloads and golden cases use: degree 4,
-# depth 4 and j_max 40.  The product itself is bounded too: a stage takes
-# about j_max samples per sequence, each of about j_max * degree digits, so
-# ``depth * j_max**2 * max(degree, 1)`` tracks a probe's time and output
-# (25,600 in the workloads and golden cases).  That counts one digit
-# per number given; the point at step j has about ``(j + 2) * w`` digits for
-# ``w`` the most digits of ``x``, ``h0`` and the ratio, so the product times
-# ``w`` (at least 1) is what is bounded.
-MAX_ORACLE_DEGREE = 32
+# timings).  The depth and j_max caps are small multiples of what the
+# workloads and golden cases use: depth 4 and j_max 40.  A stage takes about
+# j_max samples per sequence, each of about j_max * degree digits, and the
+# moment kernel's setup grows as degree**3, so ``depth * max(j_max,
+# degree)**2 * max(degree, 1)`` tracks a probe's time and output (25,600 in
+# the workloads and golden cases) and bounds the degree too.  That counts one
+# digit per number given; the point at step j has about ``(j + 2) * w``
+# digits for ``w`` the most digits of ``x``, ``h0`` and the ratio, so the
+# product times ``w`` (at least 1) is what is bounded.
 MAX_PEANO_DEPTH = 16
 MAX_J = 256
 MAX_PROBE_SIZE = 2 ** 22
@@ -278,24 +277,21 @@ def subgroup_membership(x: Rationalish, generators: Sequence[Rationalish]) -> bo
     return _membership(x.numerator, x.denominator, _generator_lattice(gens))
 
 
-def _degree(oracle: FunctionOracle) -> int:
-    """A monomial's exponent or a polynomial's highest power; 0 for the others."""
-    return max(oracle.degree, len(oracle.coeffs) - 1)
-
-
 def _check_size(
     oracle: FunctionOracle, depth: int, cfg: ProbeConfig, x: Fraction = Fraction(0)
 ) -> list[Fraction]:
     """Refuse a probe over the size bound; return the ratios it counted and the probe runs:
     the configured ones, then those that a subgroup oracle adds."""
-    size = depth * cfg.j_max ** 2 * max(_degree(oracle), 1)
+    degree = max(oracle.degree, len(oracle.coeffs) - 1)  # k, or a polynomial's top power
+    size = depth * max(cfg.j_max, degree) ** 2 * max(degree, 1)
     ratios = list(cfg.ratios)
     if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
         for ratio in _auto_subgroup_ratios(oracle):
             if ratio not in ratios:
                 ratios.append(ratio)
     digits = max(len(_digits(max(abs(q.numerator), q.denominator))) for q in (x, cfg.h0, *ratios))
-    _check_budget("the probe size depth * j_max**2 * degree * digits", size * digits, MAX_PROBE_SIZE)
+    product = "depth * max(j_max, degree)**2 * max(degree, 1) * digits"
+    _check_budget(f"the probe size {product}", size * digits, MAX_PROBE_SIZE)
     return ratios
 
 
@@ -338,7 +334,6 @@ class FunctionOracle:
             raise CalculusError("monomial degree must be an integer")
         if self.degree < 0:
             raise CalculusError("monomial degree must be >= 0")
-        _check_budget("the oracle degree", _degree(self), MAX_ORACLE_DEGREE)
         if self.kind == ORACLE_SUBGROUP_MONOMIAL:
             if not self.generators:
                 raise CalculusError("subgroup monomials need generators")
@@ -435,10 +430,11 @@ def format_oracle(oracle: FunctionOracle) -> str:
 def eval_quotient(
     scheme: Scheme, oracle: FunctionOracle, x: Rationalish, h: Rationalish
 ) -> Fraction:
-    """The exact difference quotient ``S(h,x;f) / h**n`` at the detected order."""
+    """The exact ``S(h,x;f) / h**n`` at the detected order; the degree is bounded as in a probe."""
     x, h = parse_rational(x), parse_rational(h)
     if h == 0:
         raise ZeroStep("the step h must be nonzero")
+    _check_size(oracle, 1, ProbeConfig(j_min=0, j_max=1))
     return _quotient_kernel(scheme, order_info(scheme).order, oracle, x)(h)
 
 

@@ -851,21 +851,25 @@ TEN_DIGIT_EXPONENT = "1e9999999999"
 EXPONENT_REFUSAL = (
     f"error: a rational's exponent must be at most 4300 in magnitude, got '{TEN_DIGIT_EXPONENT}'\n"
 )
+SIZE_REFUSAL = (
+    "error: the probe size depth * max(j_max, degree)**2 * max(degree, 1) * digits "
+    "must be at most 4194304, got "
+)
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
+        # the degree counts in the probe size, three times over: 10**8 - 1 gives 24 digits
         (["probe", "riemann:n=2", "--oracle=mono:k=99999999", "--x=1"],
-         "error: the oracle degree must be at most 32, got 99999999\n"),
+         SIZE_REFUSAL + f"{99999999 ** 3}\n"),
         (["probe", "--peano", "100000", "--oracle=mono:k=1", "--x=1/3"],
          "error: the probe depth n must be at most 16, got 100000\n"),
         (["probe", "riemann:n=1", "--oracle=abs", "--jmax", "9" * 4000],
          "error: j_max must be at most 256, got " + "9" * 100 + "... (4000 characters)\n"),
         # each input within its own limit, their product above MAX_PROBE_SIZE
         (["probe", "--peano", "16", "--oracle=mono:k=32", "--x=1/3", "--jmax", "256"],
-         "error: the probe size depth * j_max**2 * degree * digits must be at most 4194304, "
-         "got 33554432\n"),
+         SIZE_REFUSAL + "33554432\n"),
         # a rational's exponent, wherever a rational is read: Fraction would
         # compute 10**9999999999 from these 12 characters
         *(
@@ -882,18 +886,20 @@ EXPONENT_REFUSAL = (
         # these ran for 52 s (38.6 MB of output), 10.9 s, 14.2 s and 2.2 s
         *(
             (["probe", "riemann:n=4", "--oracle=mono:k=32", option, "1/" + "7" * digits],
-             "error: the probe size depth * j_max**2 * degree * digits must be at most 4194304, "
-             f"got {40 ** 2 * 32 * digits}\n")
+             SIZE_REFUSAL + f"{40 ** 2 * 32 * digits}\n")
             for option, digits in [("--x", 3000), ("--x", 1000), ("--ratios", 300), ("--h0", 1000)]
         ),
         # the 1,000 digits of the ratio 1/g that a subgroup oracle adds from its generator g:
         # this ran for more than 10 s
         *(
             ([*verb, "--oracle", "subgmono:k=32;gens=1" + "0" * 998 + "1", "--x", "0"],
-             "error: the probe size depth * j_max**2 * degree * digits must be at most 4194304, "
-             f"got {40 ** 2 * 32 * 1000}\n")
+             SIZE_REFUSAL + f"{40 ** 2 * 32 * 1000}\n")
             for verb in [["probe", "riemann:n=2"], ["probe", "--peano", "1"]]
         ),
+        # the moments' setup grows as the cube of the degree: with the degree cap
+        # simply deleted this took 8.1 s
+        (["probe", "riemann:n=2", "--oracle=mono:k=1000", "--jmin", "0", "--jmax", "1"],
+         SIZE_REFUSAL + f"{1000 ** 3}\n"),
     ],
 )
 def test_probe_inputs_over_a_limit_are_refused_at_once(argv, message):
@@ -949,11 +955,11 @@ NINES_5000 = "9" * 5000
         ),
         (
             ["probe", "riemann:n=1", f"--oracle=mono:k={NINES_5000}", "--x=1"],
-            "error: the oracle degree must be at most 32, got 999",
+            SIZE_REFUSAL + "999",
         ),
         (
             ["probe", "riemann:n=1", f"--oracle=subgmono:k={NINES_5000};gens=2", "--x=1"],
-            "error: the oracle degree must be at most 32, got 999",
+            SIZE_REFUSAL + "999",
         ),
         (["ggr", "--order", NINES_5000], "error: the ggr order must be at most 128, got 999"),
         (
@@ -991,7 +997,7 @@ BUDGET_REFUSAL = re.compile(r"^error: .+ must be at most \d+, got ")
 @pytest.mark.parametrize(
     "argv",
     [
-        ["probe", "riemann:n=2", "--oracle=mono:k=33", "--x=1"],
+        ["probe", "riemann:n=2", "--oracle=mono:k=162", "--x=1"],
         ["probe", "--peano", "17", "--oracle=mono:k=1", "--x=1/3"],
         ["probe", "riemann:n=1", "--oracle=abs", "--jmax", "257"],
         # 2 * 256**2 * 32 is the probe size bound itself

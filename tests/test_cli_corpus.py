@@ -1,0 +1,177 @@
+"""A fixed, seeded corpus of command lines run through ``cli.main`` in one process.
+
+Every verb is drawn, with scheme strings, rationals, integers and oracles
+mixed from small pools of valid, degenerate and malformed values: family
+strings at and past their parameters' edges, inline JSON, rationals with a
+zero denominator, a newline or a long exponent, integers at any length, and
+oracles up to ``mono:k=33`` and a 40-coefficient ``poly``.  Each command
+must answer (exit 0) or refuse in the one refusal shape (exit 2 with one
+stderr line of at most 300 bytes); none may raise or report an internal
+fault (exit 3).  Option values are passed as ``--opt=value``, and integer
+options get integers, so every command reaches the program rather than
+stopping in the argument parser, whose own errors print a usage line too.
+"""
+
+import io
+import random
+import time
+from contextlib import redirect_stderr, redirect_stdout
+
+from grdcalc.cli import DEMOS, main
+
+SEED = 20261020
+COUNT = 200
+
+# each pool: values that are answered, then degenerate or malformed ones
+FAMILIES = (
+    [
+        "riemann:n=1", "riemann:n=3", "riemann-sym:n=2", "riemann-sym:n=4", "shift:n=2,k=-1",
+        "shift:n=3,k=-2", "gauss-fwd:n=3,q=2", "gauss-aff:n=2,q=3/2",
+        "gauss-aff:n=3,k=-1,q=-1/2", "gauss-sym:n=4,q=3", "mz-tilde:n=4", "mz-tilde-sym:n=3",
+        "scriptD:n=3,q=2", "scriptD-bar:n=2,q=1/3",
+        '{"terms":[{"coeff":"-1","node":"0"},{"coeff":"1","node":"1"}]}',
+        '{"terms":[{"coeff":"1","node":"-1"},{"coeff":"-2","node":"0"},{"coeff":"1","node":"1"}]}',
+        '{"terms":[{"coeff":"2","node":"0"},{"coeff":"-2","node":"1"}]}',
+    ],
+    [
+        "riemann:n=0", "riemann:n=-1", "riemann:n=836", "gauss-aff:n=2,q=1", "gauss-aff:n=2,q=0",
+        "gauss-fwd:n=2", "shift:n=2", "riemann:n=2,k=1", "riemann:n=x", "nope:n=2", "riemann",
+        "riemann:n=" + "9" * 40,
+        '{"terms":[{"coeff":"1","node":"0"},{"coeff":"1","node":"0"}]}',
+        '{"terms":[{"coeff":"0","node":"1"}]}', '{"terms":[]}',
+        '{"terms":[{"coeff":"1/0","node":"1"}]}', '{"terms": [', "[1, 2]",
+        "@/nonexistent/scheme.json",
+    ],
+)
+RATIONALS = (
+    ["1", "-1", "2", "1/3", "-2/3", "3/2", "1/2", "-1/2", "0.25", "1e3", "-7/5"],
+    ["0", "1/0", "abc", "", "1e999999", "2\n3", "1/" + "7" * 60],
+)
+ORACLES = (
+    [
+        "abs", "sgnsq", "mono:k=0", "mono:k=2", "mono:k=33", "poly:1,0,-2",
+        "poly:" + ",".join(str(i % 7 - 3) for i in range(40)), "subgmono:k=2;gens=2,3",
+        "subgmono:k=1;gens=-2",
+    ],
+    ["mono:k=162", "mono:k=-1", "poly:", "subgmono:k=2;gens=0", "subgmono:k=2", "mono:k=x", "bogus"],
+)
+
+
+def _pick(rng: random.Random, pool: tuple[list[str], list[str]]) -> str:
+    """Four times in five an answered value, else a degenerate or malformed one."""
+    return rng.choice(pool[0] if rng.random() < 0.8 else pool[1])
+
+
+def _scheme(rng: random.Random) -> str:
+    return _pick(rng, FAMILIES)
+
+
+def _csv(rng: random.Random, most: int) -> str:
+    return ",".join(_pick(rng, RATIONALS) for _ in range(rng.randint(1, most)))
+
+
+def _probe(rng: random.Random) -> list[str]:
+    argv = ["probe"]
+    if rng.random() < 0.3:
+        argv.append(f"--peano={_pick(rng, (['1', '2', '3'], ['0', '17']))}")
+    else:
+        argv.append(_scheme(rng))
+    argv.append(f"--oracle={_pick(rng, ORACLES)}")
+    if rng.random() < 0.7:
+        argv.append(f"--x={_pick(rng, RATIONALS)}")
+    if rng.random() < 0.2:
+        argv.append(f"--h0={_pick(rng, RATIONALS)}")
+    if rng.random() < 0.2:
+        argv.append(f"--ratios={_csv(rng, 2)}")
+    if rng.random() < 0.2:
+        argv.append(f"--jmin={_pick(rng, (['0', '2'], ['-1', '12']))}")
+    if rng.random() < 0.3:
+        argv.append(f"--jmax={_pick(rng, (['6', '12'], ['1', '257']))}")
+    if rng.random() < 0.1:
+        argv.append(f"--tol={_pick(rng, RATIONALS)}")
+    return argv
+
+
+def _command(rng: random.Random, verb: str) -> list[str]:
+    order = f"--order={_pick(rng, (['1', '2', '3', '4'], ['0', '-1', '9' * 30]))}"
+    if verb == "construct":
+        if rng.random() < 0.5:
+            return [verb, f"--nodes={_csv(rng, 4)}", order]
+        zero = ["--zero"] if rng.random() < 0.5 else []
+        return [verb, f"--pairs={_csv(rng, 3)}", *zero, order]
+    if verb == "decompose":
+        return [verb, _scheme(rng)] + ([order] if rng.random() < 0.3 else [])
+    if verb == "scale":
+        return [verb, _scheme(rng), f"--by={_pick(rng, RATIONALS)}"]
+    if verb == "equiv":
+        fast = ["--no-fast"] if rng.random() < 0.3 else []
+        return [verb, f"--a={_scheme(rng)}", f"--b={_scheme(rng)}", *fast]
+    if verb in ("recognize", "mz-check"):
+        symmetric = ["--symmetric"] if verb == "mz-check" and rng.random() < 0.3 else []
+        return [verb, _scheme(rng), *symmetric]
+    if verb == "mz-set":
+        return [verb] + [_scheme(rng) for _ in range(rng.randint(1, 3))]
+    if verb == "ggr":
+        reduced = ["--reduced"] if rng.random() < 0.5 else []
+        return [verb, f"--order={_pick(rng, (['1', '2', '5'], ['0', '129']))}", *reduced]
+    if verb == "qggr":
+        n, ell = _pick(rng, (["1", "3"], ["0", "46"])), _pick(rng, (["0", "-2"], ["1366"]))
+        return [verb, f"--order={n}", f"--ell={ell}", f"--q={_pick(rng, RATIONALS)}"]
+    if verb == "ntimes":
+        entries = ["--entry=0:cont"] if rng.random() < 0.8 else []
+        for k in range(1, rng.randint(1, 3) + 1):
+            spec = rng.choice(["cont", f"riemann:n={k}", f"riemann-sym:n={k}", _scheme(rng)])
+            entries.append(f"--entry={rng.choice([str(k), str(k + 1), 'x'])}:{spec}")
+        return [verb, *(entries or ["--entry=1:cont"])]
+    if verb == "probe":
+        return _probe(rng)
+    return [verb, _pick(rng, (list(DEMOS), ["E99"]))]
+
+
+VERBS = [
+    "construct", "decompose", "scale", "equiv", "recognize", "mz-check", "mz-set", "ggr",
+    "qggr", "ntimes", "probe", "demo",
+]
+
+
+def corpus() -> list[list[str]]:
+    """``COUNT`` command lines: each verb once, then verbs drawn at random, probes most often."""
+    rng = random.Random(SEED)
+    verbs = VERBS + rng.choices(VERBS + ["probe"] * 4, k=COUNT - len(VERBS))
+    commands = [
+        ["--output=json"] * (rng.random() < 0.5) + _command(rng, verb) for verb in verbs
+    ]
+    # the high-degree oracles on an answered probe, whatever the draw gave
+    for oracle in ("mono:k=33", "poly:" + ",".join(["1"] * 40)):
+        commands.append(["probe", "riemann:n=2", f"--oracle={oracle}", "--x=1/3"])
+    return commands
+
+
+def test_corpus_covers_every_verb_and_the_high_degree_oracles():
+    commands = corpus()
+    verbs = {next(word for word in argv if not word.startswith("--")) for argv in commands}
+    assert verbs == set(VERBS)
+    assert len(commands) == COUNT + 2
+    oracles = {word for argv in commands for word in argv if word.startswith("--oracle=")}
+    assert "--oracle=mono:k=33" in oracles
+    assert any(o.startswith("--oracle=poly:") and o.count(",") == 39 for o in oracles)
+
+
+def test_every_corpus_command_answers_or_refuses_in_one_line():
+    outcomes = {0: 0, 2: 0}
+    start = time.process_time()
+    for argv in corpus():
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        message = err.getvalue()
+        assert code in outcomes, (argv, code, message)
+        if code == 0:
+            assert message == "", (argv, message)
+        else:
+            assert message.startswith("error: ") and message.count("\n") == 1, (argv, message)
+            assert message.endswith("\n") and len(message.encode()) <= 300, (argv, message)
+        outcomes[code] += 1
+    # the draw reaches both answers and refusals in quantity
+    assert min(outcomes.values()) >= 40, outcomes
+    assert time.process_time() - start < 5.0
+

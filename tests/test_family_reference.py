@@ -2,7 +2,8 @@
 
 ``families._is_member`` reads an integer form ``(A, da, B, db)``: a built
 member's kept ``_ints``, or the integer sums ``_sums`` gives for a scale,
-which is what ``verify_quantum_ggr`` passes per shift.  Each test compares
+which is what ``verify_quantum_ggr`` passes per shift, with the member's
+nodes from ``family_nodes`` and its order, which its caller passes.  Each test compares
 it with ``family_reference.reference_is_member``, which reads the built
 ``Scheme``, on every family variant at orders 1..10, on the members' scales
 by ``+-q**k``, and on perturbed members.
@@ -18,6 +19,7 @@ from grdcalc.families import (
     GAUSSIAN_AFFINE_SHIFT,
     FamilyKind,
     _is_member,
+    family_nodes,
     gaussian_affine,
     gaussian_affine_shift,
     gaussian_forward,
@@ -52,7 +54,7 @@ def _kinds(n):
 
 def _agree(scheme, kind) -> bool:
     """``_is_member`` on ``scheme``'s kept integer form, checked against the reference."""
-    got = _is_member(scheme._ints, kind)
+    got = _is_member(scheme._ints, family_nodes(kind), kind.n)
     assert got == reference_is_member(scheme, kind), (scheme, kind)
     return got
 
@@ -61,7 +63,7 @@ def _agree_on_scale(member, r, kind) -> bool:
     """``_is_member`` on the integer sums of the order-``kind.n`` ``member``'s scale by ``r``
     (the form ``verify_quantum_ggr`` passes) and on the built scale, both against the reference."""
     sums, C, D = _sums([(r ** -kind.n, r, member)])
-    got = _is_member((list(sums.values()), C, list(sums), D), kind)
+    got = _is_member((list(sums.values()), C, list(sums), D), family_nodes(kind), kind.n)
     assert got == _agree(scale(member, r), kind), (member, r, kind)
     return got
 

@@ -298,7 +298,7 @@ REFUSALS = {
     "refuse_probe_jmin_not_int": ["probe", "riemann:n=1", "--oracle", "abs", "--jmin", "abc"],
     "refuse_probe_jmin_not_int_long": ["probe", "riemann:n=1", "--oracle", "abs", "--jmin", LONG],
     # probe inputs above their limits are refused before any sample is taken
-    "refuse_probe_degree_over_limit": ["probe", "riemann:n=2", "--oracle=mono:k=33", "--x=1"],
+    "refuse_probe_degree_over_limit": ["probe", "riemann:n=2", "--oracle=mono:k=162", "--x=1"],
     "refuse_probe_depth_over_limit": ["probe", "--peano", "17", "--oracle=mono:k=1", "--x=1/3"],
     "refuse_probe_jmax_over_limit": ["probe", "riemann:n=1", "--oracle", "abs", "--jmax", "257"],
     "refuse_probe_size_over_limit": [

@@ -10,10 +10,14 @@ syntax tree with the standard library's ``ast``, so they need no lint tool.
 ``__init__.py`` is left out of the import check, because its imports are
 the package's public names; those are compared with a literal list, so a
 public name is added or removed only on purpose.  The same holds for the
-package's size: its line count has a ceiling, raised only on purpose.
+package's size: its line count has a ceiling, raised only on purpose.  The
+README's table of work limits names every ``MAX_*`` constant and no other,
+each with its value, so a limit is added, dropped or moved in both places.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -192,3 +196,43 @@ SRC_LINE_CEILING = 3533
 def test_source_line_count_is_at_most_the_ceiling():
     lines = sum(p.read_bytes().count(b"\n") for p in PACKAGE.glob("*.py"))
     assert lines <= SRC_LINE_CEILING
+
+
+README = PACKAGE.parents[1] / "README.md"
+LIMITS_HEADER = "| input | size rule | limit | constant | refusal |"
+
+
+def limit_table_rows() -> list[list[str]]:
+    """The cells of each row of the README's limit table, below its header and rule."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index(LIMITS_HEADER) + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        # a `\|` inside a cell is a literal bar, not a cell boundary
+        rows.append([cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]])
+    return rows
+
+
+def module_limits() -> dict[str, int]:
+    """``module.MAX_*`` for every module-level ``MAX_*`` assignment of the package, with its value."""
+    found = {}
+    for path in MODULES:
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            for name in _defined(statement):
+                if name.startswith("MAX_"):
+                    module = importlib.import_module(f"grdcalc.{path.stem}")
+                    found[f"{path.stem}.{name}"] = getattr(module, name)
+    return found
+
+
+def test_readme_limit_table_names_exactly_the_limit_constants():
+    rows = limit_table_rows()
+    assert rows and all(len(row) == 5 for row in rows)
+    limits = module_limits()
+    named = {row[3].strip("`") for row in rows}
+    assert named == set(limits)
+    for _, _, limit, constant, _ in rows:
+        # "128", "4,300" or "2²² = 4,194,304": the last number written out
+        assert int(limit.rpartition("=")[2].replace(",", "")) == limits[constant.strip("`")], limit

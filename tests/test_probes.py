@@ -636,9 +636,6 @@ def test_boolean_order_refusal_quotes_the_boolean():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: monomial_oracle(probes.MAX_ORACLE_DEGREE + 1), "the oracle degree"),
-        (lambda: subgroup_monomial_oracle(10 ** 8, [2]), "the oracle degree"),
-        (lambda: polynomial_oracle([1] * (probes.MAX_ORACLE_DEGREE + 2)), "the oracle degree"),
         (lambda: ProbeConfig(j_max=probes.MAX_J + 1), "j_max"),
         (lambda: peano_probe(abs_oracle(), 0, probes.MAX_PEANO_DEPTH + 1), "the probe depth n"),
     ],
@@ -649,18 +646,94 @@ def test_probe_inputs_above_their_limits_are_refused(call, message):
 
 
 def test_probe_inputs_at_their_limits_are_accepted():
-    assert monomial_oracle(probes.MAX_ORACLE_DEGREE).degree == probes.MAX_ORACLE_DEGREE
-    assert len(polynomial_oracle([1] * (probes.MAX_ORACLE_DEGREE + 1)).coeffs) == 33
     assert ProbeConfig(j_max=probes.MAX_J).j_max == probes.MAX_J
+
+
+def test_the_oracle_degree_has_no_cap_of_its_own():
+    # an oracle of any degree is formed; the probe size refuses its probes
+    assert not hasattr(probes, "MAX_ORACLE_DEGREE")
+    assert monomial_oracle(10 ** 8).degree == 10 ** 8
+    assert subgroup_monomial_oracle(10 ** 8, [2]).degree == 10 ** 8
+    assert len(polynomial_oracle([1] * 1000).coeffs) == 1000
+
+
+SIZE_REFUSAL = r"^the probe size depth \* max\(j_max, degree\)\*\*2 \* max\(degree, 1\) \* digits must"
+
+
+@pytest.mark.parametrize("j_max", [1, 2, 40, probes.MAX_J])
+def test_probe_size_is_the_old_product_at_every_degree_up_to_j_max(j_max):
+    # up to j_max, max(j_max, degree) is j_max, so the size is the product bounded
+    # before the degree cap went, depth * j_max**2 * max(degree, 1) * digits: the
+    # largest depth it admits (0 where depth 1 is over) passes, the next is refused
+    config = ProbeConfig(j_min=0, j_max=j_max)
+    for degree in range(j_max + 1):
+        old = j_max ** 2 * max(degree, 1)
+        depth = probes.MAX_PROBE_SIZE // old
+        for oracle in (
+            monomial_oracle(degree),
+            polynomial_oracle([1] * (degree + 1)),
+            subgroup_monomial_oracle(degree, [2]),
+        ):
+            probes._check_size(oracle, depth, config)
+            refused = rf"{SIZE_REFUSAL} .*, got {(depth + 1) * old}$"
+            with pytest.raises(ProbeBoundExceeded, match=refused):
+                probes._check_size(oracle, depth + 1, config)
+
+
+def test_probe_size_counts_a_degree_above_j_max_in_the_squared_factor():
+    # 161**3 = 4,173,281 is within 2**22 and 162**3 = 4,251,528 is not
+    config = ProbeConfig()
+    assert 161 ** 3 <= probes.MAX_PROBE_SIZE < 162 ** 3
+    probes._check_size(monomial_oracle(161), 1, config, Fraction(1, 3))
+    probes._check_size(polynomial_oracle([1] * 162), 1, config, Fraction(1, 3))
+    with pytest.raises(ProbeBoundExceeded, match=rf"{SIZE_REFUSAL} .*, got {162 ** 3}$"):
+        probes._check_size(monomial_oracle(162), 1, config, Fraction(1, 3))
+    with pytest.raises(ProbeBoundExceeded, match=rf"{SIZE_REFUSAL} .*, got {162 ** 3}$"):
+        probes._check_size(polynomial_oracle([1] * 163), 1, config, Fraction(1, 3))
+
+
+@pytest.mark.parametrize(
+    "degree, config, size",
+    [
+        # 1000**3: with the cap simply deleted, the moment kernel took 8.1 s on this
+        (1000, ProbeConfig(j_min=0, j_max=1), 10 ** 9),
+        (10 ** 8, ProbeConfig(), 10 ** 24),
+    ],
+)
+def test_high_degree_probes_are_refused_before_any_kernel(monkeypatch, degree, config, size):
+    # with j_min 0 and j_max 1 the size is the one eval_quotient bounds for one sample
+    def no_kernel(*args):
+        raise AssertionError("the quotient kernel was set up")
+
+    monkeypatch.setattr(probes, "_quotient_kernel", no_kernel)
+    message = rf"{SIZE_REFUSAL} be at most {probes.MAX_PROBE_SIZE}, got {size}$"
+    for oracle in (monomial_oracle(degree), subgroup_monomial_oracle(degree, [2])):
+        with pytest.raises(ProbeBoundExceeded, match=message):
+            limit_probe(named_scheme(riemann(2)), oracle, 1, config)
+        with pytest.raises(ProbeBoundExceeded, match=message):
+            peano_probe(oracle, 1, 1, config)
+        # one sample is bounded as a probe of one step: size max(degree, 1)**3
+        with pytest.raises(ProbeBoundExceeded, match=message):
+            eval_quotient(named_scheme(riemann(2)), oracle, 1, Fraction(1, 2))
+
+
+def test_eval_quotient_answers_up_to_degree_161():
+    # 0.06 s at degree 161 (one process); with no bound, degree 1000 took 7.6 s
+    # and degree 2000 more than 60 s for this one sample
+    scheme, x, h = named_scheme(riemann(2)), Fraction(1, 3), Fraction(1, 2)
+    top = monomial_oracle(161)
+    assert eval_quotient(scheme, top, x, h) == reference_quotient(scheme, 2, top, x, h)
+    with pytest.raises(ProbeBoundExceeded, match=rf"{SIZE_REFUSAL} .*, got {162 ** 3}$"):
+        eval_quotient(scheme, monomial_oracle(162), x, h)
 
 
 def test_probe_size_is_bounded_on_the_product_of_the_limits():
     at_limits = ProbeConfig(j_max=probes.MAX_J)
-    with pytest.raises(ProbeBoundExceeded, match="^the probe size depth [*] j_max[*][*]2 "):
-        peano_probe(monomial_oracle(probes.MAX_ORACLE_DEGREE), Fraction(1, 3), 16, at_limits)
+    with pytest.raises(ProbeBoundExceeded, match=SIZE_REFUSAL):
+        peano_probe(monomial_oracle(32), Fraction(1, 3), 16, at_limits)
     # 2 * 256**2 * 32 is the bound itself: accepted, checked without sampling
-    top = polynomial_oracle([1] * (probes.MAX_ORACLE_DEGREE + 1))
-    assert 2 * probes.MAX_J ** 2 * probes.MAX_ORACLE_DEGREE == probes.MAX_PROBE_SIZE
+    top = polynomial_oracle([1] * 33)
+    assert 2 * probes.MAX_J ** 2 * 32 == probes.MAX_PROBE_SIZE
     probes._check_size(top, 2, at_limits)
     with pytest.raises(ProbeBoundExceeded, match=", got 6291456$"):
         probes._check_size(top, 3, at_limits)
@@ -687,8 +760,7 @@ def test_probe_size_counts_the_digits_of_x_h0_and_the_ratios(x, config, digits):
     if depth:
         probes._check_size(oracle, depth, config, x)
     refused = probes.MAX_PROBE_SIZE // size + 1
-    message = r"^the probe size depth \* j_max\*\*2 \* degree \* digits must"
-    with pytest.raises(ProbeBoundExceeded, match=message):
+    with pytest.raises(ProbeBoundExceeded, match=SIZE_REFUSAL):
         probes._check_size(oracle, -(-refused // digits), config, x)
 
 
@@ -699,7 +771,7 @@ def test_probe_size_counts_the_added_subgroup_ratios():
     config = ProbeConfig(j_min=probes.MAX_J - 2, j_max=probes.MAX_J)
     size = config.j_max ** 2 * 5
     assert size <= probes.MAX_PROBE_SIZE < size * 13
-    message = rf"^the probe size depth \* j_max\*\*2 \* degree \* digits must be at most \d+, got {size * 13}$"
+    message = rf"{SIZE_REFUSAL} be at most \d+, got {size * 13}$"
     with pytest.raises(ProbeBoundExceeded, match=message):
         limit_probe(named_scheme(mz_tilde(2)), oracle, 0, config)
     with pytest.raises(ProbeBoundExceeded, match=message):
