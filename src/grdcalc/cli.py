@@ -43,6 +43,7 @@ from .scheme import (
     CalculusError,
     Scheme,
     _echo,
+    _format_pair,
     _int_field,
     _read_int,
     construct_exact,
@@ -303,11 +304,10 @@ def _probe_lines(report: ProbeReport) -> list[str]:
             + (f" in_group={seq.in_group}" if seq.in_group is not None else "")
         )
     for seq in report.sequences:
-        tail = seq.samples[-1]
         lines.append(
             f"sequence ratio={format_rational(seq.ratio)} sign={seq.sign:+d}"
             f" settled={seq.settled}"
-            f" last={format_rational(tail[1])}"
+            f" last={_format_pair(*seq.values[-1])}"
         )
     lines.append("numeric evidence only, not a proof")
     return lines

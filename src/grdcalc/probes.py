@@ -16,15 +16,17 @@ the pair need not be reduced, and its exponent vector over the base is then
 decided by forward substitution in the generators' lattice, which is
 reduced to echelon form once per generator tuple.
 
-Every per-sample step runs on integers or on Fractions that already exist.
-A sequence is walked by one multiplication per step, ``h *= rho``, from
-``sign * h0 * rho**j_min``, and built with its steps' texts once per
-``(sign * h0, rho, j_min, j_max)``, for every probe with that configuration
-and every stage of a Peano probe; its in-group flag is decided once per
-generator lattice.  For ``mono`` and ``poly``, ``f(x+t) = sum c_j t**j``
-gives ``S(h)/h**n = sum_j c_j*m_j * h**(j-n)`` over the moments ``m_j``
-(Ash, Trans. AMS 126, 1967), one integer Horner per sample.  The other
-oracles are summed over the nodes in one call per sample, with the
+Every per-sample step runs on integers.  A sequence is walked by one
+multiplication per step, ``h *= rho``, from ``sign * h0 * rho**j_min``, and
+built with its steps' texts once per ``(sign * h0, rho, j_min, j_max)``, for
+every probe with that configuration and every stage of a Peano probe; its
+in-group flag is decided once per generator lattice.  One kernel call per
+sequence gives its quotients as reduced integer pairs ``(p, q)``, ``q > 0``,
+which the tail test reads and JSON prints as they are; the ``(h, p/q)``
+Fractions are built only if ``samples`` is read.  For ``mono`` and ``poly``,
+``f(x+t) = sum c_j t**j`` gives ``S(h)/h**n = sum_j c_j*m_j * h**(j-n)``
+over the moments ``m_j`` (Ash, Trans. AMS 126, 1967), one integer Horner
+per sample.  The other oracles are summed over the nodes, with the
 coefficients and nodes scaled to integers ``A_i`` and ``B_i`` over their
 lcm denominators ``DA`` and ``DB``: for ``h = H/DH`` and ``x = xn/xd``
 each ``x + b_i*h`` is ``u_i/D`` with ``D = xd*DB*DH`` and
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, gcd
 from typing import Callable, Optional, Sequence
@@ -66,6 +68,7 @@ from .scheme import (
     _check_budget,
     _digits,
     _echo,
+    _format_pair,
     _int_field,
     _is_int,
     _over_common_denominator,
@@ -435,87 +438,83 @@ def eval_quotient(
     if h == 0:
         raise ZeroStep("the step h must be nonzero")
     _check_size(oracle, 1, ProbeConfig(j_min=0, j_max=1))
-    return _quotient_kernel(scheme, order_info(scheme).order, oracle, x)(h)
+    return Fraction(*_quotient_kernel(scheme, order_info(scheme).order, oracle, x)([h])[0])
 
 
-def _node_sum(
-    oracle: FunctionOracle, terms: Sequence[tuple[int, int]]
-) -> tuple[int, Callable[[int, int, int], int]]:
-    """The oracle at ``u/D`` written as ``F(u, D) / D**e``: the homogeneous degree
-    ``e`` and ``(base, step, D) -> sum A_i*F(u_i, D)`` with ``u_i = base + B_i*step``."""
-    if oracle.kind == ORACLE_ABS:
-        return 1, lambda base, step, d: sum(a * abs(base + b * step) for a, b in terms)
-    if oracle.kind == ORACLE_SGNSQ:
-        def signed_squares(base: int, step: int, d: int) -> int:
-            total = 0
-            for a, b in terms:
-                u = base + b * step
-                total += a * u * abs(u)
-            return total
-
-        return 2, signed_squares
-    k = oracle.degree
-    gens, steps = _generator_lattice(oracle.generators)
-
-    def on_subgroup(base: int, step: int, d: int) -> int:
-        shared = _strip(d, gens)
-        left = shared[1]  # over the base, |u| leaves this cofactor too: it divides u
-        total = 0
-        for a, b in terms:
-            u = base + b * step
-            if u and not u % left:
-                target = _over_base(u, shared, gens)
-                if target is not None and _lattice_member(steps, target):
-                    total += a * u ** k
-        return total
-
-    return k, on_subgroup
+# A quotient kernel maps a sequence of nonzero steps to the reduced pairs ``(p, q)``,
+# ``q > 0``, of their quotients ``p/q``, in one call.
+Kernel = Callable[[Sequence[Fraction]], list[tuple[int, int]]]
 
 
-def _moment_kernel(
+def _moment_terms(
     scheme: Scheme, n: int, oracle: FunctionOracle, x: Fraction
-) -> Callable[[Fraction], Fraction]:
-    """``h -> S(h,x;f)/h**n = sum_j c_j*m_j * h**(j-n)`` for ``mono`` and ``poly``, where
+) -> tuple[list[int], int, int, int]:
+    """``S(h,x;f)/h**n = sum_j c_j*m_j * h**(j-n)`` for ``mono`` and ``poly``, where
     ``f(x+t) = sum c_j t**j``: for the nonzero ``c_j*m_j = D_j/DD`` (``lo <= j <= hi``) and
-    ``h = H/DH``, ``P = sum D_j H**(j-lo) DH**(hi-j)`` gives ``P*H**(lo-n)*DH**(n-hi)/DD``."""
+    ``h = H/DH``, ``P = sum D_j H**(j-lo) DH**(hi-j)`` gives ``P*H**(lo-n)*DH**(n-hi)/DD``;
+    returns the ``D_j``, ``DD``, ``lo - n`` and ``n - hi``."""
     p = oracle.coeffs if oracle.kind == ORACLE_POLYNOMIAL else (0,) * oracle.degree + (1,)
     c = [sum(comb(i, j) * p[i] * x ** (i - j) for i in range(j, len(p))) for j in range(len(p))]
     d = [c_j * moment(scheme, j) for j, c_j in enumerate(c)]
     nonzero = [j for j, d_j in enumerate(d) if d_j] or [n]  # all zero: P = 0
     lo, hi = nonzero[0], nonzero[-1]
     top, dd = _over_common_denominator(d[lo:hi + 1])
-    a, b = lo - n, n - hi
+    return top, dd, lo - n, n - hi
+
+
+def _quotient_kernel(scheme: Scheme, n: int, oracle: FunctionOracle, x: Fraction) -> Kernel:
+    """The ``Kernel`` of ``S(h,x;f) / h**n``, in integer arithmetic: for ``h = H/DH`` each
+    quotient is ``P * H**a * DH**b / DD``, with ``P`` the moments' Horner sum for ``mono``
+    and ``poly`` and ``sum A_i*F_i`` over the nodes for the others (``a = -n``, ``b = n - e``
+    and ``DD = DA*(xd*DB)**e``, since the oracle of degree ``e`` at ``u_i/D`` is ``F_i/D**e``)."""
+    kind, k = oracle.kind, oracle.degree
+    moments = kind in (ORACLE_MONOMIAL, ORACLE_POLYNOMIAL)
+    xn, xd = x.numerator, x.denominator
+    if moments:
+        top, dd, a, b = _moment_terms(scheme, n, oracle, x)
+    else:
+        coeffs, da, nodes, db = scheme._ints
+        terms = list(zip(coeffs, nodes))
+        e = {ORACLE_ABS: 1, ORACLE_SGNSQ: 2}.get(kind, k)
+        dd, a, b = da * (xd * db) ** e, -n, n - e
+        if kind == ORACLE_SUBGROUP_MONOMIAL:
+            gens, lattice_steps = _generator_lattice(oracle.generators)
     up_n, up_d, down_n, down_d = max(a, 0), max(b, 0), max(-a, 0), max(-b, 0)
 
-    def quotient(h: Fraction) -> Fraction:
-        hn, hd = h.numerator, h.denominator
-        total, power = 0, 1
-        for d_j in reversed(top):
-            total = total * hn + d_j * power
-            power *= hd
-        num = total * hn ** up_n * hd ** up_d
-        return Fraction(num, dd * hn ** down_n * hd ** down_d)
+    def quotients(steps: Sequence[Fraction]) -> list[tuple[int, int]]:
+        pairs = []
+        for h in steps:
+            hn, hd = h.numerator, h.denominator
+            total = 0
+            if moments:
+                power = 1
+                for d_j in reversed(top):
+                    total = total * hn + d_j * power
+                    power *= hd
+            else:
+                base, step = xn * db * hd, xd * hn  # u_i = base + B_i*step
+                if kind == ORACLE_ABS:
+                    for c, b_i in terms:
+                        total += c * abs(base + b_i * step)
+                elif kind == ORACLE_SGNSQ:
+                    for c, b_i in terms:
+                        u = base + b_i * step
+                        total += c * u * abs(u)
+                else:
+                    shared = _strip(xd * db * hd, gens)  # the shared denominator D
+                    left = shared[1]  # over the base, |u| leaves this cofactor too: it divides u
+                    for c, b_i in terms:
+                        u = base + b_i * step
+                        if u and not u % left:
+                            target = _over_base(u, shared, gens)
+                            if target is not None and _lattice_member(lattice_steps, target):
+                                total += c * u ** k
+            num, den = total * hn ** up_n * hd ** up_d, dd * hn ** down_n * hd ** down_d
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
+            pairs.append((num // g, den // g))
+        return pairs
 
-    return quotient
-
-
-def _quotient_kernel(
-    scheme: Scheme, n: int, oracle: FunctionOracle, x: Fraction
-) -> Callable[[Fraction], Fraction]:
-    """``h -> S(h,x;f) / h**n`` for nonzero steps, in integer arithmetic."""
-    if oracle.kind in (ORACLE_MONOMIAL, ORACLE_POLYNOMIAL):
-        return _moment_kernel(scheme, n, oracle, x)
-    coeffs, da, nodes, db = scheme._ints
-    e, node_sum = _node_sum(oracle, list(zip(coeffs, nodes)))
-    xn, xd = x.numerator, x.denominator
-
-    def quotient(h: Fraction) -> Fraction:
-        hn, hd = h.numerator, h.denominator
-        d = xd * db * hd
-        total = node_sum(xn * db * hd, xd * hn, d)
-        return Fraction(total * hd ** n, da * d ** e * hn ** n)
-
-    return quotient
+    return quotients
 
 
 @dataclass(frozen=True)
@@ -556,18 +555,27 @@ class ProbeConfig:
 
 @dataclass(frozen=True)
 class ProbeSequence:
-    """Samples along one geometric step sequence and its settled tail value."""
+    """Samples along one geometric step sequence and its settled tail value.
+
+    ``values`` holds each step's quotient as its reduced pair ``(p, q)``,
+    ``q > 0``; ``samples``, the ``(h, p/q)`` Fraction pairs, is built on first read.
+    """
 
     ratio: Fraction
     sign: int
-    samples: tuple[tuple[Fraction, Fraction], ...]
+    steps: tuple[Fraction, ...]
+    values: tuple[tuple[int, int], ...]
     settled: bool
     candidate: Optional[Fraction]
     in_group: Optional[bool] = None
     step_texts: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
+    @cached_property
+    def samples(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple((h, Fraction(p, q)) for h, (p, q) in zip(self.steps, self.values))
+
     def to_json_dict(self) -> dict:
-        texts = self.step_texts or [format_rational(h) for h, _ in self.samples]
+        texts = self.step_texts or [format_rational(h) for h in self.steps]
         return {
             "ratio": format_rational(self.ratio),
             "sign": self.sign,
@@ -575,8 +583,7 @@ class ProbeSequence:
             "candidate": format_rational(self.candidate) if self.settled else None,
             "in_group": self.in_group,
             "samples": [
-                {"h": text, "value": format_rational(v)}
-                for text, (_, v) in zip(texts, self.samples)
+                {"h": text, "value": _format_pair(p, q)} for text, (p, q) in zip(texts, self.values)
             ],
         }
 
@@ -610,13 +617,13 @@ class ProbeReport:
         }
 
 
-def _close(u: Fraction, v: Fraction, tol: Fraction) -> bool:
-    """``|u - v| <= tol * max(1, |u|, |v|)`` for ``tol > 0``, on integers.
+def _close(u: tuple[int, int], v: tuple[int, int], tol: Fraction) -> bool:
+    """``|u - v| <= tol * max(1, |u|, |v|)`` for ``tol > 0`` and the pairs ``u = (a, b)``
+    and ``v = (c, d)`` of ``a/b`` and ``c/d`` (``b``, ``d > 0``), on integers.
 
-    With ``u = a/b``, ``v = c/d`` and ``tol = s/t`` (``b``, ``d``, ``t > 0``)
-    both sides are multiplied by ``b*d*t``.
+    With ``tol = s/t`` (``t > 0``) both sides are multiplied by ``b*d*t``.
     """
-    a, b, c, d = u.numerator, u.denominator, v.numerator, v.denominator
+    (a, b), (c, d) = u, v
     bound = max(b * d, abs(a) * d, abs(c) * b)
     return tol.denominator * abs(a * d - c * b) <= tol.numerator * bound
 
@@ -688,33 +695,33 @@ def limit_probe(
     if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
         lattice = _generator_lattice(oracle.generators)
     effective = replace(cfg, ratios=tuple(ratios))
-    quotient = _quotient_kernel(scheme, order_info(scheme).order, oracle, x)
+    quotients = _quotient_kernel(scheme, order_info(scheme).order, oracle, x)
     sequences = []
     for ratio in ratios:
         for sign in (1, -1):
             steps, texts, in_group = _sequence(sign * cfg.h0, ratio, cfg.j_min, cfg.j_max, lattice)
-            samples = [(h, quotient(h)) for h in steps]
-            tail = [v for _, v in samples[-_TAIL_LENGTH:]]
+            values = tuple(quotients(steps))
+            tail = values[-_TAIL_LENGTH:]
             settled = len(tail) >= _TAIL_LENGTH and all(
                 _close(u, v, cfg.tol) for u, v in combinations(tail, 2)
             )
-            candidate = tail[-1] if settled else None
+            candidate = Fraction(*tail[-1]) if settled else None
             sequences.append(
-                ProbeSequence(ratio, sign, tuple(samples), settled, candidate, in_group, texts)
+                ProbeSequence(ratio, sign, steps, values, settled, candidate, in_group, texts)
             )
     settled_seqs = [s for s in sequences if s.settled]
     verdict, estimate, evidence = VERDICT_INCONCLUSIVE, None, ()
-    pairs = combinations(settled_seqs, 2)
+    pairs, wide = combinations(settled_seqs, 2), 10 * cfg.tol
     separated = next(
-        ((u, v) for u, v in pairs if not _close(u.candidate, v.candidate, 10 * cfg.tol)), None
+        ((u, v) for u, v in pairs if not _close(u.values[-1], v.values[-1], wide)), None
     )
     if separated is not None:
         verdict, evidence = VERDICT_DIVERGES, separated
     elif len(settled_seqs) == len(sequences):
-        candidates = [s.candidate for s in settled_seqs]
+        candidates = [s.values[-1] for s in settled_seqs]
         if all(_close(u, v, cfg.tol) for u, v in combinations(candidates, 2)):
             verdict = VERDICT_CONVERGES
-            estimate = candidates[0]
+            estimate = settled_seqs[0].candidate
     return ProbeReport(verdict, estimate, tuple(sequences), evidence, effective)
 
 

@@ -240,14 +240,19 @@ def _check_order(n: object) -> None:
         raise InvalidOrder(f"order must be a positive integer, got {_echo(shown)}")
 
 
+def _format_pair(num: int, den: int) -> str:
+    """``'num/den'``, also past the interpreter's int-to-str limit."""
+    try:
+        return f"{num}/{den}"
+    except ValueError:  # past the int-to-str limit
+        return f"{_digits(num)}/{_digits(den)}"
+
+
 def format_rational(value: Fraction) -> str:
     """Format a rational as a reduced 'p/q' string (denominator always shown)."""
     if not isinstance(value, Fraction):
         value = Fraction(value)
-    try:
-        return f"{value.numerator}/{value.denominator}"
-    except ValueError:  # past the int-to-str limit
-        return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+    return _format_pair(value.numerator, value.denominator)
 
 
 @dataclass(frozen=True, slots=True)

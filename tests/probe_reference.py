@@ -9,7 +9,9 @@ generator columns on every call with the former ``_lattice_member`` that
 ``membership_reference`` keeps.  They are kept as they were, renamed only,
 so the integer versions can be compared with them exactly.  The quotients come from the library's kernel, which
 ``test_quotient_kernel_matches_fraction_reference`` pins to plain Fraction
-sums.
+sums; each is read back as a Fraction, one step at a time, and each
+``ProbeSequence`` is built from these Fraction samples, so comparing a
+report with the library's compares every sample.
 """
 
 from dataclasses import replace
@@ -81,7 +83,7 @@ def reference_limit_probe(scheme, oracle, x=0, config=None) -> ProbeReport:
             samples = []
             for j in range(cfg.j_min, cfg.j_max + 1):
                 h = sign * cfg.h0 * ratio ** j
-                samples.append((h, quotient(h)))
+                samples.append((h, Fraction(*quotient([h])[0])))
             in_group: Optional[bool] = None
             if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
                 flags = [_fraction_membership(h, lattice) for h, _ in samples]
@@ -92,7 +94,15 @@ def reference_limit_probe(scheme, oracle, x=0, config=None) -> ProbeReport:
             )
             candidate = tail[-1] if settled else None
             sequences.append(
-                ProbeSequence(ratio, sign, tuple(samples), settled, candidate, in_group)
+                ProbeSequence(
+                    ratio,
+                    sign,
+                    tuple(h for h, _ in samples),
+                    tuple((v.numerator, v.denominator) for _, v in samples),
+                    settled,
+                    candidate,
+                    in_group,
+                )
             )
     settled_seqs = [s for s in sequences if s.settled]
     verdict, estimate, evidence = VERDICT_INCONCLUSIVE, None, ()

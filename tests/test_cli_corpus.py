@@ -10,13 +10,28 @@ stderr line of at most 300 bytes); none may raise or report an internal
 fault (exit 3).  Option values are passed as ``--opt=value``, and integer
 options get integers, so every command reaches the program rather than
 stopping in the argument parser, whose own errors print a usage line too.
+
+The same corpus runs once more in a ``python -O`` child under an
+address-space and a CPU-time limit, set on that child only, and must give
+every command the same exit code and output there.  The answered commands,
+written to one file with ``shlex.join``, run as one ``--batch`` and must
+print what they print one by one.
 """
 
+import hashlib
 import io
+import json
+import os
 import random
+import resource
+import shlex
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import grdcalc
 from grdcalc.cli import DEMOS, main
 
 SEED = 20261020
@@ -175,3 +190,61 @@ def test_every_corpus_command_answers_or_refuses_in_one_line():
     assert min(outcomes.values()) >= 40, outcomes
     assert time.process_time() - start < 5.0
 
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command through ``cli.main``."""
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _digests(outcomes: list[tuple[int, str, str]]) -> list[list]:
+    """Each exit code with one SHA-256 of its stdout and stderr."""
+    return [
+        [code, hashlib.sha256(json.dumps([out, err]).encode()).hexdigest()]
+        for code, out, err in outcomes
+    ]
+
+
+def _limit_child() -> None:
+    """Run in the child alone, before it starts: 1 GiB of address space and 60 s of CPU."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+
+def test_corpus_under_optimize_flag_in_a_limited_child():
+    # assertions stripped by -O guard nothing the answers rest on: every
+    # command exits and prints the same as in this process
+    env = dict(os.environ)
+    package_root = str(Path(grdcalc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-O", __file__, "--digests"],
+        capture_output=True, text=True, timeout=120, env=env, preexec_fn=_limit_child,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert json.loads(child.stdout) == {
+        "optimize": 1, "digests": _digests([_run(argv) for argv in corpus()])
+    }
+
+
+def test_answered_corpus_as_one_batch_file(tmp_path):
+    # every quoting the corpus makes (JSON, ';' and '/') goes through
+    # shlex.join and back through the batch tokenizer
+    answered = []
+    for argv in corpus():
+        code, out, err = _run(argv)
+        if code == 0 and not any("\n" in word for word in argv):
+            answered.append((argv, out))
+    assert len(answered) >= 90
+    batch = tmp_path / "corpus.txt"
+    text = "".join(shlex.join(argv) + "\n" for argv, _ in answered)
+    assert all(c in text for c in "'{\";/")
+    batch.write_text(text, encoding="utf-8")
+    assert _run(["--batch", str(batch)]) == (0, "".join(out for _, out in answered), "")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--digests"]:
+    digests = _digests([_run(argv) for argv in corpus()])
+    print(json.dumps({"optimize": sys.flags.optimize, "digests": digests}))

@@ -1,8 +1,13 @@
 """Exact function oracles, subgroup membership, and numeric limit probes."""
 
+import io
+import json
 import random
+import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -36,19 +41,27 @@ from grdcalc import (
     polynomial_oracle,
     riemann,
     named_scheme,
+    order_info,
+    parse_family,
+    parse_rational,
     scale,
     sgnsq_oracle,
     subgroup_membership,
     subgroup_monomial_oracle,
     verify_quantum_ggr,
 )
-from grdcalc import probes
+from grdcalc import cli, probes
 from membership_reference import _factor_rational
 from probe_reference import _fraction_close, reference_limit_probe
 from quotient_reference import _quotient as reference_quotient
 
 D2_SYM = construct_exact_symmetric([1], True, 2)
 FWD1 = construct_exact([0, 1], 1)
+
+
+def _pair(value: Fraction) -> tuple[int, int]:
+    """A Fraction as the reduced pair that the quotient kernel and ``_close`` read."""
+    return value.numerator, value.denominator
 
 
 # --- subgroup membership -------------------------------------------------------
@@ -257,15 +270,15 @@ def test_subgroup_kernel_strips_only_what_it_must(monkeypatch, x):
     if x == Fraction(-3, 7):
         # 7 stays in every D and divides no u_i = -3*DH + 7*B_i*H
         assert passing == 0
-    quotient = probes._quotient_kernel(scheme, 2, oracle, x)
+    quotients = probes._quotient_kernel(scheme, 2, oracle, x)
     stripped = []
     strip = probes._strip
     monkeypatch.setattr(probes, "_strip", lambda v, base: stripped.append(v) or strip(v, base))
-    values = [quotient(h) for h in steps]
+    values = quotients(steps)
     # one strip of D per sample, and one per term that passes the cofactor test
     assert len(stripped) <= len(steps) + passing
     monkeypatch.undo()
-    assert values == [reference_quotient(scheme, 2, oracle, x, h) for h in steps]
+    assert values == [_pair(reference_quotient(scheme, 2, oracle, x, h)) for h in steps]
 
 
 R3 = named_scheme(riemann(3))
@@ -285,16 +298,14 @@ R3 = named_scheme(riemann(3))
 )
 def test_moment_kernel_at_its_edges(scheme, oracle, constant):
     order = len(scheme.nodes) - 1
-    for x, n, h in product(
-        [Fraction(0), Fraction(1, 3)],
-        [0, order, order + 2],
-        [Fraction(1, 3) ** 40, Fraction(-3, 5), Fraction(7), Fraction(-1, 2) ** 17],
-    ):
-        got = probes._quotient_kernel(scheme, n, oracle, x)(h)
-        assert type(got) is Fraction
-        assert got == reference_quotient(scheme, n, oracle, x, h)
-        if constant is not None and n == order:
-            assert got == constant
+    steps = [Fraction(1, 3) ** 40, Fraction(-3, 5), Fraction(7), Fraction(-1, 2) ** 17]
+    for x, n in product([Fraction(0), Fraction(1, 3)], [0, order, order + 2]):
+        for h, (p, q) in zip(steps, probes._quotient_kernel(scheme, n, oracle, x)(steps)):
+            assert gcd(p, q) == 1 and q > 0
+            got = Fraction(p, q)
+            assert got == reference_quotient(scheme, n, oracle, x, h)
+            if constant is not None and n == order:
+                assert got == constant
 
 
 def test_eval_quotient_fixtures():
@@ -367,9 +378,8 @@ points = st.one_of(st.just(Fraction(0)), nonzero)
 )
 def test_quotient_kernel_matches_fraction_reference(pairs, n, oracle, x, h):
     scheme = canonicalize(pairs)
-    got = probes._quotient_kernel(scheme, n, oracle, x)(h)
-    assert type(got) is Fraction
-    assert got == reference_quotient(scheme, n, oracle, x, h)
+    got = probes._quotient_kernel(scheme, n, oracle, x)([h])
+    assert got == [_pair(reference_quotient(scheme, n, oracle, x, h))]
 
 
 @settings(max_examples=100, deadline=None)
@@ -569,6 +579,89 @@ def test_probe_report_json_shape():
     assert data["config"]["tol"] == "1/1000000000"
     assert data["evidence"] == []
     assert data["sequences"][0]["samples"][0]["h"] == "1/16"
+
+
+def _assert_samples_unbuilt_then_reference(scheme, oracle, x, report):
+    """No sequence of ``report`` has built ``samples``; read now, they are the reference's."""
+    assert all("samples" not in seq.__dict__ for seq in report.sequences)
+    want = reference_limit_probe(scheme, oracle, x, report.config)
+    assert report == want
+    n = order_info(scheme).order
+    for got, ref in zip(report.sequences, want.sequences):
+        assert got.samples == tuple(
+            (h, reference_quotient(scheme, n, oracle, x, h)) for h in ref.steps
+        )
+        assert "samples" in got.__dict__  # built once, on that first read
+
+
+@pytest.mark.parametrize(
+    "scheme, oracle, x",
+    [
+        (FWD1, abs_oracle(), Fraction(0)),
+        (D2_SYM, sgnsq_oracle(), Fraction(-1, 5)),
+        (D2_SYM, subgroup_monomial_oracle(2, [-2, Fraction(3, 5)]), Fraction(0)),
+        (named_scheme(riemann(3)), polynomial_oracle([Fraction(1, 2), -3, 0, 2]), Fraction(3, 2)),
+    ],
+)
+def test_probe_json_builds_no_fraction_samples(scheme, oracle, x):
+    report = limit_probe(scheme, oracle, x)
+    report.to_json_dict()
+    _assert_samples_unbuilt_then_reference(scheme, oracle, x, report)
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe", "riemann:n=2", "--oracle=sgnsq", "--x=1/3"],
+        ["probe", "gauss-fwd:n=2,q=-2", "--oracle=subgmono:k=2;gens=2,3", "--x=0"],
+        ["probe", "--peano=3", "--oracle=mono:k=3", "--x=1/2"],
+    ],
+)
+def test_cli_probe_builds_no_fraction_samples(monkeypatch, argv, output):
+    runs = []
+
+    def recording(scheme, oracle, x=0, config=None):
+        report = run_probe(scheme, oracle, x, config)
+        runs.append((scheme, oracle, parse_rational(x), report))
+        return report
+
+    run_probe = probes.limit_probe
+    monkeypatch.setattr(probes, "limit_probe", recording)  # the stages of peano_probe
+    monkeypatch.setattr(cli, "limit_probe", recording)
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["--output", output, *argv]) == 0
+    assert runs and out.getvalue()
+    for scheme, oracle, x, report in runs:
+        _assert_samples_unbuilt_then_reference(scheme, oracle, x, report)
+
+
+def test_sample_values_past_the_int_to_str_limit_are_printed():
+    # h = +-(1/77...7)**j and S(h)/h**4 of |x| grows as h**-3: a value of up to
+    # 4,790 characters, whose numerator alone passes the int-to-str limit
+    ratio = Fraction(1, int("7" * 40))
+    argv = ["probe", "shift:n=4,k=-1", "--oracle=abs", "--x=0", f"--ratios={ratio}"]
+    scheme = named_scheme(parse_family("shift:n=4,k=-1"))
+
+    def reference(h):
+        return format_rational(reference_quotient(scheme, 4, abs_oracle(), Fraction(0), h))
+
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["--output", "json", *argv]) == 0
+    data = json.loads(out.getvalue())
+    values = [
+        (sample["value"], reference(parse_rational(sample["h"])))
+        for sequence in data["sequences"]
+        for sample in sequence["samples"]
+    ]
+    assert len(values) == 2 * 37 and all(got == want for got, want in values)
+    longest = max(len(got.partition("/")[0]) for got, _ in values)
+    assert longest > sys.get_int_max_str_digits()
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["--output", "text", *argv]) == 0
+    lasts = [line.rpartition(" last=")[2] for line in out.getvalue().splitlines() if " last=" in line]
+    assert lasts == [reference(sign * ratio ** 40) for sign in (1, -1)]
+    assert max(len(last) for last in lasts) == max(len(got) for got, _ in values)
 
 
 # --- staged probes ----------------------------------------------------------------------
@@ -869,7 +962,7 @@ tolerances = st.fractions(min_value=0, max_value=Fraction(3), max_denominator=10
 @settings(max_examples=200)
 @given(wide, wide, tolerances)
 def test_integer_close_matches_fraction_close(u, v, tol):
-    assert probes._close(u, v, tol) == _fraction_close(u, v, tol)
+    assert probes._close(_pair(u), _pair(v), tol) == _fraction_close(u, v, tol)
 
 
 @settings(max_examples=150)
@@ -885,10 +978,10 @@ def test_integer_close_at_exact_ties(u, tol, sign, larger_v):
         v = u + sign * tol * bound
         assume(abs(v) <= bound)
     assert abs(u - v) == tol * max(1, abs(u), abs(v))
-    assert probes._close(u, v, tol) and probes._close(v, u, tol)
+    assert probes._close(_pair(u), _pair(v), tol) and probes._close(_pair(v), _pair(u), tol)
     beyond = v + (v - u) / 10 ** 9 if v != u else v + Fraction(1, 10 ** 9)
-    assert probes._close(u, beyond, tol) == _fraction_close(u, beyond, tol)
-    assert probes._close(beyond, u, tol) == _fraction_close(beyond, u, tol)
+    assert probes._close(_pair(u), _pair(beyond), tol) == _fraction_close(u, beyond, tol)
+    assert probes._close(_pair(beyond), _pair(u), tol) == _fraction_close(beyond, u, tol)
 
 
 @pytest.mark.parametrize(
@@ -906,4 +999,4 @@ def test_integer_close_at_exact_ties(u, tol, sign, larger_v):
 )
 def test_integer_close_fixed_ties(u, v, tol, close):
     assert _fraction_close(u, v, tol) is close
-    assert probes._close(u, v, tol) is close
+    assert probes._close(_pair(u), _pair(v), tol) is close

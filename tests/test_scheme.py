@@ -750,7 +750,7 @@ def test_integer_form_is_derived_once_per_object(monkeypatch):
     order_info(s)
     decompose(s, 1)
     decompose(s, 2)
-    probes._quotient_kernel(s, 3, probes.abs_oracle(), Fraction(1, 3))(Fraction(1, 2))
+    probes._quotient_kernel(s, 3, probes.abs_oracle(), Fraction(1, 3))([Fraction(1, 2)])
     assert calls == [s.coeffs, s.nodes]
 
 
