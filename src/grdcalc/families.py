@@ -25,7 +25,6 @@ from math import comb, factorial, prod
 from typing import Optional
 
 from .scheme import (
-    MAX_FAMILY_SIZE,
     CalculusError,
     InvalidOrder,
     Rationalish,
@@ -33,6 +32,7 @@ from .scheme import (
     ZeroScale,
     ZeroScheme,
     _check_budget,
+    _check_member_size,
     _check_order,
     _digits,
     _echo,
@@ -41,6 +41,7 @@ from .scheme import (
     _over_common_denominator,
     _plain,
     _require,
+    _width,
     construct_exact,
     format_rational,
     order_info,
@@ -57,7 +58,7 @@ class IndexOutOfRange(CalculusError):
 
 
 # i*(n-i) times the digits of q: bounds every product qbinom forms; README.md gives timings
-MAX_QBINOM_SIZE = 2 ** 18
+MAX_QBINOM_SIZE = 2 ** 17
 
 
 RIEMANN = "Riemann"
@@ -176,7 +177,7 @@ def qbinom(n: int, i: int, q: Rationalish) -> Fraction:
     integer polynomial ``[n, i] * b**(i*(n-i))`` in ``a`` and ``b``.  At
     ``q = 1`` it is ``comb(n, i)``; at ``q = -1`` it is 0 for even ``n`` and
     odd ``i``, and ``comb(n//2, i//2)`` otherwise.  ``i`` is replaced by
-    ``min(i, n-i)``; ``i*(n-i)`` times the digits of ``|a|`` and ``b``, at most
+    ``min(i, n-i)``; ``i*(n-i)`` times the digits of ``q`` (:func:`_width`), at most
     ``MAX_QBINOM_SIZE``, bounds every product formed to about twice as many digits.
     """
     if not (_is_int(n) and _is_int(i)):
@@ -187,8 +188,7 @@ def qbinom(n: int, i: int, q: Rationalish) -> Fraction:
     if q == 0:
         raise InvalidQ("q must be nonzero")
     i = min(i, n - i)
-    digits = len(_digits(abs(q.numerator))) + len(_digits(q.denominator))
-    _check_budget("qbinom size i*(n-i) * digits of q", i * (n - i) * digits, MAX_QBINOM_SIZE)
+    _check_budget("qbinom size i*(n-i) * digits of q", i * (n - i) * _width([q]), MAX_QBINOM_SIZE)
     if q == 1:
         return Fraction(comb(n, i))
     if q == -1:
@@ -204,38 +204,21 @@ def _ratio(kind: FamilyKind) -> Optional[Fraction]:
     return Fraction(2) if kind.variant in (MZ_TILDE, MZ_TILDE_SYMMETRIC) else kind.q
 
 
-def _power_digits(q: Fraction, power: int) -> int:
-    """An upper bound on the digits of the numerator and denominator of ``q**power``."""
-    return power * (len(_digits(q.numerator)) + len(_digits(q.denominator)))
-
-
-def _check_family_size(kind: FamilyKind) -> None:
-    """Refuse a member whose ``(n+1)**2`` times the digits of its largest node
-    exceeds ``MAX_FAMILY_SIZE``: a member's coefficients have about ``n``
-    times as many digits as its nodes, so this bounds the digits it holds.
-
-    The largest node is read off the parameters: ``|k| + n`` for the
-    equispaced families, and a power of ``q`` for the geometric ones, up to
-    ``q**(|k| + n)``, or ``q**(2**(n-1))`` for the script rows.
-    """
-    n, k = kind.n, abs(kind.k or 0)
-    size = (n + 1) ** 2
-    if size <= MAX_FAMILY_SIZE:  # so that 2**n below stays small
-        top = 2 ** (n - 1) if kind.variant in (SCRIPT_D, SCRIPT_D_BAR) else k + n
-        q = _ratio(kind)
-        size *= len(_digits(top)) if q is None else _power_digits(q, top)
-    _check_budget("family member size (n+1)**2 * largest-node digits", size, MAX_FAMILY_SIZE)
-
-
 def family_nodes(kind: FamilyKind) -> list[Fraction]:
     """The ``n+1`` distinct nodes of a family member (unsorted, no coefficients).
 
-    A member over the family budget is refused before any node is formed.
+    A member over :func:`_check_member_size` is refused before any node is
+    formed, its nodes' width read off the parameters: that of ``|k| + n`` for
+    the equispaced families, and for the geometric ones ``top`` times that of
+    ``q``, which bounds the width of the highest power ``q**top``, for ``top``
+    ``|k| + n`` or, in the script rows, ``2**(n-1)``.
     The doubling families are the forward and symmetric patterns at ``q = 2``,
     the symmetric one being ``+-|q|**i`` for ``i < (n+1)//2``, plus 0 at even ``n``.
     """
-    _check_family_size(kind)
     n, k, q = kind.n, kind.k or 0, _ratio(kind)
+    _check_member_size(n, 1)  # the order alone first, so that 2**(n-1) stays small
+    top = 2 ** (n - 1) if kind.variant in (SCRIPT_D, SCRIPT_D_BAR) else abs(k) + n
+    _check_member_size(n, _width([top]) if q is None else top * _width([q]))
     if kind.variant in (RIEMANN, RIEMANN_SHIFT):
         return [Fraction(k + j) for j in range(n + 1)]
     if kind.variant == SYMMETRIC_RIEMANN:

@@ -31,7 +31,6 @@ from .families import (
     GAUSSIAN_SYMMETRIC,
     GaussianMatch,
     _is_member,
-    _power_digits,
     family_nodes,
     gaussian_affine,
     gaussian_affine_shift,
@@ -58,6 +57,7 @@ from .scheme import (
     _is_int,
     _require,
     _sums,
+    _width,
     canonicalize,
     combine,
     decompose,
@@ -207,7 +207,12 @@ def mz_check(scheme: Scheme, symmetric_mode: bool = False) -> MzVerdict:
 
 # budgets on the work one input can ask for; README.md gives timings
 MAX_GGR_ORDER = 128
-MAX_QGGR_SIZE = 2 ** 13  # the order times the digits of the largest member node
+MAX_QGGR_SIZE = 2 ** 12  # n * (|ell| + 2n) times the digits of q, which bound the largest node's
+
+
+def _ggr_count(n: int, reduced: bool) -> int:
+    """How many backward shifts the full or reduced order-``n`` set holds."""
+    return max(1, n // 2) if reduced else n
 
 
 def ggr_set(n: int, reduced: bool = False) -> list[Scheme]:
@@ -217,8 +222,7 @@ def ggr_set(n: int, reduced: bool = False) -> list[Scheme]:
     most ``MAX_GGR_ORDER``."""
     _check_order(n)
     _check_budget("the ggr order", n, MAX_GGR_ORDER)
-    count = max(1, n // 2) if reduced else n
-    return [named_scheme(riemann_shift(n, -k)) for k in range(1, count + 1)]
+    return [named_scheme(riemann_shift(n, -k)) for k in range(1, _ggr_count(n, reduced) + 1)]
 
 
 def verify_quantum_ggr(
@@ -231,14 +235,14 @@ def verify_quantum_ggr(
     member, checked by that member's defining property (``_is_member``, on
     its nodes, formed once) on the scale's integer sums (``_sums``), no Scheme
     built; the witnesses are returned and any failure is an internal fault.
-    The nodes reach ``q**(|ell| + 2n)``, and ``n`` times the digits of that
-    node is at most ``MAX_QGGR_SIZE``.
+    The nodes reach ``q**(|ell| + 2n)``, and ``n * (|ell| + 2n)`` times the
+    digits of ``q`` (:func:`_width`) is at most ``MAX_QGGR_SIZE``.
     """
     _check_order(n)
     if not _is_int(ell):
         raise CalculusError("the shift window start must be an integer")
     q = parse_rational(q)
-    size = n * _power_digits(q, abs(ell) + 2 * n)
+    size = n * (abs(ell) + 2 * n) * _width([q])
     _check_budget("qggr size n * digits of q**(|ell|+2n)", size, MAX_QGGR_SIZE)
     base = named_scheme(gaussian_affine(n, q))
     witnesses = [(k, q ** k) for k in range(ell, ell + n + 1)]
@@ -267,14 +271,15 @@ def mz_set_check(schemes: Sequence[Scheme]) -> MzVerdict:
         if verdict.status == STATUS_MZ:
             return verdict
     _check_budget("the order of an mz-set backward-shift cover", n, MAX_GGR_ORDER)
-    # the reduced targets are a prefix of the full ones, so the count of
-    # shifts covered before the first uncovered one decides both covers
+    # the reduced targets are a prefix of the full ones, each built when the cover reaches
+    # it, so the count of shifts covered before the first uncovered one decides both covers
     covered = 0
-    for target in ggr_set(n):
+    for k in range(1, n + 1):
+        target = named_scheme(riemann_shift(n, -k))
         if not any(decide_equivalent(target, s).equivalent for s in schemes):
             break
         covered += 1
-    if covered >= len(ggr_set(n, reduced=True)):
+    if covered >= _ggr_count(n, reduced=True):
         certificate = Certificate(CERT_GGR_SET, n=n, reduced=covered < n)
         return MzVerdict(STATUS_MZ, certificate, CONJECTURE_NONE)
     riemann_governed = all(

@@ -66,12 +66,12 @@ from .scheme import (
     Rationalish,
     Scheme,
     _check_budget,
-    _digits,
     _echo,
     _format_pair,
     _int_field,
     _is_int,
     _over_common_denominator,
+    _width,
     format_rational,
     moment,
     order_info,
@@ -292,9 +292,8 @@ def _check_size(
         for ratio in _auto_subgroup_ratios(oracle):
             if ratio not in ratios:
                 ratios.append(ratio)
-    digits = max(len(_digits(max(abs(q.numerator), q.denominator))) for q in (x, cfg.h0, *ratios))
     product = "depth * max(j_max, degree)**2 * max(degree, 1) * digits"
-    _check_budget(f"the probe size {product}", size * digits, MAX_PROBE_SIZE)
+    _check_budget(f"the probe size {product}", size * _width((x, cfg.h0, *ratios)), MAX_PROBE_SIZE)
     return ratios
 
 

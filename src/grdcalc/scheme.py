@@ -223,14 +223,27 @@ def _plain(value: Fraction) -> str:
     return _digits(value.numerator) if value.denominator == 1 else format_rational(value)
 
 
-# (n+1)**2 times the most digits of a node: bounds construct_exact and every family member
+# (n+1)**2 times the digit width of the nodes: bounds construct_exact and every family member
 MAX_FAMILY_SIZE = 2 ** 21
+
+
+def _width(values: Iterable[Fraction]) -> int:
+    """The decimal digits of the largest ``|numerator|`` or denominator among ``values``
+    (Fractions or ints): the one digit measure of every work budget."""
+    return len(_digits(max(max(abs(v.numerator), v.denominator) for v in values)))
 
 
 def _check_budget(what: str, value: int, limit: int) -> None:
     """Refuse ``value`` above ``limit``: every work budget of the package, in one message shape."""
     if value > limit:
         raise OrderBudgetExceeded(f"{what} must be at most {limit}, got {_echo(_digits(value))}")
+
+
+def _check_member_size(n: int, width: int) -> None:
+    """Refuse the order-``n`` scheme on ``n+1`` nodes ``width`` digits wide (:func:`_width`)
+    when ``(n+1)**2 * width`` exceeds ``MAX_FAMILY_SIZE``: its coefficients have about
+    ``n`` times as many digits as its nodes, so this bounds the digits it holds."""
+    _check_budget("member size (n+1)**2 * node digits", (n + 1) ** 2 * width, MAX_FAMILY_SIZE)
 
 
 def _check_order(n: object) -> None:
@@ -443,8 +456,7 @@ def construct_exact(nodes: Sequence[Rationalish], n: int) -> Scheme:
     The moment conditions ``m_j = 0`` for ``j < n`` and ``m_n = n!`` have the
     closed-form (Lagrange) solution ``a_i = n! / prod_{j != i} (b_i - b_j)``:
     ``n!`` times the leading coefficient of the i-th Lagrange basis
-    polynomial on the nodes.  ``(n+1)**2`` times the most digits of a node's
-    numerator or denominator is at most ``MAX_FAMILY_SIZE``.
+    polynomial on the nodes, refused over :func:`_check_member_size`.
     """
     _check_order(n)
     points = [parse_rational(b) for b in nodes]
@@ -455,9 +467,7 @@ def construct_exact(nodes: Sequence[Rationalish], n: int) -> Scheme:
         )
     if len(set(points)) != len(points):
         raise DuplicateNodes("nodes must be distinct")
-    widest = max(max(abs(b.numerator), b.denominator) for b in points)
-    size = (n + 1) ** 2 * len(_digits(widest))
-    _check_budget("construct size (n+1)**2 * node digits", size, MAX_FAMILY_SIZE)
+    _check_member_size(n, _width(points))
     return canonicalize(zip(_lagrange_weights(points, factorial(n)), points))
 
 

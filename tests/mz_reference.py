@@ -12,7 +12,10 @@ members, and drops the last, because the member loop decides it first; the
 reference tests pin those deletions to this form.
 
 ``reference_verify_quantum_ggr`` is the body ``verify_quantum_ggr`` once
-had, kept unchanged apart from its name: it builds every shifted member and
+had, kept unchanged apart from its name and its size, which it counts itself
+with the package's digit rule written out (``n * (|ell| + 2n)`` times the
+digits of ``max(|a|, b)`` for ``q = a/b``), so a wrong ``_width`` moves the
+package's limit away from the reference's: it builds every shifted member and
 compares each scale of the base member with it.  ``verify_quantum_ggr`` now
 builds the base member only and checks each scale by the shifted member's
 defining property on integers: its nodes and its integer moments, read off
@@ -31,7 +34,6 @@ from grdcalc.families import (
     GAUSSIAN_AFFINE,
     GAUSSIAN_FORWARD,
     GAUSSIAN_SYMMETRIC,
-    _power_digits,
     gaussian_affine,
     gaussian_affine_shift,
     mz_tilde,
@@ -200,7 +202,7 @@ def reference_verify_quantum_ggr(
     if not _is_int(ell):
         raise CalculusError("the shift window start must be an integer")
     q = parse_rational(q)
-    size = n * _power_digits(q, abs(ell) + 2 * n)
+    size = n * (abs(ell) + 2 * n) * len(str(max(abs(q.numerator), q.denominator)))
     if size > MAX_QGGR_SIZE:
         raise OrderBudgetExceeded(
             f"qggr too large: the order times the digits of q**(|ell|+2n) is"

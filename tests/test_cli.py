@@ -948,10 +948,10 @@ NINES_5000 = "9" * 5000
     "argv, message",
     [
         # integers past the 4,300-digit int-from-str limit are integers, refused by their limits
-        (["recognize", f"riemann:n={NINES_5000}"], "error: family member size "),
+        (["recognize", f"riemann:n={NINES_5000}"], "error: member size "),
         (
             ["scale", f"gauss-aff:n=2,k={NINES_5000},q=2", "--by", "1"],
-            "error: family member size ",
+            "error: member size ",
         ),
         (
             ["probe", "riemann:n=1", f"--oracle=mono:k={NINES_5000}", "--x=1"],
@@ -1007,7 +1007,7 @@ BUDGET_REFUSAL = re.compile(r"^error: .+ must be at most \d+, got ")
         ["construct", "--pairs", ",".join(map(str, range(1, 419))), "--zero", "--order", "836"],
         ["ggr", "--order", "129"],
         ["mz-set", "riemann:n=130", "shift:n=130,k=-2"],
-        # 3 * 2 * (1359 + 6) = 8190 is answered
+        # 3 * (1359 + 6) * 1 = 4095 is answered
         ["qggr", "--order", "3", "--ell", "1360", "--q", "3/2"],
         # qbinom has no verb: its budget is read through the library
         ["qbinom", 256, 128, Fraction(10 ** 10 + 1, 10 ** 10)],
@@ -1030,14 +1030,14 @@ def test_every_budget_refuses_in_one_shape(capsys, argv):
     assert len(err.encode()) <= 300
 
 
-FAMILY_REFUSAL = r"^family member size \(n\+1\)\*\*2 \* largest-node digits must be at most "
+FAMILY_REFUSAL = r"^member size \(n\+1\)\*\*2 \* node digits must be at most "
 
 
 def _gaussian_class_member():
-    # gauss-aff:n=101,q=3/2 as given nodes: construct counts their 49 digits, while
-    # the Gaussian search's candidate member counts its nodes up to (3/2)**101
-    nodes = [Fraction(3, 2) ** i for i in range(102)]
-    return class_member(construct_exact(nodes, 101), 1, 1, 3)
+    # gauss-aff:n=128,q=2 as given nodes: construct counts their 39 digits, while
+    # the Gaussian search's candidate member counts 128 times the digits of q
+    nodes = [2 ** i for i in range(129)]
+    return class_member(construct_exact(nodes, 128), 1, 1, 3)
 
 
 @pytest.mark.parametrize(
@@ -1068,11 +1068,18 @@ def test_library_refusals_are_typed_and_short(call, error, message):
     assert len(str(refused.value).encode()) <= 300
 
 
+def test_a_gaussian_member_is_answered_where_construct_answers_its_nodes(capsys):
+    # recognize gauss-aff:n=101,q=3/2 was refused while construct answered its 102 nodes
+    code, out, err = run(capsys, ["--output", "json", "recognize", "gauss-aff:n=101,q=3/2"])
+    assert code == 0 and not err
+    assert json.loads(out)["match"] == {"variant": "GaussianAffine", "q": "3/2", "b": "1/1", "n": 101}
+
+
 def test_the_construct_and_qbinom_budgets_answer_at_their_limits(capsys):
     # the nodes of riemann:n=835, the largest equispaced member, as a list
     argv = ["--output", "json", "construct", "--nodes", ",".join(map(str, range(836))), "--order", "835"]
     code, out, err = run(capsys, argv)
     assert code == 0 and not err
     assert json.loads(out) == scheme_to_json_dict(named_scheme(riemann(835)))
-    # README's slowest qbinom case: 128 * 128 * (7 + 7) = 229,376
+    # README's slowest qbinom case: 128 * 128 * 7 = 114,688
     assert qbinom(256, 128, Fraction(1000001, 1000000)) > 0

@@ -48,6 +48,7 @@ from grdcalc import (
 )
 from grdcalc import families
 from grdcalc.families import _VARIANTS, _match_candidates
+from grdcalc.scheme import MAX_FAMILY_SIZE
 
 sane_q = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4
@@ -98,10 +99,10 @@ def test_qbinom_bounds_n():
     assert qbinom(40, 17, q) == qbinom(40, 23, q) == qbinom_product_oracle(40, 17, q)
     for n in (257, 800, 10 ** 5000):
         assert qbinom(n, 0, 2) == 1
-    # 1 * 131072 * 2 = 262144 is the size limit itself
+    # 1 * 131072 * 1 = 131072 is the size limit itself
     assert qbinom(131073, 1, 2) == 2 ** 131073 - 1
     limit = families.MAX_QBINOM_SIZE
-    with pytest.raises(OrderBudgetExceeded, match=f"must be at most {limit}, got 262146$"):
+    with pytest.raises(OrderBudgetExceeded, match=f"must be at most {limit}, got 131073$"):
         qbinom(131074, 1, 2)
 
 
@@ -534,7 +535,7 @@ def test_family_string_errors():
 
 
 def test_family_budget_refuses_before_building():
-    limit = families.MAX_FAMILY_SIZE
+    limit = MAX_FAMILY_SIZE
     # (n+1)**2 times the digits of n: riemann:n=835 is the largest equispaced member
     assert 836 ** 2 * 3 <= limit < 837 ** 2 * 3
     assert parse_family("riemann:n=835") == FamilyKind("Riemann", 835)
@@ -543,7 +544,7 @@ def test_family_budget_refuses_before_building():
         "riemann:n=999999999999",
         "gauss-aff:n=2,k=10000000,q=3/2",  # nodes up to (3/2)**10000002
         "scriptD:n=1000000000,q=2",  # 2**(n-1) is never formed
-        "gauss-fwd:n=60,q=1000001/1000000",
+        "gauss-fwd:n=67,q=1000001/1000000",  # 68**2 * 67 * 7 = 2,168,656
         "mz-tilde:n=128",
     ):
         # the parser only parses; the member's nodes are where the budget stands
@@ -558,4 +559,57 @@ def test_family_budget_sits_far_above_the_golden_and_benchmark_inputs():
     # orders up to 16 with q up to two digits over one, and the script rows up to n = 12
     for text in ("gauss-aff:n=16,q=5/2", "gauss-aff:n=16,k=16,q=-3/2", "scriptD-bar:n=12,q=3/2"):
         family_nodes(parse_family(text))
-    assert 17 ** 2 * 32 * 2 * 100 < families.MAX_FAMILY_SIZE
+    assert 17 ** 2 * 32 * 2 * 100 < MAX_FAMILY_SIZE
+
+
+def test_gaussian_member_answered_where_construct_answers_its_nodes():
+    # gauss-aff:n=101,q=3/2 was refused (size 2,101,608) while construct answered its nodes
+    kind = gaussian_affine(101, Fraction(3, 2))
+    assert named_scheme(kind) == construct_exact(family_nodes(kind), 101)
+
+
+@pytest.mark.parametrize(
+    "text, last",
+    [
+        ("gauss-aff:n={},q=3/2", 127),  # 128**2 * 127 * 1 = 2,080,768
+        ("gauss-aff:n={},q=2", 127),
+        ("gauss-aff:n={},q=-3/2", 127),  # the sign of q is no digit
+        ("gauss-aff:n={},q=1000001/1000000", 66),  # 67**2 * 66 * 7 = 2,073,918
+        ("gauss-aff:n={},q=1/10", 100),  # 101**2 * 100 * 2 = 2,040,200
+        ("scriptD-bar:n={},q=3/2", 14),  # 15**2 * 2**13 * 1 = 1,843,200
+        ("riemann:n={}", 835),  # 836**2 * 3 = 2,096,688
+    ],
+)
+def test_family_limit_falls_at_the_last_member_answered(text, last):
+    family_nodes(parse_family(text.format(last)))
+    with pytest.raises(OrderBudgetExceeded, match="^member size "):
+        family_nodes(parse_family(text.format(last + 1)))
+
+
+def _construct_width(nodes):
+    """The digits of the largest |numerator| or denominator among ``nodes``, written out."""
+    return len(str(max(max(abs(b.numerator), b.denominator) for b in nodes)))
+
+
+WIDE_Q = (Fraction(3, 2), -2, 10, Fraction(1, 10), Fraction(-1001, 7), Fraction(7, 100))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_family_size_bounds_construct_size_on_the_formed_nodes(monkeypatch, n):
+    # the family rule reads the width off the parameters; construct reads it off
+    # the nodes, and the family's is never the smaller, so a member answered by
+    # the family rule is answered by construct_exact
+    widths = []
+
+    def recording(order, width, _original=families._check_member_size):
+        widths.append(width)
+        return _original(order, width)
+
+    monkeypatch.setattr(families, "_check_member_size", recording)
+    for variant, (_, takes_k, takes_q) in _VARIANTS.items():
+        if variant == MZ_TILDE_SYMMETRIC and n < 2:
+            continue
+        for k in range(-12, 13, 3) if takes_k else [None]:
+            for q in WIDE_Q if takes_q else [None]:
+                nodes = family_nodes(FamilyKind(variant, n, k=k, q=q))
+                assert widths.pop() >= _construct_width(nodes)

@@ -42,6 +42,7 @@ from grdcalc import (
     class_member,
     construct_exact,
     construct_exact_symmetric,
+    family_nodes,
     gaussian_affine,
     gaussian_affine_shift,
     gaussian_forward,
@@ -310,8 +311,8 @@ def test_verify_quantum_ggr_refuses_one_moved_node(monkeypatch):
 def test_ggr_and_qggr_budgets():
     with pytest.raises(OrderBudgetExceeded, match="at most 128, got 129$"):
         ggr_set(mz.MAX_GGR_ORDER + 1)
-    # the order times the digits of q**(|ell| + 2n): 3 * 2 * 1372 = 8232 > 8192
-    with pytest.raises(OrderBudgetExceeded, match="at most 8192, got 8232$"):
+    # n * (|ell| + 2n) * digits of q: 3 * 1372 * 1 = 4116 > 4096
+    with pytest.raises(OrderBudgetExceeded, match="at most 4096, got 4116$"):
         verify_quantum_ggr(3, 1366, Fraction(3, 2))
     assert len(verify_quantum_ggr(3, 1359, Fraction(3, 2))) == 4
     with pytest.raises(OrderBudgetExceeded):
@@ -325,6 +326,29 @@ def test_verify_quantum_ggr_input_gates():
         verify_quantum_ggr(0, 0, 2)
     with pytest.raises(CalculusError):
         verify_quantum_ggr(2, "x", 2)
+
+
+@pytest.mark.parametrize(
+    "members, reads, verdict",
+    [
+        # riemann:n=8 is open and not a backward shift: the cover stops at shift 1
+        ([], [1], (STATUS_OPEN, None)),
+        # shifts 1 and 2 are covered and 3 is not: short of the reduced set of 4
+        ([1, 2], [1, 2, 3], (STATUS_OPEN, None)),
+        # shifts 1..4 are the reduced set; 5..7 are their reflections, and 8 is not covered
+        ([1, 2, 3, 4], [1, 2, 3, 4, 5, 6, 7, 8], (STATUS_MZ, True)),
+    ],
+)
+def test_mz_set_builds_only_the_shifts_its_cover_reads(monkeypatch, members, reads, verdict):
+    # each set is given on its nodes, so no member is kept before the count starts
+    shifts = [family_nodes(riemann_shift(8, -k)) for k in members]
+    schemes = [construct_exact(nodes, 8) for nodes in shifts or [range(9)]]
+    calls = _count_family_nodes(monkeypatch)
+    found = mz_set_check(schemes)
+    certificate = found.certificate
+    assert (found.status, certificate and certificate.reduced) == verdict
+    read = [-kind.k for kind in calls if kind.variant == families.RIEMANN_SHIFT]
+    assert read == reads
 
 
 def test_set_verdict_member_rule():

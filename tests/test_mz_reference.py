@@ -37,6 +37,8 @@ from grdcalc import (
     symmetric_riemann,
     verify_quantum_ggr,
 )
+from grdcalc.mz import MAX_QGGR_SIZE
+from grdcalc.scheme import OrderBudgetExceeded
 from mz_reference import (
     reference_mz_check,
     reference_mz_set_check,
@@ -169,3 +171,25 @@ def test_quantum_ggr_matches_reference(q):
     for n in range(1, 13):
         for ell in (-3, 0, 2):
             assert verify_quantum_ggr(n, ell, q) == reference_verify_quantum_ggr(n, ell, q)
+
+
+def _refused(check, *args) -> bool:
+    try:
+        check(*args)
+    except OrderBudgetExceeded:
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "q", [Fraction(3, 2), Fraction(-3, 2), 10, Fraction(1, 10), Fraction(-1001, 7), Fraction(7, 100)]
+)
+def test_quantum_ggr_limit_matches_reference(q):
+    # at order 1 the size is (|ell| + 2) * digits of q, and the last answered
+    # shift is where the reference's own count puts it, in both directions
+    digits = len(str(max(abs(Fraction(q).numerator), Fraction(q).denominator)))
+    last = MAX_QGGR_SIZE // digits - 2
+    for ell in (last, -last, last + 1, -last - 1):
+        refused = _refused(reference_verify_quantum_ggr, 1, ell, q)
+        assert refused == (abs(ell) > last)
+        assert _refused(verify_quantum_ggr, 1, ell, q) == refused
