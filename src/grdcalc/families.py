@@ -27,6 +27,7 @@ from typing import Optional
 from .scheme import (
     CalculusError,
     InvalidOrder,
+    OrderInfo,
     Rationalish,
     Scheme,
     ZeroScale,
@@ -38,6 +39,7 @@ from .scheme import (
     _echo,
     _int_field,
     _is_int,
+    _leading,
     _over_common_denominator,
     _plain,
     _require,
@@ -249,34 +251,29 @@ def named_scheme(kind: FamilyKind) -> Scheme:
     distinct nodes, built once by the closed-form (Lagrange) construction of
     :func:`construct_exact`.  A symmetric member is no exception: its nodes
     are ``n+1`` distinct points, so the unique exact scheme on them is the
-    symmetric one.  Since the scheme is unique, its nodes and its defining
-    moments (``m_j = 0`` for ``j < n`` and ``m_n = n!``) are a complete check
-    of the build, :func:`_is_member` on its integer form and the same nodes, formed
-    once, and every variant gets it (a zero coefficient cannot pass: the unique
-    scheme has none).  A failed check would mean an internal arithmetic fault and
-    raises ``IdentityCheckFailed`` on every read, since the memo keeps no failure.
+    symmetric one.  Since the scheme is unique, its nodes and its defining moments
+    (``m_j = 0`` for ``j < n``, ``m_n = n!``) check every variant's build completely
+    (a zero coefficient cannot pass: the unique scheme has none).  :func:`_is_member`
+    reads them on the integer form and the nodes, formed once, by the one moment pass
+    of order detection (``scheme._leading``), so the member keeps the order it proves.
+    A failed check, an internal fault, raises ``IdentityCheckFailed`` on every read.
     """
-    nodes = family_nodes(kind)
-    built = construct_exact(nodes, kind.n)
-    _require(_is_member(built._ints, nodes, kind.n), "%s fails its defining moments", kind)
+    nodes, n = family_nodes(kind), kind.n
+    built = construct_exact(nodes, n)
+    _require(_is_member(built._ints, nodes, n), "%s fails its defining moments", kind)
+    object.__setattr__(built, "_order", OrderInfo(n, Fraction(factorial(n)), Fraction(1)))
     return built
 
 
 def _is_member(form: tuple, nodes: list[Fraction], n: int) -> bool:
     """Whether the integer form ``(A, da, B, db)``, coefficients ``A_i / da`` at nodes
     ``B_i / db``, is the order-``n`` member on ``nodes`` (the caller's ``family_nodes``):
-    on those nodes, with ``sum A_i * B_i**j`` zero for ``j < n`` and ``n! * da * db**n``
-    at ``j = n``.  That is complete (see :func:`named_scheme`); no Scheme, order or
-    Fraction is formed."""
-    A, da, B, db = form
+    on those nodes, with first nonzero moment ``m_n = n!`` (``scheme._leading``).  That
+    is complete (see :func:`named_scheme`); no Scheme, order or Fraction is formed."""
+    _, da, B, db = form
     given, e = _over_common_denominator(nodes)
-    if sorted(b * e for b in B) != sorted(x * db for x in given):
-        return False
-    for _ in range(n):  # m_j * da * db**j, one running power per node
-        if sum(A):
-            return False
-        A = [a * b for a, b in zip(A, B)]
-    return sum(A) == factorial(n) * da * db ** n
+    on_nodes = sorted(b * e for b in B) == sorted(x * db for x in given)
+    return on_nodes and _leading(form, n + 1) == (n, factorial(n) * da * db ** n)
 
 
 @dataclass(frozen=True)

@@ -232,9 +232,9 @@ def verify_quantum_ggr(
 
     For each shift ``k`` in ``ell..ell+n`` the scale by exactly ``q**k`` of
     the unshifted geometric member, the one member built, must be the shifted
-    member, checked by that member's defining property (``_is_member``, on
-    its nodes, formed once) on the scale's integer sums (``_sums``), no Scheme
-    built; the witnesses are returned and any failure is an internal fault.
+    member: ``_is_member`` checks its nodes, formed once, and its moments, by the
+    one moment pass ``scheme._leading``, on the scale's integer sums (``_sums``), no
+    Scheme built; the witnesses are returned and any failure is an internal fault.
     The nodes reach ``q**(|ell| + 2n)``, and ``n * (|ell| + 2n)`` times the
     digits of ``q`` (:func:`_width`) is at most ``MAX_QGGR_SIZE``.
     """

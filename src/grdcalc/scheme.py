@@ -418,16 +418,23 @@ def order_info(scheme: Scheme) -> OrderInfo:
     return scheme._order
 
 
-def _find_order(scheme: Scheme) -> OrderInfo:
-    # one running-power pass over integers: m_j = sum_i A_i * B_i**j / (da * db**j)
-    powers, da, bases, db = scheme._ints
-    for j in range(len(scheme)):
+def _leading(form: tuple, limit: int) -> tuple[int, int]:
+    """``(j, m_j * da * db**j)`` for the least ``j < limit`` with ``m_j != 0``, else ``(limit, 0)``:
+    the one running-power pass over an integer form ``(A, da, B, db)`` that finds moments."""
+    powers, _, bases, _ = form
+    for j in range(limit):
         total = sum(powers)
-        if total != 0:
-            m_j = Fraction(total, da * db ** j)
-            return OrderInfo(j, m_j, Fraction(factorial(j)) / m_j)
+        if total:
+            return j, total
         powers = [a * b for a, b in zip(powers, bases)]
-    raise IdentityCheckFailed("nonzero scheme with all leading moments zero")
+    return limit, 0
+
+
+def _find_order(scheme: Scheme) -> OrderInfo:
+    (j, total), (_, da, _, db) = _leading(scheme._ints, len(scheme)), scheme._ints
+    _require(total != 0, "nonzero scheme with all leading moments zero")
+    m_j = Fraction(total, da * db ** j)
+    return OrderInfo(j, m_j, Fraction(factorial(j)) / m_j)
 
 
 def normalized(scheme: Scheme) -> Scheme:
@@ -509,14 +516,17 @@ def scale(scheme: Scheme, r: Rationalish) -> Scheme:
     """Scale by ``r``: nodes become ``r*b`` and coefficients ``a/r**n``.
 
     This is the change of variable ``h -> r*h`` compensated so that the
-    result differentiates ``n`` times with the same normalizer.
+    result keeps the input's order data: its moments are ``r**(j-n) * m_j``.
     """
     r = parse_rational(r)
     if r == 0:
         raise ZeroScale("scale factor must be nonzero")
     if scheme.is_zero:
         raise ZeroScheme("cannot scale the zero scheme")
-    return combine([(r ** -order_info(scheme).order, r, scheme)])
+    info = order_info(scheme)
+    scaled = combine([(r ** -info.order, r, scheme)])
+    object.__setattr__(scaled, "_order", info)
+    return scaled
 
 
 def reflect(scheme: Scheme) -> Scheme:

@@ -92,6 +92,13 @@ def test_scale_family_string(capsys):
     assert json.loads(out) == scheme_to_json_dict(expected)
 
 
+def test_text_scale_detects_no_order(capsys, derivations):
+    # the member carries the order its check proved, and the scale keeps it
+    code, out, _ = run(capsys, ["scale", "gauss-aff:n=8,q=3/2", "--by", "2"])
+    assert code == 0 and out.splitlines()[1] == "order: 8   normalizer: 1/1"
+    assert derivations.orders == []
+
+
 def test_decompose_inline_json(capsys):
     code, out, _ = run(capsys, ["--output", "json", "decompose", D31_JSON])
     assert code == 0

@@ -21,6 +21,8 @@ from grdcalc import (
     InvalidOrder,
     InvalidQ,
     OrderBudgetExceeded,
+    OrderInfo,
+    Scheme,
     canonicalize,
     construct_exact,
     construct_exact_symmetric,
@@ -244,6 +246,21 @@ def test_every_member_is_the_exact_scheme_on_its_nodes(n):
             base = abs(kind.q) if kind.q is not None else 2
             pairs = [base ** i for i in range((n + 1) // 2)]
             assert built == construct_exact_symmetric(pairs, n % 2 == 0, n)
+
+
+def test_a_named_member_carries_the_order_its_check_proved(derivations):
+    for kind in (gaussian_affine(4, Fraction(3, 2)), riemann_shift(3, -1), script_d_bar(3, 2)):
+        member = named_scheme(kind)
+        for _ in range(3):
+            assert order_info(member) == OrderInfo(kind.n, factorial(kind.n), 1)
+    assert derivations.orders == []
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_members_order_is_the_one_detected_afresh(n):
+    for kind in _table_members(n):
+        member = named_scheme(kind)
+        assert order_info(member) == order_info(Scheme(member.terms)), kind
 
 
 def _assert_candidates_are_valid(scheme, n):

@@ -243,6 +243,10 @@ TEXT_CASES = {
     "text_equiv": _equiv(D31, D31_MEMBER),
     "text_mz_check": ["mz-check", D31_MEMBER],
     "text_probe": ["probe", "--peano", "2", "--oracle", "sgnsq"],
+    # the order line of a scale is its input's order data, and of a construct its own
+    "text_scale_member": ["scale", "gauss-aff:n=4,q=3/2", "--by", "-2"],
+    "text_scale_unnormalized": ["scale", DOUBLED_FORWARD, "--by", "3"],
+    "text_construct": ["construct", "--nodes", "-1,0,1,2", "--order", "3"],
 }
 
 # commands that exit 2; each stderr line names the refusal

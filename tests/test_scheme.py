@@ -38,8 +38,10 @@ from grdcalc import (
     is_scale,
     is_symmetric,
     moment,
+    named_scheme,
     normalized,
     order_info,
+    parse_family,
     parse_rational,
     reflect,
     scale,
@@ -541,6 +543,32 @@ def test_scale_properties(case, r):
     assert scale(s, 1) == s
 
 
+SCALE_FACTORS = (2, Fraction(-1, 3), Fraction(-7, 5))
+# schemes of orders 0 to 3 whose normalizers are 1/2, 1/2, 1/3 and 1/5
+UNNORMALIZED_JSON = (
+    '{"terms":[{"coeff":"1","node":"0"},{"coeff":"1","node":"1"}]}',
+    '{"terms":[{"coeff":"-2","node":"0"},{"coeff":"2","node":"1"}]}',
+    '{"terms":[{"coeff":"3","node":"0"},{"coeff":"-6","node":"1"},{"coeff":"3","node":"2"}]}',
+    '{"terms":[{"coeff":"-5","node":"0"},{"coeff":"15","node":"1"},'
+    '{"coeff":"-15","node":"2"},{"coeff":"5","node":"3"}]}',
+)
+
+
+def test_scale_keeps_its_inputs_order(derivations):
+    # m_j of the scale is r**(j-n) * m_j, so order, leading moment and normalizer stay
+    members = ("gauss-aff:n=3,q=3/2", "shift:n=4,k=-1", "gauss-sym:n=5,q=-2", "riemann-sym:n=2")
+    inputs = [named_scheme(parse_family(text)) for text in members]
+    inputs += [scheme_from_json(text) for text in UNNORMALIZED_JSON]
+    assert [order_info(s).order for s in inputs] == [3, 4, 5, 2, 0, 1, 2, 3]
+    for s in inputs:
+        for r in SCALE_FACTORS:
+            derivations.clear()
+            scaled = scale(s, r)
+            assert all(order_info(scaled) == order_info(s) for _ in range(3))
+            assert derivations.orders == []
+            assert order_info(scaled) == order_info(Scheme(scaled.terms)), (s, r)
+
+
 def test_reflect_involution_and_even_scale():
     s = construct_exact([0, 1, 2], 2)
     assert reflect(reflect(s)) == s
@@ -688,6 +716,12 @@ def test_matches_under_optimize_flag():
     result = run_child([sys.executable, "-O", "-c", code])
     assert result.returncode == 0, result.stdout + result.stderr[-2000:]
     assert result.stdout == "_matches agrees with reference_combine, asserts off\n"
+
+
+@given(small_schemes.filter(lambda s: not s.is_zero), dilations.filter(bool))
+def test_a_scales_kept_order_is_the_one_detected_afresh(s, r):
+    scaled = scale(s, r)
+    assert order_info(scaled) == order_info(Scheme(scaled.terms))
 
 
 @settings(max_examples=200, deadline=None)
