@@ -17,6 +17,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -87,21 +88,23 @@ def _csv_rationals(text: str) -> list[Fraction]:
 
 
 def _records(rows: list, indent: str) -> Optional[list[str]]:
-    """Items of flat dicts with the same str keys in one order and str values (probe
-    samples, scheme terms), written through one template; None for other lists."""
+    """Items of flat dicts with the same str keys in one order and str values (probe samples,
+    scheme terms), as one text from C-level checks and one ``%`` on the repeated row template
+    (values are its arguments); None for other lists, most of which leave at the first row."""
     first = rows[0] if rows else None
     if not (isinstance(first, dict) and first and all(isinstance(v, str) for v in first.values())):
         return None
     keys = tuple(first)
-    if not all(isinstance(row, dict) and tuple(row) == keys for row in rows):
+    if set(map(type, rows)) != {dict} or list(map(tuple, rows)).count(keys) != len(rows):
+        return None
+    try:  # encode_basestring_ascii raises TypeError on anything but a str
+        values = tuple(map(encode_basestring_ascii, chain.from_iterable(map(dict.values, rows))))
+    except TypeError:
         return None
     inner = indent + "  "
     fields = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
     template = "{" + inner + ("," + inner).join(fields) + indent + "}"
-    try:  # encode_basestring_ascii raises TypeError on anything but a str
-        return [template % tuple(map(encode_basestring_ascii, row.values())) for row in rows]
-    except TypeError:
-        return None
+    return [("," + indent).join([template] * len(rows)) % values]
 
 
 def _json(value: object, indent: str = "\n") -> str:
@@ -109,7 +112,7 @@ def _json(value: object, indent: str = "\n") -> str:
     dicts with str keys, lists, str, int, bool and None.
 
     The standard library encodes indented JSON in pure Python; this writes
-    the same text with a fraction of the calls.
+    the same text with a fraction of the calls (a record list in one pass).
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)

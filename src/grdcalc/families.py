@@ -27,7 +27,6 @@ from typing import Optional
 from .scheme import (
     CalculusError,
     InvalidOrder,
-    OrderInfo,
     Rationalish,
     Scheme,
     ZeroScale,
@@ -255,13 +254,13 @@ def named_scheme(kind: FamilyKind) -> Scheme:
     (``m_j = 0`` for ``j < n``, ``m_n = n!``) check every variant's build completely
     (a zero coefficient cannot pass: the unique scheme has none).  :func:`_is_member`
     reads them on the integer form and the nodes, formed once, by the one moment pass
-    of order detection (``scheme._leading``), so the member keeps the order it proves.
+    of order detection (``scheme._leading``); the order it proves is the one that
+    :func:`construct_exact` hands the member, so no reader detects it again.
     A failed check, an internal fault, raises ``IdentityCheckFailed`` on every read.
     """
     nodes, n = family_nodes(kind), kind.n
     built = construct_exact(nodes, n)
     _require(_is_member(built._ints, nodes, n), "%s fails its defining moments", kind)
-    object.__setattr__(built, "_order", OrderInfo(n, Fraction(factorial(n)), Fraction(1)))
     return built
 
 

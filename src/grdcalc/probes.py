@@ -37,8 +37,10 @@ subgroup and 0 off it), and the quotient is
 subgroup test strips the shared ``D`` over the base once per sample,
 without ``_membership``, and strips a ``u_i`` only when the cofactor ``D``
 leaves divides it: ``u_i/D`` is over the base only when ``|u_i|`` leaves
-that same cofactor.  The tail test compares ``a/b`` and ``c/d`` under the
-tolerance ``s/t`` as ``t*|a*d - c*b| <= s*max(b*d, |a|*d, |c|*b)``.
+that same cofactor; a zero node's term, ``x`` at every step, is decided
+once per kernel.  The tail test compares ``a/b`` and ``c/d`` under the
+tolerance ``s/t`` as ``t*|a*d - c*b| <= s*max(b*d, |a|*d, |c|*b)``, and
+skips equal pairs: a pair is close to itself.
 
 Limits keep a probe's work bounded: the Peano depth is at most
 ``MAX_PEANO_DEPTH``, the last exponent ``j_max`` at most ``MAX_J``, and
@@ -252,8 +254,8 @@ def _generator_lattice(generators: tuple[Fraction, ...]) -> Lattice:
 # integers: ``_sequence`` (once per sequence and lattice),
 # ``FunctionOracle.evaluate`` and ``subgroup_membership`` pass a Fraction's
 # parts and look the generators' lattice up once, not once per sample.  The
-# quotient kernel does not call it: it strips each sample's shared
-# denominator once and strips only the terms that its cofactor divides.
+# quotient kernel does not call it: it decides node 0 (``x``) once, strips each
+# sample's shared denominator once and only the terms that its cofactor divides.
 # Nothing is cached; the zero-size lru_cache stays only so that perfbench
 # can count the calls as ``cache_info()`` misses.
 @lru_cache(maxsize=0)
@@ -478,6 +480,10 @@ def _quotient_kernel(scheme: Scheme, n: int, oracle: FunctionOracle, x: Fraction
         dd, a, b = da * (xd * db) ** e, -n, n - e
         if kind == ORACLE_SUBGROUP_MONOMIAL:
             gens, lattice_steps = _generator_lattice(oracle.generators)
+            target = _over_base(xn, _strip(xd, gens), gens) if xn else None  # node 0: u/D = x
+            on_group = target is not None and _lattice_member(lattice_steps, target)
+            zero = on_group * sum(c for c, b_i in terms if not b_i)
+            terms = [(c, b_i) for c, b_i in terms if b_i]
     up_n, up_d, down_n, down_d = max(a, 0), max(b, 0), max(-a, 0), max(-b, 0)
 
     def quotients(steps: Sequence[Fraction]) -> list[tuple[int, int]]:
@@ -502,6 +508,7 @@ def _quotient_kernel(scheme: Scheme, n: int, oracle: FunctionOracle, x: Fraction
                 else:
                     shared = _strip(xd * db * hd, gens)  # the shared denominator D
                     left = shared[1]  # over the base, |u| leaves this cofactor too: it divides u
+                    total = zero * base ** k if zero else 0
                     for c, b_i in terms:
                         u = base + b_i * step
                         if u and not u % left:
@@ -701,24 +708,25 @@ def limit_probe(
             steps, texts, in_group = _sequence(sign * cfg.h0, ratio, cfg.j_min, cfg.j_max, lattice)
             values = tuple(quotients(steps))
             tail = values[-_TAIL_LENGTH:]
-            settled = len(tail) >= _TAIL_LENGTH and all(
+            settled = len(tail) >= _TAIL_LENGTH and (len(set(tail)) == 1 or all(
                 _close(u, v, cfg.tol) for u, v in combinations(tail, 2)
-            )
+            ))
             candidate = Fraction(*tail[-1]) if settled else None
             sequences.append(
                 ProbeSequence(ratio, sign, steps, values, settled, candidate, in_group, texts)
             )
     settled_seqs = [s for s in sequences if s.settled]
     verdict, estimate, evidence = VERDICT_INCONCLUSIVE, None, ()
+    one_limit = len({s.values[-1] for s in settled_seqs}) <= 1  # no pair to tell apart
     pairs, wide = combinations(settled_seqs, 2), 10 * cfg.tol
-    separated = next(
+    separated = None if one_limit else next(
         ((u, v) for u, v in pairs if not _close(u.values[-1], v.values[-1], wide)), None
     )
     if separated is not None:
         verdict, evidence = VERDICT_DIVERGES, separated
     elif len(settled_seqs) == len(sequences):
         candidates = [s.values[-1] for s in settled_seqs]
-        if all(_close(u, v, cfg.tol) for u, v in combinations(candidates, 2)):
+        if one_limit or all(_close(u, v, cfg.tol) for u, v in combinations(candidates, 2)):
             verdict = VERDICT_CONVERGES
             estimate = settled_seqs[0].candidate
     return ProbeReport(verdict, estimate, tuple(sequences), evidence, effective)

@@ -461,9 +461,9 @@ def construct_exact(nodes: Sequence[Rationalish], n: int) -> Scheme:
     """The unique normalized scheme of order ``n`` on ``n+1`` distinct nodes.
 
     The moment conditions ``m_j = 0`` for ``j < n`` and ``m_n = n!`` have the
-    closed-form (Lagrange) solution ``a_i = n! / prod_{j != i} (b_i - b_j)``:
-    ``n!`` times the leading coefficient of the i-th Lagrange basis
-    polynomial on the nodes, refused over :func:`_check_member_size`.
+    closed-form (Lagrange) solution ``a_i = n! / prod_{j != i} (b_i - b_j)``: ``n!`` times
+    the leading coefficient of the i-th Lagrange basis polynomial on the nodes, refused over
+    :func:`_check_member_size`.  The result keeps the ``OrderInfo(n, n!, 1)`` they fix.
     """
     _check_order(n)
     points = [parse_rational(b) for b in nodes]
@@ -475,7 +475,9 @@ def construct_exact(nodes: Sequence[Rationalish], n: int) -> Scheme:
     if len(set(points)) != len(points):
         raise DuplicateNodes("nodes must be distinct")
     _check_member_size(n, _width(points))
-    return canonicalize(zip(_lagrange_weights(points, factorial(n)), points))
+    built = canonicalize(zip(_lagrange_weights(points, factorial(n)), points))
+    object.__setattr__(built, "_order", OrderInfo(n, Fraction(factorial(n)), Fraction(1)))
+    return built
 
 
 def construct_exact_symmetric(

@@ -99,6 +99,13 @@ def test_text_scale_detects_no_order(capsys, derivations):
     assert derivations.orders == []
 
 
+def test_text_construct_detects_no_order(capsys, derivations):
+    # construct_exact hands its result the order data its closed form fixes
+    code, out, _ = run(capsys, ["construct", "--nodes", "-1,0,1,2", "--order", "3"])
+    assert code == 0 and out.splitlines()[1] == "order: 3   normalizer: 1/1"
+    assert derivations.orders == []
+
+
 def test_decompose_inline_json(capsys):
     code, out, _ = run(capsys, ["--output", "json", "decompose", D31_JSON])
     assert code == 0
@@ -810,7 +817,8 @@ MISFITS = ("order", "missing", "extra", "int", "none", "nested", "list", "row")
 def record_lists(draw, misfit):
     keys = draw(record_keys)
     values = st.tuples(*[str_values] * len(keys))
-    rows = [dict(zip(keys, v)) for v in draw(st.lists(values, min_size=1, max_size=5))]
+    # up to 40 rows, about a probe sequence's sample count
+    rows = [dict(zip(keys, v)) for v in draw(st.lists(values, min_size=1, max_size=40))]
     if misfit is None:
         return rows
     kind = draw(st.sampled_from(MISFITS))
@@ -844,6 +852,14 @@ def test_json_emitter_falls_back_on_a_misfit_row(rows):
     assert cli._records(rows, "\n  ") is None
     for value in (rows, {"samples": rows}):
         assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_a_list_whose_first_row_is_no_record_leaves_before_encoding(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "encode_basestring_ascii", lambda s: calls.append(s) or s)
+    rows = [{"order": 1, "verdict": "mz"}] + [{"h": "1/2", "value": "3"}] * 30
+    assert cli._records(rows, "\n  ") is None
+    assert calls == []
 
 
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)

@@ -257,7 +257,8 @@ def test_subgroup_kernel_strips_only_what_it_must(monkeypatch, x):
         for sign in (1, -1)
         for j in range(4, 41)
     ]
-    # the terms whose u_i the cofactor of the shared D (what 2 and 3 leave of it) divides
+    # the terms at nonzero nodes whose u_i the cofactor of the shared D (what 2 and 3
+    # leave of it) divides; the zero node's u_i/D is x at every step, decided once
     coeffs, _, nodes, db = scheme._ints
     passing = 0
     for h in steps:
@@ -266,7 +267,7 @@ def test_subgroup_kernel_strips_only_what_it_must(monkeypatch, x):
             while cofactor % p == 0:
                 cofactor //= p
         base, step = x.numerator * db * h.denominator, x.denominator * h.numerator
-        passing += sum(1 for b in nodes if (u := base + b * step) and u % cofactor == 0)
+        passing += sum(1 for b in nodes if b and (u := base + b * step) and u % cofactor == 0)
     if x == Fraction(-3, 7):
         # 7 stays in every D and divides no u_i = -3*DH + 7*B_i*H
         assert passing == 0
@@ -405,6 +406,9 @@ def test_eval_quotient_matches_fraction_reference(nodes, oracle, x, h):
         (named_scheme(riemann(3)), polynomial_oracle([Fraction(1, 2), -3, 0, 2]), Fraction(3, 2)),
         (D2_SYM, subgroup_monomial_oracle(2, [-2, Fraction(3, 5)]), 0),
         (construct_exact([Fraction(-1, 2), Fraction(1, 3), 2], 2), monomial_oracle(3), Fraction(4, 3)),
+        # a zero node at a point in <2, 3>, and at one outside it (-1 is not in <2, 3>)
+        (named_scheme(riemann(3)), subgroup_monomial_oracle(2, [2, 3]), Fraction(4, 3)),
+        (named_scheme(riemann(3)), subgroup_monomial_oracle(2, [2, 3]), Fraction(-3, 2)),
     ],
 )
 def test_limit_probe_samples_match_fraction_reference(scheme, oracle, x):
@@ -413,6 +417,17 @@ def test_limit_probe_samples_match_fraction_reference(scheme, oracle, x):
     for sequence in report.sequences:
         for h, value in sequence.samples:
             assert value == reference_quotient(scheme, n, oracle, Fraction(x), h)
+
+
+def test_a_tail_of_one_repeated_pair_is_settled_without_close_tests(monkeypatch):
+    # every quotient of x**3 under the third Riemann difference is m_3 = 6
+    calls = []
+    close = probes._close
+    monkeypatch.setattr(probes, "_close", lambda *args: calls.append(args) or close(*args))
+    report = limit_probe(R3, monomial_oracle(3), Fraction(1, 3))
+    assert {value for s in report.sequences for value in s.values} == {(6, 1)}
+    assert report.verdict == VERDICT_CONVERGES and report.estimate == 6
+    assert calls == []
 
 
 @settings(max_examples=40)

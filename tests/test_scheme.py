@@ -391,6 +391,14 @@ def test_construct_moment_conditions(case):
     assert info.order == n and info.normalizer == 1
 
 
+@settings(max_examples=60)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), distinct_nodes(n))))
+def test_a_constructed_schemes_order_is_the_one_detected_afresh(case):
+    n, nodes = case
+    built = construct_exact(nodes, n)
+    assert order_info(built) == order_info(Scheme(built.terms))
+
+
 def test_symmetric_construction_fixtures():
     second = construct_exact_symmetric([1], True, 2)
     assert second == canonicalize([(1, -1), (-2, 0), (1, 1)])
