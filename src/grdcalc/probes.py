@@ -7,14 +7,14 @@ limits (diverges), or neither (inconclusive).  Every sample is an exact
 rational because the test functions here are exactly evaluable on
 rationals; the verdicts are still evidence, not proof, and the reports say
 so.  The subgroup-supported monomials need exact membership in a finitely
-generated multiplicative subgroup of the nonzero rationals.  No prime is
-needed: gcd factor refinement (Bach, Driscoll and Shallit, J. Algorithms
-15, 1993) splits the generators into a pairwise coprime base, whose
-elements are divided out of the sample point's numerator and denominator.
-The point is over the base exactly when the two leave equal cofactors, so
-the pair need not be reduced, and its exponent vector over the base is then
-decided by forward substitution in the generators' lattice, which is
-reduced to echelon form once per generator tuple.
+generated multiplicative subgroup of the nonzero rationals; one function,
+``_in_group``, decides it.  No prime is needed: gcd factor refinement (Bach,
+Driscoll and Shallit, J. Algorithms 15, 1993) splits the generators into a
+pairwise coprime base, whose elements are divided out of the point's
+numerator and denominator.  The point is over the base exactly when the two
+leave equal cofactors, so the pair need not be reduced, and its exponent
+vector over the base is then decided by forward substitution in the
+generators' lattice, reduced to echelon form once per generator tuple.
 
 Every per-sample step runs on integers.  A sequence is walked by one
 multiplication per step, ``h *= rho``, from ``sign * h0 * rho**j_min``, and
@@ -34,11 +34,11 @@ each ``x + b_i*h`` is ``u_i/D`` with ``D = xd*DB*DH`` and
 ``F_i/D**e`` (``F_i`` is ``|u_i|``, ``u_i*|u_i|``, or ``u_i**k`` on the
 subgroup and 0 off it), and the quotient is
 ``sum A_i*F_i * DH**n / (DA*D**e * H**n)``, reduced by one gcd.  The
-subgroup test strips the shared ``D`` over the base once per sample,
-without ``_membership``, and strips a ``u_i`` only when the cofactor ``D``
-leaves divides it: ``u_i/D`` is over the base only when ``|u_i|`` leaves
-that same cofactor; a zero node's term, ``x`` at every step, is decided
-once per kernel.  The tail test compares ``a/b`` and ``c/d`` under the
+subgroup kernel strips the shared ``D`` over the base once per sample and
+asks ``_in_group`` about ``u_i/D`` only when the cofactor ``D`` leaves
+divides ``u_i``: ``u_i/D`` is over the base only when ``|u_i|`` leaves that
+same cofactor; a zero node's term, ``x`` at every step, is decided once
+per kernel.  The tail test compares ``a/b`` and ``c/d`` under the
 tolerance ``s/t`` as ``t*|a*d - c*b| <= s*max(b*d, |a|*d, |c|*b)``, and
 skips equal pairs: a pair is close to itself.
 
@@ -110,21 +110,6 @@ ProbeBoundExceeded = OrderBudgetExceeded  # a public name of the same class, for
 MAX_PEANO_DEPTH = 16
 MAX_J = 256
 MAX_PROBE_SIZE = 2 ** 22
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with a*x + b*y = g >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_x, x = x, old_x - quotient * x
-        old_y, y = y, old_y - quotient * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 # Echelon steps of an integer column lattice: for each row, the pivot column
@@ -218,8 +203,9 @@ def _generator_lattice(generators: tuple[Fraction, ...]) -> Lattice:
     vectors plus the doubled sign coordinate (sign flips only matter mod 2).
     Row by row, gcd column operations, which preserve the lattice, reduce
     the columns not yet used to one pivot column (Hermite-style; Cohen, *A
-    Course in Computational Algebraic Number Theory*, section 2.4).  None of
-    this depends on a target, so it runs once per generator tuple.
+    Course in Computational Algebraic Number Theory*, section 2.4); any Bezout
+    pair, here from ``pow``, gives a unimodular step.  None of this depends
+    on a target, so it runs once per generator tuple.
     """
     base = _coprime_base([v for g in generators for v in (abs(g.numerator), g.denominator)])
     cols = [_over_base(g.numerator, _strip(g.denominator, base), base) for g in generators]
@@ -234,7 +220,9 @@ def _generator_lattice(generators: tuple[Fraction, ...]) -> Lattice:
                     pivot = j
                 else:
                     a, b = cols[pivot][row], cols[j][row]
-                    g, x, y = _xgcd(a, b)
+                    g = gcd(a, b)
+                    x = pow(a // g, -1, abs(b // g))  # 0 when b // g is +-1
+                    y = (g - a * x) // b
                     combo = [x * u + y * v for u, v in zip(cols[pivot], cols[j])]
                     kernel = [
                         -(b // g) * u + (a // g) * v
@@ -250,19 +238,22 @@ def _generator_lattice(generators: tuple[Fraction, ...]) -> Lattice:
     return base, tuple(steps)
 
 
-# Membership of ``num/den`` (``den > 0``, reduced or not), decided on
-# integers: ``_sequence`` (once per sequence and lattice),
-# ``FunctionOracle.evaluate`` and ``subgroup_membership`` pass a Fraction's
-# parts and look the generators' lattice up once, not once per sample.  The
-# quotient kernel does not call it: it decides node 0 (``x``) once, strips each
-# sample's shared denominator once and only the terms that its cofactor divides.
-# Nothing is cached; the zero-size lru_cache stays only so that perfbench
-# can count the calls as ``cache_info()`` misses.
+def _in_group(num: int, den_strip: tuple[list[int], int], lattice: Lattice) -> bool:
+    """Whether ``num/den != 0`` is in the lattice's group; ``den_strip = _strip(den, base)``."""
+    base, steps = lattice
+    target = _over_base(num, den_strip, base)
+    return target is not None and _lattice_member(steps, target)
+
+
+# ``_in_group`` is the one membership test.  This is its entry for callers with
+# a plain denominator: ``_sequence`` (once per sequence and lattice),
+# ``FunctionOracle.evaluate`` and ``subgroup_membership``.  The quotient
+# kernel calls ``_in_group`` itself, with a denominator it strips once per
+# sample.  Nothing is cached; the zero-size lru_cache stays only so that
+# perfbench can count the calls as ``cache_info()`` misses.
 @lru_cache(maxsize=0)
 def _membership(num: int, den: int, lattice: Lattice) -> bool:
-    base, steps = lattice
-    target = _over_base(num, _strip(den, base), base)
-    return target is not None and _lattice_member(steps, target)
+    return _in_group(num, _strip(den, lattice[0]), lattice)
 
 
 def subgroup_membership(x: Rationalish, generators: Sequence[Rationalish]) -> bool:
@@ -438,7 +429,7 @@ def eval_quotient(
     x, h = parse_rational(x), parse_rational(h)
     if h == 0:
         raise ZeroStep("the step h must be nonzero")
-    _check_size(oracle, 1, ProbeConfig(j_min=0, j_max=1))
+    _check_size(oracle, 1, ProbeConfig(h0=h, j_min=0, j_max=1), x)
     return Fraction(*_quotient_kernel(scheme, order_info(scheme).order, oracle, x)([h])[0])
 
 
@@ -479,9 +470,9 @@ def _quotient_kernel(scheme: Scheme, n: int, oracle: FunctionOracle, x: Fraction
         e = {ORACLE_ABS: 1, ORACLE_SGNSQ: 2}.get(kind, k)
         dd, a, b = da * (xd * db) ** e, -n, n - e
         if kind == ORACLE_SUBGROUP_MONOMIAL:
-            gens, lattice_steps = _generator_lattice(oracle.generators)
-            target = _over_base(xn, _strip(xd, gens), gens) if xn else None  # node 0: u/D = x
-            on_group = target is not None and _lattice_member(lattice_steps, target)
+            lattice = _generator_lattice(oracle.generators)
+            gens = lattice[0]
+            on_group = xn != 0 and _in_group(xn, _strip(xd, gens), lattice)  # node 0: u/D = x
             zero = on_group * sum(c for c, b_i in terms if not b_i)
             terms = [(c, b_i) for c, b_i in terms if b_i]
     up_n, up_d, down_n, down_d = max(a, 0), max(b, 0), max(-a, 0), max(-b, 0)
@@ -511,10 +502,8 @@ def _quotient_kernel(scheme: Scheme, n: int, oracle: FunctionOracle, x: Fraction
                     total = zero * base ** k if zero else 0
                     for c, b_i in terms:
                         u = base + b_i * step
-                        if u and not u % left:
-                            target = _over_base(u, shared, gens)
-                            if target is not None and _lattice_member(lattice_steps, target):
-                                total += c * u ** k
+                        if u and not u % left and _in_group(u, shared, lattice):
+                            total += c * u ** k
             num, den = total * hn ** up_n * hd ** up_d, dd * hn ** down_n * hd ** down_d
             g = gcd(num, den) if den > 0 else -gcd(num, den)
             pairs.append((num // g, den // g))

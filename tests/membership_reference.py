@@ -12,7 +12,9 @@ answers; on a number it cannot factor it raises
 a reduced pair is divided by the base elements (``_reduced_over_base``, the
 library's former ``_over_base``, renamed only) and every call eliminates
 the generator columns afresh with ``_lattice_member``, which is the
-library's former ``_lattice_member`` as well.
+library's former ``_lattice_member`` as well.  Its ``_xgcd`` is the
+library's former extended Euclid; the library now takes each Bezout pair
+from ``pow(a, -1, m)``, so this file keeps the reference to compare with.
 """
 
 from fractions import Fraction

@@ -189,6 +189,10 @@ def test_zero_scheme_rejected():
         equivalent_gaussian(canonicalize([]))
 
 
+def test_no_gaussian_is_equivalent_to_an_order_0_scheme():
+    assert equivalent_gaussian(canonicalize([(1, 0)])) is None
+
+
 # --- decision paths -------------------------------------------------------------
 
 

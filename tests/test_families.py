@@ -23,6 +23,7 @@ from grdcalc import (
     OrderBudgetExceeded,
     OrderInfo,
     Scheme,
+    ZeroScheme,
     canonicalize,
     construct_exact,
     construct_exact_symmetric,
@@ -346,6 +347,13 @@ def test_family_errors():
         mz_tilde_symmetric(1)
 
 
+def test_family_kind_refuses_unknown_variants_and_stray_shifts():
+    with pytest.raises(CalculusError, match=r"^unknown family variant 'Nope'$"):
+        FamilyKind("Nope", 2)
+    with pytest.raises(CalculusError, match=r"^variant Riemann and shift k disagree$"):
+        FamilyKind(families.RIEMANN, 2, k=1)
+
+
 @settings(max_examples=40)
 @given(st.integers(min_value=1, max_value=5), sane_q)
 def test_affine_closed_form_agrees_with_solver(n, q):
@@ -436,6 +444,11 @@ def test_recognize_rejects():
     assert recognize_gaussian(construct_exact([-1, 0, 1, 2], 3)) is None
 
 
+def test_recognize_refuses_the_zero_scheme():
+    with pytest.raises(ZeroScheme):
+        recognize_gaussian(Scheme())
+
+
 # --- scale partners ----------------------------------------------------------
 
 
@@ -466,6 +479,15 @@ def test_partner_bounds():
     first = recognize_gaussian(named_scheme(gaussian_forward(1, 3)))
     # order-1 forward patterns are degenerate; no distinct partners
     assert scale_partners(first) == []
+
+
+def test_partners_only_of_geometric_variants():
+    script = GaussianMatch(families.SCRIPT_D, Fraction(2), Fraction(1), 3)
+    with pytest.raises(CalculusError, match=r"^variant ScriptD has no geometric scale partners$"):
+        scale_partners(script)
+    # a Riemann match is refused before that, by its FamilyKind: Riemann takes no q
+    with pytest.raises(CalculusError, match=r"^variant Riemann and ratio q disagree$"):
+        scale_partners(GaussianMatch(families.RIEMANN, Fraction(2), Fraction(1), 3))
 
 
 def test_recognition_builds_no_member(monkeypatch):

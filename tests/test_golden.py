@@ -347,6 +347,9 @@ REFUSALS = {
     "refuse_mz_set_mixed_orders_long": ["mz-set", *(f"riemann:n={n}" for n in range(1, 41))],
     # --zero belongs to --pairs; --nodes lists every node itself
     "refuse_construct_nodes_with_zero": ["construct", "--nodes", "0,1", "--order", "1", "--zero"],
+    "refuse_construct_nodes_empty": ["construct", "--nodes", ",", "--order", "1"],
+    # a batch file holds the commands; an inline verb beside it is refused, not dropped
+    "refuse_batch_with_inline_verb": ["--batch", "no-such-batch.txt", "demo", "E1"],
 }
 # a refusal quotes its input with a bounded echo, so no stderr file grows past this
 REFUSAL_BYTES = 300

@@ -8,7 +8,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grdcalc import subgroup_membership
+from grdcalc import probes, subgroup_membership
 from grdcalc.probes import _coprime_base, _generator_lattice, _membership
 from membership_reference import (
     FactorizationBoundExceeded,
@@ -199,3 +199,46 @@ def test_cofactor_cases(num, den, gens, member):
     gens = tuple(Fraction(v) for v in gens)
     assert _membership(num, den, _generator_lattice(gens)) is member
     assert reference_membership(Fraction(num, den), gens) is member
+
+
+# generator tuples whose lattice reduction meets each kind of Bezout pair
+# (a, b), a on the pivot column: b dividing a, so that |b/g| = 1 (the
+# exponents 3 and 1 of 8 and 2, and 2 and -1 of 9 and 1/3), a negative entry
+# (-3 and 2 of 1/216 and 36 over 6) and entries sharing a factor (4 and 6 of
+# 16 and 64 over 2); the sign rows and the reduced columns add more pairs
+BEZOUT_GENERATORS = [
+    (Fraction(2), Fraction(8)),
+    (Fraction(1, 3), Fraction(9)),
+    (Fraction(36), Fraction(1, 216)),
+    (Fraction(6), Fraction(16), Fraction(64)),
+    (Fraction(16), Fraction(-64)),
+    (Fraction(-16, 27), Fraction(64, 9), Fraction(1, 6)),
+    (Fraction(-8, 9), Fraction(1, 12), Fraction(36, 5), Fraction(-25)),
+]
+
+
+def test_bezout_pairs_of_every_kind_keep_the_lattice(monkeypatch):
+    calls = []
+
+    def spy(f):
+        return lambda *args: calls.append((f, args)) or f(*args)
+
+    monkeypatch.setattr(probes, "gcd", spy(gcd))
+    monkeypatch.setattr(probes, "pow", spy(pow), raising=False)
+    lattices = [_generator_lattice.__wrapped__(gens) for gens in BEZOUT_GENERATORS]
+    monkeypatch.undo()
+    # each pair's pow call follows the gcd of its two pivot entries
+    pairs = [calls[i - 1][1] for i, (f, _) in enumerate(calls) if f is pow]
+    assert any(abs(b // gcd(a, b)) == 1 for a, b in pairs)
+    assert any(a < 0 or b < 0 for a, b in pairs)
+    assert any(gcd(a, b) > 1 for a, b in pairs)
+    rng = random.Random(36)
+    for gens, lattice in zip(BEZOUT_GENERATORS, lattices):
+        assert lattice == _generator_lattice(gens)
+        for _ in range(60):
+            x = Fraction(rng.choice([1, -1])) * rng.choice(STRAYS + [Fraction(5, 7)])
+            for g in gens:
+                x *= g ** rng.randint(-4, 4)
+            want = reference_membership(x, gens)
+            assert reference_coprime_membership(x, gens) == want
+            assert _membership(x.numerator, x.denominator, lattice) == want, (x, gens)

@@ -138,6 +138,10 @@ def test_oracle_validation():
         monomial_oracle(-1)
     with pytest.raises(ZeroInput):
         subgroup_monomial_oracle(2, [2, 0])
+    with pytest.raises(CalculusError, match=r"^unknown oracle kind 'nope'$"):
+        probes.FunctionOracle("nope")
+    with pytest.raises(CalculusError, match=r"^subgroup monomials need generators$"):
+        probes.FunctionOracle("subgmono", degree=2)
 
 
 @pytest.mark.parametrize(
@@ -247,27 +251,36 @@ def test_in_group_flags_are_decided_once_per_sequence_and_lattice():
     assert [s.in_group for s in second.sequences] == [s.in_group for s in first.sequences]
 
 
-@pytest.mark.parametrize("x", [Fraction(-3, 7), Fraction(4, 3), Fraction(0)])
-def test_subgroup_kernel_strips_only_what_it_must(monkeypatch, x):
-    scheme = named_scheme(riemann(2))
-    oracle = subgroup_monomial_oracle(2, [2, 3])
-    steps = [
-        sign * ratio ** j
-        for ratio in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(-2, 3))
-        for sign in (1, -1)
-        for j in range(4, 41)
-    ]
-    # the terms at nonzero nodes whose u_i the cofactor of the shared D (what 2 and 3
-    # leave of it) divides; the zero node's u_i/D is x at every step, decided once
-    coeffs, _, nodes, db = scheme._ints
+# the steps of a subgmono:k=2;gens=2,3 probe, with the ratio -2/3 added
+SUBGROUP_STEPS = [
+    sign * ratio ** j
+    for ratio in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(-2, 3))
+    for sign in (1, -1)
+    for j in range(4, 41)
+]
+
+
+def _passing_terms(scheme: Scheme, x: Fraction, steps) -> int:
+    """The terms at nonzero nodes whose u_i the cofactor of the shared D (what 2 and 3
+    leave of it) divides; the zero node's u_i/D is x at every step, decided once."""
+    _, _, nodes, db = scheme._ints
     passing = 0
     for h in steps:
-        d = cofactor = x.denominator * db * h.denominator
+        cofactor = x.denominator * db * h.denominator
         for p in (2, 3):
             while cofactor % p == 0:
                 cofactor //= p
         base, step = x.numerator * db * h.denominator, x.denominator * h.numerator
         passing += sum(1 for b in nodes if b and (u := base + b * step) and u % cofactor == 0)
+    return passing
+
+
+@pytest.mark.parametrize("x", [Fraction(-3, 7), Fraction(4, 3), Fraction(0)])
+def test_subgroup_kernel_strips_only_what_it_must(monkeypatch, x):
+    scheme = named_scheme(riemann(2))
+    oracle = subgroup_monomial_oracle(2, [2, 3])
+    steps = SUBGROUP_STEPS
+    passing = _passing_terms(scheme, x, steps)
     if x == Fraction(-3, 7):
         # 7 stays in every D and divides no u_i = -3*DH + 7*B_i*H
         assert passing == 0
@@ -280,6 +293,23 @@ def test_subgroup_kernel_strips_only_what_it_must(monkeypatch, x):
     assert len(stripped) <= len(steps) + passing
     monkeypatch.undo()
     assert values == [_pair(reference_quotient(scheme, 2, oracle, x, h)) for h in steps]
+
+
+def test_subgroup_kernel_decides_membership_in_one_function(monkeypatch):
+    scheme, x = named_scheme(riemann(2)), Fraction(4, 3)
+    oracle = subgroup_monomial_oracle(2, [2, 3])
+    calls = []
+    in_group = probes._in_group
+    monkeypatch.setattr(probes, "_in_group", lambda *args: calls.append(args) or in_group(*args))
+    misses = probes._membership.cache_info().misses
+    quotients = probes._quotient_kernel(scheme, 2, oracle, x)
+    assert len(calls) == 1  # the zero node: x itself
+    values = quotients(SUBGROUP_STEPS)
+    # once more per term that passes the cofactor test, and never through _membership
+    assert len(calls) == 1 + _passing_terms(scheme, x, SUBGROUP_STEPS) > 1
+    assert probes._membership.cache_info().misses == misses
+    monkeypatch.undo()
+    assert values == [_pair(reference_quotient(scheme, 2, oracle, x, h)) for h in SUBGROUP_STEPS]
 
 
 R3 = named_scheme(riemann(3))
@@ -833,6 +863,25 @@ def test_eval_quotient_answers_up_to_degree_161():
     assert eval_quotient(scheme, top, x, h) == reference_quotient(scheme, 2, top, x, h)
     with pytest.raises(ProbeBoundExceeded, match=rf"{SIZE_REFUSAL} .*, got {162 ** 3}$"):
         eval_quotient(scheme, monomial_oracle(162), x, h)
+
+
+def test_eval_quotient_sizes_its_own_point_and_step(monkeypatch):
+    # a 300-digit x once took 7 s here; the probe of the same point refuses it
+    scheme, oracle = named_scheme(riemann(4)), monomial_oracle(161)
+    wide = Fraction(int("7" * 300), 3)
+    with pytest.raises(ProbeBoundExceeded) as probe:
+        limit_probe(scheme, oracle, wide)
+    assert str(probe.value).endswith(f", got {161 ** 3 * 300}")
+
+    def no_kernel(*args):
+        raise AssertionError("sampled before the size check")
+
+    monkeypatch.setattr(probes, "_quotient_kernel", no_kernel)
+    with pytest.raises(ProbeBoundExceeded) as single:
+        eval_quotient(scheme, oracle, wide, Fraction(1, 3))
+    assert str(single.value) == str(probe.value)
+    with pytest.raises(ProbeBoundExceeded, match=rf"{SIZE_REFUSAL} .*, got {161 ** 3 * 300}$"):
+        eval_quotient(scheme, oracle, Fraction(1, 3), 1 / wide)
 
 
 def test_probe_size_is_bounded_on_the_product_of_the_limits():

@@ -871,6 +871,16 @@ def test_json_errors():
         scheme_from_json('{"terms": [{"coeff": "1"}]}')
 
 
+def test_json_terms_that_are_not_a_list_are_refused():
+    with pytest.raises(CalculusError, match=r"^'terms' must be a list$"):
+        scheme_from_json('{"terms": {}}')
+
+
+def test_format_rational_takes_an_int():
+    assert format_rational(3) == "3/1"
+    assert format_rational(-12) == "-12/1"
+
+
 @settings(max_examples=60)
 @given(st.lists(st.tuples(rationals, rationals), max_size=6))
 def test_json_round_trip(pairs):
