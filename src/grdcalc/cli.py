@@ -318,18 +318,9 @@ def _probe_lines(report: ProbeReport) -> list[str]:
 
 def _cmd_probe(args: argparse.Namespace) -> tuple[dict, list[str]]:
     oracle = parse_oracle(args.oracle)
-    overrides = {}
-    if args.h0 is not None:
-        overrides["h0"] = parse_rational(args.h0)
-    if args.ratios is not None:
-        overrides["ratios"] = tuple(_csv_rationals(args.ratios))
-    if args.jmin is not None:
-        overrides["j_min"] = args.jmin
-    if args.jmax is not None:
-        overrides["j_max"] = args.jmax
-    if args.tol is not None:
-        overrides["tol"] = parse_rational(args.tol)
-    config = ProbeConfig(**overrides) if overrides else None
+    ratios = None if args.ratios is None else _csv_rationals(args.ratios)
+    given = dict(h0=args.h0, ratios=ratios, j_min=args.jmin, j_max=args.jmax, tol=args.tol)
+    config = ProbeConfig(**{key: value for key, value in given.items() if value is not None})
     x = parse_rational(args.x)
     if args.peano is not None:
         if args.scheme is not None:

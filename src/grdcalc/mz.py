@@ -400,6 +400,8 @@ def n_times_check(chain: Sequence[tuple[int, ChainEntry]]) -> NTimesReport:
         entry = entries[order]
         if isinstance(entry, ContinuityMarker):
             raise CalculusError("continuity markers are only valid at order 0")
+        if not isinstance(entry, Scheme):
+            raise CalculusError(f"entry at position {order} is a {type(entry).__name__}, not a scheme")
         detected = order_info(entry).order
         if detected != order:
             raise CalculusError(

@@ -47,8 +47,8 @@ Limits keep a probe's work bounded: the Peano depth is at most
 ``depth * max(j_max, degree)**2 * max(degree, 1)`` (depth 1 for a single
 probe; the degree, a monomial's exponent or a polynomial's highest power,
 has no cap of its own) times the most decimal digits of a numerator or
-denominator of ``x``, ``h0``, a configured ratio or a ratio that a subgroup
-oracle adds at most ``MAX_PROBE_SIZE``; larger inputs are refused with
+denominator of ``x``, ``h0`` and each ratio it runs (``x`` and ``h`` for
+``eval_quotient``) at most ``MAX_PROBE_SIZE``; larger inputs are refused with
 ``OrderBudgetExceeded``, or ``ProbeBoundExceeded``, before any sample.
 """
 
@@ -274,20 +274,14 @@ def subgroup_membership(x: Rationalish, generators: Sequence[Rationalish]) -> bo
 
 
 def _check_size(
-    oracle: FunctionOracle, depth: int, cfg: ProbeConfig, x: Fraction = Fraction(0)
-) -> list[Fraction]:
-    """Refuse a probe over the size bound; return the ratios it counted and the probe runs:
-    the configured ones, then those that a subgroup oracle adds."""
+    oracle: FunctionOracle, depth: int, j_max: int, numbers: Sequence[Fraction]
+) -> None:
+    """Refuse a probe over the size bound: ``depth`` stages up to ``j_max``, where
+    ``numbers`` are the point, the first step and each ratio that the probe reads."""
     degree = max(oracle.degree, len(oracle.coeffs) - 1)  # k, or a polynomial's top power
-    size = depth * max(cfg.j_max, degree) ** 2 * max(degree, 1)
-    ratios = list(cfg.ratios)
-    if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
-        for ratio in _auto_subgroup_ratios(oracle):
-            if ratio not in ratios:
-                ratios.append(ratio)
+    size = depth * max(j_max, degree) ** 2 * max(degree, 1)
     product = "depth * max(j_max, degree)**2 * max(degree, 1) * digits"
-    _check_budget(f"the probe size {product}", size * _width((x, cfg.h0, *ratios)), MAX_PROBE_SIZE)
-    return ratios
+    _check_budget(f"the probe size {product}", size * _width(numbers), MAX_PROBE_SIZE)
 
 
 # kind -> the fields besides ``kind`` that it takes; every other field keeps its default
@@ -425,11 +419,11 @@ def format_oracle(oracle: FunctionOracle) -> str:
 def eval_quotient(
     scheme: Scheme, oracle: FunctionOracle, x: Rationalish, h: Rationalish
 ) -> Fraction:
-    """The exact ``S(h,x;f) / h**n`` at the detected order; the degree is bounded as in a probe."""
+    """The exact ``S(h,x;f) / h**n`` at the detected order, sized as a probe of one step."""
     x, h = parse_rational(x), parse_rational(h)
     if h == 0:
         raise ZeroStep("the step h must be nonzero")
-    _check_size(oracle, 1, ProbeConfig(h0=h, j_min=0, j_max=1), x)
+    _check_size(oracle, 1, 1, (x, h))
     return Fraction(*_quotient_kernel(scheme, order_info(scheme).order, oracle, x)([h])[0])
 
 
@@ -623,14 +617,18 @@ def _close(u: tuple[int, int], v: tuple[int, int], tol: Fraction) -> bool:
     return tol.denominator * abs(a * d - c * b) <= tol.numerator * bound
 
 
-def _auto_subgroup_ratios(oracle: FunctionOracle) -> list[Fraction]:
-    """One step ratio inside the oracle's subgroup and one outside it.
+def _ratios(oracle: FunctionOracle, cfg: ProbeConfig) -> tuple[Fraction, ...]:
+    """The step ratios a probe runs: the configured ones, then, for a subgroup
+    oracle, one ratio inside its subgroup and one outside it, each unless
+    configured already.
 
     The in-group ratio comes from the first generator of magnitude != 1
     (it or its square when the sign blocks it, inverted if above 1); the
     out-group ratio is 1/p for the least p > 1 coprime to the generators'
     base, which is prime because its least prime factor is coprime too.
     """
+    if oracle.kind != ORACLE_SUBGROUP_MONOMIAL:
+        return cfg.ratios
     extra: list[Fraction] = []
     g = next((g for g in oracle.generators if abs(g) != 1), None)
     if g is not None:
@@ -641,7 +639,7 @@ def _auto_subgroup_ratios(oracle: FunctionOracle) -> list[Fraction]:
     while any(gcd(p, b) > 1 for b in base):
         p += 1
     extra.append(Fraction(1, p))
-    return extra
+    return cfg.ratios + tuple(r for r in extra if r not in cfg.ratios)
 
 
 @lru_cache(maxsize=64)
@@ -685,11 +683,12 @@ def limit_probe(
     """
     cfg = config or ProbeConfig()
     x = parse_rational(x)
-    ratios = _check_size(oracle, 1, cfg, x)
+    ratios = _ratios(oracle, cfg)
+    _check_size(oracle, 1, cfg.j_max, (x, cfg.h0, *ratios))
     lattice = None
     if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
         lattice = _generator_lattice(oracle.generators)
-    effective = replace(cfg, ratios=tuple(ratios))
+    effective = replace(cfg, ratios=ratios)
     quotients = _quotient_kernel(scheme, order_info(scheme).order, oracle, x)
     sequences = []
     for ratio in ratios:
@@ -735,10 +734,11 @@ def peano_probe(
     if not _is_int(n) or n < 1:
         raise CalculusError("the probe depth n must be a positive integer")
     _check_budget("the probe depth n", n, MAX_PEANO_DEPTH)
-    _check_size(oracle, n, config or ProbeConfig(), parse_rational(x))
+    cfg, x = config or ProbeConfig(), parse_rational(x)
+    _check_size(oracle, n, cfg.j_max, (x, cfg.h0, *_ratios(oracle, cfg)))
     stages = []
     for order in range(1, n + 1):
-        report = limit_probe(named_scheme(mz_tilde(order)), oracle, x, config)
+        report = limit_probe(named_scheme(mz_tilde(order)), oracle, x, cfg)
         stages.append((order, report))
         if report.verdict != VERDICT_CONVERGES:
             break

@@ -390,6 +390,8 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...
 
 def moment(scheme: Scheme, j: int) -> Fraction:
     """The j-th node moment ``sum_i a_i * b_i**j`` (exact)."""
+    if not _is_int(j):
+        raise CalculusError("moment exponent must be an integer")
     if j < 0:
         raise CalculusError("moment exponent must be >= 0")
     coeffs, da, nodes, db = scheme._ints  # m_j = sum_i A_i * B_i**j / (da * db**j)
@@ -648,14 +650,17 @@ def scheme_to_json_dict(scheme: Scheme) -> dict:
     }
 
 
+_JSON = json.JSONDecoder(parse_int=_read_int, parse_float=str)  # parse_rational reads each exactly
+
+
 def scheme_from_json(data: Union[str, dict]) -> Scheme:
     """Read a scheme from a JSON string or dict produced by scheme_to_json_dict.
 
-    Coefficients and nodes may be 'p/q' strings, integer strings, or ints.
+    Coefficients and nodes may be 'p/q' strings, integer strings, or JSON numbers, read exactly.
     """
     if isinstance(data, str):
         try:
-            data = json.loads(data)
+            data = _JSON.decode(data)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise CalculusError(f"invalid scheme JSON: {exc}") from exc
     if not isinstance(data, dict) or "terms" not in data:

@@ -11,12 +11,15 @@ so the integer versions can be compared with them exactly.  The quotients come f
 ``test_quotient_kernel_matches_fraction_reference`` pins to plain Fraction
 sums; each is read back as a Fraction, one step at a time, and each
 ``ProbeSequence`` is built from these Fraction samples, so comparing a
-report with the library's compares every sample.
+report with the library's compares every sample.  The ratios a subgroup
+oracle adds come from ``_added_subgroup_ratios``, a copy of the rule that
+does not call the library's.
 """
 
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Optional, Sequence
 
 from grdcalc import ProbeConfig, ProbeReport, ProbeSequence, order_info, parse_rational
@@ -26,7 +29,6 @@ from grdcalc.probes import (
     VERDICT_DIVERGES,
     VERDICT_INCONCLUSIVE,
     _TAIL_LENGTH,
-    _auto_subgroup_ratios,
     _coprime_base,
     _quotient_kernel,
 )
@@ -62,6 +64,21 @@ def _fraction_membership(x: Fraction, lattice) -> bool:
     return target is not None and _lattice_member(columns, target)
 
 
+def _added_subgroup_ratios(generators) -> list[Fraction]:
+    """The step ratios a probe adds for a subgroup oracle, by the rule it once kept apart:
+    the first generator of magnitude != 1 (squared when negative, inverted if above 1),
+    then 1/p for the least p > 1 that shares no factor with any generator."""
+    added = []
+    g = next((g for g in generators if abs(g) != 1), None)
+    if g is not None:
+        power = g if g > 0 else g * g
+        added.append(power if power < 1 else 1 / power)
+    p = 2
+    while any(gcd(p, g.numerator * g.denominator) > 1 for g in generators):
+        p += 1
+    return added + [Fraction(1, p)]
+
+
 def _fraction_close(u: Fraction, v: Fraction, tol: Fraction) -> bool:
     return abs(u - v) <= tol * max(Fraction(1), abs(u), abs(v))
 
@@ -72,7 +89,7 @@ def reference_limit_probe(scheme, oracle, x=0, config=None) -> ProbeReport:
     ratios = list(cfg.ratios)
     if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
         lattice = _fraction_generator_lattice(oracle.generators)
-        for ratio in _auto_subgroup_ratios(oracle):
+        for ratio in _added_subgroup_ratios(oracle.generators):
             if ratio not in ratios:
                 ratios.append(ratio)
     effective = replace(cfg, ratios=tuple(ratios))

@@ -354,6 +354,53 @@ def test_probe_config_flags(capsys):
     assert data["verdict"] == "diverges"
 
 
+@pytest.mark.parametrize(
+    "options, given",
+    [
+        ([], {}),
+        (["--h0", "-2/3"], {"h0": Fraction(-2, 3)}),
+        (["--ratios", "1/2, -2/3"], {"ratios": (Fraction(1, 2), Fraction(-2, 3))}),
+        (["--jmin", "2"], {"j_min": 2}),
+        (["--jmax", "12"], {"j_max": 12}),
+        (["--tol", "1e-6"], {"tol": Fraction(1, 10 ** 6)}),
+    ],
+)
+def test_probe_options_reach_the_config_as_given(capsys, options, given):
+    oracle, config = grdcalc.parse_oracle("subgmono:k=2;gens=2,3"), grdcalc.ProbeConfig(**given)
+    argv = ["--output", "json", "probe", "--oracle", "subgmono:k=2;gens=2,3", "--x=1/3", *options]
+    code, out, err = run(capsys, [*argv, "riemann:n=2"])
+    report = grdcalc.limit_probe(named_scheme(riemann(2)), oracle, Fraction(1, 3), config)
+    assert (code, err) == (0, "") and json.loads(out) == report.to_json_dict()
+    code, out, err = run(capsys, [*argv, "--peano", "2"])
+    stages = grdcalc.peano_probe(oracle, Fraction(1, 3), 2, config)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["stages"] == [
+        {"order": order, "report": report.to_json_dict()} for order, report in stages
+    ]
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--h0", "abc"], "not a rational: 'abc'"),
+        (["--tol", "abc"], "not a rational: 'abc'"),
+        (["--ratios", "1/2,abc"], "not a rational: 'abc'"),
+        (["--ratios", " , "], "expected a comma-separated list of rationals"),
+        (["--h0", "0"], "h0 must be nonzero"),
+        (["--tol", "-1"], "tolerance must be positive"),
+        (["--ratios", "1/2,1"], "ratios must satisfy 0 < |rho| < 1"),
+        (["--jmin", "5", "--jmax", "3"], "need 0 <= j_min < j_max"),
+        (["--h0", "abc", "--tol", "xyz"], "not a rational: 'abc'"),
+        # the ratios are read before the config that reads h0
+        (["--h0", "abc", "--ratios", "xyz"], "not a rational: 'xyz'"),
+    ],
+)
+def test_probe_option_refusals(capsys, options, message):
+    for verb in (["probe", "riemann:n=1"], ["probe", "--peano", "1"]):
+        code, out, err = run(capsys, [*verb, "--oracle", "abs", *options])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_probe_peano_staging(capsys):
     code, out, _ = run(
         capsys, ["--output", "json", "probe", "--peano", "2", "--oracle", "sgnsq"]

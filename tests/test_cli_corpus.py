@@ -4,7 +4,8 @@ Every verb is drawn, with scheme strings, rationals, integers and oracles
 mixed from small pools of valid, degenerate and malformed values: family
 strings at and past their parameters' edges, inline JSON, rationals with a
 zero denominator, a newline or a long exponent, integers at any length, and
-oracles up to ``mono:k=33`` and a 40-coefficient ``poly``.  Each command
+oracles up to ``mono:k=33`` and a 40-coefficient ``poly``, plus inline JSON
+with a 5,001-digit integer literal and a long decimal literal.  Each command
 must answer (exit 0) or refuse in the one refusal shape (exit 2 with one
 stderr line of at most 300 bytes); none may raise or report an internal
 fault (exit 3).  Option values are passed as ``--opt=value``, and integer
@@ -149,6 +150,9 @@ VERBS = [
 ]
 
 
+JSON_NUMBERS = ["1" + "0" * 5000, "12345678901234567890.5"]
+
+
 def corpus() -> list[list[str]]:
     """``COUNT`` command lines: each verb once, then verbs drawn at random, probes most often."""
     rng = random.Random(SEED)
@@ -159,6 +163,10 @@ def corpus() -> list[list[str]]:
     # the high-degree oracles on an answered probe, whatever the draw gave
     for oracle in ("mono:k=33", "poly:" + ",".join(["1"] * 40)):
         commands.append(["probe", "riemann:n=2", f"--oracle={oracle}", "--x=1/3"])
+    # JSON numbers: an integer literal past the int-from-str digit limit, a long decimal
+    for number in JSON_NUMBERS:
+        scheme = f'{{"terms":[{{"coeff":{number},"node":1}},{{"coeff":-{number},"node":0}}]}}'
+        commands.append(["scale", scheme, "--by=1"])
     return commands
 
 
@@ -166,7 +174,9 @@ def test_corpus_covers_every_verb_and_the_high_degree_oracles():
     commands = corpus()
     verbs = {next(word for word in argv if not word.startswith("--")) for argv in commands}
     assert verbs == set(VERBS)
-    assert len(commands) == COUNT + 2
+    assert len(commands) == COUNT + 4
+    for number in JSON_NUMBERS:
+        assert sum(f'"coeff":{number},' in word for argv in commands for word in argv) == 1
     oracles = {word for argv in commands for word in argv if word.startswith("--oracle=")}
     assert "--oracle=mono:k=33" in oracles
     assert any(o.startswith("--oracle=poly:") and o.count(",") == 39 for o in oracles)

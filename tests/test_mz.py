@@ -525,6 +525,9 @@ def test_chain_input_gates():
         n_times_check([(0, CONTINUITY), (1, D2_SYM)])  # order mismatch
     with pytest.raises(CalculusError):
         n_times_check([(-1, CONTINUITY), (0, CONTINUITY)])
+    for entry, kind in (("x", "str"), (None, "NoneType"), (2, "int")):
+        with pytest.raises(CalculusError, match=rf"^entry at position 2 is a {kind}, not a scheme$"):
+            n_times_check([(0, CONTINUITY), (1, construct_exact([0, 1], 1)), (2, entry)])
 
 
 def test_missing_orders_are_counted_not_listed():

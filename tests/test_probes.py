@@ -601,11 +601,10 @@ def test_auto_subgroup_ratios_unchanged():
             [Fraction(rng.choice([-1, 1]) * rng.randint(1, 3000), rng.randint(1, 3000))
              for _ in range(rng.randint(1, 3))]
         )
+    config = ProbeConfig(ratios=(Fraction(-1, 2),))  # never an added ratio: those are > 0
     for gens in cases:
         oracle = subgroup_monomial_oracle(1, gens)
-        assert probes._auto_subgroup_ratios(oracle)[-1] == Fraction(
-            1, reference_out_group_prime(gens)
-        )
+        assert probes._ratios(oracle, config)[-1] == Fraction(1, reference_out_group_prime(gens))
 
 
 def test_probe_in_group_tag_mixed_is_none():
@@ -812,22 +811,24 @@ def test_probe_size_is_the_old_product_at_every_degree_up_to_j_max(j_max):
             polynomial_oracle([1] * (degree + 1)),
             subgroup_monomial_oracle(degree, [2]),
         ):
-            probes._check_size(oracle, depth, config)
+            numbers = (0, config.h0, *probes._ratios(oracle, config))
+            probes._check_size(oracle, depth, j_max, numbers)
             refused = rf"{SIZE_REFUSAL} .*, got {(depth + 1) * old}$"
             with pytest.raises(ProbeBoundExceeded, match=refused):
-                probes._check_size(oracle, depth + 1, config)
+                probes._check_size(oracle, depth + 1, j_max, numbers)
 
 
 def test_probe_size_counts_a_degree_above_j_max_in_the_squared_factor():
     # 161**3 = 4,173,281 is within 2**22 and 162**3 = 4,251,528 is not
     config = ProbeConfig()
+    numbers = (Fraction(1, 3), config.h0, *config.ratios)
     assert 161 ** 3 <= probes.MAX_PROBE_SIZE < 162 ** 3
-    probes._check_size(monomial_oracle(161), 1, config, Fraction(1, 3))
-    probes._check_size(polynomial_oracle([1] * 162), 1, config, Fraction(1, 3))
+    probes._check_size(monomial_oracle(161), 1, config.j_max, numbers)
+    probes._check_size(polynomial_oracle([1] * 162), 1, config.j_max, numbers)
     with pytest.raises(ProbeBoundExceeded, match=rf"{SIZE_REFUSAL} .*, got {162 ** 3}$"):
-        probes._check_size(monomial_oracle(162), 1, config, Fraction(1, 3))
+        probes._check_size(monomial_oracle(162), 1, config.j_max, numbers)
     with pytest.raises(ProbeBoundExceeded, match=rf"{SIZE_REFUSAL} .*, got {162 ** 3}$"):
-        probes._check_size(polynomial_oracle([1] * 163), 1, config, Fraction(1, 3))
+        probes._check_size(polynomial_oracle([1] * 163), 1, config.j_max, numbers)
 
 
 @pytest.mark.parametrize(
@@ -884,6 +885,16 @@ def test_eval_quotient_sizes_its_own_point_and_step(monkeypatch):
         eval_quotient(scheme, oracle, Fraction(1, 3), 1 / wide)
 
 
+def test_eval_quotient_sizes_no_ratio_it_does_not_run():
+    # a probe adds the ratio 1/g of the 999-digit generator g and is refused; one
+    # sample reads only its x and h and is answered
+    scheme, oracle = named_scheme(riemann(2)), subgroup_monomial_oracle(32, [10 ** 998 + 1])
+    with pytest.raises(ProbeBoundExceeded, match=rf"{SIZE_REFUSAL} .*, got {40 ** 2 * 32 * 999}$"):
+        limit_probe(scheme, oracle, 0)
+    x, h = Fraction(0), Fraction(1, 2)
+    assert eval_quotient(scheme, oracle, x, h) == reference_quotient(scheme, 2, oracle, x, h)
+
+
 def test_probe_size_is_bounded_on_the_product_of_the_limits():
     at_limits = ProbeConfig(j_max=probes.MAX_J)
     with pytest.raises(ProbeBoundExceeded, match=SIZE_REFUSAL):
@@ -891,11 +902,12 @@ def test_probe_size_is_bounded_on_the_product_of_the_limits():
     # 2 * 256**2 * 32 is the bound itself: accepted, checked without sampling
     top = polynomial_oracle([1] * 33)
     assert 2 * probes.MAX_J ** 2 * 32 == probes.MAX_PROBE_SIZE
-    probes._check_size(top, 2, at_limits)
+    numbers = (0, at_limits.h0, *at_limits.ratios)
+    probes._check_size(top, 2, probes.MAX_J, numbers)
     with pytest.raises(ProbeBoundExceeded, match=", got 6291456$"):
-        probes._check_size(top, 3, at_limits)
+        probes._check_size(top, 3, probes.MAX_J, numbers)
     # degree 0 counts as 1
-    probes._check_size(abs_oracle(), probes.MAX_PEANO_DEPTH, at_limits)
+    probes._check_size(abs_oracle(), probes.MAX_PEANO_DEPTH, probes.MAX_J, numbers)
 
 
 @pytest.mark.parametrize(
@@ -913,12 +925,13 @@ def test_probe_size_counts_the_digits_of_x_h0_and_the_ratios(x, config, digits):
     oracle = monomial_oracle(4)
     size = config.j_max ** 2 * 4
     # the most digits that the bound admits at this size, and one digit more
+    numbers = (x, config.h0, *config.ratios)
     depth = probes.MAX_PROBE_SIZE // (size * digits)
     if depth:
-        probes._check_size(oracle, depth, config, x)
+        probes._check_size(oracle, depth, config.j_max, numbers)
     refused = probes.MAX_PROBE_SIZE // size + 1
     with pytest.raises(ProbeBoundExceeded, match=SIZE_REFUSAL):
-        probes._check_size(oracle, -(-refused // digits), config, x)
+        probes._check_size(oracle, -(-refused // digits), config.j_max, numbers)
 
 
 def test_probe_size_counts_the_added_subgroup_ratios():

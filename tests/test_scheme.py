@@ -871,6 +871,31 @@ def test_json_errors():
         scheme_from_json('{"terms": [{"coeff": "1"}]}')
 
 
+def test_json_numbers_are_read_exactly_at_any_length():
+    # an integer literal past the int-from-str digit limit, and decimals that
+    # a binary float would round (1e400 would be inf)
+    long = "1" + "0" * 5000
+    read = scheme_from_json(f'{{"terms":[{{"coeff":{long},"node":1}},{{"coeff":-{long},"node":0}}]}}')
+    assert read.coeffs == (-(10 ** 5000), 10 ** 5000)
+    decimal = scheme_from_json('{"terms":[{"coeff":12345678901234567890.5,"node":0}]}')
+    quoted = scheme_from_json('{"terms":[{"coeff":"12345678901234567890.5","node":0}]}')
+    assert decimal.coeffs == quoted.coeffs == (Fraction(24691357802469135781, 2),)
+    exponents = scheme_from_json('{"terms":[{"coeff":1e400,"node":-2.5E-1}]}')
+    assert (exponents.coeffs, exponents.nodes) == ((10 ** 400,), (Fraction(-1, 4),))
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(CalculusError, match=r"^not a rational: -?(nan|inf)$"):
+            scheme_from_json(f'{{"terms":[{{"coeff":{constant},"node":1}}]}}')
+
+
+def test_moment_exponents_must_be_integers():
+    s = construct_exact([0, 1], 1)
+    for j in ("2", True, 2.0, Fraction(2)):
+        with pytest.raises(CalculusError, match=r"^moment exponent must be an integer$"):
+            moment(s, j)
+    with pytest.raises(CalculusError, match=r"^moment exponent must be >= 0$"):
+        moment(s, -1)
+
+
 def test_json_terms_that_are_not_a_list_are_refused():
     with pytest.raises(CalculusError, match=r"^'terms' must be a list$"):
         scheme_from_json('{"terms": {}}')
