@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
 from .equivalence import Witness, class_member, decide_equivalent, equivalent_gaussian
 from .families import (
@@ -157,6 +157,24 @@ def _check_input(scheme: Scheme, symmetric_mode: bool) -> int:
     return info.order
 
 
+# the verdicts mz_check, mz_set_check and n_times_check gave, least recently read first,
+# keyed by a verb tag and the integer forms of the inputs that passed the verb's checks
+_VERDICTS: dict[tuple, object] = {}
+_T = TypeVar("_T")
+
+
+def _remembered(key: tuple, decide: Callable[[], _T]) -> _T:
+    """The verdict kept under ``key``, else ``decide()`` kept there, the least recently read
+    of 256 entries (``named_scheme``'s bound) making room; a raise is never kept."""
+    verdict = _VERDICTS.pop(key, None)
+    if verdict is None:
+        verdict = decide()
+        if len(_VERDICTS) >= 256:
+            del _VERDICTS[next(iter(_VERDICTS))]
+    _VERDICTS[key] = verdict
+    return verdict
+
+
 def mz_check(scheme: Scheme, symmetric_mode: bool = False) -> MzVerdict:
     """Catalog verdict for one normalized scheme.
 
@@ -172,8 +190,14 @@ def mz_check(scheme: Scheme, symmetric_mode: bool = False) -> MzVerdict:
     family and with the general geometric conjecture otherwise.  Symmetric
     mode walks the same catalog with its symmetric facts only: symmetric
     members certify, and the equispaced family is the symmetric one.
+    A verdict is kept by the scheme's integer form and the mode (:func:`_remembered`).
     """
     n = _check_input(scheme, symmetric_mode)
+    key = ("mz-check", bool(symmetric_mode), scheme._ints)
+    return _remembered(key, lambda: _decide_mz(scheme, n, symmetric_mode))
+
+
+def _decide_mz(scheme: Scheme, n: int, symmetric_mode: bool) -> MzVerdict:
     match = equivalent_gaussian(scheme)
     certified = (
         (GAUSSIAN_SYMMETRIC,) if symmetric_mode else (GAUSSIAN_FORWARD, GAUSSIAN_AFFINE)
@@ -259,6 +283,7 @@ def mz_set_check(schemes: Sequence[Scheme]) -> MzVerdict:
 
     The set is known MZ when any member is, or when it covers a full or
     reduced backward-shift set up to per-member equivalence; otherwise open.
+    A verdict is kept by the members' integer forms, in order (:func:`_remembered`).
     """
     if not schemes:
         raise CalculusError("the scheme set must be nonempty")
@@ -266,6 +291,11 @@ def mz_set_check(schemes: Sequence[Scheme]) -> MzVerdict:
     if len(orders) != 1:
         raise MixedOrders(f"the set mixes orders {_echo(', '.join(map(_digits, sorted(orders))))}")
     n = orders.pop()
+    key = ("mz-set", *(s._ints for s in schemes))
+    return _remembered(key, lambda: _decide_mz_set(schemes, n))
+
+
+def _decide_mz_set(schemes: Sequence[Scheme], n: int) -> MzVerdict:
     member_verdicts = [mz_check(s) for s in schemes]
     for verdict in member_verdicts:
         if verdict.status == STATUS_MZ:
@@ -312,6 +342,17 @@ ChainEntry = Union[Scheme, ContinuityMarker]
 PEANO_ALL_MZ = "EstablishedByAllMZ"
 PEANO_IDENTITY = "EstablishedByIdentity"
 PEANO_UNKNOWN = "Unknown"
+_PEANO_NOTES = {
+    PEANO_ALL_MZ: "every stage is known MZ, so the chain forces the full expansion",
+    PEANO_IDENTITY: (
+        "the order-2 stage is not MZ by itself, but adding it to the "
+        "order-3 scheme rewrites into the plain second difference"
+    ),
+    PEANO_UNKNOWN: (
+        "not certified: a chain certifies the expansion only if its "
+        "top-order scheme has the MZ property"
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -343,21 +384,32 @@ class NTimesReport:
         }
 
 
-def _detect_identity_chain(entries: dict[int, ChainEntry]) -> Optional[Scheme]:
+def _is_identity_chain(entries: dict[int, ChainEntry]) -> bool:
+    """Whether the chain is the order-3 one through the symmetric second difference
+    ending in the backward shift, which :func:`_identity_certificate` certifies."""
+    if set(entries) != {0, 1, 2, 3}:
+        return False
+    targets = (riemann(1), symmetric_riemann(2), riemann_shift(3, -1))
+    stages = zip((entries[1], entries[2], entries[3]), map(named_scheme, targets))
+    return all(decide_equivalent(entry, target).equivalent for entry, target in stages)
+
+
+def _identity_certificate() -> Scheme:
     """The order-2 rewrite certificate for the chain ending in the order-3
     backward shift: adding the symmetric second difference to it yields the
     plain forward second difference, which is a geometric-node scheme."""
-    if set(entries) != {0, 1, 2, 3}:
-        return None
-    d1, d2s, d31 = (
-        named_scheme(kind) for kind in (riemann(1), symmetric_riemann(2), riemann_shift(3, -1))
-    )
-    stages = zip((entries[1], entries[2], entries[3]), (d1, d2s, d31))
-    if not all(decide_equivalent(entry, target).equivalent for entry, target in stages):
-        return None
+    d2s, d31 = named_scheme(symmetric_riemann(2)), named_scheme(riemann_shift(3, -1))
     certificate = combine([(1, 1, d31), (1, 1, d2s)])
     _require(certificate == named_scheme(riemann(2)), "rewrite identity failed")
     return certificate
+
+
+def _decide_chain(entries: dict[int, ChainEntry], n: int) -> tuple[tuple, str]:
+    """The per-order verdicts of a checked chain of top order ``n`` and its Peano status."""
+    per_order = tuple((order, mz_check(entries[order])) for order in range(1, n + 1))
+    if all(v.status == STATUS_MZ for _, v in per_order):
+        return per_order, PEANO_ALL_MZ
+    return per_order, PEANO_IDENTITY if _is_identity_chain(entries) else PEANO_UNKNOWN
 
 
 def _missing_orders(orders: list[int]) -> str:
@@ -378,7 +430,8 @@ def n_times_check(chain: Sequence[tuple[int, ChainEntry]]) -> NTimesReport:
     the specific order-3 chain through the symmetric second difference,
     via the exact rewrite identity.  Otherwise the verdict is unknown: a
     chain whose top-order scheme lacks the MZ property cannot certify the
-    expansion.
+    expansion.  The verdicts and status are kept by the entries' integer forms
+    (:func:`_remembered`), not the certificate: the table holds no scheme.
     """
     entries: dict[int, ChainEntry] = {}
     for order, entry in chain:
@@ -407,33 +460,15 @@ def n_times_check(chain: Sequence[tuple[int, ChainEntry]]) -> NTimesReport:
             raise CalculusError(
                 f"entry at position {order} actually differentiates {detected} times"
             )
-    per_order = tuple(
-        (order, mz_check(entries[order])) for order in range(1, n + 1)
-    )
-    all_mz = all(v.status == STATUS_MZ for _, v in per_order)
-    identity = None if all_mz else _detect_identity_chain(entries)
-    if all_mz:
-        peano = PEANO_ALL_MZ
-        note = "every stage is known MZ, so the chain forces the full expansion"
-    elif identity is not None:
-        peano = PEANO_IDENTITY
-        note = (
-            "the order-2 stage is not MZ by itself, but adding it to the "
-            "order-3 scheme rewrites into the plain second difference"
-        )
-    else:
-        peano = PEANO_UNKNOWN
-        note = (
-            "not certified: a chain certifies the expansion only if its "
-            "top-order scheme has the MZ property"
-        )
+    key = ("ntimes", *(entries[order]._ints for order in range(1, n + 1)))
+    per_order, peano = _remembered(key, lambda: _decide_chain(entries, n))
     return NTimesReport(
         orders_present=tuple(sorted(entries)),
         per_order=per_order,
-        all_mz=all_mz,
+        all_mz=peano == PEANO_ALL_MZ,
         peano_equivalence=peano,
-        identity_certificate=identity,
-        note=note,
+        identity_certificate=_identity_certificate() if peano == PEANO_IDENTITY else None,
+        note=_PEANO_NOTES[peano],
     )
 
 

@@ -389,12 +389,14 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...
 
 
 def moment(scheme: Scheme, j: int) -> Fraction:
-    """The j-th node moment ``sum_i a_i * b_i**j`` (exact)."""
+    """The j-th node moment ``sum_i a_i * b_i**j`` (exact).  Its powers have at most ``j``
+    times the digits of the integer nodes (:func:`_width`), which is at most ``MAX_FAMILY_SIZE``."""
     if not _is_int(j):
         raise CalculusError("moment exponent must be an integer")
     if j < 0:
         raise CalculusError("moment exponent must be >= 0")
     coeffs, da, nodes, db = scheme._ints  # m_j = sum_i A_i * B_i**j / (da * db**j)
+    _check_budget("the moment size j * digits of the nodes", j * _width([*nodes, db]), MAX_FAMILY_SIZE)
     return Fraction(sum(a * b ** j for a, b in zip(coeffs, nodes)), da * db ** j)
 
 

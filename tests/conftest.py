@@ -5,18 +5,21 @@ from fractions import Fraction
 import pytest
 
 import grdcalc.families
+import grdcalc.mz
 import grdcalc.scheme
 from grdcalc.scheme import CalculusError, Scheme, Term
 
 
 @pytest.fixture(autouse=True)
 def empty_member_memo() -> None:
-    """Each test starts with no named member built, whatever ran before it.
+    """Each test starts with no named member built and no verdict kept, whatever ran before it.
 
-    ``named_scheme`` keeps the members it builds for the whole process; a
-    test that counts builds or derivations must not depend on test order.
+    ``named_scheme`` keeps the members it builds, and ``mz_check``, ``mz_set_check`` and
+    ``n_times_check`` the verdicts they give, for the whole process; a test that counts
+    builds, derivations or decisions must not depend on test order.
     """
     grdcalc.families.named_scheme.cache_clear()
+    grdcalc.mz._VERDICTS.clear()
 
 
 class Derivations:

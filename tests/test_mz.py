@@ -1,11 +1,14 @@
 """Catalog verdicts, shifted-set reductions, and differentiation chains."""
 
 import random
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grdcalc import families, mz
+from grdcalc.cli import main, read_scheme
 from grdcalc import scheme as scheme_module
 from grdcalc.scheme import OrderBudgetExceeded, _echo
 from grdcalc import (
@@ -47,6 +50,7 @@ from grdcalc import (
     gaussian_affine_shift,
     gaussian_forward,
     ggr_set,
+    is_symmetric,
     monomial_oracle,
     mz_check,
     mz_set_check,
@@ -58,12 +62,14 @@ from grdcalc import (
     riemann,
     riemann_shift,
     scale,
+    Scheme,
     symmetric_riemann,
     verify_quantum_ggr,
 )
 
 D31 = construct_exact([-1, 0, 1, 2], 3)
 D2_SYM = construct_exact_symmetric([1], True, 2)
+D1 = construct_exact([0, 1], 1)
 
 
 # --- single-scheme verdicts ----------------------------------------------------
@@ -581,3 +587,152 @@ def test_report_json_shape():
         ]
     }
     assert len(data["per_order"]) == 3
+
+
+# --- the verdict table ------------------------------------------------------------------
+
+D31_JSON = (
+    '{"terms": [{"coeff": -1, "node": -1}, {"coeff": 3, "node": 0}, '
+    '{"coeff": -3, "node": 1}, {"coeff": 1, "node": 2}]}'
+)
+
+
+def _count_decisions(monkeypatch) -> list:
+    """Every Gaussian search ``mz_check`` starts: one per verdict it decides."""
+    searched = []
+    search = mz.equivalent_gaussian
+
+    def counting(scheme):
+        searched.append(scheme)
+        return search(scheme)
+
+    monkeypatch.setattr(mz, "equivalent_gaussian", counting)
+    return searched
+
+
+def _leaves(value):
+    """The values inside ``value``, through tuples and dataclass fields."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    elif is_dataclass(value) and not isinstance(value, Scheme):
+        for field in fields(value):
+            yield from _leaves(getattr(value, field.name))
+    else:
+        yield value
+
+
+def test_equal_schemes_written_differently_share_one_verdict(monkeypatch):
+    searched = _count_decisions(monkeypatch)
+    spellings = [read_scheme(D31_JSON), read_scheme("shift:n=3,k=-1"), scale(D31, 1)]
+    assert len({id(s) for s in spellings}) == 3
+    verdicts = [mz_check(s) for s in spellings]
+    assert all(v is verdicts[0] for v in verdicts) and verdicts[0].certificate.kind == CERT_D31
+    sets = [mz_set_check([named_scheme(riemann(3)), s]) for s in spellings]
+    assert all(v is verdicts[0] for v in sets)
+    chains = [n_times_check([(0, CONTINUITY), (1, D1), (2, D2_SYM), (3, s)]) for s in spellings]
+    assert all(c.to_json_dict() == chains[0].to_json_dict() for c in chains)
+    assert chains[0].peano_equivalence == PEANO_IDENTITY
+    assert all(c.per_order is chains[0].per_order for c in chains)
+    # D31, riemann:n=3, D1 and D2_SYM are each decided once, and one set and one chain kept
+    assert len(searched) == len(set(searched)) == 4
+    assert sorted(key[0] for key in mz._VERDICTS) == ["mz-check"] * 4 + ["mz-set", "ntimes"]
+
+
+def test_a_batch_that_repeats_a_verdict_prints_the_same_record(capsys, tmp_path):
+    lines = [
+        f"mz-check '{D31_JSON}'",
+        "mz-set shift:n=4,k=-1 shift:n=4,k=-2",
+        "ntimes --entry 0:cont --entry 1:riemann:n=1 --entry 2:riemann-sym:n=2"
+        " --entry 3:shift:n=3,k=-1",
+    ]
+    alone = []
+    for line in lines:
+        mz._VERDICTS.clear()
+        batch = tmp_path / "one.txt"
+        batch.write_text(line + "\n", encoding="utf-8")
+        assert main(["--output", "json", "--batch", str(batch)]) == 0
+        alone.append(capsys.readouterr().out)
+    mz._VERDICTS.clear()
+    batch = tmp_path / "repeats.txt"
+    batch.write_text("".join(f"{line}\n{line}\n" for line in lines), encoding="utf-8")
+    assert main(["--output", "json", "--batch", str(batch)]) == 0
+    assert capsys.readouterr().out == "".join(record * 2 for record in alone)
+
+
+def test_refusals_are_raised_on_every_call(monkeypatch):
+    doubled = canonicalize([(2 * t.coeff, t.node) for t in D31])
+    open_set = [named_scheme(riemann(mz.MAX_GGR_ORDER + 1))]
+    refused = [
+        (NotNormalized, lambda: mz_check(doubled)),
+        (MixedOrders, lambda: mz_set_check([D31, D2_SYM])),
+        (MissingOrder, lambda: n_times_check([(0, CONTINUITY), (2, D2_SYM)])),
+        (OrderBudgetExceeded, lambda: mz_set_check(open_set)),
+    ]
+    for error, call in refused * 2:
+        with pytest.raises(error):
+            call()
+    # the open member's own verdict is given and kept; the set's refusal is not
+    assert [key[0] for key in mz._VERDICTS] == ["mz-check"]
+    mz._VERDICTS.clear()
+
+    def failing(scheme):
+        raise IdentityCheckFailed("internal fault")
+
+    monkeypatch.setattr(mz, "equivalent_gaussian", failing)
+    for _ in range(2):
+        with pytest.raises(IdentityCheckFailed):
+            mz_check(D31)
+    assert not mz._VERDICTS
+
+
+def test_the_table_keeps_256_verdicts_by_integer_forms():
+    base = named_scheme(riemann(1))
+    schemes = [scale(base, k) for k in range(1, 301)]
+    for s in schemes[:256]:
+        mz_check(s)
+    mz_check(schemes[0])  # read again: now the most recently read
+    for s in schemes[256:]:
+        mz_check(s)
+    assert len(mz._VERDICTS) == 256
+    kept = {key[2] for key in mz._VERDICTS}
+    assert schemes[0]._ints in kept and schemes[1]._ints not in kept
+    mz_set_check(ggr_set(3))
+    n_times_check(chain_through_symmetric_second())
+    mz_check(D2_SYM, symmetric_mode=True)
+    assert len(mz._VERDICTS) == 256
+    for key, verdict in mz._VERDICTS.items():
+        assert all(type(leaf) in (int, bool, str) for leaf in _leaves(key)), key
+        assert not any(isinstance(leaf, Scheme) for leaf in _leaves(verdict)), verdict
+
+
+BASES = [D31, D2_SYM] + [
+    named_scheme(family(n))
+    for n in range(2, 5)
+    for family in (riemann, symmetric_riemann, mz_tilde, mz_tilde_symmetric)
+]
+constants = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+points = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=2), min_size=2, max_size=5, unique=True
+)
+
+
+@st.composite
+def catalog_schemes(draw):
+    """Class members of the catalog's own schemes, or exact schemes on a few random nodes."""
+    if draw(st.booleans()):
+        return class_member(draw(st.sampled_from(BASES)), *(draw(constants) for _ in range(3)))
+    nodes = draw(points)
+    return construct_exact(nodes, len(nodes) - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(catalog_schemes())
+def test_a_kept_verdict_is_the_one_decided_afresh(scheme):
+    # the verdict kept for an equal copy is read back, then decided afresh on an empty table
+    copy = canonicalize(list(scheme))
+    for mode in (False, True) if is_symmetric(scheme) else (False,):
+        kept = mz_check(copy, symmetric_mode=mode)
+        assert mz_check(scheme, symmetric_mode=mode) is kept
+        mz._VERDICTS.clear()
+        assert mz_check(scheme, symmetric_mode=mode) == kept

@@ -51,6 +51,7 @@ from grdcalc import (
     verify_quantum_ggr,
 )
 from grdcalc import cli, probes
+from grdcalc.scheme import MAX_FAMILY_SIZE, _width
 from membership_reference import _factor_rational
 from probe_reference import _fraction_close, reference_limit_probe
 from quotient_reference import _quotient as reference_quotient
@@ -864,6 +865,25 @@ def test_eval_quotient_answers_up_to_degree_161():
     assert eval_quotient(scheme, top, x, h) == reference_quotient(scheme, 2, top, x, h)
     with pytest.raises(ProbeBoundExceeded, match=rf"{SIZE_REFUSAL} .*, got {162 ** 3}$"):
         eval_quotient(scheme, monomial_oracle(162), x, h)
+
+
+def test_probe_moments_stay_inside_the_moment_budget(monkeypatch):
+    # mono and poly read the moments j = 0..degree, and the probe size admits degree 161
+    # at most, so j * digits of the nodes stays inside the moment budget on nodes up to
+    # 13,025 digits wide; wider nodes get the moment's own refusal
+    sizes = []
+
+    def recording(scheme, j, _original=probes.moment):
+        _, _, nodes, db = scheme._ints
+        sizes.append(j * _width([*nodes, db]))
+        return _original(scheme, j)
+
+    monkeypatch.setattr(probes, "moment", recording)
+    scheme, x, h = named_scheme(riemann(4)), Fraction(1, 3), Fraction(1, 2)
+    eval_quotient(scheme, monomial_oracle(161), x, h)
+    eval_quotient(scheme, polynomial_oracle([1] * 162), x, h)
+    assert max(sizes) == 161 and len(sizes) == 2 * 162
+    assert 161 * 13025 <= MAX_FAMILY_SIZE < 161 * 13026
 
 
 def test_eval_quotient_sizes_its_own_point_and_step(monkeypatch):

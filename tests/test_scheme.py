@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +51,8 @@ from grdcalc import (
 )
 from grdcalc import probes
 from grdcalc.scheme import (
+    MAX_FAMILY_SIZE,
+    OrderBudgetExceeded,
     _SPLIT_DIGITS,
     _digits,
     _matches,
@@ -894,6 +897,24 @@ def test_moment_exponents_must_be_integers():
             moment(s, j)
     with pytest.raises(CalculusError, match=r"^moment exponent must be >= 0$"):
         moment(s, -1)
+
+
+def test_moment_exponents_are_bounded_before_any_power():
+    # j * digits of the integer nodes and their denominator: about the digits of the
+    # largest power; j = 10**8 took 0.5 s and 59 MB unbounded, 10**11 would need 12.5 GB
+    s = construct_exact([0, 1, 2], 2)
+    started = perf_counter()
+    with pytest.raises(OrderBudgetExceeded, match=r"^the moment size j \* digits of the nodes "
+                       r"must be at most 2097152, got 100000000000$"):
+        moment(s, 10 ** 11)
+    assert perf_counter() - started < 0.1
+    assert moment(s, MAX_FAMILY_SIZE) == 2 ** MAX_FAMILY_SIZE - 2
+    with pytest.raises(OrderBudgetExceeded, match=r", got 2097153$"):
+        moment(s, MAX_FAMILY_SIZE + 1)
+    # integer nodes 0 and 1 over the denominator 10: the denominator's two digits count
+    tenth = canonicalize([(-10, 0), (10, Fraction(1, 10))])
+    with pytest.raises(OrderBudgetExceeded, match=r", got 2097154$"):
+        moment(tenth, MAX_FAMILY_SIZE // 2 + 1)
 
 
 def test_json_terms_that_are_not_a_list_are_refused():
