@@ -121,7 +121,7 @@ def verify_witness(a: Scheme, b: Scheme, witness: Witness) -> bool:
 
 def _exact_distinct_magnitudes(scheme: Scheme, n: int) -> bool:
     """Whether ``scheme`` is exact (``n + 1`` terms) with all node magnitudes distinct."""
-    return len(scheme) == n + 1 and len({abs(t.node) for t in scheme}) == len(scheme)
+    return len(scheme) == n + 1 and len({abs(b) for b in scheme.nodes}) == len(scheme)
 
 
 def _fast_path(a: Scheme, b: Scheme, witness: Witness) -> str:
@@ -132,7 +132,7 @@ def _fast_path(a: Scheme, b: Scheme, witness: Witness) -> str:
     """
     if witness.skew_factor == 0:
         return PATH_SYMMETRIC
-    if all(t.node >= 0 for t in a) and all(t.node >= 0 for t in b):
+    if a.nodes[0] >= 0 and b.nodes[0] >= 0:  # the nodes are sorted
         return PATH_FAST_NONNEG
     n = witness.order
     if len(a) == len(b) and (_exact_distinct_magnitudes(a, n) or _exact_distinct_magnitudes(b, n)):
@@ -146,15 +146,15 @@ def _general_outcome(a: Scheme, b: Scheme, n: int) -> Witness | str:
     largest and positive, and ``B`` absorbs a dilation's sign), or the first
     negative reason."""
     (a_plus, a_minus), (b_plus, b_minus) = decompose(a, n), decompose(b, n)
-    r = b_plus.terms[-1].node / a_plus.terms[-1].node
+    r = b_plus.nodes[-1] / a_plus.nodes[-1]
     if not _matches(b_plus, [(r ** -n, r, a_plus)]):
         return REASON_SYMMETRIC
     if a_minus.is_zero != b_minus.is_zero:
         return REASON_SKEW_ZERO
     if a_minus.is_zero:
         return Witness(n, r, Fraction(1), r ** -n, Fraction(0))
-    a_top, b_top = a_minus.terms[-1], b_minus.terms[-1]
-    s, skew_factor = b_top.node / a_top.node, b_top.coeff / a_top.coeff
+    s = b_minus.nodes[-1] / a_minus.nodes[-1]
+    skew_factor = b_minus.coeffs[-1] / a_minus.coeffs[-1]
     if not _matches(b_minus, [(skew_factor, s, a_minus)]):
         return REASON_SKEW
     return Witness(n, r, s, r ** -n, skew_factor)
@@ -247,7 +247,7 @@ def equivalent_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:
     if _exact_distinct_magnitudes(scheme, n):
         return None
     sym_part, skew_part = decompose(scheme)
-    ratio = _common_ratio([t.node for t in sym_part if t.node > 0])
+    ratio = _common_ratio([b for b in sym_part.nodes if b > 0])
     if skew_part.is_zero or ratio is None:
         return None
     variant = GAUSSIAN_FORWARD if scheme.coeff_at(0) != 0 else GAUSSIAN_AFFINE

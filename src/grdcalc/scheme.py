@@ -1,8 +1,8 @@
 """Exact finite-difference schemes with rational coefficients and nodes.
 
 A scheme is a finite formal combination ``sum_i a_i * f(x + b_i*h)`` stored
-as terms ``(a_i, b_i)`` with nonzero rational coefficients at strictly
-increasing rational nodes.  A scheme differentiates ``n`` times when its
+as two tuples, nonzero rational coefficients ``a_i`` at strictly increasing
+rational nodes ``b_i``.  A scheme differentiates ``n`` times when its
 moments ``m_j = sum_i a_i * b_i**j`` vanish for ``j < n`` with ``m_n != 0``;
 it is normalized when ``m_n = n!``.  All arithmetic is exact over
 :class:`fractions.Fraction`, so orders, normalizers, decompositions and
@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
@@ -280,47 +281,45 @@ class Term:
         object.__setattr__(self, "node", parse_rational(self.node))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Scheme:
-    """A canonical scheme: nonzero coefficients at strictly increasing nodes.
+    """A canonical scheme: nonzero coefficients ``coeffs`` at strictly increasing ``nodes``.
 
-    Construct directly only from already-clean term lists; use
-    :func:`canonicalize` to merge duplicate nodes and drop zero coefficients.
-    The empty scheme represents the zero combination.
+    ``Scheme(terms)`` sorts ``Term``s and refuses a repeated node or a zero
+    coefficient; use :func:`canonicalize` to merge duplicate nodes and drop
+    zero coefficients.  The empty scheme represents the zero combination.
     """
 
-    terms: tuple[Term, ...] = ()
+    coeffs: tuple[Fraction, ...]
+    nodes: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        clean = tuple(sorted(self.terms, key=lambda t: t.node))
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, terms: Iterable[Term] = ()) -> None:
+        clean = sorted(terms, key=lambda t: t.node)
         for left, right in zip(clean, clean[1:]):
             if left.node == right.node:
                 raise DuplicateNodes(f"duplicate node {_echo(_plain(left.node))}")
         for term in clean:
             if term.coeff == 0:
                 raise CalculusError(f"zero coefficient at node {_echo(_plain(term.node))}")
+        object.__setattr__(self, "coeffs", tuple(t.coeff for t in clean))
+        object.__setattr__(self, "nodes", tuple(t.node for t in clean))
 
     def __iter__(self) -> Iterator[Term]:
         return iter(self.terms)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.nodes)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nodes
 
-    @property
-    def nodes(self) -> tuple[Fraction, ...]:
-        return tuple(t.node for t in self.terms)
+    # The Term view, order, integer form and parts, derived on first use and kept on the
+    # frozen instance (dataclass ==, hash and repr read fields only); see order_info, decompose.
+    @cached_property
+    def terms(self) -> tuple[Term, ...]:
+        return tuple(map(Term, self.coeffs, self.nodes))
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(t.coeff for t in self.terms)
-
-    # Order, integer form and parts, derived on first use and kept on the frozen
-    # instance (dataclass ==, hash and repr read fields only); see order_info, decompose.
     @cached_property
     def _order(self) -> OrderInfo:
         return _find_order(self)
@@ -341,28 +340,19 @@ class Scheme:
     def coeff_at(self, node: Rationalish) -> Fraction:
         """Coefficient at a node, zero when the node is absent."""
         node = parse_rational(node)
-        for term in self.terms:
-            if term.node == node:
-                return term.coeff
-        return Fraction(0)
+        i = bisect_left(self.nodes, node)
+        return self.coeffs[i] if i < len(self.nodes) and self.nodes[i] == node else Fraction(0)
 
 
 PairLike = Union[Term, Sequence[Rationalish]]
 
 
-def _term(coeff: Fraction, node: Fraction) -> Term:
-    """``Term(coeff, node)`` for two values that are already ``Fraction``s."""
-    term = object.__new__(Term)
-    object.__setattr__(term, "coeff", coeff)
-    object.__setattr__(term, "node", node)
-    return term
-
-
-def _scheme(terms: tuple[Term, ...]) -> Scheme:
-    """``Scheme(terms)`` unchecked, for terms that are canonical by construction:
-    their nodes strictly increase and their coefficients are nonzero ``Fraction``s."""
+def _scheme(coeffs: tuple[Fraction, ...], nodes: tuple[Fraction, ...]) -> Scheme:
+    """``Scheme`` unchecked, for tuples that are canonical by construction: the nodes
+    strictly increase and the coefficients are nonzero, all of them ``Fraction``s."""
     scheme = object.__new__(Scheme)
-    object.__setattr__(scheme, "terms", terms)
+    object.__setattr__(scheme, "coeffs", coeffs)
+    object.__setattr__(scheme, "nodes", nodes)
     return scheme
 
 
@@ -379,7 +369,8 @@ def canonicalize(terms: Iterable[PairLike]) -> Scheme:
     for key, node, coeff in zip(_over_common_denominator(nodes)[0], nodes, coeffs):
         first.setdefault(key, node)
         sums[key] = sums[key] + coeff if key in sums else coeff
-    return _scheme(tuple(_term(sums[key], first[key]) for key in sorted(sums) if sums[key]))
+    keys = [key for key in sorted(sums) if sums[key]]
+    return _scheme(tuple(sums[key] for key in keys), tuple(first[key] for key in keys))
 
 
 def _over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -563,15 +554,17 @@ def _split(scheme: Scheme, odd: bool) -> tuple[Scheme, Scheme]:
     coeffs, d, keys, _ = scheme._ints
     at = dict(zip(keys, zip(scheme.nodes, coeffs)))
     mirrors = {-key: -a if odd else a for key, a in zip(keys, coeffs)}
-    plus, minus = [], []
+    plus, plus_nodes, minus, minus_nodes = [], [], [], []
     for key in sorted(at.keys() | mirrors.keys()):
         node, here = at.get(key) or (-at[-key][0], 0)
         mirror = mirrors.get(key, 0)
         if here + mirror:
-            plus.append(_term(Fraction(here + mirror, 2 * d), node))
+            plus.append(Fraction(here + mirror, 2 * d))
+            plus_nodes.append(node)
         if here - mirror:
-            minus.append(_term(Fraction(here - mirror, 2 * d), node))
-    return _scheme(tuple(plus)), _scheme(tuple(minus))
+            minus.append(Fraction(here - mirror, 2 * d))
+            minus_nodes.append(node)
+    return _scheme(tuple(plus), tuple(plus_nodes)), _scheme(tuple(minus), tuple(minus_nodes))
 
 
 def is_symmetric(scheme: Scheme, n: Optional[int] = None) -> bool:
@@ -587,7 +580,8 @@ def combine(parts: Iterable[tuple[Rationalish, Rationalish, Scheme]]) -> Scheme:
     only (no normalizing division, unlike :func:`scale`).
     """
     sums, C, D = _sums(parts)
-    return _scheme(tuple(_term(Fraction(v, C), Fraction(k, D)) for k, v in sorted(sums.items()) if v))
+    keys = [key for key in sorted(sums) if sums[key]]
+    return _scheme(tuple(Fraction(sums[k], C) for k in keys), tuple(Fraction(k, D) for k in keys))
 
 
 def _sums(parts: Iterable[tuple[Rationalish, Rationalish, Scheme]]) -> tuple[dict, int, int]:
@@ -631,8 +625,8 @@ def is_scale(a: Scheme, b: Scheme) -> Optional[Fraction]:
         raise ZeroScheme("scale witnesses are defined for nonzero schemes")
     if len(a) != len(b):
         return None
-    max_a = max(abs(t.node) for t in a)
-    max_b = max(abs(t.node) for t in b)
+    max_a = max(-a.nodes[0], a.nodes[-1])  # the nodes are sorted
+    max_b = max(-b.nodes[0], b.nodes[-1])
     if max_a == 0 or max_b == 0:
         return Fraction(1) if a == b else None
     ratio, n = max_b / max_a, order_info(a).order
@@ -646,8 +640,8 @@ def scheme_to_json_dict(scheme: Scheme) -> dict:
     """JSON form: ``{"terms": [{"coeff": "p/q", "node": "p/q"}, ...]}``."""
     return {
         "terms": [
-            {"coeff": format_rational(t.coeff), "node": format_rational(t.node)}
-            for t in scheme
+            {"coeff": format_rational(coeff), "node": format_rational(node)}
+            for coeff, node in zip(scheme.coeffs, scheme.nodes)
         ]
     }
 
@@ -698,12 +692,12 @@ def format_scheme(scheme: Scheme) -> str:
     if scheme.is_zero:
         return "0"
     pieces = []
-    for term in sorted(scheme, key=lambda t: t.node, reverse=True):
-        mag = abs(term.coeff)
+    for coeff, node in zip(reversed(scheme.coeffs), reversed(scheme.nodes)):
+        mag = abs(coeff)
         if mag == 1:
-            body = _format_node(term.node)
+            body = _format_node(node)
         else:
-            body = f"{_format_factor(mag)}*{_format_node(term.node)}"
-        pieces.append(("- " if term.coeff < 0 else "+ ") + body)
+            body = f"{_format_factor(mag)}*{_format_node(node)}"
+        pieces.append(("- " if coeff < 0 else "+ ") + body)
     text = " ".join(pieces)
     return text[2:] if text.startswith("+ ") else "-" + text[2:]

@@ -66,12 +66,14 @@ def derivations(monkeypatch: pytest.MonkeyPatch) -> Derivations:
 class CheckedBuilds:
     """Every unchecked scheme build, rebuilt by the public ``Scheme(terms)`` to compare.
 
-    ``grdcalc.scheme._scheme`` trusts its caller for terms whose nodes
-    strictly increase and whose coefficients are nonzero ``Fraction``s.  Here
-    each of its results must equal ``Scheme(terms)``, which sorts and refuses
-    duplicate nodes and zero coefficients, and hold ``Fraction`` values only.
-    A build that does not is kept in ``faults`` rather than raised, so that no
-    caller's error handling can hide it; the fixture fails the test on any.
+    ``grdcalc.scheme._scheme(coeffs, nodes)`` trusts its caller for tuples
+    whose nodes strictly increase and whose coefficients are nonzero, all of
+    them ``Fraction``s.  Here each of its results must equal ``Scheme(terms)``
+    on the same pairs, which sorts and refuses duplicate nodes and zero
+    coefficients, and hold two tuples of ``Fraction`` values only (a list
+    field would leave the scheme unhashable).  A build that does not is
+    kept in ``faults`` rather than raised, so that no caller's error handling
+    can hide it; the fixture fails the test on any.
     """
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
@@ -79,18 +81,19 @@ class CheckedBuilds:
         self.faults: list = []
         trusted = grdcalc.scheme._scheme
 
-        def checked(terms):
+        def checked(coeffs, nodes):
             self.count += 1
-            built = trusted(terms)
+            built = trusted(coeffs, nodes)
             try:
-                valid = Scheme(terms) == built and all(
-                    type(t) is Term and isinstance(t.coeff, Fraction)
-                    and isinstance(t.node, Fraction) for t in terms
+                valid = (
+                    type(coeffs) is tuple and type(nodes) is tuple
+                    and Scheme(map(Term, coeffs, nodes)) == built
+                    and all(isinstance(v, Fraction) for v in coeffs + nodes)
                 )
             except CalculusError:
                 valid = False
             if not valid:
-                self.faults.append(terms)
+                self.faults.append((coeffs, nodes))
             return built
 
         monkeypatch.setattr(grdcalc.scheme, "_scheme", checked)

@@ -9,7 +9,11 @@ the names they call.
 Each builds its result through the public ``Scheme(...)`` and ``Term(...)``,
 which sort, reject duplicate nodes and zero coefficients, and parse every
 value again.  The package now builds the same results through the unchecked
-``_scheme`` and ``_term``; the reference tests pin that rewrite to these forms.
+``_scheme(coeffs, nodes)``; the reference tests pin that rewrite to these forms.
+``reference_coeff_at``, ``reference_scheme_to_json_dict`` and
+``reference_format_scheme`` are the readers' bodies from when a ``Scheme``
+stored ``Term`` objects: they read its ``Term`` view, where the package reads
+the coefficient and node tuples and their sort order.
 ``reference_is_scale`` builds each candidate scale and compares it; ``is_scale``
 now checks each candidate on integers, through ``_matches``, and the other
 references call this one, so none of them shares that check.
@@ -29,6 +33,9 @@ from grdcalc.scheme import (
     ZeroDilation,
     ZeroScale,
     ZeroScheme,
+    _format_factor,
+    _format_node,
+    format_rational,
     order_info,
     parse_rational,
 )
@@ -110,3 +117,35 @@ def reference_moment(scheme: Scheme, j: int) -> Fraction:
     if j < 0:
         raise CalculusError("moment exponent must be >= 0")
     return sum((t.coeff * t.node ** j for t in scheme), Fraction(0))
+
+
+def reference_coeff_at(scheme: Scheme, node: Rationalish) -> Fraction:
+    node = parse_rational(node)
+    for term in scheme.terms:
+        if term.node == node:
+            return term.coeff
+    return Fraction(0)
+
+
+def reference_scheme_to_json_dict(scheme: Scheme) -> dict:
+    return {
+        "terms": [
+            {"coeff": format_rational(t.coeff), "node": format_rational(t.node)}
+            for t in scheme
+        ]
+    }
+
+
+def reference_format_scheme(scheme: Scheme) -> str:
+    if scheme.is_zero:
+        return "0"
+    pieces = []
+    for term in sorted(scheme, key=lambda t: t.node, reverse=True):
+        mag = abs(term.coeff)
+        if mag == 1:
+            body = _format_node(term.node)
+        else:
+            body = f"{_format_factor(mag)}*{_format_node(term.node)}"
+        pieces.append(("- " if term.coeff < 0 else "+ ") + body)
+    text = " ".join(pieces)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]

@@ -58,7 +58,6 @@ from grdcalc.scheme import (
     _matches,
     _read_int,
     _scheme,
-    _term,
 )
 from rational_reference import reference_parse_rational
 from scheme_reference import reference_combine, reference_is_scale, reference_moment
@@ -500,7 +499,7 @@ def test_order_info_zero_scheme():
 def test_all_leading_moments_zero_is_an_identity_fault():
     # a canonical scheme never has a zero coefficient; one built unchecked is a fault
     with pytest.raises(IdentityCheckFailed, match="all leading moments zero"):
-        order_info(_scheme((_term(Fraction(0), Fraction(1)),)))
+        order_info(_scheme((Fraction(0),), (Fraction(1),)))
 
 
 def test_order_detection_not_exact_count():

@@ -5,7 +5,9 @@ Each rewritten function is compared with its old body from
 and node, or the same refusal with the same message.
 """
 
+from dataclasses import fields
 from fractions import Fraction
+from math import factorial
 
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from grdcalc import (
     construct_exact,
     decompose,
     format_rational,
+    format_scheme,
     gaussian_affine,
     gaussian_forward,
     gaussian_symmetric,
@@ -29,14 +32,17 @@ from grdcalc import (
     scale,
     scheme_to_json_dict,
 )
-from grdcalc.scheme import _scheme, _split, _term
+from grdcalc.scheme import _scheme, _split
 from scheme_reference import (
     reference_canonicalize,
+    reference_coeff_at,
     reference_combine,
+    reference_format_scheme,
     reference_moment,
     reference_normalized,
     reference_reflect,
     reference_scale,
+    reference_scheme_to_json_dict,
     reference_split,
 )
 
@@ -216,19 +222,89 @@ def test_normalized_and_reflect_return_plain_fractions():
 
 def test_trusted_builds_equal_public_ones():
     terms = (Term(Fraction(-1), Fraction(0)), Term(Fraction(1), Fraction(1, 2)))
-    trusted = _scheme(tuple(_term(t.coeff, t.node) for t in terms))
+    trusted = _scheme(tuple(t.coeff for t in terms), tuple(t.node for t in terms))
     public = Scheme(terms)
     assert trusted == public and hash(trusted) == hash(public)
     assert repr(trusted) == repr(public) and trusted.terms == public.terms
     assert scheme_to_json_dict(trusted) == scheme_to_json_dict(public)
     assert not hasattr(trusted.terms[0], "__dict__")
+    assert [field.name for field in fields(Scheme)] == ["coeffs", "nodes"]
+    assert repr(public) == (
+        "Scheme(coeffs=(Fraction(-1, 1), Fraction(1, 1)), nodes=(Fraction(0, 1), Fraction(1, 2)))"
+    )
 
 
 def test_trusted_builds_are_checked_when_asked(checked_builds):
     canonicalize([(1, 0), (-1, 1)])
     assert checked_builds.count == 1 and not checked_builds.faults
-    grdcalc.scheme._scheme((Term(1, 1), Term(1, 0)))  # out of order
-    grdcalc.scheme._scheme((Term(1, 0), Term(2, 0)))  # one node twice
-    grdcalc.scheme._scheme((_term(1, 0),))  # an int coefficient
-    assert len(checked_builds.faults) == 3
+    one, two = Fraction(1), Fraction(2)
+    grdcalc.scheme._scheme((one, one), (one, Fraction(0)))  # out of order
+    grdcalc.scheme._scheme((one, two), (Fraction(0), Fraction(0)))  # one node twice
+    grdcalc.scheme._scheme((1,), (Fraction(0),))  # an int coefficient
+    grdcalc.scheme._scheme([one], [Fraction(0)])  # lists, not tuples
+    assert len(checked_builds.faults) == 4
     checked_builds.faults.clear()
+
+
+def assert_reads_as_its_terms(scheme: Scheme) -> None:
+    """The two stored tuples hold plain ``Fraction``s, the nodes strictly increase, no
+    coefficient is zero, and every reader agrees with the public rebuild
+    ``Scheme(scheme.terms)`` and with the reader bodies of ``scheme_reference``."""
+    coeffs, nodes = scheme.coeffs, scheme.nodes
+    assert type(coeffs) is tuple and type(nodes) is tuple and len(coeffs) == len(nodes)
+    assert all(type(v) is Fraction for v in coeffs + nodes)
+    assert all(coeffs) and all(left < right for left, right in zip(nodes, nodes[1:]))
+    terms = tuple(Term(c, b) for c, b in zip(coeffs, nodes))
+    assert scheme.terms == tuple(scheme) == terms and len(scheme) == len(terms)
+    public = Scheme(scheme.terms)
+    assert scheme == public and hash(scheme) == hash(public)
+    for node in {*nodes, *(-b for b in nodes), Fraction(0), Fraction(1, 7)}:
+        value, expected = scheme.coeff_at(node), reference_coeff_at(scheme, node)
+        assert (value, type(value)) == (expected, type(expected))
+    assert scheme_to_json_dict(scheme) == reference_scheme_to_json_dict(scheme)
+    assert format_scheme(scheme) == reference_format_scheme(scheme)
+
+
+pair_lists = st.lists(st.tuples(rationals, rationals), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["Scheme", "canonicalize", "combine", "scale", "normalized",
+                        "reflect", "decompose", "construct_exact"]), st.data())
+def test_every_build_is_two_plain_sorted_tuples(builder, data):
+    """Each builder's result against ``scheme_reference`` and ``assert_reads_as_its_terms``."""
+    if builder == "construct_exact":
+        nodes = data.draw(st.lists(rationals, min_size=2, max_size=6, unique=True))
+        n = len(nodes) - 1
+        results = [construct_exact(nodes, n)]
+        assert [reference_moment(results[0], j) for j in range(n + 1)] == [0] * n + [factorial(n)]
+    elif builder in ("Scheme", "canonicalize"):
+        pairs = data.draw(pair_lists)
+        expected = reference_canonicalize(pairs)
+        if builder == "Scheme":  # the public build of the same terms, in a drawn order
+            results = [Scheme(data.draw(st.permutations(expected.terms)))]
+        else:
+            results = [canonicalize(pairs)]
+        assert results == [expected]
+    elif builder == "combine":
+        parts = data.draw(st.lists(st.tuples(rationals, constants, schemes(tagged=False)),
+                                   min_size=1, max_size=3))
+        results = [combine(parts)]
+        assert results == [reference_combine(parts)]
+    else:
+        scheme = data.draw(schemes(tagged=False).filter(lambda s: not s.is_zero))
+        if builder == "decompose":
+            n = data.draw(st.integers(1, 4))
+            results = list(decompose(scheme, n))
+            assert results == list(reference_split(scheme, n % 2 == 1))
+        elif builder == "scale":
+            r = data.draw(constants)
+            results = [scale(scheme, r)]
+            assert results == [reference_scale(scheme, r)]
+        else:
+            build, reference = {"normalized": (normalized, reference_normalized),
+                                "reflect": (reflect, reference_reflect)}[builder]
+            results = [build(scheme)]
+            assert results == [reference(scheme)]
+    for result in results:
+        assert_reads_as_its_terms(result)
