@@ -19,27 +19,8 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from .equivalence import decide_equivalent
-from .families import (
-    match_to_json_dict,
-    named_scheme,
-    parse_family,
-    recognize_gaussian,
-    scale_partners,
-)
-from .mz import (
-    CONTINUITY,
-    DEMOS,
-    ChainEntry,
-    ggr_set,
-    mz_check,
-    mz_set_check,
-    n_times_check,
-    verify_quantum_ggr,
-)
-from .probes import ProbeConfig, ProbeReport, limit_probe, parse_oracle, peano_probe
 from .scheme import (
     CalculusError,
     Scheme,
@@ -59,6 +40,15 @@ from .scheme import (
     scheme_to_json_dict,
 )
 
+if TYPE_CHECKING:
+    from .mz import ChainEntry
+    from .probes import ProbeReport
+
+# The layer modules are imported by the handlers that use them, so that a process loads only
+# what its verb runs; each import is absolute, which after the first is a lookup that runs in
+# C.  DEMO_NAMES is the key order of mz.DEMOS, for the parser's help text.
+DEMO_NAMES = ("E1", "E2", "E3", "E13", "E14", "E15", "P88", "T14", "T8", "MZ", "GGR")
+
 
 class UnknownDemo(CalculusError):
     """The demo name is not in the registry."""
@@ -77,7 +67,9 @@ def read_scheme(spec: str) -> Scheme:
             ) from exc
     if spec.startswith("{"):
         return scheme_from_json(spec)
-    return named_scheme(parse_family(spec))
+    import grdcalc.families as families
+
+    return families.named_scheme(families.parse_family(spec))
 
 
 def _csv_rationals(text: str) -> list[Fraction]:
@@ -181,7 +173,9 @@ def _cmd_scale(args: argparse.Namespace) -> tuple[dict, Iterable[str]]:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    verdict = decide_equivalent(
+    import grdcalc.equivalence as equivalence
+
+    verdict = equivalence.decide_equivalent(
         read_scheme(args.a), read_scheme(args.b), use_fast_paths=not args.no_fast
     )
     payload = verdict.to_json_dict()
@@ -201,12 +195,14 @@ def _cmd_equiv(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 
 def _cmd_recognize(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    import grdcalc.families as families
+
     scheme = read_scheme(args.scheme)
-    match = recognize_gaussian(scheme)
-    partners = scale_partners(match) if match is not None else []
+    match = families.recognize_gaussian(scheme)
+    partners = families.scale_partners(match) if match is not None else []
     payload = {
-        "match": match_to_json_dict(match) if match else None,
-        "partners": [match_to_json_dict(p) for p in partners],
+        "match": families.match_to_json_dict(match) if match else None,
+        "partners": [families.match_to_json_dict(p) for p in partners],
     }
     if match is None:
         lines = ["recognize: none"]
@@ -233,19 +229,25 @@ def _mz_lines(payload: dict) -> list[str]:
 
 
 def _cmd_mz_check(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    verdict = mz_check(read_scheme(args.scheme), symmetric_mode=args.symmetric)
+    import grdcalc.mz as mz
+
+    verdict = mz.mz_check(read_scheme(args.scheme), symmetric_mode=args.symmetric)
     payload = verdict.to_json_dict()
     return payload, _mz_lines(payload)
 
 
 def _cmd_mz_set(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    verdict = mz_set_check([read_scheme(s) for s in args.schemes])
+    import grdcalc.mz as mz
+
+    verdict = mz.mz_set_check([read_scheme(s) for s in args.schemes])
     payload = verdict.to_json_dict()
     return payload, _mz_lines(payload)
 
 
 def _cmd_ggr(args: argparse.Namespace) -> tuple[dict, Iterable[str]]:
-    members = ggr_set(args.order, reduced=args.reduced)
+    import grdcalc.mz as mz
+
+    members = mz.ggr_set(args.order, reduced=args.reduced)
     payload = {
         "n": args.order,
         "reduced": args.reduced,
@@ -255,8 +257,10 @@ def _cmd_ggr(args: argparse.Namespace) -> tuple[dict, Iterable[str]]:
 
 
 def _cmd_qggr(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    import grdcalc.mz as mz
+
     q = parse_rational(args.q)
-    witnesses = verify_quantum_ggr(args.order, args.ell, q)
+    witnesses = mz.verify_quantum_ggr(args.order, args.ell, q)
     payload = {
         "n": args.order,
         "ell": args.ell,
@@ -273,6 +277,8 @@ def _cmd_qggr(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 
 def _cmd_ntimes(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    import grdcalc.mz as mz
+
     chain: list[tuple[int, ChainEntry]] = []
     for entry in args.entry:
         head, sep, tail = entry.partition(":")
@@ -280,10 +286,10 @@ def _cmd_ntimes(args: argparse.Namespace) -> tuple[dict, list[str]]:
             raise CalculusError("entries look like ORDER:(cont|SCHEME)")
         order = _int_field(head, f"bad chain order {_echo(repr(head))}")
         if tail.strip() == "cont":
-            chain.append((order, CONTINUITY))
+            chain.append((order, mz.CONTINUITY))
         else:
             chain.append((order, read_scheme(tail)))
-    report = n_times_check(chain)
+    report = mz.n_times_check(chain)
     payload = report.to_json_dict()
     lines = [
         f"orders: {', '.join(str(j) for j in report.orders_present)}",
@@ -317,15 +323,17 @@ def _probe_lines(report: ProbeReport) -> list[str]:
 
 
 def _cmd_probe(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    oracle = parse_oracle(args.oracle)
+    import grdcalc.probes as probes
+
+    oracle = probes.parse_oracle(args.oracle)
     ratios = None if args.ratios is None else _csv_rationals(args.ratios)
     given = dict(h0=args.h0, ratios=ratios, j_min=args.jmin, j_max=args.jmax, tol=args.tol)
-    config = ProbeConfig(**{key: value for key, value in given.items() if value is not None})
+    config = probes.ProbeConfig(**{key: value for key, value in given.items() if value is not None})
     x = parse_rational(args.x)
     if args.peano is not None:
         if args.scheme is not None:
             raise CalculusError("--peano replaces the scheme argument")
-        stages = peano_probe(oracle, x, args.peano, config)
+        stages = probes.peano_probe(oracle, x, args.peano, config)
         payload = {
             "stages": [
                 {"order": order, "report": report.to_json_dict()}
@@ -339,15 +347,17 @@ def _cmd_probe(args: argparse.Namespace) -> tuple[dict, list[str]]:
         return payload, lines
     if args.scheme is None:
         raise CalculusError("probe needs a scheme argument or --peano")
-    report = limit_probe(read_scheme(args.scheme), oracle, x, config)
+    report = probes.limit_probe(read_scheme(args.scheme), oracle, x, config)
     return report.to_json_dict(), _probe_lines(report)
 
 
 def _cmd_demo(args: argparse.Namespace) -> tuple[dict, list[str]]:
     name = args.name
-    if name not in DEMOS:
-        raise UnknownDemo(f"unknown demo {_echo(repr(name))}; choose from {', '.join(DEMOS)}")
-    lines, facts = DEMOS[name]()
+    if name not in DEMO_NAMES:
+        raise UnknownDemo(f"unknown demo {_echo(repr(name))}; choose from {', '.join(DEMO_NAMES)}")
+    import grdcalc.mz as mz
+
+    lines, facts = mz.DEMOS[name]()
     return {"demo": name, "facts": facts}, [f"[demo {name}]"] + lines
 
 
@@ -488,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_probe)
 
     p = new("demo", "run a named worked example, asserting its conclusion")
-    p.add_argument("name", help=f"one of: {', '.join(DEMOS)}")
+    p.add_argument("name", help=f"one of: {', '.join(DEMO_NAMES)}")
     p.set_defaults(handler=_cmd_demo)
 
     return parser

@@ -20,7 +20,6 @@ re-verified by one integer check of ``b = A * a_plus(r*h) + B * a_minus(s*h)``."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -39,6 +38,7 @@ from .scheme import (
     Scheme,
     ZeroScale,
     ZeroScheme,
+    _Record,
     _matches,
     _require,
     combine,
@@ -60,8 +60,7 @@ REASON_SKEW = "SkewPartMismatch"
 REASON_SKEW_ZERO = "SkewZeroVsNonzero"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """Constants realizing an equivalence of order-``n`` schemes.
 
     ``sym_factor`` is always ``r**(-n)``; ``skew_factor`` is the free
@@ -85,8 +84,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(_Record):
     """Outcome of a decision: a witnessed equivalence or a typed refusal."""
 
     equivalent: bool

@@ -18,7 +18,6 @@ ratio, and its other parameterizations are closed forms of that progression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -31,6 +30,7 @@ from .scheme import (
     Scheme,
     ZeroScale,
     ZeroScheme,
+    _Record,
     _check_budget,
     _check_member_size,
     _check_order,
@@ -95,8 +95,7 @@ _CLI_VARIANTS = {
 }
 
 
-@dataclass(frozen=True)
-class FamilyKind:
+class FamilyKind(_Record):
     """A family tag with its parameters (order ``n``, shift ``k``, ratio ``q``)."""
 
     variant: str
@@ -275,8 +274,7 @@ def _is_member(form: tuple, nodes: list[Fraction], n: int) -> bool:
     return on_nodes and _leading(form, n + 1) == (n, factorial(n) * da * db ** n)
 
 
-@dataclass(frozen=True)
-class GaussianMatch:
+class GaussianMatch(_Record):
     """A geometric-pattern identification: ``scheme ~ scale_b * member(variant, n, q)``.
 
     ``scale_b = 1`` means the exact family member.  Matches produced by

@@ -20,7 +20,6 @@ the classification and by the independent counterexample D31.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, TypeVar, Union
 
@@ -43,13 +42,13 @@ from .families import (
     riemann_shift,
     symmetric_riemann,
 )
-from .probes import VERDICT_CONVERGES, VERDICT_DIVERGES, peano_probe, subgroup_monomial_oracle
 from .scheme import (
     CalculusError,
     InvalidOrder,
     Rationalish,
     Scheme,
     ZeroScheme,
+    _Record,
     _check_budget,
     _check_order,
     _digits,
@@ -105,8 +104,7 @@ CERT_GGR_SET = "GgrSet"
 _RIEMANN_NOT_MZ_ORDERS = (3, 7)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """The fact a verdict rests on: an equivalence, a cited order, or a set."""
 
     kind: str
@@ -128,8 +126,7 @@ class Certificate:
         return out
 
 
-@dataclass(frozen=True)
-class MzVerdict:
+class MzVerdict(_Record):
     """Status plus the certificate (for known verdicts) or conjecture tag."""
 
     status: str
@@ -355,8 +352,7 @@ _PEANO_NOTES = {
 }
 
 
-@dataclass(frozen=True)
-class NTimesReport:
+class NTimesReport(_Record):
     """Whether a chain of schemes of orders 0..n is known to capture the
     full Taylor expansion (n-times differentiability)."""
 
@@ -622,6 +618,8 @@ def _demo_e14() -> tuple[list[str], dict]:
 
 
 def _demo_e15() -> tuple[list[str], dict]:
+    from .probes import VERDICT_CONVERGES, VERDICT_DIVERGES, peano_probe, subgroup_monomial_oracle
+
     oracle = subgroup_monomial_oracle(2, [2, 3])
     stages = peano_probe(oracle, 0, 2)
     _require(len(stages) == 2, "must stop after stage 2")

@@ -54,7 +54,6 @@ denominator of ``x``, ``h0`` and each ratio it runs (``x`` and ``h`` for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -67,6 +66,7 @@ from .scheme import (
     OrderBudgetExceeded,
     Rationalish,
     Scheme,
+    _Record,
     _check_budget,
     _echo,
     _format_pair,
@@ -294,8 +294,7 @@ _ORACLE_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class FunctionOracle:
+class FunctionOracle(_Record):
     """An exactly evaluable test function.
 
     Kinds: ``abs`` (|x|), ``sgnsq`` (x*|x|), ``mono`` (x**degree), ``poly``
@@ -506,8 +505,7 @@ def _quotient_kernel(scheme: Scheme, n: int, oracle: FunctionOracle, x: Fraction
     return quotients
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
+class ProbeConfig(_Record):
     """Step-sequence layout and tolerance for limit probes."""
 
     h0: Fraction = Fraction(1)
@@ -542,8 +540,7 @@ class ProbeConfig:
         }
 
 
-@dataclass(frozen=True)
-class ProbeSequence:
+class ProbeSequence(_Record, hidden=("step_texts",)):
     """Samples along one geometric step sequence and its settled tail value.
 
     ``values`` holds each step's quotient as its reduced pair ``(p, q)``,
@@ -557,7 +554,7 @@ class ProbeSequence:
     settled: bool
     candidate: Optional[Fraction]
     in_group: Optional[bool] = None
-    step_texts: tuple[str, ...] = field(default=(), compare=False, repr=False)
+    step_texts: tuple[str, ...] = ()
 
     @cached_property
     def samples(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -584,8 +581,7 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 _TAIL_LENGTH = 5
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(_Record):
     """Probe verdict with full samples; numeric evidence, not proof."""
 
     verdict: str
@@ -688,7 +684,7 @@ def limit_probe(
     lattice = None
     if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
         lattice = _generator_lattice(oracle.generators)
-    effective = replace(cfg, ratios=ratios)
+    effective = ProbeConfig(cfg.h0, ratios, cfg.j_min, cfg.j_max, cfg.tol)
     quotients = _quotient_kernel(scheme, order_info(scheme).order, oracle, x)
     sequences = []
     for ratio in ratios:

@@ -15,11 +15,11 @@ import json
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm, prod
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Rationalish = Union[Fraction, int, str]
@@ -228,10 +228,22 @@ def _plain(value: Fraction) -> str:
 MAX_FAMILY_SIZE = 2 ** 21
 
 
+# floor(log10(2) * 2**136): t * _LOG10_2 >> 136 is floor(t * log10(2)) for every t below 2**64,
+# since no such t * log10(2) lies within t / 2**136 above an integer (its convergents show it)
+_LOG10_2 = 26223411056317277120003099968026427571219
+
+
 def _width(values: Iterable[Fraction]) -> int:
     """The decimal digits of the largest ``|numerator|`` or denominator among ``values``
-    (Fractions or ints): the one digit measure of every work budget."""
-    return len(_digits(max(max(abs(v.numerator), v.denominator) for v in values)))
+    (Fractions or ints): the one digit measure of every work budget.
+
+    Counted from the bit length ``b`` without a decimal conversion: the value has the digits
+    of ``2**(b-1)`` or of ``2**b - 1``, and where those differ one power of ten tells which.
+    """
+    top = max(max(abs(v.numerator), v.denominator) for v in values)
+    bits = top.bit_length()
+    low, high = ((bits - 1) * _LOG10_2 >> 136) + 1, (bits * _LOG10_2 >> 136) + 1
+    return low if low == high else low + (top >= 10 ** low)
 
 
 def _check_budget(what: str, value: int, limit: int) -> None:
@@ -269,20 +281,68 @@ def format_rational(value: Fraction) -> str:
     return _format_pair(value.numerator, value.denominator)
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
+class _Record:
+    """A frozen record, as ``@dataclass(frozen=True)`` makes one, without ``dataclasses``.
+
+    A subclass's fields are its annotations, in order, with its class attributes as
+    defaults; ``hidden`` names fields left out of ``==``, ``hash`` and ``repr``.  Unless the
+    subclass writes its own (one with ``__slots__`` must), ``__init__`` takes the fields by
+    position or keyword and then calls ``__post_init__`` if there is one.  ``==`` compares
+    two records of one class by the tuple of their shown fields, ``hash`` is that tuple's,
+    ``repr`` is ``Name(field=value, ...)``, and assigning or deleting an attribute raises
+    ``AttributeError``, each as a frozen dataclass does.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, hidden: tuple[str, ...] = ()) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._shown = tuple(name for name in cls._fields if name not in hidden)
+        key = attrgetter(*cls._shown)
+        cls._key = key if len(cls._shown) > 1 else lambda record: (key(record),)
+        if "__init__" not in vars(cls):
+            # compiled like the dataclass one, so that a build binds its arguments in C
+            params = [f"{n}=_defaults[{n!r}]" if n in vars(cls) else n for n in cls._fields]
+            lines = [f"def __init__(self, {', '.join(params)}):"]
+            lines += [f"    _set(self, {name!r}, {name})" for name in cls._fields]
+            lines += ["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+            namespace = {"_set": object.__setattr__, "_defaults": vars(cls)}
+            exec("\n".join(lines), namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Term(_Record):
     """One summand ``coeff * f(x + node*h)`` of a scheme."""
 
+    __slots__ = ("coeff", "node")
     coeff: Fraction
     node: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", parse_rational(self.coeff))
-        object.__setattr__(self, "node", parse_rational(self.node))
+    def __init__(self, coeff: Rationalish, node: Rationalish) -> None:
+        object.__setattr__(self, "coeff", parse_rational(coeff))
+        object.__setattr__(self, "node", parse_rational(node))
 
 
-@dataclass(frozen=True, init=False)
-class Scheme:
+class Scheme(_Record):
     """A canonical scheme: nonzero coefficients ``coeffs`` at strictly increasing ``nodes``.
 
     ``Scheme(terms)`` sorts ``Term``s and refuses a repeated node or a zero
@@ -315,7 +375,7 @@ class Scheme:
         return not self.nodes
 
     # The Term view, order, integer form and parts, derived on first use and kept on the
-    # frozen instance (dataclass ==, hash and repr read fields only); see order_info, decompose.
+    # frozen instance (==, hash and repr read the two fields only); see order_info, decompose.
     @cached_property
     def terms(self) -> tuple[Term, ...]:
         return tuple(map(Term, self.coeffs, self.nodes))
@@ -391,8 +451,7 @@ def moment(scheme: Scheme, j: int) -> Fraction:
     return Fraction(sum(a * b ** j for a, b in zip(coeffs, nodes)), da * db ** j)
 
 
-@dataclass(frozen=True)
-class OrderInfo:
+class OrderInfo(_Record):
     """Order data: first nonvanishing moment index, its value, and n!/m_n."""
 
     order: int

@@ -16,7 +16,6 @@ oracle adds come from ``_added_subgroup_ratios``, a copy of the rule that
 does not call the library's.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -92,7 +91,7 @@ def reference_limit_probe(scheme, oracle, x=0, config=None) -> ProbeReport:
         for ratio in _added_subgroup_ratios(oracle.generators):
             if ratio not in ratios:
                 ratios.append(ratio)
-    effective = replace(cfg, ratios=tuple(ratios))
+    effective = ProbeConfig(cfg.h0, tuple(ratios), cfg.j_min, cfg.j_max, cfg.tol)
     quotient = _quotient_kernel(scheme, order_info(scheme).order, oracle, x)
     sequences = []
     for ratio in ratios:

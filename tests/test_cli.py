@@ -39,7 +39,8 @@ from grdcalc import (
     scheme_to_json_dict,
     script_d,
 )
-from grdcalc.cli import DEMOS, main
+from grdcalc.cli import main
+from grdcalc.mz import DEMOS
 
 D31 = construct_exact([-1, 0, 1, 2], 3)
 D31_JSON = json.dumps(scheme_to_json_dict(D31))

@@ -33,7 +33,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import grdcalc
-from grdcalc.cli import DEMOS, main
+from grdcalc.cli import main
+from grdcalc.mz import DEMOS
 
 SEED = 20261020
 COUNT = 200

@@ -1,6 +1,5 @@
 """Equivalence decision procedure, witnesses, and class members."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -445,6 +444,11 @@ def _outcome(check, a, b, witness):
         return check(a, b, witness)
     except Exception as exc:  # noqa: BLE001 - compared by type
         return type(exc)
+
+
+def replace(w, **changes):
+    """``w`` with the named fields changed, built again through ``Witness``."""
+    return Witness(**{**{name: getattr(w, name) for name in Witness._fields}, **changes})
 
 
 def _tampered(w, a):

@@ -27,7 +27,8 @@ from unittest import mock
 
 import pytest
 
-from grdcalc.cli import DEMOS, main
+from grdcalc.cli import main
+from grdcalc.mz import DEMOS
 from test_cli import run_child
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -1,7 +1,6 @@
 """Catalog verdicts, shifted-set reductions, and differentiation chains."""
 
 import random
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from grdcalc import families, mz
 from grdcalc.cli import main, read_scheme
 from grdcalc import scheme as scheme_module
-from grdcalc.scheme import OrderBudgetExceeded, _echo
+from grdcalc.scheme import OrderBudgetExceeded, _Record, _echo
 from grdcalc import (
     IdentityCheckFailed,
     CONJECTURE_GAUSSIAN,
@@ -33,6 +32,7 @@ from grdcalc import (
     InvalidQ,
     MissingOrder,
     MixedOrders,
+    MzVerdict,
     NotNormalized,
     PEANO_ALL_MZ,
     PEANO_IDENTITY,
@@ -611,15 +611,24 @@ def _count_decisions(monkeypatch) -> list:
 
 
 def _leaves(value):
-    """The values inside ``value``, through tuples and dataclass fields."""
+    """The values inside ``value``, through tuples and record fields; a ``Scheme`` is a leaf."""
     if isinstance(value, tuple):
         for item in value:
             yield from _leaves(item)
-    elif is_dataclass(value) and not isinstance(value, Scheme):
-        for field in fields(value):
-            yield from _leaves(getattr(value, field.name))
+    elif isinstance(value, _Record) and not isinstance(value, Scheme):
+        for name in value._fields:
+            yield from _leaves(getattr(value, name))
     else:
         yield value
+
+
+def test_leaves_walk_every_record_field_and_stop_at_a_scheme():
+    verdict = MzVerdict(STATUS_MZ, Certificate(CERT_GGR_SET, n=3, reduced=False), CONJECTURE_NONE)
+    assert list(_leaves(verdict)) == [STATUS_MZ, CERT_GGR_SET, None, None, 3, False, CONJECTURE_NONE]
+    report = n_times_check(chain_through_symmetric_second())
+    leaves = list(_leaves(report))
+    assert report.identity_certificate in leaves and STATUS_NOT_MZ in leaves
+    assert sum(isinstance(leaf, Scheme) for leaf in leaves) == 1
 
 
 def test_equal_schemes_written_differently_share_one_verdict(monkeypatch):

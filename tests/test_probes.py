@@ -672,8 +672,8 @@ def test_cli_probe_builds_no_fraction_samples(monkeypatch, argv, output):
         return report
 
     run_probe = probes.limit_probe
-    monkeypatch.setattr(probes, "limit_probe", recording)  # the stages of peano_probe
-    monkeypatch.setattr(cli, "limit_probe", recording)
+    # the CLI's probe handler and peano_probe's stages both read probes.limit_probe
+    monkeypatch.setattr(probes, "limit_probe", recording)
     with redirect_stdout(io.StringIO()) as out:
         assert cli.main(["--output", output, *argv]) == 0
     assert runs and out.getvalue()

@@ -58,6 +58,7 @@ from grdcalc.scheme import (
     _matches,
     _read_int,
     _scheme,
+    _width,
 )
 from rational_reference import reference_parse_rational
 from scheme_reference import reference_combine, reference_is_scale, reference_moment
@@ -308,6 +309,24 @@ def test_digits_past_the_limit_match_decimal_conversion():
     for value in (-(7 ** 118000) - 12345, 2 ** (2 ** 18), 2 ** (2 ** 18) - 1, 10 ** 99999):
         assert _digits(value) == format(Decimal(value), "f")
     assert repr(decimal.getcontext()) == context
+
+
+def test_width_counts_digits_from_the_bit_length():
+    # the reference is the decimal conversion of _digits; around each power of ten the bit
+    # length allows two counts, and 10**4300 and up are past the int-to-str limit
+    for k in (1, 2, 4300, 5000, 2 ** 16):
+        for value in (10 ** k - 1, 10 ** k, 10 ** k + 1):
+            assert _width([value]) == _width([Fraction(-1, value), 3]) == len(_digits(value)), k
+    power = 1
+    for _ in range(4000):  # every bit length up to 4,000
+        power <<= 1
+        assert _width([power]) == len(str(power)) and _width([power - 1]) == len(str(power - 1))
+    # where the bit length allows one count, no power of ten is built (a decimal
+    # conversion of this value took 0.3 s)
+    value = (1 << 3_500_000) - 1
+    started = perf_counter()
+    assert _width([value]) == 1_053_605
+    assert perf_counter() - started < 0.05
 
 
 def test_canonicalize_merges_and_drops():
