@@ -119,7 +119,7 @@ def verify_witness(a: Scheme, b: Scheme, witness: Witness) -> bool:
 
 def _exact_distinct_magnitudes(scheme: Scheme, n: int) -> bool:
     """Whether ``scheme`` is exact (``n + 1`` terms) with all node magnitudes distinct."""
-    return len(scheme) == n + 1 and len({abs(b) for b in scheme.nodes}) == len(scheme)
+    return len(scheme) == n + 1 and len({abs(b) for b in scheme._ints[2]}) == len(scheme)
 
 
 def _fast_path(a: Scheme, b: Scheme, witness: Witness) -> str:
@@ -130,7 +130,7 @@ def _fast_path(a: Scheme, b: Scheme, witness: Witness) -> str:
     """
     if witness.skew_factor == 0:
         return PATH_SYMMETRIC
-    if a.nodes[0] >= 0 and b.nodes[0] >= 0:  # the nodes are sorted
+    if a._ints[2][0] >= 0 and b._ints[2][0] >= 0:  # the nodes are sorted
         return PATH_FAST_NONNEG
     n = witness.order
     if len(a) == len(b) and (_exact_distinct_magnitudes(a, n) or _exact_distinct_magnitudes(b, n)):
@@ -142,17 +142,19 @@ def _general_outcome(a: Scheme, b: Scheme, n: int) -> Witness | str:
     """The only witness that can work for a normalized same-order pair, read
     off the parts' last terms (a part has a parity, so its last node is its
     largest and positive, and ``B`` absorbs a dilation's sign), or the first
-    negative reason."""
+    negative reason.  Those terms are read as the last integers of the integer forms."""
     (a_plus, a_minus), (b_plus, b_minus) = decompose(a, n), decompose(b, n)
-    r = b_plus.nodes[-1] / a_plus.nodes[-1]
+    (_, _, Ba, ea), (_, _, Bb, eb) = a_plus._ints, b_plus._ints
+    r = Fraction(Bb[-1] * ea, eb * Ba[-1])
     if not _matches(b_plus, [(r ** -n, r, a_plus)]):
         return REASON_SYMMETRIC
     if a_minus.is_zero != b_minus.is_zero:
         return REASON_SKEW_ZERO
     if a_minus.is_zero:
         return Witness(n, r, Fraction(1), r ** -n, Fraction(0))
-    s = b_minus.nodes[-1] / a_minus.nodes[-1]
-    skew_factor = b_minus.coeffs[-1] / a_minus.coeffs[-1]
+    (Aa, da, Ba, ea), (Ab, db, Bb, eb) = a_minus._ints, b_minus._ints
+    s = Fraction(Bb[-1] * ea, eb * Ba[-1])
+    skew_factor = Fraction(Ab[-1] * da, db * Aa[-1])
     if not _matches(b_minus, [(skew_factor, s, a_minus)]):
         return REASON_SKEW
     return Witness(n, r, s, r ** -n, skew_factor)

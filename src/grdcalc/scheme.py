@@ -17,8 +17,8 @@ import sys
 from bisect import bisect_left
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
-from functools import cached_property
-from math import factorial, lcm, prod
+from functools import cached_property, lru_cache
+from math import factorial, gcd, lcm, prod
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -152,19 +152,27 @@ def parse_rational(text: Rationalish) -> Fraction:
     A decimal exponent above ``MAX_EXPONENT`` in magnitude is refused up front.
     Digits are read by :func:`_read_int`, in time subquadratic in their count;
     a decimal is its mantissa (whole and fraction digits) times
-    ``10**(exponent - len(fraction))``.
+    ``10**(exponent - len(fraction))``.  A ``Fraction`` is returned as given.
     """
-    if isinstance(text, Fraction):
-        return text
-    if _is_int(text):
-        return Fraction(text)
+    return text if isinstance(text, Fraction) else Fraction(*_ratio(text))
+
+
+def _ratio(text: Rationalish) -> tuple[int, int]:
+    """The rational :func:`parse_rational` reads, as an integer pair ``(p, q)`` with ``q > 0``,
+    not necessarily reduced, or its refusal: a ``p/q`` string costs one regex and two
+    :func:`_read_int` calls, and a ``Fraction`` or an ``int`` no call at all."""
+    if type(text) is not str:
+        if isinstance(text, Fraction):
+            return text.numerator, text.denominator
+        if _is_int(text):
+            return text, 1
     body = str(text).strip()
     ratio = _INTEGER_OR_RATIO.fullmatch(body)
     decimal = None if ratio else _DECIMAL.fullmatch(body)
     if ratio is not None:
-        num, den = _read_int(ratio[1]), _read_int(ratio[2] or "1")
+        den = _read_int(ratio[2] or "1")
         if den:
-            return Fraction(num, den)
+            return _read_int(ratio[1]), den
     elif decimal:
         sign, whole, fraction, exp_sign, exp_digits = decimal.groups("")
         digits = exp_digits.replace("_", "").lstrip("0")
@@ -175,9 +183,7 @@ def parse_rational(text: Rationalish) -> Fraction:
             )
         mantissa = _read_int(sign + whole + fraction)
         exponent = int(exp_sign + (digits or "0")) - len(fraction.replace("_", ""))
-        if exponent >= 0:
-            return Fraction(mantissa * 10 ** exponent)
-        return Fraction(mantissa, 10 ** -exponent)
+        return (mantissa * 10 ** exponent, 1) if exponent >= 0 else (mantissa, 10 ** -exponent)
     raise CalculusError(f"not a rational: {_echo(repr(text))}")
 
 
@@ -231,6 +237,8 @@ MAX_FAMILY_SIZE = 2 ** 21
 # floor(log10(2) * 2**136): t * _LOG10_2 >> 136 is floor(t * log10(2)) for every t below 2**64,
 # since no such t * log10(2) lies within t / 2**136 above an integer (its convergents show it)
 _LOG10_2 = 26223411056317277120003099968026427571219
+# 10**k, the last one formed kept: repeated _width calls at one width form it once
+_power_of_ten = lru_cache(maxsize=1)(lambda k: 10 ** k)
 
 
 def _width(values: Iterable[Fraction]) -> int:
@@ -243,7 +251,7 @@ def _width(values: Iterable[Fraction]) -> int:
     top = max(max(abs(v.numerator), v.denominator) for v in values)
     bits = top.bit_length()
     low, high = ((bits - 1) * _LOG10_2 >> 136) + 1, (bits * _LOG10_2 >> 136) + 1
-    return low if low == high else low + (top >= 10 ** low)
+    return low if low == high else low + (top >= _power_of_ten(low))
 
 
 def _check_budget(what: str, value: int, limit: int) -> None:
@@ -348,6 +356,8 @@ class Scheme(_Record):
     ``Scheme(terms)`` sorts ``Term``s and refuses a repeated node or a zero
     coefficient; use :func:`canonicalize` to merge duplicate nodes and drop
     zero coefficients.  The empty scheme represents the zero combination.
+    A scheme the package builds stores its reduced integer form ``_ints`` only (see
+    :func:`_built`), and ``coeffs``, ``nodes`` and ``terms`` are views formed on first read.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -368,14 +378,29 @@ class Scheme(_Record):
         return iter(self.terms)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._ints[0])
 
     @property
     def is_zero(self) -> bool:
-        return not self.nodes
+        return not self._ints[0]
 
-    # The Term view, order, integer form and parts, derived on first use and kept on the
-    # frozen instance (==, hash and repr read the two fields only); see order_info, decompose.
+    # Whichever of the integer form and the two tuples the build did not store, the Term view,
+    # order and parts, derived on first use and kept (==, hash and repr read the two tuples).
+    @cached_property
+    def _ints(self) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
+        # the integer form (A, da, B, db): coefficients A_i / da and nodes B_i / db
+        return (*_over_common_denominator(self.coeffs), *_over_common_denominator(self.nodes))
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        A, da, _, _ = self._ints
+        return tuple([Fraction(a, da) for a in A])
+
+    @cached_property
+    def nodes(self) -> tuple[Fraction, ...]:
+        _, _, B, db = self._ints
+        return tuple([Fraction(b, db) for b in B])
+
     @cached_property
     def terms(self) -> tuple[Term, ...]:
         return tuple(map(Term, self.coeffs, self.nodes))
@@ -383,11 +408,6 @@ class Scheme(_Record):
     @cached_property
     def _order(self) -> OrderInfo:
         return _find_order(self)
-
-    @cached_property
-    def _ints(self) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
-        # the integer form (A, da, B, db): coefficients A_i / da and nodes B_i / db
-        return (*_over_common_denominator(self.coeffs), *_over_common_denominator(self.nodes))
 
     @cached_property
     def _even_parts(self) -> tuple[Scheme, Scheme]:
@@ -407,30 +427,38 @@ class Scheme(_Record):
 PairLike = Union[Term, Sequence[Rationalish]]
 
 
-def _scheme(coeffs: tuple[Fraction, ...], nodes: tuple[Fraction, ...]) -> Scheme:
-    """``Scheme`` unchecked, for tuples that are canonical by construction: the nodes
-    strictly increase and the coefficients are nonzero, all of them ``Fraction``s."""
+def _built(sums: dict[int, int], C: int, D: int) -> Scheme:
+    """The one trusted build: coefficient ``sums[k] / C`` at node ``k / D`` for each
+    nonzero sum, with ``C, D > 0``.  It stores the reduced integer form ``(A, da, B, db)``
+    only: ``B`` strictly increasing, no zero in ``A``, ``gcd(da, *A) == gcd(db, *B) == 1``,
+    so one scheme has one form however its sums were written."""
+    keys = sorted([k for k, a in sums.items() if a])
+    A = [sums[k] for k in keys]
+    g, h = gcd(C, *A), gcd(D, *keys)
     scheme = object.__new__(Scheme)
-    object.__setattr__(scheme, "coeffs", coeffs)
-    object.__setattr__(scheme, "nodes", nodes)
+    scheme.__dict__["_ints"] = (tuple([a // g for a in A]), C // g, tuple([k // h for k in keys]), D // h)
     return scheme
+
+
+def _pair_sums(read: list[tuple[int, int, int, int]]) -> tuple[dict, int, int]:
+    """The sums :func:`_built` takes for the terms ``(p/q) * f(x + (r/s)*h)`` of ``read``."""
+    C, D = lcm(*(q for _, q, _, _ in read)), lcm(*(s for _, _, _, s in read))
+    sums: dict[int, int] = {}
+    for p, q, r, s in read:
+        key = r * (D // s)
+        sums[key] = sums.get(key, 0) + p * (C // q)
+    return sums, C, D
 
 
 def canonicalize(terms: Iterable[PairLike]) -> Scheme:
     """Build a scheme from (coeff, node) pairs: merge nodes, drop zeros, sort.
-    Coefficients come out as plain ``Fraction``s, each node as the first given for its value."""
-    coeffs, nodes = [], []
+    Every value is read as an integer pair (:func:`_ratio`), so the result's coefficients
+    and nodes are plain ``Fraction``s, whatever type of value was given."""
+    read = []
     for item in terms:
         coeff, node = (item.coeff, item.node) if isinstance(item, Term) else item
-        coeffs.append(coeff if type(coeff) is Fraction else Fraction(parse_rational(coeff)))
-        nodes.append(parse_rational(node))
-    first: dict[int, Fraction] = {}  # keyed by the node's numerator over one denominator
-    sums: dict[int, Fraction] = {}
-    for key, node, coeff in zip(_over_common_denominator(nodes)[0], nodes, coeffs):
-        first.setdefault(key, node)
-        sums[key] = sums[key] + coeff if key in sums else coeff
-    keys = [key for key in sorted(sums) if sums[key]]
-    return _scheme(tuple(sums[key] for key in keys), tuple(first[key] for key in keys))
+        read.append((*_ratio(coeff), *_ratio(node)))
+    return _built(*_pair_sums(read))
 
 
 def _over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -497,27 +525,15 @@ def normalized(scheme: Scheme) -> Scheme:
     return scheme if normalizer == 1 else combine([(normalizer, 1, scheme)])
 
 
-def _lagrange_weights(points: Sequence[Fraction], top: int) -> list[Fraction]:
-    """The weights ``w_i = top / prod_{j != i} (t_i - t_j)`` on distinct points.
-
-    They are the unique solution of ``sum_i w_i * t_i**j = 0`` for
-    ``j < k-1`` and ``sum_i w_i * t_i**(k-1) = top`` on ``k`` points:
-    ``top`` times the last row of the inverse Vandermonde matrix
-    (Bjorck and Pereyra, Math. Comp. 24, 1970; Fornberg, Math. Comp. 51,
-    1988).  The differences run on integers over a common denominator.
-    """
-    ints, d = _over_common_denominator(points)
-    numerator = top * d ** (len(ints) - 1)
-    return [Fraction(numerator, prod(x - y for y in ints if y != x)) for x in ints]
-
-
 def construct_exact(nodes: Sequence[Rationalish], n: int) -> Scheme:
     """The unique normalized scheme of order ``n`` on ``n+1`` distinct nodes.
 
     The moment conditions ``m_j = 0`` for ``j < n`` and ``m_n = n!`` have the
     closed-form (Lagrange) solution ``a_i = n! / prod_{j != i} (b_i - b_j)``: ``n!`` times
     the leading coefficient of the i-th Lagrange basis polynomial on the nodes, refused over
-    :func:`_check_member_size`.  The result keeps the ``OrderInfo(n, n!, 1)`` they fix.
+    :func:`_check_member_size` (Bjorck and Pereyra, Math. Comp. 24, 1970).  On integer nodes
+    ``X_i / d`` it is ``n! * d**n * (L // P_i) / L``, ``P_i = prod_{j != i} (X_i - X_j)`` over
+    ``L = lcm(P_i)``, handed to :func:`_built` as integers.  It keeps ``OrderInfo(n, n!, 1)``.
     """
     _check_order(n)
     points = [parse_rational(b) for b in nodes]
@@ -529,7 +545,10 @@ def construct_exact(nodes: Sequence[Rationalish], n: int) -> Scheme:
     if len(set(points)) != len(points):
         raise DuplicateNodes("nodes must be distinct")
     _check_member_size(n, _width(points))
-    built = canonicalize(zip(_lagrange_weights(points, factorial(n)), points))
+    X, d = _over_common_denominator(points)
+    P = [prod(x - y for y in X if y != x) for x in X]
+    L, top = lcm(*P), factorial(n) * d ** n
+    built = _built({x: top * (L // p) for x, p in zip(X, P)}, L, d)
     object.__setattr__(built, "_order", OrderInfo(n, Fraction(factorial(n)), Fraction(1)))
     return built
 
@@ -609,21 +628,15 @@ def decompose(scheme: Scheme, n: Optional[int] = None) -> tuple[Scheme, Scheme]:
 
 
 def _split(scheme: Scheme, odd: bool) -> tuple[Scheme, Scheme]:
-    # coefficients A_i / d and nodes N_i / e; the halves are (A_i +- A_mirror) / (2d)
-    coeffs, d, keys, _ = scheme._ints
-    at = dict(zip(keys, zip(scheme.nodes, coeffs)))
+    # coefficients A_i / d and nodes B_i / e; the halves are (A_i +- A_mirror) / (2d)
+    coeffs, d, keys, e = scheme._ints
+    at = dict(zip(keys, coeffs))
     mirrors = {-key: -a if odd else a for key, a in zip(keys, coeffs)}
-    plus, plus_nodes, minus, minus_nodes = [], [], [], []
-    for key in sorted(at.keys() | mirrors.keys()):
-        node, here = at.get(key) or (-at[-key][0], 0)
-        mirror = mirrors.get(key, 0)
-        if here + mirror:
-            plus.append(Fraction(here + mirror, 2 * d))
-            plus_nodes.append(node)
-        if here - mirror:
-            minus.append(Fraction(here - mirror, 2 * d))
-            minus_nodes.append(node)
-    return _scheme(tuple(plus), tuple(plus_nodes)), _scheme(tuple(minus), tuple(minus_nodes))
+    plus, minus = {}, {}
+    for key in at.keys() | mirrors.keys():
+        here, mirror = at.get(key, 0), mirrors.get(key, 0)
+        plus[key], minus[key] = here + mirror, here - mirror
+    return _built(plus, 2 * d, e), _built(minus, 2 * d, e)
 
 
 def is_symmetric(scheme: Scheme, n: Optional[int] = None) -> bool:
@@ -638,9 +651,7 @@ def combine(parts: Iterable[tuple[Rationalish, Rationalish, Scheme]]) -> Scheme:
     Each part is ``(c_k, d_k, S_k)``; the dilation ``d_k`` multiplies nodes
     only (no normalizing division, unlike :func:`scale`).
     """
-    sums, C, D = _sums(parts)
-    keys = [key for key in sorted(sums) if sums[key]]
-    return _scheme(tuple(Fraction(sums[k], C) for k in keys), tuple(Fraction(k, D) for k in keys))
+    return _built(*_sums(parts))
 
 
 def _sums(parts: Iterable[tuple[Rationalish, Rationalish, Scheme]]) -> tuple[dict, int, int]:
@@ -696,13 +707,13 @@ def is_scale(a: Scheme, b: Scheme) -> Optional[Fraction]:
 
 
 def scheme_to_json_dict(scheme: Scheme) -> dict:
-    """JSON form: ``{"terms": [{"coeff": "p/q", "node": "p/q"}, ...]}``."""
-    return {
-        "terms": [
-            {"coeff": format_rational(coeff), "node": format_rational(node)}
-            for coeff, node in zip(scheme.coeffs, scheme.nodes)
-        ]
-    }
+    """JSON form: ``{"terms": [{"coeff": "p/q", "node": "p/q"}, ...]}``, read off the
+    integer form, each value reduced by one ``gcd``."""
+    A, da, B, db = scheme._ints
+    return {"terms": [
+        {"coeff": _format_pair(a // g, da // g), "node": _format_pair(b // h, db // h)}
+        for a, g, b, h in zip(A, map(gcd, A, [da] * len(A)), B, map(gcd, B, [db] * len(B)))
+    ]}
 
 
 _JSON = json.JSONDecoder(parse_int=_read_int, parse_float=str)  # parse_rational reads each exactly
@@ -723,12 +734,12 @@ def scheme_from_json(data: Union[str, dict]) -> Scheme:
     terms = data["terms"]
     if not isinstance(terms, list):
         raise CalculusError("'terms' must be a list")
-    pairs = []
+    read = []
     for entry in terms:
         if not isinstance(entry, dict) or "coeff" not in entry or "node" not in entry:
             raise CalculusError("each term needs 'coeff' and 'node'")
-        pairs.append((parse_rational(entry["coeff"]), parse_rational(entry["node"])))
-    return canonicalize(pairs)
+        read.append((*_ratio(entry["coeff"]), *_ratio(entry["node"])))
+    return _built(*_pair_sums(read))
 
 
 def _format_factor(mag: Fraction) -> str:

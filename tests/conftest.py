@@ -1,7 +1,5 @@
 """Shared fixtures."""
 
-from fractions import Fraction
-
 import pytest
 
 import grdcalc.families
@@ -64,39 +62,44 @@ def derivations(monkeypatch: pytest.MonkeyPatch) -> Derivations:
 
 
 class CheckedBuilds:
-    """Every unchecked scheme build, rebuilt by the public ``Scheme(terms)`` to compare.
+    """Every trusted scheme build, rebuilt by the public ``Scheme(terms)`` to compare.
 
-    ``grdcalc.scheme._scheme(coeffs, nodes)`` trusts its caller for tuples
-    whose nodes strictly increase and whose coefficients are nonzero, all of
-    them ``Fraction``s.  Here each of its results must equal ``Scheme(terms)``
-    on the same pairs, which sorts and refuses duplicate nodes and zero
-    coefficients, and hold two tuples of ``Fraction`` values only (a list
-    field would leave the scheme unhashable).  A build that does not is
-    kept in ``faults`` rather than raised, so that no caller's error handling
-    can hide it; the fixture fails the test on any.
+    ``grdcalc.scheme._built(sums, C, D)`` stores the reduced integer form
+    ``(A, da, B, db)`` of the coefficients ``sums[k] / C`` at the nodes
+    ``k / D``, trusting its caller for positive denominators and integer
+    sums.  Here each result must equal ``Scheme(terms)`` on its own
+    ``coeffs`` and ``nodes`` views, which sorts and refuses duplicate nodes
+    and zero coefficients, and its stored form must be the one that rebuild
+    derives: both denominators positive, reduced (``gcd(da, *A) ==
+    gcd(db, *B) == 1``), ``B`` strictly increasing and no zero in ``A``, in
+    tuples (a list field would leave the form unhashable).  A build that
+    does not is kept in ``faults`` rather than raised, so that no caller's
+    error handling can hide it; the fixture fails the test on any.
     """
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
         self.count = 0
         self.faults: list = []
-        trusted = grdcalc.scheme._scheme
+        trusted = grdcalc.scheme._built
 
-        def checked(coeffs, nodes):
+        def checked(sums, C, D):
             self.count += 1
-            built = trusted(coeffs, nodes)
+            built = trusted(sums, C, D)
+            form = built._ints
             try:
                 valid = (
-                    type(coeffs) is tuple and type(nodes) is tuple
-                    and Scheme(map(Term, coeffs, nodes)) == built
-                    and all(isinstance(v, Fraction) for v in coeffs + nodes)
+                    form[1] > 0 and form[3] > 0
+                    and (rebuilt := Scheme(map(Term, built.coeffs, built.nodes))) == built
+                    and rebuilt._ints == form
+                    and all(type(v) is int for v in (*form[0], form[1], *form[2], form[3]))
                 )
             except CalculusError:
                 valid = False
             if not valid:
-                self.faults.append((coeffs, nodes))
+                self.faults.append((sums, C, D))
             return built
 
-        monkeypatch.setattr(grdcalc.scheme, "_scheme", checked)
+        monkeypatch.setattr(grdcalc.scheme, "_built", checked)
 
 
 @pytest.fixture

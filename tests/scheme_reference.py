@@ -8,8 +8,11 @@
 the names they call.
 Each builds its result through the public ``Scheme(...)`` and ``Term(...)``,
 which sort, reject duplicate nodes and zero coefficients, and parse every
-value again.  The package now builds the same results through the unchecked
-``_scheme(coeffs, nodes)``; the reference tests pin that rewrite to these forms.
+value again.  The package now builds the same results through the one trusted
+``_built(sums, C, D)``, which stores a scheme's reduced integer form and forms
+its coefficient and node tuples only when read; the reference tests pin that
+rewrite to these forms.  Where these bodies keep a ``Fraction`` subclass as
+given, the package's values are plain ``Fraction``s.
 ``reference_coeff_at``, ``reference_scheme_to_json_dict`` and
 ``reference_format_scheme`` are the readers' bodies from when a ``Scheme``
 stored ``Term`` objects: they read its ``Term`` view, where the package reads

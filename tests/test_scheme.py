@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grdcalc
+import grdcalc.mz
 from grdcalc import (
     CalculusError,
     DuplicateNodes,
@@ -57,7 +58,6 @@ from grdcalc.scheme import (
     _digits,
     _matches,
     _read_int,
-    _scheme,
     _width,
 )
 from rational_reference import reference_parse_rational
@@ -366,6 +366,38 @@ def test_canonicalize_idempotent(pairs):
     assert once == again
 
 
+def test_one_scheme_written_many_ways_has_one_integer_form(monkeypatch):
+    # -f(x - h/2) + f(x + h/2): every build stores the same reduced form, so the
+    # verdict table, keyed by that form, decides the scheme once for all of them
+    form = ((-1, 1), 1, (-1, 1), 2)
+    builds = [
+        canonicalize([(-1, "-1/2"), (1, "1/2")]),
+        canonicalize([("-2/2", "-2/4"), ("3/3", "2/4")]),  # unreduced spellings
+        canonicalize([(1, "1/2"), (-1, Fraction(-1, 2))]),  # out of order
+        canonicalize([(3, "1/2"), (-1, "-1/2"), ("-2", "2/4"), (5, 0), (-5, 0)]),  # split terms
+        scheme_from_json({"terms": [{"coeff": "-4/4", "node": "-1/2"},
+                                    {"coeff": 1, "node": "3/6"}]}),
+        combine([(1, "1/2", canonicalize([(-1, -1), (1, 1)]))]),
+        combine([(2, 1, canonicalize([(-1, "-1/2"), (1, "1/2")])),
+                 ("-1/1", 1, [(-1, "-2/4"), (1, "1/2")])]),
+        decompose(canonicalize([(-1, "-1/2"), (1, "1/2"), (3, 0)]), 1)[0],
+        construct_exact(["1/2", "-1/2"], 1),
+        scale(construct_exact([-1, 1], 1), "1/2"),
+        Scheme((Term(1, "1/2"), Term(-1, "-1/2"))),
+    ]
+    assert [s._ints for s in builds] == [form] * len(builds)
+    decisions = []
+    decide = grdcalc.mz._decide_mz
+
+    def counting(scheme, n, symmetric_mode):
+        decisions.append(scheme)
+        return decide(scheme, n, symmetric_mode)
+
+    monkeypatch.setattr(grdcalc.mz, "_decide_mz", counting)
+    verdicts = {grdcalc.mz.mz_check(s) for s in builds}
+    assert len(verdicts) == 1 and len(decisions) == 1
+
+
 # --- construction ----------------------------------------------------------
 
 
@@ -516,9 +548,12 @@ def test_order_info_zero_scheme():
 
 
 def test_all_leading_moments_zero_is_an_identity_fault():
-    # a canonical scheme never has a zero coefficient; one built unchecked is a fault
+    # a canonical scheme never has a zero coefficient; a stored form with one is a fault
+    faulty = object.__new__(Scheme)
+    faulty.__dict__["_ints"] = ((0,), 1, (1,), 1)
+    assert not faulty.is_zero and faulty.coeffs == (0,)
     with pytest.raises(IdentityCheckFailed, match="all leading moments zero"):
-        order_info(_scheme((Fraction(0),), (Fraction(1),)))
+        order_info(faulty)
 
 
 def test_order_detection_not_exact_count():

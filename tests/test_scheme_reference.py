@@ -2,7 +2,9 @@
 
 Each rewritten function is compared with its old body from
 ``scheme_reference``: the same terms, the same type for every coefficient
-and node, or the same refusal with the same message.
+and node, or the same refusal with the same message.  Where an old body kept
+a ``Fraction`` subclass as given, the package now returns plain ``Fraction``s
+(see ``plain``).
 """
 
 from fractions import Fraction
@@ -29,9 +31,10 @@ from grdcalc import (
     normalized,
     reflect,
     scale,
+    scheme_from_json,
     scheme_to_json_dict,
 )
-from grdcalc.scheme import _scheme, _split
+from grdcalc.scheme import _built, _over_common_denominator, _split
 from scheme_reference import (
     reference_canonicalize,
     reference_coeff_at,
@@ -124,6 +127,15 @@ def built(function, *args):
     ]
 
 
+def plain(record):
+    """A ``built`` record with every value's type taken as ``Fraction`` (a refusal as it is):
+    compared with the package's own record, it pins every value to the reference's and
+    every type to plain ``Fraction``, where the reference kept a subclass as given."""
+    if isinstance(record, tuple):
+        return record
+    return [[(c, Fraction, b, Fraction) for c, _, b, _ in part] for part in record]
+
+
 @settings(max_examples=200, deadline=None)
 @given(item_lists())
 @example([(1, 2), (2, 0), (-1, 2), (1, 1), (0, 5)])
@@ -131,7 +143,7 @@ def built(function, *args):
 @example([(True, 1)])
 @example([(1, False)])
 def test_canonicalize_matches_reference(terms):
-    assert built(canonicalize, terms) == built(reference_canonicalize, terms)
+    assert built(canonicalize, terms) == plain(built(reference_canonicalize, terms))
 
 
 @settings(max_examples=100, deadline=None)
@@ -207,7 +219,7 @@ def test_normalized_and_reflect_match_reference(scheme):
 @example(Scheme(), True)
 @example(canonicalize([(1, -2), (1, 2), (-2, 0)]), False)
 def test_split_matches_reference(scheme, odd):
-    assert built(_split, scheme, odd) == built(reference_split, scheme, odd)
+    assert built(_split, scheme, odd) == plain(built(reference_split, scheme, odd))
 
 
 def test_normalized_and_reflect_return_plain_fractions():
@@ -219,10 +231,28 @@ def test_normalized_and_reflect_return_plain_fractions():
         assert {type(v) for t in new(scheme) for v in (t.coeff, t.node)} == {Fraction}
 
 
+def test_canonicalize_and_split_return_plain_fractions():
+    # the old bodies kept each node as given (canonicalize the first for its value, _split
+    # every one); every value is now read as an integer pair and formed as a Fraction
+    pairs = [(Tagged(1, 2), Tagged(3)), ("1/2", 3), (Tagged(-1), Tagged(-3, 2))]
+    scheme = Scheme((Term(Tagged(-2), Tagged(-1)), Term(Tagged(2), Tagged(1))))
+    for new, old in ((canonicalize(pairs), reference_canonicalize(pairs)),
+                     (_split(scheme, False), reference_split(scheme, False)),
+                     (_split(scheme, True), reference_split(scheme, True))):
+        assert new == old
+        parts = new if isinstance(new, tuple) else (new,)
+        assert {type(v) for part in parts for t in part for v in (t.coeff, t.node)} == {Fraction}
+    assert {type(b) for b in reference_canonicalize(pairs).nodes} == {Tagged}
+
+
 def test_trusted_builds_equal_public_ones():
     terms = (Term(Fraction(-1), Fraction(0)), Term(Fraction(1), Fraction(1, 2)))
-    trusted = _scheme(tuple(t.coeff for t in terms), tuple(t.node for t in terms))
+    trusted = _built({0: -2, 1: 2}, 2, 2)  # coefficients -2/2, 2/2 at nodes 0/2, 1/2
     public = Scheme(terms)
+    # each stores one side and derives the other on first read
+    assert "coeffs" not in vars(trusted) and "nodes" not in vars(trusted)
+    assert "_ints" not in vars(public)
+    assert trusted._ints == public._ints == ((-1, 1), 1, (0, 1), 2)
     assert trusted == public and hash(trusted) == hash(public)
     assert repr(trusted) == repr(public) and trusted.terms == public.terms
     assert scheme_to_json_dict(trusted) == scheme_to_json_dict(public)
@@ -236,20 +266,21 @@ def test_trusted_builds_equal_public_ones():
 def test_trusted_builds_are_checked_when_asked(checked_builds):
     canonicalize([(1, 0), (-1, 1)])
     assert checked_builds.count == 1 and not checked_builds.faults
-    one, two = Fraction(1), Fraction(2)
-    grdcalc.scheme._scheme((one, one), (one, Fraction(0)))  # out of order
-    grdcalc.scheme._scheme((one, two), (Fraction(0), Fraction(0)))  # one node twice
-    grdcalc.scheme._scheme((1,), (Fraction(0),))  # an int coefficient
-    grdcalc.scheme._scheme([one], [Fraction(0)])  # lists, not tuples
+    grdcalc.scheme._built({0: 1, 1: -1}, -1, 1)  # a negative coefficient denominator
+    grdcalc.scheme._built({0: 1, 1: -1}, 1, -2)  # a negative node denominator
+    grdcalc.scheme._built({0: 1}, 0, 1)  # a zero coefficient denominator
+    grdcalc.scheme._built({1: 1}, 1, 0)  # a zero node denominator
     assert len(checked_builds.faults) == 4
     checked_builds.faults.clear()
 
 
 def assert_reads_as_its_terms(scheme: Scheme) -> None:
-    """The two stored tuples hold plain ``Fraction``s, the nodes strictly increase, no
-    coefficient is zero, and every reader agrees with the public rebuild
-    ``Scheme(scheme.terms)`` and with the reader bodies of ``scheme_reference``."""
+    """The two tuples hold plain ``Fraction``s, the nodes strictly increase, no
+    coefficient is zero, the integer form is theirs over their least common denominators,
+    and every reader agrees with the public rebuild ``Scheme(scheme.terms)`` and with the
+    reader bodies of ``scheme_reference``."""
     coeffs, nodes = scheme.coeffs, scheme.nodes
+    assert scheme._ints == (*_over_common_denominator(coeffs), *_over_common_denominator(nodes))
     assert type(coeffs) is tuple and type(nodes) is tuple and len(coeffs) == len(nodes)
     assert all(type(v) is Fraction for v in coeffs + nodes)
     assert all(coeffs) and all(left < right for left, right in zip(nodes, nodes[1:]))
@@ -268,8 +299,8 @@ pair_lists = st.lists(st.tuples(rationals, rationals), max_size=8)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["Scheme", "canonicalize", "combine", "scale", "normalized",
-                        "reflect", "decompose", "construct_exact"]), st.data())
+@given(st.sampled_from(["Scheme", "canonicalize", "scheme_from_json", "combine", "scale",
+                        "normalized", "reflect", "decompose", "construct_exact"]), st.data())
 def test_every_build_is_two_plain_sorted_tuples(builder, data):
     """Each builder's result against ``scheme_reference`` and ``assert_reads_as_its_terms``."""
     if builder == "construct_exact":
@@ -277,11 +308,16 @@ def test_every_build_is_two_plain_sorted_tuples(builder, data):
         n = len(nodes) - 1
         results = [construct_exact(nodes, n)]
         assert [reference_moment(results[0], j) for j in range(n + 1)] == [0] * n + [factorial(n)]
-    elif builder in ("Scheme", "canonicalize"):
+    elif builder in ("Scheme", "canonicalize", "scheme_from_json"):
         pairs = data.draw(pair_lists)
         expected = reference_canonicalize(pairs)
         if builder == "Scheme":  # the public build of the same terms, in a drawn order
             results = [Scheme(data.draw(st.permutations(expected.terms)))]
+        elif builder == "scheme_from_json":  # each value as 'p/q' over a drawn multiple
+            k = data.draw(st.integers(1, 4))
+            terms = [{"coeff": f"{k * c.numerator}/{k * c.denominator}",
+                      "node": f"{k * b.numerator}/{k * b.denominator}"} for c, b in pairs]
+            results = [scheme_from_json({"terms": terms})]
         else:
             results = [canonicalize(pairs)]
         assert results == [expected]
