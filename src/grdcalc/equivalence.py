@@ -247,10 +247,10 @@ def equivalent_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:
     if _exact_distinct_magnitudes(scheme, n):
         return None
     sym_part, skew_part = decompose(scheme)
-    ratio = _common_ratio([b for b in sym_part.nodes if b > 0])
+    ratio = _common_ratio([b for b in sym_part._ints[2] if b > 0])
     if skew_part.is_zero or ratio is None:
         return None
-    variant = GAUSSIAN_FORWARD if scheme.coeff_at(0) != 0 else GAUSSIAN_AFFINE
+    variant = GAUSSIAN_FORWARD if 0 in scheme._ints[2] else GAUSSIAN_AFFINE
     for q in (ratio, -ratio):
         verdict = decide_equivalent(named_scheme(FamilyKind(variant, n, q=q)), scheme)
         if verdict.equivalent:

@@ -291,16 +291,17 @@ class GaussianMatch(_Record):
 _CANONICAL_DEGENERATE_Q = Fraction(2)
 
 
-def _common_ratio(progression: list[Fraction]) -> Optional[Fraction]:
-    """The ratio that consecutive entries share, or None if they share none.
+def _common_ratio(progression: list[int]) -> Optional[Fraction]:
+    """The ratio that consecutive entries of an integer progression share, or None if
+    they share none; entries over one shared denominator have the same ratios.
 
     With fewer than two entries every ratio fits, and 2 stands for them.
     """
     if len(progression) < 2:
         return _CANONICAL_DEGENERATE_Q
-    ratio = progression[1] / progression[0]
+    b0, b1 = progression[:2]
     steps = zip(progression[1:], progression[2:])
-    return ratio if all(high == low * ratio for low, high in steps) else None
+    return Fraction(b1, b0) if all(high * b0 == low * b1 for low, high in steps) else None
 
 
 def _match_candidates(scheme: Scheme, n: int) -> list[GaussianMatch]:
@@ -310,8 +311,9 @@ def _match_candidates(scheme: Scheme, n: int) -> list[GaussianMatch]:
     positive ones of a symmetric pattern) share a common ratio ``q``: they
     read as ``(q, first)`` and ``(1/q, last)``.  Off the symmetric branch they
     have distinct magnitudes, since a ``|q| = 1`` pattern is closed under negation.
+    The nodes are read as their numerators ``B_i`` over the shared ``db``.
     """
-    nodes = scheme.nodes
+    _, _, nodes, db = scheme._ints
     if len(nodes) != n + 1:
         return []
     if nodes == tuple(-x for x in reversed(nodes)):
@@ -322,10 +324,10 @@ def _match_candidates(scheme: Scheme, n: int) -> list[GaussianMatch]:
     q = _common_ratio(progression)
     if q is None:
         return []
-    first = GaussianMatch(variant, q, progression[0], n)
+    first = GaussianMatch(variant, q, Fraction(progression[0], db), n)
     if len(progression) == 1:
         return [first]
-    return [first, GaussianMatch(variant, 1 / q, progression[-1], n)]
+    return [first, GaussianMatch(variant, 1 / q, Fraction(progression[-1], db), n)]
 
 
 def recognize_gaussian(scheme: Scheme) -> Optional[GaussianMatch]:

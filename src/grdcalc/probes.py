@@ -20,7 +20,7 @@ Every per-sample step runs on integers.  A sequence is walked by one
 multiplication per step, ``h *= rho``, from ``sign * h0 * rho**j_min``, and
 built with its steps' texts once per ``(sign * h0, rho, j_min, j_max)``, for
 every probe with that configuration and every stage of a Peano probe; its
-in-group flag is decided once per generator lattice.  One kernel call per
+steps' in-group flags once per generator lattice.  One kernel call per
 sequence gives its quotients as reduced integer pairs ``(p, q)``, ``q > 0``,
 which the tail test reads and JSON prints as they are; the ``(h, p/q)``
 Fractions are built only if ``samples`` is read.  For ``mono`` and ``poly``,
@@ -38,9 +38,10 @@ subgroup kernel strips the shared ``D`` over the base once per sample and
 asks ``_in_group`` about ``u_i/D`` only when the cofactor ``D`` leaves
 divides ``u_i``: ``u_i/D`` is over the base only when ``|u_i|`` leaves that
 same cofactor; a zero node's term, ``x`` at every step, is decided once
-per kernel.  The tail test compares ``a/b`` and ``c/d`` under the
-tolerance ``s/t`` as ``t*|a*d - c*b| <= s*max(b*d, |a|*d, |c|*b)``, and
-skips equal pairs: a pair is close to itself.
+per kernel; at ``x = 0`` membership is decided once per node and once per
+step instead (``_quotient_kernel``).  The tail test compares ``a/b`` and
+``c/d`` under the tolerance ``s/t`` as ``t*|a*d - c*b| <= s*max(b*d, |a|*d,
+|c|*b)``, and skips equal pairs: a pair is close to itself.
 
 Limits keep a probe's work bounded: the Peano depth is at most
 ``MAX_PEANO_DEPTH``, the last exponent ``j_max`` at most ``MAX_J``, and
@@ -246,11 +247,12 @@ def _in_group(num: int, den_strip: tuple[list[int], int], lattice: Lattice) -> b
 
 
 # ``_in_group`` is the one membership test.  This is its entry for callers with
-# a plain denominator: ``_sequence`` (once per sequence and lattice),
+# a plain denominator: ``_sequence`` (once per step, sequence and lattice),
 # ``FunctionOracle.evaluate`` and ``subgroup_membership``.  The quotient
 # kernel calls ``_in_group`` itself, with a denominator it strips once per
-# sample.  Nothing is cached; the zero-size lru_cache stays only so that
-# perfbench can count the calls as ``cache_info()`` misses.
+# sample, or at x = 0 once per node and per step given no flag.  Nothing is
+# cached; the zero-size lru_cache stays only so that perfbench can count the
+# calls as ``cache_info()`` misses.
 @lru_cache(maxsize=0)
 def _membership(num: int, den: int, lattice: Lattice) -> bool:
     return _in_group(num, _strip(den, lattice[0]), lattice)
@@ -427,8 +429,9 @@ def eval_quotient(
 
 
 # A quotient kernel maps a sequence of nonzero steps to the reduced pairs ``(p, q)``,
-# ``q > 0``, of their quotients ``p/q``, in one call.
-Kernel = Callable[[Sequence[Fraction]], list[tuple[int, int]]]
+# ``q > 0``, of their quotients ``p/q``, in one call; a subgroup kernel at x = 0
+# also reads the steps' in-group flags if given, and decides them if not.
+Kernel = Callable[..., list[tuple[int, int]]]
 
 
 def _moment_terms(
@@ -451,7 +454,13 @@ def _quotient_kernel(scheme: Scheme, n: int, oracle: FunctionOracle, x: Fraction
     """The ``Kernel`` of ``S(h,x;f) / h**n``, in integer arithmetic: for ``h = H/DH`` each
     quotient is ``P * H**a * DH**b / DD``, with ``P`` the moments' Horner sum for ``mono``
     and ``poly`` and ``sum A_i*F_i`` over the nodes for the others (``a = -n``, ``b = n - e``
-    and ``DD = DA*(xd*DB)**e``, since the oracle of degree ``e`` at ``u_i/D`` is ``F_i/D**e``)."""
+    and ``DD = DA*(xd*DB)**e``, since the oracle of degree ``e`` at ``u_i/D`` is ``F_i/D**e``).
+
+    A subgroup kernel at x = 0 decides each node's membership once: the point
+    ``u_i/D`` is ``(B_i/DB)*h`` and G is a group, so at a step in G it is in G
+    exactly when the node is, and ``P = K * H**k`` for ``K = sum A_i*B_i**k`` over
+    the nodes in G; at a step outside G only the nodes outside G are tested.
+    """
     kind, k = oracle.kind, oracle.degree
     moments = kind in (ORACLE_MONOMIAL, ORACLE_POLYNOMIAL)
     xn, xd = x.numerator, x.denominator
@@ -468,11 +477,18 @@ def _quotient_kernel(scheme: Scheme, n: int, oracle: FunctionOracle, x: Fraction
             on_group = xn != 0 and _in_group(xn, _strip(xd, gens), lattice)  # node 0: u/D = x
             zero = on_group * sum(c for c, b_i in terms if not b_i)
             terms = [(c, b_i) for c, b_i in terms if b_i]
+            if not xn:  # u_i/D = (B_i/DB)*h
+                node_strip = _strip(db, gens)
+                inside = [_in_group(b_i, node_strip, lattice) for _, b_i in terms]
+                in_sum = sum(c * b_i ** k for (c, b_i), flag in zip(terms, inside) if flag)
+                terms = [t for t, flag in zip(terms, inside) if not flag]
     up_n, up_d, down_n, down_d = max(a, 0), max(b, 0), max(-a, 0), max(-b, 0)
 
-    def quotients(steps: Sequence[Fraction]) -> list[tuple[int, int]]:
+    def quotients(
+        steps: Sequence[Fraction], flags: Optional[Sequence[bool]] = None
+    ) -> list[tuple[int, int]]:
         pairs = []
-        for h in steps:
+        for h, flag in zip(steps, flags or [None] * len(steps)):
             hn, hd = h.numerator, h.denominator
             total = 0
             if moments:
@@ -489,14 +505,17 @@ def _quotient_kernel(scheme: Scheme, n: int, oracle: FunctionOracle, x: Fraction
                     for c, b_i in terms:
                         u = base + b_i * step
                         total += c * u * abs(u)
-                else:
-                    shared = _strip(xd * db * hd, gens)  # the shared denominator D
-                    left = shared[1]  # over the base, |u| leaves this cofactor too: it divides u
+                elif not xn and (flag or flag is None and _in_group(hn, _strip(hd, gens), lattice)):
+                    total = in_sum * hn ** k  # u_i = B_i*H
+                else:  # at x = 0, ``terms`` holds only the nodes outside G
                     total = zero * base ** k if zero else 0
-                    for c, b_i in terms:
-                        u = base + b_i * step
-                        if u and not u % left and _in_group(u, shared, lattice):
-                            total += c * u ** k
+                    if terms:
+                        shared = _strip(xd * db * hd, gens)  # the shared denominator D
+                        left = shared[1]  # over the base, |u| leaves it too: it divides u
+                        for c, b_i in terms:
+                            u = base + b_i * step
+                            if u and not u % left and _in_group(u, shared, lattice):
+                                total += c * u ** k
             num, den = total * hn ** up_n * hd ** up_d, dd * hn ** down_n * hd ** down_d
             g = gcd(num, den) if den > 0 else -gcd(num, den)
             pairs.append((num // g, den // g))
@@ -641,10 +660,10 @@ def _ratios(oracle: FunctionOracle, cfg: ProbeConfig) -> tuple[Fraction, ...]:
 @lru_cache(maxsize=64)
 def _sequence(
     h0: Fraction, ratio: Fraction, j_min: int, j_max: int, lattice: Optional[Lattice]
-) -> tuple[tuple[Fraction, ...], tuple[str, ...], Optional[bool]]:
+) -> tuple[tuple[Fraction, ...], tuple[str, ...], Optional[tuple[bool, ...]]]:
     """The steps ``h0 * ratio**j`` for ``j_min <= j <= j_max``, their texts, and
-    whether all (True), none (False) or some (None) of them are in the group
-    of ``lattice`` (None without one).
+    whether each step is in the group of ``lattice`` (None without one), which
+    the quotient kernel reads at x = 0 and the probe's ``in_group`` summarizes.
 
     Each step is one multiplication (Fractions are canonical, so each equals
     ``h0 * ratio**j`` computed afresh).  An entry with a lattice holds the
@@ -652,8 +671,7 @@ def _sequence(
     """
     if lattice is not None:
         steps, texts, _ = _sequence(h0, ratio, j_min, j_max, None)
-        flags = [_membership(h.numerator, h.denominator, lattice) for h in steps]
-        return steps, texts, all(flags) if all(flags) or not any(flags) else None
+        return steps, texts, tuple(_membership(h.numerator, h.denominator, lattice) for h in steps)
     steps = []
     h = h0 * ratio ** j_min
     for _ in range(j_min, j_max + 1):
@@ -689,8 +707,9 @@ def limit_probe(
     sequences = []
     for ratio in ratios:
         for sign in (1, -1):
-            steps, texts, in_group = _sequence(sign * cfg.h0, ratio, cfg.j_min, cfg.j_max, lattice)
-            values = tuple(quotients(steps))
+            steps, texts, flags = _sequence(sign * cfg.h0, ratio, cfg.j_min, cfg.j_max, lattice)
+            values = tuple(quotients(steps, flags))
+            in_group = flags[0] if flags and len(set(flags)) == 1 else None  # all, none or some
             tail = values[-_TAIL_LENGTH:]
             settled = len(tail) >= _TAIL_LENGTH and (len(set(tail)) == 1 or all(
                 _close(u, v, cfg.tol) for u, v in combinations(tail, 2)

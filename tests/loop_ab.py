@@ -14,8 +14,10 @@ round), so drifts of the machine's speed fall on both trees alike.
 
 For each workload and tree it prints the median loop time and its quartiles
 in seconds; with two trees, the change of the median and the number of
-rounds in which the second tree was faster, then one JSON line with the same
-numbers.  It needs the standard library only::
+rounds in which the second tree was faster, and the median and quartiles of
+the per-round ratio (the second tree's loop time over the first's in the same
+round), which stays steady when the machine's speed drifts between invocations;
+then one JSON line with the same numbers.  It needs the standard library only::
 
     python3 tests/loop_ab.py --runs 10 PARENT_TREE CHANGED_TREE
 """
@@ -130,9 +132,12 @@ def main(argv: list[str] | None = None) -> int:
             times = [[r["loop_s"] for r in series] for series in runs]
             change = statistics.median(times[1]) / statistics.median(times[0]) - 1
             wins = sum(y < x for x, y in zip(*times))
-            row.update(change=change, wins=wins)
+            r1, ratio, r3 = quartiles([y / x for x, y in zip(*times)])
+            row.update(change=change, wins=wins, ratio_median=ratio, ratio_q1=r1, ratio_q3=r3)
             print(f"{workload:13s} second tree {change:+.1%} in the median, faster in {wins} of"
                   f" {args.runs} rounds; outputs {'identical' if row['same_output'] else 'DIFFER'}")
+            print(f"{workload:13s} per-round ratio second/first: median {ratio:.3f}"
+                  f"  quartiles {r1:.3f}-{r3:.3f}")
     print(json.dumps({"runs": args.runs, "seed": args.seed, "python": sys.version.split()[0],
                       "workloads": result}))
     return 0

@@ -511,6 +511,40 @@ def test_recognition_builds_no_member(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("verb", ["recognize", "mz-check"])
+@pytest.mark.parametrize(
+    "family, r, s, skew",
+    [
+        ("gauss-fwd:n=3,q=-2", 1, 1, 1),
+        ("gauss-sym:n=4,q=3", Fraction(-2, 3), Fraction(-2, 3), 1),
+        ("gauss-aff:n=2,q=1/2", 3, 3, 1),
+        ("riemann:n=3", 1, 1, 1),
+        # a class member that is no scale: the Gaussian search, not recognition, finds it
+        ("gauss-fwd:n=3,q=-2", 2, -3, 5),
+        ("mz-tilde:n=2", 2, -3, 5),
+    ],
+)
+def test_gaussian_searches_leave_the_nodes_of_a_json_scheme_unbuilt(
+    monkeypatch, verb, family, r, s, skew
+):
+    # the searches read the integer form; the Fraction node tuple is formed by no reader
+    import io
+    import json
+    from contextlib import redirect_stdout
+
+    from grdcalc import cli, scheme_to_json_dict
+    from grdcalc.equivalence import class_member
+
+    text = json.dumps(scheme_to_json_dict(
+        class_member(named_scheme(parse_family(family)), r, s, skew)
+    ))
+    read = []
+    monkeypatch.setattr(cli, "scheme_from_json", lambda t: read.append(scheme_from_json(t)) or read[-1])
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["--output", "json", verb, text]) == 0
+    assert len(read) == 1 and "nodes" not in read[0].__dict__
+
+
 @settings(max_examples=30)
 @given(st.integers(min_value=1, max_value=4), sane_q, st.sampled_from([1, 2, -3]))
 def test_partners_verify_exactly(n, q, b):

@@ -261,6 +261,17 @@ SUBGROUP_STEPS = [
 ]
 
 
+def _subgroup_flags(oracle) -> list[bool]:
+    """The in-group flags ``_sequence`` gives for ``SUBGROUP_STEPS``, in their order."""
+    lattice = probes._generator_lattice(oracle.generators)
+    return [
+        flag
+        for ratio in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(-2, 3))
+        for sign in (1, -1)
+        for flag in probes._sequence(Fraction(sign), ratio, 4, 40, lattice)[2]
+    ]
+
+
 def _passing_terms(scheme: Scheme, x: Fraction, steps) -> int:
     """The terms at nonzero nodes whose u_i the cofactor of the shared D (what 2 and 3
     leave of it) divides; the zero node's u_i/D is x at every step, decided once."""
@@ -285,13 +296,19 @@ def test_subgroup_kernel_strips_only_what_it_must(monkeypatch, x):
     if x == Fraction(-3, 7):
         # 7 stays in every D and divides no u_i = -3*DH + 7*B_i*H
         assert passing == 0
+    flags = _subgroup_flags(oracle)
     quotients = probes._quotient_kernel(scheme, 2, oracle, x)
     stripped = []
     strip = probes._strip
     monkeypatch.setattr(probes, "_strip", lambda v, base: stripped.append(v) or strip(v, base))
-    values = quotients(steps)
-    # one strip of D per sample, and one per term that passes the cofactor test
-    assert len(stripped) <= len(steps) + passing
+    values = quotients(steps, flags)
+    if x == 0:
+        # every nonzero node of riemann(2) is in <2, 3>: a step in the group gives
+        # K*H**k, and a step outside it leaves no node to test
+        assert stripped == []
+    else:
+        # one strip of D per sample, and one per term that passes the cofactor test
+        assert len(stripped) <= len(steps) + passing
     monkeypatch.undo()
     assert values == [_pair(reference_quotient(scheme, 2, oracle, x, h)) for h in steps]
 
@@ -311,6 +328,101 @@ def test_subgroup_kernel_decides_membership_in_one_function(monkeypatch):
     assert probes._membership.cache_info().misses == misses
     monkeypatch.undo()
     assert values == [_pair(reference_quotient(scheme, 2, oracle, x, h)) for h in SUBGROUP_STEPS]
+
+
+def test_an_in_group_step_at_zero_costs_no_strip(monkeypatch):
+    # gauss-fwd:n=3,q=-2 has the nodes 0, 1, -2 and 4; -2 is outside <2, 3>
+    scheme = named_scheme(parse_family("gauss-fwd:n=3,q=-2"))
+    oracle = subgroup_monomial_oracle(2, [2, 3])
+    flags = _subgroup_flags(oracle)
+    assert any(flags) and not all(flags)
+    calls, stripped = [], []
+    in_group, strip = probes._in_group, probes._strip
+    monkeypatch.setattr(probes, "_in_group", lambda *args: calls.append(args) or in_group(*args))
+    monkeypatch.setattr(probes, "_strip", lambda v, base: stripped.append(v) or strip(v, base))
+    misses = probes._membership.cache_info().misses
+    quotients = probes._quotient_kernel(scheme, 3, oracle, Fraction(0))
+    # each nonzero node is decided once, through _in_group, over one strip of DB
+    nodes = [b for b in scheme._ints[2] if b]
+    assert [args[0] for args in calls] == nodes
+    assert stripped == [scheme._ints[3]] + [abs(b) for b in nodes]
+    calls.clear(), stripped.clear()
+    values = quotients(SUBGROUP_STEPS, flags)
+    # a step in <2, 3> costs no strip and no membership test; a step outside it
+    # strips D once, and tests the one node outside, -2, when the cofactor allows
+    outside = [h for h, flag in zip(SUBGROUP_STEPS, flags) if not flag]
+    assert 0 < len(calls) <= len(outside) < len(SUBGROUP_STEPS)
+    assert len(stripped) == len(outside) + len(calls)  # _in_group strips its numerator
+    assert probes._membership.cache_info().misses == misses
+    monkeypatch.undo()
+    assert values == [_pair(reference_quotient(scheme, 3, oracle, Fraction(0), h)) for h in SUBGROUP_STEPS]
+    # without flags the kernel decides each step itself, with the same values
+    assert quotients(SUBGROUP_STEPS) == values
+
+
+def test_a_stray_product_meets_the_group_at_zero():
+    # 2 and the steps 3/6**j are outside <6>, and their product 6**(1-j) is in it;
+    # f(0) - 2 f(h) + f(2h) over h**2 is 4 for h > 0 and 0 for h < 0
+    argv = ["probe", "riemann:n=2", "--oracle", "subgmono:k=2;gens=6", "--x", "0",
+            "--h0", "3", "--ratios", "1/6"]
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["--output", "json", *argv]) == 0
+    data = json.loads(out.getvalue())
+    stray = [s for s in data["sequences"] if s["ratio"] == "1/6"]
+    assert [(s["sign"], s["settled"], s["candidate"], s["in_group"]) for s in stray] == [
+        (1, True, "4/1", False),
+        (-1, True, "0/1", False),
+    ]
+    assert data["verdict"] == VERDICT_DIVERGES
+
+
+# group elements over the generators -2, 6 and 2/3 (negative, composite, fractional),
+# and values outside the group made from them by a stray factor: a node 5*g and a step
+# g'/5, both outside, have a product in the group
+ZERO_GENERATORS = [-2, 6, Fraction(2, 3)]
+
+
+@st.composite
+def _group_values(draw, gens):
+    exponents = draw(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)))
+    value = Fraction(1)
+    for g, e in zip(gens, exponents):
+        value *= Fraction(g) ** e
+    stray = draw(st.sampled_from([1, 1, 5, Fraction(1, 5), -1, 7]))
+    return value * stray
+
+
+@st.composite
+def _zero_point_cases(draw):
+    gens = draw(st.lists(st.sampled_from(ZERO_GENERATORS), min_size=1, max_size=3, unique=True))
+    values = _group_values(gens)
+    n = draw(st.integers(1, 3))
+    nodes = draw(st.lists(st.one_of(values, st.just(Fraction(0))), min_size=n + 1,
+                          max_size=n + 1, unique=True))
+    ratios = draw(st.lists(values.filter(lambda v: abs(v) != 1).map(
+        lambda v: v if abs(v) < 1 else 1 / v), min_size=1, max_size=2, unique=True))
+    h0 = draw(values)
+    config = ProbeConfig(h0, tuple(ratios), draw(st.integers(0, 3)), draw(st.integers(4, 10)))
+    oracle = subgroup_monomial_oracle(draw(st.integers(0, 3)), gens)
+    return construct_exact(nodes, n), oracle, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(_zero_point_cases())
+def test_subgroup_probes_at_zero_match_the_references(case):
+    scheme, oracle, config = case
+    x, n = Fraction(0), order_info(scheme).order
+    report = limit_probe(scheme, oracle, x, config)
+    assert report == reference_limit_probe(scheme, oracle, x, config)
+    assert report.to_json_dict() == reference_limit_probe(scheme, oracle, x, config).to_json_dict()
+    lattice = probes._generator_lattice(oracle.generators)
+    quotients = probes._quotient_kernel(scheme, n, oracle, x)
+    for sequence in report.sequences:
+        steps, _, flags = probes._sequence(
+            sequence.sign * config.h0, sequence.ratio, config.j_min, config.j_max, lattice
+        )
+        want = [_pair(reference_quotient(scheme, n, oracle, x, h)) for h in steps]
+        assert quotients(steps, flags) == quotients(steps) == want
 
 
 R3 = named_scheme(riemann(3))
