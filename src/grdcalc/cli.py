@@ -446,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = new("equiv", "decide equivalence and produce a witness")
     p.add_argument("--a", required=True, help="first scheme")
     p.add_argument("--b", required=True, help="second scheme")
-    p.add_argument("--no-fast", action="store_true", help="skip the fast paths")
+    p.add_argument("--no-fast", action="store_true", help="same decision, but the path reads"
+                   " General and a scale by a negative factor keeps its witness (r, r, A, -A)")
     p.set_defaults(handler=_cmd_equiv)
 
     p = new("recognize", "recognize scales of geometric-node schemes")

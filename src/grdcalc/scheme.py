@@ -1,12 +1,12 @@
 """Exact finite-difference schemes with rational coefficients and nodes.
 
-A scheme is a finite formal combination ``sum_i a_i * f(x + b_i*h)`` stored
-as two tuples, nonzero rational coefficients ``a_i`` at strictly increasing
-rational nodes ``b_i``.  A scheme differentiates ``n`` times when its
-moments ``m_j = sum_i a_i * b_i**j`` vanish for ``j < n`` with ``m_n != 0``;
-it is normalized when ``m_n = n!``.  All arithmetic is exact over
-:class:`fractions.Fraction`, so orders, normalizers, decompositions and
-equality are computed without rounding.
+A scheme is a finite formal combination ``sum_i a_i * f(x + b_i*h)`` of
+nonzero rational coefficients ``a_i`` at strictly increasing rational nodes
+``b_i``, stored as one reduced integer form: ``a_i = A_i/da`` and ``b_i = B_i/db``.
+A scheme differentiates ``n`` times when its moments ``m_j = sum_i a_i * b_i**j``
+vanish for ``j < n`` with ``m_n != 0``; it is normalized when ``m_n = n!``.  All
+arithmetic is exact, on integers and :class:`fractions.Fraction`, so orders,
+normalizers, decompositions and equality are computed without rounding.
 """
 
 from __future__ import annotations
@@ -356,8 +356,8 @@ class Scheme(_Record):
     ``Scheme(terms)`` sorts ``Term``s and refuses a repeated node or a zero
     coefficient; use :func:`canonicalize` to merge duplicate nodes and drop
     zero coefficients.  The empty scheme represents the zero combination.
-    A scheme the package builds stores its reduced integer form ``_ints`` only (see
-    :func:`_built`), and ``coeffs``, ``nodes`` and ``terms`` are views formed on first read.
+    Every scheme stores its reduced integer form ``_ints`` only (as :func:`_built` does), which
+    ``==`` and ``hash`` read; ``coeffs``, ``nodes`` and ``terms`` are views formed on first read.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -371,8 +371,8 @@ class Scheme(_Record):
         for term in clean:
             if term.coeff == 0:
                 raise CalculusError(f"zero coefficient at node {_echo(_plain(term.node))}")
-        object.__setattr__(self, "coeffs", tuple(t.coeff for t in clean))
-        object.__setattr__(self, "nodes", tuple(t.node for t in clean))
+        object.__setattr__(self, "_ints", (*_over_common_denominator([t.coeff for t in clean]),
+                                           *_over_common_denominator([t.node for t in clean])))
 
     def __iter__(self) -> Iterator[Term]:
         return iter(self.terms)
@@ -384,13 +384,7 @@ class Scheme(_Record):
     def is_zero(self) -> bool:
         return not self._ints[0]
 
-    # Whichever of the integer form and the two tuples the build did not store, the Term view,
-    # order and parts, derived on first use and kept (==, hash and repr read the two tuples).
-    @cached_property
-    def _ints(self) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
-        # the integer form (A, da, B, db): coefficients A_i / da and nodes B_i / db
-        return (*_over_common_denominator(self.coeffs), *_over_common_denominator(self.nodes))
-
+    # the views of the integer form, order and parts, derived on first use and kept
     @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
         A, da, _, _ = self._ints
@@ -424,6 +418,8 @@ class Scheme(_Record):
         return self.coeffs[i] if i < len(self.nodes) and self.nodes[i] == node else Fraction(0)
 
 
+Scheme._key = attrgetter("_ints")  # reduced, so one scheme has one form
+
 PairLike = Union[Term, Sequence[Rationalish]]
 
 
@@ -451,13 +447,15 @@ def _pair_sums(read: list[tuple[int, int, int, int]]) -> tuple[dict, int, int]:
 
 
 def canonicalize(terms: Iterable[PairLike]) -> Scheme:
-    """Build a scheme from (coeff, node) pairs: merge nodes, drop zeros, sort.
-    Every value is read as an integer pair (:func:`_ratio`), so the result's coefficients
-    and nodes are plain ``Fraction``s, whatever type of value was given."""
+    """Build a scheme from ``Term``s and (coeff, node) tuples or lists, refusing anything else:
+    merge nodes, drop zeros, sort; values are read as integer pairs, so form plain ``Fraction``s."""
     read = []
     for item in terms:
-        coeff, node = (item.coeff, item.node) if isinstance(item, Term) else item
-        read.append((*_ratio(coeff), *_ratio(node)))
+        pair = (item.coeff, item.node) if isinstance(item, Term) else item
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            shown = _digits(item) if _is_int(item) else repr(item)  # repr stops at long ints
+            raise CalculusError(f"not a (coeff, node) pair: {_echo(shown)}")
+        read.append((*_ratio(pair[0]), *_ratio(pair[1])))
     return _built(*_pair_sums(read))
 
 
@@ -695,11 +693,11 @@ def is_scale(a: Scheme, b: Scheme) -> Optional[Fraction]:
         raise ZeroScheme("scale witnesses are defined for nonzero schemes")
     if len(a) != len(b):
         return None
-    max_a = max(-a.nodes[0], a.nodes[-1])  # the nodes are sorted
-    max_b = max(-b.nodes[0], b.nodes[-1])
+    (_, _, Ba, ea), (_, _, Bb, eb) = a._ints, b._ints
+    max_a, max_b = max(-Ba[0], Ba[-1]), max(-Bb[0], Bb[-1])  # the nodes are sorted
     if max_a == 0 or max_b == 0:
         return Fraction(1) if a == b else None
-    ratio, n = max_b / max_a, order_info(a).order
+    ratio, n = Fraction(max_b * ea, max_a * eb), order_info(a).order
     for candidate in (ratio, -ratio):
         if _matches(b, [(candidate ** -n, candidate, a)]):
             return candidate

@@ -11,8 +11,10 @@ which sort, reject duplicate nodes and zero coefficients, and parse every
 value again.  The package now builds the same results through the one trusted
 ``_built(sums, C, D)``, which stores a scheme's reduced integer form and forms
 its coefficient and node tuples only when read; the reference tests pin that
-rewrite to these forms.  Where these bodies keep a ``Fraction`` subclass as
-given, the package's values are plain ``Fraction``s.
+rewrite to these forms.  These bodies hand ``Scheme(...)`` a ``Fraction``
+subclass as given, but ``Scheme(terms)`` stores the integer form too, never
+through ``_built``, so their results read back as plain ``Fraction``s, as the
+package's do.
 ``reference_coeff_at``, ``reference_scheme_to_json_dict`` and
 ``reference_format_scheme`` are the readers' bodies from when a ``Scheme``
 stored ``Term`` objects: they read its ``Term`` view, where the package reads

@@ -2,6 +2,7 @@
 
 import decimal
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -333,6 +334,22 @@ def test_canonicalize_merges_and_drops():
     s = canonicalize([(1, 2), (2, 0), (-1, 2), (1, 1), (0, 5)])
     assert s.nodes == (0, 1)
     assert s.coeffs == (2, 1)
+
+
+@pytest.mark.parametrize("item, shown", [
+    ("12", "'12'"),  # once read as the pair ('1', '2')
+    (b"12", "b'12'"),  # once read as the pair (49, 50)
+    ((1,), "(1,)"),
+    ((1, 2, 3), "(1, 2, 3)"),
+    (10 ** 5000, "1" + "0" * 99 + "... (5001 characters)"),  # quoted past the int-to-str limit
+], ids=["str", "bytes", "one-item", "three-items", "long-int"])
+def test_canonicalize_takes_only_terms_and_pairs(item, shown):
+    refusal = f"^not a \\(coeff, node\\) pair: {re.escape(shown)}$"
+    with pytest.raises(CalculusError, match=refusal):
+        canonicalize([(1, 0), item])
+    with pytest.raises(CalculusError, match=refusal):  # a combine part given as pairs
+        combine([(1, 1, Scheme()), (2, 1, [item])])
+    assert canonicalize([Term(1, 2), (1, 2), [1, "2"]]) == canonicalize([(3, 2)])
 
 
 def test_scheme_rejects_duplicates_and_zero_coeffs():
@@ -834,8 +851,9 @@ def test_order_and_parts_derived_once_per_object(derivations):
 
 
 def test_integer_form_is_derived_once_per_object(monkeypatch):
-    # order, both splits and an abs quotient kernel read one integer form
-    s = Scheme(construct_exact([-1, 0, 1, 2], 3).terms)
+    # the public build derives the integer form once, from its sorted values; order, both
+    # splits and an abs quotient kernel read that form
+    terms = construct_exact([-1, 0, 1, 2], 3).terms
     calls = []
     over = grdcalc.scheme._over_common_denominator
 
@@ -845,11 +863,13 @@ def test_integer_form_is_derived_once_per_object(monkeypatch):
 
     for module in (grdcalc.scheme, probes):
         monkeypatch.setattr(module, "_over_common_denominator", counting)
+    s = Scheme(reversed(terms))
+    assert calls == [[t.coeff for t in terms], [t.node for t in terms]]
     order_info(s)
     decompose(s, 1)
     decompose(s, 2)
     probes._quotient_kernel(s, 3, probes.abs_oracle(), Fraction(1, 3))([Fraction(1, 2)])
-    assert calls == [s.coeffs, s.nodes]
+    assert calls == [list(s.coeffs), list(s.nodes)]
 
 
 # --- JSON and formatting ----------------------------------------------------

@@ -2,9 +2,10 @@
 
 Each rewritten function is compared with its old body from
 ``scheme_reference``: the same terms, the same type for every coefficient
-and node, or the same refusal with the same message.  Where an old body kept
-a ``Fraction`` subclass as given, the package now returns plain ``Fraction``s
-(see ``plain``).
+and node, or the same refusal with the same message.  The old bodies build
+through the public ``Scheme(terms)``, which stores the integer form as every
+build does, so a ``Fraction`` subclass given to either side is read back as a
+plain ``Fraction``.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import grdcalc.scheme
 from grdcalc import (
+    OrderInfo,
     Scheme,
     Term,
     canonicalize,
@@ -26,13 +28,18 @@ from grdcalc import (
     gaussian_affine,
     gaussian_forward,
     gaussian_symmetric,
+    is_scale,
     moment,
     named_scheme,
     normalized,
+    order_info,
     reflect,
+    riemann,
+    riemann_shift,
     scale,
     scheme_from_json,
     scheme_to_json_dict,
+    symmetric_riemann,
 )
 from grdcalc.scheme import _built, _over_common_denominator, _split
 from scheme_reference import (
@@ -40,6 +47,7 @@ from scheme_reference import (
     reference_coeff_at,
     reference_combine,
     reference_format_scheme,
+    reference_is_scale,
     reference_moment,
     reference_normalized,
     reference_reflect,
@@ -95,7 +103,8 @@ def item_lists(draw):
 
 @st.composite
 def schemes(draw, tagged: bool = True):
-    """Schemes, some with mirrored nodes; with ``tagged``, some values are ``Tagged``."""
+    """Schemes, some with mirrored nodes; with ``tagged``, some values are handed to
+    ``Scheme(terms)`` as ``Tagged`` (it stores them as plain ``Fraction``s)."""
     pairs = draw(st.lists(st.tuples(rationals, rationals), max_size=7))
     mirrored = draw(st.lists(st.sampled_from([-1, 1]), max_size=len(pairs)))
     pairs += [(sign * c, -b) for sign, (c, b) in zip(mirrored, pairs)]
@@ -127,15 +136,6 @@ def built(function, *args):
     ]
 
 
-def plain(record):
-    """A ``built`` record with every value's type taken as ``Fraction`` (a refusal as it is):
-    compared with the package's own record, it pins every value to the reference's and
-    every type to plain ``Fraction``, where the reference kept a subclass as given."""
-    if isinstance(record, tuple):
-        return record
-    return [[(c, Fraction, b, Fraction) for c, _, b, _ in part] for part in record]
-
-
 @settings(max_examples=200, deadline=None)
 @given(item_lists())
 @example([(1, 2), (2, 0), (-1, 2), (1, 1), (0, 5)])
@@ -143,7 +143,7 @@ def plain(record):
 @example([(True, 1)])
 @example([(1, False)])
 def test_canonicalize_matches_reference(terms):
-    assert built(canonicalize, terms) == plain(built(reference_canonicalize, terms))
+    assert built(canonicalize, terms) == built(reference_canonicalize, terms)
 
 
 @settings(max_examples=100, deadline=None)
@@ -219,7 +219,7 @@ def test_normalized_and_reflect_match_reference(scheme):
 @example(Scheme(), True)
 @example(canonicalize([(1, -2), (1, 2), (-2, 0)]), False)
 def test_split_matches_reference(scheme, odd):
-    assert built(_split, scheme, odd) == plain(built(reference_split, scheme, odd))
+    assert built(_split, scheme, odd) == built(reference_split, scheme, odd)
 
 
 def test_normalized_and_reflect_return_plain_fractions():
@@ -232,26 +232,31 @@ def test_normalized_and_reflect_return_plain_fractions():
 
 
 def test_canonicalize_and_split_return_plain_fractions():
-    # the old bodies kept each node as given (canonicalize the first for its value, _split
-    # every one); every value is now read as an integer pair and formed as a Fraction
+    # the old bodies hand Scheme(terms) each node as given (canonicalize the first for its
+    # value, _split every one), and Terms keep a Fraction subclass; Scheme(terms) stores the
+    # integer form, as canonicalize and _split do, so every value reads back as a Fraction
     pairs = [(Tagged(1, 2), Tagged(3)), ("1/2", 3), (Tagged(-1), Tagged(-3, 2))]
-    scheme = Scheme((Term(Tagged(-2), Tagged(-1)), Term(Tagged(2), Tagged(1))))
+    terms = (Term(Tagged(-2), Tagged(-1)), Term(Tagged(2), Tagged(1)))
+    assert {type(v) for t in terms for v in (t.coeff, t.node)} == {Tagged}
+    scheme = Scheme(terms)
     for new, old in ((canonicalize(pairs), reference_canonicalize(pairs)),
                      (_split(scheme, False), reference_split(scheme, False)),
                      (_split(scheme, True), reference_split(scheme, True))):
         assert new == old
-        parts = new if isinstance(new, tuple) else (new,)
+        parts = new + old if isinstance(new, tuple) else (new, old)
         assert {type(v) for part in parts for t in part for v in (t.coeff, t.node)} == {Fraction}
-    assert {type(b) for b in reference_canonicalize(pairs).nodes} == {Tagged}
+    assert {type(v) for t in scheme for v in (t.coeff, t.node)} == {Fraction}
 
 
-def test_trusted_builds_equal_public_ones():
+def test_trusted_builds_equal_public_ones(monkeypatch):
     terms = (Term(Fraction(-1), Fraction(0)), Term(Fraction(1), Fraction(1, 2)))
     trusted = _built({0: -2, 1: 2}, 2, 2)  # coefficients -2/2, 2/2 at nodes 0/2, 1/2
+    # the public build never calls the trusted one, which checked_builds compares it with
+    monkeypatch.setattr(grdcalc.scheme, "_built", None)
     public = Scheme(terms)
-    # each stores one side and derives the other on first read
-    assert "coeffs" not in vars(trusted) and "nodes" not in vars(trusted)
-    assert "_ints" not in vars(public)
+    # each stores the integer form only, and forms its views on first read
+    assert list(vars(trusted)) == list(vars(public)) == ["_ints"]
+    assert "_ints" not in vars(Scheme)  # a stored field, not a property
     assert trusted._ints == public._ints == ((-1, 1), 1, (0, 1), 2)
     assert trusted == public and hash(trusted) == hash(public)
     assert repr(trusted) == repr(public) and trusted.terms == public.terms
@@ -343,3 +348,81 @@ def test_every_build_is_two_plain_sorted_tuples(builder, data):
             assert results == [reference(scheme)]
     for result in results:
         assert_reads_as_its_terms(result)
+
+
+VIEWS = {"coeffs", "nodes", "terms"}
+MEMBERS = [riemann(1), riemann(2), riemann(3), symmetric_riemann(2), symmetric_riemann(3),
+           riemann_shift(2, -1), gaussian_forward(2, 2), gaussian_affine(2, Fraction(3, 2)),
+           gaussian_symmetric(2, 3)]
+
+
+def stored_form_only(scheme: Scheme) -> Scheme:
+    """``scheme``, checked to hold its integer form and none of its views."""
+    assert "_ints" in vars(scheme) and not VIEWS & vars(scheme).keys()
+    return scheme
+
+
+@st.composite
+def built_schemes(draw):
+    """A scheme from a drawn builder, checked as that builder leaves it."""
+    builder = draw(st.sampled_from(["Scheme", "canonicalize", "combine", "scheme_from_json",
+                                    "construct_exact", "decompose", "named_scheme"]))
+    if builder == "Scheme":
+        terms = reference_canonicalize(draw(pair_lists)).terms
+        return stored_form_only(Scheme(draw(st.permutations(terms))))
+    if builder == "canonicalize":
+        return stored_form_only(canonicalize(draw(pair_lists)))
+    if builder == "combine":
+        parts = draw(st.lists(st.tuples(rationals, constants, schemes()), min_size=1, max_size=2))
+        return stored_form_only(combine(parts))
+    if builder == "scheme_from_json":
+        terms = [{"coeff": format_rational(c), "node": format_rational(b)}
+                 for c, b in draw(pair_lists)]
+        return stored_form_only(scheme_from_json({"terms": terms}))
+    if builder == "construct_exact":
+        nodes = draw(st.lists(rationals, min_size=2, max_size=5, unique=True))
+        return stored_form_only(construct_exact(nodes, len(nodes) - 1))
+    if builder == "decompose":
+        parts = decompose(draw(schemes()), draw(st.integers(1, 4)))
+        return stored_form_only(parts[draw(st.integers(0, 1))])
+    named_scheme.cache_clear()  # a member as built, not as an earlier reader left it
+    return stored_form_only(named_scheme(draw(st.sampled_from(MEMBERS))))
+
+
+@st.composite
+def rebuilds(draw, scheme: Scheme):
+    """``scheme`` built again, through a drawn builder."""
+    builder = draw(st.sampled_from(["Scheme", "canonicalize", "combine", "scheme_from_json",
+                                    "construct_exact"]))
+    if builder == "Scheme":
+        return Scheme(reversed(scheme.terms))
+    if builder == "canonicalize":
+        return canonicalize([*scheme.terms, (1, 5), (-1, 5)])
+    if builder == "combine":
+        return combine([(2, 1, scheme), (-1, 1, scheme)])
+    if builder == "construct_exact" and len(scheme) > 1:  # when it is the one it would build
+        n = len(scheme) - 1
+        if order_info(scheme) == OrderInfo(n, Fraction(factorial(n)), Fraction(1)):
+            return construct_exact(scheme.nodes, n)
+    return scheme_from_json(scheme_to_json_dict(scheme))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_equality_and_hash_are_those_of_the_views(data):
+    """``==`` and ``hash`` read the stored integer form, which is reduced, so two schemes are
+    equal exactly when their coefficient and node views are, from whichever builders; on
+    schemes read from JSON, ``==``, ``hash`` and ``is_scale`` form no view."""
+    a = data.draw(built_schemes())
+    b = stored_form_only(data.draw(built_schemes() if data.draw(st.booleans()) else rebuilds(a)))
+    read_a, read_b = (scheme_from_json(scheme_to_json_dict(s)) for s in (a, b))
+    equal, hashes = read_a == read_b, (hash(read_a), hash(read_b))
+    assert (read_a != read_b) is not equal
+    factor = None if a.is_zero or b.is_zero else is_scale(read_a, read_b)
+    assert not VIEWS & (vars(read_a).keys() | vars(read_b).keys())
+    assert equal == (a == b) == ((a.coeffs, a.nodes) == (b.coeffs, b.nodes))
+    assert read_a == a and hashes == (hash(a), hash(b))
+    if equal:
+        assert hash(a) == hash(b)
+    if not (a.is_zero or b.is_zero):
+        assert factor == reference_is_scale(a, b)
