@@ -21,6 +21,8 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
+import grdcalc
+
 from .scheme import (
     CalculusError,
     Scheme,
@@ -44,9 +46,9 @@ if TYPE_CHECKING:
     from .mz import ChainEntry
     from .probes import ProbeReport
 
-# The layer modules are imported by the handlers that use them, so that a process loads only
-# what its verb runs; each import is absolute, which after the first is a lookup that runs in
-# C.  DEMO_NAMES is the key order of mz.DEMOS, for the parser's help text.
+# Each layer is read as grdcalc.<layer>.<name> when it runs: the package imports the layer on
+# first access, so a process loads only what its verb runs, and a patched layer function is the
+# one called.  DEMO_NAMES is the key order of grdcalc.mz.DEMOS, for the parser's help text.
 DEMO_NAMES = ("E1", "E2", "E3", "E13", "E14", "E15", "P88", "T14", "T8", "MZ", "GGR")
 
 
@@ -67,9 +69,7 @@ def read_scheme(spec: str) -> Scheme:
             ) from exc
     if spec.startswith("{"):
         return scheme_from_json(spec)
-    import grdcalc.families as families
-
-    return families.named_scheme(families.parse_family(spec))
+    return grdcalc.families.named_scheme(grdcalc.families.parse_family(spec))
 
 
 def _csv_rationals(text: str) -> list[Fraction]:
@@ -173,9 +173,7 @@ def _cmd_scale(args: argparse.Namespace) -> tuple[dict, Iterable[str]]:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    import grdcalc.equivalence as equivalence
-
-    verdict = equivalence.decide_equivalent(
+    verdict = grdcalc.equivalence.decide_equivalent(
         read_scheme(args.a), read_scheme(args.b), use_fast_paths=not args.no_fast
     )
     payload = verdict.to_json_dict()
@@ -195,14 +193,12 @@ def _cmd_equiv(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 
 def _cmd_recognize(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    import grdcalc.families as families
-
     scheme = read_scheme(args.scheme)
-    match = families.recognize_gaussian(scheme)
-    partners = families.scale_partners(match) if match is not None else []
+    match = grdcalc.families.recognize_gaussian(scheme)
+    partners = grdcalc.families.scale_partners(match) if match is not None else []
     payload = {
-        "match": families.match_to_json_dict(match) if match else None,
-        "partners": [families.match_to_json_dict(p) for p in partners],
+        "match": grdcalc.families.match_to_json_dict(match) if match else None,
+        "partners": [grdcalc.families.match_to_json_dict(p) for p in partners],
     }
     if match is None:
         lines = ["recognize: none"]
@@ -229,25 +225,19 @@ def _mz_lines(payload: dict) -> list[str]:
 
 
 def _cmd_mz_check(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    import grdcalc.mz as mz
-
-    verdict = mz.mz_check(read_scheme(args.scheme), symmetric_mode=args.symmetric)
+    verdict = grdcalc.mz.mz_check(read_scheme(args.scheme), symmetric_mode=args.symmetric)
     payload = verdict.to_json_dict()
     return payload, _mz_lines(payload)
 
 
 def _cmd_mz_set(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    import grdcalc.mz as mz
-
-    verdict = mz.mz_set_check([read_scheme(s) for s in args.schemes])
+    verdict = grdcalc.mz.mz_set_check([read_scheme(s) for s in args.schemes])
     payload = verdict.to_json_dict()
     return payload, _mz_lines(payload)
 
 
 def _cmd_ggr(args: argparse.Namespace) -> tuple[dict, Iterable[str]]:
-    import grdcalc.mz as mz
-
-    members = mz.ggr_set(args.order, reduced=args.reduced)
+    members = grdcalc.mz.ggr_set(args.order, reduced=args.reduced)
     payload = {
         "n": args.order,
         "reduced": args.reduced,
@@ -257,10 +247,8 @@ def _cmd_ggr(args: argparse.Namespace) -> tuple[dict, Iterable[str]]:
 
 
 def _cmd_qggr(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    import grdcalc.mz as mz
-
     q = parse_rational(args.q)
-    witnesses = mz.verify_quantum_ggr(args.order, args.ell, q)
+    witnesses = grdcalc.mz.verify_quantum_ggr(args.order, args.ell, q)
     payload = {
         "n": args.order,
         "ell": args.ell,
@@ -277,8 +265,6 @@ def _cmd_qggr(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 
 def _cmd_ntimes(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    import grdcalc.mz as mz
-
     chain: list[tuple[int, ChainEntry]] = []
     for entry in args.entry:
         head, sep, tail = entry.partition(":")
@@ -286,10 +272,10 @@ def _cmd_ntimes(args: argparse.Namespace) -> tuple[dict, list[str]]:
             raise CalculusError("entries look like ORDER:(cont|SCHEME)")
         order = _int_field(head, f"bad chain order {_echo(repr(head))}")
         if tail.strip() == "cont":
-            chain.append((order, mz.CONTINUITY))
+            chain.append((order, grdcalc.mz.CONTINUITY))
         else:
             chain.append((order, read_scheme(tail)))
-    report = mz.n_times_check(chain)
+    report = grdcalc.mz.n_times_check(chain)
     payload = report.to_json_dict()
     lines = [
         f"orders: {', '.join(str(j) for j in report.orders_present)}",
@@ -323,17 +309,15 @@ def _probe_lines(report: ProbeReport) -> list[str]:
 
 
 def _cmd_probe(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    import grdcalc.probes as probes
-
-    oracle = probes.parse_oracle(args.oracle)
+    oracle = grdcalc.probes.parse_oracle(args.oracle)
     ratios = None if args.ratios is None else _csv_rationals(args.ratios)
     given = dict(h0=args.h0, ratios=ratios, j_min=args.jmin, j_max=args.jmax, tol=args.tol)
-    config = probes.ProbeConfig(**{key: value for key, value in given.items() if value is not None})
+    config = grdcalc.probes.ProbeConfig(**{k: v for k, v in given.items() if v is not None})
     x = parse_rational(args.x)
     if args.peano is not None:
         if args.scheme is not None:
             raise CalculusError("--peano replaces the scheme argument")
-        stages = probes.peano_probe(oracle, x, args.peano, config)
+        stages = grdcalc.probes.peano_probe(oracle, x, args.peano, config)
         payload = {
             "stages": [
                 {"order": order, "report": report.to_json_dict()}
@@ -347,7 +331,7 @@ def _cmd_probe(args: argparse.Namespace) -> tuple[dict, list[str]]:
         return payload, lines
     if args.scheme is None:
         raise CalculusError("probe needs a scheme argument or --peano")
-    report = probes.limit_probe(read_scheme(args.scheme), oracle, x, config)
+    report = grdcalc.probes.limit_probe(read_scheme(args.scheme), oracle, x, config)
     return report.to_json_dict(), _probe_lines(report)
 
 
@@ -355,9 +339,7 @@ def _cmd_demo(args: argparse.Namespace) -> tuple[dict, list[str]]:
     name = args.name
     if name not in DEMO_NAMES:
         raise UnknownDemo(f"unknown demo {_echo(repr(name))}; choose from {', '.join(DEMO_NAMES)}")
-    import grdcalc.mz as mz
-
-    lines, facts = mz.DEMOS[name]()
+    lines, facts = grdcalc.mz.DEMOS[name]()
     return {"demo": name, "facts": facts}, [f"[demo {name}]"] + lines
 
 

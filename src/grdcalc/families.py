@@ -42,6 +42,7 @@ from .scheme import (
     _over_common_denominator,
     _plain,
     _require,
+    _shown,
     _width,
     construct_exact,
     format_rational,
@@ -104,8 +105,8 @@ class FamilyKind(_Record):
     q: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        if self.variant not in _VARIANTS:
-            raise CalculusError(f"unknown family variant {self.variant!r}")
+        if not isinstance(self.variant, str) or self.variant not in _VARIANTS:
+            raise CalculusError(f"unknown family variant {_echo(_shown(self.variant))}")
         _, takes_k, takes_q = _VARIANTS[self.variant]
         _check_order(self.n)
         if takes_k != (self.k is not None):

@@ -23,6 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, TypeVar, Union
 
+import grdcalc
+
 from .equivalence import Witness, class_member, decide_equivalent, equivalent_gaussian
 from .families import (
     GAUSSIAN_AFFINE,
@@ -55,6 +57,7 @@ from .scheme import (
     _echo,
     _is_int,
     _require,
+    _shown,
     _sums,
     _width,
     canonicalize,
@@ -432,8 +435,7 @@ def n_times_check(chain: Sequence[tuple[int, ChainEntry]]) -> NTimesReport:
     entries: dict[int, ChainEntry] = {}
     for order, entry in chain:
         if not _is_int(order) or order < 0:
-            shown = _digits(order) if _is_int(order) else repr(order)
-            raise CalculusError(f"chain orders must be integers >= 0, got {_echo(shown)}")
+            raise CalculusError(f"chain orders must be integers >= 0, got {_echo(_shown(order))}")
         if order in entries:
             raise DuplicateOrder(f"order {_echo(_digits(order))} appears twice")
         entries[order] = entry
@@ -618,14 +620,12 @@ def _demo_e14() -> tuple[list[str], dict]:
 
 
 def _demo_e15() -> tuple[list[str], dict]:
-    from .probes import VERDICT_CONVERGES, VERDICT_DIVERGES, peano_probe, subgroup_monomial_oracle
-
-    oracle = subgroup_monomial_oracle(2, [2, 3])
-    stages = peano_probe(oracle, 0, 2)
+    oracle = grdcalc.probes.subgroup_monomial_oracle(2, [2, 3])
+    stages = grdcalc.probes.peano_probe(oracle, 0, 2)
     _require(len(stages) == 2, "must stop after stage 2")
-    _require(stages[0][1].verdict == VERDICT_CONVERGES)
+    _require(stages[0][1].verdict == grdcalc.probes.VERDICT_CONVERGES)
     second = stages[1][1]
-    _require(second.verdict == VERDICT_DIVERGES)
+    _require(second.verdict == grdcalc.probes.VERDICT_DIVERGES)
     cands = sorted(seq.candidate for seq in second.evidence)
     _require(cands == [0, 2], "clusters must be 0 and 2, got %s", cands)
     groups = {seq.in_group for seq in second.evidence}

@@ -74,6 +74,7 @@ from .scheme import (
     _int_field,
     _is_int,
     _over_common_denominator,
+    _shown,
     _width,
     format_rational,
     moment,
@@ -310,8 +311,8 @@ class FunctionOracle(_Record):
     generators: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in _ORACLE_FIELDS:
-            raise CalculusError(f"unknown oracle kind {self.kind!r}")
+        if not isinstance(self.kind, str) or self.kind not in _ORACLE_FIELDS:
+            raise CalculusError(f"unknown oracle kind {_echo(_shown(self.kind))}")
         fields = ("degree", "coeffs", "generators")
         ignored = [f for f in fields if f not in _ORACLE_FIELDS[self.kind] and getattr(self, f)]
         if ignored:

@@ -104,6 +104,17 @@ def _echo(shown: str) -> str:
     return shown[:_ECHO_CHARS] + cut
 
 
+def _shown(value: object) -> str:
+    """A caller's value as a refusal quotes it, before :func:`_echo`: an int by its digits, else
+    its ``repr``, or its type where that raises (a list holding an int past the int-to-str limit)."""
+    if _is_int(value):
+        return _digits(value)
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<unprintable {type(value).__name__} object>"
+
+
 def _is_int(value: object) -> bool:
     """Whether ``value`` is an integer: a ``bool`` is an ``int`` to Python, not to this package."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -166,7 +177,10 @@ def _ratio(text: Rationalish) -> tuple[int, int]:
             return text.numerator, text.denominator
         if _is_int(text):
             return text, 1
-    body = str(text).strip()
+    try:
+        body = str(text).strip()
+    except ValueError:  # as for a list holding an int past the int-to-str limit: refused below
+        body = ""
     ratio = _INTEGER_OR_RATIO.fullmatch(body)
     decimal = None if ratio else _DECIMAL.fullmatch(body)
     if ratio is not None:
@@ -179,12 +193,12 @@ def _ratio(text: Rationalish) -> tuple[int, int]:
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
             raise CalculusError(
                 f"a rational's exponent must be at most {MAX_EXPONENT} in magnitude,"
-                f" got {_echo(repr(text))}"
+                f" got {_echo(_shown(text))}"
             )
         mantissa = _read_int(sign + whole + fraction)
         exponent = int(exp_sign + (digits or "0")) - len(fraction.replace("_", ""))
         return (mantissa * 10 ** exponent, 1) if exponent >= 0 else (mantissa, 10 ** -exponent)
-    raise CalculusError(f"not a rational: {_echo(repr(text))}")
+    raise CalculusError(f"not a rational: {_echo(_shown(text))}")
 
 
 # Exact decimal arithmetic apart from the thread's context: Inexact is trapped.
@@ -270,8 +284,7 @@ def _check_member_size(n: int, width: int) -> None:
 def _check_order(n: object) -> None:
     """Raise ``InvalidOrder`` unless ``n`` is a positive integer; the refusal quotes ``n`` bounded."""
     if not _is_int(n) or n < 1:
-        shown = _digits(n) if _is_int(n) else repr(n)
-        raise InvalidOrder(f"order must be a positive integer, got {_echo(shown)}")
+        raise InvalidOrder(f"order must be a positive integer, got {_echo(_shown(n))}")
 
 
 def _format_pair(num: int, den: int) -> str:
@@ -453,8 +466,7 @@ def canonicalize(terms: Iterable[PairLike]) -> Scheme:
     for item in terms:
         pair = (item.coeff, item.node) if isinstance(item, Term) else item
         if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-            shown = _digits(item) if _is_int(item) else repr(item)  # repr stops at long ints
-            raise CalculusError(f"not a (coeff, node) pair: {_echo(shown)}")
+            raise CalculusError(f"not a (coeff, node) pair: {_echo(_shown(item))}")
         read.append((*_ratio(pair[0]), *_ratio(pair[1])))
     return _built(*_pair_sums(read))
 

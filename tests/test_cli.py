@@ -19,20 +19,30 @@ from hypothesis import example, given, settings, strategies as st
 import grdcalc
 from grdcalc import cli
 from grdcalc import (
+    CONTINUITY,
     CalculusError,
     DuplicateNodes,
+    FamilyKind,
+    FunctionOracle,
     IndexOutOfRange,
+    InvalidOrder,
     OrderBudgetExceeded,
+    ProbeConfig,
     Scheme,
     Term,
+    canonicalize,
     class_member,
+    combine,
     construct_exact,
     construct_exact_symmetric,
     decompose,
     gaussian_affine_shift,
+    ggr_set,
     mz_check,
     mz_tilde,
+    n_times_check,
     named_scheme,
+    parse_rational,
     qbinom,
     riemann,
     scale,
@@ -1126,17 +1136,88 @@ def _gaussian_class_member():
         (lambda: named_scheme(gaussian_affine_shift(2, 10 ** 7, Fraction(3, 2))),
          OrderBudgetExceeded, FAMILY_REFUSAL),
         (lambda: mz_check(_gaussian_class_member()), OrderBudgetExceeded, FAMILY_REFUSAL),
+        # values whose str and repr raise past the int-to-str limit are named by their type
+        (lambda: parse_rational([10 ** 5000]), CalculusError,
+         r"^not a rational: <unprintable list object>$"),
+        (lambda: canonicalize([(1, 2, 10 ** 5000)]), CalculusError,
+         r"^not a \(coeff, node\) pair: <unprintable tuple object>$"),
+        (lambda: construct_exact([0, 1], Fraction(10 ** 5000, 3)), InvalidOrder,
+         r"^order must be a positive integer, got <unprintable Fraction object>$"),
+        (lambda: n_times_check([(0, CONTINUITY), (Fraction(10 ** 5000, 3), CONTINUITY)]),
+         CalculusError, r"^chain orders must be integers >= 0, got <unprintable Fraction object>$"),
+        # a variant or oracle kind is quoted bounded, at any length and of any type
+        (lambda: FamilyKind("x" * 10 ** 6, 1), CalculusError,
+         r"^unknown family variant 'x{99}\.\.\. \(1000002 characters\)$"),
+        (lambda: FunctionOracle("y" * 10 ** 6), CalculusError,
+         r"^unknown oracle kind 'y{99}\.\.\. \(1000002 characters\)$"),
+        (lambda: FamilyKind(10 ** 5000, 1), CalculusError,
+         r"^unknown family variant 10{99}\.\.\. \(5001 characters\)$"),
+        (lambda: FunctionOracle(-(10 ** 5000)), CalculusError,
+         r"^unknown oracle kind -10{98}\.\.\. \(5002 characters\)$"),
+        (lambda: FamilyKind(["riemann"], 1), CalculusError, r"^unknown family variant \['riemann'\]$"),
     ],
     ids=[
         "qbinom-index-digits", "qbinom-index-long", "qbinom-float", "qbinom-bool",
         "scheme-duplicate-node", "scheme-zero-coefficient", "script-member",
-        "gaussian-shift-member", "gaussian-search-candidate",
+        "gaussian-shift-member", "gaussian-search-candidate", "rational-list-digits",
+        "canonicalize-tuple-digits", "order-fraction-digits", "chain-order-fraction-digits",
+        "family-variant-long", "oracle-kind-long", "family-variant-digits", "oracle-kind-digits",
+        "family-variant-list",
     ],
 )
 def test_library_refusals_are_typed_and_short(call, error, message):
     with pytest.raises(error, match=message) as refused:
         call()
     assert len(str(refused.value).encode()) <= 300
+
+
+D1 = named_scheme(riemann(1))
+# what a caller may pass: ints up to 5,000 digits (past the int-to-str limit), floats, None,
+# bools, strings and Fractions, nested in lists, tuples and dicts
+caller_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.integers()
+    | st.integers(0, 5000).map(lambda digits: 10 ** digits - 1)
+    | st.builds(Fraction, st.integers(4000, 5000).map(lambda k: -(10 ** k)), st.integers(1, 9)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+LIBRARY_CALLS = {
+    "parse_rational": parse_rational,
+    "Term-coeff": lambda v: Term(v, 1),
+    "Term-node": lambda v: Term(1, v),
+    "canonicalize": lambda v: canonicalize([v]),
+    "combine-coeff": lambda v: combine([(v, 1, D1)]),
+    "combine-dilation": lambda v: combine([(1, v, D1)]),
+    "ProbeConfig-h0": lambda v: ProbeConfig(h0=v),
+    "construct_exact-order": lambda v: construct_exact([0, 1], v),
+    "decompose-order": lambda v: decompose(D1, v),
+    "ggr_set-order": ggr_set,
+    "n_times_check-order": lambda v: n_times_check([(0, CONTINUITY), (v, D1)]),
+    "FamilyKind-variant": lambda v: FamilyKind(v, 1),
+    "FamilyKind-order": lambda v: FamilyKind("Riemann", v),
+    "FunctionOracle-kind": FunctionOracle,
+}
+
+
+@pytest.mark.parametrize("call", LIBRARY_CALLS.values(), ids=LIBRARY_CALLS)
+@settings(max_examples=100, deadline=None)
+@given(caller_values)
+@example([10 ** 5000])
+@example({"x": 10 ** 5000})
+@example((1, 2, 10 ** 5000))
+@example("z" * 10 ** 6)
+def test_a_library_refusal_quotes_any_value_bounded(call, value):
+    # each call answers or refuses in a message as short as a command-line refusal
+    try:
+        call(value)
+    except CalculusError as refused:
+        assert len(str(refused)) <= 300
 
 
 def test_a_gaussian_member_is_answered_where_construct_answers_its_nodes(capsys):

@@ -334,6 +334,13 @@ REFUSALS = {
     # integers past the 4,300-digit int-from-str limit, refused by their budgets
     "refuse_recognize_family_order_5000_digits": ["recognize", "riemann:n=" + "9" * 5000],
     "refuse_ggr_order_5000_digits": ["ggr", "--order", "9" * 5000],
+    # a JSON value that is not a rational, holding an integer past the int-to-str limit
+    "refuse_json_coefficient_list_5000_digits": [
+        "decompose", '{"terms":[{"coeff":[' + "9" * 5000 + '],"node":1}]}',
+    ],
+    "refuse_json_node_object_5000_digits": [
+        "mz-check", '{"terms":[{"coeff":1,"node":{"x": ' + "9" * 5000 + "}}]}",
+    ],
     # JSON true and false are not rationals
     "refuse_json_boolean_rational": [
         "scale", '{"terms":[{"coeff":true,"node":1},{"coeff":-1,"node":false}]}', "--by", "1",

@@ -2,10 +2,10 @@
 
 The CLI is used one process per command, so a process pays to import (and,
 without a bytecode cache, compile) every module it loads.  ``grdcalc``
-resolves its public names on first access, ``cli`` imports each layer module
-inside the handlers that use it, ``mz`` imports ``probes`` only for the
-``E15`` demo, and no module imports ``dataclasses``.  The loads are read in
-child processes, whose ``sys.modules`` start empty.  A patched layer
+resolves its public names and layer modules on first access, ``cli`` reads
+each layer through the package when a handler runs, ``mz`` reads ``probes``
+that way only in the ``E15`` demo, and no module imports ``dataclasses``.
+The loads are read in child processes, whose ``sys.modules`` start empty.  A patched layer
 function must still be the one the CLI calls, because the benchmark's tracer
 (``perfbench/tracer.py``) wraps the functions on their layer modules.
 """
