@@ -15,8 +15,8 @@ force ``r``, ``s`` and ``B``, and each identity is checked once.  Three
 structural special cases (fast paths) only label the verdict: both schemes
 symmetric, both with only nonnegative nodes, or both exact with one of them
 having all distinct node magnitudes.  On them equivalence collapses to being
-an exact scale, which the decision must confirm.  Every positive witness is
-re-verified by one integer check of ``b = A * a_plus(r*h) + B * a_minus(s*h)``."""
+an exact scale, which the decision must confirm.  Each identity is checked as
+``combine(parts) == target``, the exit's re-check of every positive witness too."""
 
 from __future__ import annotations
 
@@ -39,7 +39,6 @@ from .scheme import (
     ZeroScale,
     ZeroScheme,
     _Record,
-    _matches,
     _require,
     combine,
     decompose,
@@ -104,17 +103,16 @@ class EquivalenceVerdict(_Record):
 
 
 def verify_witness(a: Scheme, b: Scheme, witness: Witness) -> bool:
-    """Re-verify a witness against the class member it names, in one integer check.
+    """Re-verify a witness against the class member it names, in one identity check.
 
-    ``b`` must be ``A * a_plus(r*h) + B * a_minus(s*h)``, checked by :func:`_matches`
-    with ``a`` split at the witness order; ``b`` is not split.  A dilation keeps a
-    part's parity and the split into parity parts is unique, so this holds
-    exactly when both part identities do.
+    ``b`` must equal ``combine([(A, r, a_plus), (B, s, a_minus)])``, with ``a`` split at
+    the witness order; ``b`` is not split.  A dilation keeps a part's parity and the split
+    into parity parts is unique, so this holds exactly when both part identities do.
     """
     a_plus, a_minus = decompose(a, witness.order)
-    return _matches(
-        b, [(witness.sym_factor, witness.r, a_plus), (witness.skew_factor, witness.s, a_minus)]
-    )
+    return combine(
+        [(witness.sym_factor, witness.r, a_plus), (witness.skew_factor, witness.s, a_minus)]
+    ) == b
 
 
 def _exact_distinct_magnitudes(scheme: Scheme, n: int) -> bool:
@@ -146,7 +144,7 @@ def _general_outcome(a: Scheme, b: Scheme, n: int) -> Witness | str:
     (a_plus, a_minus), (b_plus, b_minus) = decompose(a, n), decompose(b, n)
     (_, _, Ba, ea), (_, _, Bb, eb) = a_plus._ints, b_plus._ints
     r = Fraction(Bb[-1] * ea, eb * Ba[-1])
-    if not _matches(b_plus, [(r ** -n, r, a_plus)]):
+    if combine([(r ** -n, r, a_plus)]) != b_plus:
         return REASON_SYMMETRIC
     if a_minus.is_zero != b_minus.is_zero:
         return REASON_SKEW_ZERO
@@ -155,7 +153,7 @@ def _general_outcome(a: Scheme, b: Scheme, n: int) -> Witness | str:
     (Aa, da, Ba, ea), (Ab, db, Bb, eb) = a_minus._ints, b_minus._ints
     s = Fraction(Bb[-1] * ea, eb * Ba[-1])
     skew_factor = Fraction(Ab[-1] * da, db * Aa[-1])
-    if not _matches(b_minus, [(skew_factor, s, a_minus)]):
+    if combine([(skew_factor, s, a_minus)]) != b_minus:
         return REASON_SKEW
     return Witness(n, r, s, r ** -n, skew_factor)
 

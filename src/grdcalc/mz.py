@@ -56,6 +56,7 @@ from .scheme import (
     _digits,
     _echo,
     _is_int,
+    _items,
     _require,
     _shown,
     _sums,
@@ -285,8 +286,12 @@ def mz_set_check(schemes: Sequence[Scheme]) -> MzVerdict:
     reduced backward-shift set up to per-member equivalence; otherwise open.
     A verdict is kept by the members' integer forms, in order (:func:`_remembered`).
     """
+    schemes = list(_items(schemes, "the scheme set"))
     if not schemes:
         raise CalculusError("the scheme set must be nonempty")
+    for k, entry in enumerate(schemes):
+        if not isinstance(entry, Scheme):
+            raise CalculusError(f"entry at position {k} is a {type(entry).__name__}, not a scheme")
     orders = {order_info(s).order for s in schemes}
     if len(orders) != 1:
         raise MixedOrders(f"the set mixes orders {_echo(', '.join(map(_digits, sorted(orders))))}")
@@ -433,7 +438,10 @@ def n_times_check(chain: Sequence[tuple[int, ChainEntry]]) -> NTimesReport:
     (:func:`_remembered`), not the certificate: the table holds no scheme.
     """
     entries: dict[int, ChainEntry] = {}
-    for order, entry in chain:
+    for item in _items(chain, "the chain"):
+        if not isinstance(item, (tuple, list)) or len(item) != 2:
+            raise CalculusError(f"not an (order, scheme) entry: {_echo(_shown(item))}")
+        order, entry = item
         if not _is_int(order) or order < 0:
             raise CalculusError(f"chain orders must be integers >= 0, got {_echo(_shown(order))}")
         if order in entries:

@@ -73,6 +73,7 @@ from .scheme import (
     _format_pair,
     _int_field,
     _is_int,
+    _items,
     _over_common_denominator,
     _shown,
     _width,
@@ -270,7 +271,7 @@ def subgroup_membership(x: Rationalish, generators: Sequence[Rationalish]) -> bo
     doubled coordinate.
     """
     x = parse_rational(x)
-    gens = tuple(parse_rational(g) for g in generators)
+    gens = tuple(parse_rational(g) for g in _items(generators, "generators"))
     if x == 0 or any(g == 0 for g in gens):
         raise ZeroInput("subgroup membership is defined on nonzero rationals")
     return _membership(x.numerator, x.denominator, _generator_lattice(gens))
@@ -317,10 +318,9 @@ class FunctionOracle(_Record):
         ignored = [f for f in fields if f not in _ORACLE_FIELDS[self.kind] and getattr(self, f)]
         if ignored:
             raise CalculusError(f"oracle kind {self.kind!r} takes no {' or '.join(ignored)}")
-        object.__setattr__(self, "coeffs", tuple(parse_rational(c) for c in self.coeffs))
-        object.__setattr__(
-            self, "generators", tuple(parse_rational(g) for g in self.generators)
-        )
+        for field in ("coeffs", "generators"):
+            values = _items(getattr(self, field), field)
+            object.__setattr__(self, field, tuple(parse_rational(v) for v in values))
         if not _is_int(self.degree):
             raise CalculusError("monomial degree must be an integer")
         if self.degree < 0:
@@ -362,15 +362,13 @@ def monomial_oracle(degree: int) -> FunctionOracle:
 
 
 def polynomial_oracle(coeffs: Sequence[Rationalish]) -> FunctionOracle:
-    return FunctionOracle(ORACLE_POLYNOMIAL, coeffs=tuple(coeffs))
+    return FunctionOracle(ORACLE_POLYNOMIAL, coeffs=coeffs)
 
 
 def subgroup_monomial_oracle(
     degree: int, generators: Sequence[Rationalish]
 ) -> FunctionOracle:
-    return FunctionOracle(
-        ORACLE_SUBGROUP_MONOMIAL, degree=degree, generators=tuple(generators)
-    )
+    return FunctionOracle(ORACLE_SUBGROUP_MONOMIAL, degree=degree, generators=generators)
 
 
 def parse_oracle(text: str) -> FunctionOracle:
@@ -537,7 +535,7 @@ class ProbeConfig(_Record):
     def __post_init__(self) -> None:
         object.__setattr__(self, "h0", parse_rational(self.h0))
         object.__setattr__(
-            self, "ratios", tuple(parse_rational(r) for r in self.ratios)
+            self, "ratios", tuple(parse_rational(r) for r in _items(self.ratios, "ratios"))
         )
         object.__setattr__(self, "tol", parse_rational(self.tol))
         if self.h0 == 0:

@@ -115,6 +115,17 @@ def _shown(value: object) -> str:
         return f"<unprintable {type(value).__name__} object>"
 
 
+def _items(values: object, what: str) -> Iterator:
+    """An iterator over ``values``, the one way a call reads a sequence argument: any iterable
+    but a ``str`` or ``bytes``; anything else is refused, quoted bounded."""
+    if not isinstance(values, (str, bytes)):
+        try:
+            return iter(values)
+        except TypeError:
+            pass
+    raise CalculusError(f"{what} must be a sequence, got {_echo(_shown(values))}")
+
+
 def _is_int(value: object) -> bool:
     """Whether ``value`` is an integer: a ``bool`` is an ``int`` to Python, not to this package."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -366,7 +377,7 @@ class Term(_Record):
 class Scheme(_Record):
     """A canonical scheme: nonzero coefficients ``coeffs`` at strictly increasing ``nodes``.
 
-    ``Scheme(terms)`` sorts ``Term``s and refuses a repeated node or a zero
+    ``Scheme(terms)`` sorts ``Term``s and refuses anything else, a repeated node or a zero
     coefficient; use :func:`canonicalize` to merge duplicate nodes and drop
     zero coefficients.  The empty scheme represents the zero combination.
     Every scheme stores its reduced integer form ``_ints`` only (as :func:`_built` does), which
@@ -377,7 +388,11 @@ class Scheme(_Record):
     nodes: tuple[Fraction, ...]
 
     def __init__(self, terms: Iterable[Term] = ()) -> None:
-        clean = sorted(terms, key=lambda t: t.node)
+        clean = list(_items(terms, "terms"))
+        for term in clean:
+            if not isinstance(term, Term):
+                raise CalculusError(f"not a Term: {_echo(_shown(term))}")
+        clean.sort(key=lambda t: t.node)
         for left, right in zip(clean, clean[1:]):
             if left.node == right.node:
                 raise DuplicateNodes(f"duplicate node {_echo(_plain(left.node))}")
@@ -463,7 +478,7 @@ def canonicalize(terms: Iterable[PairLike]) -> Scheme:
     """Build a scheme from ``Term``s and (coeff, node) tuples or lists, refusing anything else:
     merge nodes, drop zeros, sort; values are read as integer pairs, so form plain ``Fraction``s."""
     read = []
-    for item in terms:
+    for item in _items(terms, "terms"):
         pair = (item.coeff, item.node) if isinstance(item, Term) else item
         if not isinstance(pair, (tuple, list)) or len(pair) != 2:
             raise CalculusError(f"not a (coeff, node) pair: {_echo(_shown(item))}")
@@ -546,7 +561,7 @@ def construct_exact(nodes: Sequence[Rationalish], n: int) -> Scheme:
     ``L = lcm(P_i)``, handed to :func:`_built` as integers.  It keeps ``OrderInfo(n, n!, 1)``.
     """
     _check_order(n)
-    points = [parse_rational(b) for b in nodes]
+    points = [parse_rational(b) for b in _items(nodes, "nodes")]
     if len(points) != n + 1:
         raise WrongNodeCount(
             f"order {_echo(_digits(n))} needs exactly {_echo(_digits(n + 1))} nodes,"
@@ -578,7 +593,7 @@ def construct_exact_symmetric(
     ``n``'s parity.
     """
     _check_order(n)
-    pairs = [parse_rational(p) for p in node_pairs]
+    pairs = [parse_rational(p) for p in _items(node_pairs, "node pairs")]
     if any(p <= 0 for p in pairs):
         raise CalculusError("node pairs must be positive")
     if len(set(pairs)) != len(pairs):
@@ -658,19 +673,21 @@ def is_symmetric(scheme: Scheme, n: Optional[int] = None) -> bool:
 def combine(parts: Iterable[tuple[Rationalish, Rationalish, Scheme]]) -> Scheme:
     """Form ``sum_k c_k * S_k(d_k * h)``, canonical, from the integer sums of :func:`_sums`.
 
-    Each part is ``(c_k, d_k, S_k)``; the dilation ``d_k`` multiplies nodes
+    Each part is a tuple or list ``(c_k, d_k, S_k)``; the dilation ``d_k`` multiplies nodes
     only (no normalizing division, unlike :func:`scale`).
     """
     return _built(*_sums(parts))
 
 
 def _sums(parts: Iterable[tuple[Rationalish, Rationalish, Scheme]]) -> tuple[dict, int, int]:
-    """The one summing rule of :func:`combine` and :func:`_matches`: ``sum_k c_k * S_k(d_k * h)``
-    on integers, ``sums[N] / C`` (zero kept) at nodes ``N / D``, over the lcms ``C``, ``D`` of the
-    parts' denominators; a part not a Scheme is canonicalized, a zero dilation refused."""
+    """The one summing rule of :func:`combine`: ``sum_k c_k * S_k(d_k * h)`` on integers,
+    ``sums[N] / C`` (zero kept) at nodes ``N / D``, over the lcms ``C``, ``D`` of the parts'
+    denominators; a part not a Scheme is canonicalized, a zero dilation refused."""
     read = []
-    for coeff, dilation, part in parts:
-        coeff, dilation = parse_rational(coeff), parse_rational(dilation)
+    for item in _items(parts, "parts"):
+        if not isinstance(item, (tuple, list)) or len(item) != 3:
+            raise CalculusError(f"not a (coeff, dilation, scheme) part: {_echo(_shown(item))}")
+        coeff, dilation, part = parse_rational(item[0]), parse_rational(item[1]), item[2]
         if dilation == 0:
             raise ZeroDilation("dilation factors must be nonzero")
         A, da, B, db = (part if isinstance(part, Scheme) else canonicalize(part))._ints
@@ -683,15 +700,6 @@ def _sums(parts: Iterable[tuple[Rationalish, Rationalish, Scheme]]) -> tuple[dic
         for a, b in zip(A, B):
             sums[dn * b] = sums.get(dn * b, 0) + cn * a
     return sums, C, D
-
-
-def _matches(target: Scheme, parts: Iterable[tuple[Rationalish, Rationalish, Scheme]]) -> bool:
-    """Exactly ``target == combine(parts)``, building no ``Scheme`` and no ``Fraction``: the
-    integer sums of :func:`_sums` compared with ``target``'s kept integer form."""
-    sums, C, D = _sums(parts)
-    A, da, B, db = target._ints  # both sides over C*da and D*db
-    mine = {key * db: total * da for key, total in sums.items() if total}
-    return mine == {b * D: a * C for a, b in zip(A, B)}
 
 
 def is_scale(a: Scheme, b: Scheme) -> Optional[Fraction]:
@@ -711,7 +719,7 @@ def is_scale(a: Scheme, b: Scheme) -> Optional[Fraction]:
         return Fraction(1) if a == b else None
     ratio, n = Fraction(max_b * ea, max_a * eb), order_info(a).order
     for candidate in (ratio, -ratio):
-        if _matches(b, [(candidate ** -n, candidate, a)]):
+        if combine([(candidate ** -n, candidate, a)]) == b:
             return candidate
     return None
 

@@ -19,11 +19,12 @@ package's do.
 ``reference_format_scheme`` are the readers' bodies from when a ``Scheme``
 stored ``Term`` objects: they read its ``Term`` view, where the package reads
 the coefficient and node tuples and their sort order.
-``reference_is_scale`` builds each candidate scale and compares it; ``is_scale``
-now checks each candidate on integers, through ``_matches``, and the other
-references call this one, so none of them shares that check.
+``reference_is_scale`` builds each candidate scale through ``reference_scale`` and
+compares it; ``is_scale`` now builds each candidate as one ``combine`` of the kept
+integer forms and compares canonical forms with ``==``, and the other references
+call this one, so none of them shares that build.
 ``reference_combine`` and ``reference_moment`` sum ``Fraction``s term by term;
-``combine``, ``_matches`` and ``moment`` now sum the kept integer forms.
+``combine`` and ``moment`` now sum the kept integer forms.
 """
 
 from fractions import Fraction

@@ -39,15 +39,19 @@ from grdcalc import (
     gaussian_affine_shift,
     ggr_set,
     mz_check,
+    mz_set_check,
     mz_tilde,
     n_times_check,
     named_scheme,
     parse_rational,
+    polynomial_oracle,
     qbinom,
     riemann,
     scale,
     scheme_to_json_dict,
     script_d,
+    subgroup_membership,
+    subgroup_monomial_oracle,
 )
 from grdcalc.cli import main
 from grdcalc.mz import DEMOS
@@ -1155,6 +1159,33 @@ def _gaussian_class_member():
         (lambda: FunctionOracle(-(10 ** 5000)), CalculusError,
          r"^unknown oracle kind -10{98}\.\.\. \(5002 characters\)$"),
         (lambda: FamilyKind(["riemann"], 1), CalculusError, r"^unknown family variant \['riemann'\]$"),
+        # a call that takes a sequence refuses anything else, and each item not of its shape
+        (lambda: canonicalize(5), CalculusError, r"^terms must be a sequence, got 5$"),
+        (lambda: combine(5), CalculusError, r"^parts must be a sequence, got 5$"),
+        (lambda: Scheme(5), CalculusError, r"^terms must be a sequence, got 5$"),
+        (lambda: ProbeConfig(ratios=5), CalculusError, r"^ratios must be a sequence, got 5$"),
+        (lambda: ProbeConfig(ratios="1/2"), CalculusError, r"^ratios must be a sequence, got '1/2'$"),
+        (lambda: FunctionOracle("poly", coeffs=5), CalculusError, r"^coeffs must be a sequence, got 5$"),
+        (lambda: polynomial_oracle(5), CalculusError, r"^coeffs must be a sequence, got 5$"),
+        (lambda: subgroup_monomial_oracle(2, 5), CalculusError,
+         r"^generators must be a sequence, got 5$"),
+        (lambda: mz_set_check(5), CalculusError, r"^the scheme set must be a sequence, got 5$"),
+        (lambda: n_times_check(5), CalculusError, r"^the chain must be a sequence, got 5$"),
+        (lambda: canonicalize(10 ** 5000), CalculusError,
+         r"^terms must be a sequence, got 10{99}\.\.\. \(5001 characters\)$"),
+        (lambda: combine([5]), CalculusError, r"^not a \(coeff, dilation, scheme\) part: 5$"),
+        (lambda: n_times_check([5]), CalculusError, r"^not an \(order, scheme\) entry: 5$"),
+        (lambda: combine([(1, 1)]), CalculusError, r"^not a \(coeff, dilation, scheme\) part: \(1, 1\)$"),
+        (lambda: combine([(1, 1, D1, 4)]), CalculusError,
+         r"^not a \(coeff, dilation, scheme\) part: \(1, 1, Scheme\(.*, 4\)$"),
+        (lambda: mz_set_check([named_scheme(riemann(2)), "x"]), CalculusError,
+         r"^entry at position 1 is a str, not a scheme$"),
+        (lambda: Scheme([1]), CalculusError, r"^not a Term: 1$"),
+        (lambda: construct_exact(5, 1), CalculusError, r"^nodes must be a sequence, got 5$"),
+        (lambda: construct_exact("01", 1), CalculusError, r"^nodes must be a sequence, got '01'$"),
+        (lambda: construct_exact_symmetric(5, False, 2), CalculusError,
+         r"^node pairs must be a sequence, got 5$"),
+        (lambda: subgroup_membership(2, 5), CalculusError, r"^generators must be a sequence, got 5$"),
     ],
     ids=[
         "qbinom-index-digits", "qbinom-index-long", "qbinom-float", "qbinom-bool",
@@ -1162,7 +1193,11 @@ def _gaussian_class_member():
         "gaussian-shift-member", "gaussian-search-candidate", "rational-list-digits",
         "canonicalize-tuple-digits", "order-fraction-digits", "chain-order-fraction-digits",
         "family-variant-long", "oracle-kind-long", "family-variant-digits", "oracle-kind-digits",
-        "family-variant-list",
+        "family-variant-list", "canonicalize-int", "combine-int", "scheme-int", "ratios-int",
+        "ratios-str", "oracle-coeffs-int", "polynomial-oracle-int", "subgroup-oracle-int",
+        "mz-set-int", "chain-int", "canonicalize-int-digits", "combine-part-int", "chain-entry-int",
+        "combine-part-pair", "combine-part-quadruple", "mz-set-member-str", "scheme-term-int",
+        "construct-nodes-int", "construct-nodes-str", "symmetric-pairs-int", "membership-int",
     ],
 )
 def test_library_refusals_are_typed_and_short(call, error, message):
@@ -1202,12 +1237,28 @@ LIBRARY_CALLS = {
     "FamilyKind-variant": lambda v: FamilyKind(v, 1),
     "FamilyKind-order": lambda v: FamilyKind("Riemann", v),
     "FunctionOracle-kind": FunctionOracle,
+    # each sequence parameter given the value as the whole argument
+    "canonicalize-terms": canonicalize,
+    "Scheme-terms": Scheme,
+    "combine-parts": combine,
+    "combine-part": lambda v: combine([v]),
+    "combine-scheme": lambda v: combine([(1, 1, v)]),
+    "ProbeConfig-ratios": lambda v: ProbeConfig(ratios=v),
+    "FunctionOracle-coeffs": lambda v: FunctionOracle("poly", coeffs=v),
+    "polynomial_oracle": polynomial_oracle,
+    "subgroup_monomial_oracle-generators": lambda v: subgroup_monomial_oracle(2, v),
+    "mz_set_check": mz_set_check,
+    "n_times_check": n_times_check,
+    "construct_exact-nodes": lambda v: construct_exact(v, 1),
+    "construct_exact_symmetric-pairs": lambda v: construct_exact_symmetric(v, False, 2),
+    "subgroup_membership-generators": lambda v: subgroup_membership(2, v),
 }
 
 
 @pytest.mark.parametrize("call", LIBRARY_CALLS.values(), ids=LIBRARY_CALLS)
 @settings(max_examples=100, deadline=None)
 @given(caller_values)
+@example(10 ** 5000)
 @example([10 ** 5000])
 @example({"x": 10 ** 5000})
 @example((1, 2, 10 ** 5000))

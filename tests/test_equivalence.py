@@ -325,10 +325,11 @@ def test_verify_witness_never_splits_b(derivations):
         assert all(scheme is not fresh for scheme, _ in derivations.splits)
 
 
-def test_identity_checks_build_no_scheme(monkeypatch):
-    # both part identities and the re-check at the exit compare integer forms;
-    # a combine per check, three in all, once built each side to compare it
+def test_each_identity_check_builds_one_combination(monkeypatch):
+    # a positive decision, general or fast path, builds three combinations: its two
+    # part identities and the exit's re-check of the witness; a symmetric mismatch one
     pairs = [(D31, class_member(D31, 2, -3, Fraction(-7, 4))), (D2, scale(D2, Fraction(-2, 3)))]
+    assert [decide_equivalent(a, b).path for a, b in pairs] == [PATH_GENERAL, PATH_FAST_DISTINCT]
     calls = []
     combine_built = grdcalc.scheme.combine
 
@@ -340,11 +341,13 @@ def test_identity_checks_build_no_scheme(monkeypatch):
         monkeypatch.setattr(module, "combine", counting)
     for a, b in pairs:
         for fast in (True, False):
+            calls.clear()
             verdict = decide_equivalent(a, b, use_fast_paths=fast)
             assert verdict.equivalent and not verdict.normalized_inputs
-    assert decide_equivalent(*pairs[0]).path == PATH_GENERAL
+            assert len(calls) == 3
+    calls.clear()
     assert decide_equivalent(D2, D2_SYM).reason == REASON_SYMMETRIC
-    assert calls == []
+    assert len(calls) == 1
 
 
 # --- relation laws ---------------------------------------------------------------

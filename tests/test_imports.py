@@ -221,7 +221,7 @@ def test_public_names_are_pinned():
 # The line count of src/grdcalc/*.py, as `wc -l` counts it, held exactly: a
 # change that shrinks the package leaves no slack for a later one to grow back
 # into unseen.  Any change to src/ sets the new count here and says why.
-SRC_LINE_CEILING = 3588
+SRC_LINE_CEILING = 3600
 
 
 def test_source_line_count_is_the_ceiling():

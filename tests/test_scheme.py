@@ -57,7 +57,6 @@ from grdcalc.scheme import (
     OrderBudgetExceeded,
     _SPLIT_DIGITS,
     _digits,
-    _matches,
     _read_int,
     _width,
 )
@@ -742,8 +741,8 @@ def combination_cases(draw):
 
 
 def _match_outcomes(target, parts):
-    """``_matches`` and the ``==`` of the reference's built combination, each as its value or
-    raised type; ``combine`` itself shares ``_sums`` with ``_matches``."""
+    """The identity check ``combine(parts) == target`` and the same ``==`` on the reference's
+    combination, each as its value or raised type."""
 
     def outcome(check):
         try:
@@ -751,34 +750,34 @@ def _match_outcomes(target, parts):
         except Exception as exc:  # noqa: BLE001 - compared by type
             return type(exc)
 
-    return (outcome(lambda: _matches(target, parts)),
+    return (outcome(lambda: combine(parts) == target),
             outcome(lambda: reference_combine(parts) == target))
 
 
 @settings(max_examples=400, deadline=None)
 @given(combination_cases())
-def test_matches_is_equality_with_the_built_combination(case):
+def test_identity_check_is_equality_with_the_reference_combination(case):
     got, expected = _match_outcomes(*case)
     assert got == expected
 
 
-def test_matches_fixtures():
+def test_identity_check_fixtures():
     d31 = construct_exact([-1, 0, 1, 2], 3)
     plus, minus = decompose(d31)
-    assert _matches(d31, [(1, 1, plus), (1, 1, minus)])
-    assert not _matches(d31, [(1, 1, plus), (-1, 1, minus)])
-    assert _matches(canonicalize([]), [(1, 2, d31), (-1, 2, d31)])
-    assert _matches(canonicalize([]), [(0, 1, d31)])
-    assert _matches(canonicalize([]), [])
-    assert _matches(scale(d31, Fraction(-2, 3)), [(Fraction(-27, 8), Fraction(-2, 3), d31)])
-    assert not _matches(d31, [(1, 1, canonicalize([]))])
+    assert combine([(1, 1, plus), (1, 1, minus)]) == d31
+    assert combine([(1, 1, plus), (-1, 1, minus)]) != d31
+    assert combine([(1, 2, d31), (-1, 2, d31)]) == canonicalize([])
+    assert combine([(0, 1, d31)]) == canonicalize([])
+    assert combine([]) == canonicalize([])
+    assert combine([(Fraction(-27, 8), Fraction(-2, 3), d31)]) == scale(d31, Fraction(-2, 3))
+    assert combine([(1, 1, canonicalize([]))]) != d31
     for parts in ([(1, 0, d31)], [(1, 1, d31), (2, 0, canonicalize([]))]):
         with pytest.raises(ZeroDilation):
-            _matches(d31, parts)
+            combine(parts)
 
 
-def test_matches_under_optimize_flag():
-    # the same property in a child with asserts stripped: _matches leans on none
+def test_identity_check_under_optimize_flag():
+    # the same property in a child with asserts stripped: the identity check leans on none
     code = (
         f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
         "from hypothesis import given, settings\n"
@@ -792,11 +791,11 @@ def test_matches_under_optimize_flag():
         "    if got != expected:\n"
         "        sys.exit(f'{case}: {got} != {expected}')\n"
         "check()\n"
-        "print('_matches agrees with reference_combine, asserts off')\n"
+        "print('combine agrees with reference_combine, asserts off')\n"
     )
     result = run_child([sys.executable, "-O", "-c", code])
     assert result.returncode == 0, result.stdout + result.stderr[-2000:]
-    assert result.stdout == "_matches agrees with reference_combine, asserts off\n"
+    assert result.stdout == "combine agrees with reference_combine, asserts off\n"
 
 
 @given(small_schemes.filter(lambda s: not s.is_zero), dilations.filter(bool))
@@ -817,13 +816,23 @@ def test_is_scale_matches_building_the_scale(a, r, other):
 
 
 def test_is_scale_builds_no_scale(monkeypatch):
+    # no scale and no canonicalize: one combination per candidate ratio, +r before -r
     a = construct_exact([-1, 0, 2], 2)
     b = scale(a, Fraction(-3, 2))
-    for name in ("scale", "combine", "canonicalize"):
+    calls = []
+    combine_built = grdcalc.scheme.combine
+
+    def counting(parts):
+        calls.append(parts[0][1])
+        return combine_built(parts)
+
+    for name in ("scale", "canonicalize"):
         monkeypatch.setattr(grdcalc.scheme, name, None)
+    monkeypatch.setattr(grdcalc.scheme, "combine", counting)
     assert is_scale(a, b) == Fraction(-3, 2)
     assert is_scale(a, a) == 1
     assert is_scale(b, a) == Fraction(-2, 3)
+    assert calls == [Fraction(3, 2), Fraction(-3, 2), 1, Fraction(2, 3), Fraction(-2, 3)]
 
 
 def test_is_symmetric():
