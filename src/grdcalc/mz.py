@@ -21,7 +21,8 @@ the classification and by the independent counterexample D31.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, TypeVar, Union
+from functools import lru_cache
+from typing import Callable, Optional, Sequence, Union
 
 import grdcalc
 
@@ -55,6 +56,7 @@ from .scheme import (
     _check_order,
     _digits,
     _echo,
+    _from_form,
     _is_int,
     _items,
     _require,
@@ -158,24 +160,6 @@ def _check_input(scheme: Scheme, symmetric_mode: bool) -> int:
     return info.order
 
 
-# the verdicts mz_check, mz_set_check and n_times_check gave, least recently read first,
-# keyed by a verb tag and the integer forms of the inputs that passed the verb's checks
-_VERDICTS: dict[tuple, object] = {}
-_T = TypeVar("_T")
-
-
-def _remembered(key: tuple, decide: Callable[[], _T]) -> _T:
-    """The verdict kept under ``key``, else ``decide()`` kept there, the least recently read
-    of 256 entries (``named_scheme``'s bound) making room; a raise is never kept."""
-    verdict = _VERDICTS.pop(key, None)
-    if verdict is None:
-        verdict = decide()
-        if len(_VERDICTS) >= 256:
-            del _VERDICTS[next(iter(_VERDICTS))]
-    _VERDICTS[key] = verdict
-    return verdict
-
-
 def mz_check(scheme: Scheme, symmetric_mode: bool = False) -> MzVerdict:
     """Catalog verdict for one normalized scheme.
 
@@ -191,14 +175,17 @@ def mz_check(scheme: Scheme, symmetric_mode: bool = False) -> MzVerdict:
     family and with the general geometric conjecture otherwise.  Symmetric
     mode walks the same catalog with its symmetric facts only: symmetric
     members certify, and the equispaced family is the symmetric one.
-    A verdict is kept by the scheme's integer form and the mode (:func:`_remembered`).
+    A verdict is kept by the scheme's integer form and the mode, in :func:`_decide_mz`'s memo.
     """
     n = _check_input(scheme, symmetric_mode)
-    key = ("mz-check", bool(symmetric_mode), scheme._ints)
-    return _remembered(key, lambda: _decide_mz(scheme, n, symmetric_mode))
+    return _decide_mz(scheme._ints, n, bool(symmetric_mode))
 
 
-def _decide_mz(scheme: Scheme, n: int, symmetric_mode: bool) -> MzVerdict:
+# each decider keeps 256 verdicts (``named_scheme``'s bound) by the integer forms it is given:
+# one scheme however written is decided once, no memo holds a Scheme, and a raise is never kept
+@lru_cache(maxsize=256)
+def _decide_mz(form: tuple, n: int, symmetric_mode: bool) -> MzVerdict:
+    scheme = _from_form(form)
     match = equivalent_gaussian(scheme)
     certified = (
         (GAUSSIAN_SYMMETRIC,) if symmetric_mode else (GAUSSIAN_FORWARD, GAUSSIAN_AFFINE)
@@ -284,7 +271,7 @@ def mz_set_check(schemes: Sequence[Scheme]) -> MzVerdict:
 
     The set is known MZ when any member is, or when it covers a full or
     reduced backward-shift set up to per-member equivalence; otherwise open.
-    A verdict is kept by the members' integer forms, in order (:func:`_remembered`).
+    A verdict is kept by the members' integer forms, in order, in :func:`_decide_mz_set`'s memo.
     """
     schemes = list(_items(schemes, "the scheme set"))
     if not schemes:
@@ -296,11 +283,12 @@ def mz_set_check(schemes: Sequence[Scheme]) -> MzVerdict:
     if len(orders) != 1:
         raise MixedOrders(f"the set mixes orders {_echo(', '.join(map(_digits, sorted(orders))))}")
     n = orders.pop()
-    key = ("mz-set", *(s._ints for s in schemes))
-    return _remembered(key, lambda: _decide_mz_set(schemes, n))
+    return _decide_mz_set(tuple([s._ints for s in schemes]), n)
 
 
-def _decide_mz_set(schemes: Sequence[Scheme], n: int) -> MzVerdict:
+@lru_cache(maxsize=256)
+def _decide_mz_set(forms: tuple, n: int) -> MzVerdict:
+    schemes = list(map(_from_form, forms))
     member_verdicts = [mz_check(s) for s in schemes]
     for verdict in member_verdicts:
         if verdict.status == STATUS_MZ:
@@ -388,14 +376,13 @@ class NTimesReport(_Record):
         }
 
 
-def _is_identity_chain(entries: dict[int, ChainEntry]) -> bool:
-    """Whether the chain is the order-3 one through the symmetric second difference
-    ending in the backward shift, which :func:`_identity_certificate` certifies."""
-    if set(entries) != {0, 1, 2, 3}:
+def _is_identity_chain(stages: list[Scheme]) -> bool:
+    """Whether the stages of orders 1..n are the order-3 chain through the symmetric second
+    difference ending in the backward shift, which :func:`_identity_certificate` certifies."""
+    if len(stages) != 3:
         return False
     targets = (riemann(1), symmetric_riemann(2), riemann_shift(3, -1))
-    stages = zip((entries[1], entries[2], entries[3]), map(named_scheme, targets))
-    return all(decide_equivalent(entry, target).equivalent for entry, target in stages)
+    return all(decide_equivalent(s, named_scheme(t)).equivalent for s, t in zip(stages, targets))
 
 
 def _identity_certificate() -> Scheme:
@@ -408,12 +395,14 @@ def _identity_certificate() -> Scheme:
     return certificate
 
 
-def _decide_chain(entries: dict[int, ChainEntry], n: int) -> tuple[tuple, str]:
-    """The per-order verdicts of a checked chain of top order ``n`` and its Peano status."""
-    per_order = tuple((order, mz_check(entries[order])) for order in range(1, n + 1))
+@lru_cache(maxsize=256)
+def _decide_chain(forms: tuple) -> tuple[tuple, str]:
+    """The per-order verdicts and Peano status of a checked chain, by its stages' forms."""
+    stages = list(map(_from_form, forms))
+    per_order = tuple((order, mz_check(s)) for order, s in enumerate(stages, 1))
     if all(v.status == STATUS_MZ for _, v in per_order):
         return per_order, PEANO_ALL_MZ
-    return per_order, PEANO_IDENTITY if _is_identity_chain(entries) else PEANO_UNKNOWN
+    return per_order, PEANO_IDENTITY if _is_identity_chain(stages) else PEANO_UNKNOWN
 
 
 def _missing_orders(orders: list[int]) -> str:
@@ -434,8 +423,8 @@ def n_times_check(chain: Sequence[tuple[int, ChainEntry]]) -> NTimesReport:
     the specific order-3 chain through the symmetric second difference,
     via the exact rewrite identity.  Otherwise the verdict is unknown: a
     chain whose top-order scheme lacks the MZ property cannot certify the
-    expansion.  The verdicts and status are kept by the entries' integer forms
-    (:func:`_remembered`), not the certificate: the table holds no scheme.
+    expansion.  The verdicts and status are kept by the stages' integer forms in
+    :func:`_decide_chain`'s memo, not the certificate: the memo holds no scheme.
     """
     entries: dict[int, ChainEntry] = {}
     for item in _items(chain, "the chain"):
@@ -466,8 +455,7 @@ def n_times_check(chain: Sequence[tuple[int, ChainEntry]]) -> NTimesReport:
             raise CalculusError(
                 f"entry at position {order} actually differentiates {detected} times"
             )
-    key = ("ntimes", *(entries[order]._ints for order in range(1, n + 1)))
-    per_order, peano = _remembered(key, lambda: _decide_chain(entries, n))
+    per_order, peano = _decide_chain(tuple([entries[order]._ints for order in range(1, n + 1)]))
     return NTimesReport(
         orders_present=tuple(sorted(entries)),
         per_order=per_order,

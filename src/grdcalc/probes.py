@@ -69,6 +69,7 @@ from .scheme import (
     Scheme,
     _Record,
     _check_budget,
+    _digits,
     _echo,
     _format_pair,
     _int_field,
@@ -407,12 +408,12 @@ def parse_oracle(text: str) -> FunctionOracle:
 
 def format_oracle(oracle: FunctionOracle) -> str:
     if oracle.kind == ORACLE_MONOMIAL:
-        return f"mono:k={oracle.degree}"
+        return f"mono:k={_digits(oracle.degree)}"
     if oracle.kind == ORACLE_POLYNOMIAL:
         return "poly:" + ",".join(format_rational(c) for c in oracle.coeffs)
     if oracle.kind == ORACLE_SUBGROUP_MONOMIAL:
         gens = ",".join(format_rational(g) for g in oracle.generators)
-        return f"subgmono:k={oracle.degree};gens={gens}"
+        return f"subgmono:k={_digits(oracle.degree)};gens={gens}"
     return oracle.kind
 
 

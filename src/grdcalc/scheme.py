@@ -459,8 +459,13 @@ def _built(sums: dict[int, int], C: int, D: int) -> Scheme:
     keys = sorted([k for k, a in sums.items() if a])
     A = [sums[k] for k in keys]
     g, h = gcd(C, *A), gcd(D, *keys)
+    return _from_form((tuple([a // g for a in A]), C // g, tuple([k // h for k in keys]), D // h))
+
+
+def _from_form(form: tuple) -> Scheme:
+    """The scheme whose reduced integer form ``(A, da, B, db)`` is ``form``, stored as given."""
     scheme = object.__new__(Scheme)
-    scheme.__dict__["_ints"] = (tuple([a // g for a in A]), C // g, tuple([k // h for k in keys]), D // h)
+    scheme.__dict__["_ints"] = form
     return scheme
 
 
@@ -707,7 +712,7 @@ def is_scale(a: Scheme, b: Scheme) -> Optional[Fraction]:
 
     Any valid ``r`` maps the largest-magnitude nodes of ``a`` onto those of
     ``b``, so only the two signed ratios of those magnitudes can work; each
-    candidate is checked exactly by :func:`_matches`, no scale built.
+    candidate ``c`` is checked exactly as ``combine([(c ** -n, c, a)]) == b``.
     """
     if a.is_zero or b.is_zero:
         raise ZeroScheme("scale witnesses are defined for nonzero schemes")

@@ -12,12 +12,13 @@ from grdcalc.scheme import CalculusError, Scheme, Term
 def empty_member_memo() -> None:
     """Each test starts with no named member built and no verdict kept, whatever ran before it.
 
-    ``named_scheme`` keeps the members it builds, and ``mz_check``, ``mz_set_check`` and
-    ``n_times_check`` the verdicts they give, for the whole process; a test that counts
-    builds, derivations or decisions must not depend on test order.
+    ``named_scheme`` keeps the members it builds, and the deciders behind ``mz_check``,
+    ``mz_set_check`` and ``n_times_check`` the verdicts they give, for the whole process; a
+    test that counts builds, derivations or decisions must not depend on test order.
     """
     grdcalc.families.named_scheme.cache_clear()
-    grdcalc.mz._VERDICTS.clear()
+    for memo in (grdcalc.mz._decide_mz, grdcalc.mz._decide_mz_set, grdcalc.mz._decide_chain):
+        memo.cache_clear()
 
 
 class Derivations:

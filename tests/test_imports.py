@@ -16,6 +16,9 @@ each with its value, so a limit is added, dropped or moved in both places.
 A layer module is loaded on first use by one mechanism, the package's
 ``__getattr__``, so no function or method holds an import statement; the
 module-level ``if TYPE_CHECKING:`` imports are outside every function.
+A docstring's ``:func:``, ``:class:``, ``:data:`` or ``:meth:`` role that names
+a package object names one the package defines, so a renamed or deleted
+helper leaves no reference to itself behind.
 """
 
 import ast
@@ -181,6 +184,53 @@ def test_every_memo_is_bounded(module):
     assert unbounded_memos(module.read_text(encoding="utf-8")) == []
 
 
+ROLE = re.compile(r":(?:func|class|data|meth):`([^`]+)`")
+
+
+def stale_roles(sources: dict[str, str]) -> list[str]:
+    """The roles in the docstrings of ``sources`` (module name to source) that name a package
+    object no module of ``sources`` defines at top level.
+
+    A role names a package object when it is undotted or qualified by ``grdcalc`` (then any
+    module may define it) or by a module of ``sources`` (then that one must); roles into
+    other modules, such as ``fractions.Fraction``, are skipped.  Only the first name after
+    the qualifier is looked up.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    defined = {name: set().union(*map(_defined, tree.body)) for name, tree in trees.items()}
+    anywhere = set(defined).union(*defined.values())
+    stale = []
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for target in ROLE.findall(ast.get_docstring(node) or ""):
+                parts = target.lstrip("~!").split(".")
+                if parts[0] == "grdcalc" and len(parts) > 1:
+                    parts = parts[1:]
+                elif len(parts) > 1 and parts[0] not in defined:
+                    continue
+                names = defined[parts.pop(0)] if len(parts) > 1 and parts[0] in defined else anywhere
+                if parts[0] not in names:
+                    stale.append(target)
+    return stale
+
+
+def test_stale_roles_are_found():
+    sources = {
+        "a": '"""See :func:`kept`, :class:`~grdcalc.a.Kept`, :func:`gone` and :data:`b.LIMIT`."""\n'
+             "def kept():\n    \"\"\":meth:`Kept.run` and :func:`grdcalc.b.kept`\"\"\"\n"
+             "class Kept:\n    \"\"\":class:`fractions.Fraction`, :func:`grdcalc.lost`\"\"\"\n",
+        "b": "LIMIT = 3\n# a comment is no docstring: :func:`ignored`\n",
+    }
+    assert stale_roles(sources) == ["gone", "grdcalc.b.kept", "grdcalc.lost"]
+
+
+def test_every_docstring_role_names_a_defined_object():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert stale_roles(sources) == []
+
+
 PUBLIC_NAMES = [
     "CERT_D2S_NOT_MZ", "CERT_D31", "CERT_GAUSSIAN", "CERT_GGR_SET", "CERT_RIEMANN_NOT_MZ",
     "CONJECTURE_GAUSSIAN", "CONJECTURE_NONE", "CONJECTURE_RIEMANN", "CONTINUITY",
@@ -221,7 +271,7 @@ def test_public_names_are_pinned():
 # The line count of src/grdcalc/*.py, as `wc -l` counts it, held exactly: a
 # change that shrinks the package leaves no slack for a later one to grow back
 # into unseen.  Any change to src/ sets the new count here and says why.
-SRC_LINE_CEILING = 3600
+SRC_LINE_CEILING = 3594
 
 
 def test_source_line_count_is_the_ceiling():

@@ -1,6 +1,8 @@
 """Catalog verdicts, shifted-set reductions, and differentiation chains."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -589,12 +591,26 @@ def test_report_json_shape():
     assert len(data["per_order"]) == 3
 
 
-# --- the verdict table ------------------------------------------------------------------
+# --- the verdict memos ------------------------------------------------------------------
 
 D31_JSON = (
     '{"terms": [{"coeff": -1, "node": -1}, {"coeff": 3, "node": 0}, '
     '{"coeff": -3, "node": 1}, {"coeff": 1, "node": 2}]}'
 )
+
+
+# the verdict memos of mz_check, mz_set_check and n_times_check, one per decider
+MEMOS = (mz._decide_mz, mz._decide_mz_set, mz._decide_chain)
+
+
+def _kept() -> list[int]:
+    """How many verdicts each decider keeps, in the order of ``MEMOS``."""
+    return [memo.cache_info().currsize for memo in MEMOS]
+
+
+def _forget_verdicts() -> None:
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 def _count_decisions(monkeypatch) -> list:
@@ -645,7 +661,8 @@ def test_equal_schemes_written_differently_share_one_verdict(monkeypatch):
     assert all(c.per_order is chains[0].per_order for c in chains)
     # D31, riemann:n=3, D1 and D2_SYM are each decided once, and one set and one chain kept
     assert len(searched) == len(set(searched)) == 4
-    assert sorted(key[0] for key in mz._VERDICTS) == ["mz-check"] * 4 + ["mz-set", "ntimes"]
+    assert _kept() == [4, 1, 1]
+    assert [memo.cache_info().misses for memo in MEMOS] == [4, 1, 1]
 
 
 def test_a_batch_that_repeats_a_verdict_prints_the_same_record(capsys, tmp_path):
@@ -657,12 +674,12 @@ def test_a_batch_that_repeats_a_verdict_prints_the_same_record(capsys, tmp_path)
     ]
     alone = []
     for line in lines:
-        mz._VERDICTS.clear()
+        _forget_verdicts()
         batch = tmp_path / "one.txt"
         batch.write_text(line + "\n", encoding="utf-8")
         assert main(["--output", "json", "--batch", str(batch)]) == 0
         alone.append(capsys.readouterr().out)
-    mz._VERDICTS.clear()
+    _forget_verdicts()
     batch = tmp_path / "repeats.txt"
     batch.write_text("".join(f"{line}\n{line}\n" for line in lines), encoding="utf-8")
     assert main(["--output", "json", "--batch", str(batch)]) == 0
@@ -681,9 +698,11 @@ def test_refusals_are_raised_on_every_call(monkeypatch):
     for error, call in refused * 2:
         with pytest.raises(error):
             call()
-    # the open member's own verdict is given and kept; the set's refusal is not
-    assert [key[0] for key in mz._VERDICTS] == ["mz-check"]
-    mz._VERDICTS.clear()
+    # the open member's own verdict is given and kept; the set's refusal is not, so the set
+    # is decided on both calls
+    assert _kept() == [1, 0, 0]
+    assert mz._decide_mz_set.cache_info().misses == 2
+    _forget_verdicts()
 
     def failing(scheme):
         raise IdentityCheckFailed("internal fault")
@@ -692,7 +711,12 @@ def test_refusals_are_raised_on_every_call(monkeypatch):
     for _ in range(2):
         with pytest.raises(IdentityCheckFailed):
             mz_check(D31)
-    assert not mz._VERDICTS
+        with pytest.raises(IdentityCheckFailed):
+            mz_set_check([D31])
+        with pytest.raises(IdentityCheckFailed):
+            n_times_check(chain_through_symmetric_second())
+    assert _kept() == [0, 0, 0]
+    assert [memo.cache_info().misses for memo in MEMOS] == [6, 2, 2]
 
 
 def test_the_table_keeps_256_verdicts_by_integer_forms():
@@ -703,15 +727,21 @@ def test_the_table_keeps_256_verdicts_by_integer_forms():
     mz_check(schemes[0])  # read again: now the most recently read
     for s in schemes[256:]:
         mz_check(s)
-    assert len(mz._VERDICTS) == 256
-    kept = {key[2] for key in mz._VERDICTS}
-    assert schemes[0]._ints in kept and schemes[1]._ints not in kept
-    mz_set_check(ggr_set(3))
-    n_times_check(chain_through_symmetric_second())
-    mz_check(D2_SYM, symmetric_mode=True)
-    assert len(mz._VERDICTS) == 256
-    for key, verdict in mz._VERDICTS.items():
-        assert all(type(leaf) in (int, bool, str) for leaf in _leaves(key)), key
+    assert _kept() == [256, 0, 0]
+    info = mz._decide_mz.cache_info()
+    assert mz_check(canonicalize(list(schemes[0]))) is mz_check(schemes[0])  # kept, by its form
+    assert mz._decide_mz.cache_info().misses == info.misses
+    mz_check(schemes[1])  # evicted: decided again
+    assert mz._decide_mz.cache_info().misses == info.misses + 1
+    # each decider keeps at most 256 verdicts of its own, whatever the others keep
+    sets = [mz_set_check([s]) for s in schemes]
+    chains = [n_times_check([(0, CONTINUITY), (1, s)]) for s in schemes]
+    assert _kept() == [256, 256, 256]
+    verdicts = [mz_set_check(ggr_set(3)), mz_check(D2_SYM, symmetric_mode=True)]
+    report = n_times_check(chain_through_symmetric_second())
+    assert _kept() == [256, 256, 256]
+    # a kept verdict holds no scheme; the report's certificate is built afresh on each call
+    for verdict in verdicts + sets + [report.per_order] + [c.per_order for c in chains]:
         assert not any(isinstance(leaf, Scheme) for leaf in _leaves(verdict)), verdict
 
 
@@ -743,5 +773,24 @@ def test_a_kept_verdict_is_the_one_decided_afresh(scheme):
     for mode in (False, True) if is_symmetric(scheme) else (False,):
         kept = mz_check(copy, symmetric_mode=mode)
         assert mz_check(scheme, symmetric_mode=mode) is kept
-        mz._VERDICTS.clear()
+        _forget_verdicts()
         assert mz_check(scheme, symmetric_mode=mode) == kept
+
+
+def test_no_scheme_given_to_a_verb_outlives_the_call():
+    # the memos are keyed by integer forms, so none keeps a scheme it was given alive
+    given = []
+
+    def copy(scheme):
+        fresh = canonicalize(list(scheme))
+        given.append(weakref.ref(fresh))
+        return fresh
+
+    for _ in range(2):  # decided, then read back
+        mz_check(copy(D31))
+        mz_check(copy(D2_SYM), symmetric_mode=True)
+        mz_set_check([copy(named_scheme(riemann(3))), copy(D31)])
+        n_times_check([(0, CONTINUITY), (1, copy(D1)), (2, copy(D2_SYM)), (3, copy(D31))])
+    gc.collect()
+    assert len(given) == 14 and all(ref() is None for ref in given)
+    assert _kept() == [5, 1, 1]

@@ -180,6 +180,12 @@ def test_oracle_string_round_trip():
         assert parse_oracle(format_oracle(oracle)) == oracle
     assert parse_oracle("mono:k=3") == monomial_oracle(3)
     assert parse_oracle("subgmono:k=2;gens=2,3") == subgroup_monomial_oracle(2, [2, 3])
+    # a degree past the interpreter's int-to-str limit is printed by its digits
+    k = "1" + "0" * 5000
+    assert format_oracle(monomial_oracle(10 ** 5000)) == f"mono:k={k}"
+    assert format_oracle(subgroup_monomial_oracle(10 ** 5000, [2])) == f"subgmono:k={k};gens=2/1"
+    for oracle in (monomial_oracle(10 ** 5000), subgroup_monomial_oracle(10 ** 5000, [2, 3])):
+        assert parse_oracle(format_oracle(oracle)) == oracle
     # every kind with every field it takes, straight from the constructor
     samples = {"degree": [0, 5], "coeffs": [(Fraction(1, 2), -3)], "generators": [(-2, 5)]}
     for kind, taken in probes._ORACLE_FIELDS.items():

@@ -382,9 +382,9 @@ def test_canonicalize_idempotent(pairs):
     assert once == again
 
 
-def test_one_scheme_written_many_ways_has_one_integer_form(monkeypatch):
+def test_one_scheme_written_many_ways_has_one_integer_form():
     # -f(x - h/2) + f(x + h/2): every build stores the same reduced form, so the
-    # verdict table, keyed by that form, decides the scheme once for all of them
+    # verdict memo, keyed by that form, decides the scheme once for all of them
     form = ((-1, 1), 1, (-1, 1), 2)
     builds = [
         canonicalize([(-1, "-1/2"), (1, "1/2")]),
@@ -402,16 +402,9 @@ def test_one_scheme_written_many_ways_has_one_integer_form(monkeypatch):
         Scheme((Term(1, "1/2"), Term(-1, "-1/2"))),
     ]
     assert [s._ints for s in builds] == [form] * len(builds)
-    decisions = []
-    decide = grdcalc.mz._decide_mz
-
-    def counting(scheme, n, symmetric_mode):
-        decisions.append(scheme)
-        return decide(scheme, n, symmetric_mode)
-
-    monkeypatch.setattr(grdcalc.mz, "_decide_mz", counting)
     verdicts = {grdcalc.mz.mz_check(s) for s in builds}
-    assert len(verdicts) == 1 and len(decisions) == 1
+    info = grdcalc.mz._decide_mz.cache_info()
+    assert len(verdicts) == 1 and (info.misses, info.hits, info.currsize) == (1, len(builds) - 1, 1)
 
 
 # --- construction ----------------------------------------------------------
