@@ -147,7 +147,9 @@ class MzVerdict(_Record):
         }
 
 
-def _check_input(scheme: Scheme, symmetric_mode: bool) -> int:
+def _check_input(scheme: Scheme, symmetric_mode: bool) -> tuple[tuple, int]:
+    if not isinstance(scheme, Scheme):
+        raise CalculusError(f"the input is a {type(scheme).__name__}, not a scheme")
     if scheme.is_zero:
         raise ZeroScheme("MZ verdicts are defined for nonzero schemes")
     info = order_info(scheme)
@@ -157,7 +159,7 @@ def _check_input(scheme: Scheme, symmetric_mode: bool) -> int:
         raise NotNormalized("normalize the scheme before asking for an MZ verdict")
     if symmetric_mode and not is_symmetric(scheme):
         raise CalculusError("symmetric-mode verdicts require a symmetric scheme")
-    return info.order
+    return scheme._ints, info.order
 
 
 def mz_check(scheme: Scheme, symmetric_mode: bool = False) -> MzVerdict:
@@ -174,30 +176,23 @@ def mz_check(scheme: Scheme, symmetric_mode: bool = False) -> MzVerdict:
     with the equispaced conjecture when the scheme is equivalent to that
     family and with the general geometric conjecture otherwise.  Symmetric
     mode walks the same catalog with its symmetric facts only: symmetric
-    members certify, and the equispaced family is the symmetric one.
-    A verdict is kept by the scheme's integer form and the mode, in :func:`_decide_mz`'s memo.
+    members certify, and the equispaced family is the symmetric one.  The input is checked
+    here, once; the verdict is kept by its integer form and the mode, in :func:`_decide_mz`'s memo.
     """
-    n = _check_input(scheme, symmetric_mode)
-    return _decide_mz(scheme._ints, n, bool(symmetric_mode))
+    return _decide_mz(*_check_input(scheme, symmetric_mode), bool(symmetric_mode))
 
 
 # each decider keeps 256 verdicts (``named_scheme``'s bound) by the integer forms it is given:
 # one scheme however written is decided once, no memo holds a Scheme, and a raise is never kept
 @lru_cache(maxsize=256)
 def _decide_mz(form: tuple, n: int, symmetric_mode: bool) -> MzVerdict:
-    scheme = _from_form(form)
+    scheme = _from_form(form, n)
     match = equivalent_gaussian(scheme)
-    certified = (
-        (GAUSSIAN_SYMMETRIC,) if symmetric_mode else (GAUSSIAN_FORWARD, GAUSSIAN_AFFINE)
-    )
+    certified = (GAUSSIAN_SYMMETRIC,) if symmetric_mode else (GAUSSIAN_FORWARD, GAUSSIAN_AFFINE)
     if match is not None and match.variant in certified:
-        return MzVerdict(
-            STATUS_MZ, Certificate(CERT_GAUSSIAN, match=match), CONJECTURE_NONE
-        )
+        return MzVerdict(STATUS_MZ, Certificate(CERT_GAUSSIAN, match=match), CONJECTURE_NONE)
     if match is not None and match.variant == GAUSSIAN_SYMMETRIC and n == 2:
-        return MzVerdict(
-            STATUS_NOT_MZ, Certificate(CERT_D2S_NOT_MZ, n=2), CONJECTURE_NONE
-        )
+        return MzVerdict(STATUS_NOT_MZ, Certificate(CERT_D2S_NOT_MZ, n=2), CONJECTURE_NONE)
     if n == 3 and not symmetric_mode:
         backward = decide_equivalent(scheme, named_scheme(riemann_shift(3, -1)))
         if backward.equivalent:
@@ -270,8 +265,9 @@ def mz_set_check(schemes: Sequence[Scheme]) -> MzVerdict:
     """Joint verdict for a set of same-order schemes.
 
     The set is known MZ when any member is, or when it covers a full or
-    reduced backward-shift set up to per-member equivalence; otherwise open.
-    A verdict is kept by the members' integer forms, in order, in :func:`_decide_mz_set`'s memo.
+    reduced backward-shift set up to per-member equivalence; otherwise open.  Each member is
+    checked here, once, after the set's own checks; :func:`_decide_mz_set` reads its verdict from
+    :func:`_decide_mz`'s memo and keeps the set's by the members' integer forms, in order.
     """
     schemes = list(_items(schemes, "the scheme set"))
     if not schemes:
@@ -282,18 +278,17 @@ def mz_set_check(schemes: Sequence[Scheme]) -> MzVerdict:
     orders = {order_info(s).order for s in schemes}
     if len(orders) != 1:
         raise MixedOrders(f"the set mixes orders {_echo(', '.join(map(_digits, sorted(orders))))}")
-    n = orders.pop()
-    return _decide_mz_set(tuple([s._ints for s in schemes]), n)
+    return _decide_mz_set(tuple([_check_input(s, False)[0] for s in schemes]), orders.pop())
 
 
 @lru_cache(maxsize=256)
 def _decide_mz_set(forms: tuple, n: int) -> MzVerdict:
-    schemes = list(map(_from_form, forms))
-    member_verdicts = [mz_check(s) for s in schemes]
+    member_verdicts = [_decide_mz(form, n, False) for form in forms]
     for verdict in member_verdicts:
         if verdict.status == STATUS_MZ:
             return verdict
     _check_budget("the order of an mz-set backward-shift cover", n, MAX_GGR_ORDER)
+    schemes = [_from_form(form, n) for form in forms]
     # the reduced targets are a prefix of the full ones, each built when the cover reaches
     # it, so the count of shifts covered before the first uncovered one decides both covers
     covered = 0
@@ -398,10 +393,10 @@ def _identity_certificate() -> Scheme:
 @lru_cache(maxsize=256)
 def _decide_chain(forms: tuple) -> tuple[tuple, str]:
     """The per-order verdicts and Peano status of a checked chain, by its stages' forms."""
-    stages = list(map(_from_form, forms))
-    per_order = tuple((order, mz_check(s)) for order, s in enumerate(stages, 1))
+    per_order = tuple((j, _decide_mz(form, j, False)) for j, form in enumerate(forms, 1))
     if all(v.status == STATUS_MZ for _, v in per_order):
         return per_order, PEANO_ALL_MZ
+    stages = [_from_form(form, j) for j, form in enumerate(forms, 1)]
     return per_order, PEANO_IDENTITY if _is_identity_chain(stages) else PEANO_UNKNOWN
 
 
@@ -423,8 +418,9 @@ def n_times_check(chain: Sequence[tuple[int, ChainEntry]]) -> NTimesReport:
     the specific order-3 chain through the symmetric second difference,
     via the exact rewrite identity.  Otherwise the verdict is unknown: a
     chain whose top-order scheme lacks the MZ property cannot certify the
-    expansion.  The verdicts and status are kept by the stages' integer forms in
-    :func:`_decide_chain`'s memo, not the certificate: the memo holds no scheme.
+    expansion.  Each stage is checked here, once, after the chain's own checks; its verdict is
+    read from :func:`_decide_mz`'s memo, and the verdicts and status are kept by the stages'
+    integer forms in :func:`_decide_chain`'s memo, not the certificate: it holds no scheme.
     """
     entries: dict[int, ChainEntry] = {}
     for item in _items(chain, "the chain"):
@@ -444,8 +440,8 @@ def n_times_check(chain: Sequence[tuple[int, ChainEntry]]) -> NTimesReport:
         raise MissingOrder(f"chain misses orders {missing}")
     if n < 1:
         raise MissingOrder("the chain needs at least one scheme above order 0")
-    for order in range(1, n + 1):
-        entry = entries[order]
+    stages = [entries[order] for order in range(1, n + 1)]
+    for order, entry in enumerate(stages, 1):
         if isinstance(entry, ContinuityMarker):
             raise CalculusError("continuity markers are only valid at order 0")
         if not isinstance(entry, Scheme):
@@ -455,7 +451,7 @@ def n_times_check(chain: Sequence[tuple[int, ChainEntry]]) -> NTimesReport:
             raise CalculusError(
                 f"entry at position {order} actually differentiates {detected} times"
             )
-    per_order, peano = _decide_chain(tuple([entries[order]._ints for order in range(1, n + 1)]))
+    per_order, peano = _decide_chain(tuple([_check_input(s, False)[0] for s in stages]))
     return NTimesReport(
         orders_present=tuple(sorted(entries)),
         per_order=per_order,

@@ -451,21 +451,24 @@ Scheme._key = attrgetter("_ints")  # reduced, so one scheme has one form
 PairLike = Union[Term, Sequence[Rationalish]]
 
 
-def _built(sums: dict[int, int], C: int, D: int) -> Scheme:
+def _built(sums: dict[int, int], C: int, D: int, n: Optional[int] = None) -> Scheme:
     """The one trusted build: coefficient ``sums[k] / C`` at node ``k / D`` for each
     nonzero sum, with ``C, D > 0``.  It stores the reduced integer form ``(A, da, B, db)``
     only: ``B`` strictly increasing, no zero in ``A``, ``gcd(da, *A) == gcd(db, *B) == 1``,
-    so one scheme has one form however its sums were written."""
+    so one scheme has one form however its sums were written; ``n`` goes to :func:`_from_form`."""
     keys = sorted([k for k, a in sums.items() if a])
     A = [sums[k] for k in keys]
     g, h = gcd(C, *A), gcd(D, *keys)
-    return _from_form((tuple([a // g for a in A]), C // g, tuple([k // h for k in keys]), D // h))
+    return _from_form((tuple([a // g for a in A]), C // g, tuple([k // h for k in keys]), D // h), n)
 
 
-def _from_form(form: tuple) -> Scheme:
-    """The scheme whose reduced integer form ``(A, da, B, db)`` is ``form``, stored as given."""
+def _from_form(form: tuple, n: Optional[int] = None) -> Scheme:
+    """The scheme whose reduced integer form ``(A, da, B, db)`` is ``form``, stored as given; a
+    caller that knows the form is normalized of order ``n`` has it keep ``OrderInfo(n, n!, 1)``."""
     scheme = object.__new__(Scheme)
     scheme.__dict__["_ints"] = form
+    if n is not None:
+        scheme.__dict__["_order"] = OrderInfo(n, Fraction(factorial(n)), Fraction(1))
     return scheme
 
 
@@ -563,7 +566,7 @@ def construct_exact(nodes: Sequence[Rationalish], n: int) -> Scheme:
     the leading coefficient of the i-th Lagrange basis polynomial on the nodes, refused over
     :func:`_check_member_size` (Bjorck and Pereyra, Math. Comp. 24, 1970).  On integer nodes
     ``X_i / d`` it is ``n! * d**n * (L // P_i) / L``, ``P_i = prod_{j != i} (X_i - X_j)`` over
-    ``L = lcm(P_i)``, handed to :func:`_built` as integers.  It keeps ``OrderInfo(n, n!, 1)``.
+    ``L = lcm(P_i)``, handed to :func:`_built` as integers with the order ``n``, which it keeps.
     """
     _check_order(n)
     points = [parse_rational(b) for b in _items(nodes, "nodes")]
@@ -578,9 +581,7 @@ def construct_exact(nodes: Sequence[Rationalish], n: int) -> Scheme:
     X, d = _over_common_denominator(points)
     P = [prod(x - y for y in X if y != x) for x in X]
     L, top = lcm(*P), factorial(n) * d ** n
-    built = _built({x: top * (L // p) for x, p in zip(X, P)}, L, d)
-    object.__setattr__(built, "_order", OrderInfo(n, Fraction(factorial(n)), Fraction(1)))
-    return built
+    return _built({x: top * (L // p) for x, p in zip(X, P)}, L, d, n)
 
 
 def construct_exact_symmetric(

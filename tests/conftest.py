@@ -65,27 +65,29 @@ def derivations(monkeypatch: pytest.MonkeyPatch) -> Derivations:
 class CheckedBuilds:
     """Every trusted scheme build, rebuilt by the public ``Scheme(terms)`` to compare.
 
-    ``grdcalc.scheme._built(sums, C, D)`` stores the reduced integer form
+    ``grdcalc.scheme._built(sums, C, D, n)`` stores the reduced integer form
     ``(A, da, B, db)`` of the coefficients ``sums[k] / C`` at the nodes
     ``k / D``, trusting its caller for positive denominators and integer
-    sums.  Here each result must equal ``Scheme(terms)`` on its own
-    ``coeffs`` and ``nodes`` views, which sorts and refuses duplicate nodes
-    and zero coefficients, and its stored form must be the one that rebuild
-    derives: both denominators positive, reduced (``gcd(da, *A) ==
-    gcd(db, *B) == 1``), ``B`` strictly increasing and no zero in ``A``, in
-    tuples (a list field would leave the form unhashable).  A build that
-    does not is kept in ``faults`` rather than raised, so that no caller's
-    error handling can hide it; the fixture fails the test on any.
+    sums, and for a given ``n``, the normalized order it keeps.  Here each
+    result must equal ``Scheme(terms)`` on its own ``coeffs`` and ``nodes``
+    views, which sorts and refuses duplicate nodes and zero coefficients,
+    and its stored form must be the one that rebuild derives: both
+    denominators positive, reduced (``gcd(da, *A) == gcd(db, *B) == 1``),
+    ``B`` strictly increasing and no zero in ``A``, in tuples (a list field
+    would leave the form unhashable).  A kept order must be the one
+    ``_find_order`` derives on the rebuild.  A build that does not is kept
+    in ``faults`` rather than raised, so that no caller's error handling can
+    hide it; the fixture fails the test on any.
     """
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
         self.count = 0
         self.faults: list = []
-        trusted = grdcalc.scheme._built
+        trusted, find_order = grdcalc.scheme._built, grdcalc.scheme._find_order
 
-        def checked(sums, C, D):
+        def checked(sums, C, D, n=None):
             self.count += 1
-            built = trusted(sums, C, D)
+            built = trusted(sums, C, D, n)
             form = built._ints
             try:
                 valid = (
@@ -93,11 +95,12 @@ class CheckedBuilds:
                     and (rebuilt := Scheme(map(Term, built.coeffs, built.nodes))) == built
                     and rebuilt._ints == form
                     and all(type(v) is int for v in (*form[0], form[1], *form[2], form[3]))
+                    and (n is None or built._order == find_order(rebuilt))
                 )
             except CalculusError:
                 valid = False
             if not valid:
-                self.faults.append((sums, C, D))
+                self.faults.append((sums, C, D, n))
             return built
 
         monkeypatch.setattr(grdcalc.scheme, "_built", checked)

@@ -92,7 +92,7 @@ def _d2_symmetric() -> Scheme:
 
 
 def reference_mz_check(scheme: Scheme, symmetric_mode: bool = False) -> MzVerdict:
-    n = _check_input(scheme, symmetric_mode)
+    _, n = _check_input(scheme, symmetric_mode)
     if symmetric_mode:
         return _reference_mz_check_symmetric(scheme, n)
     match = equivalent_gaussian(scheme)

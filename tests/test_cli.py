@@ -1180,6 +1180,9 @@ def _gaussian_class_member():
          r"^not a \(coeff, dilation, scheme\) part: \(1, 1, Scheme\(.*, 4\)$"),
         (lambda: mz_set_check([named_scheme(riemann(2)), "x"]), CalculusError,
          r"^entry at position 1 is a str, not a scheme$"),
+        (lambda: mz_check(5), CalculusError, r"^the input is a int, not a scheme$"),
+        (lambda: mz_check(None), CalculusError, r"^the input is a NoneType, not a scheme$"),
+        (lambda: mz_check("riemann:n=2"), CalculusError, r"^the input is a str, not a scheme$"),
         (lambda: Scheme([1]), CalculusError, r"^not a Term: 1$"),
         (lambda: construct_exact(5, 1), CalculusError, r"^nodes must be a sequence, got 5$"),
         (lambda: construct_exact("01", 1), CalculusError, r"^nodes must be a sequence, got '01'$"),
@@ -1196,7 +1199,8 @@ def _gaussian_class_member():
         "family-variant-list", "canonicalize-int", "combine-int", "scheme-int", "ratios-int",
         "ratios-str", "oracle-coeffs-int", "polynomial-oracle-int", "subgroup-oracle-int",
         "mz-set-int", "chain-int", "canonicalize-int-digits", "combine-part-int", "chain-entry-int",
-        "combine-part-pair", "combine-part-quadruple", "mz-set-member-str", "scheme-term-int",
+        "combine-part-pair", "combine-part-quadruple", "mz-set-member-str", "mz-check-int",
+        "mz-check-none", "mz-check-str", "scheme-term-int",
         "construct-nodes-int", "construct-nodes-str", "symmetric-pairs-int", "membership-int",
     ],
 )
@@ -1247,6 +1251,7 @@ LIBRARY_CALLS = {
     "FunctionOracle-coeffs": lambda v: FunctionOracle("poly", coeffs=v),
     "polynomial_oracle": polynomial_oracle,
     "subgroup_monomial_oracle-generators": lambda v: subgroup_monomial_oracle(2, v),
+    "mz_check": mz_check,
     "mz_set_check": mz_set_check,
     "n_times_check": n_times_check,
     "construct_exact-nodes": lambda v: construct_exact(v, 1),

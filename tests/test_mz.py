@@ -60,6 +60,7 @@ from grdcalc import (
     mz_tilde_symmetric,
     n_times_check,
     named_scheme,
+    order_info,
     peano_probe,
     riemann,
     riemann_shift,
@@ -178,6 +179,9 @@ def test_mz_check_input_gates():
     doubled = canonicalize([(2 * t.coeff, t.node) for t in D31])
     with pytest.raises(NotNormalized):
         mz_check(doubled)
+    for value in (5, None, "riemann:n=2", list(D31)):
+        with pytest.raises(CalculusError, match=r"^the input is a \w+, not a scheme$"):
+            mz_check(value)
     with pytest.raises(ZeroScheme):
         mz_check(canonicalize([]))
     with pytest.raises(CalculusError):
@@ -794,3 +798,51 @@ def test_no_scheme_given_to_a_verb_outlives_the_call():
     gc.collect()
     assert len(given) == 14 and all(ref() is None for ref in given)
     assert _kept() == [5, 1, 1]
+
+
+def test_each_verb_derives_only_its_inputs_orders_each_once(derivations):
+    # schemes read from JSON or canonicalized carry no order: each verb finds the order of each
+    # scheme it is given once, in its input check, and hands it to every scheme it rebuilds
+    def fresh(scheme):
+        return canonicalize(list(scheme))
+
+    calls = [
+        (lambda given: mz_check(given[0]).certificate.kind == CERT_D31, [read_scheme(D31_JSON)]),
+        (lambda given: mz_check(given[0], symmetric_mode=True).status == STATUS_MZ, [fresh(D2_SYM)]),
+        # no member is known MZ, so the backward-shift cover rebuilds every member
+        (lambda given: mz_set_check(given).certificate.kind == CERT_GGR_SET,
+         [fresh(s) for s in ggr_set(4)]),
+        # not every stage is known MZ, so the identity check rebuilds every stage
+        (lambda given: n_times_check([(0, CONTINUITY), *enumerate(given, 1)]).peano_equivalence
+         == PEANO_IDENTITY, [fresh(D1), fresh(D2_SYM), fresh(D31)]),
+    ]
+    for decided, given in calls:
+        _forget_verdicts()
+        derivations.clear()
+        assert decided(given)
+        derivations.assert_each_once()
+        assert sorted(map(id, derivations.orders)) == sorted(map(id, given))
+
+
+@settings(max_examples=60, deadline=None)
+@given(catalog_schemes())
+def test_each_rebuild_is_handed_the_order_it_has(scheme):
+    # every scheme a decider rebuilds keeps the normalized order it is handed, never derived:
+    # that order must be the one the rebuild's own moments give
+    rebuilt = []
+    from_form = mz._from_form
+
+    def recording(form, n=None):
+        rebuilt.append(from_form(form, n))
+        return rebuilt[-1]
+
+    n = order_info(scheme).order
+    chain = [(0, CONTINUITY), *((j, named_scheme(riemann(j))) for j in range(1, n)), (n, scheme)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mz, "_from_form", recording)
+        _forget_verdicts()
+        mz_check(scheme)
+        mz_set_check([scheme, named_scheme(riemann(n))])
+        n_times_check(chain)
+    assert rebuilt and all("_order" in vars(r) for r in rebuilt)
+    assert all(r._order == scheme_module._find_order(r) for r in rebuilt)
