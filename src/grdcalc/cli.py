@@ -389,7 +389,8 @@ def _int(text: str) -> int:
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing never changes it."""
+    """The command-line parser, built once per process: parsing never changes it.  Its
+    ``verbs`` maps each verb to the verb's own parser, which :func:`_parse` reads."""
     parser = argparse.ArgumentParser(
         prog="grdcalc",
         description="exact calculus of generalized Riemann differences",
@@ -401,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch", metavar="FILE", help="run one command per line from FILE"
     )
     sub = parser.add_subparsers(dest="verb", metavar="VERB")
+    parser.verbs = sub.choices  # verb name -> its parser, filled by add_parser
 
     def new(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
@@ -494,10 +496,29 @@ def _run_single(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
     _emit(payload, lines, args.output)
 
 
+def _parse(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)`` in one pass: ``[--output json|text] VERB ...`` goes to the
+    verb's parser alone, into a fresh namespace holding what the top level sets.  Any other
+    shape, a word left over, or a ``--=`` word (the top level refuses it as ambiguous first)
+    gets the full parse, so every usage text, error text and exit code is argparse's own."""
+    words, output = list(argv), "text"
+    if words[:1] == ["--output"] and words[1:2] in (["json"], ["text"]):
+        output, words = words[1], words[2:]
+    verb = parser.verbs.get(words[0]) if words else None
+    if verb is not None and not any(word.startswith("--=") for word in words):
+        top = argparse.Namespace(output=output, batch=None, verb=words[0])
+        args, left = verb.parse_known_args(words[1:], top)
+        if not left:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command, or each line of a ``--batch`` file, each parsed by :func:`_parse`;
+    return the exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, sys.argv[1:] if argv is None else argv)
         if args.batch is not None:
             if args.verb is not None:
                 parser.error("--batch replaces the inline command")
@@ -514,7 +535,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     words = _words(line)
                 except ValueError as exc:
                     raise CalculusError(f"cannot split batch line: {exc}") from exc
-                sub_args = parser.parse_args(["--output", args.output] + words)
+                sub_args = _parse(parser, ["--output", args.output] + words)
                 if sub_args.batch is not None:
                     raise CalculusError("batch files cannot nest --batch")
                 _run_single(parser, sub_args)

@@ -54,6 +54,7 @@ from .scheme import (
     _Record,
     _check_budget,
     _check_order,
+    _check_scheme,
     _digits,
     _echo,
     _from_form,
@@ -148,8 +149,7 @@ class MzVerdict(_Record):
 
 
 def _check_input(scheme: Scheme, symmetric_mode: bool) -> tuple[tuple, int]:
-    if not isinstance(scheme, Scheme):
-        raise CalculusError(f"the input is a {type(scheme).__name__}, not a scheme")
+    _check_scheme(scheme)
     if scheme.is_zero:
         raise ZeroScheme("MZ verdicts are defined for nonzero schemes")
     info = order_info(scheme)

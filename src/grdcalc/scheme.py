@@ -126,6 +126,12 @@ def _items(values: object, what: str) -> Iterator:
     raise CalculusError(f"{what} must be a sequence, got {_echo(_shown(values))}")
 
 
+def _check_scheme(value: object) -> None:
+    """Refuse a ``value`` that is not a :class:`Scheme`, naming its type only."""
+    if not isinstance(value, Scheme):
+        raise CalculusError(f"the input is a {type(value).__name__}, not a scheme")
+
+
 def _is_int(value: object) -> bool:
     """Whether ``value`` is an integer: a ``bool`` is an ``int`` to Python, not to this package."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -528,6 +534,7 @@ def order_info(scheme: Scheme) -> OrderInfo:
     on distinct nodes is nonsingular), so the search is bounded.  It is run
     once per scheme object.
     """
+    _check_scheme(scheme)
     if scheme.is_zero:
         raise ZeroScheme("the zero scheme has no order")
     return scheme._order
@@ -627,6 +634,7 @@ def scale(scheme: Scheme, r: Rationalish) -> Scheme:
     r = parse_rational(r)
     if r == 0:
         raise ZeroScale("scale factor must be nonzero")
+    _check_scheme(scheme)
     if scheme.is_zero:
         raise ZeroScheme("cannot scale the zero scheme")
     info = order_info(scheme)
@@ -650,6 +658,7 @@ def decompose(scheme: Scheme, n: Optional[int] = None) -> tuple[Scheme, Scheme]:
     The split depends on the parity of ``n`` only; it is made once per scheme
     object and parity, in one pass over the node set closed under negation.
     """
+    _check_scheme(scheme)
     if n is None:
         n = order_info(scheme).order
         if n == 0:
@@ -733,6 +742,7 @@ def is_scale(a: Scheme, b: Scheme) -> Optional[Fraction]:
 def scheme_to_json_dict(scheme: Scheme) -> dict:
     """JSON form: ``{"terms": [{"coeff": "p/q", "node": "p/q"}, ...]}``, read off the
     integer form, each value reduced by one ``gcd``."""
+    _check_scheme(scheme)
     A, da, B, db = scheme._ints
     return {"terms": [
         {"coeff": _format_pair(a // g, da // g), "node": _format_pair(b // h, db // h)}

@@ -30,6 +30,7 @@ from grdcalc import (
     ProbeConfig,
     Scheme,
     Term,
+    abs_oracle,
     canonicalize,
     class_member,
     combine,
@@ -38,11 +39,13 @@ from grdcalc import (
     decompose,
     gaussian_affine_shift,
     ggr_set,
+    limit_probe,
     mz_check,
     mz_set_check,
     mz_tilde,
     n_times_check,
     named_scheme,
+    order_info,
     parse_rational,
     polynomial_oracle,
     qbinom,
@@ -527,6 +530,91 @@ def test_cached_parser_behaves_like_a_fresh_one(capsys):
     _, out, _ = run(capsys, ["--output", "json", "equiv", "--a", "riemann:n=2",
                              "--b", "riemann:n=2"])
     assert json.loads(out)["path"] == "FastNonNegNodes"
+
+
+# --- one parse per command -----------------------------------------------------------------
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``, an argparse exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def full_parses(monkeypatch):
+    """The cached parser's ``parse_args`` calls, counted: each one is a full two-level parse."""
+    parser, calls = cli.build_parser(), []
+
+    def counting(argv=None, namespace=None):
+        calls.append(list(argv))
+        return argparse.ArgumentParser.parse_args(parser, argv, namespace)
+
+    monkeypatch.setattr(parser, "parse_args", counting)
+    return calls
+
+
+MZ_ARGV = ["mz-check", "riemann:n=2"]
+# argv shape -> (argv, whether the verb's own parser alone takes it); BATCH is a batch file
+PARSE_SHAPES = {
+    "no-output": (MZ_ARGV, True),
+    "output-json": (["--output", "json", *MZ_ARGV], True),
+    "output-text": (["--output", "text", "scale", "riemann:n=2", "--by", "-1/2"], True),
+    "output-equals": (["--output=json", *MZ_ARGV], False),
+    "output-abbreviated": (["--out", "json", *MZ_ARGV], False),
+    "output-bad": (["--output", "yaml", *MZ_ARGV], False),
+    "output-alone": (["--output", "json"], False),
+    "help": (["-h"], False),
+    "verb-help": (["--output", "json", "equiv", "-h"], True),
+    "batch": (["--batch", "BATCH"], False),
+    "batch-after-verb": ([*MZ_ARGV, "--batch", "BATCH"], False),
+    "unknown-verb": (["no-such-verb", "riemann:n=2"], False),
+    "dashdash-before-verb": (["--", *MZ_ARGV], False),
+    "dashdash-after-verb": (["probe", "--oracle", "abs", "--", "riemann:n=1"], True),
+    "trailing-word": ([*MZ_ARGV, "extra"], False),
+    "trailing-option": ([*MZ_ARGV, "--extra"], False),
+    "missing-required": (["construct", "--nodes", "0,1"], True),
+    "bad-int": (["ggr", "--order", "two"], True),
+    "empty": ([], False),
+    "negative-value": (["construct", "--nodes", "-1,0,1", "--order", "2"], True),
+    # the top level refuses --=x as ambiguous before the verb's parser sees it
+    "ambiguous-word": (["equiv", "--a", "riemann:n=1", "--b", "riemann:n=1", "--=x"], False),
+    "refused-input": (["recognize", "no-such-family:n=2"], True),
+}
+
+
+@pytest.mark.parametrize("argv, short", PARSE_SHAPES.values(), ids=PARSE_SHAPES)
+def test_one_parse_prints_what_the_full_parse_prints(capsys, monkeypatch, tmp_path, full_parses,
+                                                     argv, short):
+    batch = tmp_path / "cmds.txt"
+    batch.write_text("mz-check riemann:n=2\n--output=json recognize riemann:n=1\n", encoding="utf-8")
+    argv = [str(batch) if word == "BATCH" else word for word in argv]
+    got = outcome(capsys, argv)
+    assert (full_parses[:1] != [argv]) == short
+    monkeypatch.setattr(cli, "_parse", lambda parser, words: parser.parse_args(words))
+    assert got == outcome(capsys, argv)
+
+
+def test_batch_lines_go_through_one_parse(capsys, monkeypatch, tmp_path, full_parses):
+    lines = ["construct --nodes 0,1 --order 1", "mz-check riemann:n=2", "scale riemann:n=1 --by 2"]
+    batch = tmp_path / "cmds.txt"
+    batch.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    parsed, real = [], cli._parse
+    monkeypatch.setattr(cli, "_parse", lambda parser, argv: parsed.append(argv) or real(parser, argv))
+    code, out, err = run(capsys, ["--output", "json", "--batch", str(batch)])
+    assert code == 0 and not err
+    top = ["--output", "json", "--batch", str(batch)]
+    assert parsed == [top] + [["--output", "json", *line.split()] for line in lines]
+    assert full_parses == [top]  # only the --batch command itself takes the full parse
+
+
+def test_the_verb_table_is_read_by_a_public_name():
+    assert cli.build_parser().verbs.keys() >= {"equiv", "mz-check", "mz-set", "recognize", "ntimes"}
+    assert "._subparsers" not in Path(cli.__file__).read_text(encoding="utf-8")
 
 
 # --- batch mode ----------------------------------------------------------------------------
@@ -1183,6 +1271,11 @@ def _gaussian_class_member():
         (lambda: mz_check(5), CalculusError, r"^the input is a int, not a scheme$"),
         (lambda: mz_check(None), CalculusError, r"^the input is a NoneType, not a scheme$"),
         (lambda: mz_check("riemann:n=2"), CalculusError, r"^the input is a str, not a scheme$"),
+        (lambda: order_info(5), CalculusError, r"^the input is a int, not a scheme$"),
+        (lambda: decompose(5), CalculusError, r"^the input is a int, not a scheme$"),
+        (lambda: scale(5, 2), CalculusError, r"^the input is a int, not a scheme$"),
+        (lambda: scheme_to_json_dict(5), CalculusError, r"^the input is a int, not a scheme$"),
+        (lambda: limit_probe(5, abs_oracle()), CalculusError, r"^the input is a int, not a scheme$"),
         (lambda: Scheme([1]), CalculusError, r"^not a Term: 1$"),
         (lambda: construct_exact(5, 1), CalculusError, r"^nodes must be a sequence, got 5$"),
         (lambda: construct_exact("01", 1), CalculusError, r"^nodes must be a sequence, got '01'$"),
@@ -1200,7 +1293,8 @@ def _gaussian_class_member():
         "ratios-str", "oracle-coeffs-int", "polynomial-oracle-int", "subgroup-oracle-int",
         "mz-set-int", "chain-int", "canonicalize-int-digits", "combine-part-int", "chain-entry-int",
         "combine-part-pair", "combine-part-quadruple", "mz-set-member-str", "mz-check-int",
-        "mz-check-none", "mz-check-str", "scheme-term-int",
+        "mz-check-none", "mz-check-str", "order-info-int", "decompose-int", "scale-int",
+        "scheme-json-int", "limit-probe-int", "scheme-term-int",
         "construct-nodes-int", "construct-nodes-str", "symmetric-pairs-int", "membership-int",
     ],
 )

@@ -33,6 +33,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import grdcalc
+from grdcalc import cli
 from grdcalc.cli import main
 from grdcalc.mz import DEMOS
 
@@ -201,6 +202,27 @@ def test_every_corpus_command_answers_or_refuses_in_one_line():
     assert min(outcomes.values()) >= 40, outcomes
     assert time.process_time() - start < 5.0
 
+
+
+def _namespace_or_exit(parse, argv: list[str]) -> tuple:
+    """What ``parse(parser, argv)`` gives: its namespace, or argparse's exit code and texts."""
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        try:
+            return ("parsed", parse(cli.build_parser(), argv))
+        except SystemExit as exc:
+            return ("exit", exc.code, out.getvalue(), err.getvalue())
+
+
+def test_one_parse_gives_the_full_parse_namespace_on_the_corpus():
+    # each command as drawn, and with --output=json written as two words, which the
+    # verb's own parser takes alone
+    shapes = {"short": 0, "full": 0}
+    for argv in corpus():
+        for words in (argv, ["--output", "json", *argv[1:]] if argv[0] == "--output=json" else argv):
+            expected = _namespace_or_exit(lambda parser, a: parser.parse_args(a), words)
+            assert _namespace_or_exit(cli._parse, words) == expected, words
+            shapes["full" if words[0] == "--output=json" else "short"] += 1
+    assert min(shapes.values()) >= 80, shapes
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:

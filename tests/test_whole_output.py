@@ -8,21 +8,27 @@ and in a child of every other ``python3.N`` (N >= 10) on ``PATH`` that
 starts, since the package promises Python 3.10+.  A change that alters output on purpose re-records the digest
 and says why in ``CHANGES.md``, as for a golden file; so does a change to the
 command generator in ``perfbench/workloads.py``.
+
+The same lists check the parse: every command is parsed by its verb's own
+parser alone, into the namespace the full two-level parse gives.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import grdcalc
-from whole_output import whole_output_digest
+from grdcalc import cli
+from whole_output import commands, whole_output_digest
 
 # workload -> (commands of the seed-1 list, SHA-256 of their exit codes, stdout and stderr)
 WHOLE_OUTPUT = {
@@ -36,6 +42,20 @@ WHOLE_OUTPUT = {
 def test_whole_output_is_unchanged(workload):
     count, expected = WHOLE_OUTPUT[workload]
     assert whole_output_digest(workload, count) == expected
+
+
+@pytest.mark.parametrize("workload", sorted(WHOLE_OUTPUT))
+def test_every_benchmark_command_is_parsed_by_its_verb_alone(monkeypatch, workload):
+    # each command of the seed-1 list is parsed once, by the verb's own parser, into
+    # the namespace the full two-level parse gives; the cached parser's parse_args,
+    # the full parse, is never reached
+    parser, full = cli.build_parser(), []
+    monkeypatch.setattr(parser, "parse_args", lambda argv: full.append(argv))
+    count, _ = WHOLE_OUTPUT[workload]
+    for command in islice(commands(workload, 1), count):
+        argv = ["--output", "json", *command.argv]
+        assert cli._parse(parser, argv) == argparse.ArgumentParser.parse_args(parser, argv), argv
+    assert full == []
 
 
 def other_interpreters() -> list[str]:
